@@ -204,6 +204,7 @@ let insert ctx txn ~table record =
          finds either this slot lockable re-entrantly or a better one),
          and revalidate from scratch *)
       Heap_page.unreserve (heap_page page) slot;
+      Heap_file.note_gain tbl.heap page.Page.id;
       Latch.release page.Page.latch X;
       lock ctx txn (LockM.Record rid) X;
       acquire ()
@@ -274,6 +275,7 @@ let update ctx txn ~table rid new_record =
     Catalog.sidefiled_for ctx.Ctx.catalog tbl ~target:rid ~record:old_record
   in
   Heap_page.put (heap_page page) rid.Rid.slot new_record;
+  Heap_file.note_gain tbl.Catalog.heap rid.Rid.page;
   let lsn =
     Txn.log_op ctx.Ctx.txns txn
       (LR.Heap
@@ -428,18 +430,18 @@ let sidefile_undo ctx info ~clr (dels, inss) =
 
 let undo_heap ctx _txn ~clr ~page ~old_count ~old_sf op =
   (* 1. reverse the data-page change *)
+  let tbl =
+    (* the page belongs to exactly one table; find it through the catalog *)
+    List.find
+      (fun (t : Catalog.table_info) -> Heap_file.owns t.Catalog.heap page)
+      (Catalog.tables ctx.Ctx.catalog)
+  in
   let p = Buffer_pool.get ~role:"Heap_file" ctx.Ctx.pool page in
   Latch.acquire p.Page.latch X;
   let inverse = inverse_heap_op op in
   apply_heap_op (heap_page p) inverse;
+  Heap_file.note_gain tbl.Catalog.heap page;
   let rid = op_rid op in
-  let tbl =
-    (* the page belongs to exactly one table; find it through the catalog *)
-    List.find
-      (fun (t : Catalog.table_info) ->
-        List.mem page (Heap_file.page_ids t.Catalog.heap))
-      (Catalog.tables ctx.Ctx.catalog)
-  in
   let record_of_op =
     match op with
     | LR.Heap_insert { record; _ } | LR.Heap_delete { record; _ } -> record

@@ -27,24 +27,46 @@ val page_ids : t -> int list
 (** Ascending allocation order. *)
 
 val page_count : t -> int
+(** O(1). *)
+
 val last_page_id : t -> int option
+
+val owns : t -> int -> bool
+(** Is the page id one of this file's pages? O(1). *)
 
 val page : t -> int -> Page.t
 (** Fetch by page id (must belong to this file). *)
 
 val ensure_page_registered : t -> int -> unit
 (** Recovery: register a page id found in the log (a [Heap_extend] record)
-    that the (possibly restored) metadata does not know about. *)
+    that the (possibly restored) metadata does not know about. O(1) when
+    the page is already known or newer than every known page. A page
+    registered here does not join the free-space inventory; first-fit
+    still finds it. *)
 
 val prepare_insert : t -> Record.t -> Page.t * int
-(** Find a page with room (free-space inventory first, then first-fit,
-    else extend the file), X-latch it, reserve a slot. The caller completes
-    the insert with [Heap_page.put] + logging + [Page.set_lsn], then
-    releases the latch — or cancels with [Heap_page.unreserve]. *)
+(** Find a page with room, X-latch it, reserve a slot: the free-space
+    inventory first (pages noted free, newest first, then the pages from
+    the last first-fit hit onward, dropping those that cannot take the
+    record), then first-fit over every page in allocation order, else
+    extend the file. Pages whose free-space bound rules the record out are
+    passed over without being fetched, so the cost does not grow with the
+    file, yet every placement is the one a page-by-page walk would make.
+    The caller completes the insert with [Heap_page.put] + logging +
+    [Page.set_lsn], then releases the latch — or cancels with
+    [Heap_page.unreserve] followed by {!note_gain}. *)
+
+val note_gain : t -> int -> unit
+(** Report that a page of this file may have gained free bytes (a
+    reservation cancelled, a record shortened, removed, or undone). Every
+    such change must be reported before the fiber can next suspend:
+    placement skips a page whose bound says the record cannot fit, and an
+    unreported gain would make it skip a page that has room. Ignored for
+    pages the file does not own. *)
 
 val note_free : t -> int -> unit
-(** Hint that a page regained free space (a record was deleted) — keeps
-    the free-space inventory warm. Purely advisory. *)
+(** A record on the page was deleted: {!note_gain}, and put the page at
+    the head of the free-space inventory unless it is already there. *)
 
 val latch_rid : t -> Rid.t -> Oib_sim.Latch.mode -> Page.t
 (** Latch the page holding [rid] in the given mode and return it. *)

@@ -29,8 +29,12 @@ val free_bytes : t -> int
 val slot_count : t -> int
 val record_count : t -> int
 
+val cost : Record.t -> int
+(** Bytes [r] takes on a page, slot overhead included. *)
+
 val fits : t -> Record.t -> bool
-(** Could [r] be inserted (reusing a free slot or opening a new one)? *)
+(** Could [r] be inserted (reusing a free slot or opening a new one)?
+    Exactly [cost r <= free_bytes t]. *)
 
 val reserve : t -> Record.t -> int
 (** Pick and reserve a slot for [r] (lowest free slot first, else a new

@@ -112,6 +112,256 @@ let test_duplicate_create_rejected () =
       ignore
         (Heap_file.create env.Tenv.pool env.Tenv.kv ~table_id:3 ~page_capacity:64))
 
+(* --- placement equivalence --- *)
+
+(* The page-by-page placement that the free-space bounds replaced, kept as
+   the reference: a list inventory walked one page at a time, then a
+   first-fit scan over every page, then an extension. *)
+module Ref_heap = struct
+  type t = {
+    pool : Buffer_pool.t;
+    capacity : int;
+    mutable pages_rev : int list;
+    mutable fsip : int list;
+  }
+
+  let try_page t id record =
+    let p = Buffer_pool.get t.pool id in
+    if Heap_page.fits (Heap_page.of_payload p.Page.payload) record then begin
+      Oib_sim.Latch.acquire p.Page.latch X;
+      let hp = Heap_page.of_payload p.Page.payload in
+      if Heap_page.fits hp record then Some (p, Heap_page.reserve hp record)
+      else begin
+        Oib_sim.Latch.release p.Page.latch X;
+        None
+      end
+    end
+    else None
+
+  let prepare_insert t record =
+    let rec from_fsip () =
+      match t.fsip with
+      | [] -> None
+      | id :: rest -> (
+        match try_page t id record with
+        | Some r -> Some r
+        | None ->
+          t.fsip <- rest;
+          from_fsip ())
+    in
+    match from_fsip () with
+    | Some r -> r
+    | None -> (
+      let rec search = function
+        | [] -> None
+        | id :: rest -> (
+          match try_page t id record with
+          | Some r ->
+            t.fsip <- id :: rest;
+            Some r
+          | None -> search rest)
+      in
+      match search (List.rev t.pages_rev) with
+      | Some r -> r
+      | None ->
+        let p =
+          Buffer_pool.new_page t.pool
+            ~payload:(Heap_page.Heap (Heap_page.create ~capacity:t.capacity))
+            ~copy_payload:Heap_page.copy_payload
+        in
+        t.pages_rev <- p.Page.id :: t.pages_rev;
+        Oib_sim.Latch.acquire p.Page.latch X;
+        t.fsip <- [ p.Page.id ];
+        (p, Heap_page.reserve (Heap_page.of_payload p.Page.payload) record))
+
+  let note_free t id = if not (List.mem id t.fsip) then t.fsip <- id :: t.fsip
+
+  let ensure_page_registered t id =
+    if not (List.mem id t.pages_rev) then
+      t.pages_rev <- List.sort (fun a b -> compare b a) (id :: t.pages_rev)
+
+  let reopen t = t.fsip <- List.rev t.pages_rev
+end
+
+(* Integer arguments index the live records / pages / orphans modulo their
+   count; sizes are column lengths (a record costs 14 + size bytes). *)
+type place_op =
+  | Insert of int
+  | Delete of int  (** then [note_free], as [Table_ops.delete] *)
+  | Shrink of int * int  (** put a shorter record, as [Table_ops.update] *)
+  | Cancel of int
+      (** reserve, then unreserve: [Table_ops.insert]'s lock-denied retry *)
+  | Undo_insert of int  (** insert, then remove it: a rolled-back insert *)
+  | Evict of int  (** write the page back and drop it from the pool *)
+  | Reopen
+  | Orphan  (** allocate a page the file does not know yet *)
+  | Register of int  (** recovery registers an orphan *)
+
+(* the gain reports a caller owes the heap file; [skip] drops one kind *)
+type report_site = Rep_shrink | Rep_cancel | Rep_undo
+
+let show_place_op = function
+  | Insert n -> Printf.sprintf "Insert %d" n
+  | Delete i -> Printf.sprintf "Delete %d" i
+  | Shrink (i, n) -> Printf.sprintf "Shrink (%d, %d)" i n
+  | Cancel n -> Printf.sprintf "Cancel %d" n
+  | Undo_insert n -> Printf.sprintf "Undo_insert %d" n
+  | Evict i -> Printf.sprintf "Evict %d" i
+  | Reopen -> "Reopen"
+  | Orphan -> "Orphan"
+  | Register i -> Printf.sprintf "Register %d" i
+
+let gen_place_ops =
+  QCheck.Gen.(
+    let size = int_range 0 80 and ix = int_bound 1000 in
+    list_size (int_range 1 150)
+      (frequency
+         [
+           (10, map (fun n -> Insert n) size);
+           (3, map (fun i -> Delete i) ix);
+           (3, map2 (fun i n -> Shrink (i, n)) ix size);
+           (2, map (fun n -> Cancel n) size);
+           (2, map (fun n -> Undo_insert n) size);
+           (1, map (fun i -> Evict i) ix);
+           (1, return Reopen);
+           (1, return Orphan);
+           (1, map (fun i -> Register i) ix);
+         ]))
+
+(* Run [ops] on the heap file and on the reference, each over its own
+   fresh system; true iff every placement agrees. *)
+let placements_agree ?skip ops =
+  let capacity = 256 in
+  let er = Tenv.make () and em = Tenv.make () in
+  let hf = ref (Heap_file.create er.Tenv.pool er.Tenv.kv ~table_id:1 ~page_capacity:capacity) in
+  let m = { Ref_heap.pool = em.Tenv.pool; capacity; pages_rev = []; fsip = [] } in
+  let rcd_of n = rcd (String.make n 'x') in
+  let live = ref [] (* (rid, size), newest first *) and orphans = ref [] in
+  let nth l i = List.nth l (i mod List.length l) in
+  let report site id =
+    if skip <> Some site then Heap_file.note_gain !hf id
+  in
+  (* change a page on both sides, dirtying it as the logged paths do *)
+  let on_page id f =
+    List.iter
+      (fun pool ->
+        let p = Buffer_pool.get pool id in
+        f (Heap_page.of_payload p.Page.payload);
+        Page.mark_dirty p)
+      [ er.Tenv.pool; em.Tenv.pool ]
+  in
+  (* place [r] on both sides; the X latches stay held *)
+  let place r =
+    let pr, sr = Heap_file.prepare_insert !hf r in
+    let pm, sm = Ref_heap.prepare_insert m r in
+    if pr.Page.id <> pm.Page.id || sr <> sm then None
+    else Some (pr, pm, Rid.make ~page:pr.Page.id ~slot:sr)
+  in
+  let release pr pm =
+    Oib_sim.Latch.release pr.Page.latch X;
+    Oib_sim.Latch.release pm.Page.latch X
+  in
+  let step = function
+    | Insert n -> (
+      let r = rcd_of n in
+      match place r with
+      | None -> false
+      | Some (pr, pm, rid) ->
+        on_page rid.Rid.page (fun hp -> Heap_page.put hp rid.Rid.slot r);
+        release pr pm;
+        live := (rid, n) :: !live;
+        true)
+    | Delete i ->
+      (if !live <> [] then
+         let rid, _ = nth !live i in
+         on_page rid.Rid.page (fun hp -> Heap_page.remove hp rid.Rid.slot);
+         Heap_file.note_free !hf rid.Rid.page;
+         Ref_heap.note_free m rid.Rid.page;
+         live := List.filter (fun (r, _) -> not (Rid.equal r rid)) !live);
+      true
+    | Shrink (i, n) ->
+      (if !live <> [] then
+         let rid, old = nth !live i in
+         let n = min n old in
+         on_page rid.Rid.page (fun hp -> Heap_page.put hp rid.Rid.slot (rcd_of n));
+         report Rep_shrink rid.Rid.page;
+         live :=
+           List.map (fun (r, s) -> if Rid.equal r rid then (r, n) else (r, s)) !live);
+      true
+    | Cancel n -> (
+      match place (rcd_of n) with
+      | None -> false
+      | Some (pr, pm, rid) ->
+        on_page rid.Rid.page (fun hp -> Heap_page.unreserve hp rid.Rid.slot);
+        report Rep_cancel rid.Rid.page;
+        release pr pm;
+        true)
+    | Undo_insert n -> (
+      let r = rcd_of n in
+      match place r with
+      | None -> false
+      | Some (pr, pm, rid) ->
+        on_page rid.Rid.page (fun hp ->
+            Heap_page.put hp rid.Rid.slot r;
+            Heap_page.remove hp rid.Rid.slot);
+        report Rep_undo rid.Rid.page;
+        release pr pm;
+        true)
+    | Evict i ->
+      (match Heap_file.page_ids !hf with
+      | [] -> ()
+      | ids ->
+        let id = nth ids i in
+        List.iter
+          (fun pool ->
+            Buffer_pool.flush_page pool (Buffer_pool.get pool id);
+            Buffer_pool.evict pool id)
+          [ er.Tenv.pool; em.Tenv.pool ]);
+      true
+    | Reopen ->
+      hf := Heap_file.open_existing er.Tenv.pool er.Tenv.kv ~table_id:1;
+      Ref_heap.reopen m;
+      true
+    | Orphan ->
+      let fresh pool =
+        (Buffer_pool.new_page pool
+           ~payload:(Heap_page.Heap (Heap_page.create ~capacity))
+           ~copy_payload:Heap_page.copy_payload)
+          .Page.id
+      in
+      let a = fresh er.Tenv.pool and b = fresh em.Tenv.pool in
+      orphans := a :: !orphans;
+      a = b
+    | Register i ->
+      (if !orphans <> [] then
+         let id = nth !orphans i in
+         Heap_file.ensure_page_registered !hf id;
+         Ref_heap.ensure_page_registered m id;
+         orphans := List.filter (( <> ) id) !orphans);
+      true
+  in
+  List.for_all step ops
+
+let prop_placement_matches_reference =
+  QCheck.Test.make ~name:"placement matches the page-by-page reference"
+    ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_place_op)
+       ~shrink:QCheck.Shrink.list gen_place_ops)
+    (fun ops -> placements_agree ops)
+
+(* the property has teeth: drop any one kind of gain report and some
+   sequence places a record elsewhere *)
+let test_unreported_gain_diverges () =
+  let rand = Random.State.make [| 7 |] in
+  let samples = QCheck.Gen.generate ~rand ~n:300 gen_place_ops in
+  List.iter
+    (fun (site, name) ->
+      Alcotest.(check bool)
+        (name ^ " unreported: some placement differs")
+        true
+        (List.exists (fun ops -> not (placements_agree ~skip:site ops)) samples))
+    [ (Rep_shrink, "shrink"); (Rep_cancel, "cancel"); (Rep_undo, "undo") ]
+
 (* --- buffer pool / WAL rule --- *)
 
 let test_wal_rule_enforced () =
@@ -201,6 +451,12 @@ let () =
             test_heap_file_scan_upto;
           Alcotest.test_case "duplicate create rejected" `Quick
             test_duplicate_create_rejected;
+        ] );
+      ( "placement",
+        [
+          QCheck_alcotest.to_alcotest prop_placement_matches_reference;
+          Alcotest.test_case "unreported gain diverges" `Quick
+            test_unreported_gain_diverges;
         ] );
       ( "buffer-pool",
         [
