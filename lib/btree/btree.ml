@@ -519,7 +519,7 @@ let find_kv t kv =
   let rec walk (p : Page.t) =
     let l = leaf_of_payload p.Page.payload in
     let i = ref (leaf_lower_bound l probe) in
-    while !i < l.n && String.compare (fst (leaf_get l !i)).Ikey.kv kv <= 0 do
+    while !i < l.n && Ikey.compare_kv (fst (leaf_get l !i)) probe <= 0 do
       let k, fl = leaf_get l !i in
       if String.equal k.Ikey.kv kv then acc := (k, fl) :: !acc;
       incr i
@@ -531,7 +531,7 @@ let find_kv t kv =
         (!i >= l.n
         &&
         match l.high with
-        | Some h -> String.compare h.Ikey.kv kv <= 0
+        | Some h -> Ikey.compare_kv h probe <= 0
         | None -> false)
     in
     if !continue_next && l.next >= 0 then begin
@@ -554,8 +554,9 @@ let iter_range t ?lo ?hi f =
   let p =
     match lo with Some _ -> descend_read t start_key | None -> leftmost_leaf t
   in
-  let beyond kv =
-    match hi with Some h -> String.compare kv h > 0 | None -> false
+  let hi_key = Option.map (fun h -> Ikey.make h Rid.minus_infinity) hi in
+  let beyond k =
+    match hi_key with Some h -> Ikey.compare_kv k h > 0 | None -> false
   in
   let rec walk (p : Page.t) first =
     let l = leaf_of_payload p.Page.payload in
@@ -563,7 +564,7 @@ let iter_range t ?lo ?hi f =
     let stop = ref false in
     while (not !stop) && !i < l.n do
       let k, pseudo = leaf_get l !i in
-      if beyond k.Ikey.kv then stop := true
+      if beyond k then stop := true
       else begin
         f k ~pseudo;
         incr i

@@ -26,11 +26,15 @@ let phase_name = function
   | Drain -> "drain"
   | Ready -> "ready"
 
+(* Where the scan stands, kept as data: the text is built only when a
+   status is rendered, never on the builder's per-record path. *)
+type scan_pos = Not_scanned | At_rid of Oib_util.Rid.t | At_key of string
+
 type t = {
   index_id : int;
   algorithm : string; (* "nsf" | "sf" | "via-primary" *)
   mutable phase : phase;
-  mutable scan_rid : string; (* Current-RID of the scan, "" before scanning *)
+  mutable scan_pos : scan_pos; (* Current-RID (or current key) of the scan *)
   mutable keys_processed : int;
   mutable backlog : int; (* side-file entries appended but not yet drained *)
   mutable checkpoints : int;
@@ -47,7 +51,7 @@ let create ~index_id ~algorithm =
     index_id;
     algorithm;
     phase = Init;
-    scan_rid = "";
+    scan_pos = Not_scanned;
     keys_processed = 0;
     backlog = 0;
     checkpoints = 0;
@@ -82,7 +86,10 @@ let pp ppf t =
   Format.fprintf ppf "index %d [%s] %s: keys=%d backlog=%d ckpts=%d%s"
     t.index_id t.algorithm (phase_name t.phase) t.keys_processed t.backlog
     t.checkpoints
-    (if t.scan_rid = "" then "" else " rid=" ^ t.scan_rid)
+    (match t.scan_pos with
+    | Not_scanned -> ""
+    | At_rid rid -> " rid=" ^ Oib_util.Rid.to_string rid
+    | At_key pk -> " rid=key:" ^ pk)
 
 let to_json t =
   let b = Buffer.create 256 in

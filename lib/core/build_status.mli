@@ -15,11 +15,21 @@ val rank : phase -> int
 
 val phase_name : phase -> string
 
+type scan_pos =
+  | Not_scanned  (** before the scan starts *)
+  | At_rid of Oib_util.Rid.t  (** Current-RID of a heap scan *)
+  | At_key of string
+      (** current key of a scan in primary-key order (index-organized
+          table) *)
+
 type t = {
   index_id : int;
   algorithm : string;  (** ["nsf"], ["sf"] or ["via-primary"] *)
   mutable phase : phase;
-  mutable scan_rid : string;  (** Current-RID of the scan; [""] before it *)
+  mutable scan_pos : scan_pos;
+      (** scan position, stored as data and formatted only by {!pp}:
+          [rid=] followed by the RID as {!Oib_util.Rid.to_string} prints
+          it, or by ["key:"] and the key *)
   mutable keys_processed : int;
   mutable backlog : int;  (** side-file entries appended, not yet drained *)
   mutable checkpoints : int;

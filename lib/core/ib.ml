@@ -826,9 +826,7 @@ let build_indexes_nsf ctx cfg ~table specs =
   List.iter (fun st -> note_phase ctx st BS.Scan) stats;
   scan_and_sort ctx cfg tbl ~last_scan_page ~dynamic:false jobs
     ~set_current_rid:(fun rid ->
-      List.iter
-        (fun (st : BS.t) -> st.BS.scan_rid <- Rid.to_string rid)
-        stats);
+      List.iter (fun (st : BS.t) -> st.BS.scan_pos <- BS.At_rid rid) stats);
   parallel_jobs ctx jobs (fun job ->
       let runs = merge_sorted ctx cfg job in
       ignore (do_merge ctx job runs);
@@ -890,9 +888,7 @@ let build_indexes_sf ctx cfg ~table specs =
   scan_and_sort ctx cfg tbl ~last_scan_page ~dynamic:true jobs
     ~set_current_rid:(fun rid ->
       List.iter (fun sf -> sf.Catalog.current_rid <- rid) states;
-      List.iter
-        (fun (st : BS.t) -> st.BS.scan_rid <- Rid.to_string rid)
-        stats);
+      List.iter (fun (st : BS.t) -> st.BS.scan_pos <- BS.At_rid rid) stats);
   (* scan complete: later file extensions go to the side-file (§3.2.2) *)
   List.iter (fun sf -> sf.Catalog.current_rid <- Rid.infinity) states;
   parallel_jobs ctx jobs (fun job ->
@@ -1023,7 +1019,7 @@ let build_secondary_via_primary ctx cfg ~table ~primary spec =
         | entries ->
           let last_pk = fst (List.nth entries (List.length entries - 1)) in
           sf.Catalog.current_key <- Some last_pk;
-          bst.BS.scan_rid <- "key:" ^ last_pk);
+          bst.BS.scan_pos <- BS.At_key last_pk);
         if !batch <> [] then copied := !batch :: !copied);
     let batches = List.rev !copied in
     List.iter
@@ -1202,7 +1198,7 @@ let resume_one ctx cfg index_id =
       scan_and_sort ctx cfg tbl ~last_scan_page:p.p_last_scan_page
         ~dynamic:(p.p_algorithm = Sf) [ job ]
         ~set_current_rid:(fun rid ->
-          st.BS.scan_rid <- Rid.to_string rid;
+          st.BS.scan_pos <- BS.At_rid rid;
           match info.phase with
           | Catalog.Sf_building sf -> sf.Catalog.current_rid <- rid
           | _ -> ());

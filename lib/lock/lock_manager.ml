@@ -77,6 +77,14 @@ let entry t name =
     Hashtbl.replace t.entries name e;
     e
 
+(* Forget an entry nobody holds or waits for, so the table tracks live
+   locks rather than every name ever locked. Readers treat a missing entry
+   as empty. *)
+let reclaim t name e =
+  match (e.granted, e.waiters) with
+  | [], [] -> Hashtbl.remove t.entries name
+  | _ -> ()
+
 let find_request e txn = List.find_opt (fun r -> r.txn = txn) e.granted
 
 (* Is [mode] compatible with every other holder? *)
@@ -201,7 +209,8 @@ let lock_aux t ~txn name mode ~conditional ~instant =
         | Some r, Some pm -> r.mode <- pm
         | Some _, None ->
           drop_request t name e ~txn;
-          pump t name e
+          pump t name e;
+          reclaim t name e
         | None, _ -> ()
       end
     in
@@ -296,7 +305,8 @@ let unlock_all t ~txn =
           (Oib_obs.Probe.Lock_rel
              { txn; target = name_string name;
                table = (match name with Table _ -> true | Record _ -> false) });
-      pump t name e)
+      pump t name e;
+      reclaim t name e)
     (List.sort_uniq compare names)
 
 let holds t ~txn name mode =

@@ -20,7 +20,9 @@ module Heap = struct
 
   let create () = { a = Array.make 64 dummy; n = 0; compares = 0 }
 
-  let less h (t1, k1) (t2, k2) =
+  (* tags annotated [int] so their test is an int compare, not a call to
+     polymorphic compare *)
+  let less h ((t1 : int), k1) ((t2 : int), k2) =
     t1 < t2
     || t1 = t2
        && begin

@@ -55,8 +55,10 @@ let get ?role t id =
       bump t "pool.page_read" ~role:(Option.value role ~default:"page");
       let tr = Oib_sim.Sched.trace t.sched in
       let span =
-        Oib_obs.Trace.span_begin tr ~cat:"io"
-          ~name:(Printf.sprintf "read:page-%d" id)
+        if Oib_obs.Trace.tracing tr then
+          Oib_obs.Trace.span_begin tr ~cat:"io"
+            ~name:(Printf.sprintf "read:page-%d" id)
+        else 0
       in
       if Oib_obs.Trace.tracing tr then
         Oib_obs.Trace.emit tr (Oib_obs.Event.Page_read { page = id });
@@ -113,8 +115,10 @@ let flush_page t (page : Page.t) =
   if page.dirty then begin
     let tr = Oib_sim.Sched.trace t.sched in
     let span =
-      Oib_obs.Trace.span_begin tr ~cat:"io"
-        ~name:(Printf.sprintf "write:page-%d" page.id)
+      if Oib_obs.Trace.tracing tr then
+        Oib_obs.Trace.span_begin tr ~cat:"io"
+          ~name:(Printf.sprintf "write:page-%d" page.id)
+      else 0
     in
     (* write-ahead rule; its logflush span nests inside this io span *)
     Oib_wal.Log_manager.flush t.log ~upto:page.lsn;

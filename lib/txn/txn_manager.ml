@@ -30,13 +30,16 @@ let create ?(trace = Trace.null) log locks metrics =
 let log t = t.log
 let locks t = t.locks
 
+(* The span name is built only when someone is tracing. *)
+let txn_span t txn_id =
+  if Trace.tracing t.trace then
+    Trace.span_begin t.trace ~cat:"txn" ~name:(Printf.sprintf "txn-%d" txn_id)
+  else 0
+
 let begin_txn t =
   let txn_id = t.next_id in
   t.next_id <- txn_id + 1;
-  let span =
-    Trace.span_begin t.trace ~cat:"txn"
-      ~name:(Printf.sprintf "txn-%d" txn_id)
-  in
+  let span = txn_span t txn_id in
   let begin_lsn = LM.append t.log ~txn:(Some txn_id) ~prev_lsn:Lsn.nil LR.Begin in
   let txn =
     { txn_id; begin_lsn; begin_step = Trace.now t.trace; span;
@@ -120,10 +123,7 @@ let rollback t txn ~undo =
   Trace.span_end t.trace txn.span
 
 let adopt t ~txn_id ~last =
-  let span =
-    Trace.span_begin t.trace ~cat:"txn"
-      ~name:(Printf.sprintf "txn-%d" txn_id)
-  in
+  let span = txn_span t txn_id in
   let txn =
     { txn_id; begin_lsn = last; begin_step = Trace.now t.trace; span;
       last; st = Active }

@@ -1,13 +1,28 @@
-type t = { kv : string; rid : Rid.t }
+type t = { kv : string; rid : Rid.t; pfx : int }
 
-let make kv rid = { kv; rid }
+let prefix_bytes = 7
+
+(* The first [prefix_bytes] bytes of [kv], big-endian, zero-padded: 56
+   bits, so always a nonnegative OCaml int. *)
+let prefix kv =
+  let n = String.length kv in
+  let p = ref 0 in
+  for i = 0 to prefix_bytes - 1 do
+    p := (!p lsl 8) lor if i < n then Char.code (String.unsafe_get kv i) else 0
+  done;
+  !p
+
+let make kv rid = { kv; rid; pfx = prefix kv }
+
+(* A prefix that differs decides the order; equal prefixes decide nothing
+   and fall through to the full strings. *)
+let compare_kv a b =
+  if a.pfx < b.pfx then -1
+  else if a.pfx > b.pfx then 1
+  else String.compare a.kv b.kv
 
 let compare a b =
-  match String.compare a.kv b.kv with
-  | 0 -> Rid.compare a.rid b.rid
-  | c -> c
-
-let compare_kv a b = String.compare a.kv b.kv
+  match compare_kv a b with 0 -> Rid.compare a.rid b.rid | c -> c
 
 let equal a b = compare a b = 0
 

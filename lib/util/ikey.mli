@@ -6,12 +6,19 @@
     many entries with equal key value (distinguished by RID); a *unique*
     index admits at most one non-pseudo-deleted entry per key value. *)
 
-type t = { kv : string; rid : Rid.t }
+type t = private { kv : string; rid : Rid.t; pfx : int }
+(** [pfx] caches the first 7 bytes of [kv], big-endian and zero-padded
+    (56 bits). It preserves order: [a.pfx < b.pfx] implies
+    [a.kv < b.kv] under [String.compare], because a string that is a
+    proper prefix of another sorts first and NUL is the lowest byte.
+    Equal prefixes decide nothing. The field is never serialized. *)
 
 val make : string -> Rid.t -> t
+(** The only constructor; computes [pfx]. *)
 
 val compare : t -> t -> int
-(** Full order: key value, then RID. Duplicate rejection in nonunique
+(** Full order: key value, then RID; decided on [pfx] when the
+    prefixes differ. Duplicate rejection in nonunique
     indexes matches on this full order (paper §2.2.3: "for a nonunique
     index, the key must match completely (<key value, RID>)"). *)
 

@@ -71,8 +71,10 @@ let flush t ~upto =
   if Lsn.( > ) upto t.durable_lsn then begin
     Oib_sim.Metrics.add t.metrics Log_flushes 1;
     let span =
-      Trace.span_begin t.trace ~cat:"logflush"
-        ~name:("flush:" ^ string_of_int (Lsn.to_int upto))
+      if Trace.tracing t.trace then
+        Trace.span_begin t.trace ~cat:"logflush"
+          ~name:("flush:" ^ string_of_int (Lsn.to_int upto))
+      else 0
     in
     if Trace.tracing t.trace then
       Trace.emit t.trace (Event.Log_flush { upto = Lsn.to_int upto });

@@ -275,7 +275,7 @@ let test_progress_sf_backlog () =
     Alcotest.(check bool) "ready" true (st.BS.phase = BS.Ready);
     Alcotest.(check int) "backlog drained" 0 st.BS.backlog;
     Alcotest.(check bool) "scan position was published" true
-      (st.BS.scan_rid <> "");
+      (st.BS.scan_pos <> BS.Not_scanned);
     check_history st
       ~expect_phases:[ BS.Scan; BS.Merge; BS.Bulk; BS.Drain; BS.Ready ]
   | l -> Alcotest.fail (Printf.sprintf "expected 1 status, got %d" (List.length l))
@@ -330,6 +330,70 @@ let test_progress_across_crash () =
     Alcotest.(check bool) "ready after resume" true (st.BS.phase = BS.Ready);
     check_history st ~expect_phases:[ BS.Ready ]
   | l -> Alcotest.fail (Printf.sprintf "expected 1 status, got %d" (List.length l))
+
+(* The scan position is stored as data and formatted only when a status is
+   rendered. After a full scan it reads as the last heap page's boundary,
+   (page, max_int); [to_json] carries no scan position at all. *)
+let check_rendered_position ctx ~alg =
+  match Engine.build_progress ctx with
+  | [ st ] ->
+    let heap = (Catalog.table ctx.Ctx.catalog 1).Catalog.heap in
+    let last = Option.get (Oib_storage.Heap_file.last_page_id heap) in
+    Alcotest.(check string) (alg ^ " status line")
+      (Printf.sprintf
+         "index 10 [%s] ready: keys=%d backlog=0 ckpts=%d \
+          rid=(%d,4611686018427387903)"
+         alg st.BS.keys_processed st.BS.checkpoints last)
+      (Format.asprintf "%a" BS.pp st);
+    Alcotest.(check bool) (alg ^ " json has no scan position") false
+      (contains (BS.to_json st) "rid")
+  | l -> Alcotest.fail (Printf.sprintf "expected 1 status, got %d" (List.length l))
+
+let build_quietly ctx alg =
+  ignore
+    (Sched.spawn ctx.Ctx.sched ~name:"ib" (fun () ->
+         Ib.build_index ctx (Ib.default_config alg) ~table:1
+           { Ib.index_id = 10; key_cols = [ 0 ]; unique = false }))
+
+let test_progress_rendered_rid () =
+  List.iter
+    (fun (alg, name) ->
+      let ctx = setup ~seed:5 ~trace:(quiet_trace ()) () in
+      let _ = Driver.populate ctx ~table:1 ~rows:300 ~seed:5 in
+      build_quietly ctx alg;
+      Sched.run ctx.Ctx.sched;
+      check_clean ctx;
+      check_rendered_position ctx ~alg:name)
+    [ (Ib.Nsf, "nsf"); (Ib.Sf, "sf") ];
+  (* crash a few pages into the scan; the resumed build scans the rest *)
+  let ctx = setup ~seed:5 ~trace:(quiet_trace ()) () in
+  let _ = Driver.populate ctx ~table:1 ~rows:300 ~seed:5 in
+  build_quietly ctx Ib.Nsf;
+  ignore
+    (Sched.spawn ctx.Ctx.sched ~name:"monitor" (fun () ->
+         let scan_polls = ref 0 in
+         while !scan_polls < 4 do
+           (match Engine.build_progress ctx with
+           | [ st ] when st.BS.scan_pos <> BS.Not_scanned -> incr scan_polls
+           | _ -> ());
+           Sched.yield ctx.Ctx.sched
+         done;
+         Sched.request_crash ctx.Ctx.sched));
+  (match Sched.run ctx.Ctx.sched with
+  | () -> Alcotest.fail "expected crash"
+  | exception Sched.Crashed -> ());
+  let ctx = Engine.crash ctx in
+  (match Engine.build_progress ctx with
+  | [ st ] ->
+    Alcotest.(check string) "crashed during the scan" "scan"
+      (BS.phase_name st.BS.phase)
+  | l -> Alcotest.fail (Printf.sprintf "expected 1 status, got %d" (List.length l)));
+  ignore
+    (Sched.spawn ctx.Ctx.sched ~name:"resume" (fun () ->
+         Ib.resume_builds ctx (Ib.default_config Ib.Nsf)));
+  Sched.run ctx.Ctx.sched;
+  check_clean ctx;
+  check_rendered_position ctx ~alg:"nsf"
 
 (* --- metrics refactor --- *)
 
@@ -406,6 +470,8 @@ let () =
             test_progress_sf_backlog;
           Alcotest.test_case "across crash + resume" `Quick
             test_progress_across_crash;
+          Alcotest.test_case "rendered scan position" `Quick
+            test_progress_rendered_rid;
         ] );
       ( "metrics",
         [ Alcotest.test_case "field-list derivations" `Quick test_metrics_assoc ] );

@@ -303,6 +303,86 @@ let prop_merge_resume_byte_identical =
       Run_store.to_list (merge_with_crash ~crash_after:crash_at ~ckpt_every:73 seed)
       = Run_store.to_list (merge_uninterrupted ~ckpt_every:73 seed))
 
+(* --- qcheck: the cached key prefix never changes the order --- *)
+
+(* Keys built to stress [Ikey]'s 7-byte prefix: empty strings, NUL and
+   high bytes, lengths 0-12 around a shared 7-byte stem, and multi-column
+   values joined by [Record.key_value]'s 0x1f separator. *)
+let gen_key =
+  let open QCheck.Gen in
+  let byte = oneofl [ '\000'; '\001'; 'a'; 'b'; '\x1f'; '\x7f'; '\x80'; '\xff' ] in
+  let stem =
+    oneofl [ "abcdefg"; "\000\000\000\000\000\000\000"; "\xff\xff\xff\xff\xff\xff\xff" ]
+  in
+  let near_stem =
+    map3
+      (fun s cut tail -> String.sub s 0 cut ^ tail)
+      stem (0 -- 7)
+      (string_size ~gen:byte (0 -- 5))
+  in
+  let multi_col =
+    map
+      (fun cols ->
+        Record.key_value (Record.make (Array.of_list cols))
+          (List.init (List.length cols) Fun.id))
+      (list_size (1 -- 3) (string_size ~gen:byte (0 -- 4)))
+  in
+  let kv =
+    frequency
+      [ (3, near_stem); (2, multi_col); (1, string_size ~gen:byte (0 -- 12)) ]
+  in
+  map2
+    (fun kv (page, slot) -> Ikey.make kv (Rid.make ~page ~slot))
+    kv
+    (pair (0 -- 2) (0 -- 2))
+
+let arb_key = QCheck.make ~print:Ikey.to_string gen_key
+
+(* the order [Ikey] must reproduce: key bytes, then RID *)
+let reference_compare (a : Ikey.t) (b : Ikey.t) =
+  match String.compare a.kv b.kv with 0 -> Rid.compare a.rid b.rid | c -> c
+
+let sign c = Int.compare c 0
+
+let prop_prefix_order =
+  QCheck.Test.make ~name:"ikey prefix keeps key order" ~count:2000
+    (QCheck.pair arb_key arb_key)
+    (fun (a, b) ->
+      sign (Ikey.compare a b) = sign (reference_compare a b)
+      && sign (Ikey.compare_kv a b) = sign (String.compare a.kv b.kv))
+
+let prop_sorts_agree =
+  QCheck.Test.make ~name:"heap and loser tree sort like List" ~count:200
+    (QCheck.list_of_size QCheck.Gen.(0 -- 60) arb_key)
+    (fun keys ->
+      let expected = List.sort reference_compare keys in
+      let singleton k =
+        let r = ref (Some k) in
+        fun () ->
+          let x = !r in
+          r := None;
+          x
+      in
+      let by_tree =
+        match keys with
+        | [] -> []
+        | _ ->
+          let streams = Array.of_list (List.map singleton keys) in
+          List.map fst (Loser_tree.drain (Loser_tree.make ~streams ()))
+      in
+      (* replacement selection: all in memory (one heap-sorted run), then
+         with a small heap (several runs, merged) *)
+      let by_heap memory_keys =
+        let store = Run_store.create () in
+        let sorter =
+          Sort_phase.start (Durable_kv.create ()) store ~ckpt_id:"t/s"
+            ~memory_keys
+        in
+        feed_all sorter keys ~page_size:5;
+        merged_list store (Sort_phase.finish sorter)
+      in
+      by_tree = expected && by_heap 64 = expected && by_heap 3 = expected)
+
 let () =
   Alcotest.run "sort"
     [
@@ -335,6 +415,8 @@ let () =
             prop_merge_restart_any_crash_point;
             prop_loser_tree_sorted_permutation;
             prop_merge_resume_byte_identical;
+            prop_prefix_order;
+            prop_sorts_agree;
           ]
       );
     ]
