@@ -1,8 +1,7 @@
 (* Benchmark harness entry point.
 
-   dune exec bench/main.exe                 — every experiment + micro
+   dune exec bench/main.exe                 — every experiment
    dune exec bench/main.exe -- --exp e4     — one experiment
-   dune exec bench/main.exe -- --micro      — micro-benchmarks only
 
    Each experiment regenerates one row-set of DESIGN.md's experiment index;
    EXPERIMENTS.md records the claim-vs-measured comparison. *)
@@ -17,7 +16,7 @@ let run_experiment name =
       (String.concat ", " (List.map fst Experiments.all));
     false
 
-let main exps micro_only smoke baseline =
+let main exps smoke baseline =
   if smoke then begin
     (* tiny instrumented config: exercises the whole observability path
        (trace, progress, histograms, BENCH_obs.json, BENCH_core.json) in
@@ -34,17 +33,12 @@ let main exps micro_only smoke baseline =
         1
       end
   end
-  else if micro_only then begin
-    Micro.run ();
-    0
-  end
   else begin
     match exps with
     | [] ->
       print_endline
         "OIB benchmark suite — reproduction of Mohan & Narang, SIGMOD 1992";
       List.iter (fun (_, f) -> f ()) Experiments.all;
-      Micro.run ();
       Obs_report.run ();
       0
     | names -> if List.for_all run_experiment names then 0 else 1
@@ -58,9 +52,6 @@ let exps =
     & opt_all string []
     & info [ "e"; "exp" ] ~docv:"EXP"
         ~doc:"Run one experiment (e0..e14); repeatable.")
-
-let micro =
-  Arg.(value & flag & info [ "micro" ] ~doc:"Run only the micro-benchmarks.")
 
 let smoke =
   Arg.(
@@ -81,6 +72,6 @@ let baseline =
 let cmd =
   let doc = "Regenerate the evaluation of the online index build paper" in
   Cmd.v (Cmd.info "oib-bench" ~doc)
-    Term.(const main $ exps $ micro $ smoke $ baseline)
+    Term.(const main $ exps $ smoke $ baseline)
 
 let () = exit (Cmd.eval' cmd)

@@ -9,10 +9,11 @@
    `oib-fuzz repro ...` command, with the flight-recorder dump of the
    minimal failing run. Nonzero exit on any oracle violation.
 
-   With --sanitize every run also streams its probe events through oib-san
-   (lockset race detection, latch-order cycle prediction, WAL runtime
-   verification); any sanitizer finding fails the command exactly like an
-   oracle violation, including shrinking and the repro line. *)
+   With --sanitize every run's event stream also feeds oib-san, attached
+   as one more trace sink (lockset race detection, latch-order cycle
+   prediction, WAL runtime verification, shared-state interference); any
+   sanitizer finding fails the command exactly like an oracle violation,
+   including shrinking and the repro line. *)
 
 open Oib_dst
 module Trace = Oib_obs.Trace
@@ -552,8 +553,9 @@ let sanitize_arg =
     value & flag
     & info [ "sanitize" ]
         ~doc:
-          "Stream probe events through oib-san (lockset races, latch-order \
-           cycles, WAL discipline); findings fail like oracle violations")
+          "Feed the event stream to oib-san, attached as a trace sink \
+           (lockset races, latch-order cycles, WAL discipline, shared-state \
+           interference); findings fail like oracle violations")
 
 let jsonl_arg =
   Arg.(

@@ -75,7 +75,7 @@ type t = {
   page_capacity : int;
   tables : (int, table_info) Hashtbl.t;
   indexes : (int, index_info) Hashtbl.t;
-  mutable trace : Oib_obs.Trace.t;  (* sanitizer probes only *)
+  mutable trace : Oib_obs.Trace.t;  (* sanitizer events only *)
 }
 
 type Durable_kv.value +=
@@ -105,15 +105,15 @@ let create kv ~page_capacity =
 
 let set_trace t trace = t.trace <- trace
 
-(* Shared-state probes for the sanitizer's L12 interference automaton.
+(* Shared-state events for the sanitizer's L12 interference automaton.
    The key carries the index instance — the per-index state words are
    independent, exactly as the linter keys accesses by instance — and
    the sanitizer strips the "(i)" suffix back to the class when diffing
    against the static table. *)
-let probe_state t index_id ~write site =
-  if Oib_obs.Trace.probing t.trace then
-    Oib_obs.Trace.probe_emit t.trace
-      (Oib_obs.Probe.Shared
+let emit_shared t index_id ~write site =
+  if Oib_obs.Trace.tracing t.trace then
+    Oib_obs.Trace.emit t.trace
+      (Oib_obs.Event.Shared
          {
            key = Printf.sprintf "Catalog.state(%d)" index_id;
            write;
@@ -267,7 +267,7 @@ let sidefiled_for _t (tbl : table_info) ~target ~record =
 let set_phase t index_id phase = (index t index_id).phase <- phase
 
 let state t index_id =
-  probe_state t index_id ~write:false "catalog.state";
+  emit_shared t index_id ~write:false "catalog.state";
   (index t index_id).state
 
 (* Durability order: WAL record first (appended + flushed), then the
@@ -276,7 +276,7 @@ let state t index_id =
    after reopen, so the logged transition wins either way. *)
 let set_state t pool index_id to_ =
   let info = index t index_id in
-  probe_state t index_id ~write:false "catalog.set_state";
+  emit_shared t index_id ~write:false "catalog.set_state";
   let from_ = info.state in
   if not (legal_transition ~from_ ~to_) then
     raise (Illegal_transition { index = index_id; from_; to_ });
@@ -288,12 +288,12 @@ let set_state t pool index_id to_ =
      against the current state before installing, so a raced transition
      surfaces as Illegal_transition instead of silently clobbering it
      (the logged record is then a no-op replay of a rejected change). *)
-  probe_state t index_id ~write:false "catalog.set_state.revalidate";
+  emit_shared t index_id ~write:false "catalog.set_state.revalidate";
   let cur = info.state in
   if not (legal_transition ~from_:cur ~to_) then
     raise (Illegal_transition { index = index_id; from_ = cur; to_ });
   info.state <- to_;
-  probe_state t index_id ~write:true "catalog.set_state";
+  emit_shared t index_id ~write:true "catalog.set_state";
   persist_index t info
 
 (* recovery-only: apply a replayed state without legality checks or

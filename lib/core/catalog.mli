@@ -99,7 +99,7 @@ type t
 val create : Oib_storage.Durable_kv.t -> page_capacity:int -> t
 
 val set_trace : t -> Oib_obs.Trace.t -> unit
-(** Point the catalog's sanitizer probes ([Shared] events on class
+(** Point the catalog's sanitizer events ([Shared] on class
     [Catalog.state], keyed per index instance) at the current
     incarnation's trace. Defaults to {!Oib_obs.Trace.null}. *)
 

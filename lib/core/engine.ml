@@ -64,7 +64,7 @@ let wire_observability (ctx : Ctx.t) =
          if Oib_obs.Trace.tracing ctx.Ctx.trace then
            Oib_obs.Trace.emit ctx.Ctx.trace
              (Oib_obs.Event.Ib_throttle { level = Throttle.level th; reason })));
-  (* point the shared-state sanitizer probes (L12 interference twin) at
+  (* point the shared-state sanitizer events (L12 interference twin) at
      this incarnation's trace *)
   Throttle.set_trace ctx.Ctx.throttle ctx.Ctx.trace;
   Catalog.set_trace ctx.Ctx.catalog ctx.Ctx.trace
@@ -107,9 +107,6 @@ let recover_over ~seed (old : t) ~store ~kv ~runs =
      an offline reader needs the marker to split the capture into epochs *)
   if Oib_obs.Trace.tracing trace then
     Oib_obs.Trace.emit trace (Oib_obs.Event.Epoch { label = "restart" });
-  if Oib_obs.Trace.probing trace then
-    Oib_obs.Trace.probe_emit trace
-      (Oib_obs.Probe.Epoch { label = "restart" });
   let log = LM.crash old.Ctx.log in
   let pool = Buffer_pool.create ~sched ~metrics:old.Ctx.metrics ~log ~store in
   let locks = Oib_lock.Lock_manager.create sched old.Ctx.metrics in

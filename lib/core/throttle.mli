@@ -47,10 +47,10 @@ val extra_yields : t -> int
 (** Yields the builder inserts after each unit of work ([= level]). *)
 
 val set_trace : t -> Oib_obs.Trace.t -> unit
-(** Point the throttle's sanitizer probes ([Shared] events on class
+(** Point the throttle's sanitizer events ([Shared] on class
     [Throttle.level]) at the current incarnation's trace. Defaults to
-    {!Oib_obs.Trace.null}; with no probe consumer installed each
-    emission site is one pointer compare. *)
+    {!Oib_obs.Trace.null}; with nothing attached each emission site is
+    one pointer compare. *)
 
 val set_notify : t -> (t -> string -> unit) option -> unit
 (** Hook fired on every level change with a short reason (e.g.

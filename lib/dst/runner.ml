@@ -84,8 +84,8 @@ let run ?trace ?inject ?during ?on_engine (sc : Scenario.t) =
   (* run boundary for the sanitizer: fiber ids and latch identities are
      about to restart, so all volatile shadow state must go *)
   (match trace with
-  | Some tr when Oib_obs.Trace.probing tr ->
-    Oib_obs.Trace.probe_emit tr (Oib_obs.Probe.Epoch { label = "run" })
+  | Some tr when Oib_obs.Trace.tracing tr ->
+    Oib_obs.Trace.emit tr Oib_obs.Event.Run_start
   | _ -> ());
   let wl = Scenario.workload sc in
   let pending = ref sc.faults in

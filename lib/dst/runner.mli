@@ -51,8 +51,8 @@ val run :
     (initial, post-crash/media-restore, and the double-recovery check) —
     used to re-install per-scheduler instrumentation such as the
     profiler's step hook, so a capture's final incarnation is profiled.
-    When a sanitizing [trace] is given, an [Epoch] probe marks the run
-    start so per-run shadow state resets. *)
+    When a live [trace] is given, a [Run_start] event marks the run
+    start so the sanitizer's per-run shadow state resets. *)
 
 val measure_steps : ?trace:Oib_obs.Trace.t -> Scenario.t -> int
 (** Total steps of the scenario run fault-free — the sweep's upper

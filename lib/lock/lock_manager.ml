@@ -217,10 +217,10 @@ let lock_aux t ~txn name mode ~conditional ~instant =
     let tr = Oib_sim.Sched.trace t.sched in
     (* instant-duration grants are invisible to the sanitizer: they are
        released before the requester proceeds, so they order nothing *)
-    let probe_grant () =
-      if (not instant) && Trace.probing tr then
-        Trace.probe_emit tr
-          (Oib_obs.Probe.Lock_acq
+    let emit_grant () =
+      if (not instant) && Trace.tracing tr then
+        Trace.emit tr
+          (Event.Lock_grant
              { txn; target = name_string name; cond = conditional;
                table = (match name with Table _ -> true | Record _ -> false) })
     in
@@ -236,7 +236,7 @@ let lock_aux t ~txn name mode ~conditional ~instant =
     if grantable e ~txn ~mode:target ~conversion then begin
       grant t name e ~txn ~mode:target;
       settle_instant ();
-      probe_grant ();
+      emit_grant ();
       Trace.observe tr "lock_wait" 0;
       Granted
     end
@@ -261,7 +261,7 @@ let lock_aux t ~txn name mode ~conditional ~instant =
           else e.waiters <- e.waiters @ [ w ]);
       (* granted by [pump] before we were resumed *)
       settle_instant ();
-      probe_grant ();
+      emit_grant ();
       let waited = Oib_sim.Sched.steps t.sched - t0 in
       Trace.observe tr "lock_wait" waited;
       Oib_sim.Metrics.add t.metrics Lock_wait_steps waited;
@@ -300,9 +300,9 @@ let unlock_all t ~txn =
     (fun name ->
       let e = entry t name in
       e.granted <- List.filter (fun r -> r.txn <> txn) e.granted;
-      if Trace.probing tr then
-        Trace.probe_emit tr
-          (Oib_obs.Probe.Lock_rel
+      if Trace.tracing tr then
+        Trace.emit tr
+          (Event.Lock_rel
              { txn; target = name_string name;
                table = (match name with Table _ -> true | Record _ -> false) });
       pump t name e;

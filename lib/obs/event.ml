@@ -3,26 +3,49 @@
    I/O, a log append/flush, a transaction lifecycle step, an index-builder
    phase transition, side-file traffic, a checkpoint, or a crash/recovery
    step. Events carry only primitive payloads (ints, strings) so this
-   library sits below every subsystem in the dependency order. *)
+   library sits below every subsystem in the dependency order.
+
+   One stream serves two kinds of consumer: the renderers (flight
+   recorder, JSONL, the profiler and dashboards) and the oib-san
+   sanitizer. Some constructors exist for the sanitizer alone — every
+   latch/lock grant, data accesses, page-LSN moves, suspensions — and
+   [sanitizer_only] marks them so the stock renderers skip them. *)
 
 type t =
   | Fiber_spawn of { fiber : int; name : string }
+  | Fiber_exit
+  | Resume of { fiber : int }
+  | Yield
   | Latch_wait of { latch : string; mode : string; holders : string }
+  | Latch_grant of { uid : int; role : string; page : int; excl : bool }
   | Latch_acquired of { latch : string; mode : string; waited : int }
-  | Latch_released of { latch : string; mode : string }
+  | Latch_released of {
+      latch : string;
+      mode : string;
+      uid : int;
+      role : string;
+      page : int;
+    }
   | Lock_wait of { owner : int; target : string; mode : string; blockers : string }
+  | Lock_grant of { txn : int; target : string; table : bool; cond : bool }
   | Lock_acquired of { owner : int; target : string; mode : string; waited : int }
   | Lock_denied of { owner : int; target : string; mode : string; blockers : string }
       (** the request would deadlock; the caller becomes a victim *)
+  | Lock_rel of { txn : int; target : string; table : bool }
   | Lock_released_all of { owner : int }
   | Page_read of { page : int }
-  | Page_write of { page : int }
-  | Log_append of { lsn : int; kind : string; bytes : int }
+  | Page_write of { page : int; page_lsn : int; flushed_lsn : int }
+  | Access of { page : int; write : bool; site : string }
+  | Lsn_set of { page : int; old_lsn : int; new_lsn : int; site : string }
+  | Page_evict of { page : int }
+  | Log_append of { lsn : int; kind : string; bytes : int; txn : int }
   | Log_flush of { upto : int }
   | Txn_begin of { txn : int }
   | Txn_commit of { txn : int; latency : int }
   | Txn_abort of { txn : int; latency : int }
   | Txn_rollback_step of { txn : int; lsn : int }
+  | Undo_begin of { txn : int }
+  | Undo_end of { txn : int }
   | Ib_phase of { index : int; phase : string }
   | Ib_checkpoint of { index : int; stage : string }
   | Index_state of { index : int; state : string }
@@ -44,9 +67,11 @@ type t =
       resource : string;
       blocker : string;
     }
+  | Shared of { key : string; write : bool; site : string }
   | Epoch of { label : string }
       (** engine-incarnation boundary in a multi-run trace; the step clock
           restarts at the next event *)
+  | Run_start
 
 (* An event stamped with the scheduler's step clock and the fiber that
    produced it ([fiber] = -1, ["main"] outside any fiber). *)
@@ -54,21 +79,32 @@ type stamped = { step : int; fiber : int; fiber_name : string; event : t }
 
 let kind = function
   | Fiber_spawn _ -> "fiber.spawn"
+  | Fiber_exit -> "fiber.exit"
+  | Resume _ -> "fiber.resume"
+  | Yield -> "fiber.yield"
   | Latch_wait _ -> "latch.wait"
+  | Latch_grant _ -> "latch.grant"
   | Latch_acquired _ -> "latch.acquired"
   | Latch_released _ -> "latch.released"
   | Lock_wait _ -> "lock.wait"
+  | Lock_grant _ -> "lock.grant"
   | Lock_acquired _ -> "lock.acquired"
   | Lock_denied _ -> "lock.denied"
+  | Lock_rel _ -> "lock.release"
   | Lock_released_all _ -> "lock.released_all"
   | Page_read _ -> "page.read"
   | Page_write _ -> "page.write"
+  | Access _ -> "page.access"
+  | Lsn_set _ -> "page.lsn_set"
+  | Page_evict _ -> "page.evict"
   | Log_append _ -> "log.append"
   | Log_flush _ -> "log.flush"
   | Txn_begin _ -> "txn.begin"
   | Txn_commit _ -> "txn.commit"
   | Txn_abort _ -> "txn.abort"
   | Txn_rollback_step _ -> "txn.rollback_step"
+  | Undo_begin _ -> "txn.undo_begin"
+  | Undo_end _ -> "txn.undo_end"
   | Ib_phase _ -> "ib.phase"
   | Ib_checkpoint _ -> "ib.checkpoint"
   | Index_state _ -> "index.state"
@@ -83,33 +119,69 @@ let kind = function
   | Span_end _ -> "span.end"
   | Sample _ -> "sample"
   | Prof_sample _ -> "prof.sample"
+  | Shared _ -> "shared"
   | Epoch _ -> "epoch"
+  | Run_start -> "run.start"
 
-(* key=value detail string, shared by the textual dump and pp *)
+(* Total on purpose: a new constructor must be classified before the tree
+   compiles. The five facts both consumers need (spawn, latch release,
+   page write-back, log append, epoch) are rendered. *)
+let sanitizer_only = function
+  | Fiber_exit | Resume _ | Yield | Latch_grant _ | Lock_grant _ | Lock_rel _
+  | Access _ | Lsn_set _ | Page_evict _ | Undo_begin _ | Undo_end _
+  | Shared _ | Run_start ->
+    true
+  | Fiber_spawn _ | Latch_wait _ | Latch_acquired _ | Latch_released _
+  | Lock_wait _ | Lock_acquired _ | Lock_denied _ | Lock_released_all _
+  | Page_read _ | Page_write _ | Log_append _ | Log_flush _ | Txn_begin _
+  | Txn_commit _ | Txn_abort _ | Txn_rollback_step _ | Ib_phase _
+  | Ib_checkpoint _ | Index_state _ | Ib_range_commit _ | Ib_throttle _
+  | Sidefile_append _ | Sidefile_drained _ | Checkpoint _ | Recovery_step _
+  | Crash _ | Span_begin _ | Span_end _ | Sample _ | Prof_sample _ | Epoch _ ->
+    false
+
+(* key=value detail string, shared by the textual dump and pp. The
+   sanitizer's payload on the shared events (latch uid/role/page, page
+   and flushed LSNs at write-back, the appending txn) stays out of it, so
+   dumps read as they did before the streams merged. *)
 let detail = function
   | Fiber_spawn { fiber; name } -> Printf.sprintf "fiber=%d name=%s" fiber name
+  | Fiber_exit | Yield | Run_start -> ""
+  | Resume { fiber } -> Printf.sprintf "fiber=%d" fiber
   | Latch_wait { latch; mode; holders } ->
     Printf.sprintf "latch=%s mode=%s holders=%s" latch mode holders
+  | Latch_grant { uid; role; page; excl } ->
+    Printf.sprintf "uid=%d role=%s page=%d excl=%b" uid role page excl
   | Latch_acquired { latch; mode; waited } ->
     Printf.sprintf "latch=%s mode=%s waited=%d" latch mode waited
-  | Latch_released { latch; mode } ->
+  | Latch_released { latch; mode; _ } ->
     Printf.sprintf "latch=%s mode=%s" latch mode
   | Lock_wait { owner; target; mode; blockers } ->
     Printf.sprintf "owner=%d target=%s mode=%s blockers=%s" owner target mode
       blockers
+  | Lock_grant { txn; target; table; cond } ->
+    Printf.sprintf "txn=%d target=%s table=%b cond=%b" txn target table cond
   | Lock_acquired { owner; target; mode; waited } ->
     Printf.sprintf "owner=%d target=%s mode=%s waited=%d" owner target mode
       waited
   | Lock_denied { owner; target; mode; blockers } ->
     Printf.sprintf "owner=%d target=%s mode=%s blockers=%s" owner target mode
       blockers
+  | Lock_rel { txn; target; table } ->
+    Printf.sprintf "txn=%d target=%s table=%b" txn target table
   | Lock_released_all { owner } -> Printf.sprintf "owner=%d" owner
   | Page_read { page } -> Printf.sprintf "page=%d" page
-  | Page_write { page } -> Printf.sprintf "page=%d" page
-  | Log_append { lsn; kind; bytes } ->
+  | Page_write { page; _ } -> Printf.sprintf "page=%d" page
+  | Access { page; write; site } ->
+    Printf.sprintf "page=%d write=%b site=%s" page write site
+  | Lsn_set { page; old_lsn; new_lsn; site } ->
+    Printf.sprintf "page=%d old=%d new=%d site=%s" page old_lsn new_lsn site
+  | Page_evict { page } -> Printf.sprintf "page=%d" page
+  | Log_append { lsn; kind; bytes; _ } ->
     Printf.sprintf "lsn=%d kind=%s bytes=%d" lsn kind bytes
   | Log_flush { upto } -> Printf.sprintf "upto=%d" upto
-  | Txn_begin { txn } -> Printf.sprintf "txn=%d" txn
+  | Txn_begin { txn } | Undo_begin { txn } | Undo_end { txn } ->
+    Printf.sprintf "txn=%d" txn
   | Txn_commit { txn; latency } ->
     Printf.sprintf "txn=%d latency=%d" txn latency
   | Txn_abort { txn; latency } -> Printf.sprintf "txn=%d latency=%d" txn latency
@@ -139,6 +211,8 @@ let detail = function
   | Prof_sample { fiber; fname; state; path; resource; blocker } ->
     Printf.sprintf "fiber=%d fname=%s state=%s path=%s resource=%s blocker=%s"
       fiber fname state path resource blocker
+  | Shared { key; write; site } ->
+    Printf.sprintf "key=%s write=%b site=%s" key write site
   | Epoch { label } -> Printf.sprintf "label=%s" label
 
 let pp ppf e = Format.fprintf ppf "%-18s %s" (kind e) (detail e)
@@ -173,28 +247,48 @@ let fields = function
      same JSON object (like Recovery_step's "what" below) *)
   | Fiber_spawn { fiber; name } ->
     [ ("id", `I fiber); ("name", `S name) ]
+  | Fiber_exit | Yield | Run_start -> []
+  | Resume { fiber } -> [ ("id", `I fiber) ]
   | Latch_wait { latch; mode; holders } ->
     [ ("latch", `S latch); ("mode", `S mode); ("holders", `S holders) ]
+  | Latch_grant { uid; role; page; excl } ->
+    [ ("uid", `I uid); ("role", `S role); ("page", `I page);
+      ("excl", `B excl) ]
   | Latch_acquired { latch; mode; waited } ->
     [ ("latch", `S latch); ("mode", `S mode); ("waited", `I waited) ]
-  | Latch_released { latch; mode } ->
-    [ ("latch", `S latch); ("mode", `S mode) ]
+  | Latch_released { latch; mode; uid; role; page } ->
+    [ ("latch", `S latch); ("mode", `S mode); ("uid", `I uid);
+      ("role", `S role); ("page", `I page) ]
   | Lock_wait { owner; target; mode; blockers } ->
     [ ("owner", `I owner); ("target", `S target); ("mode", `S mode);
       ("blockers", `S blockers) ]
+  | Lock_grant { txn; target; table; cond } ->
+    [ ("txn", `I txn); ("target", `S target); ("table", `B table);
+      ("cond", `B cond) ]
   | Lock_acquired { owner; target; mode; waited } ->
     [ ("owner", `I owner); ("target", `S target); ("mode", `S mode);
       ("waited", `I waited) ]
   | Lock_denied { owner; target; mode; blockers } ->
     [ ("owner", `I owner); ("target", `S target); ("mode", `S mode);
       ("blockers", `S blockers) ]
+  | Lock_rel { txn; target; table } ->
+    [ ("txn", `I txn); ("target", `S target); ("table", `B table) ]
   | Lock_released_all { owner } -> [ ("owner", `I owner) ]
-  | Page_read { page } -> [ ("page", `I page) ]
-  | Page_write { page } -> [ ("page", `I page) ]
-  | Log_append { lsn; kind; bytes } ->
-    [ ("lsn", `I lsn); ("kind", `S kind); ("bytes", `I bytes) ]
+  | Page_read { page } | Page_evict { page } -> [ ("page", `I page) ]
+  | Page_write { page; page_lsn; flushed_lsn } ->
+    [ ("page", `I page); ("page_lsn", `I page_lsn);
+      ("flushed_lsn", `I flushed_lsn) ]
+  | Access { page; write; site } ->
+    [ ("page", `I page); ("write", `B write); ("site", `S site) ]
+  | Lsn_set { page; old_lsn; new_lsn; site } ->
+    [ ("page", `I page); ("old_lsn", `I old_lsn); ("new_lsn", `I new_lsn);
+      ("site", `S site) ]
+  | Log_append { lsn; kind; bytes; txn } ->
+    [ ("lsn", `I lsn); ("kind", `S kind); ("bytes", `I bytes);
+      ("txn", `I txn) ]
   | Log_flush { upto } -> [ ("upto", `I upto) ]
-  | Txn_begin { txn } -> [ ("txn", `I txn) ]
+  | Txn_begin { txn } | Undo_begin { txn } | Undo_end { txn } ->
+    [ ("txn", `I txn) ]
   | Txn_commit { txn; latency } -> [ ("txn", `I txn); ("latency", `I latency) ]
   | Txn_abort { txn; latency } -> [ ("txn", `I txn); ("latency", `I latency) ]
   | Txn_rollback_step { txn; lsn } -> [ ("txn", `I txn); ("lsn", `I lsn) ]
@@ -228,6 +322,8 @@ let fields = function
   | Prof_sample { fiber; fname; state; path; resource; blocker } ->
     [ ("id", `I fiber); ("fname", `S fname); ("state", `S state);
       ("path", `S path); ("resource", `S resource); ("blocker", `S blocker) ]
+  | Shared { key; write; site } ->
+    [ ("key", `S key); ("write", `B write); ("site", `S site) ]
   | Epoch { label } -> [ ("label", `S label) ]
 
 let to_json s =

@@ -1,30 +1,79 @@
-(** Typed trace events.
+(** Typed engine events: one stream for the trace and the sanitizer.
 
     One constructor per observable engine action. Payloads are primitives
     only (ints / strings) so that [oib_obs] can sit below every other
-    library: subsystems render their own types (lock names, modes, RIDs)
-    to strings at the emission site. *)
+    library: subsystems render their own types (lock names, modes, RIDs,
+    LSNs) to strings and ints at the emission site.
+
+    Two kinds of consumer read the stream. The renderers (flight
+    recorder, JSONL sinks, profiler, dashboards) read the engine's story;
+    the oib-san sanitizer ([lib/san]) reads its synchronization and WAL
+    facts. The constructors only the sanitizer needs are marked by
+    {!sanitizer_only}, and the stock renderers skip them. Conventions for
+    the sanitizer payloads: [page] is a buffer-pool page id ([-1] when a
+    latch guards no page); LSNs are [Lsn.to_int] renderings; [txn -1]
+    means "no transaction". *)
 
 type t =
   | Fiber_spawn of { fiber : int; name : string }
+      (** [fiber] was registered; the spawner is the stamped fiber *)
+  | Fiber_exit  (** the stamped fiber's body returned *)
+  | Resume of { fiber : int }
+      (** the stamped fiber made [fiber] runnable again (latch grant,
+          lock-queue pump, condition signal — every blocking primitive
+          funnels through [Sched.suspend], so this one edge covers all
+          of them) *)
+  | Yield
+      (** the stamped fiber is about to suspend ([Sched.yield] /
+          [Sched.suspend]); everything it read from shared state before
+          this point may be stale when it resumes *)
   | Latch_wait of { latch : string; mode : string; holders : string }
       (** [holders] is the comma-joined names of the fibers currently
           holding the latch, oldest grant first — the blockers the
           profiler charges this wait to *)
+  | Latch_grant of { uid : int; role : string; page : int; excl : bool }
+      (** the stamped fiber was granted the latch, with or without a
+          wait; [uid] is process-wide unique *)
   | Latch_acquired of { latch : string; mode : string; waited : int }
-  | Latch_released of { latch : string; mode : string }
+      (** a grant that followed a [Latch_wait] *)
+  | Latch_released of {
+      latch : string;
+      mode : string;
+      uid : int;
+      role : string;
+      page : int;
+    }
   | Lock_wait of { owner : int; target : string; mode : string; blockers : string }
+  | Lock_grant of { txn : int; target : string; table : bool; cond : bool }
+      (** manual-duration lock grant, with or without a wait
+          (instant-duration grants are not reported: they impose no
+          release-to-acquire ordering) *)
   | Lock_acquired of { owner : int; target : string; mode : string; waited : int }
+      (** a grant that followed a [Lock_wait] *)
   | Lock_denied of { owner : int; target : string; mode : string; blockers : string }
+  | Lock_rel of { txn : int; target : string; table : bool }
+      (** one lock of a transaction's release; [Lock_released_all] is
+          the transaction-level summary *)
   | Lock_released_all of { owner : int }
   | Page_read of { page : int }
-  | Page_write of { page : int }
-  | Log_append of { lsn : int; kind : string; bytes : int }
+  | Page_write of { page : int; page_lsn : int; flushed_lsn : int }
+      (** write-back to the stable store; [flushed_lsn] is the log's
+          durable horizon at that moment (WAL rule: must be
+          [>= page_lsn]) *)
+  | Access of { page : int; write : bool; site : string }
+      (** a data access to the page ([site] names the emission point) *)
+  | Lsn_set of { page : int; old_lsn : int; new_lsn : int; site : string }
+  | Page_evict of { page : int }
+      (** the volatile page object was discarded; a later re-read builds
+          a new object (new latch) from the stable image *)
+  | Log_append of { lsn : int; kind : string; bytes : int; txn : int }
   | Log_flush of { upto : int }
   | Txn_begin of { txn : int }
   | Txn_commit of { txn : int; latency : int }
   | Txn_abort of { txn : int; latency : int }
   | Txn_rollback_step of { txn : int; lsn : int }
+  | Undo_begin of { txn : int }  (** rollback of [txn] starts *)
+  | Undo_end of { txn : int }
   | Ib_phase of { index : int; phase : string }
   | Ib_checkpoint of { index : int; stage : string }
   | Index_state of { index : int; state : string }
@@ -76,7 +125,17 @@ type t =
           [resource] names the blocking resource (empty when on-cpu)
           and [blocker] the fiber name(s) holding it (comma-joined,
           empty when unknown). *)
+  | Shared of { key : string; write : bool; site : string }
+      (** an access to cross-fiber shared state; [key] is the lint
+          class key (e.g. ["Throttle.level"], ["Catalog.state(3)"]) so
+          the dynamic interference automaton lines up with the static
+          L12 atomics table, [site] names the emission point *)
   | Epoch of { label : string }
+      (** engine-incarnation boundary on a trace that survives a
+          restart; the step clock restarts at the next event *)
+  | Run_start
+      (** the DST runner is about to build a fresh engine on a trace
+          that outlives it: fiber ids and pages restart *)
 
 type stamped = { step : int; fiber : int; fiber_name : string; event : t }
 (** An event stamped with the scheduler's virtual step clock and the
@@ -84,6 +143,13 @@ type stamped = { step : int; fiber : int; fiber_name : string; event : t }
 
 val kind : t -> string
 (** Stable dotted tag, e.g. ["latch.wait"], ["ib.phase"]. *)
+
+val sanitizer_only : t -> bool
+(** True for the constructors only the sanitizer reads: [Fiber_exit],
+    [Resume], [Yield], [Latch_grant], [Lock_grant], [Lock_rel],
+    [Access], [Lsn_set], [Page_evict], [Undo_begin], [Undo_end],
+    [Shared] and [Run_start]. The flight recorder and the stock JSONL
+    sinks skip them. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_stamped : Format.formatter -> stamped -> unit

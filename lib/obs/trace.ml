@@ -5,7 +5,8 @@
    recorder, and a registry of named histograms. Emission sites guard
    with [tracing] before allocating an event, so a [null] trace (the
    default everywhere) costs one pointer compare per instrumented
-   operation. *)
+   operation. The sanitizer is one more sink; the recorder and the stock
+   JSONL sinks skip the events only it reads. *)
 
 type sink = { sink_name : string; push : Event.stamped -> unit }
 
@@ -14,7 +15,6 @@ type t = {
   mutable clock : unit -> int;
   mutable fiber : unit -> (int * string) option;
   mutable sinks : sink list;
-  mutable probe : (int -> Probe.event -> unit) option;
   mutable recorder : Flight_recorder.t option;
   mutable on_dump : string -> unit;
   mutable last_dump : string option;
@@ -30,7 +30,6 @@ let make ~live =
     clock = (fun () -> 0);
     fiber = (fun () -> None);
     sinks = [];
-    probe = None;
     recorder = None;
     on_dump = prerr_endline;
     last_dump = None;
@@ -61,21 +60,6 @@ let now t = t.clock ()
 
 let tracing t = t.live && (t.sinks <> [] || t.recorder <> None)
 
-(* The probe channel is deliberately separate from [tracing]: a sanitized
-   run may want probes without paying for event rendering, and a traced
-   run must not suddenly grow probe consumers. Emission sites guard with
-   [probing] before building the event. *)
-let probing t = t.live && t.probe <> None
-
-let set_probe t f = if t.live then t.probe <- f
-
-let probe_emit t ev =
-  match t.probe with
-  | None -> ()
-  | Some f ->
-    let fiber = match t.fiber () with Some (id, _) -> id | None -> -1 in
-    f fiber ev
-
 let stamp t event =
   let fiber, fiber_name =
     match t.fiber () with Some (id, n) -> (id, n) | None -> (-1, "main")
@@ -85,7 +69,9 @@ let stamp t event =
 let emit t event =
   if tracing t then begin
     let s = stamp t event in
-    (match t.recorder with Some r -> Flight_recorder.record r s | None -> ());
+    (match t.recorder with
+    | Some r when not (Event.sanitizer_only event) -> Flight_recorder.record r s
+    | _ -> ());
     List.iter (fun sink -> sink.push s) t.sinks
   end
 
@@ -201,18 +187,20 @@ let hists t =
 
 (* --- stock sinks --- *)
 
-let buffer_jsonl_sink buf =
-  fun s ->
-    Buffer.add_string buf (Event.to_json s);
-    Buffer.add_char buf '\n'
+(* one line per event, skipping the ones only the sanitizer reads *)
+let add_jsonl_sink t ~name out =
+  add_sink t ~name (fun s ->
+      if not (Event.sanitizer_only s.Event.event) then begin
+        out (Event.to_json s);
+        out "\n"
+      end)
 
-let add_jsonl_buffer_sink t ~name buf = add_sink t ~name (buffer_jsonl_sink buf)
+let add_jsonl_buffer_sink t ~name buf =
+  add_jsonl_sink t ~name (Buffer.add_string buf)
 
 let add_jsonl_file_sink t ~path =
   let oc = open_out path in
-  add_sink t ~name:("jsonl:" ^ path) (fun s ->
-      output_string oc (Event.to_json s);
-      output_char oc '\n');
+  add_jsonl_sink t ~name:("jsonl:" ^ path) (output_string oc);
   fun () ->
     remove_sink t ~name:("jsonl:" ^ path);
     close_out oc

@@ -28,29 +28,14 @@ val tracing : t -> bool
     this before allocating an event at a hot emission site. *)
 
 val emit : t -> Event.t -> unit
-(** Stamp and dispatch to the flight recorder and every sink. *)
-
-(** {2 Sanitizer probes}
-
-    A second, independent channel for {!Probe.event}s: one consumer (the
-    oib-san sanitizer), no rendering, no recorder. Kept apart from the
-    sink list so sanitizing and tracing can be enabled separately, and so
-    probe payloads never leak into the JSONL event schema. *)
-
-val probing : t -> bool
-(** True when a probe consumer is installed — check before building a
-    probe event at a hot emission site. *)
-
-val set_probe : t -> (int -> Probe.event -> unit) option -> unit
-(** Install (or clear) the probe consumer. It receives the emitting
-    fiber id ([-1] outside any fiber) and the event, and must not block:
-    it runs inside scheduler, latch and lock-manager critical sections. *)
-
-val probe_emit : t -> Probe.event -> unit
-(** Stamp the current fiber and hand the event to the consumer (no-op
-    when none is installed). *)
+(** Stamp and dispatch to every sink, and to the flight recorder unless
+    {!Event.sanitizer_only}. *)
 
 val add_sink : t -> name:string -> (Event.stamped -> unit) -> unit
+(** A sink sees every event, sanitizer-only ones included, and must not
+    block: it runs inside scheduler, latch and lock-manager critical
+    sections. *)
+
 val remove_sink : t -> name:string -> unit
 
 val attach_recorder : t -> capacity:int -> Flight_recorder.t
@@ -104,7 +89,9 @@ val pp_hists : Format.formatter -> t -> unit
 (** {2 Stock sinks} *)
 
 val add_jsonl_buffer_sink : t -> name:string -> Buffer.t -> unit
+(** Append every event that is not {!Event.sanitizer_only} as a JSONL
+    line. *)
 
 val add_jsonl_file_sink : t -> path:string -> unit -> unit
-(** Open [path], stream every event as a JSONL line; returns the closer
-    (also detaches the sink). *)
+(** Open [path], stream every event that is not {!Event.sanitizer_only}
+    as a JSONL line; returns the closer (also detaches the sink). *)

@@ -23,6 +23,11 @@ let decode_event j kind =
   let int_f k = field j k Json.to_int kind in
   let str_f k = field j k Json.to_string kind in
   let bool_f k = field j k Json.to_bool kind in
+  (* keys that captures written before the sanitizer's payload joined
+     the shared events do not have *)
+  let opt conv k default =
+    Option.value (Option.bind (Json.member k j) conv) ~default
+  in
   match kind with
   | "fiber.spawn" ->
     (* payload key is "id": "fiber" in the same object is the stamp's *)
@@ -33,10 +38,7 @@ let decode_event j kind =
     let* latch = str_f "latch" in
     let* mode = str_f "mode" in
     (* absent in pre-profiler captures: default to "unknown holders" *)
-    let holders =
-      Option.value (Option.bind (Json.member "holders" j) Json.to_string)
-        ~default:""
-    in
+    let holders = opt Json.to_string "holders" "" in
     Ok (Event.Latch_wait { latch; mode; holders })
   | "latch.acquired" ->
     let* latch = str_f "latch" in
@@ -46,7 +48,11 @@ let decode_event j kind =
   | "latch.released" ->
     let* latch = str_f "latch" in
     let* mode = str_f "mode" in
-    Ok (Event.Latch_released { latch; mode })
+    Ok
+      (Event.Latch_released
+         { latch; mode; uid = opt Json.to_int "uid" (-1);
+           role = opt Json.to_string "role" "";
+           page = opt Json.to_int "page" (-1) })
   | "lock.wait" ->
     let* owner = int_f "owner" in
     let* target = str_f "target" in
@@ -73,12 +79,15 @@ let decode_event j kind =
     Ok (Event.Page_read { page })
   | "page.write" ->
     let* page = int_f "page" in
-    Ok (Event.Page_write { page })
+    Ok
+      (Event.Page_write
+         { page; page_lsn = opt Json.to_int "page_lsn" 0;
+           flushed_lsn = opt Json.to_int "flushed_lsn" 0 })
   | "log.append" ->
     let* lsn = int_f "lsn" in
     let* kind = str_f "kind" in
     let* bytes = int_f "bytes" in
-    Ok (Event.Log_append { lsn; kind; bytes })
+    Ok (Event.Log_append { lsn; kind; bytes; txn = opt Json.to_int "txn" (-1) })
   | "log.flush" ->
     let* upto = int_f "upto" in
     Ok (Event.Log_flush { upto })

@@ -1,5 +1,5 @@
 module Diag = Oib_lint.Diag
-module Probe = Oib_obs.Probe
+module Event = Oib_obs.Event
 
 (* one held latch *)
 type held_latch = { h_uid : int; h_role : string; h_excl : bool }
@@ -215,25 +215,28 @@ let reset_volatile t =
 
 (* --- the consumer --- *)
 
-let feed t f (ev : Probe.event) =
-  t.events <- t.events + 1;
-  Wal_check.feed t.wal ev;
+(* One event from fiber [f]; false for the rendered-only kinds, which the
+   sanitizer neither analyses nor counts. *)
+let analyse t f (ev : Event.t) =
   match ev with
-  | Spawn { child } ->
+  | Fiber_spawn { fiber = child; _ } ->
     set_vc t child (Vc.join (vc t child) (vc t f));
-    set_vc t f (Vc.tick f (vc t f))
+    set_vc t f (Vc.tick f (vc t f));
+    true
   | Fiber_exit ->
     (* joins into the main context (fiber -1): everything after the
        scheduler loop returns is ordered after every fiber *)
     set_vc t (-1) (Vc.join (vc t (-1)) (vc t f));
     Hashtbl.remove t.held_latches f;
     Hashtbl.remove t.held_locks f;
-    Hashtbl.remove t.shared f
+    Hashtbl.remove t.shared f;
+    true
   | Resume { fiber } ->
     (* stamped fiber [f] is the resumer: the thunk runs in its context *)
     set_vc t fiber (Vc.join (vc t fiber) (vc t f));
-    set_vc t f (Vc.tick f (vc t f))
-  | Latch_acq { uid; role; page; excl } ->
+    set_vc t f (Vc.tick f (vc t f));
+    true
+  | Latch_grant { uid; role; page; excl } ->
     absorb t t.latch_rel_vc uid f;
     List.iter
       (fun h ->
@@ -248,15 +251,17 @@ let feed t f (ev : Probe.event) =
     Hashtbl.replace t.held_latches f
       ({ h_uid = uid; h_role = role; h_excl = excl } :: latches_of t f);
     (* a page latch grant is itself a page access (S = read, X = write):
-       the S chokepoint gives the race detector read coverage without a
-       probe at every read site *)
+       the S chokepoint gives the race detector read coverage without an
+       event at every read site *)
     if page >= 0 then
       Lockset.record t.lockset ~page
-        (access_of t f ~write:excl ~site:(role ^ ".latch"))
-  | Latch_rel { uid; _ } ->
+        (access_of t f ~write:excl ~site:(role ^ ".latch"));
+    true
+  | Latch_released { uid; _ } ->
     ignore (remove_latch t f uid : int);
-    publish t t.latch_rel_vc uid f
-  | Lock_acq { target; table; cond; _ } ->
+    publish t t.latch_rel_vc uid f;
+    true
+  | Lock_grant { target; table; cond; _ } ->
     absorb t t.lock_rel_vc target f;
     (* conditional requests never wait, so they cannot close a deadlock
        cycle: the lock is recorded as held (it protects accesses and may
@@ -275,15 +280,20 @@ let feed t f (ev : Probe.event) =
             ~site:(lock_node tb' ^ "->" ^ lock_node table))
         (locks_of t f)
     end;
-    Hashtbl.replace t.held_locks f ((target, table) :: locks_of t f)
+    Hashtbl.replace t.held_locks f ((target, table) :: locks_of t f);
+    true
   | Lock_rel { target; _ } ->
     remove_lock t f target;
-    publish t t.lock_rel_vc target f
+    publish t t.lock_rel_vc target f;
+    true
   | Access { page; write; site } ->
-    Lockset.record t.lockset ~page (access_of t f ~write ~site)
-  | Lsn_set _ | Write_back _ | Log_append _ | Undo_begin _ | Undo_end _ ->
-    () (* WAL checker already fed above *)
-  | Page_evict { page } -> Lockset.clear_page t.lockset page
+    Lockset.record t.lockset ~page (access_of t f ~write ~site);
+    true
+  | Lsn_set _ | Page_write _ | Log_append _ | Undo_begin _ | Undo_end _ ->
+    true (* the WAL checker's alone *)
+  | Page_evict { page } ->
+    Lockset.clear_page t.lockset page;
+    true
   | Yield ->
     (* a latch held across the suspension keeps the section atomic
        with respect to other fibers of the same protocol (the static
@@ -296,7 +306,8 @@ let feed t f (ev : Probe.event) =
       | Some m ->
         Hashtbl.iter
           (fun key (_, rsite) -> Hashtbl.replace m key (true, rsite))
-          (Hashtbl.copy m))
+          (Hashtbl.copy m));
+    true
   | Shared { key; write; site } ->
     let m =
       match Hashtbl.find_opt t.shared f with
@@ -322,13 +333,26 @@ let feed t f (ev : Probe.event) =
       | _ -> ());
       Hashtbl.remove m key
     end
-    else Hashtbl.replace m key (false, site)
-  | Epoch _ ->
+    else Hashtbl.replace m key (false, site);
+    true
+  | Epoch _ | Run_start ->
     t.runs <- t.runs + 1;
-    reset_volatile t
+    reset_volatile t;
+    true
+  | Latch_wait _ | Latch_acquired _ | Lock_wait _ | Lock_acquired _
+  | Lock_denied _ | Lock_released_all _ | Page_read _ | Log_flush _
+  | Txn_begin _ | Txn_commit _ | Txn_abort _ | Txn_rollback_step _
+  | Ib_phase _ | Ib_checkpoint _ | Index_state _ | Ib_range_commit _
+  | Ib_throttle _ | Sidefile_append _ | Sidefile_drained _ | Checkpoint _
+  | Recovery_step _ | Crash _ | Span_begin _ | Span_end _ | Sample _
+  | Prof_sample _ ->
+    false
 
-let attach t trace = Oib_obs.Trace.set_probe trace (Some (feed t))
-let detach trace = Oib_obs.Trace.set_probe trace None
+let feed t (s : Event.stamped) =
+  Wal_check.feed t.wal s.event;
+  if analyse t s.fiber s.event then t.events <- t.events + 1
+
+let attach t trace = Oib_obs.Trace.add_sink trace ~name:"oib-san" (feed t)
 
 (* --- results --- *)
 

@@ -1,7 +1,7 @@
 (** oib-san: the online sanitizer.
 
-    One [San.t] consumes the probe stream of a {!Oib_obs.Trace.t}
-    (installed with {!attach}) and drives three analyses at once:
+    One [San.t] is a sink on a {!Oib_obs.Trace.t}'s event stream
+    (installed with {!attach}) and drives these analyses at once:
 
     - an Eraser-style {!Lockset} race detector over buffer-pool pages,
       refined with FastTrack-style vector clocks so accesses ordered by
@@ -14,31 +14,29 @@
       log-before-steal at write-back, CLR discipline during undo);
     - a shared-state interference automaton, the dynamic half of the
       linter's L12 twin: per fiber and shared-state class, a read
-      followed by an {e unlatched} suspension ([Yield] probe) and then
+      followed by an {e unlatched} suspension ([Yield] event) and then
       a write is an observed lost-update window ("crossing"),
       accumulated across runs and diffed against the static atomics
       table with {!diff_atomics}.
 
     Findings are {!Oib_lint.Diag.t} values under rules [SAN-race],
     [SAN-order] and [SAN-wal], deduplicated by [(rule, site)] and
-    reported sorted, so sanitized runs are byte-stable. An [Epoch] probe
-    (run start, restart recovery) clears all volatile shadow state;
-    reports and the order graph survive. *)
+    reported sorted, so sanitized runs are byte-stable. A [Run_start] or
+    [Epoch] event (run start, restart recovery) clears all volatile
+    shadow state; reports and the order graph survive. *)
 
 type t
 
 val create : unit -> t
 
 val attach : t -> Oib_obs.Trace.t -> unit
-(** Install this sanitizer as the trace's probe consumer. The consumer
-    runs inside critical sections of the instrumented code and never
-    blocks. *)
+(** Install this sanitizer as a sink of the trace. The sink runs inside
+    critical sections of the instrumented code and never blocks. *)
 
-val detach : Oib_obs.Trace.t -> unit
-
-val feed : t -> int -> Oib_obs.Probe.event -> unit
-(** Consume one probe from the given fiber. [attach] wires this up;
-    exposed for tests that drive the sanitizer directly. *)
+val feed : t -> Oib_obs.Event.stamped -> unit
+(** Consume one event from the stamped fiber. [attach] wires this up;
+    exposed for tests that drive the sanitizer directly. Rendered-only
+    kinds are ignored and not counted in [events]. *)
 
 val on_report : t -> (Oib_lint.Diag.t -> unit) -> unit
 (** Called once per {e fresh} finding (first time its dedup key is

@@ -4,7 +4,7 @@
     component; synchronization edges (spawn, resume, latch and lock
     release/acquire) join clocks. Fiber ids restart at every engine
     incarnation, so clocks are only compared within one run — the
-    [Epoch] probe clears them. *)
+    [Run_start] and [Epoch] events clear them. *)
 
 type t
 

@@ -9,7 +9,7 @@ let create ~report =
 
 let undo_kinds = [ "clr"; "abort"; "end" ]
 
-let feed t (ev : Oib_obs.Probe.event) =
+let feed t (ev : Oib_obs.Event.t) =
   match ev with
   | Lsn_set { page; old_lsn; new_lsn; site } ->
     let shadow =
@@ -23,7 +23,7 @@ let feed t (ev : Oib_obs.Probe.event) =
        ^ string_of_int floor ^ " -> " ^ string_of_int new_lsn ^ " at "
        ^ site);
     Hashtbl.replace t.page_lsn page (max floor new_lsn)
-  | Write_back { page; page_lsn; flushed_lsn } ->
+  | Page_write { page; page_lsn; flushed_lsn } ->
     if flushed_lsn < page_lsn then
       t.report ~check:"steal-before-flush"
         ~site:("page-" ^ string_of_int page)
@@ -34,16 +34,25 @@ let feed t (ev : Oib_obs.Probe.event) =
   | Page_evict { page } -> Hashtbl.remove t.page_lsn page
   | Undo_begin { txn } -> Hashtbl.replace t.undoing txn ()
   | Undo_end { txn } -> Hashtbl.remove t.undoing txn
-  | Log_append { txn; kind } ->
+  | Log_append { txn; kind; _ } ->
     if txn >= 0 && Hashtbl.mem t.undoing txn && not (List.mem kind undo_kinds)
     then
       t.report ~check:"clr-discipline"
         ~site:("txn-" ^ string_of_int txn ^ ":" ^ kind)
         ("txn " ^ string_of_int txn ^ " appended a non-compensation record ("
        ^ kind ^ ") while undoing — rollback must log CLRs only")
-  | Epoch _ ->
+  | Epoch _ | Run_start ->
     Hashtbl.reset t.page_lsn;
     Hashtbl.reset t.undoing
-  | Spawn _ | Fiber_exit | Resume _ | Latch_acq _ | Latch_rel _ | Lock_acq _
-  | Lock_rel _ | Access _ | Yield | Shared _ ->
+  | Fiber_spawn _ | Fiber_exit | Resume _ | Yield | Latch_grant _
+  | Latch_released _ | Lock_grant _ | Lock_rel _ | Access _ | Shared _ ->
+    ()
+  (* rendered only *)
+  | Latch_wait _ | Latch_acquired _ | Lock_wait _ | Lock_acquired _
+  | Lock_denied _ | Lock_released_all _ | Page_read _ | Log_flush _
+  | Txn_begin _ | Txn_commit _ | Txn_abort _ | Txn_rollback_step _
+  | Ib_phase _ | Ib_checkpoint _ | Index_state _ | Ib_range_commit _
+  | Ib_throttle _ | Sidefile_append _ | Sidefile_drained _ | Checkpoint _
+  | Recovery_step _ | Crash _ | Span_begin _ | Span_end _ | Sample _
+  | Prof_sample _ ->
     ()

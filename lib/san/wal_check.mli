@@ -1,9 +1,9 @@
 (** WAL runtime verifier.
 
-    Three checks over the probe stream:
+    Three checks over the event stream:
 
     - {b page-LSN monotonicity}: a page's LSN never moves backwards
-      ([Page.set_lsn] probes carry the old and new values; a per-page
+      ([Lsn_set] events carry the old and new values; a per-page
       shadow catches regressions across page-object rebuilds). Shadow
       entries die with the page ([Page_evict]) and at run boundaries.
     - {b write-ahead rule}: at buffer-pool write-back the log must be
@@ -20,5 +20,6 @@ val create : report:(check:string -> site:string -> string -> unit) -> t
 (** [check] is one of ["lsn-monotonic"], ["steal-before-flush"],
     ["clr-discipline"]. *)
 
-val feed : t -> Oib_obs.Probe.event -> unit
-(** Irrelevant events are ignored; [Epoch] clears all volatile state. *)
+val feed : t -> Oib_obs.Event.t -> unit
+(** Irrelevant events are ignored; [Epoch] and [Run_start] clear all
+    volatile state. *)

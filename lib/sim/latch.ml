@@ -1,6 +1,5 @@
 module Trace = Oib_obs.Trace
 module Event = Oib_obs.Event
-module Probe = Oib_obs.Probe
 
 type mode = S | X
 
@@ -20,13 +19,8 @@ type t = {
       (* FIFO, head = oldest *)
 }
 
-(* Process-wide identity for the sanitizer's locksets: two latch objects
-   are never "the same lock", even across engine incarnations. *)
-let next_uid = ref 0
-
 let create ?(name = "latch") ?(role = "latch") ?(page = -1) sched metrics =
-  let uid = !next_uid in
-  incr next_uid;
+  let uid = Sched.fresh_uid sched in
   { sched; metrics; name; uid; role; page; s_holders = 0; x_held = false;
     holder_ids = []; waiters = [] }
 
@@ -56,11 +50,11 @@ let holder_names t =
   |> List.map (fun id -> if id < 0 then "main" else Sched.fiber_name t.sched id)
   |> String.concat ","
 
-let probe_acq t mode =
+let emit_grant t mode =
   let tr = Sched.trace t.sched in
-  if Trace.probing tr then
-    Trace.probe_emit tr
-      (Probe.Latch_acq
+  if Trace.tracing tr then
+    Trace.emit tr
+      (Event.Latch_grant
          { uid = t.uid; role = t.role; page = t.page; excl = mode = X })
 
 (* Wake the longest-waiting compatible requests: an X waiter alone, or a
@@ -85,7 +79,7 @@ let acquire t mode =
   let tr = Sched.trace t.sched in
   if compatible t mode && t.waiters = [] then begin
     grant t mode ~fiber:(current_id t);
-    probe_acq t mode;
+    emit_grant t mode;
     Trace.observe tr "latch_wait" 0
   end
   else begin
@@ -101,7 +95,7 @@ let acquire t mode =
     Sched.suspend t.sched (fun resume ->
         t.waiters <- t.waiters @ [ (mode, fiber, resume) ]);
     (* granted by [wake] before we were resumed *)
-    probe_acq t mode;
+    emit_grant t mode;
     let waited = Sched.steps t.sched - t0 in
     Trace.observe tr "latch_wait" waited;
     Metrics.add t.metrics Latch_wait_steps waited;
@@ -115,7 +109,7 @@ let try_acquire t mode =
   if compatible t mode && t.waiters = [] then begin
     Metrics.add t.metrics Latch_acquires 1;
     grant t mode ~fiber:(current_id t);
-    probe_acq t mode;
+    emit_grant t mode;
     Trace.observe (Sched.trace t.sched) "latch_wait" 0;
     true
   end
@@ -125,11 +119,9 @@ let release t mode =
   let tr = Sched.trace t.sched in
   if Trace.tracing tr then
     Trace.emit tr
-      (Event.Latch_released { latch = t.name; mode = mode_name mode });
-  if Trace.probing tr then
-    Trace.probe_emit tr
-      (Probe.Latch_rel
-         { uid = t.uid; role = t.role; page = t.page; excl = mode = X });
+      (Event.Latch_released
+         { latch = t.name; mode = mode_name mode; uid = t.uid; role = t.role;
+           page = t.page });
   (match mode with
   | S ->
     assert (t.s_holders > 0);

@@ -19,8 +19,10 @@ val create :
     accesses. Both default to inert values. *)
 
 val uid : t -> int
-(** Process-wide unique identity (never reused, even across engine
-    incarnations) — the sanitizer's lockset element. *)
+(** Identity unique within the latch's scheduler, and so within one
+    engine incarnation — the sanitizer's lockset element. Every new
+    incarnation starts behind an [Epoch] or [Run_start] event, which
+    clears the sanitizer's per-latch state. *)
 
 val role : t -> string
 

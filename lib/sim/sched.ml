@@ -31,6 +31,7 @@ type t = {
   mutable on_tick : int -> unit;
   mutable step_hooks : (int * (int -> unit)) list; (* newest first *)
   mutable next_hook_id : int;
+  mutable next_uid : int;
 }
 
 let fiber_name t id =
@@ -57,6 +58,7 @@ let create ?(seed = 42) ?(trace = Oib_obs.Trace.null) () =
       on_tick = ignore;
       step_hooks = [];
       next_hook_id = 0;
+      next_uid = 0;
     }
   in
   (* stamp every event with this scheduler's step clock and fiber *)
@@ -99,6 +101,11 @@ let add_step_hook t f =
 let remove_step_hook t id =
   t.step_hooks <- List.filter (fun (i, _) -> i <> id) t.step_hooks
 
+let fresh_uid t =
+  let u = t.next_uid in
+  t.next_uid <- u + 1;
+  u
+
 let enqueue t id thunk = t.runq <- (id, thunk) :: t.runq
 
 (* Run [f] as a fiber body under the effect handler. The handler re-enqueues
@@ -113,8 +120,8 @@ let start_fiber t id f =
           Hashtbl.remove t.live_set id;
           (* the exiting fiber's effects become visible to whoever runs
              after the scheduler returns (join-to-main HB edge) *)
-          if Oib_obs.Trace.probing t.trace then
-            Oib_obs.Trace.probe_emit t.trace Oib_obs.Probe.Fiber_exit);
+          if Oib_obs.Trace.tracing t.trace then
+            Oib_obs.Trace.emit t.trace Oib_obs.Event.Fiber_exit);
       exnc =
         (fun exn ->
           t.live <- t.live - 1;
@@ -135,9 +142,9 @@ let start_fiber t id f =
                        pump, Cond signal/broadcast) resumes its waiter
                        through this thunk, so stamping the resumer here
                        captures all synchronizes-with edges at once *)
-                    if Oib_obs.Trace.probing t.trace then
-                      Oib_obs.Trace.probe_emit t.trace
-                        (Oib_obs.Probe.Resume { fiber = id });
+                    if Oib_obs.Trace.tracing t.trace then
+                      Oib_obs.Trace.emit t.trace
+                        (Oib_obs.Event.Resume { fiber = id });
                     enqueue t id (fun () -> continue k ())))
           | _ -> None);
     }
@@ -151,8 +158,6 @@ let spawn t ?name f =
   if Oib_obs.Trace.tracing t.trace then
     Oib_obs.Trace.emit t.trace
       (Oib_obs.Event.Fiber_spawn { fiber = id; name = fiber_name t id });
-  if Oib_obs.Trace.probing t.trace then
-    Oib_obs.Trace.probe_emit t.trace (Oib_obs.Probe.Spawn { child = id });
   enqueue t id (fun () -> start_fiber t id f);
   id
 
@@ -160,15 +165,15 @@ let in_fiber t = t.current <> None
 
 let yield t =
   if in_fiber t then begin
-    if Oib_obs.Trace.probing t.trace then
-      Oib_obs.Trace.probe_emit t.trace Oib_obs.Probe.Yield;
+    if Oib_obs.Trace.tracing t.trace then
+      Oib_obs.Trace.emit t.trace Oib_obs.Event.Yield;
     perform Yield
   end
 
 let suspend t register =
   if in_fiber t then begin
-    if Oib_obs.Trace.probing t.trace then
-      Oib_obs.Trace.probe_emit t.trace Oib_obs.Probe.Yield;
+    if Oib_obs.Trace.tracing t.trace then
+      Oib_obs.Trace.emit t.trace Oib_obs.Event.Yield;
     perform (Suspend register)
   end
   else invalid_arg "Sched.suspend: not inside a fiber"

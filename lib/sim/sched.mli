@@ -53,6 +53,11 @@ val current_fiber : t -> fiber_id option
 
 val fiber_name : t -> fiber_id -> string
 
+val fresh_uid : t -> int
+(** A number never returned before by this scheduler: latch identities,
+    so that they repeat run for run (a new incarnation has a new
+    scheduler and starts again at 0). *)
+
 val steps : t -> int
 (** Number of fiber steps executed so far (the logical clock). *)
 

@@ -93,10 +93,8 @@ let write_back t (page : Page.t) =
   Oib_sim.Metrics.add t.metrics Page_writes 1;
   bump t "pool.page_write" ~role:(Oib_sim.Latch.role page.latch);
   if Oib_obs.Trace.tracing tr then
-    Oib_obs.Trace.emit tr (Oib_obs.Event.Page_write { page = page.id });
-  if Oib_obs.Trace.probing tr then
-    Oib_obs.Trace.probe_emit tr
-      (Oib_obs.Probe.Write_back
+    Oib_obs.Trace.emit tr
+      (Oib_obs.Event.Page_write
          {
            page = page.id;
            page_lsn = Oib_wal.Lsn.to_int page.lsn;
@@ -148,16 +146,13 @@ let flush_some t rng p =
 let reserve_page_ids t ~upto =
   if upto >= t.next_page_id then t.next_page_id <- upto + 1
 
-let probe_evict t id =
-  let tr = Oib_sim.Sched.trace t.sched in
-  if Oib_obs.Trace.probing tr then
-    Oib_obs.Trace.probe_emit tr (Oib_obs.Probe.Page_evict { page = id })
-
 let note_evict t id =
   match Hashtbl.find_opt t.cache id with
   | None -> ()
   | Some page ->
-    probe_evict t id;
+    let tr = Oib_sim.Sched.trace t.sched in
+    if Oib_obs.Trace.tracing tr then
+      Oib_obs.Trace.emit tr (Oib_obs.Event.Page_evict { page = id });
     bump t "pool.page_evict" ~role:(Oib_sim.Latch.role page.Page.latch);
     Oib_sim.Metrics.add t.metrics Pages_evicted 1
 

@@ -26,17 +26,17 @@ let make ?(role = "page") ~id ~sched ~metrics ~payload ~copy_payload () =
 
 let set_lsn t lsn =
   (let tr = Oib_sim.Latch.trace t.latch in
-   if Oib_obs.Trace.probing tr then begin
-     Oib_obs.Trace.probe_emit tr
-       (Oib_obs.Probe.Lsn_set
+   if Oib_obs.Trace.tracing tr then begin
+     Oib_obs.Trace.emit tr
+       (Oib_obs.Event.Lsn_set
           {
             page = t.id;
             old_lsn = Oib_wal.Lsn.to_int t.lsn;
             new_lsn = Oib_wal.Lsn.to_int lsn;
             site = "Page.set_lsn";
           });
-     Oib_obs.Trace.probe_emit tr
-       (Oib_obs.Probe.Access
+     Oib_obs.Trace.emit tr
+       (Oib_obs.Event.Access
           { page = t.id; write = true; site = "Page.set_lsn" })
    end);
   t.lsn <- lsn;
@@ -44,8 +44,8 @@ let set_lsn t lsn =
 
 let mark_dirty t =
   (let tr = Oib_sim.Latch.trace t.latch in
-   if Oib_obs.Trace.probing tr then
-     Oib_obs.Trace.probe_emit tr
-       (Oib_obs.Probe.Access
+   if Oib_obs.Trace.tracing tr then
+     Oib_obs.Trace.emit tr
+       (Oib_obs.Event.Access
           { page = t.id; write = true; site = "Page.mark_dirty" }));
   t.dirty <- true

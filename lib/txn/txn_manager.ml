@@ -85,8 +85,8 @@ let commit t txn =
 
 let rollback t txn ~undo =
   assert (txn.st = Active);
-  if Trace.probing t.trace then
-    Trace.probe_emit t.trace (Oib_obs.Probe.Undo_begin { txn = txn.txn_id });
+  if Trace.tracing t.trace then
+    Trace.emit t.trace (Event.Undo_begin { txn = txn.txn_id });
   (* Walk newest-to-oldest. A CLR's undo_next skips the records that were
      already compensated if rollback itself was interrupted (restart). *)
   let rec walk lsn =
@@ -111,8 +111,8 @@ let rollback t txn ~undo =
   walk txn.last;
   ignore (log_op t txn LR.Abort);
   ignore (log_op t txn LR.End);
-  if Trace.probing t.trace then
-    Trace.probe_emit t.trace (Oib_obs.Probe.Undo_end { txn = txn.txn_id });
+  if Trace.tracing t.trace then
+    Trace.emit t.trace (Event.Undo_end { txn = txn.txn_id });
   (* an abort need not force the log *)
   finish t txn Aborted;
   Oib_sim.Metrics.add t.metrics Txn_aborts 1;

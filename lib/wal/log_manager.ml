@@ -60,11 +60,8 @@ let append t ~txn ~prev_lsn body =
     Trace.emit t.trace
       (Event.Log_append
          { lsn = Lsn.to_int lsn; kind = kind_of_body body;
-           bytes = String.length bytes });
-  if Trace.probing t.trace then
-    Trace.probe_emit t.trace
-      (Oib_obs.Probe.Log_append
-         { txn = Option.value txn ~default:(-1); kind = kind_of_body body });
+           bytes = String.length bytes;
+           txn = Option.value txn ~default:(-1) });
   lsn
 
 let flush t ~upto =

@@ -1,5 +1,5 @@
 (* oib-san: the runtime sanitizer. Unit tests drive San.feed with
-   synthetic probe sequences (planted races, planted order inversions,
+   synthetic event sequences (planted races, planted order inversions,
    WAL discipline breaks) and assert exactly what is and is not
    reported; integration tests attach the sanitizer to real runs — the
    lock manager, a forced no-WAL page steal, and full NSF/SF builds
@@ -8,7 +8,7 @@
 open Oib_san
 open Oib_core
 open Oib_dst
-module Probe = Oib_obs.Probe
+module Event = Oib_obs.Event
 module Trace = Oib_obs.Trace
 module Diag = Oib_lint.Diag
 module Sched = Oib_sim.Sched
@@ -32,11 +32,16 @@ let report_strings san = List.map Diag.to_string (San.reports san)
 let check_rules msg expected san =
   Alcotest.(check (list string)) msg expected (rules san)
 
+(* one event, stamped as emitted by fiber [f] *)
+let feed san f event =
+  San.feed san { Event.step = 0; fiber = f; fiber_name = ""; event }
+
 let latch_acq ?(excl = true) ?(role = "page") ~uid ~page () =
-  Probe.Latch_acq { uid; role; page; excl }
+  Event.Latch_grant { uid; role; page; excl }
 
 let latch_rel ?(excl = true) ?(role = "page") ~uid ~page () =
-  Probe.Latch_rel { uid; role; page; excl }
+  Event.Latch_released
+    { latch = role; mode = (if excl then "X" else "S"); uid; role; page }
 
 (* --- lockset race detection --- *)
 
@@ -44,100 +49,100 @@ let latch_rel ?(excl = true) ?(role = "page") ~uid ~page () =
    latch, no happens-before edge, different fibers — must be reported. *)
 let test_race_detected () =
   let san = San.create () in
-  San.feed san 1 (latch_acq ~uid:1 ~page:3 ());
-  San.feed san 1 (latch_rel ~uid:1 ~page:3 ());
-  San.feed san 2 (Probe.Access { page = 3; write = true; site = "rogue" });
+  feed san 1 (latch_acq ~uid:1 ~page:3 ());
+  feed san 1 (latch_rel ~uid:1 ~page:3 ());
+  feed san 2 (Event.Access { page = 3; write = true; site = "rogue" });
   check_rules "unlatched write is a race" [ "SAN-race" ] san;
   Alcotest.(check bool) "not clean" false (San.clean san)
 
 (* Same-fiber accesses never race, whatever they hold. *)
 let test_same_fiber_clean () =
   let san = San.create () in
-  San.feed san 1 (Probe.Access { page = 3; write = true; site = "a" });
-  San.feed san 1 (Probe.Access { page = 3; write = true; site = "b" });
+  feed san 1 (Event.Access { page = 3; write = true; site = "a" });
+  feed san 1 (Event.Access { page = 3; write = true; site = "b" });
   check_rules "same fiber, no race" [] san
 
 (* Fiber spawn is a happens-before edge: parent's earlier unlatched
    write is ordered before everything the child does. *)
 let test_vc_spawn_suppression () =
   let san = San.create () in
-  San.feed san 1 (Probe.Access { page = 6; write = true; site = "parent" });
-  San.feed san 1 (Probe.Spawn { child = 2 });
-  San.feed san 2 (Probe.Access { page = 6; write = true; site = "child" });
+  feed san 1 (Event.Access { page = 6; write = true; site = "parent" });
+  feed san 1 (Event.Fiber_spawn { fiber = 2; name = "child" });
+  feed san 2 (Event.Access { page = 6; write = true; site = "child" });
   check_rules "spawn edge orders the pair" [] san
 
 (* A latch release-acquire pair carries a vector-clock edge even for
    accesses the latch itself does not cover. *)
 let test_vc_latch_handoff_suppression () =
   let san = San.create () in
-  San.feed san 1 (Probe.Access { page = 5; write = true; site = "before" });
-  San.feed san 1 (latch_rel ~uid:9 ~page:(-1) ());
-  San.feed san 2 (latch_acq ~uid:9 ~page:(-1) ());
-  San.feed san 2 (Probe.Access { page = 5; write = true; site = "after" });
+  feed san 1 (Event.Access { page = 5; write = true; site = "before" });
+  feed san 1 (latch_rel ~uid:9 ~page:(-1) ());
+  feed san 2 (latch_acq ~uid:9 ~page:(-1) ());
+  feed san 2 (Event.Access { page = 5; write = true; site = "after" });
   check_rules "release-acquire orders the pair" [] san
 
 (* Without the handoff the same pair must be flagged — the suppression
    test above is only meaningful if this twin trips. *)
 let test_vc_no_handoff_races () =
   let san = San.create () in
-  San.feed san 1 (Probe.Access { page = 5; write = true; site = "before" });
-  San.feed san 2 (Probe.Access { page = 5; write = true; site = "after" });
+  feed san 1 (Event.Access { page = 5; write = true; site = "before" });
+  feed san 2 (Event.Access { page = 5; write = true; site = "after" });
   check_rules "no edge, so it races" [ "SAN-race" ] san
 
 (* An eviction invalidates the page's shadow state: the rebuilt page's
    latch is a fresh uid and stale tokens must not fabricate races. *)
 let test_evict_clears_shadow () =
   let san = San.create () in
-  San.feed san 1 (Probe.Access { page = 4; write = true; site = "a" });
-  San.feed san 0 (Probe.Page_evict { page = 4 });
-  San.feed san 2 (Probe.Access { page = 4; write = true; site = "b" });
+  feed san 1 (Event.Access { page = 4; write = true; site = "a" });
+  feed san 0 (Event.Page_evict { page = 4 });
+  feed san 2 (Event.Access { page = 4; write = true; site = "b" });
   check_rules "evict clears the shadow" [] san
 
 (* --- Goodlock order-cycle prediction --- *)
 
 let lock_acq ?(cond = false) ~txn ~target ~table () =
-  Probe.Lock_acq { txn; target; table; cond }
+  Event.Lock_grant { txn; target; table; cond }
 
-let lock_rel ~txn ~target ~table () = Probe.Lock_rel { txn; target; table }
+let lock_rel ~txn ~target ~table () = Event.Lock_rel { txn; target; table }
 
 (* The two halves of a lock-order inversion, in different fibers and
    never concurrent — no deadlock manifests, the cycle is still
    predicted. *)
 let test_goodlock_inversion () =
   let san = San.create () in
-  San.feed san 1 (lock_acq ~txn:1 ~target:"r1" ~table:false ());
-  San.feed san 1 (lock_acq ~txn:1 ~target:"t1" ~table:true ());
-  San.feed san 1 (lock_rel ~txn:1 ~target:"r1" ~table:false ());
-  San.feed san 1 (lock_rel ~txn:1 ~target:"t1" ~table:true ());
-  San.feed san 2 (lock_acq ~txn:2 ~target:"t2" ~table:true ());
-  San.feed san 2 (lock_acq ~txn:2 ~target:"r2" ~table:false ());
+  feed san 1 (lock_acq ~txn:1 ~target:"r1" ~table:false ());
+  feed san 1 (lock_acq ~txn:1 ~target:"t1" ~table:true ());
+  feed san 1 (lock_rel ~txn:1 ~target:"r1" ~table:false ());
+  feed san 1 (lock_rel ~txn:1 ~target:"t1" ~table:true ());
+  feed san 2 (lock_acq ~txn:2 ~target:"t2" ~table:true ());
+  feed san 2 (lock_acq ~txn:2 ~target:"r2" ~table:false ());
   check_rules "inversion predicted" [ "SAN-order" ] san
 
 (* A conditional request can never wait, so it draws no order edge:
    the same inversion with one conditional half stays clean. *)
 let test_goodlock_conditional_exempt () =
   let san = San.create () in
-  San.feed san 1 (lock_acq ~txn:1 ~target:"r1" ~table:false ());
-  San.feed san 1 (lock_acq ~cond:true ~txn:1 ~target:"t1" ~table:true ());
-  San.feed san 1 (lock_rel ~txn:1 ~target:"r1" ~table:false ());
-  San.feed san 1 (lock_rel ~txn:1 ~target:"t1" ~table:true ());
-  San.feed san 2 (lock_acq ~txn:2 ~target:"t2" ~table:true ());
-  San.feed san 2 (lock_acq ~txn:2 ~target:"r2" ~table:false ());
+  feed san 1 (lock_acq ~txn:1 ~target:"r1" ~table:false ());
+  feed san 1 (lock_acq ~cond:true ~txn:1 ~target:"t1" ~table:true ());
+  feed san 1 (lock_rel ~txn:1 ~target:"r1" ~table:false ());
+  feed san 1 (lock_rel ~txn:1 ~target:"t1" ~table:true ());
+  feed san 2 (lock_acq ~txn:2 ~target:"t2" ~table:true ());
+  feed san 2 (lock_acq ~txn:2 ~target:"r2" ~table:false ());
   check_rules "conditional half draws no edge" [] san
 
-(* The graph survives Epoch probes: each half observed in a different
+(* The graph survives Epoch events: each half observed in a different
    run still assembles the cycle. *)
 let test_goodlock_across_runs () =
   let san = San.create () in
-  San.feed san 1 (lock_acq ~txn:1 ~target:"r1" ~table:false ());
-  San.feed san 1 (lock_acq ~txn:1 ~target:"t1" ~table:true ());
-  San.feed san 0 (Probe.Epoch { label = "run" });
-  San.feed san 1 (lock_acq ~txn:9 ~target:"t9" ~table:true ());
-  San.feed san 1 (lock_acq ~txn:9 ~target:"r9" ~table:false ());
+  feed san 1 (lock_acq ~txn:1 ~target:"r1" ~table:false ());
+  feed san 1 (lock_acq ~txn:1 ~target:"t1" ~table:true ());
+  feed san 0 (Event.Epoch { label = "run" });
+  feed san 1 (lock_acq ~txn:9 ~target:"t9" ~table:true ());
+  feed san 1 (lock_acq ~txn:9 ~target:"r9" ~table:false ());
   check_rules "cycle assembled across runs" [ "SAN-order" ] san
 
 (* End to end through the real lock manager: two transactions take
-   record and table locks in opposite orders, sequentially — the probes
+   record and table locks in opposite orders, sequentially — the events
    emitted by the lock manager itself must feed the cycle. *)
 let test_goodlock_via_lock_manager () =
   let tr = Trace.create () in
@@ -165,26 +170,26 @@ let test_goodlock_via_lock_manager () =
 
 let test_wal_lsn_monotonicity () =
   let san = San.create () in
-  San.feed san 1
-    (Probe.Lsn_set { page = 1; old_lsn = 10; new_lsn = 5; site = "t" });
+  feed san 1
+    (Event.Lsn_set { page = 1; old_lsn = 10; new_lsn = 5; site = "t" });
   check_rules "LSN moved backwards" [ "SAN-wal" ] san
 
 let test_wal_clr_discipline () =
   let san = San.create () in
-  San.feed san 1 (Probe.Undo_begin { txn = 7 });
-  San.feed san 1 (Probe.Log_append { txn = 7; kind = "heap" });
-  San.feed san 1 (Probe.Undo_end { txn = 7 });
+  feed san 1 (Event.Undo_begin { txn = 7 });
+  feed san 1 (Event.Log_append { lsn = 0; kind = "heap"; bytes = 0; txn = 7 });
+  feed san 1 (Event.Undo_end { txn = 7 });
   check_rules "non-CLR append during undo" [ "SAN-wal" ] san;
   let ok = San.create () in
-  San.feed ok 1 (Probe.Undo_begin { txn = 7 });
-  San.feed ok 1 (Probe.Log_append { txn = 7; kind = "clr" });
-  San.feed ok 1 (Probe.Log_append { txn = 7; kind = "abort" });
-  San.feed ok 1 (Probe.Undo_end { txn = 7 });
-  San.feed ok 1 (Probe.Log_append { txn = 7; kind = "heap" });
+  feed ok 1 (Event.Undo_begin { txn = 7 });
+  feed ok 1 (Event.Log_append { lsn = 0; kind = "clr"; bytes = 0; txn = 7 });
+  feed ok 1 (Event.Log_append { lsn = 0; kind = "abort"; bytes = 0; txn = 7 });
+  feed ok 1 (Event.Undo_end { txn = 7 });
+  feed ok 1 (Event.Log_append { lsn = 0; kind = "heap"; bytes = 0; txn = 7 });
   check_rules "CLRs during undo are fine" [] ok
 
 (* End to end: bump a page's LSN past the flushed horizon, then force a
-   write-back through the test-only no-WAL steal. The probes from
+   write-back through the test-only no-WAL steal. The events from
    Page/Buffer_pool must carry the violation to the sanitizer. *)
 let test_wal_steal_before_flush () =
   let tr = Trace.create () in
@@ -212,16 +217,16 @@ let test_wal_steal_before_flush () =
 
 (* --- shared-state interference automaton (the L12 dynamic twin) --- *)
 
-let shared ~key ~write ~site = Probe.Shared { key; write; site }
+let shared ~key ~write ~site = Event.Shared { key; write; site }
 
 (* read → unlatched yield → write on one shared-state instance is a
    crossing; the record is keyed by class (instance suffix stripped) so
    it lines up with the linter's atomics table. *)
 let test_shared_crossing_detected () =
   let san = San.create () in
-  San.feed san 1 (shared ~key:"Catalog.state(3)" ~write:false ~site:"guard");
-  San.feed san 1 Probe.Yield;
-  San.feed san 1 (shared ~key:"Catalog.state(3)" ~write:true ~site:"commit");
+  feed san 1 (shared ~key:"Catalog.state(3)" ~write:false ~site:"guard");
+  feed san 1 Event.Yield;
+  feed san 1 (shared ~key:"Catalog.state(3)" ~write:true ~site:"commit");
   Alcotest.(check (list (pair string string)))
     "crossing recorded per class with its witness"
     [ ("Catalog.state", "guard->commit") ]
@@ -231,11 +236,11 @@ let test_shared_crossing_detected () =
    same held=[] cut the static L10 makes (latched blocking is L2's). *)
 let test_shared_latched_yield_atomic () =
   let san = San.create () in
-  San.feed san 1 (latch_acq ~uid:1 ~page:7 ());
-  San.feed san 1 (shared ~key:"Page.lsn" ~write:false ~site:"r");
-  San.feed san 1 Probe.Yield;
-  San.feed san 1 (shared ~key:"Page.lsn" ~write:true ~site:"w");
-  San.feed san 1 (latch_rel ~uid:1 ~page:7 ());
+  feed san 1 (latch_acq ~uid:1 ~page:7 ());
+  feed san 1 (shared ~key:"Page.lsn" ~write:false ~site:"r");
+  feed san 1 Event.Yield;
+  feed san 1 (shared ~key:"Page.lsn" ~write:true ~site:"w");
+  feed san 1 (latch_rel ~uid:1 ~page:7 ());
   Alcotest.(check (list (pair string string)))
     "latched yield is not a crossing" []
     (San.shared_crossings san)
@@ -244,10 +249,10 @@ let test_shared_latched_yield_atomic () =
    current state, mirroring the static rule's revalidation idiom *)
 let test_shared_revalidation_clears () =
   let san = San.create () in
-  San.feed san 1 (shared ~key:"Throttle.level" ~write:false ~site:"r1");
-  San.feed san 1 Probe.Yield;
-  San.feed san 1 (shared ~key:"Throttle.level" ~write:false ~site:"r2");
-  San.feed san 1 (shared ~key:"Throttle.level" ~write:true ~site:"w");
+  feed san 1 (shared ~key:"Throttle.level" ~write:false ~site:"r1");
+  feed san 1 Event.Yield;
+  feed san 1 (shared ~key:"Throttle.level" ~write:false ~site:"r2");
+  feed san 1 (shared ~key:"Throttle.level" ~write:true ~site:"w");
   Alcotest.(check (list (pair string string)))
     "post-yield re-read clears staleness" []
     (San.shared_crossings san)
@@ -256,18 +261,18 @@ let test_shared_revalidation_clears () =
    crossing, even though both share the Catalog.state class *)
 let test_shared_instances_independent () =
   let san = San.create () in
-  San.feed san 1 (shared ~key:"Catalog.state(1)" ~write:false ~site:"r");
-  San.feed san 1 Probe.Yield;
-  San.feed san 1 (shared ~key:"Catalog.state(2)" ~write:true ~site:"w");
+  feed san 1 (shared ~key:"Catalog.state(1)" ~write:false ~site:"r");
+  feed san 1 Event.Yield;
+  feed san 1 (shared ~key:"Catalog.state(2)" ~write:true ~site:"w");
   Alcotest.(check (list (pair string string)))
     "different instances do not alias" []
     (San.shared_crossings san)
 
 let test_atomics_diff () =
   let san = San.create () in
-  San.feed san 1 (shared ~key:"Catalog.state(1)" ~write:false ~site:"r");
-  San.feed san 1 Probe.Yield;
-  San.feed san 1 (shared ~key:"Catalog.state(1)" ~write:true ~site:"w");
+  feed san 1 (shared ~key:"Catalog.state(1)" ~write:false ~site:"r");
+  feed san 1 Event.Yield;
+  feed san 1 (shared ~key:"Catalog.state(1)" ~write:true ~site:"w");
   let rules_of ds =
     List.sort_uniq compare (List.map (fun (d : Diag.t) -> d.Diag.rule) ds)
   in
@@ -305,6 +310,53 @@ let clean_build alg () =
   Alcotest.(check bool) "oracle ok" false (Runner.failed o);
   Alcotest.(check (list string)) "sanitizer clean" [] (report_strings san)
 
+(* --- one stream, two consumers: neither disturbs the other --- *)
+
+(* One DST scenario with a crash (so both a Run_start and a restart
+   Epoch go by), run traced only, sanitized only, and both. *)
+let shared_stream_run ~jsonl ~sanitize =
+  let tr = Trace.create () in
+  Trace.set_on_dump tr (fun _ -> ());
+  let buf = Buffer.create (1 lsl 16) in
+  if jsonl then Trace.add_jsonl_buffer_sink tr ~name:"capture" buf;
+  let san = San.create () in
+  if sanitize then San.attach san tr;
+  (* what the sanitizer should read: its own kinds plus the five facts it
+     shares with the renderers *)
+  let read = ref 0 in
+  Trace.add_sink tr ~name:"count" (fun s ->
+      match s.Event.event with
+      | Event.Fiber_spawn _ | Latch_released _ | Page_write _ | Log_append _
+      | Epoch _ ->
+        incr read
+      | e -> if Event.sanitizer_only e then incr read);
+  let sc =
+    Scenario.generate ~seed:11
+    |> Scenario.override ~faults:[ Scenario.Crash_at 120 ]
+  in
+  let o = Runner.run ~trace:tr sc in
+  Alcotest.(check bool) "oracle ok" false (Runner.failed o);
+  Alcotest.(check bool) "crash taken" true (o.Runner.incarnations >= 2);
+  (Buffer.contents buf, san, !read)
+
+let test_sinks_independent () =
+  let traced, _, _ = shared_stream_run ~jsonl:true ~sanitize:false in
+  let _, sanitized, read = shared_stream_run ~jsonl:false ~sanitize:true in
+  let both_jsonl, both, _ = shared_stream_run ~jsonl:true ~sanitize:true in
+  Alcotest.(check string) "sanitizer leaves the JSONL alone" traced both_jsonl;
+  let events, errors = Oib_obs_analysis.Trace_reader.of_string traced in
+  Alcotest.(check int) "every line decodes" 0 (List.length errors);
+  Alcotest.(check bool) "no sanitizer-only kind rendered" false
+    (List.exists (fun (s : Event.stamped) -> Event.sanitizer_only s.event)
+       events);
+  Alcotest.(check (list string)) "JSONL sink leaves the reports alone"
+    (report_strings sanitized) (report_strings both);
+  Alcotest.(check string) "and the stats"
+    (San.stats_json sanitized) (San.stats_json both);
+  Alcotest.(check bool) "counts only what it reads" true
+    (contains (San.stats_json sanitized)
+       ("\"events\":" ^ string_of_int read ^ ","))
+
 (* --- static-vs-runtime latch-graph diff --- *)
 
 let test_graph_json_roundtrip () =
@@ -323,9 +375,9 @@ let test_diff_static () =
   let san = San.create () in
   (* one observed latch edge A -> B, plus a lock edge that the static
      side can never see and so must not be reported as missed *)
-  San.feed san 1 (latch_acq ~role:"A" ~uid:1 ~page:(-1) ());
-  San.feed san 1 (latch_acq ~role:"B" ~uid:2 ~page:(-1) ());
-  San.feed san 1 (lock_acq ~txn:1 ~target:"r" ~table:false ());
+  feed san 1 (latch_acq ~role:"A" ~uid:1 ~page:(-1) ());
+  feed san 1 (latch_acq ~role:"B" ~uid:2 ~page:(-1) ());
+  feed san 1 (lock_acq ~txn:1 ~target:"r" ~table:false ());
   Alcotest.(check bool)
     "A->B observed" true
     (List.mem ("A", "B") (San.runtime_edges san));
@@ -370,11 +422,11 @@ let test_diff_against_lint_fixture () =
 (* --- report determinism --- *)
 
 let plant_reports san =
-  San.feed san 2 (Probe.Access { page = 2; write = true; site = "zz" });
-  San.feed san 1 (latch_acq ~uid:4 ~page:2 ());
-  San.feed san 1 (latch_rel ~uid:4 ~page:2 ());
-  San.feed san 1
-    (Probe.Lsn_set { page = 9; old_lsn = 4; new_lsn = 1; site = "aa" })
+  feed san 2 (Event.Access { page = 2; write = true; site = "zz" });
+  feed san 1 (latch_acq ~uid:4 ~page:2 ());
+  feed san 1 (latch_rel ~uid:4 ~page:2 ());
+  feed san 1
+    (Event.Lsn_set { page = 9; old_lsn = 4; new_lsn = 1; site = "aa" })
 
 let test_reports_deterministic () =
   let a = San.create () and b = San.create () in
@@ -390,7 +442,7 @@ let test_reports_deterministic () =
 let test_stats_json () =
   let san = San.create () in
   plant_reports san;
-  San.feed san 0 (Probe.Epoch { label = "run" });
+  feed san 0 (Event.Epoch { label = "run" });
   let j = san |> San.stats_json in
   List.iter
     (fun needle ->
@@ -448,6 +500,8 @@ let () =
         [
           Alcotest.test_case "nsf" `Quick (clean_build Scenario.Nsf);
           Alcotest.test_case "sf" `Quick (clean_build Scenario.Sf);
+          Alcotest.test_case "trace sinks independent" `Quick
+            test_sinks_independent;
         ] );
       ( "graph diff",
         [
