@@ -86,8 +86,8 @@ let decode_node s =
   let node =
     match Binc.r_u8 r with
     | 0 ->
-      let n = Binc.r_i64 r in
-      if n < 0 || n > 1_000_000 then raise (Binc.Corrupt "leaf arity");
+      (* an entry is a key (three 8-byte fields at least) and a flag *)
+      let n = Binc.r_count r ~min_bytes:25 in
       let bytes = Binc.r_i64 r in
       let next = Binc.r_i64 r in
       let high = if Binc.r_bool r then Some (r_key r) else None in
@@ -99,8 +99,8 @@ let decode_node s =
       done;
       Leaf { entries; n; bytes; next; high }
     | 1 ->
-      let nc = Binc.r_i64 r in
-      if nc < 1 || nc > 1_000_000 then raise (Binc.Corrupt "internal arity");
+      let nc = Binc.r_count r ~min_bytes:8 in
+      if nc < 1 then raise (Binc.Corrupt "internal arity");
       let ibytes = Binc.r_i64 r in
       let children = Array.make nc (-1) in
       for i = 0 to nc - 1 do
@@ -116,15 +116,14 @@ let decode_node s =
   if not (Binc.at_end r) then raise (Binc.Corrupt "trailing bytes");
   node
 
-(* the stable store's deep copy is a serialization round trip: index pages
-   hit "disk" in their binary format *)
-let copy_payload = function
-  | Node n -> Node (decode_node (encode_node n))
-  | _ -> invalid_arg "Bt_node.copy_payload: not a btree node"
-
 let of_payload = function
   | Node n -> n
   | _ -> invalid_arg "Bt_node.of_payload: not a btree node"
+
+let kind =
+  { Oib_storage.Page.role = "Btree";
+    encode = (fun p -> encode_node (of_payload p));
+    decode = (fun s -> Node (decode_node s)) }
 
 let leaf_of_payload p =
   match of_payload p with

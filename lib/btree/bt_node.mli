@@ -40,9 +40,9 @@ val encode_node : node -> string
 val decode_node : string -> node
 (** Raises [Oib_util.Binc.Corrupt] on malformed bytes. *)
 
-val copy_payload : Oib_storage.Page.payload -> Oib_storage.Page.payload
-(** The stable store's deep copy — an [encode_node]/[decode_node] round
-    trip, so every image checkpoint exercises the on-disk format. *)
+val kind : Oib_storage.Page.kind
+(** The B+-tree node page format: a [Node] payload and its
+    {!encode_node}d image. *)
 
 val of_payload : Oib_storage.Page.payload -> node
 val leaf_of_payload : Oib_storage.Page.payload -> leaf

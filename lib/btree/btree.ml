@@ -42,14 +42,13 @@ let node_of (p : Page.t) = Bt_node.of_payload p.payload
 
 let alloc_node t node =
   let p =
-    Buffer_pool.new_page ~role:"Btree" t.pool ~payload:(Node node)
-      ~copy_payload:Bt_node.copy_payload
+    Buffer_pool.new_page t.pool ~kind:Bt_node.kind ~payload:(Node node)
   in
   p.Page.no_steal <- true;
   p
 
 let page t id =
-  let p = Buffer_pool.get ~role:"Btree" t.pool id in
+  let p = Buffer_pool.get t.pool ~kind:Bt_node.kind id in
   p.Page.no_steal <- true;
   p
 
@@ -373,7 +372,7 @@ let new_cursor t = { pid = t.root }
 (* Cursor fast path: go straight to the remembered leaf if the key provably
    belongs there and no split would be required. *)
 let try_fast_path t cursor key =
-  match Buffer_pool.get ~role:"Btree" t.pool cursor.pid with
+  match Buffer_pool.get t.pool ~kind:Bt_node.kind cursor.pid with
   | exception Not_found -> None
   | p -> (
     match p.Page.payload with

@@ -234,12 +234,11 @@ let recover_over ~seed (old : t) ~store ~kv ~runs =
         (fun id ->
           if not (Buffer_pool.mem pool id) then
             ignore
-              (Buffer_pool.install ~role:"Heap_file" pool id
+              (Buffer_pool.install pool ~kind:Heap_page.kind id
                  ~payload:
                    (Heap_page.Heap
                       (Heap_page.create
-                         ~capacity:(Catalog.page_capacity ctx.Ctx.catalog)))
-                 ~copy_payload:Heap_page.copy_payload))
+                         ~capacity:(Catalog.page_capacity ctx.Ctx.catalog)))))
         (Heap_file.page_ids tbl.heap))
     (Catalog.tables ctx.Ctx.catalog);
   (* bring every index from its image to the end of the durable log *)

@@ -436,7 +436,7 @@ let undo_heap ctx _txn ~clr ~page ~old_count ~old_sf op =
       (fun (t : Catalog.table_info) -> Heap_file.owns t.Catalog.heap page)
       (Catalog.tables ctx.Ctx.catalog)
   in
-  let p = Buffer_pool.get ~role:"Heap_file" ctx.Ctx.pool page in
+  let p = Buffer_pool.get ctx.Ctx.pool ~kind:Heap_page.kind page in
   Latch.acquire p.Page.latch X;
   let inverse = inverse_heap_op op in
   apply_heap_op (heap_page p) inverse;

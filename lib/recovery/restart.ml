@@ -74,12 +74,11 @@ let apply_heap_op page_payload op =
 
 let redo_heap log pool ~page_capacity =
   let page_of id =
-    match Buffer_pool.get ~role:"Heap_file" pool id with
+    match Buffer_pool.get pool ~kind:Heap_page.kind id with
     | p -> p
     | exception Not_found ->
-      Buffer_pool.install ~role:"Heap_file" pool id
+      Buffer_pool.install pool ~kind:Heap_page.kind id
         ~payload:(Heap_page.Heap (Heap_page.create ~capacity:page_capacity))
-        ~copy_payload:Heap_page.copy_payload
   in
   let redo_one lsn page op =
     let p = page_of page in

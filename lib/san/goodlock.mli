@@ -2,7 +2,7 @@
 
     Accumulates the runtime acquisition-order graph: holding a latch of
     role [a] (or a lock) while acquiring one of role [b] records the
-    edge [a -> b]. Nodes are latch roles ("Heap_file", "Btree", …) plus
+    edge [a -> b]. Nodes are latch roles (one per page format) plus
     the two lock-manager granularities ("lock:record", "lock:table").
     Self-edges are exempt — hand-over-hand crabbing inside one structure
     is ordered by position, not by role.

@@ -26,8 +26,6 @@ let create ?(name = "latch") ?(role = "latch") ?(page = -1) sched metrics =
 
 let uid t = t.uid
 
-let role t = t.role
-
 let trace t = Sched.trace t.sched
 
 let compatible t mode =

@@ -13,7 +13,7 @@ type t
 
 val create :
   ?name:string -> ?role:string -> ?page:int -> Sched.t -> Metrics.t -> t
-(** [role] names the owning structure ("Heap_file", "Btree", …) for the
+(** [role] names the owning structure (a page format's role) for the
     sanitizer's latch-order graph; [page] is the guarded buffer-pool page
     id (or [-1]), letting the sanitizer treat latched sections as page
     accesses. Both default to inert values. *)
@@ -23,8 +23,6 @@ val uid : t -> int
     engine incarnation — the sanitizer's lockset element. Every new
     incarnation starts behind an [Epoch] or [Run_start] event, which
     clears the sanitizer's per-latch state. *)
-
-val role : t -> string
 
 val trace : t -> Oib_obs.Trace.t
 (** The observability hub of the latch's scheduler. *)

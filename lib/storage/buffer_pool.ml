@@ -33,26 +33,23 @@ let bump t name ~role =
       (Oib_obs.Registry.counter reg ~labels:[ ("role", role) ] name)
   | None -> ()
 
-let new_page ?role t ~payload ~copy_payload =
+let new_page t ~kind ~payload =
   let id = t.next_page_id in
   t.next_page_id <- id + 1;
-  let page =
-    Page.make ?role ~id ~sched:t.sched ~metrics:t.metrics ~payload
-      ~copy_payload ()
-  in
+  let page = Page.make ~kind ~id ~sched:t.sched ~metrics:t.metrics ~payload in
   page.dirty <- true;
   Hashtbl.replace t.cache id page;
   page
 
-let get ?role t id =
+let get t ~(kind : Page.kind) id =
   match Hashtbl.find_opt t.cache id with
   | Some p -> p
   | None -> begin
     match Stable_store.read t.store id with
     | None -> raise Not_found
-    | Some { payload; lsn; copy_payload } ->
+    | Some { image; lsn } ->
       Oib_sim.Metrics.add t.metrics Page_reads 1;
-      bump t "pool.page_read" ~role:(Option.value role ~default:"page");
+      bump t "pool.page_read" ~role:kind.role;
       let tr = Oib_sim.Sched.trace t.sched in
       let span =
         if Oib_obs.Trace.tracing tr then
@@ -62,10 +59,15 @@ let get ?role t id =
       in
       if Oib_obs.Trace.tracing tr then
         Oib_obs.Trace.emit tr (Oib_obs.Event.Page_read { page = id });
-      let page =
-        Page.make ?role ~id ~sched:t.sched ~metrics:t.metrics
-          ~payload:(copy_payload payload) ~copy_payload ()
+      (* the decode is part of the read; a corrupt image ends the span
+         and leaves nothing cached *)
+      let payload =
+        try kind.decode image
+        with e ->
+          Oib_obs.Trace.span_end tr span;
+          raise e
       in
+      let page = Page.make ~kind ~id ~sched:t.sched ~metrics:t.metrics ~payload in
       page.lsn <- lsn;
       Hashtbl.replace t.cache id page;
       Oib_obs.Trace.span_end tr span;
@@ -74,12 +76,9 @@ let get ?role t id =
 
 let mem t id = Hashtbl.mem t.cache id || Stable_store.mem t.store id
 
-let install ?role t id ~payload ~copy_payload =
+let install t ~kind id ~payload =
   if mem t id then invalid_arg "Buffer_pool.install: page exists";
-  let page =
-    Page.make ?role ~id ~sched:t.sched ~metrics:t.metrics ~payload
-      ~copy_payload ()
-  in
+  let page = Page.make ~kind ~id ~sched:t.sched ~metrics:t.metrics ~payload in
   page.dirty <- true;
   Hashtbl.replace t.cache id page;
   if id >= t.next_page_id then t.next_page_id <- id + 1;
@@ -91,7 +90,7 @@ let install ?role t id ~payload ~copy_payload =
 let write_back t (page : Page.t) =
   let tr = Oib_sim.Sched.trace t.sched in
   Oib_sim.Metrics.add t.metrics Page_writes 1;
-  bump t "pool.page_write" ~role:(Oib_sim.Latch.role page.latch);
+  bump t "pool.page_write" ~role:page.kind.role;
   if Oib_obs.Trace.tracing tr then
     Oib_obs.Trace.emit tr
       (Oib_obs.Event.Page_write
@@ -102,11 +101,7 @@ let write_back t (page : Page.t) =
              Oib_wal.Lsn.to_int (Oib_wal.Log_manager.flushed_lsn t.log);
          });
   Stable_store.write t.store page.id
-    {
-      Stable_store.payload = page.copy_payload page.payload;
-      lsn = page.lsn;
-      copy_payload = page.copy_payload;
-    };
+    { image = page.kind.encode page.payload; lsn = page.lsn };
   page.dirty <- false
 
 let flush_page t (page : Page.t) =
@@ -153,7 +148,7 @@ let note_evict t id =
     let tr = Oib_sim.Sched.trace t.sched in
     if Oib_obs.Trace.tracing tr then
       Oib_obs.Trace.emit tr (Oib_obs.Event.Page_evict { page = id });
-    bump t "pool.page_evict" ~role:(Oib_sim.Latch.role page.Page.latch);
+    bump t "pool.page_evict" ~role:page.Page.kind.role;
     Oib_sim.Metrics.add t.metrics Pages_evicted 1
 
 let evict t id =

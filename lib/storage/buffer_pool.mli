@@ -21,22 +21,17 @@ val metrics : t -> Oib_sim.Metrics.t
 val log : t -> Oib_wal.Log_manager.t
 val store : t -> Stable_store.t
 
-val new_page :
-  ?role:string ->
-  t -> payload:Page.payload -> copy_payload:(Page.payload -> Page.payload) ->
-  Page.t
-(** Allocate a fresh page (monotonically increasing id). [role] tags the
-    page's latch for the sanitizer (see {!Page.make}). *)
+val new_page : t -> kind:Page.kind -> payload:Page.payload -> Page.t
+(** Allocate a fresh page (monotonically increasing id) of the given
+    format. *)
 
-val get : ?role:string -> t -> int -> Page.t
-(** Fetch a page; reads from the stable store on a miss (counted as a page
-    read — [role] tags the rebuilt page object on that path). Raises
-    [Not_found] if the page exists nowhere. *)
+val get : t -> kind:Page.kind -> int -> Page.t
+(** Fetch a page; on a miss, decodes its stable image with [kind]'s codec
+    (counted as a page read). Raises [Not_found] if the page exists
+    nowhere, and [Oib_util.Binc.Corrupt] — caching nothing — if the image
+    does not decode. *)
 
-val install :
-  ?role:string ->
-  t -> int -> payload:Page.payload ->
-  copy_payload:(Page.payload -> Page.payload) -> Page.t
+val install : t -> kind:Page.kind -> int -> payload:Page.payload -> Page.t
 (** Recreate a page under a *specific* id with fresh contents — used by
     redo when a page named in the log was never written to stable storage
     before the crash. Raises [Invalid_argument] if the page exists. *)
@@ -52,7 +47,8 @@ val reserve_page_ids : t -> upto:int -> unit
 val mem : t -> int -> bool
 
 val flush_page : t -> Page.t -> unit
-(** Write one page back (WAL rule enforced); clears its dirty bit. *)
+(** Write one page back (WAL rule enforced): its kind encodes the payload
+    once into the image the stable store keeps. Clears its dirty bit. *)
 
 val unsafe_steal_without_wal : t -> Page.t -> unit
 (** Test-only: write the page back {e without} forcing the log first — a

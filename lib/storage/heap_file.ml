@@ -143,7 +143,7 @@ let last_page_id t = match t.pages_rev with [] -> None | id :: _ -> Some id
 
 let owns t id = Hashtbl.mem t.ordinal id
 
-let page t id = Buffer_pool.get ~role:"Heap_file" t.pool id
+let page t id = Buffer_pool.get t.pool ~kind:Heap_page.kind id
 
 (* --- the free-space inventory --- *)
 
@@ -177,9 +177,8 @@ let note_free t id =
 
 let extend t =
   let p =
-    Buffer_pool.new_page ~role:"Heap_file" t.pool
+    Buffer_pool.new_page t.pool ~kind:Heap_page.kind
       ~payload:(Heap_page.Heap (Heap_page.create ~capacity:t.page_capacity))
-      ~copy_payload:Heap_page.copy_payload
   in
   t.pages_rev <- p.Page.id :: t.pages_rev;
   append t p.Page.id;

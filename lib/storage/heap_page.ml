@@ -16,10 +16,6 @@ let slot_overhead = 4
 
 let create ~capacity = { capacity; slots = Array.make 8 Free; nslots = 0; used_bytes = 0 }
 
-let copy t =
-  { capacity = t.capacity; slots = Array.copy t.slots; nslots = t.nslots;
-    used_bytes = t.used_bytes }
-
 (* binary page image — what actually sits in the stable store *)
 let encode t =
   let w = Binc.writer () in
@@ -42,7 +38,8 @@ let encode t =
 let decode s =
   let r = Binc.reader s in
   let capacity = Binc.r_i64 r in
-  let nslots = Binc.r_i64 r in
+  (* every slot takes at least its tag byte *)
+  let nslots = Binc.r_count r ~min_bytes:1 in
   let used_bytes = Binc.r_i64 r in
   let slots = Array.make (max 8 nslots) Free in
   for i = 0 to nslots - 1 do
@@ -51,29 +48,28 @@ let decode s =
       | 0 -> Free
       | 1 -> Reserved (Binc.r_i64 r)
       | 2 ->
-        let n = Binc.r_i64 r in
-        if n < 0 || n > 100_000 then raise (Binc.Corrupt "record arity");
+        (* every column takes at least its length prefix *)
+        let n = Binc.r_count r ~min_bytes:8 in
         Occupied (Record.make (Array.init n (fun _ -> Binc.r_str r)))
       | n -> raise (Binc.Corrupt (Printf.sprintf "slot tag %d" n)))
   done;
   if not (Binc.at_end r) then raise (Binc.Corrupt "trailing bytes");
   { capacity; slots; nslots; used_bytes }
 
-(* the "copy" taken at write-back time is a full serialization round trip:
-   the stable store holds what a disk would *)
-let copy_payload = function
-  | Heap t -> Heap (decode (encode t))
-  | _ -> invalid_arg "Heap_page.copy_payload: not a heap page"
-
 let of_payload = function
   | Heap t -> t
   | _ -> invalid_arg "Heap_page.of_payload: not a heap page"
 
+let kind =
+  { Page.role = "Heap_file";
+    encode = (fun p -> encode (of_payload p));
+    decode = (fun s -> Heap (decode s)) }
+
+let copy_payload p = kind.decode (kind.encode p)
+
 let capacity t = t.capacity
 
 let free_bytes t = t.capacity - t.used_bytes
-
-let slot_count t = t.nslots
 
 let record_count t =
   let n = ref 0 in

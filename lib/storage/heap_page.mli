@@ -12,7 +12,6 @@ type t
 type Page.payload += Heap of t
 
 val create : capacity:int -> t
-val copy : t -> t
 
 val encode : t -> string
 (** Binary page image. *)
@@ -20,13 +19,15 @@ val encode : t -> string
 val decode : string -> t
 (** Raises [Oib_util.Binc.Corrupt] on malformed bytes. *)
 
+val kind : Page.kind
+(** The heap page format: a [Heap] payload and its {!encode}d image. *)
+
 val copy_payload : Page.payload -> Page.payload
-(** The stable store's deep copy — a full [encode]/[decode] round trip, so
-    every write-back exercises the on-disk format. *)
+(** Exactly one write-back encode plus one miss decode — a page's round
+    trip through the stable store. *)
 
 val capacity : t -> int
 val free_bytes : t -> int
-val slot_count : t -> int
 val record_count : t -> int
 
 val cost : Record.t -> int

@@ -1,25 +1,31 @@
 type payload = ..
 
+type kind = {
+  role : string;
+  encode : payload -> string;
+  decode : string -> payload;
+}
+
 type t = {
   id : int;
+  kind : kind;
   latch : Oib_sim.Latch.t;
   mutable lsn : Oib_wal.Lsn.t;
   mutable payload : payload;
-  copy_payload : payload -> payload;
   mutable dirty : bool;
   mutable no_steal : bool;
 }
 
-let make ?(role = "page") ~id ~sched ~metrics ~payload ~copy_payload () =
+let make ~kind ~id ~sched ~metrics ~payload =
   {
     id;
+    kind;
     latch =
       Oib_sim.Latch.create
         ~name:(Printf.sprintf "page-%d" id)
-        ~role ~page:id sched metrics;
+        ~role:kind.role ~page:id sched metrics;
     lsn = Oib_wal.Lsn.nil;
     payload;
-    copy_payload;
     dirty = false;
     no_steal = false;
   }

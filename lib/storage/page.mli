@@ -4,18 +4,27 @@
     machinery the algorithms depend on: a latch for short-term physical
     consistency, a page_LSN driving the write-ahead rule and redo, and a
     dirty flag for the buffer pool. Payloads are an open variant so higher
-    layers (heap, B-tree, side-file) can define their own page kinds without
-    this module knowing them; each page carries the copy function used to
-    snapshot it into the stable store. *)
+    layers (heap, B-tree, side-file) can define their own page formats
+    without this module knowing them; each page carries its format's
+    {!kind}, the codec between its payload and the image the stable store
+    holds. *)
 
 type payload = ..
 
+type kind = {
+  role : string;  (** names the page latch in the sanitizer's latch graph *)
+  encode : payload -> string;
+  decode : string -> payload;  (** raises [Oib_util.Binc.Corrupt] *)
+}
+(** One page format: the owning structure's name, and the codec between
+    a payload and its stable image. *)
+
 type t = {
   id : int;
+  kind : kind;
   latch : Oib_sim.Latch.t;
   mutable lsn : Oib_wal.Lsn.t;
   mutable payload : payload;
-  copy_payload : payload -> payload;
   mutable dirty : bool;
   mutable no_steal : bool;
       (** Excluded from background (steal) write-back; written only by
@@ -26,17 +35,12 @@ type t = {
 }
 
 val make :
-  ?role:string ->
+  kind:kind ->
   id:int ->
   sched:Oib_sim.Sched.t ->
   metrics:Oib_sim.Metrics.t ->
   payload:payload ->
-  copy_payload:(payload -> payload) ->
-  unit ->
   t
-(** [role] (default ["page"]) names the structure the page belongs to
-    ("Heap_file", "Btree", …); it becomes the page latch's node in the
-    sanitizer's latch-order graph. *)
 
 val set_lsn : t -> Oib_wal.Lsn.t -> unit
 (** Record that the log record with this LSN modified the page; also marks

@@ -1,8 +1,4 @@
-type entry = {
-  payload : Page.payload;
-  lsn : Oib_wal.Lsn.t;
-  copy_payload : Page.payload -> Page.payload;
-}
+type entry = { image : string; lsn : Oib_wal.Lsn.t }
 
 type t = { pages : (int, entry) Hashtbl.t }
 
@@ -16,14 +12,7 @@ let mem t id = Hashtbl.mem t.pages id
 
 let remove t id = Hashtbl.remove t.pages id
 
-let snapshot t =
-  let copy = { pages = Hashtbl.create (Hashtbl.length t.pages) } in
-  Hashtbl.iter
-    (fun id e ->
-      Hashtbl.replace copy.pages id
-        { e with payload = e.copy_payload e.payload })
-    t.pages;
-  copy
+let snapshot t = { pages = Hashtbl.copy t.pages }
 
 let page_count t = Hashtbl.length t.pages
 

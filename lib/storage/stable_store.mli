@@ -1,14 +1,11 @@
 (** Simulated disk for pages.
 
-    Holds deep copies of page payloads as of their last write-back, keyed by
-    page id. Contents survive a simulated crash; everything else (buffer
-    pool, latches) does not. *)
+    Holds each page's encoded image as of its last write-back, keyed by
+    page id; a {!Page.kind} turns the image back into a payload. Contents
+    survive a simulated crash; everything else (buffer pool, latches) does
+    not. *)
 
-type entry = {
-  payload : Page.payload;
-  lsn : Oib_wal.Lsn.t;
-  copy_payload : Page.payload -> Page.payload;
-}
+type entry = { image : string; lsn : Oib_wal.Lsn.t }
 
 type t
 
@@ -18,8 +15,8 @@ val read : t -> int -> entry option
 val mem : t -> int -> bool
 val remove : t -> int -> unit
 val snapshot : t -> t
-(** Deep copy (an image copy of the whole disk) — the basis of media
-    recovery backups. *)
+(** An image copy of the whole disk — the basis of media recovery backups.
+    Images are immutable strings, so copying the table is enough. *)
 
 val page_count : t -> int
 val max_page_id : t -> int

@@ -28,17 +28,28 @@ let r_u8 r =
   r.pos <- r.pos + 1;
   v
 
+let remaining r = String.length r.s - r.pos
+
 let r_i64 r =
-  if r.pos + 8 > String.length r.s then fail "eof in i64";
-  let v = Int64.to_int (String.get_int64_le r.s r.pos) in
+  if remaining r < 8 then fail "eof in i64";
+  let v64 = String.get_int64_le r.s r.pos in
+  let v = Int64.to_int v64 in
+  (* [w_i64] only writes values an [int] holds *)
+  if Int64.of_int v <> v64 then fail "i64 out of int range";
   r.pos <- r.pos + 8;
   v
 
-let r_bool r = r_u8 r <> 0
+let r_bool r =
+  match r_u8 r with 0 -> false | 1 -> true | _ -> fail "bad bool"
+
+let r_count r ~min_bytes =
+  let n = r_i64 r in
+  if n < 0 || n > remaining r / min_bytes then fail "bad count";
+  n
 
 let r_str r =
   let n = r_i64 r in
-  if n < 0 || r.pos + n > String.length r.s then fail "bad string length";
+  if n < 0 || n > remaining r then fail "bad string length";
   let v = String.sub r.s r.pos n in
   r.pos <- r.pos + n;
   v

@@ -19,6 +19,15 @@ val r_u8 : reader -> int
 val r_i64 : reader -> int
 val r_bool : reader -> bool
 val r_str : reader -> string
+
+val r_count : reader -> min_bytes:int -> int
+(** An element count, each element taking at least [min_bytes] of what
+    is left of the image: a count the image cannot hold is rejected
+    before anything is allocated for it. *)
+
 val at_end : reader -> bool
 
 exception Corrupt of string
+(** Raised by every reader on malformed bytes: truncation, an out-of-range
+    integer, a bool byte other than 0 or 1, or a length or count larger
+    than the rest of the image. *)

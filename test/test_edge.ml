@@ -444,6 +444,83 @@ let prop_internal_codec_roundtrip =
            = Array.sub n.Bt_node.seps 0 (n.Bt_node.nc - 1)
       | Bt_node.Leaf _ -> false)
 
+(* Every truncation and every single-byte change of a valid image either
+   raises [Binc.Corrupt] or decodes to a payload that re-encodes to the
+   damaged bytes: a decoder never crashes on bad bytes, and never accepts
+   bytes its encoder would not have written. *)
+let damage_refused (kind : Oib_storage.Page.kind) image =
+  let all_ok = ref true in
+  let check s =
+    match kind.decode s with
+    | exception Binc.Corrupt _ -> ()
+    | p -> if kind.encode p <> s then all_ok := false
+  in
+  let n = String.length image in
+  for len = 0 to n - 1 do
+    check (String.sub image 0 len)
+  done;
+  let b = Bytes.of_string image in
+  for i = 0 to n - 1 do
+    for c = 0 to 255 do
+      if c <> Char.code image.[i] then begin
+        Bytes.set b i (Char.chr c);
+        check (Bytes.to_string b)
+      end
+    done;
+    Bytes.set b i image.[i]
+  done;
+  !all_ok
+
+let prop_heap_image_damage =
+  QCheck.Test.make ~name:"heap image damage refused" ~count:20
+    QCheck.(list_of_size (QCheck.Gen.int_range 0 4) (make gen_record))
+    (fun records ->
+      let hp = Oib_storage.Heap_page.create ~capacity:1_000 in
+      List.iteri
+        (fun i r ->
+          let s = Oib_storage.Heap_page.reserve hp r in
+          (* one slot of each state: occupied, free, reserved *)
+          match i mod 3 with
+          | 0 -> Oib_storage.Heap_page.put hp s r
+          | 1 ->
+            Oib_storage.Heap_page.put hp s r;
+            Oib_storage.Heap_page.remove hp s
+          | _ -> ())
+        records;
+      damage_refused Oib_storage.Heap_page.kind (Oib_storage.Heap_page.encode hp))
+
+let prop_leaf_image_damage =
+  QCheck.Test.make ~name:"leaf image damage refused" ~count:20
+    QCheck.(list_of_size (QCheck.Gen.int_range 0 4) (make gen_ikey))
+    (fun keys ->
+      let keys = List.sort_uniq Ikey.compare keys in
+      let l = Bt_node.new_leaf () in
+      List.iteri (fun i k -> Bt_node.leaf_insert l k ~pseudo:(i mod 2 = 0)) keys;
+      l.Bt_node.next <- 42;
+      l.Bt_node.high <- (match keys with [] -> None | k :: _ -> Some k);
+      damage_refused Bt_node.kind (Bt_node.encode_node (Bt_node.Leaf l)))
+
+let prop_internal_image_damage =
+  QCheck.Test.make ~name:"internal image damage refused" ~count:20
+    QCheck.(list_of_size (QCheck.Gen.int_range 2 5) (make gen_ikey))
+    (fun keys ->
+      let seps = Array.of_list (List.tl (List.sort_uniq Ikey.compare keys)) in
+      QCheck.assume (Array.length seps >= 1);
+      let children = Array.init (Array.length seps + 1) (fun i -> 100 + i) in
+      let n = Bt_node.new_internal ~children ~seps in
+      damage_refused Bt_node.kind (Bt_node.encode_node (Bt_node.Internal n)))
+
+let test_negative_slot_count_rejected () =
+  let image =
+    Bytes.of_string
+      (Oib_storage.Heap_page.encode (Oib_storage.Heap_page.create ~capacity:64))
+  in
+  (* the slot count follows the 8-byte capacity *)
+  Bytes.set_int64_le image 8 (-5L);
+  match Oib_storage.Heap_page.decode (Bytes.to_string image) with
+  | exception Binc.Corrupt _ -> ()
+  | _ -> Alcotest.fail "heap codec accepted a negative slot count"
+
 let test_codec_rejects_garbage () =
   (match Oib_storage.Heap_page.decode "garbage" with
   | exception Binc.Corrupt _ -> ()
@@ -508,8 +585,11 @@ let () =
         [ Alcotest.test_case "reuses freed space" `Quick test_fsip_reuses_freed_space ]
       );
       ( "codecs",
-        [ Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage ]
-      );
+        [
+          Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
+          Alcotest.test_case "rejects negative slot count" `Quick
+            test_negative_slot_count_rejected;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -517,5 +597,8 @@ let () =
             prop_heap_page_codec_roundtrip;
             prop_leaf_codec_roundtrip;
             prop_internal_codec_roundtrip;
+            prop_heap_image_damage;
+            prop_leaf_image_damage;
+            prop_internal_image_damage;
           ] );
     ]

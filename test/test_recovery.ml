@@ -73,7 +73,9 @@ let test_redo_rebuilds_lost_page () =
   LM.flush_all log;
   let env' = Tenv.crash env in
   Restart.redo_heap env'.Tenv.log env'.Tenv.pool ~page_capacity:256;
-  let page = Oib_storage.Buffer_pool.get env'.Tenv.pool 3 in
+  let page =
+    Oib_storage.Buffer_pool.get env'.Tenv.pool ~kind:Oib_storage.Heap_page.kind 3
+  in
   let hp = Oib_storage.Heap_page.of_payload page.Oib_storage.Page.payload in
   Alcotest.(check int) "one record" 1 (Oib_storage.Heap_page.record_count hp);
   Alcotest.(check (option (of_pp Record.pp))) "slot 1 content"
@@ -87,9 +89,9 @@ let test_redo_page_lsn_idempotence () =
   LM.flush_all log;
   (* apply + flush the page so its page_LSN covers the record *)
   let p =
-    Oib_storage.Buffer_pool.install env.Tenv.pool 3
+    Oib_storage.Buffer_pool.install env.Tenv.pool
+      ~kind:Oib_storage.Heap_page.kind 3
       ~payload:(Oib_storage.Heap_page.Heap (Oib_storage.Heap_page.create ~capacity:256))
-      ~copy_payload:Oib_storage.Heap_page.copy_payload
   in
   Oib_storage.Heap_page.put
     (Oib_storage.Heap_page.of_payload p.Oib_storage.Page.payload)
@@ -98,7 +100,9 @@ let test_redo_page_lsn_idempotence () =
   Oib_storage.Buffer_pool.flush_page env.Tenv.pool p;
   let env' = Tenv.crash env in
   Restart.redo_heap env'.Tenv.log env'.Tenv.pool ~page_capacity:256;
-  let page = Oib_storage.Buffer_pool.get env'.Tenv.pool 3 in
+  let page =
+    Oib_storage.Buffer_pool.get env'.Tenv.pool ~kind:Oib_storage.Heap_page.kind 3
+  in
   let hp = Oib_storage.Heap_page.of_payload page.Oib_storage.Page.payload in
   Alcotest.(check int) "no double apply" 1 (Oib_storage.Heap_page.record_count hp)
 

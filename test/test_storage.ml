@@ -126,7 +126,7 @@ module Ref_heap = struct
   }
 
   let try_page t id record =
-    let p = Buffer_pool.get t.pool id in
+    let p = Buffer_pool.get t.pool ~kind:Heap_page.kind id in
     if Heap_page.fits (Heap_page.of_payload p.Page.payload) record then begin
       Oib_sim.Latch.acquire p.Page.latch X;
       let hp = Heap_page.of_payload p.Page.payload in
@@ -165,9 +165,8 @@ module Ref_heap = struct
       | Some r -> r
       | None ->
         let p =
-          Buffer_pool.new_page t.pool
+          Buffer_pool.new_page t.pool ~kind:Heap_page.kind
             ~payload:(Heap_page.Heap (Heap_page.create ~capacity:t.capacity))
-            ~copy_payload:Heap_page.copy_payload
         in
         t.pages_rev <- p.Page.id :: t.pages_rev;
         Oib_sim.Latch.acquire p.Page.latch X;
@@ -245,7 +244,7 @@ let placements_agree ?skip ops =
   let on_page id f =
     List.iter
       (fun pool ->
-        let p = Buffer_pool.get pool id in
+        let p = Buffer_pool.get pool ~kind:Heap_page.kind id in
         f (Heap_page.of_payload p.Page.payload);
         Page.mark_dirty p)
       [ er.Tenv.pool; em.Tenv.pool ]
@@ -314,7 +313,7 @@ let placements_agree ?skip ops =
         let id = nth ids i in
         List.iter
           (fun pool ->
-            Buffer_pool.flush_page pool (Buffer_pool.get pool id);
+            Buffer_pool.flush_page pool (Buffer_pool.get pool ~kind:Heap_page.kind id);
             Buffer_pool.evict pool id)
           [ er.Tenv.pool; em.Tenv.pool ]);
       true
@@ -324,9 +323,8 @@ let placements_agree ?skip ops =
       true
     | Orphan ->
       let fresh pool =
-        (Buffer_pool.new_page pool
-           ~payload:(Heap_page.Heap (Heap_page.create ~capacity))
-           ~copy_payload:Heap_page.copy_payload)
+        (Buffer_pool.new_page pool ~kind:Heap_page.kind
+           ~payload:(Heap_page.Heap (Heap_page.create ~capacity)))
           .Page.id
       in
       let a = fresh er.Tenv.pool and b = fresh em.Tenv.pool in
@@ -402,9 +400,8 @@ let test_crash_loses_unflushed_pages () =
 let test_no_steal_respected () =
   let env = Tenv.make () in
   let p =
-    Buffer_pool.new_page env.Tenv.pool
+    Buffer_pool.new_page env.Tenv.pool ~kind:Heap_page.kind
       ~payload:(Heap_page.Heap (Heap_page.create ~capacity:64))
-      ~copy_payload:Heap_page.copy_payload
   in
   p.Page.no_steal <- true;
   Page.mark_dirty p;
@@ -415,20 +412,72 @@ let test_no_steal_respected () =
   Alcotest.(check bool) "explicit flush works" true
     (Stable_store.mem env.Tenv.store p.Page.id)
 
-let test_stable_store_isolation () =
+let test_stable_store_holds_flushed_image () =
   let env = Tenv.make () in
   let hf = Heap_file.create env.Tenv.pool env.Tenv.kv ~table_id:1 ~page_capacity:256 in
   let rid = insert_one env hf (rcd "v1") in
+  let leaf = Oib_btree.Bt_node.new_leaf () in
+  Oib_btree.Bt_node.leaf_insert leaf (Tenv.keyn 1) ~pseudo:false;
+  let node =
+    Buffer_pool.new_page env.Tenv.pool ~kind:Oib_btree.Bt_node.kind
+      ~payload:(Oib_btree.Bt_node.Node (Leaf leaf))
+  in
   Buffer_pool.flush_all env.Tenv.pool;
-  (* mutate the cached page after the flush; the stable copy must be the
-     deep copy taken at flush time *)
+  (* mutate both cached pages after the flush; the stable store must hold
+     the images taken at flush time *)
   let page = Heap_file.page hf rid.Rid.page in
   Heap_page.put (Heap_page.of_payload page.Page.payload) rid.Rid.slot (rcd "v2");
+  Oib_btree.Bt_node.leaf_insert leaf (Tenv.keyn 2) ~pseudo:true;
   let env' = Tenv.crash env in
   let hf' = Heap_file.open_existing env'.Tenv.pool env'.Tenv.kv ~table_id:1 in
-  Alcotest.(check (option (of_pp Record.pp))) "deep copy isolated"
+  Alcotest.(check (option (of_pp Record.pp))) "heap page as flushed"
     (Some (rcd "v1"))
-    (Heap_file.read_record hf' rid)
+    (Heap_file.read_record hf' rid);
+  let node' =
+    Buffer_pool.get env'.Tenv.pool ~kind:Oib_btree.Bt_node.kind node.Page.id
+  in
+  let leaf' = Oib_btree.Bt_node.leaf_of_payload node'.Page.payload in
+  Alcotest.(check int) "btree page as flushed" 1 leaf'.Oib_btree.Bt_node.n;
+  Alcotest.(check bool) "flushed entry" true
+    (Ikey.equal (Tenv.keyn 1) (fst (Oib_btree.Bt_node.leaf_get leaf' 0)))
+
+(* A page whose stable image does not decode is refused on the read: the
+   pool caches nothing, and the read's io span still ends. *)
+let test_corrupt_image_refused () =
+  let trace = Oib_obs.Trace.create () in
+  let events = ref [] in
+  Oib_obs.Trace.add_sink trace ~name:"test" (fun e ->
+      events := e.Oib_obs.Event.event :: !events);
+  let sched = Oib_sim.Sched.create ~trace () in
+  let metrics = Oib_sim.Metrics.create () in
+  let store = Stable_store.create () in
+  let pool =
+    Buffer_pool.create ~sched ~metrics
+      ~log:(Oib_wal.Log_manager.create metrics)
+      ~store
+  in
+  Stable_store.write store 3 { image = "garbage"; lsn = Lsn.nil };
+  let refused () =
+    match Buffer_pool.get pool ~kind:Heap_page.kind 3 with
+    | exception Binc.Corrupt _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "read refused" true (refused ());
+  Alcotest.(check int) "nothing cached" 0 (Buffer_pool.cached_count pool);
+  Alcotest.(check bool) "refused again" true (refused ());
+  let io_spans =
+    List.filter_map
+      (function
+        | Oib_obs.Event.Span_begin { span; cat = "io"; _ } -> Some span
+        | _ -> None)
+      !events
+  in
+  Alcotest.(check int) "one io span per read" 2 (List.length io_spans);
+  List.iter
+    (fun span ->
+      Alcotest.(check bool) "io span ended" true
+        (List.mem (Oib_obs.Event.Span_end { span }) !events))
+    io_spans
 
 let () =
   Alcotest.run "storage"
@@ -464,7 +513,9 @@ let () =
           Alcotest.test_case "crash loses unflushed" `Quick
             test_crash_loses_unflushed_pages;
           Alcotest.test_case "no-steal respected" `Quick test_no_steal_respected;
-          Alcotest.test_case "stable store deep copies" `Quick
-            test_stable_store_isolation;
+          Alcotest.test_case "stable store holds flushed image" `Quick
+            test_stable_store_holds_flushed_image;
+          Alcotest.test_case "corrupt image refused" `Quick
+            test_corrupt_image_refused;
         ] );
     ]
