@@ -717,16 +717,10 @@ module Bulk = struct
         end
       | Leaf _ -> assert false)
 
-  let add b key =
+  (* Append [key], known to sort above [b.highest], to the rightmost
+     leaf. *)
+  let append b key =
     let t = b.tree in
-    (match b.highest with
-    | Some h when Ikey.compare h key = 0 ->
-      (* the same logical entry extracted twice (e.g. a record re-read
-         across key-order scan rounds): adding it again is a no-op *)
-      raise Exit
-    | Some h when Ikey.compare h key > 0 ->
-      invalid_arg "Btree.Bulk.add: keys must be ascending"
-    | _ -> ());
     b.highest <- Some key;
     b.count <- b.count + 1;
     let m = metrics t in
@@ -754,7 +748,13 @@ module Bulk = struct
         push_up b above key fresh.Page.id
       end
 
-  let add b key = try add b key with Exit -> ()
+  (* one comparison per key orders it and spots a re-extracted entry *)
+  let add b key =
+    let c = match b.highest with Some h -> Ikey.compare h key | None -> -1 in
+    if c < 0 then append b key
+    else if c > 0 then invalid_arg "Btree.Bulk.add: keys must be ascending"
+    (* else the same logical entry extracted twice (e.g. a record re-read
+       across key-order scan rounds): adding it again is a no-op *)
 
   let highest b = b.highest
 

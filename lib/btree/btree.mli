@@ -119,10 +119,11 @@ module Bulk : sig
       subsequent keys must sort above the tree's current highest entry. *)
 
   val add : b -> Ikey.t -> unit
-  (** Append a key; keys must arrive in ascending order. Appends to the
-      rightmost leaf with no traversal, no latching, no key comparison
-      beyond the order assertion; grows the tree bottom-up, left to
-      right. *)
+  (** Append a key; keys must arrive in ascending order, and a key equal
+      to the last one added is ignored (the same entry extracted twice).
+      Appends to the rightmost leaf with no traversal, no latching, and
+      one key comparison to check the order; grows the tree bottom-up,
+      left to right. *)
 
   val highest : b -> Ikey.t option
   val keys_added : b -> int

@@ -98,8 +98,6 @@ let progress_key index_id = Printf.sprintf "ib/%d/progress" index_id
 let sort_key index_id = Printf.sprintf "ib/%d/sort" index_id
 let merge_key index_id = Printf.sprintf "ib/%d/mergeckpt" index_id
 
-(* must NOT share a prefix with [sort_key]: Sort_phase.resume deletes
-   unknown runs under its own checkpoint prefix *)
 let sorted_run_name index_id = Printf.sprintf "ib/%d/merged-output" index_id
 
 (* a lock-owner id for IB's own lock calls, distinct from transaction ids *)

@@ -1,25 +1,46 @@
 open Oib_util
 
+(* Flat layout: per leaf slot, a live flag, the head key and its cached
+   prefix, read at pull time, so most matches are one int compare with no
+   pointer chased. *)
 type t = {
   streams : (unit -> Ikey.t option) array;
   k2 : int; (* leaf slots, power of two *)
-  cur : Ikey.t option array; (* current head per leaf slot; None = +inf *)
+  live : bool array; (* false = exhausted (+infinity) *)
+  key : Ikey.t array; (* head key, meaningful while live *)
+  pfx : int array; (* [key.(s).pfx] *)
   losers : int array; (* internal node -> losing leaf slot *)
   mutable win1 : int; (* overall winner slot *)
   charge : Oib_sim.Metrics.target option; (* merge compares charged here *)
   mutable compares : int; (* counted by [beats], not yet charged *)
 }
 
-(* slot a beats slot b? None is +infinity; ties break to the lower slot,
-   which makes merging stable. *)
+let dummy = Ikey.make "" Rid.minus_infinity
+
+(* Pull slot [s]'s next head from its stream. Only slots below the stream
+   count are ever live, so only they are pulled. *)
+let pull t s =
+  match t.streams.(s) () with
+  | Some k ->
+    t.live.(s) <- true;
+    t.key.(s) <- k;
+    t.pfx.(s) <- k.Ikey.pfx
+  | None -> t.live.(s) <- false
+
+(* slot a beats slot b? An exhausted slot is +infinity; ties break to the
+   lower slot, which makes merging stable. *)
 let beats t a b =
-  match (t.cur.(a), t.cur.(b)) with
-  | None, _ -> false
-  | Some _, None -> true
-  | Some x, Some y ->
-    t.compares <- t.compares + 1;
-    let c = Ikey.compare x y in
-    c < 0 || (c = 0 && a < b)
+  Array.unsafe_get t.live a
+  && ((not (Array.unsafe_get t.live b))
+     || begin
+          t.compares <- t.compares + 1;
+          let pa = Array.unsafe_get t.pfx a and pb = Array.unsafe_get t.pfx b in
+          pa < pb
+          || pa = pb
+             &&
+             let c = Ikey.compare (Array.unsafe_get t.key a) (Array.unsafe_get t.key b) in
+             c < 0 || (c = 0 && a < b)
+        end)
 
 (* one charge per [make] or [pop] rather than one per comparison *)
 let settle t =
@@ -36,13 +57,22 @@ let make ?charge ~streams () =
     k2 := !k2 * 2
   done;
   let k2 = !k2 in
-  let cur = Array.make k2 None in
-  for i = 0 to k - 1 do
-    cur.(i) <- streams.(i) ()
-  done;
   let t =
-    { streams; k2; cur; losers = Array.make k2 0; win1 = 0; charge; compares = 0 }
+    {
+      streams;
+      k2;
+      live = Array.make k2 false;
+      key = Array.make k2 dummy;
+      pfx = Array.make k2 0;
+      losers = Array.make k2 0;
+      win1 = 0;
+      charge;
+      compares = 0;
+    }
   in
+  for i = 0 to k - 1 do
+    pull t i
+  done;
   (* build the initial tournament bottom-up *)
   let win = Array.make (2 * k2) 0 in
   for j = 0 to k2 - 1 do
@@ -65,17 +95,17 @@ let make ?charge ~streams () =
 
 let pop t =
   let w = t.win1 in
-  match t.cur.(w) with
-  | None -> None
-  | Some key ->
+  if not t.live.(w) then None
+  else begin
+    let key = t.key.(w) in
     (* refill the winner's leaf and replay its path to the root *)
-    t.cur.(w) <- (if w < Array.length t.streams then t.streams.(w) () else None);
+    pull t w;
     let winner = ref w in
     let i = ref ((t.k2 + w) / 2) in
     while !i >= 1 do
-      let l = t.losers.(!i) in
+      let l = Array.unsafe_get t.losers !i in
       if beats t l !winner then begin
-        t.losers.(!i) <- !winner;
+        Array.unsafe_set t.losers !i !winner;
         winner := l
       end;
       i := !i / 2
@@ -83,6 +113,7 @@ let pop t =
     t.win1 <- !winner;
     settle t;
     Some (key, w)
+  end
 
 let drain t =
   let rec go acc = match pop t with None -> List.rev acc | Some x -> go (x :: acc) in

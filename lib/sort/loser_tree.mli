@@ -4,7 +4,10 @@
     exactly one input stream; each pop reports which stream the winner came
     from, so the caller can maintain the per-stream counter vector the
     restartable merge checkpoints. Ties between streams break toward the
-    lower stream index, making merges of equal keys stable. *)
+    lower stream index, making merges of equal keys stable. Each leaf's
+    head key and its cached prefix sit in flat arrays, read once when the
+    key is pulled, so a match between keys whose prefixes differ is one
+    int compare. *)
 
 open Oib_util
 

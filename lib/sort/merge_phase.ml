@@ -25,17 +25,26 @@ let merge ?stop_after ?charge kv store ~ckpt_id ~inputs ~output ~ckpt_every =
           (* stale partial output from a crash before the first checkpoint *)
           Run_store.truncate r 0;
           r
-        | exception Not_found -> Run_store.create_run store ~name:output
+        | exception Not_found ->
+          (* sized once: the output holds every input key *)
+          let capacity =
+            List.fold_left
+              (fun acc n -> acc + Run_store.length (Run_store.find_run store n))
+              0 inputs
+          in
+          Run_store.create_run ~capacity store ~name:output
       in
       (Array.make (List.length inputs) 0, out)
   in
   let runs = Array.of_list (List.map (Run_store.find_run store) inputs) in
+  (* inputs do not change while they are merged *)
+  let lengths = Array.map Run_store.length runs in
   (* pull positions: resume reads each stream from its counter *)
   let pulled = Array.copy counters in
   let streams =
     Array.mapi
       (fun i run () ->
-        if pulled.(i) < Run_store.length run then begin
+        if pulled.(i) < lengths.(i) then begin
           let k = Run_store.get run pulled.(i) in
           pulled.(i) <- pulled.(i) + 1;
           Some k

@@ -25,10 +25,12 @@ let crash t =
     t.runs;
   survivor
 
-let create_run t ~name =
+let dummy = Ikey.make "" Rid.minus_infinity
+
+let create_run ?(capacity = 0) t ~name =
   if Hashtbl.mem t.runs name then
     invalid_arg "Run_store.create_run: run exists";
-  let r = { name; keys = [||]; len = 0; forced = 0 } in
+  let r = { name; keys = Array.make capacity dummy; len = 0; forced = 0 } in
   Hashtbl.replace t.runs name r;
   r
 
@@ -39,8 +41,6 @@ let delete_run t name = Hashtbl.remove t.runs name
 let run_names t = Hashtbl.fold (fun n _ acc -> n :: acc) t.runs []
 
 let name r = r.name
-
-let dummy = Ikey.make "" Rid.minus_infinity
 
 let append r k =
   if r.len = Array.length r.keys then begin

@@ -16,8 +16,9 @@ val create : unit -> t
 val crash : t -> t
 (** Survivor store: every run truncated to its forced length. *)
 
-val create_run : t -> name:string -> run
-(** Fresh empty run. Raises [Invalid_argument] if the name exists. *)
+val create_run : ?capacity:int -> t -> name:string -> run
+(** Fresh empty run with room for [capacity] keys (default 0) before it
+    grows. Raises [Invalid_argument] if the name exists. *)
 
 val find_run : t -> string -> run
 (** Raises [Not_found]. *)
@@ -40,4 +41,6 @@ val iter_from : run -> int -> (Ikey.t -> unit) -> unit
 val to_list : run -> Ikey.t list
 
 val is_sorted : run -> bool
-(** Test helper: keys strictly ascending. *)
+(** Test helper: keys in non-decreasing order. Equal neighbours are
+    allowed: a key-order scan can extract the same entry twice (see
+    [Btree.Bulk.add]), and the sort keeps both copies. *)

@@ -2,13 +2,27 @@
 
     Keys arrive pipelined from the index builder's data scan, page by page,
     and flow through a replacement-selection tournament into sorted runs in
-    a {!Run_store}. A checkpoint drains the tournament, forces the runs,
-    and records durably: the completed run names, the current run and its
-    length, the scan position up to which keys have been extracted and
-    sorted, and the highest key output to the current run.
+    a {!Run_store}. The tournament is a tree of losers over flat arrays
+    (Knuth's Algorithm R): one slot per key in memory holding its run tag,
+    cached key prefix and key. Each fed key takes the slot of the key it
+    pushes out and replays one leaf-to-root path, about log2
+    [memory_keys] matches. Slots not yet filled carry a tag that wins
+    every match, so the slot being filled is always the winner; slots at
+    or above [memory_keys] (the leaf count is a power of two) and emptied
+    slots carry a tag that loses every match. Run formation charges
+    [Sort_compares] for each match between two keys of the same run and
+    for the compare that tags a fed key against the last key output;
+    matches that tags decide are free.
+
+    A checkpoint drains the tournament (unfilled slots are retired first,
+    as none holds a key), forces the runs, and records durably: the
+    completed run names, the current run and its length, the scan
+    position up to which keys have been extracted and sorted, and the
+    highest key output to the current run.
 
     After a crash, {!resume} rebuilds the sorter from the checkpoint: runs
-    that did not exist then are discarded, the current run is repositioned
+    under [ckpt_id ^ "/"] that did not exist then are discarded (a run
+    named otherwise is never touched), the current run is repositioned
     to the recorded end, and — per the paper — subsequently produced keys
     continue in the same run only if they sort above the recorded highest
     key (the tag rule of replacement selection enforces this for free). *)
@@ -21,8 +35,8 @@ type t
 val start :
   ?charge:Oib_sim.Metrics.target ->
   Durable_kv.t -> Run_store.t -> ckpt_id:string -> memory_keys:int -> t
-(** [memory_keys] is the tournament capacity (run length ~ 2x this for
-    random input). Key comparisons and run spills are charged to
+(** [memory_keys] (at least 1) is the tournament capacity (run length ~
+    2x this for random input). Key comparisons and run spills are charged to
     [charge] when given. *)
 
 val feed_page : t -> scan_pos:int -> Ikey.t list -> unit

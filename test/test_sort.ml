@@ -10,20 +10,22 @@ let shuffled_keys seed n =
   Rng.shuffle rng a;
   Array.to_list a
 
-(* Feed keys as "pages" of [page_size] keys; returns the sorter. *)
+(* [keys] cut into "pages" of [page_size] keys *)
+let rec chunks page_size = function
+  | [] -> []
+  | keys ->
+    let rec take k acc = function
+      | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
+      | tl -> (List.rev acc, tl)
+    in
+    let page, rest = take page_size [] keys in
+    page :: chunks page_size rest
+
+(* Feed keys as "pages" of [page_size] keys. *)
 let feed_all sorter keys ~page_size =
-  let rec go pos = function
-    | [] -> ()
-    | rest ->
-      let rec take k acc = function
-        | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-        | tl -> (List.rev acc, tl)
-      in
-      let page, rest = take page_size [] rest in
-      Sort_phase.feed_page sorter ~scan_pos:pos page;
-      go (pos + 1) rest
-  in
-  go 0 keys
+  List.iteri
+    (fun pos page -> Sort_phase.feed_page sorter ~scan_pos:pos page)
+    (chunks page_size keys)
 
 let merged_list store runs =
   let out =
@@ -137,6 +139,290 @@ let test_end_to_end_sort () =
     (List.init 3000 Fun.id)
     (List.map (fun (k : Ikey.t) -> k.Ikey.rid.Rid.page) out)
 
+(* --- tournament vs the binary heap it replaced --- *)
+
+(* Replacement selection over a binary min-heap of (run tag, key), as the
+   sort phase did before its tree of losers: the reference model whose
+   runs the tournament must reproduce exactly. Its checkpoint is an OCaml
+   value standing in for the durable record; compares are counted as the
+   heap counted them. *)
+module Heap_sorter = struct
+  type ckpt = {
+    completed : string list; (* oldest first *)
+    current : string;
+    current_len : int;
+    scan_pos : int;
+    highest_out : Ikey.t option;
+    run_counter : int;
+  }
+
+  type t = {
+    store : Run_store.t;
+    memory_keys : int;
+    mutable heap : (int * Ikey.t) array;
+    mutable n : int;
+    mutable compares : int;
+    mutable cur_tag : int;
+    mutable last_emitted : Ikey.t option;
+    mutable completed : string list; (* newest first *)
+    mutable current : Run_store.run;
+    mutable pos : int;
+    mutable run_counter : int;
+  }
+
+  let run_name i = Printf.sprintf "t/s/run-%04d" i
+
+  let of_ckpt store ~memory_keys (c : ckpt) =
+    let current = Run_store.find_run store c.current in
+    Run_store.truncate current c.current_len;
+    {
+      store;
+      memory_keys;
+      heap = [||];
+      n = 0;
+      compares = 0;
+      cur_tag = 0;
+      last_emitted = c.highest_out;
+      completed = List.rev c.completed;
+      current;
+      pos = c.scan_pos;
+      run_counter = c.run_counter;
+    }
+
+  let start store ~memory_keys =
+    ignore (Run_store.create_run store ~name:(run_name 0));
+    of_ckpt store ~memory_keys
+      {
+        completed = [];
+        current = run_name 0;
+        current_len = 0;
+        scan_pos = -1;
+        highest_out = None;
+        run_counter = 1;
+      }
+
+  let less h ((t1 : int), k1) ((t2 : int), k2) =
+    t1 < t2
+    || t1 = t2
+       && begin
+            h.compares <- h.compares + 1;
+            Ikey.compare k1 k2 < 0
+          end
+
+  let swap a i j =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+
+  let push h x =
+    if h.n = Array.length h.heap then begin
+      let bigger = Array.make (max 64 (2 * h.n)) x in
+      Array.blit h.heap 0 bigger 0 h.n;
+      h.heap <- bigger
+    end;
+    let i = ref h.n in
+    h.n <- h.n + 1;
+    h.heap.(!i) <- x;
+    while !i > 0 && less h h.heap.(!i) h.heap.((!i - 1) / 2) do
+      swap h.heap !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  let pop h =
+    let top = h.heap.(0) in
+    h.n <- h.n - 1;
+    h.heap.(0) <- h.heap.(h.n);
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < h.n && less h h.heap.(l) h.heap.(!smallest) then smallest := l;
+      if r < h.n && less h h.heap.(r) h.heap.(!smallest) then smallest := r;
+      if !smallest = !i then continue := false
+      else begin
+        swap h.heap !smallest !i;
+        i := !smallest
+      end
+    done;
+    top
+
+  let emit_min h =
+    let tag, key = pop h in
+    if tag > h.cur_tag then begin
+      Run_store.force h.current;
+      h.completed <- Run_store.name h.current :: h.completed;
+      h.current <- Run_store.create_run h.store ~name:(run_name h.run_counter);
+      h.run_counter <- h.run_counter + 1;
+      h.cur_tag <- tag
+    end;
+    Run_store.append h.current key;
+    h.last_emitted <- Some key
+
+  let feed_page h ~scan_pos keys =
+    List.iter
+      (fun key ->
+        if h.n >= h.memory_keys then emit_min h;
+        let tag =
+          match h.last_emitted with
+          | Some e ->
+            h.compares <- h.compares + 1;
+            if Ikey.compare key e < 0 then h.cur_tag + 1 else h.cur_tag
+          | None -> h.cur_tag
+        in
+        push h (tag, key))
+      keys;
+    h.pos <- scan_pos
+
+  let checkpoint h =
+    while h.n > 0 do
+      emit_min h
+    done;
+    List.iter (fun n -> Run_store.force (Run_store.find_run h.store n)) h.completed;
+    Run_store.force h.current;
+    {
+      completed = List.rev h.completed;
+      current = Run_store.name h.current;
+      current_len = Run_store.length h.current;
+      scan_pos = h.pos;
+      highest_out = h.last_emitted;
+      run_counter = h.run_counter;
+    }
+end
+
+(* One sorter life cycle as closures, so both implementations follow the
+   same plan. [crash_resume] crashes the run store, resumes from the last
+   checkpoint (or starts afresh without one) and returns the scan
+   position to continue after. *)
+type sorter = {
+  feed : scan_pos:int -> Ikey.t list -> unit;
+  checkpoint : unit -> unit;
+  crash_resume : unit -> int;
+  finish : unit -> string list;
+  store : unit -> Run_store.t;
+  compares : unit -> int;
+}
+
+let tournament_sorter ~memory_keys =
+  let m = Oib_sim.Metrics.create () in
+  let charge = Oib_sim.Metrics.target m (Oib_obs.Resource.create ()) in
+  let kv = Durable_kv.create () in
+  let store = ref (Run_store.create ()) in
+  let start () = Sort_phase.start ~charge kv !store ~ckpt_id:"t/s" ~memory_keys in
+  let s = ref (start ()) in
+  {
+    feed = (fun ~scan_pos keys -> Sort_phase.feed_page !s ~scan_pos keys);
+    checkpoint = (fun () -> Sort_phase.checkpoint !s);
+    crash_resume =
+      (fun () ->
+        store := Run_store.crash !store;
+        s :=
+          (match Sort_phase.resume ~charge kv !store ~ckpt_id:"t/s" ~memory_keys with
+          | Some s -> s
+          | None -> start ());
+        Sort_phase.scan_pos !s);
+    finish = (fun () -> Sort_phase.finish !s);
+    store = (fun () -> !store);
+    compares = (fun () -> Oib_sim.Metrics.get m Sort_compares);
+  }
+
+let heap_sorter ~memory_keys =
+  let store = ref (Run_store.create ()) in
+  let h = ref (Heap_sorter.start !store ~memory_keys) in
+  let ckpt = ref None and compares = ref 0 in
+  let settle () =
+    compares := !compares + !h.compares;
+    !h.compares <- 0
+  in
+  {
+    feed =
+      (fun ~scan_pos keys ->
+        Heap_sorter.feed_page !h ~scan_pos keys;
+        settle ());
+    checkpoint =
+      (fun () ->
+        ckpt := Some (Heap_sorter.checkpoint !h);
+        settle ());
+    crash_resume =
+      (fun () ->
+        store := Run_store.crash !store;
+        (* runs the checkpoint does not name were born after it *)
+        let keep =
+          match !ckpt with Some c -> c.current :: c.completed | None -> []
+        in
+        List.iter
+          (fun n -> if not (List.mem n keep) then Run_store.delete_run !store n)
+          (Run_store.run_names !store);
+        h :=
+          (match !ckpt with
+          | Some c -> Heap_sorter.of_ckpt !store ~memory_keys c
+          | None -> Heap_sorter.start !store ~memory_keys);
+        !h.pos);
+    finish =
+      (fun () ->
+        let c = Heap_sorter.checkpoint !h in
+        settle ();
+        c.completed @ [ c.current ]);
+    store = (fun () -> !store);
+    compares = (fun () -> !compares);
+  }
+
+(* Feed [pages] in order; after page [i], [plan.(i)] is 0 (nothing),
+   1 (checkpoint), 2 (checkpoint, then crash and resume) or 3 (crash and
+   resume). A crash fires once and rescans from the resumed position. *)
+let run_plan sorter pages plan =
+  let fired = Array.make (Array.length pages) false in
+  let i = ref 0 in
+  while !i < Array.length pages do
+    sorter.feed ~scan_pos:!i pages.(!i);
+    let next = ref (!i + 1) in
+    if plan.(!i) = 1 || plan.(!i) = 2 then sorter.checkpoint ();
+    if plan.(!i) >= 2 && not fired.(!i) then begin
+      fired.(!i) <- true;
+      next := sorter.crash_resume () + 1
+    end;
+    i := !next
+  done;
+  sorter.finish ()
+
+(* Every run and every key must match the heap's. The tournament replays
+   one leaf-to-root path per key where the heap sifts with up to two
+   compares per level, so it charges fewer compares — but not on every
+   short input: a 3-slot tree can charge one more than a 3-key heap (15
+   keys: 35 against 34). The compare bound is checked from 100 keys on. *)
+let prop_tournament_matches_heap =
+  let from_one hi = QCheck.(map ~rev:pred succ (int_bound (hi - 1))) in
+  QCheck.Test.make
+    ~name:"tournament runs = heap runs"
+    ~count:150
+    QCheck.(quad (from_one 700) (from_one 40) (int_bound 1500) small_nat)
+    (fun (memory_keys, page_size, n, seed) ->
+      let rng = Rng.create seed in
+      (* few distinct values and rids, so equal keys and ties occur *)
+      let keys =
+        List.init n (fun _ ->
+            Ikey.make
+              (Printf.sprintf "v%03d" (Rng.int rng 300))
+              (Rid.make ~page:(Rng.int rng 8) ~slot:0))
+      in
+      let pages = Array.of_list (chunks page_size keys) in
+      let plan =
+        Array.map
+          (fun _ ->
+            match Rng.int rng 20 with 0 | 1 -> 1 | 2 -> 2 | 3 -> 3 | _ -> 0)
+          pages
+      in
+      let tournament = tournament_sorter ~memory_keys
+      and heap = heap_sorter ~memory_keys in
+      let runs = run_plan tournament pages plan in
+      let contents sorter =
+        List.sort compare (Run_store.run_names (sorter.store ()))
+        |> List.map (fun name ->
+               (name, Run_store.to_list (Run_store.find_run (sorter.store ()) name)))
+      in
+      runs = run_plan heap pages plan
+      && contents tournament = contents heap
+      && (n < 100 || tournament.compares () <= heap.compares ()))
+
 (* --- sort phase crash / restart --- *)
 
 let sort_with_crash ~crash_after_pages ~ckpt_every_pages seed =
@@ -190,6 +476,42 @@ let test_sort_restart_bounds_lost_work () =
   let resume_pos, _ = sort_with_crash ~crash_after_pages:60 ~ckpt_every_pages:25 2 in
   (* 50 pages were checkpointed before the crash at page 60 *)
   Alcotest.(check int) "resumes at last checkpoint" 49 resume_pos
+
+(* Runs the sorter does not name are not its to delete, even when their
+   name shares the checkpoint id's bare prefix. *)
+let test_sibling_runs_kept () =
+  let kv = Durable_kv.create () in
+  let store = Run_store.create () in
+  let plant store name =
+    let r = Run_store.create_run store ~name in
+    Run_store.append r (keyn 1);
+    Run_store.force r
+  in
+  plant store "ib/1/sorted";
+  let sorter = Sort_phase.start kv store ~ckpt_id:"ib/1/sort" ~memory_keys:8 in
+  feed_all sorter (shuffled_keys 4 100) ~page_size:10;
+  Sort_phase.checkpoint sorter;
+  (* born after the checkpoint: resume must discard it *)
+  plant store "ib/1/sort/run-9999";
+  let store = Run_store.crash store in
+  ignore (Sort_phase.resume kv store ~ckpt_id:"ib/1/sort" ~memory_keys:8);
+  let names = Run_store.run_names store in
+  Alcotest.(check bool) "sibling kept" true (List.mem "ib/1/sorted" names);
+  Alcotest.(check int) "sibling intact" 1
+    (Run_store.length (Run_store.find_run store "ib/1/sorted"));
+  Alcotest.(check bool) "orphan run discarded" false
+    (List.mem "ib/1/sort/run-9999" names)
+
+let test_is_sorted_allows_equal_neighbours () =
+  let run keys =
+    let r = Run_store.create_run (Run_store.create ()) ~name:"t/r" in
+    List.iter (Run_store.append r) keys;
+    r
+  in
+  Alcotest.(check bool) "equal neighbours" true
+    (Run_store.is_sorted (run [ keyn 1; keyn 1; keyn 2 ]));
+  Alcotest.(check bool) "descent" false
+    (Run_store.is_sorted (run [ keyn 2; keyn 1 ]))
 
 let prop_sort_restart_any_crash_point =
   QCheck.Test.make ~name:"sort restart correct at any crash point" ~count:20
@@ -370,9 +692,9 @@ let prop_sorts_agree =
           let streams = Array.of_list (List.map singleton keys) in
           List.map fst (Loser_tree.drain (Loser_tree.make ~streams ()))
       in
-      (* replacement selection: all in memory (one heap-sorted run), then
-         with a small heap (several runs, merged) *)
-      let by_heap memory_keys =
+      (* replacement selection: all in memory (one run), then with a small
+         tournament (several runs, merged) *)
+      let by_runs memory_keys =
         let store = Run_store.create () in
         let sorter =
           Sort_phase.start (Durable_kv.create ()) store ~ckpt_id:"t/s"
@@ -381,7 +703,7 @@ let prop_sorts_agree =
         feed_all sorter keys ~page_size:5;
         merged_list store (Sort_phase.finish sorter)
       in
-      by_tree = expected && by_heap 64 = expected && by_heap 3 = expected)
+      by_tree = expected && by_runs 64 = expected && by_runs 3 = expected)
 
 let () =
   Alcotest.run "sort"
@@ -400,6 +722,8 @@ let () =
           Alcotest.test_case "sorted input, one run" `Quick
             test_sorted_input_single_run;
           Alcotest.test_case "end to end" `Quick test_end_to_end_sort;
+          Alcotest.test_case "is_sorted: non-decreasing" `Quick
+            test_is_sorted_allows_equal_neighbours;
         ] );
       ( "restart",
         [
@@ -407,6 +731,7 @@ let () =
           Alcotest.test_case "bounded lost work" `Quick
             test_sort_restart_bounds_lost_work;
           Alcotest.test_case "merge completes" `Quick test_merge_restart;
+          Alcotest.test_case "sibling runs kept" `Quick test_sibling_runs_kept;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -417,6 +742,7 @@ let () =
             prop_merge_resume_byte_identical;
             prop_prefix_order;
             prop_sorts_agree;
+            prop_tournament_matches_heap;
           ]
       );
     ]
