@@ -66,8 +66,8 @@ let baseline =
     & info [ "check-baseline" ] ~docv:"FILE"
         ~doc:
           "After --smoke, compare BENCH_core.json against $(docv) and exit \
-           nonzero unless every run's wall_steps, compares and log_bytes \
-           are equal.")
+           nonzero unless every run's wall_steps, compares, log_bytes and \
+           cost.page_writes are equal.")
 
 let cmd =
   let doc = "Regenerate the evaluation of the online index build paper" in

@@ -256,8 +256,13 @@ let append_trajectory ?(resume = []) runs =
    against the checked-in baseline and fail unless every run's
    [gated] counts are equal. They are virtual-time counts, identical on
    every machine for a given (seed, config), so any difference is a
-   behaviour change — intended ones re-baseline. *)
-let gated = [ "wall_steps"; "compares"; "log_bytes" ]
+   behaviour change — intended ones re-baseline. Each is named by its
+   path in a run's object; [page_writes] pins what the sharp index
+   checkpoints write. *)
+let gated =
+  [ [ "wall_steps" ]; [ "compares" ]; [ "log_bytes" ]; [ "cost"; "page_writes" ] ]
+
+let gated_name path = List.nth path (List.length path - 1)
 
 let check_baseline ~baseline ~core =
   let load path =
@@ -274,7 +279,13 @@ let check_baseline ~baseline ~core =
             (fun name ->
               ( name,
                 List.map
-                  (fun k -> (k, Option.bind (Json.member k r) Json.to_int))
+                  (fun path ->
+                    ( gated_name path,
+                      Option.bind
+                        (List.fold_left
+                           (fun j k -> Option.bind j (Json.member k))
+                           (Some r) path)
+                        Json.to_int ))
                   gated ))
             (Option.bind (Json.member "name" r) Json.to_string))
         l
@@ -294,7 +305,7 @@ let check_baseline ~baseline ~core =
             let got = List.assoc k counts in
             let show = function Some v -> string_of_int v | None -> "-" in
             let same = got = want && got <> None in
-            Printf.printf "baseline: %-4s %-10s %s vs %s %s\n" name k (show got)
+            Printf.printf "baseline: %-4s %-11s %s vs %s %s\n" name k (show got)
               (show want) (if same then "ok" else "CHANGED");
             if not same then ok := false)
           base_counts)

@@ -23,12 +23,12 @@ let check t =
   Btree.iter_leaves t (fun pid l ->
       leaf_chain := pid :: !leaf_chain;
       let bytes = ref 0 in
-      for i = 0 to l.n - 1 do
-        let k, _ = l.entries.(i) in
+      for i = 0 to leaf_n l - 1 do
+        let k = leaf_key l i in
         bytes := !bytes + leaf_entry_cost k;
-        if i > 0 && Ikey.compare (fst l.entries.(i - 1)) k >= 0 then
+        if i > 0 && Ikey.compare (leaf_key l (i - 1)) k >= 0 then
           err "leaf %d: entries out of order at %d" pid i;
-        (match l.high with
+        (match leaf_high l with
         | Some h when Ikey.compare k h >= 0 ->
           err "leaf %d: entry %d >= high key" pid i
         | _ -> ());
@@ -37,19 +37,20 @@ let check t =
           err "leaf %d: first entry <= previous leaf's last" pid
         | _ -> ()
       done;
-      if !bytes <> l.bytes then
-        err "leaf %d: byte accounting %d <> %d" pid l.bytes !bytes;
-      if l.bytes > Btree.page_capacity t then
+      if !bytes <> leaf_bytes l then
+        err "leaf %d: byte accounting %d <> %d" pid (leaf_bytes l) !bytes;
+      if leaf_bytes l > Btree.page_capacity t then
         err "leaf %d: overflows capacity" pid;
-      if l.n > 0 then prev_last := Some (fst l.entries.(l.n - 1)));
+      if leaf_n l > 0 then prev_last := Some (leaf_key l (leaf_n l - 1)));
   (* structure: separators bound subtrees; reachable leaves = next-chain *)
-  let reachable_leaves = ref [] in
+  let reachable_leaves = ref [] and reachable = ref [] in
   let rec walk pid lo hi =
+    reachable := pid :: !reachable;
     match Btree.node_at t pid with
     | Leaf l ->
       reachable_leaves := pid :: !reachable_leaves;
-      for i = 0 to l.n - 1 do
-        let k = fst l.entries.(i) in
+      for i = 0 to leaf_n l - 1 do
+        let k = leaf_key l i in
         (match lo with
         | Some b when Ikey.compare k b < 0 ->
           err "leaf %d: entry below subtree lower bound" pid
@@ -79,6 +80,8 @@ let check t =
     err "leaf chain contains duplicate pages";
   if List.sort compare chain <> List.sort compare !reachable_leaves then
     err "leaf chain disagrees with tree reachability";
+  if List.sort compare (Btree.page_ids t) <> List.sort compare !reachable then
+    err "page inventory disagrees with tree reachability";
   List.rev !errs
 
 let clustering t =
@@ -100,6 +103,8 @@ let avg_leaf_fill t =
   let total = ref 0.0 in
   let n = ref 0 in
   Btree.iter_leaves t (fun _ l ->
-      total := !total +. (float_of_int l.bytes /. float_of_int (Btree.page_capacity t));
+      total :=
+        !total
+        +. (float_of_int (leaf_bytes l) /. float_of_int (Btree.page_capacity t));
       incr n);
   if !n = 0 then 0.0 else !total /. float_of_int !n

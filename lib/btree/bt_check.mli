@@ -9,8 +9,9 @@ open Oib_util
 val check : Btree.t -> string list
 (** Violations of the B+-tree invariants; empty means healthy. Verifies:
     entry ordering within and across leaves, separator bounds, the leaf
-    next-chain against the tree order, high keys, byte accounting, and
-    reachability. *)
+    next-chain against the tree order, high keys, byte accounting,
+    reachability, and the page inventory ({!Btree.page_ids}) against the
+    pages reachable from the root. *)
 
 val entries_sorted : Btree.t -> bool
 

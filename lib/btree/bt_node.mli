@@ -5,17 +5,21 @@
     nodes hold separator keys and child page ids. Space is accounted in
     bytes against the page capacity. Leaves carry a high key (exclusive
     upper bound) and a right-sibling pointer, which the remembered-path
-    insertion fast path revalidates against. *)
+    insertion fast path revalidates against.
+
+    A leaf holds its entries in the format of its own page image: one
+    byte buffer of [<8-byte kv length, kv, RID page, RID slot, flag
+    byte>] records back to back in key order, with an offset and a
+    cached key prefix per entry for the binary search. That layout is
+    known only to this module: {!encode_node} of a leaf is a header plus
+    one blit, {!decode_node} one validating pass plus one blit, and
+    callers reach entries through the accessors below, which compare an
+    entry with a key in place and build an [Ikey.t] only on
+    {!leaf_key}. *)
 
 open Oib_util
 
-type leaf = {
-  mutable entries : (Ikey.t * bool) array; (* sorted; true = pseudo-deleted *)
-  mutable n : int;
-  mutable bytes : int;
-  mutable next : int; (* right sibling page id, or -1 *)
-  mutable high : Ikey.t option; (* exclusive upper bound; None = +inf *)
-}
+type leaf
 
 type internal = {
   mutable seps : Ikey.t array; (* nc - 1 separators *)
@@ -47,6 +51,40 @@ val kind : Oib_storage.Page.kind
 val of_payload : Oib_storage.Page.payload -> node
 val leaf_of_payload : Oib_storage.Page.payload -> leaf
 
+(* --- leaf accessors --- *)
+
+val leaf_n : leaf -> int
+(** Number of entries. *)
+
+val leaf_bytes : leaf -> int
+(** Bytes the entries charge against the page capacity. *)
+
+val leaf_next : leaf -> int
+(** Right sibling page id, or -1. *)
+
+val leaf_set_next : leaf -> int -> unit
+
+val leaf_high : leaf -> Ikey.t option
+(** Exclusive upper bound; [None] is +inf. *)
+
+val leaf_set_high : leaf -> Ikey.t option -> unit
+
+val leaf_key : leaf -> int -> Ikey.t
+(** Entry [i], built as a fresh [Ikey.t]. *)
+
+val leaf_pseudo : leaf -> int -> bool
+(** Entry [i]'s pseudo-delete flag. *)
+
+val leaf_get : leaf -> int -> Ikey.t * bool
+
+val leaf_compare : leaf -> int -> Ikey.t -> int
+(** [Ikey.compare] of entry [i] (below {!leaf_n}) with the key, decided
+    in place. *)
+
+val leaf_compare_kv : leaf -> int -> Ikey.t -> int
+(** [Ikey.compare_kv] of entry [i] (below {!leaf_n}) with the key,
+    decided in place. *)
+
 (* --- leaf operations --- *)
 
 val leaf_find : leaf -> Ikey.t -> int option
@@ -54,8 +92,6 @@ val leaf_find : leaf -> Ikey.t -> int option
 
 val leaf_lower_bound : leaf -> Ikey.t -> int
 (** Index of the first entry >= key (= [n] if none). *)
-
-val leaf_get : leaf -> int -> Ikey.t * bool
 
 val leaf_fits : leaf -> capacity:int -> Ikey.t -> bool
 

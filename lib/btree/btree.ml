@@ -13,6 +13,11 @@ type t = {
   capacity : int;
   uniq : bool;
   mutable root : int;
+  pages : (int, unit) Hashtbl.t;
+      (* every page of the tree: allocation adds, truncation removes *)
+  mutable dirty : Page.t list;
+      (* pages dirtied since the last image, each once (a page joins when
+         its dirty bit goes up; the image clears both) *)
 }
 
 type cursor = { mutable pid : int }
@@ -45,27 +50,20 @@ let alloc_node t node =
     Buffer_pool.new_page t.pool ~kind:Bt_node.kind ~payload:(Node node)
   in
   p.Page.no_steal <- true;
+  Hashtbl.replace t.pages p.Page.id ();
+  t.dirty <- p :: t.dirty;
   p
+
+let dirty t (p : Page.t) =
+  if not p.dirty then t.dirty <- p :: t.dirty;
+  Page.mark_dirty p
 
 let page t id =
   let p = Buffer_pool.get t.pool ~kind:Bt_node.kind id in
   p.Page.no_steal <- true;
   p
 
-(* --- page-id inventory (walk from root) --- *)
-
-let rec collect_pages t id acc =
-  let p = page t id in
-  match node_of p with
-  | Leaf _ -> id :: acc
-  | Internal n ->
-    let acc = ref (id :: acc) in
-    for i = 0 to n.nc - 1 do
-      acc := collect_pages t n.children.(i) !acc
-    done;
-    !acc
-
-let page_ids t = List.rev (collect_pages t t.root [])
+let page_ids t = Hashtbl.fold (fun id () acc -> id :: acc) t.pages []
 
 (* --- create / persistence --- *)
 
@@ -84,11 +82,13 @@ let create pool kv ~index_id ~page_capacity ~unique =
   if Durable_kv.mem kv (meta_key index_id) then
     invalid_arg "Btree.create: index already exists";
   let t =
-    { pool; kv; index_id; capacity = page_capacity; uniq = unique; root = -1 }
+    { pool; kv; index_id; capacity = page_capacity; uniq = unique; root = -1;
+      pages = Hashtbl.create 64; dirty = [] }
   in
   let root = alloc_node t (Leaf (new_leaf ())) in
   t.root <- root.Page.id;
   Buffer_pool.flush_page pool root;
+  t.dirty <- [];
   persist_meta t ~image_lsn:Oib_wal.Lsn.nil;
   t
 
@@ -98,11 +98,16 @@ let open_from_image pool kv ~index_id =
   match Durable_kv.get kv (meta_key index_id) with
   | Some (Btree_meta m) ->
     let t =
-      { pool; kv; index_id; capacity = m.capacity; uniq = m.uniq; root = m.root }
+      { pool; kv; index_id; capacity = m.capacity; uniq = m.uniq; root = m.root;
+        pages = Hashtbl.create 64; dirty = [] }
     in
     (* Pages allocated after the image was taken are deallocated (paper
        §3.2.4); evict any volatile trace so traversals see the image. *)
-    List.iter (fun id -> Buffer_pool.evict pool id) m.pages;
+    List.iter
+      (fun id ->
+        Buffer_pool.evict pool id;
+        Hashtbl.replace t.pages id ())
+      m.pages;
     t
   | _ -> raise Not_found
 
@@ -124,15 +129,19 @@ let checkpoint_image t ~lsn =
      Force the whole log before the image. *)
   Oib_wal.Log_manager.flush_all (Buffer_pool.log t.pool);
   (* Sharp snapshot: no yields occur between these flushes under the
-     cooperative scheduler. *)
+     cooperative scheduler. Only pages dirtied since the last image can
+     differ from it; one a truncation dropped is no longer the tree's. *)
+  let dirty = t.dirty in
+  t.dirty <- [];
   List.iter
-    (fun id -> Buffer_pool.flush_page t.pool (page t id))
-    (page_ids t);
+    (fun (p : Page.t) ->
+      if Hashtbl.mem t.pages p.id then Buffer_pool.flush_page t.pool p)
+    dirty;
   persist_meta t ~image_lsn:lsn
 
 (* --- descent --- *)
 
-let leaf_safe t l = l.bytes + max_entry t <= t.capacity
+let leaf_safe t l = leaf_bytes l + max_entry t <= t.capacity
 
 let internal_safe t n = n.ibytes + max_entry t + 12 <= t.capacity
 
@@ -224,10 +233,10 @@ let leftmost_leaf t =
 let install_right t (left : Page.t) right_node =
   let right = alloc_node t right_node in
   (match (node_of left, right_node) with
-  | Leaf l, Leaf _ -> l.next <- right.Page.id
+  | Leaf l, Leaf _ -> leaf_set_next l right.Page.id
   | _ -> ());
   (* the left page lost entries / gained a sibling link *)
-  Page.mark_dirty left;
+  dirty t left;
   right
 
 (* Propagate a (sep, right page id) insertion up the held ancestor chain.
@@ -248,7 +257,7 @@ let rec propagate t held sep right_pid =
     t.root <- new_root.Page.id
   | (p, n, i) :: rest ->
     internal_insert_sep n ~at:i sep ~right:right_pid;
-    Page.mark_dirty p;
+    dirty t p;
     if n.ibytes > t.capacity && n.nc >= 4 then begin
       let right_n, push_up = internal_split_half n in
       let right_page = alloc_node t (Internal right_n) in
@@ -278,14 +287,14 @@ let split_leaf t (p : Page.t) (l : leaf) held key ~ib_split =
     if not ib_split then choose_std ()
     else begin
       let i = leaf_lower_bound l key in
-      if i >= l.n then begin
+      if i >= leaf_n l then begin
         (* nothing higher: open a fresh rightmost leaf for the key *)
         let right_node = new_leaf () in
-        right_node.next <- l.next;
-        right_node.high <- l.high;
+        leaf_set_next right_node (leaf_next l);
+        leaf_set_high right_node (leaf_high l);
         let right = install_right t p (Leaf right_node) in
-        l.high <- Some key;
-        Page.mark_dirty p;
+        leaf_set_high l (Some key);
+        dirty t p;
         propagate t held key right.Page.id;
         Latch.release p.Page.latch X;
         Latch.acquire right.Page.latch X;
@@ -295,21 +304,21 @@ let split_leaf t (p : Page.t) (l : leaf) held key ~ib_split =
         (* move only the higher keys (inserted by transactions) right *)
         let right_node, _sep0 = leaf_split_above l key in
         let right = install_right t p (Leaf right_node) in
-        if l.bytes + leaf_entry_cost key <= t.capacity then begin
+        if leaf_fits l ~capacity:t.capacity key then begin
           (* the key becomes the left leaf's last entry, so the separator
              must be computed against it, not the pre-split last *)
           let sep =
-            Bt_node.separator ~before:key ~first:(fst right_node.entries.(0))
+            Bt_node.separator ~before:key ~first:(leaf_key right_node 0)
           in
-          l.high <- Some sep;
-          Page.mark_dirty p;
+          leaf_set_high l (Some sep);
+          dirty t p;
           propagate t held sep right.Page.id;
           (p, l)
         end
         else begin
           (* left is still too full: the key leads the right node instead *)
-          l.high <- Some key;
-          Page.mark_dirty p;
+          leaf_set_high l (Some key);
+          dirty t p;
           propagate t held key right.Page.id;
           Latch.release p.Page.latch X;
           Latch.acquire right.Page.latch X;
@@ -341,7 +350,7 @@ let read_state t key =
   let st =
     match leaf_find l key with
     | None -> (Oib_wal.Log_record.Absent : state)
-    | Some i -> state_of_flag (snd (leaf_get l i))
+    | Some i -> state_of_flag (leaf_pseudo l i)
   in
   Latch.release p.Page.latch S;
   st
@@ -351,16 +360,16 @@ let read_state t key =
 let insert_into t p l held key ~pseudo ~ib_split =
   if Ikey.encoded_size key > max_entry t then
     invalid_arg "Btree: key larger than max entry size";
-  if l.bytes + leaf_entry_cost key <= t.capacity then begin
+  if leaf_fits l ~capacity:t.capacity key then begin
     leaf_insert l key ~pseudo;
-    Page.mark_dirty p;
+    dirty t p;
     release_write p held;
     p
   end
   else begin
     let p', l' = split_leaf t p l held key ~ib_split in
     leaf_insert l' key ~pseudo;
-    Page.mark_dirty p';
+    dirty t p';
     Latch.release p'.Page.latch X;
     (* the split used the held ancestors but did not release them *)
     List.iter (fun (q, _, _) -> Latch.release q.Page.latch X) held;
@@ -380,12 +389,12 @@ let try_fast_path t cursor key =
       Latch.acquire p.Page.latch X;
       let l' = leaf_of_payload p.Page.payload in
       let in_range =
-        l' == l && l'.n > 0
-        && Ikey.compare key (fst l'.entries.(0)) >= 0
-        && (match l'.high with
+        l' == l && leaf_n l' > 0
+        && leaf_compare l' 0 key <= 0
+        && (match leaf_high l' with
            | None -> true
            | Some h -> Ikey.compare key h < 0)
-        && l'.bytes + leaf_entry_cost key <= t.capacity
+        && leaf_fits l' ~capacity:t.capacity key
       in
       if in_range then Some (p, l')
       else begin
@@ -399,7 +408,7 @@ let set_on_leaf t p l key (target : state) : state =
   let m = metrics t in
   match leaf_find l key with
   | Some i ->
-    let before = state_of_flag (snd (leaf_get l i)) in
+    let before = state_of_flag (leaf_pseudo l i) in
     (match target with
     | Absent -> leaf_remove_at l i
     | Present -> leaf_set_flag l i false
@@ -407,7 +416,7 @@ let set_on_leaf t p l key (target : state) : state =
       leaf_set_flag l i true;
       if before <> Pseudo_deleted then
         Oib_sim.Metrics.add m Pseudo_deletes 1);
-    Page.mark_dirty p;
+    dirty t p;
     before
   | None ->
     (match target with
@@ -415,12 +424,12 @@ let set_on_leaf t p l key (target : state) : state =
     | Present ->
       Oib_sim.Metrics.add m Keys_inserted 1;
       leaf_insert l key ~pseudo:false;
-      Page.mark_dirty p
+      dirty t p
     | Pseudo_deleted ->
       Oib_sim.Metrics.add m Keys_inserted 1;
       Oib_sim.Metrics.add m Pseudo_deletes 1;
       leaf_insert l key ~pseudo:true;
-      Page.mark_dirty p);
+      dirty t p);
     Absent
 
 let rec set_state t ?cursor key (target : state) : state =
@@ -447,17 +456,17 @@ and set_state_slow t ?cursor key (target : state) : state =
   (match cursor with Some c -> c.pid <- p.Page.id | None -> ());
   match leaf_find l key with
   | Some i ->
-    let before = state_of_flag (snd (leaf_get l i)) in
+    let before = state_of_flag (leaf_pseudo l i) in
     (match target with
     | Absent ->
       leaf_remove_at l i;
-      Page.mark_dirty p
+      dirty t p
     | Present -> leaf_set_flag l i false
     | Pseudo_deleted ->
       leaf_set_flag l i true;
       if before <> Pseudo_deleted then
         Oib_sim.Metrics.add m Pseudo_deletes 1);
-    Page.mark_dirty p;
+    dirty t p;
     release_write p held;
     before
   | None ->
@@ -477,7 +486,7 @@ let insert_if_absent t ?(ib_split = false) ?cursor key =
   let finish_fast p l =
     match leaf_find l key with
     | Some i ->
-      let st = state_of_flag (snd (leaf_get l i)) in
+      let st = state_of_flag (leaf_pseudo l i) in
       Latch.release p.Page.latch X;
       Oib_sim.Metrics.add m Keys_rejected_duplicate 1;
       `Rejected st
@@ -485,7 +494,7 @@ let insert_if_absent t ?(ib_split = false) ?cursor key =
       Oib_sim.Metrics.add m Fast_path_inserts 1;
       Oib_sim.Metrics.add m Keys_inserted 1;
       leaf_insert l key ~pseudo:false;
-      Page.mark_dirty p;
+      dirty t p;
       Latch.release p.Page.latch X;
       `Inserted
   in
@@ -494,7 +503,7 @@ let insert_if_absent t ?(ib_split = false) ?cursor key =
     let l = leaf_of_payload p.Page.payload in
     match leaf_find l key with
     | Some i ->
-      let st = state_of_flag (snd (leaf_get l i)) in
+      let st = state_of_flag (leaf_pseudo l i) in
       release_write p held;
       Oib_sim.Metrics.add m Keys_rejected_duplicate 1;
       `Rejected st
@@ -517,24 +526,24 @@ let find_kv t kv =
   let acc = ref [] in
   let rec walk (p : Page.t) =
     let l = leaf_of_payload p.Page.payload in
+    (* entries from the lower bound on sort at or above [probe], so a key
+       value comparing equal is [kv] *)
     let i = ref (leaf_lower_bound l probe) in
-    while !i < l.n && Ikey.compare_kv (fst (leaf_get l !i)) probe <= 0 do
-      let k, fl = leaf_get l !i in
-      if String.equal k.Ikey.kv kv then acc := (k, fl) :: !acc;
+    while !i < leaf_n l && leaf_compare_kv l !i probe = 0 do
+      acc := leaf_get l !i :: !acc;
       incr i
     done;
     (* continue right only if we did not see a larger key value and the
        sibling may still hold entries with this key value *)
     let continue_next =
-      ref
-        (!i >= l.n
-        &&
-        match l.high with
-        | Some h -> Ikey.compare_kv h probe <= 0
-        | None -> false)
+      !i >= leaf_n l
+      &&
+      match leaf_high l with
+      | Some h -> Ikey.compare_kv h probe <= 0
+      | None -> false
     in
-    if !continue_next && l.next >= 0 then begin
-      let np = page t l.next in
+    if continue_next && leaf_next l >= 0 then begin
+      let np = page t (leaf_next l) in
       Latch.acquire np.Page.latch S;
       Latch.release p.Page.latch S;
       walk np
@@ -554,24 +563,23 @@ let iter_range t ?lo ?hi f =
     match lo with Some _ -> descend_read t start_key | None -> leftmost_leaf t
   in
   let hi_key = Option.map (fun h -> Ikey.make h Rid.minus_infinity) hi in
-  let beyond k =
-    match hi_key with Some h -> Ikey.compare_kv k h > 0 | None -> false
+  let beyond l i =
+    match hi_key with Some h -> leaf_compare_kv l i h > 0 | None -> false
   in
   let rec walk (p : Page.t) first =
     let l = leaf_of_payload p.Page.payload in
     let i = ref (if first then leaf_lower_bound l start_key else 0) in
     let stop = ref false in
-    while (not !stop) && !i < l.n do
-      let k, pseudo = leaf_get l !i in
-      if beyond k then stop := true
+    while (not !stop) && !i < leaf_n l do
+      if beyond l !i then stop := true
       else begin
-        f k ~pseudo;
+        f (leaf_key l !i) ~pseudo:(leaf_pseudo l !i);
         incr i
       end
     done;
-    let continue_right = (not !stop) && l.next >= 0 in
+    let continue_right = (not !stop) && leaf_next l >= 0 in
     if continue_right then begin
-      let np = page t l.next in
+      let np = page t (leaf_next l) in
       Latch.acquire np.Page.latch S;
       Latch.release p.Page.latch S;
       walk np false
@@ -590,8 +598,8 @@ let iter_leaves t f =
   let rec walk (p : Page.t) =
     let l = leaf_of_payload p.Page.payload in
     f p.Page.id l;
-    if l.next >= 0 then begin
-      let np = page t l.next in
+    if leaf_next l >= 0 then begin
+      let np = page t (leaf_next l) in
       Latch.acquire np.Page.latch S;
       Latch.release p.Page.latch S;
       walk np
@@ -602,9 +610,8 @@ let iter_leaves t f =
 
 let iter_entries t f =
   iter_leaves t (fun _ l ->
-      for i = 0 to l.n - 1 do
-        let k, pseudo = leaf_get l i in
-        f k ~pseudo
+      for i = 0 to leaf_n l - 1 do
+        f (leaf_key l i) ~pseudo:(leaf_pseudo l i)
       done)
 
 let gc_pseudo_deleted t ~keep =
@@ -612,16 +619,15 @@ let gc_pseudo_deleted t ~keep =
   let rec walk (p : Page.t) =
     let l = leaf_of_payload p.Page.payload in
     let i = ref 0 in
-    while !i < l.n do
-      let k, pseudo = leaf_get l !i in
-      if pseudo && not (keep k) then begin
+    while !i < leaf_n l do
+      if leaf_pseudo l !i && not (keep (leaf_key l !i)) then begin
         leaf_remove_at l !i;
-        Page.mark_dirty p;
+        dirty t p;
         incr removed
       end
       else incr i
     done;
-    let next = l.next in
+    let next = leaf_next l in
     Latch.release p.Page.latch X;
     if next >= 0 then begin
       let np = page t next in
@@ -662,7 +668,7 @@ module Bulk = struct
   let start tree =
     let root = page tree tree.root in
     (match node_of root with
-    | Leaf l when l.n = 0 -> ()
+    | Leaf l when leaf_n l = 0 -> ()
     | _ -> invalid_arg "Btree.Bulk.start: tree not empty");
     { tree; spine = [ root ]; highest = None; count = 0 }
 
@@ -672,7 +678,8 @@ module Bulk = struct
       let p = page tree id in
       match node_of p with
       | Leaf l ->
-        let highest = if l.n = 0 then None else Some (fst l.entries.(l.n - 1)) in
+        let n = leaf_n l in
+        let highest = if n = 0 then None else Some (leaf_key l (n - 1)) in
         (p :: acc, highest)
       | Internal n -> walk n.children.(n.nc - 1) (p :: acc)
     in
@@ -700,7 +707,7 @@ module Bulk = struct
       | Internal n ->
         if internal_fits n ~capacity:t.capacity sep then begin
           internal_append n sep ~child:child_pid;
-          Page.mark_dirty p
+          dirty t p
         end
         else begin
           let fresh =
@@ -732,18 +739,18 @@ module Bulk = struct
       let l = leaf_of_payload leaf_page.Page.payload in
       if leaf_fits l ~capacity:t.capacity key then begin
         leaf_append l key ~pseudo:false;
-        Page.mark_dirty leaf_page
+        dirty t leaf_page
       end
       else begin
         Oib_sim.Metrics.add m Page_splits 1;
         let fresh_leaf = new_leaf () in
         let fresh = alloc_node t (Leaf fresh_leaf) in
-        l.next <- fresh.Page.id;
-        l.high <- Some key;
+        leaf_set_next l fresh.Page.id;
+        leaf_set_high l (Some key);
         (* the frozen leaf gained its sibling link / high key *)
-        Page.mark_dirty leaf_page;
+        dirty t leaf_page;
         leaf_append fresh_leaf key ~pseudo:false;
-        Page.mark_dirty fresh;
+        dirty t fresh;
         b.spine <- fresh :: above;
         push_up b above key fresh.Page.id
       end
@@ -770,6 +777,7 @@ let truncate_above t key_opt =
   | None ->
     (* empty the tree entirely *)
     List.iter (fun id -> Buffer_pool.evict t.pool id) (page_ids t);
+    Hashtbl.reset t.pages;
     let root = alloc_node t (Leaf (new_leaf ())) in
     t.root <- root.Page.id
   | Some h ->
@@ -780,22 +788,23 @@ let truncate_above t key_opt =
         for i = 0 to n.nc - 1 do
           drop_subtree n.children.(i)
         done);
+      Hashtbl.remove t.pages id;
       Buffer_pool.evict t.pool id
     in
     let rec go id =
       let p = page t id in
       match node_of p with
       | Leaf l ->
-        while l.n > 0 && Ikey.compare (fst l.entries.(l.n - 1)) h > 0 do
-          leaf_remove_at l (l.n - 1)
+        while leaf_n l > 0 && leaf_compare l (leaf_n l - 1) h > 0 do
+          leaf_remove_at l (leaf_n l - 1)
         done;
-        l.next <- -1;
-        l.high <- None;
-        Page.mark_dirty p
+        leaf_set_next l (-1);
+        leaf_set_high l None;
+        dirty t p
       | Internal n ->
         let i = child_for n h in
         List.iter drop_subtree (internal_truncate_after n i);
-        Page.mark_dirty p;
+        dirty t p;
         go n.children.(i)
     in
     go t.root

@@ -47,12 +47,16 @@ val page_capacity : t -> int
 val root_page_id : t -> int
 val image_lsn : t -> Oib_wal.Lsn.t
 val page_ids : t -> int list
+(** Every page of the tree, in no particular order: an inventory kept on
+    allocation and truncation, so no page is read to list them. *)
 
 val checkpoint_image : t -> lsn:Oib_wal.Lsn.t -> unit
-(** Flush every tree page and record tree metadata durably. [lsn] is the
-    position in the log this image is consistent with; recovery replays
-    index operations after it. Runs without yielding, so the image is a
-    sharp snapshot under the cooperative scheduler. *)
+(** Flush the tree pages dirtied since the last image and record tree
+    metadata (with {!page_ids}) durably. [lsn] is the position in the
+    log this image is consistent with; recovery replays index operations
+    after it. Runs without yielding, so the image is a sharp snapshot
+    under the cooperative scheduler. A tree from {!open_from_image}
+    starts with nothing to flush. *)
 
 (* --- key operations (each atomic under the leaf latch) --- *)
 

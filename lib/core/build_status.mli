@@ -31,6 +31,11 @@ type t = {
           [rid=] followed by the RID as {!Oib_util.Rid.to_string} prints
           it, or by ["key:"] and the key *)
   mutable keys_processed : int;
+      (** keys the build has handled, summed over its phases: each key
+          the scan feeds to the sort, then each key the insert (NSF) or
+          bulk (SF) phase takes from the merged run, plus each side-file
+          entry the drain applies. A cold 100,000-row build with no
+          updaters therefore reports 200,000. *)
   mutable backlog : int;  (** side-file entries appended, not yet drained *)
   mutable checkpoints : int;
   mutable history : (phase * int) list;  (** newest first; use {!history} *)

@@ -1007,10 +1007,11 @@ let build_secondary_via_primary ctx cfg ~table ~primary spec =
     let copied = ref [] in
     Btree.iter_leaves pinfo.Catalog.tree (fun _pid leaf ->
         let batch = ref [] in
-        for i = leaf.Oib_btree.Bt_node.n - 1 downto 0 do
-          let k, pseudo = leaf.Oib_btree.Bt_node.entries.(i) in
-          if (not pseudo) && above k.Ikey.kv then
-            batch := (k.Ikey.kv, k.Ikey.rid) :: !batch
+        for i = Oib_btree.Bt_node.leaf_n leaf - 1 downto 0 do
+          if not (Oib_btree.Bt_node.leaf_pseudo leaf i) then begin
+            let k = Oib_btree.Bt_node.leaf_key leaf i in
+            if above k.Ikey.kv then batch := (k.Ikey.kv, k.Ikey.rid) :: !batch
+          end
         done;
         (match !batch with
         | [] -> ()

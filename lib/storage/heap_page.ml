@@ -17,8 +17,18 @@ let slot_overhead = 4
 let create ~capacity = { capacity; slots = Array.make 8 Free; nslots = 0; used_bytes = 0 }
 
 (* binary page image — what actually sits in the stable store *)
+let slot_image_size = function
+  | Free -> 1
+  | Reserved _ -> 9
+  | Occupied r ->
+    Array.fold_left (fun acc c -> acc + Binc.str_size c) 9 r.Record.cols
+
 let encode t =
-  let w = Binc.writer () in
+  let size = ref 24 in
+  for i = 0 to t.nslots - 1 do
+    size := !size + slot_image_size t.slots.(i)
+  done;
+  let w = Binc.writer !size in
   Binc.w_i64 w t.capacity;
   Binc.w_i64 w t.nslots;
   Binc.w_i64 w t.used_bytes;

@@ -1,22 +1,36 @@
-type writer = Buffer.t
+type writer = { buf : Bytes.t; mutable wpos : int }
 
 type reader = { s : string; mutable pos : int }
 
 exception Corrupt of string
 
-let writer () = Buffer.create 256
+let writer size = { buf = Bytes.create size; wpos = 0 }
 
-let contents = Buffer.contents
+let contents w =
+  if w.wpos = Bytes.length w.buf then Bytes.unsafe_to_string w.buf
+  else Bytes.sub_string w.buf 0 w.wpos
 
-let w_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+let w_u8 w v =
+  Bytes.set w.buf w.wpos (Char.unsafe_chr (v land 0xff));
+  w.wpos <- w.wpos + 1
 
-let w_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+let w_i64 w v =
+  Bytes.set_int64_le w.buf w.wpos (Int64.of_int v);
+  w.wpos <- w.wpos + 8
 
-let w_bool buf b = w_u8 buf (if b then 1 else 0)
+let w_bool w b = w_u8 w (if b then 1 else 0)
 
-let w_str buf s =
-  w_i64 buf (String.length s);
-  Buffer.add_string buf s
+let w_blit w b off len =
+  Bytes.blit b off w.buf w.wpos len;
+  w.wpos <- w.wpos + len
+
+let w_str w s =
+  let n = String.length s in
+  w_i64 w n;
+  Bytes.blit_string s 0 w.buf w.wpos n;
+  w.wpos <- w.wpos + n
+
+let str_size s = 8 + String.length s
 
 let reader s = { s; pos = 0 }
 
@@ -47,11 +61,16 @@ let r_count r ~min_bytes =
   if n < 0 || n > remaining r / min_bytes then fail "bad count";
   n
 
-let r_str r =
+let r_skip_str r =
   let n = r_i64 r in
   if n < 0 || n > remaining r then fail "bad string length";
-  let v = String.sub r.s r.pos n in
   r.pos <- r.pos + n;
-  v
+  n
+
+let r_str r =
+  let n = r_skip_str r in
+  String.sub r.s (r.pos - n) n
+
+let pos r = r.pos
 
 let at_end r = r.pos = String.length r.s

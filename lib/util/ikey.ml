@@ -2,15 +2,18 @@ type t = { kv : string; rid : Rid.t; pfx : int }
 
 let prefix_bytes = 7
 
-(* The first [prefix_bytes] bytes of [kv], big-endian, zero-padded: 56
-   bits, so always a nonnegative OCaml int. *)
-let prefix kv =
-  let n = String.length kv in
+(* The first [prefix_bytes] bytes of [s.[pos..pos+len)], big-endian,
+   zero-padded: 56 bits, so always a nonnegative OCaml int. *)
+let prefix_at s ~pos ~len =
   let p = ref 0 in
   for i = 0 to prefix_bytes - 1 do
-    p := (!p lsl 8) lor if i < n then Char.code (String.unsafe_get kv i) else 0
+    p :=
+      (!p lsl 8)
+      lor if i < len then Char.code (String.unsafe_get s (pos + i)) else 0
   done;
   !p
+
+let prefix kv = prefix_at kv ~pos:0 ~len:(String.length kv)
 
 let make kv rid = { kv; rid; pfx = prefix kv }
 
@@ -27,7 +30,9 @@ let compare a b =
 let equal a b = compare a b = 0
 
 (* key bytes + 8-byte RID + 2-byte slot directory entry + 1 flag byte *)
-let encoded_size t = String.length t.kv + 11
+let cost_of_kv_length len = len + 11
+
+let encoded_size t = cost_of_kv_length (String.length t.kv)
 
 let pp ppf t = Format.fprintf ppf "<%S,%a>" t.kv Rid.pp t.rid
 

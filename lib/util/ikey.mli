@@ -16,6 +16,13 @@ type t = private { kv : string; rid : Rid.t; pfx : int }
 val make : string -> Rid.t -> t
 (** The only constructor; computes [pfx]. *)
 
+val prefix_bytes : int
+(** How many leading key-value bytes [pfx] holds: 7. *)
+
+val prefix_at : string -> pos:int -> len:int -> int
+(** The [pfx] of the key value held in [s.[pos..pos+len)], for a caller
+    that keeps key values inside a larger image. *)
+
 val compare : t -> t -> int
 (** Full order: key value, then RID; decided on [pfx] when the
     prefixes differ. Duplicate rejection in nonunique
@@ -28,6 +35,9 @@ val compare_kv : t -> t -> int
 val equal : t -> t -> bool
 val encoded_size : t -> int
 (** Bytes this entry charges against a page's free space. *)
+
+val cost_of_kv_length : int -> int
+(** {!encoded_size} of an entry whose key value has this length. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,131 +1,150 @@
 open Oib_util
 open Log_record
 
-(* --- primitive writers --- *)
+(* --- writers --- *)
 
-let w_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+let w_rid w (r : Rid.t) =
+  Binc.w_i64 w r.page;
+  Binc.w_i64 w r.slot
 
-let w_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+let w_key w (k : Ikey.t) =
+  Binc.w_str w k.kv;
+  w_rid w k.rid
 
-let w_str buf s =
-  w_i64 buf (String.length s);
-  Buffer.add_string buf s
+let w_record w (r : Record.t) =
+  Binc.w_i64 w (Array.length r.cols);
+  Array.iter (Binc.w_str w) r.cols
 
-let w_bool buf b = w_u8 buf (if b then 1 else 0)
+let w_state w = function
+  | Absent -> Binc.w_u8 w 0
+  | Present -> Binc.w_u8 w 1
+  | Pseudo_deleted -> Binc.w_u8 w 2
 
-let w_rid buf (r : Rid.t) =
-  w_i64 buf r.page;
-  w_i64 buf r.slot
-
-let w_key buf (k : Ikey.t) =
-  w_str buf k.kv;
-  w_rid buf k.rid
-
-let w_record buf (r : Record.t) =
-  w_i64 buf (Array.length r.cols);
-  Array.iter (w_str buf) r.cols
-
-let w_state buf = function
-  | Absent -> w_u8 buf 0
-  | Present -> w_u8 buf 1
-  | Pseudo_deleted -> w_u8 buf 2
-
-let w_heap_op buf = function
+let w_heap_op w = function
   | Heap_insert { rid; record } ->
-    w_u8 buf 1;
-    w_rid buf rid;
-    w_record buf record
+    Binc.w_u8 w 1;
+    w_rid w rid;
+    w_record w record
   | Heap_delete { rid; record } ->
-    w_u8 buf 2;
-    w_rid buf rid;
-    w_record buf record
+    Binc.w_u8 w 2;
+    w_rid w rid;
+    w_record w record
   | Heap_update { rid; old_record; new_record } ->
-    w_u8 buf 3;
-    w_rid buf rid;
-    w_record buf old_record;
-    w_record buf new_record
+    Binc.w_u8 w 3;
+    w_rid w rid;
+    w_record w old_record;
+    w_record w new_record
 
-let rec w_body buf = function
-  | Begin -> w_u8 buf 1
-  | Commit -> w_u8 buf 2
-  | Abort -> w_u8 buf 3
-  | End -> w_u8 buf 4
+let rec w_body w = function
+  | Begin -> Binc.w_u8 w 1
+  | Commit -> Binc.w_u8 w 2
+  | Abort -> Binc.w_u8 w 3
+  | End -> Binc.w_u8 w 4
   | Heap { page; visible_indexes; sidefiled; op } ->
-    w_u8 buf 5;
-    w_i64 buf page;
-    w_i64 buf visible_indexes;
-    w_i64 buf (List.length sidefiled);
-    List.iter (w_i64 buf) sidefiled;
-    w_heap_op buf op
+    Binc.w_u8 w 5;
+    Binc.w_i64 w page;
+    Binc.w_i64 w visible_indexes;
+    Binc.w_i64 w (List.length sidefiled);
+    List.iter (Binc.w_i64 w) sidefiled;
+    w_heap_op w op
   | Index_key { redoable; op } ->
-    w_u8 buf 6;
-    w_bool buf redoable;
-    w_i64 buf op.index;
-    w_key buf op.key;
-    w_state buf op.before;
-    w_state buf op.after
+    Binc.w_u8 w 6;
+    Binc.w_bool w redoable;
+    Binc.w_i64 w op.index;
+    w_key w op.key;
+    w_state w op.before;
+    w_state w op.after
   | Index_bulk_insert { index; keys } ->
-    w_u8 buf 7;
-    w_i64 buf index;
-    w_i64 buf (List.length keys);
-    List.iter (w_key buf) keys
+    Binc.w_u8 w 7;
+    Binc.w_i64 w index;
+    Binc.w_i64 w (List.length keys);
+    List.iter (w_key w) keys
   | Sidefile_append { sidefile; insert; key } ->
-    w_u8 buf 8;
-    w_i64 buf sidefile;
-    w_bool buf insert;
-    w_key buf key
+    Binc.w_u8 w 8;
+    Binc.w_i64 w sidefile;
+    Binc.w_bool w insert;
+    w_key w key
   | Clr { action; undo_next } ->
-    w_u8 buf 9;
-    w_i64 buf (Lsn.to_int undo_next);
-    w_body buf action
+    Binc.w_u8 w 9;
+    Binc.w_i64 w (Lsn.to_int undo_next);
+    w_body w action
   | Build_start { index; table } ->
-    w_u8 buf 10;
-    w_i64 buf index;
-    w_i64 buf table
+    Binc.w_u8 w 10;
+    Binc.w_i64 w index;
+    Binc.w_i64 w table
   | Build_done { index } ->
-    w_u8 buf 11;
-    w_i64 buf index
+    Binc.w_u8 w 11;
+    Binc.w_i64 w index
   | Heap_extend { table; page } ->
-    w_u8 buf 12;
-    w_i64 buf table;
-    w_i64 buf page
+    Binc.w_u8 w 12;
+    Binc.w_i64 w table;
+    Binc.w_i64 w page
   | Create_table { table } ->
-    w_u8 buf 13;
-    w_i64 buf table
+    Binc.w_u8 w 13;
+    Binc.w_i64 w table
   | Create_index { index; table; key_cols; uniq } ->
-    w_u8 buf 14;
-    w_i64 buf index;
-    w_i64 buf table;
-    w_bool buf uniq;
-    w_i64 buf (List.length key_cols);
-    List.iter (w_i64 buf) key_cols
+    Binc.w_u8 w 14;
+    Binc.w_i64 w index;
+    Binc.w_i64 w table;
+    Binc.w_bool w uniq;
+    Binc.w_i64 w (List.length key_cols);
+    List.iter (Binc.w_i64 w) key_cols
   | Drop_index { index } ->
-    w_u8 buf 15;
-    w_i64 buf index
+    Binc.w_u8 w 15;
+    Binc.w_i64 w index
   | Index_state { index; state } ->
-    w_u8 buf 16;
-    w_i64 buf index;
-    w_i64 buf state
+    Binc.w_u8 w 16;
+    Binc.w_i64 w index;
+    Binc.w_i64 w state
   | Range_commit { index; lo; hi } ->
-    w_u8 buf 17;
-    w_i64 buf index;
-    w_i64 buf lo;
-    w_i64 buf hi
+    Binc.w_u8 w 17;
+    Binc.w_i64 w index;
+    Binc.w_i64 w lo;
+    Binc.w_i64 w hi
+
+(* Exact image sizes, field for field as the writers above lay them
+   out, so [encode] fills one buffer of the frame's size. *)
+let key_size (k : Ikey.t) = Binc.str_size k.kv + 16
+
+let record_size (r : Record.t) =
+  Array.fold_left (fun acc c -> acc + Binc.str_size c) 8 r.cols
+
+let heap_op_size = function
+  | Heap_insert { record; _ } | Heap_delete { record; _ } ->
+    17 + record_size record
+  | Heap_update { old_record; new_record; _ } ->
+    17 + record_size old_record + record_size new_record
+
+let rec body_size = function
+  | Begin | Commit | Abort | End -> 1
+  | Heap { sidefiled; op; _ } ->
+    25 + (8 * List.length sidefiled) + heap_op_size op
+  | Index_key { op; _ } -> 12 + key_size op.key
+  | Index_bulk_insert { keys; _ } ->
+    List.fold_left (fun acc k -> acc + key_size k) 17 keys
+  | Sidefile_append { key; _ } -> 10 + key_size key
+  | Clr { action; _ } -> 9 + body_size action
+  | Build_start _ | Heap_extend _ -> 17
+  | Build_done _ | Create_table _ | Drop_index _ -> 9
+  | Create_index { key_cols; _ } -> 26 + (8 * List.length key_cols)
+  | Index_state _ -> 17
+  | Range_commit _ -> 25
 
 let encode (t : Log_record.t) =
-  let payload = Buffer.create 64 in
-  w_i64 payload (Lsn.to_int t.lsn);
+  let payload =
+    16 + (match t.txn with None -> 1 | Some _ -> 9) + body_size t.body
+  in
+  let w = Binc.writer (8 + payload) in
+  Binc.w_i64 w payload;
+  Binc.w_i64 w (Lsn.to_int t.lsn);
   (match t.txn with
-  | None -> w_u8 payload 0
+  | None -> Binc.w_u8 w 0
   | Some id ->
-    w_u8 payload 1;
-    w_i64 payload id);
-  w_i64 payload (Lsn.to_int t.prev_lsn);
-  w_body payload t.body;
-  let frame = Buffer.create (Buffer.length payload + 8) in
-  w_i64 frame (Buffer.length payload);
-  Buffer.add_buffer frame payload;
-  Buffer.contents frame
+    Binc.w_u8 w 1;
+    Binc.w_i64 w id);
+  Binc.w_i64 w (Lsn.to_int t.prev_lsn);
+  w_body w t.body;
+  Binc.contents w
 
 (* --- primitive readers --- *)
 

@@ -306,6 +306,146 @@ let test_empty_tree_recoverable_at_create () =
   Alcotest.(check int) "empty" 0 (Btree.entry_count t');
   check_healthy t'
 
+(* --- dirty list and page inventory --- *)
+
+let page_writes env = Oib_sim.Metrics.get env.Tenv.metrics Page_writes
+
+(* the pages reachable from the root, which the inventory must name *)
+let reachable t =
+  let rec go id acc =
+    match Btree.node_at t id with
+    | Bt_node.Leaf _ -> id :: acc
+    | Bt_node.Internal n ->
+      let acc = ref (id :: acc) in
+      for i = 0 to n.nc - 1 do
+        acc := go n.children.(i) !acc
+      done;
+      !acc
+  in
+  List.sort compare (go (Btree.root_page_id t) [])
+
+let test_checkpoint_skips_truncated_pages () =
+  let env = Tenv.make () in
+  let t = mk_tree env ~id:1 in
+  for i = 0 to 599 do
+    ignore (Btree.set_state t (Tenv.keyn (2 * i)) LR.Present)
+  done;
+  Btree.checkpoint_image t ~lsn:(Oib_wal.Lsn.of_int 1);
+  (* dirty pages all over the key range and split new ones off, then cut
+     most of them away as an SF restart does *)
+  for i = 0 to 599 do
+    ignore (Btree.set_state t (Tenv.keyn ((2 * i) + 1)) LR.Present)
+  done;
+  let before = Btree.page_ids t in
+  let images =
+    List.map (fun id -> (id, Oib_storage.Stable_store.read env.Tenv.store id)) before
+  in
+  Btree.truncate_above t (Some (Tenv.keyn 200));
+  let after = Btree.page_ids t in
+  let dropped = List.filter (fun id -> not (List.mem id after)) before in
+  Alcotest.(check bool) "truncation dropped pages" true (List.length dropped > 10);
+  Alcotest.(check bool) "some dropped pages never reached the store" true
+    (List.exists (fun id -> List.assoc id images = None) dropped);
+  let w0 = page_writes env in
+  Btree.checkpoint_image t ~lsn:(Oib_wal.Lsn.of_int 2);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "dropped page %d not written" id)
+        true
+        (Oib_storage.Stable_store.read env.Tenv.store id = List.assoc id images))
+    dropped;
+  Alcotest.(check bool) "only kept pages written" true
+    (page_writes env - w0 <= List.length after);
+  check_healthy t;
+  let env' = Tenv.crash env in
+  let t' = Btree.open_from_image env'.Tenv.pool env'.Tenv.kv ~index_id:1 in
+  check_healthy t';
+  Alcotest.(check int) "image holds the truncated tree" 201 (Btree.entry_count t')
+
+let test_reopened_tree_starts_clean () =
+  let env = Tenv.make () in
+  let t = mk_tree env ~id:2 in
+  for i = 0 to 299 do
+    ignore (Btree.set_state t (Tenv.keyn i) LR.Present)
+  done;
+  Btree.checkpoint_image t ~lsn:(Oib_wal.Lsn.of_int 3);
+  let env' = Tenv.crash env in
+  let t' = Btree.open_from_image env'.Tenv.pool env'.Tenv.kv ~index_id:2 in
+  Alcotest.(check (list int)) "inventory from the image"
+    (List.sort compare (Btree.page_ids t)) (reachable t');
+  let w0 = page_writes env' in
+  Btree.checkpoint_image t' ~lsn:(Oib_wal.Lsn.of_int 4);
+  Alcotest.(check int) "nothing dirty after reopening" 0 (page_writes env' - w0);
+  ignore (Btree.set_state t' (Tenv.keyn 150) LR.Pseudo_deleted);
+  Btree.checkpoint_image t' ~lsn:(Oib_wal.Lsn.of_int 5);
+  Alcotest.(check int) "one changed leaf written" 1 (page_writes env' - w0);
+  check_healthy t'
+
+type tree_op =
+  | Ins of int
+  | Ib_ins of int
+  | Del of int
+  | Bulk of int
+  | Trunc of int option
+  | Ckpt
+
+let show_tree_op = function
+  | Ins k -> Printf.sprintf "Ins %d" k
+  | Ib_ins k -> Printf.sprintf "Ib_ins %d" k
+  | Del k -> Printf.sprintf "Del %d" k
+  | Bulk n -> Printf.sprintf "Bulk %d" n
+  | Trunc k -> Printf.sprintf "Trunc %s" (Option.fold ~none:"-" ~some:string_of_int k)
+  | Ckpt -> "Ckpt"
+
+let gen_tree_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun k -> Ins k) (int_bound 400));
+        (4, map (fun k -> Ib_ins k) (int_bound 400));
+        (2, map (fun k -> Del k) (int_bound 400));
+        (2, map (fun n -> Bulk n) (int_range 1 150));
+        (1, map (fun k -> Trunc k) (opt (int_bound 400)));
+        (1, return Ckpt);
+      ])
+
+let prop_inventory_is_reachable =
+  QCheck.Test.make ~name:"page inventory = reachable pages" ~count:60
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_tree_op ops))
+        Gen.(list_size (int_range 1 30) (gen_tree_op)))
+    (fun ops ->
+      let env = Tenv.make () in
+      let t = mk_tree ~capacity:128 env ~id:1 in
+      let cursor = Btree.new_cursor t in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | Ins k -> ignore (Btree.set_state t (Tenv.keyn k) LR.Present)
+          | Ib_ins k ->
+            ignore (Btree.insert_if_absent t ~ib_split:true ~cursor (Tenv.keyn k))
+          | Del k -> ignore (Btree.set_state t (Tenv.keyn k) LR.Absent)
+          | Bulk n ->
+            (* bulk keys go above every entry, as after an SF restart *)
+            let start =
+              List.fold_left
+                (fun acc ((k : Ikey.t), _) -> max acc (k.rid.Rid.page + 1))
+                0 (Bt_check.collect_entries t)
+            in
+            let b = Btree.Bulk.resume t in
+            for i = start to start + n - 1 do
+              Btree.Bulk.add b (Tenv.keyn i)
+            done;
+            Btree.Bulk.finish b
+          | Trunc k -> Btree.truncate_above t (Option.map Tenv.keyn k)
+          | Ckpt -> Btree.checkpoint_image t ~lsn:Oib_wal.Lsn.nil);
+          if List.sort compare (Btree.page_ids t) <> reachable t then ok := false)
+        ops;
+      !ok && Bt_check.check t = [])
+
 (* --- concurrent fibers --- *)
 
 let test_concurrent_inserters () =
@@ -379,6 +519,10 @@ let () =
             test_image_survives_crash;
           Alcotest.test_case "empty tree recoverable" `Quick
             test_empty_tree_recoverable_at_create;
+          Alcotest.test_case "checkpoint skips truncated pages" `Quick
+            test_checkpoint_skips_truncated_pages;
+          Alcotest.test_case "reopened tree starts clean" `Quick
+            test_reopened_tree_starts_clean;
         ] );
       ( "concurrent",
         [
@@ -386,5 +530,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_random_model; prop_concurrent_seeds ] );
+          [ prop_random_model; prop_concurrent_seeds; prop_inventory_is_reachable ] );
     ]

@@ -412,16 +412,16 @@ let prop_leaf_codec_roundtrip =
       let keys = List.sort_uniq Ikey.compare keys in
       let l = Bt_node.new_leaf () in
       List.iteri (fun i k -> Bt_node.leaf_insert l k ~pseudo:(i mod 2 = 0)) keys;
-      l.Bt_node.next <- 42;
-      l.Bt_node.high <- (match keys with [] -> None | k :: _ -> Some k);
+      Bt_node.leaf_set_next l 42;
+      Bt_node.leaf_set_high l (match keys with [] -> None | k :: _ -> Some k);
       match Bt_node.decode_node (Bt_node.encode_node (Bt_node.Leaf l)) with
       | Bt_node.Leaf l' ->
-        l'.Bt_node.n = l.Bt_node.n
-        && l'.Bt_node.bytes = l.Bt_node.bytes
-        && l'.Bt_node.next = 42
-        && l'.Bt_node.high = l.Bt_node.high
-        && Array.sub l'.Bt_node.entries 0 l'.Bt_node.n
-           = Array.sub l.Bt_node.entries 0 l.Bt_node.n
+        let entries l = List.init (Bt_node.leaf_n l) (Bt_node.leaf_get l) in
+        Bt_node.leaf_n l' = Bt_node.leaf_n l
+        && Bt_node.leaf_bytes l' = Bt_node.leaf_bytes l
+        && Bt_node.leaf_next l' = 42
+        && Bt_node.leaf_high l' = Bt_node.leaf_high l
+        && entries l' = entries l
       | Bt_node.Internal _ -> false)
 
 let prop_internal_codec_roundtrip =
@@ -496,8 +496,8 @@ let prop_leaf_image_damage =
       let keys = List.sort_uniq Ikey.compare keys in
       let l = Bt_node.new_leaf () in
       List.iteri (fun i k -> Bt_node.leaf_insert l k ~pseudo:(i mod 2 = 0)) keys;
-      l.Bt_node.next <- 42;
-      l.Bt_node.high <- (match keys with [] -> None | k :: _ -> Some k);
+      Bt_node.leaf_set_next l 42;
+      Bt_node.leaf_set_high l (match keys with [] -> None | k :: _ -> Some k);
       damage_refused Bt_node.kind (Bt_node.encode_node (Bt_node.Leaf l)))
 
 let prop_internal_image_damage =
@@ -509,6 +509,257 @@ let prop_internal_image_damage =
       let children = Array.init (Array.length seps + 1) (fun i -> 100 + i) in
       let n = Bt_node.new_internal ~children ~seps in
       damage_refused Bt_node.kind (Bt_node.encode_node (Bt_node.Internal n)))
+
+(* Full leaves: about 60 entries with short key values, the size a
+   1 KB page holds. *)
+let prop_full_leaf_image_damage =
+  QCheck.Test.make ~name:"full leaf image damage refused" ~count:2
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 55 65)
+            (let* kv = string_size ~gen:printable (int_range 0 6) in
+             let* page = int_bound 100 in
+             let* slot = int_bound 50 in
+             return (Ikey.make kv (Rid.make ~page ~slot)))))
+    (fun keys ->
+      let keys = List.sort_uniq Ikey.compare keys in
+      let l = Bt_node.new_leaf () in
+      List.iteri (fun i k -> Bt_node.leaf_insert l k ~pseudo:(i mod 3 = 0)) keys;
+      Bt_node.leaf_set_next l 7;
+      Bt_node.leaf_set_high l
+        (Some (Ikey.make "~~~~~~~~" (Rid.make ~page:1 ~slot:2)));
+      damage_refused Bt_node.kind (Bt_node.encode_node (Bt_node.Leaf l)))
+
+(* --- the leaf against a reference model --- *)
+
+(* The leaf as it was when it held an [(Ikey.t * bool) array], and the
+   image encoder of that time, written with [Buffer]: the byte-image
+   leaf must keep the same entries, accounting, split results and
+   images. *)
+module Ref_leaf = struct
+  type t = {
+    mutable entries : (Ikey.t * bool) array;
+    mutable n : int;
+    mutable bytes : int;
+    mutable next : int;
+    mutable high : Ikey.t option;
+  }
+
+  let create () = { entries = [||]; n = 0; bytes = 0; next = -1; high = None }
+
+  let entries t = Array.to_list (Array.sub t.entries 0 t.n)
+
+  let lower_bound t key =
+    let rec go i = if i < t.n && Ikey.compare (fst t.entries.(i)) key < 0 then go (i + 1) else i in
+    go 0
+
+  let mem t key =
+    let i = lower_bound t key in
+    i < t.n && Ikey.equal (fst t.entries.(i)) key
+
+  let insert_at t i key pseudo =
+    let l = entries t in
+    let before = List.filteri (fun j _ -> j < i) l
+    and after = List.filteri (fun j _ -> j >= i) l in
+    t.entries <- Array.of_list (before @ [ (key, pseudo) ] @ after);
+    t.n <- t.n + 1;
+    t.bytes <- t.bytes + Ikey.encoded_size key
+
+  let insert t key pseudo = insert_at t (lower_bound t key) key pseudo
+  let append t key pseudo = insert_at t t.n key pseudo
+
+  let remove_at t i =
+    let k, _ = t.entries.(i) in
+    t.entries <- Array.of_list (List.filteri (fun j _ -> j <> i) (entries t));
+    t.n <- t.n - 1;
+    t.bytes <- t.bytes - Ikey.encoded_size k
+
+  let set_flag t i pseudo = t.entries.(i) <- (fst t.entries.(i), pseudo)
+
+  let take_tail t from =
+    let moved = Array.sub t.entries from (t.n - from) in
+    let right =
+      { entries = moved; n = Array.length moved;
+        bytes = Array.fold_left (fun a (k, _) -> a + Ikey.encoded_size k) 0 moved;
+        next = t.next; high = t.high }
+    in
+    t.entries <- Array.sub t.entries 0 from;
+    t.n <- from;
+    t.bytes <- t.bytes - right.bytes;
+    let sep =
+      if from = 0 then fst moved.(0)
+      else Bt_node.separator ~before:(fst t.entries.(from - 1)) ~first:(fst moved.(0))
+    in
+    t.high <- Some sep;
+    (right, sep)
+
+  let encode t =
+    let b = Buffer.create 256 in
+    let i64 v = Buffer.add_int64_le b (Int64.of_int v) in
+    let key (k : Ikey.t) =
+      i64 (String.length k.kv);
+      Buffer.add_string b k.kv;
+      i64 k.rid.Rid.page;
+      i64 k.rid.Rid.slot
+    in
+    Buffer.add_char b '\000';
+    i64 t.n;
+    i64 t.bytes;
+    i64 t.next;
+    (match t.high with
+    | None -> Buffer.add_char b '\000'
+    | Some h ->
+      Buffer.add_char b '\001';
+      key h);
+    List.iter
+      (fun (k, pseudo) ->
+        key k;
+        Buffer.add_char b (if pseudo then '\001' else '\000'))
+      (entries t);
+    Buffer.contents b
+end
+
+type leaf_op =
+  | Insert of Ikey.t * bool
+  | Append of int * int * bool
+  | Remove of int
+  | Set_flag of int * bool
+  | Split_half
+  | Split_above of Ikey.t
+  | Links of int * Ikey.t option
+
+(* Key values of 0-40 bytes; most share the 7-byte stem, so only bytes
+   past the cached prefix tell them apart, and few RIDs, so one key
+   value sits under many RIDs. *)
+let gen_leaf_key =
+  QCheck.Gen.(
+    let* kv =
+      oneof
+        [
+          map (fun s -> "pfxstem" ^ s) (string_size (int_range 0 33));
+          map (fun n -> String.sub "pfxstem" 0 n) (int_range 0 7);
+          string_size (int_range 0 40);
+        ]
+    in
+    let* page = int_bound 3 in
+    let* slot = int_bound 5 in
+    return (Ikey.make kv (Rid.make ~page ~slot)))
+
+let gen_leaf_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun k p -> Insert (k, p)) gen_leaf_key bool);
+        (4, map3 (fun a b p -> Append (a, b, p)) (int_bound 2) (int_bound 3) bool);
+        (3, map (fun i -> Remove i) nat);
+        (2, map2 (fun i p -> Set_flag (i, p)) nat bool);
+        (1, return Split_half);
+        (1, map (fun k -> Split_above k) gen_leaf_key);
+        (1, map2 (fun n h -> Links (n, h)) (int_range (-1) 1000) (opt gen_leaf_key));
+      ])
+
+let show_leaf_op = function
+  | Insert (k, p) -> Printf.sprintf "Insert %s %b" (Ikey.to_string k) p
+  | Append (a, b, p) -> Printf.sprintf "Append %d %d %b" a b p
+  | Remove i -> Printf.sprintf "Remove %d" i
+  | Set_flag (i, p) -> Printf.sprintf "Set_flag %d %b" i p
+  | Split_half -> "Split_half"
+  | Split_above k -> "Split_above " ^ Ikey.to_string k
+  | Links (n, _) -> Printf.sprintf "Links %d" n
+
+(* The key [Append (a, b, _)] adds past the last entry: the same key
+   value under a higher RID, or a longer key value. *)
+let append_key (r : Ref_leaf.t) a b =
+  if r.n = 0 then Ikey.make "pfxstem" (Rid.make ~page:a ~slot:b)
+  else
+    let (last : Ikey.t), _ = r.entries.(r.n - 1) in
+    if a = 0 then Ikey.make (last.kv ^ String.make (b + 1) 'a') last.rid
+    else
+      Ikey.make last.kv
+        (Rid.make ~page:(last.rid.Rid.page + a) ~slot:b)
+
+let same_leaf (l : Bt_node.leaf) (r : Ref_leaf.t) =
+  Bt_node.leaf_n l = r.n
+  && Bt_node.leaf_bytes l = r.bytes
+  && Bt_node.leaf_next l = r.next
+  && Option.equal Ikey.equal (Bt_node.leaf_high l) r.high
+  && List.equal
+       (fun (k, p) (k', p') -> Ikey.equal k k' && p = p')
+       (List.init (Bt_node.leaf_n l) (Bt_node.leaf_get l))
+       (Ref_leaf.entries r)
+  && String.equal (Bt_node.encode_node (Bt_node.Leaf l)) (Ref_leaf.encode r)
+  &&
+  match Bt_node.decode_node (Ref_leaf.encode r) with
+  | Bt_node.Leaf d ->
+    List.for_all
+      (fun i ->
+        Bt_node.leaf_compare d i (fst r.entries.(i)) = 0
+        && Bt_node.leaf_pseudo d i = snd r.entries.(i))
+      (List.init r.n Fun.id)
+  | Bt_node.Internal _ -> false
+
+let prop_leaf_matches_reference =
+  QCheck.Test.make ~name:"byte-image leaf = reference leaf" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_leaf_op ops))
+        Gen.(list_size (int_range 0 150) gen_leaf_op))
+    (fun ops ->
+      (* the leaf being worked on, plus every right leaf a split made *)
+      let l = ref (Bt_node.new_leaf ()) and r = ref (Ref_leaf.create ()) in
+      let ok = ref true in
+      let check () = if not (same_leaf !l !r) then ok := false in
+      List.iter
+        (fun op ->
+          (match op with
+          | Insert (k, p) ->
+            if not (Ref_leaf.mem !r k) then begin
+              Bt_node.leaf_insert !l k ~pseudo:p;
+              Ref_leaf.insert !r k p
+            end
+          | Append (a, b, p) ->
+            let k = append_key !r a b in
+            Bt_node.leaf_append !l k ~pseudo:p;
+            Ref_leaf.append !r k p
+          | Remove i ->
+            if !r.n > 0 then begin
+              Bt_node.leaf_remove_at !l (i mod !r.n);
+              Ref_leaf.remove_at !r (i mod !r.n)
+            end
+          | Set_flag (i, p) ->
+            if !r.n > 0 then begin
+              Bt_node.leaf_set_flag !l (i mod !r.n) p;
+              Ref_leaf.set_flag !r (i mod !r.n) p
+            end
+          | Split_half ->
+            if !r.n >= 2 then begin
+              let right, sep = Bt_node.leaf_split_half !l in
+              let right', sep' = Ref_leaf.take_tail !r (!r.n / 2) in
+              if not (Ikey.equal sep sep' && same_leaf right right') then
+                ok := false;
+              (* keep working on the right leaf half the time *)
+              if Hashtbl.hash sep mod 2 = 0 then begin
+                l := right;
+                r := right'
+              end
+            end
+          | Split_above k ->
+            let i = Ref_leaf.lower_bound !r k in
+            if i < !r.n && not (Ref_leaf.mem !r k) then begin
+              let right, sep = Bt_node.leaf_split_above !l k in
+              let right', sep' = Ref_leaf.take_tail !r i in
+              if not (Ikey.equal sep sep' && same_leaf right right') then
+                ok := false
+            end
+          | Links (next, high) ->
+            Bt_node.leaf_set_next !l next;
+            Bt_node.leaf_set_high !l high;
+            !r.next <- next;
+            !r.high <- high);
+          check ())
+        ops;
+      !ok)
 
 let test_negative_slot_count_rejected () =
   let image =
@@ -599,6 +850,8 @@ let () =
             prop_internal_codec_roundtrip;
             prop_heap_image_damage;
             prop_leaf_image_damage;
+            prop_full_leaf_image_damage;
             prop_internal_image_damage;
+            prop_leaf_matches_reference;
           ] );
     ]

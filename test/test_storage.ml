@@ -437,9 +437,41 @@ let test_stable_store_holds_flushed_image () =
     Buffer_pool.get env'.Tenv.pool ~kind:Oib_btree.Bt_node.kind node.Page.id
   in
   let leaf' = Oib_btree.Bt_node.leaf_of_payload node'.Page.payload in
-  Alcotest.(check int) "btree page as flushed" 1 leaf'.Oib_btree.Bt_node.n;
+  Alcotest.(check int) "btree page as flushed" 1 (Oib_btree.Bt_node.leaf_n leaf');
   Alcotest.(check bool) "flushed entry" true
     (Ikey.equal (Tenv.keyn 1) (fst (Oib_btree.Bt_node.leaf_get leaf' 0)))
+
+(* The pool keeps its page I/O counter handles, but looks them up again
+   when the metrics carry another registry: each registry counts only the
+   I/O done while it was attached, under the same rendered names. *)
+let test_io_counters_follow_registry () =
+  let env = Tenv.make () in
+  let write () =
+    let p =
+      Buffer_pool.new_page env.Tenv.pool ~kind:Heap_page.kind
+        ~payload:(Heap_page.Heap (Heap_page.create ~capacity:64))
+    in
+    Buffer_pool.flush_page env.Tenv.pool p
+  in
+  let writes reg =
+    Oib_obs.Registry.counter_value
+      (Oib_obs.Registry.counter reg ~labels:[ ("role", "Heap_file") ]
+         "pool.page_write")
+  in
+  write ();
+  let r1 = Oib_obs.Registry.create () in
+  Oib_sim.Metrics.attach_registry env.Tenv.metrics r1;
+  write ();
+  write ();
+  let r2 = Oib_obs.Registry.create () in
+  Oib_sim.Metrics.attach_registry env.Tenv.metrics r2;
+  write ();
+  Alcotest.(check int) "first registry" 2 (writes r1);
+  Alcotest.(check int) "second registry" 1 (writes r2);
+  Alcotest.(check bool) "no read counter made" true
+    (List.for_all
+       (fun (name, _) -> name <> "pool.page_read{role=Heap_file}")
+       (Oib_obs.Registry.snapshot r2))
 
 (* A page whose stable image does not decode is refused on the read: the
    pool caches nothing, and the read's io span still ends. *)
@@ -517,5 +549,7 @@ let () =
             test_stable_store_holds_flushed_image;
           Alcotest.test_case "corrupt image refused" `Quick
             test_corrupt_image_refused;
+          Alcotest.test_case "io counters follow the registry" `Quick
+            test_io_counters_follow_registry;
         ] );
     ]

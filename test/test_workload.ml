@@ -164,7 +164,8 @@ let test_oracle_catches_structural_damage () =
   let leaf_id = find_leaf (Oib_btree.Btree.root_page_id tree) in
   (match Oib_btree.Btree.node_at tree leaf_id with
   | Oib_btree.Bt_node.Leaf l ->
-    l.high <- Some (Ikey.make "" (Rid.make ~page:0 ~slot:0))
+    Oib_btree.Bt_node.leaf_set_high l
+      (Some (Ikey.make "" (Rid.make ~page:0 ~slot:0)))
   | Oib_btree.Bt_node.Internal _ -> assert false);
   Alcotest.(check bool) "structural error reported" true
     (List.exists (contains "structural") (Engine.consistency_errors ctx))
