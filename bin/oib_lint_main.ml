@@ -29,39 +29,29 @@ let print_stats (st : L.stats) =
       (fun (f, r, why) -> line "  %-4s %s: %s\n" r f why)
       st.L.st_suppressions
   end;
-  if st.L.st_baselined > 0 then
-    line "baselined findings  %d (grandfathered by --baseline)\n"
-      st.L.st_baselined;
   line "phase wall time (ms):\n";
   List.iter (fun (k, v) -> line "  %-10s %.2f\n" k v) st.L.st_phase_ms;
   line "rule wall time (ms):\n";
   List.iter (fun (k, v) -> line "  %-10s %.2f\n" k v) st.L.st_rule_ms
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* The static L5 latch-order graph, for the sanitizer's
    static-vs-runtime diff (oib_fuzz --lint-graph). *)
 let graph_json (edges : (string * string) list) =
+  let str s = "\"" ^ Oib_lint.Diag.json_escape s ^ "\"" in
   "{\"edges\":["
   ^ String.concat ","
       (List.map
-         (fun (a, b) ->
-           "{\"from\":\"" ^ json_escape a ^ "\",\"to\":\"" ^ json_escape b
-           ^ "\"}")
+         (fun (a, b) -> "{\"from\":" ^ str a ^ ",\"to\":" ^ str b ^ "}")
          edges)
   ^ "]}"
+
+let write_file path contents =
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (contents ());
+      close_out oc)
+    path
 
 let print_diag ~explain d =
   print_endline (Oib_lint.Diag.to_string d);
@@ -79,71 +69,34 @@ let trajectory_record (res : L.result) =
       (List.sort_uniq compare
          (List.map fst (st.L.st_by_rule @ st.L.st_suppressed_by_rule)))
   in
-  let rule_ms name =
-    Option.value ~default:0. (List.assoc_opt name st.L.st_rule_ms)
-  in
   (* alphabetical keys, schema bench-trajectory/v1 *)
   Printf.sprintf
-    "{\"analysis_ms\":%.3f,\"files\":%d,\"findings\":%d,\"kind\":\"lint_engine\",\"l10_ms\":%.3f,\"l11_ms\":%.3f,\"l12_ms\":%.3f,\"rules\":\"%s\",\"schema\":\"bench-trajectory/v1\",\"units\":%d}"
+    "{\"analysis_ms\":%.3f,\"files\":%d,\"findings\":%d,\"kind\":\"lint_engine\",\"l12_ms\":%.3f,\"rules\":\"%s\",\"schema\":\"bench-trajectory/v1\",\"units\":%d}"
     ms st.L.st_files
     (total st.L.st_by_rule + total st.L.st_suppressed_by_rule)
-    (rule_ms "L10") (rule_ms "L11") (rule_ms "L12") (json_escape rules)
+    (Option.value ~default:0. (List.assoc_opt "L12" st.L.st_rule_ms))
+    (Oib_lint.Diag.json_escape rules)
     st.L.st_units
 
-let run root stats json show_suppressed unused_allows strict emit_graph
-    graph explain trajectory baseline write_baseline emit_atomics =
+let run root stats json show_suppressed strict emit_graph graph explain
+    trajectory emit_atomics =
   if not (Sys.file_exists root && Sys.is_directory root) then begin
     prerr_endline ("oib-lint: no such directory: " ^ root);
     2
   end
   else begin
-    let options = { L.default_options with L.root } in
-    let res = L.run_tree ~options root in
-    let res =
-      match baseline with
-      | Some path -> (
-        match L.read_baseline path with
-        | keys -> L.apply_baseline keys res
-        | exception Sys_error e | exception Failure e ->
-          prerr_endline ("oib-lint: --baseline: " ^ e);
-          exit 2)
-      | None -> res
-    in
-    (match write_baseline with
-    | Some path -> L.write_baseline path res
-    | None -> ());
+    let res = L.run_tree root in
     let errs = L.errors res in
     let shown = if show_suppressed then res.L.r_diags else errs in
     List.iter (print_diag ~explain) shown;
-    if unused_allows || strict then
+    if strict then
       List.iter (print_diag ~explain:false) res.L.r_unused_allows;
-    (match json with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (L.stats_to_json res.L.r_stats);
-      output_string oc "\n";
-      close_out oc
-    | None -> ());
-    (match emit_graph with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (graph_json res.L.r_rules.Oib_lint.Rules.order_edges);
-      output_string oc "\n";
-      close_out oc
-    | None -> ());
-    (match graph with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Oib_lint.Callgraph.to_json res.L.r_graph);
-      close_out oc
-    | None -> ());
-    (match emit_atomics with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Oib_lint.Atomics.to_json res.L.r_rules.Oib_lint.Rules.atomics);
-      close_out oc
-    | None -> ());
+    write_file json (fun () -> L.stats_to_json res.L.r_stats ^ "\n");
+    write_file emit_graph (fun () ->
+        graph_json res.L.r_rules.Oib_lint.Rules.order_edges ^ "\n");
+    write_file graph (fun () -> Oib_lint.Callgraph.to_json res.L.r_graph);
+    write_file emit_atomics (fun () ->
+        Oib_lint.Atomics.to_json res.L.r_rules.Oib_lint.Rules.atomics);
     (match trajectory with
     | Some path ->
       let oc =
@@ -175,16 +128,10 @@ let show_suppressed =
   let doc = "Also print diagnostics silenced by [@lint.allow]." in
   Arg.(value & flag & info [ "show-suppressed" ] ~doc)
 
-let unused_allows =
-  let doc =
-    "Report [@lint.allow] annotations that suppressed zero diagnostics."
-  in
-  Arg.(value & flag & info [ "unused-allows" ] ~doc)
-
 let strict =
   let doc =
-    "Fail (exit 1) when any [@lint.allow] annotation is unused; implies \
-     $(b,--unused-allows)."
+    "Report [@lint.allow] annotations that suppressed zero diagnostics, and \
+     fail (exit 1) when there is any."
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
@@ -218,25 +165,6 @@ let trajectory =
   Arg.(
     value & opt (some string) None & info [ "trajectory" ] ~docv:"FILE" ~doc)
 
-let baseline =
-  let doc =
-    "Grandfather findings listed in the $(docv) snapshot (created with \
-     $(b,--write-baseline)): matching findings are reported as baselined, \
-     counted separately in --stats, and do not fail the run."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-
-let write_baseline =
-  let doc =
-    "Snapshot the current unsuppressed findings to $(docv) \
-     (oib-lint-baseline/v1, one rule|file|site|msg key per line)."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "write-baseline" ] ~docv:"FILE" ~doc)
-
 let emit_atomics =
   let doc =
     "Write the L12 atomic-section table (per-function yield-free regions \
@@ -257,8 +185,7 @@ let cmd =
   let info = Cmd.info "oib-lint" ~doc in
   Cmd.v info
     Term.(
-      const run $ root $ stats $ json $ show_suppressed $ unused_allows
-      $ strict $ emit_graph $ graph $ explain $ trajectory $ baseline
-      $ write_baseline $ emit_atomics)
+      const run $ root $ stats $ json $ show_suppressed $ strict $ emit_graph
+      $ graph $ explain $ trajectory $ emit_atomics)
 
 let () = exit (Cmd.eval' cmd)

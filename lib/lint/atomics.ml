@@ -128,23 +128,9 @@ let compute cg =
 
 (* --- JSON (deterministic, no external dependency) --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let str_array l =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l)
+  "["
+  ^ String.concat "," (List.map (fun s -> "\"" ^ Diag.json_escape s ^ "\"") l)
   ^ "]"
 
 let region_json r =
@@ -153,8 +139,8 @@ let region_json r =
 
 let unit_json ua =
   Printf.sprintf "{\"unit\":\"%s\",\"file\":\"%s\",\"yield\":\"%s\",\"regions\":[%s]}"
-    (json_escape ua.ua_unit) (json_escape ua.ua_file)
-    (json_escape ua.ua_yield)
+    (Diag.json_escape ua.ua_unit) (Diag.json_escape ua.ua_file)
+    (Diag.json_escape ua.ua_yield)
     (String.concat "," (List.map region_json ua.ua_regions))
 
 let to_json t =

@@ -24,14 +24,9 @@ type t = {
       (* (callee module, callee name) -> calling units *)
 }
 
-let last_component name =
-  match String.rindex_opt name '.' with
-  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-  | None -> name
-
 (* The latch and scheduler modules ARE the blocking/acquiring
    primitives; resolving into them would collapse L2 into L1/L5. *)
-let opaque_modules = [ "Latch"; "Sched"; "Condvar" ]
+let opaque_modules = [ "Latch"; "Sched" ]
 
 (* A dotted callee whose first component is capitalized is
    module-qualified ("Heap_file.latch_rid"); otherwise it is a scoped
@@ -100,21 +95,6 @@ let build summaries =
 
 (* --- JSON rendering (deterministic: everything sorted) --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let full u = u.u_module ^ "." ^ u.u_name in
   let nodes =
@@ -123,10 +103,10 @@ let to_json t =
          (fun u ->
            Printf.sprintf
              "{\"unit\":\"%s\",\"file\":\"%s\",\"effect\":\"%s\",\"yield\":\"%s\",\"acquires\":%b}"
-             (json_escape (full u))
-             (json_escape u.u_file)
-             (json_escape (Latch_effect.to_string u.u_effect))
-             (json_escape (Yield_effect.to_string u.u_yield))
+             (Diag.json_escape (full u))
+             (Diag.json_escape u.u_file)
+             (Diag.json_escape (Latch_effect.to_string u.u_effect))
+             (Diag.json_escape (Yield_effect.to_string u.u_yield))
              u.u_acquires_latch)
          t.cg_units)
   in
@@ -140,8 +120,8 @@ let to_json t =
                  (fun callee ->
                    Printf.sprintf
                      "{\"from\":\"%s\",\"to\":\"%s\",\"callback\":%b}"
-                     (json_escape (full u))
-                     (json_escape (full callee))
+                     (Diag.json_escape (full u))
+                     (Diag.json_escape (full callee))
                      c.c_callback)
                  (lookup t ~caller_module:u.u_module c.c_callee))
              u.u_calls)

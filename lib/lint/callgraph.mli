@@ -23,9 +23,9 @@ val callers : t -> Summary.u -> Summary.u list
 (** Units containing at least one call site resolving to the given
     unit — the worklist's requeue set. *)
 
-val last_component : string -> string
-val resolve_callee : caller_module:string -> string -> string * string
 val is_opaque : string -> bool
+(** The latch and scheduler modules, whose bodies the rules model by
+    name instead of walking. *)
 
 val to_json : t -> string
 (** Deterministic (sorted) JSON rendering of nodes (with converged latch

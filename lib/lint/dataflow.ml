@@ -10,8 +10,8 @@
    calls.
 
    [reach] is the generic may-property engine (may-block, may-acquire,
-   may-append): BFS from seeded call sites, recording a human-readable
-   witness chain for --explain.
+   may-append): units are marked from seeded call sites until nothing
+   changes, each with a human-readable witness chain for --explain.
 
    [mutators] finds lifecycle-mutator wrappers: a unit that forwards
    its own parameters into the (index, state) positions of a known
@@ -19,23 +19,17 @@
 
 open Summary
 
-let effect_resolver cg ~caller_module name =
+(* A callee's summary: the join over every unit the name may resolve to;
+   [None] for an unknown or opaque callee. *)
+let resolver get join bottom cg ~caller_module name =
   match Callgraph.lookup cg ~caller_module name with
   | [] -> None
-  | us ->
-    Some
-      (List.fold_left
-         (fun acc u -> Latch_effect.join acc u.u_effect)
-         Latch_effect.bottom us)
+  | us -> Some (List.fold_left (fun acc u -> join acc (get u)) bottom us)
 
-let yield_resolver cg ~caller_module name =
-  match Callgraph.lookup cg ~caller_module name with
-  | [] -> None
-  | us ->
-    Some
-      (List.fold_left
-         (fun acc u -> Yield_effect.join acc u.u_yield)
-         Yield_effect.bottom us)
+let effects =
+  resolver (fun u -> u.u_effect) Latch_effect.join Latch_effect.bottom
+
+let yields = resolver (fun u -> u.u_yield) Yield_effect.join Yield_effect.bottom
 
 let max_visits = 24
 
@@ -44,12 +38,7 @@ let max_visits = 24
 let solve_effects ?(order = fun us -> us) cg =
   let units = Callgraph.units cg in
   let ctx =
-    { initial_ctx with
-      x_effects =
-        (fun ~caller_module n -> effect_resolver cg ~caller_module n);
-      x_yields =
-        (fun ~caller_module n -> yield_resolver cg ~caller_module n);
-    }
+    { initial_ctx with x_effects = effects cg; x_yields = yields cg }
   in
   List.iter
     (fun u ->
@@ -88,98 +77,67 @@ let solve_effects ?(order = fun us -> us) cg =
     end
   done
 
+(* Mark units until nothing changes: [mark find u] is [u]'s mark given
+   the marks so far ([find] looks one up), [None] while it has none. *)
+let mark_until_stable cg mark =
+  let marked = Hashtbl.create 64 in
+  let find u = Hashtbl.find_opt marked (u.u_module, u.u_name) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun u ->
+        if find u = None then
+          match mark find u with
+          | Some m ->
+            Hashtbl.replace marked (u.u_module, u.u_name) m;
+            changed := true
+          | None -> ())
+      (Callgraph.units cg)
+  done;
+  marked
+
 (* --- generic may-property reachability with witnesses --- *)
 
 let reach cg ~seed =
-  let marked : (string * string, string) Hashtbl.t = Hashtbl.create 64 in
-  let find_mark u = Hashtbl.find_opt marked (u.u_module, u.u_name) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun u ->
-        if find_mark u = None then
-          let witness =
+  mark_until_stable cg (fun find u ->
+      List.find_map
+        (fun c ->
+          match seed c with
+          | Some w -> Some w
+          | None ->
             List.find_map
-              (fun c ->
-                match seed c with
-                | Some w -> Some w
-                | None ->
-                  List.find_map
-                    (fun callee ->
-                      match find_mark callee with
-                      | Some w -> Some (c.c_callee ^ " -> " ^ w)
-                      | None -> None)
-                    (Callgraph.lookup cg ~caller_module:u.u_module
-                       c.c_callee))
-              u.u_calls
-          in
-          match witness with
-          | Some w ->
-            Hashtbl.replace marked (u.u_module, u.u_name) w;
-            changed := true
-          | None -> ())
-      (Callgraph.units cg)
-  done;
-  marked
+              (fun callee ->
+                Option.map (fun w -> c.c_callee ^ " -> " ^ w) (find callee))
+              (Callgraph.lookup cg ~caller_module:u.u_module c.c_callee))
+        u.u_calls)
 
 (* --- lifecycle-mutator wrappers --- *)
 
-let param_index params name =
-  let rec go i = function
-    | [] -> None
-    | p :: _ when p = name -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 params
-
 let mutators cg ~seed =
-  let marked : (string * string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun u ->
-        if not (Hashtbl.mem marked (u.u_module, u.u_name)) then
-          let hit =
-            List.find_map
-              (fun c ->
-                if c.c_callback then None
-                else
-                  let target =
-                    match seed c.c_callee with
-                    | Some p -> Some p
-                    | None ->
-                      List.find_map
-                        (fun callee ->
-                          Hashtbl.find_opt marked
-                            (callee.u_module, callee.u_name))
-                        (Callgraph.lookup cg ~caller_module:u.u_module
-                           c.c_callee)
-                  in
-                  match target with
-                  | Some (ip, sp) -> (
-                    match
-                      (List.nth_opt c.c_args ip, List.nth_opt c.c_args sp)
-                    with
-                    | Some ik, Some sk -> (
-                      match
-                        (param_index u.u_params ik, param_index u.u_params sk)
-                      with
-                      | Some ip', Some sp' -> Some (ip', sp')
-                      | _ -> None)
-                    | _ -> None)
-                  | None -> None)
-              u.u_calls
-          in
-          match hit with
-          | Some pos ->
-            Hashtbl.replace marked (u.u_module, u.u_name) pos;
-            changed := true
-          | None -> ())
-      (Callgraph.units cg)
-  done;
-  marked
+  mark_until_stable cg (fun find u ->
+      List.find_map
+        (fun c ->
+          if c.c_callback then None
+          else
+            let target =
+              match seed c.c_callee with
+              | Some p -> Some p
+              | None ->
+                List.find_map find
+                  (Callgraph.lookup cg ~caller_module:u.u_module c.c_callee)
+            in
+            match target with
+            | Some (ip, sp) -> (
+              match (List.nth_opt c.c_args ip, List.nth_opt c.c_args sp) with
+              | Some ik, Some sk -> (
+                match (param_index u.u_params ik, param_index u.u_params sk)
+                with
+                | Some ip', Some sp' -> Some (ip', sp')
+                | _ -> None)
+              | _ -> None)
+            | None -> None)
+        u.u_calls)
 
 (* --- the converged context for the final emission pass --- *)
 
@@ -193,8 +151,7 @@ let final_ctx ~config cg =
     mutators cg ~seed:(fun n -> List.assoc_opt n config.l8_mutators)
   in
   {
-    x_effects =
-      (fun ~caller_module n -> effect_resolver cg ~caller_module n);
+    x_effects = effects cg;
     x_appends =
       (fun ~caller_module n ->
         List.exists
@@ -205,8 +162,7 @@ let final_ctx ~config cg =
         List.find_map
           (fun u -> Hashtbl.find_opt muts (u.u_module, u.u_name))
           (Callgraph.lookup cg ~caller_module n));
-    x_yields =
-      (fun ~caller_module n -> yield_resolver cg ~caller_module n);
+    x_yields = yields cg;
     x_emit = true;
   }
 

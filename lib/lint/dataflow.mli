@@ -32,11 +32,7 @@ val mutators :
     parameters into the (index, state) positions of a known mutator is
     itself a mutator at those parameter positions. *)
 
-val final_ctx : config:Summary.config -> Callgraph.t -> Summary.ctx
-(** The converged interprocedural context: effect resolution from the
-    solved fixpoint, transitive WAL-append knowledge for L3, wrapper
-    knowledge for L8 — with emission enabled. *)
-
 val emit_pass : config:Summary.config -> Callgraph.t -> unit
-(** Re-run every unit under {!final_ctx}, refreshing calls and findings
-    with interprocedural precision. *)
+(** Re-run every unit, with emission on, under the converged context:
+    effect resolution from the solved fixpoint, transitive WAL-append
+    knowledge for L3 and wrapper knowledge for L8. *)

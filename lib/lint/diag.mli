@@ -1,6 +1,6 @@
 (** Linter and sanitizer diagnostics.
 
-    A diagnostic names the rule it enforces (static [L1..L6], runtime
+    A diagnostic names the rule it enforces (static [L1..L12], runtime
     [SAN-*]), a source position (or a synthetic file for runtime
     findings), a one-line message, and a one-line fix hint. Static
     diagnostics can be suppressed by a [[@lint.allow "Ln: reason"]]
@@ -12,7 +12,7 @@ type t = {
   file : string;
   line : int;
   col : int;
-  rule : string;  (** "L1".."L6", "SAN-race", "SAN-order", "SAN-wal", … *)
+  rule : string;  (** "L1".."L12", "SAN-race", "SAN-order", "SAN-wal", … *)
   msg : string;
   hint : string;  (** one-line fix hint *)
   site : string;
@@ -57,3 +57,7 @@ val compare : t -> t -> int
 
 val dedupe : t list -> t list
 (** Sort by {!compare} and drop exact-key duplicates. *)
+
+val json_escape : string -> string
+(** Escape a string for a JSON string literal (quotes, backslashes and
+    control bytes); every JSON file [oib-lint] writes goes through it. *)

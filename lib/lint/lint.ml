@@ -1,25 +1,9 @@
-type options = {
-  root : string;
-  config : Summary.config;
-  require_mli : bool;
-  mli_exempt : string list;
-}
-
-let default_options =
-  {
-    root = "lib";
-    config = Summary.default_config;
-    require_mli = true;
-    mli_exempt = [];
-  }
-
 type stats = {
   st_files : int;
   st_units : int;
   st_by_rule : (string * int) list;
   st_suppressed_by_rule : (string * int) list;
   st_suppressions : (string * string * string) list;
-  st_baselined : int;
   st_phase_ms : (string * float) list;
   st_rule_ms : (string * float) list;
 }
@@ -50,23 +34,6 @@ let scan_files root =
   go root;
   List.sort compare !out
 
-let l6_diags opts files =
-  if not opts.require_mli then []
-  else
-    List.filter_map
-      (fun f ->
-        let m = Summary.module_name_of_file f in
-        let mli = Filename.chop_suffix f ".ml" ^ ".mli" in
-        if List.mem m opts.mli_exempt || Sys.file_exists mli then None
-        else
-          Some
-            (Diag.make ~file:f ~line:1 ~col:0 ~rule:"L6"
-               ~hint:
-                 ("add " ^ Filename.basename mli
-                ^ " so the module's public surface is explicit")
-               ("module " ^ m ^ " has no interface (.mli)")))
-      files
-
 let count_by_rule diags =
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -96,21 +63,19 @@ let unused_allow_diags summaries =
            fs.Summary.fs_allows)
        summaries)
 
-let run_files ?(options = default_options) files =
+let run_files ?(config = Summary.default_config) files =
   let t0 = Sys.time () in
-  let summaries =
-    List.map (Summary.summarize_file ~config:options.config) files
-  in
+  let summaries = List.map (Summary.summarize_file ~config) files in
   let t1 = Sys.time () in
   let cg = Callgraph.build summaries in
   Dataflow.solve_effects cg;
   let t2 = Sys.time () in
-  Dataflow.emit_pass ~config:options.config cg;
+  Dataflow.emit_pass ~config cg;
   let t3 = Sys.time () in
-  let rules = Rules.run ~config:options.config cg in
+  let rules = Rules.run ~config cg in
   let t4 = Sys.time () in
   let ms a b = (b -. a) *. 1000. in
-  let diags = Diag.dedupe (rules.Rules.diags @ l6_diags options files) in
+  let diags = Diag.dedupe rules.Rules.diags in
   let unsuppressed, suppressed =
     List.partition (fun (d : Diag.t) -> d.suppressed = None) diags
   in
@@ -128,7 +93,6 @@ let run_files ?(options = default_options) files =
           (fun (d : Diag.t) ->
             (d.file, d.rule, Option.value ~default:"" d.suppressed))
           suppressed;
-      st_baselined = 0;
       st_phase_ms =
         [
           ("summarize", ms t0 t1);
@@ -147,129 +111,29 @@ let run_files ?(options = default_options) files =
     r_stats = stats;
   }
 
-let run_tree ?(options = default_options) root =
-  run_files ~options (scan_files root)
+let run_tree ?config root = run_files ?config (scan_files root)
 
 let errors r =
   List.filter (fun (d : Diag.t) -> d.suppressed = None) r.r_diags
 
-(* --- findings baseline (grandfathering) ---
-
-   A baseline file snapshots the unsuppressed findings of a run; a
-   later run with [--baseline FILE] marks findings whose key matches a
-   baseline entry as [suppressed = Some "baselined"]. Grandfathering
-   is deliberately explicit: baselined findings stay in the report and
-   are counted in their own stats row, never folded into the
-   allow-suppression counts. The key excludes line/column so the
-   baseline survives unrelated edits above the finding. *)
-
-let baseline_header = "oib-lint-baseline/v1"
-
-let baseline_key (d : Diag.t) =
-  d.rule ^ "|" ^ d.file ^ "|" ^ d.site ^ "|" ^ d.msg
-
-let write_baseline file r =
-  let oc = open_out file in
-  output_string oc (baseline_header ^ "\n");
-  List.iter
-    (fun k -> output_string oc (k ^ "\n"))
-    (List.sort_uniq compare (List.map baseline_key (errors r)));
-  close_out oc
-
-let read_baseline file =
-  let ic = open_in file in
-  let keys = Hashtbl.create 32 in
-  (try
-     let hdr = input_line ic in
-     if hdr <> baseline_header then
-       failwith
-         (file ^ ": not an oib-lint baseline (header " ^ hdr ^ ")");
-     while true do
-       let line = input_line ic in
-       if line <> "" then Hashtbl.replace keys line ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  keys
-
-let apply_baseline keys r =
-  let baselined = ref 0 in
-  let diags =
-    List.map
-      (fun (d : Diag.t) ->
-        if d.suppressed = None && Hashtbl.mem keys (baseline_key d) then begin
-          incr baselined;
-          { d with suppressed = Some "baselined" }
-        end
-        else d)
-      r.r_diags
-  in
-  let unsuppressed =
-    List.filter (fun (d : Diag.t) -> d.suppressed = None) diags
-  in
-  {
-    r with
-    r_diags = diags;
-    r_stats =
-      {
-        r.r_stats with
-        st_by_rule = count_by_rule unsuppressed;
-        st_baselined = !baselined;
-      };
-  }
-
-(* --- tiny hand-rolled JSON (no external dependency) --- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let stats_to_json st =
-  let b = Buffer.create 512 in
-  let counts l =
+  let str s = "\"" ^ Diag.json_escape s ^ "\"" in
+  let obj value l =
     "{"
-    ^ String.concat ","
-        (List.map
-           (fun (r, n) -> "\"" ^ json_escape r ^ "\":" ^ string_of_int n)
-           l)
+    ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ value v) l)
     ^ "}"
   in
-  Buffer.add_string b "{";
-  Buffer.add_string b ("\"files\":" ^ string_of_int st.st_files);
-  Buffer.add_string b (",\"units\":" ^ string_of_int st.st_units);
-  Buffer.add_string b (",\"diagnostics\":" ^ counts st.st_by_rule);
-  Buffer.add_string b (",\"suppressed\":" ^ counts st.st_suppressed_by_rule);
-  Buffer.add_string b ",\"suppressions\":[";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun (f, r, why) ->
-            "{\"file\":\"" ^ json_escape f ^ "\",\"rule\":\"" ^ json_escape r
-            ^ "\",\"reason\":\"" ^ json_escape why ^ "\"}")
-          st.st_suppressions));
-  Buffer.add_string b "]";
-  Buffer.add_string b (",\"baselined\":" ^ string_of_int st.st_baselined);
-  let times l =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) ->
-             "\"" ^ json_escape k ^ "\":" ^ Printf.sprintf "%.3f" v)
-           l)
+  let ms = obj (Printf.sprintf "%.3f") in
+  let suppression (f, r, why) =
+    "{\"file\":" ^ str f ^ ",\"rule\":" ^ str r ^ ",\"reason\":" ^ str why
     ^ "}"
   in
-  Buffer.add_string b (",\"phase_ms\":" ^ times st.st_phase_ms);
-  Buffer.add_string b (",\"rule_ms\":" ^ times st.st_rule_ms);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  "{\"files\":" ^ string_of_int st.st_files
+  ^ ",\"units\":" ^ string_of_int st.st_units
+  ^ ",\"diagnostics\":" ^ obj string_of_int st.st_by_rule
+  ^ ",\"suppressed\":" ^ obj string_of_int st.st_suppressed_by_rule
+  ^ ",\"suppressions\":["
+  ^ String.concat "," (List.map suppression st.st_suppressions)
+  ^ "],\"phase_ms\":" ^ ms st.st_phase_ms
+  ^ ",\"rule_ms\":" ^ ms st.st_rule_ms
+  ^ "}"

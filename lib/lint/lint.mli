@@ -4,20 +4,9 @@
     builds the whole-tree call graph ({!Callgraph}), solves the
     latch-effect fixpoint and re-emits findings under the converged
     context ({!Dataflow}), runs the cross-function rules ({!Rules}),
-    applies the interface-coverage rule L6, and aggregates statistics.
+    and aggregates statistics.
     This is the engine behind the [oib-lint] executable and the [@lint]
     dune alias. *)
-
-type options = {
-  root : string;  (** directory scanned by {!run_tree} *)
-  config : Summary.config;
-  require_mli : bool;  (** enable rule L6 (module without a [.mli]) *)
-  mli_exempt : string list;
-      (** module names L6 skips (generated or deliberately sealed-open) *)
-}
-
-val default_options : options
-(** Scans ["lib"], default {!Summary.config}, L6 on, no exemptions. *)
 
 type stats = {
   st_files : int;
@@ -26,9 +15,6 @@ type stats = {
   st_suppressed_by_rule : (string * int) list;
   st_suppressions : (string * string * string) list;
       (** (file, rule, justification) for every applied suppression *)
-  st_baselined : int;
-      (** findings grandfathered by {!apply_baseline} (counted
-          separately from allow suppressions, never hidden) *)
   st_phase_ms : (string * float) list;
       (** wall time per engine phase: summarize, solve, emit, rules *)
   st_rule_ms : (string * float) list;
@@ -39,8 +25,8 @@ type result = {
   r_diags : Diag.t list;  (** all diagnostics, sorted, suppressed included *)
   r_unused_allows : Diag.t list;
       (** ["allow-unused"] diagnostics: [[@lint.allow]] attributes that
-          suppressed nothing in this run. Reported by
-          [oib-lint --unused-allows]; fatal under [--strict]. *)
+          suppressed nothing in this run. Reported and fatal under
+          [oib-lint --strict]. *)
   r_rules : Rules.t;
   r_graph : Callgraph.t;
       (** the solved call graph (for [--graph] dumps and tooling) *)
@@ -51,31 +37,15 @@ val scan_files : string -> string list
 (** Recursively collect [.ml] files under a root, skipping [_build] and
     hidden directories. Sorted for determinism. *)
 
-val run_files : ?options:options -> string list -> result
+val run_files : ?config:Summary.config -> string list -> result
+(** Lint the given files as one tree, under {!Summary.default_config}
+    unless [config] is given. *)
 
-val run_tree : ?options:options -> string -> result
+val run_tree : ?config:Summary.config -> string -> result
 (** [run_files] over [scan_files root]. *)
 
 val errors : result -> Diag.t list
 (** The unsuppressed diagnostics — non-empty means the lint fails. *)
-
-val baseline_key : Diag.t -> string
-(** The grandfathering identity of a finding:
-    [rule|file|site|msg] — no line/column, so the baseline survives
-    unrelated edits above the finding. *)
-
-val write_baseline : string -> result -> unit
-(** Snapshot the current unsuppressed findings (sorted, one key per
-    line under an [oib-lint-baseline/v1] header). *)
-
-val read_baseline : string -> (string, unit) Hashtbl.t
-(** Load a baseline file. Raises [Failure] on a bad header. *)
-
-val apply_baseline : (string, unit) Hashtbl.t -> result -> result
-(** Mark findings whose key is in the baseline as
-    [suppressed = Some "baselined"]; they stay in [r_diags] and are
-    counted in [st_baselined] but no longer in [st_by_rule] (so they
-    do not fail the run). *)
 
 val stats_to_json : stats -> string
 (** Render statistics as a small JSON object (for [LINT_stats.json]). *)

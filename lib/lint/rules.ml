@@ -1,17 +1,5 @@
 open Summary
 
-let base_blocking =
-  [
-    "Sched.yield";
-    "Sched.suspend";
-    "Condvar.wait";
-    "Sched.Condvar.wait";
-    "Lock_manager.lock";
-    "Lock_manager.instant_lock";
-    "Log_manager.flush";
-    "Log_manager.flush_all";
-  ]
-
 let console_calls =
   [
     "print_string"; "print_endline"; "print_newline"; "print_int";
@@ -36,8 +24,6 @@ let printf_banned_modules =
 
 type t = {
   diags : Diag.t list;
-  blocking_units : (string * string) list;
-  acquiring_units : (string * string) list;
   order_edges : (string * string) list;
   rule_ms : (string * float) list;
   atomics : Atomics.t;  (* L12 static atomic-section table *)
@@ -57,12 +43,6 @@ let diag_of ?(site = "") ?(trace = []) ~rule ~hint ~allows loc msg =
 
 let held_text held =
   String.concat ", " (List.map (fun (k, m) -> k ^ "(" ^ m ^ ")") held)
-
-let chain_trace w = String.split_on_char '>' (String.concat "" (String.split_on_char ' ' w)) |> List.filter_map (fun s ->
-    match s with "" -> None | s ->
-      if s.[String.length s - 1] = '-' then
-        Some (String.sub s 0 (String.length s - 1))
-      else Some s)
 
 (* --- L1 (interprocedural tail): a unit that exits holding a latch
    rooted at a parameter pushes the release obligation to its callers;
@@ -109,7 +89,7 @@ let l1_param_diags cg =
 
 (* --- L2 --- *)
 
-let l2_diags cg blocking =
+let l2_diags cg ~suspends blocking =
   let out = ref [] in
   List.iter
     (fun u ->
@@ -117,7 +97,7 @@ let l2_diags cg blocking =
         (fun c ->
           if c.c_held <> [] then begin
             let why =
-              if List.mem c.c_callee base_blocking then Some c.c_callee
+              if List.mem c.c_callee suspends then Some c.c_callee
               else
                 List.find_map
                   (fun callee ->
@@ -130,7 +110,7 @@ let l2_diags cg blocking =
             match why with
             | Some w ->
               out :=
-                diag_of ~rule:"L2" ~trace:(chain_trace w)
+                diag_of ~rule:"L2" ~trace:(chain_frames w)
                   ~hint:
                     "release the latch before blocking, or justify the \
                      log-force point with [@lint.allow]"
@@ -420,56 +400,32 @@ let run ~config cg =
     timings := (name, (Sys.time () -. t0) *. 1000.) :: !timings;
     r
   in
-  let all_local = timed "local" (fun () -> local_diags summaries) in
-  (* L10/L11 findings are produced by the summariser's emit pass (they
-     need the converged may-yield fixpoint); carve them out of the
-     local bucket so they get their own wall-time and stats rows *)
-  let l10 =
-    timed "L10" (fun () ->
-        List.filter (fun d -> d.Diag.rule = "L10") all_local)
-  in
-  let l11 =
-    timed "L11" (fun () ->
-        List.filter (fun d -> d.Diag.rule = "L11") all_local)
-  in
-  let local =
-    List.filter
-      (fun d -> d.Diag.rule <> "L10" && d.Diag.rule <> "L11")
-      all_local
-  in
+  let local = timed "local" (fun () -> local_diags summaries) in
   let atomics = timed "L12" (fun () -> Atomics.compute cg) in
   let l1 = timed "L1" (fun () -> l1_param_diags cg) in
-  let blocking = ref (Hashtbl.create 0) in
+  (* L2's suspension points are the ones L10 treats as yields *)
+  let suspends = config.l10_yield_always @ config.l10_yield_may in
   let l2 =
     timed "L2" (fun () ->
-        blocking :=
-          Dataflow.reach cg ~seed:(fun c ->
-              if List.mem c.c_callee base_blocking then Some c.c_callee
-              else None);
-        l2_diags cg !blocking)
+        Dataflow.reach cg ~seed:(fun c ->
+            if List.mem c.c_callee suspends then Some c.c_callee else None)
+        |> l2_diags cg ~suspends)
   in
   let l4 = timed "L4" (fun () -> l4_diags summaries) in
-  let acquiring = ref (Hashtbl.create 0) in
-  let edges = ref (Hashtbl.create 0) in
-  let l5 =
+  let edges, l5 =
     timed "L5" (fun () ->
-        acquiring :=
+        let edges =
           Dataflow.reach cg ~seed:(fun c ->
               if List.mem c.c_callee acquire_calls then Some c.c_callee
-              else None);
-        edges := l5_edges cg !acquiring;
-        l5_diags !edges)
+              else None)
+          |> l5_edges cg
+        in
+        (edges, l5_diags edges))
   in
   let l9 = timed "L9" (fun () -> l9_diags ~config summaries) in
-  let blocking = !blocking and acquiring = !acquiring and edges = !edges in
-  let diags = local @ l10 @ l11 @ l1 @ l2 @ l4 @ l5 @ l9 in
-  let pairs tbl =
-    List.sort_uniq compare (Hashtbl.fold (fun k _ a -> k :: a) tbl [])
-  in
+  let diags = local @ l1 @ l2 @ l4 @ l5 @ l9 in
   {
     diags = List.sort Diag.compare (List.sort_uniq compare diags);
-    blocking_units = pairs blocking;
-    acquiring_units = pairs acquiring;
     order_edges =
       List.sort_uniq compare
         (Hashtbl.fold (fun (a, b) _ acc -> (a, b) :: acc) edges []);

@@ -9,10 +9,11 @@
       parameter-rooted latch at exit pushes the release obligation to its
       callers; with no in-tree caller, nobody discharges it.
     - L2: no (transitively) blocking call while a latch is held. The base
-      blocking set is the cooperative-scheduler suspension points
-      ([Sched.yield]/[suspend], [Condvar.wait]), lock-manager waits, and
-      WAL flushes; blocking-ness propagates through {!Dataflow.reach} and
-      each finding carries the witness chain as its trace.
+      blocking set is the suspension points L10 also uses
+      ([config.l10_yield_always @ config.l10_yield_may]: scheduler
+      yields and condition waits, lock-manager waits, WAL flushes);
+      blocking-ness propagates through {!Dataflow.reach} and each finding
+      carries the witness chain as its trace.
     - L4: runtime output discipline — no console-printing calls in [lib/]
       outside the explicit reporting modules, and no [Printf] at all in
       the lock-manager/WAL modules.
@@ -29,27 +30,8 @@
     Suppressions from in-scope [[@lint.allow]] attributes are applied,
     never dropped: a suppressed diagnostic keeps its justification. *)
 
-val base_blocking : string list
-(** Canonical names that suspend the cooperative fiber directly. *)
-
-val acquire_calls : string list
-(** Canonical names that acquire a latch directly. *)
-
-val console_calls : string list
-(** Canonical names that print to stdout/stderr unconditionally. *)
-
-val console_allowed_modules : string list
-(** Modules allowed to print (report renderers, trace dumpers). *)
-
-val printf_banned_modules : string list
-(** Modules where any [Printf.*] reference is rejected (L4). *)
-
 type t = {
   diags : Diag.t list;  (** every diagnostic, suppressed ones included *)
-  blocking_units : (string * string) list;
-      (** (module, function) pairs that may block, after the fixpoint *)
-  acquiring_units : (string * string) list;
-      (** (module, function) pairs that may acquire a latch *)
   order_edges : (string * string) list;
       (** distinct latch-order edges [A -> B] discovered for L5 *)
   rule_ms : (string * float) list;

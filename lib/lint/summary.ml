@@ -82,8 +82,7 @@ let default_config =
     l9_redo_classifier = "is_redoable";
     l9_undo_classifier = "is_undoable";
     l10_yield_always =
-      [ "Sched.yield"; "Sched.suspend"; "Condvar.wait"; "Sched.Condvar.wait";
-        "Sched.Cond.wait" ];
+      [ "Sched.yield"; "Sched.suspend"; "Sched.Cond.wait" ];
     l10_yield_may =
       [ "Lock_manager.lock"; "Lock_manager.instant_lock";
         "Log_manager.flush"; "Log_manager.flush_all" ];
@@ -344,11 +343,9 @@ type acc = {
   crossings : (string, unit) Hashtbl.t;
       (* class keys with a stale-read-then-write window, recorded
          before suppression — the static half of the L12 twin *)
-  l3_seen : (string, unit) Hashtbl.t;  (* dedup sites across states *)
-  l7_seen : (string, unit) Hashtbl.t;
-  l8_seen : (string, unit) Hashtbl.t;
-  l10_seen : (string, unit) Hashtbl.t;
-  l11_seen : (string, unit) Hashtbl.t;
+  seen : (string, unit) Hashtbl.t;
+      (* rule-prefixed keys of findings already emitted: dedups a site
+         across the path states that reach it *)
   handles : (string, Location.t) Hashtbl.t;  (* page-handle vars *)
 }
 
@@ -360,11 +357,7 @@ let fresh_acc () =
     yields = [];
     accesses = [];
     crossings = Hashtbl.create 4;
-    l3_seen = Hashtbl.create 8;
-    l7_seen = Hashtbl.create 8;
-    l8_seen = Hashtbl.create 8;
-    l10_seen = Hashtbl.create 4;
-    l11_seen = Hashtbl.create 4;
+    seen = Hashtbl.create 8;
     handles = Hashtbl.create 8;
   }
 
@@ -400,6 +393,12 @@ let emit ?(trace = []) env ~rule ~hint loc msg =
       { f_rule = rule; f_loc = loc; f_msg = msg; f_hint = hint;
         f_trace = trace; f_allows = env.allows }
       :: env.acc.local
+
+let emit_once ?trace env key ~rule ~hint loc msg =
+  if not (Hashtbl.mem env.acc.seen key) then begin
+    Hashtbl.add env.acc.seen key ();
+    emit ?trace env ~rule ~hint loc msg
+  end
 
 (* --- name resolution (aliases + Oib_* wrapper stripping) --- *)
 
@@ -811,18 +810,14 @@ let l3_flush env sts =
     (fun s ->
       List.iter
         (fun (mname, mloc) ->
-          let k = loc_key mloc in
-          if not (Hashtbl.mem env.acc.l3_seen k) then begin
-            Hashtbl.add env.acc.l3_seen k ();
-            emit env ~rule:"L3"
-              ~hint:
-                "log the mutation (Txn_manager.log_op / Log_manager.append) \
-                 before releasing the protecting latch"
-              mloc
-              ("page mutation " ^ mname
-             ^ " reaches a latch release with no log append in the same \
-                latched section")
-          end)
+          emit_once env ("l3:" ^ loc_key mloc) ~rule:"L3"
+            ~hint:
+              "log the mutation (Txn_manager.log_op / Log_manager.append) \
+               before releasing the protecting latch"
+            mloc
+            ("page mutation " ^ mname
+           ^ " reaches a latch release with no log append in the same \
+              latched section"))
         s.pend)
     sts;
   List.map (fun s -> { s with pend = [] }) sts
@@ -988,18 +983,15 @@ let l7_store_check env sts loc what rhs =
     in
     Hashtbl.iter
       (fun r _ ->
-        if Hashtbl.mem live r && not (Hashtbl.mem bound r) then begin
-          let k = "store:" ^ loc_key loc ^ ":" ^ r in
-          if not (Hashtbl.mem env.acc.l7_seen k) then begin
-            Hashtbl.add env.acc.l7_seen k ();
-            emit env ~rule:"L7"
-              ~hint:
-                "a latched page handle must stay on the stack of the \
-                 latched section; copy out the data you need instead"
-              loc
-              ("page handle " ^ r ^ " (latched) escapes into " ^ what)
-          end
-        end)
+        if Hashtbl.mem live r && not (Hashtbl.mem bound r) then
+          emit_once env
+            ("store:" ^ loc_key loc ^ ":" ^ r)
+            ~rule:"L7"
+            ~hint:
+              "a latched page handle must stay on the stack of the latched \
+               section; copy out the data you need instead"
+            loc
+            ("page handle " ^ r ^ " (latched) escapes into " ^ what))
       ids
   end
 
@@ -1010,16 +1002,12 @@ let l7_dead_use env sts loc what root =
       (fun s ->
         match List.assoc_opt root s.dead with
         | Some rel when Hashtbl.mem env.acc.handles root ->
-          let k = "dead:" ^ loc_key loc ^ ":" ^ root in
-          if not (Hashtbl.mem env.acc.l7_seen k) then begin
-            Hashtbl.add env.acc.l7_seen k ();
-            emit env ~rule:"L7"
-              ~hint:"re-latch the page before touching it"
-              loc
-              ("page handle " ^ root ^ " used (" ^ what
-             ^ ") after its latch was released at line "
-             ^ string_of_int rel.Location.loc_start.pos_lnum)
-          end
+          emit_once env
+            ("dead:" ^ loc_key loc ^ ":" ^ root)
+            ~rule:"L7" ~hint:"re-latch the page before touching it" loc
+            ("page handle " ^ root ^ " used (" ^ what
+           ^ ") after its latch was released at line "
+           ^ string_of_int rel.Location.loc_start.pos_lnum)
         | _ -> ())
       sts
 
@@ -1034,19 +1022,16 @@ let l7_capture_check env sts loc fn =
     let bound = bound_idents fn in
     Hashtbl.iter
       (fun r _ ->
-        if Hashtbl.mem live r && not (Hashtbl.mem bound r) then begin
-          let k = "capture:" ^ loc_key loc ^ ":" ^ r in
-          if not (Hashtbl.mem env.acc.l7_seen k) then begin
-            Hashtbl.add env.acc.l7_seen k ();
-            emit env ~rule:"L7"
-              ~hint:
-                "closures that outlive the latched section must not \
-                 capture the page handle"
-              loc
-              ("page handle " ^ r
-             ^ " (latched) is captured by an escaping closure")
-          end
-        end)
+        if Hashtbl.mem live r && not (Hashtbl.mem bound r) then
+          emit_once env
+            ("capture:" ^ loc_key loc ^ ":" ^ r)
+            ~rule:"L7"
+            ~hint:
+              "closures that outlive the latched section must not capture \
+               the page handle"
+            loc
+            ("page handle " ^ r
+           ^ " (latched) is captured by an escaping closure"))
       ids
   end
 
@@ -1086,24 +1071,20 @@ let l8_call env sts name loc args =
             in
             let illegal = src land lnot legal in
             if illegal <> 0 then begin
-              let k = "mut:" ^ loc_key loc in
-              if not (Hashtbl.mem env.acc.l8_seen k) then begin
-                Hashtbl.add env.acc.l8_seen k ();
-                let names =
-                  List.filteri
-                    (fun i _ -> illegal land (1 lsl i) <> 0)
-                    cfg.l8_states
-                in
-                emit env ~rule:"L8"
-                  ~hint:
-                    "guard the transition with a state check (match on \
-                     Catalog.state / the descriptor's state field) so \
-                     only legal source states reach this call"
-                  loc
-                  ("lifecycle transition to " ^ ctor
-                 ^ " is reachable from " ^ String.concat "/" names
-                 ^ ", outside legal_transition")
-              end
+              let names =
+                List.filteri
+                  (fun i _ -> illegal land (1 lsl i) <> 0)
+                  cfg.l8_states
+              in
+              emit_once env ("mut:" ^ loc_key loc) ~rule:"L8"
+                ~hint:
+                  "guard the transition with a state check (match on \
+                   Catalog.state / the descriptor's state field) so \
+                   only legal source states reach this call"
+                loc
+                ("lifecycle transition to " ^ ctor
+               ^ " is reachable from " ^ String.concat "/" names
+               ^ ", outside legal_transition")
             end;
             match index_key with
             | Some k -> set_fact s k bit
@@ -1118,18 +1099,14 @@ let l8_call env sts name loc args =
         match param_index env.params target_key with
         | Some _ -> sts
         | None ->
-          let k = "mutx:" ^ loc_key loc in
-          if not (Hashtbl.mem env.acc.l8_seen k) then begin
-            Hashtbl.add env.acc.l8_seen k ();
-            emit env ~rule:"L8"
-              ~hint:
-                "pass the target state as a constructor literal (or \
-                 forward a parameter) so the transition is statically \
-                 checkable"
-              loc
-              ("lifecycle transition target of " ^ name
-             ^ " is not statically known")
-          end;
+          emit_once env ("mutx:" ^ loc_key loc) ~rule:"L8"
+            ~hint:
+              "pass the target state as a constructor literal (or \
+               forward a parameter) so the transition is statically \
+               checkable"
+            loc
+            ("lifecycle transition target of " ^ name
+           ^ " is not statically known");
           List.map
             (fun s ->
               match index_key with
@@ -1184,20 +1161,15 @@ let l8_call env sts name loc args =
                   s.facts)
               sts
           in
-          if not gated then begin
-            let k = "read:" ^ loc_key loc in
-            if not (Hashtbl.mem env.acc.l8_seen k) then begin
-              Hashtbl.add env.acc.l8_seen k ();
-              emit env ~rule:"L8"
-                ~hint:
-                  "dominate the read with a lifecycle gate (check the \
-                   descriptor's state, or Catalog.state, before using \
-                   the index)"
-                loc
-                ("index read " ^ name
-               ^ " is not dominated by a lifecycle-state gate")
-            end
-          end
+          if not gated then
+            emit_once env ("read:" ^ loc_key loc) ~rule:"L8"
+              ~hint:
+                "dominate the read with a lifecycle gate (check the \
+                 descriptor's state, or Catalog.state, before using \
+                 the index)"
+              loc
+              ("index read " ^ name
+             ^ " is not dominated by a lifecycle-state gate")
         end;
         sts)
 
@@ -1267,22 +1239,19 @@ let l10_note_write env sts cls inst loc =
             match r.sr_stale with
             | Some w ->
               Hashtbl.replace env.acc.crossings cls ();
-              if env.in_l10 then begin
-                let k = "l10:" ^ loc_key loc ^ ":" ^ cls in
-                if not (Hashtbl.mem env.acc.l10_seen k) then begin
-                  Hashtbl.add env.acc.l10_seen k ();
-                  emit ~trace:(chain_frames w) env ~rule:"L10"
-                    ~hint:
-                      "hold the protecting latch across the section, or \
-                       re-read/validate the shared state after the yield \
-                       before writing"
-                    loc
-                    ("read of " ^ cls ^ "(" ^ inst ^ ") at line "
-                    ^ string_of_int r.sr_loc.Location.loc_start.pos_lnum
-                    ^ " spans a may-yield call (" ^ w
-                    ^ ") before this write: lost-update window")
-                end
-              end
+              if env.in_l10 then
+                emit_once ~trace:(chain_frames w) env
+                  ("l10:" ^ loc_key loc ^ ":" ^ cls)
+                  ~rule:"L10"
+                  ~hint:
+                    "hold the protecting latch across the section, or \
+                     re-read/validate the shared state after the yield \
+                     before writing"
+                  loc
+                  ("read of " ^ cls ^ "(" ^ inst ^ ") at line "
+                  ^ string_of_int r.sr_loc.Location.loc_start.pos_lnum
+                  ^ " spans a may-yield call (" ^ w
+                  ^ ") before this write: lost-update window")
             | None -> ())
         s.sreads)
     sts;
@@ -1374,20 +1343,18 @@ let l11_check_args env sts name loc pos =
             else begin
               (match p.pj_stale with
               | Some w when env.in_l10 ->
-                let k = "l11:" ^ loc_key loc ^ ":" ^ p.pj_var in
-                if not (Hashtbl.mem env.acc.l11_seen k) then begin
-                  Hashtbl.add env.acc.l11_seen k ();
-                  emit ~trace:(chain_frames w) env ~rule:"L11"
-                    ~hint:
-                      "re-fetch the value after the yield (or compare it \
-                       against a fresh read) before acting on it"
-                    loc
-                    ("value " ^ p.pj_var ^ " projected from " ^ p.pj_class
-                    ^ "(" ^ p.pj_inst ^ ") at line "
-                    ^ string_of_int p.pj_loc.Location.loc_start.pos_lnum
-                    ^ " is used after a may-yield call (" ^ w
-                    ^ ") without re-fetching")
-                end
+                emit_once ~trace:(chain_frames w) env
+                  ("l11:" ^ loc_key loc ^ ":" ^ p.pj_var)
+                  ~rule:"L11"
+                  ~hint:
+                    "re-fetch the value after the yield (or compare it \
+                     against a fresh read) before acting on it"
+                  loc
+                  ("value " ^ p.pj_var ^ " projected from " ^ p.pj_class
+                  ^ "(" ^ p.pj_inst ^ ") at line "
+                  ^ string_of_int p.pj_loc.Location.loc_start.pos_lnum
+                  ^ " is used after a may-yield call (" ^ w
+                  ^ ") without re-fetching")
               | _ -> ());
               p
             end)
@@ -1847,7 +1814,6 @@ and do_run env u expr ctx =
     | _ -> tail_value_idents b
   in
   let returned s r = Hashtbl.mem tails r || List.mem r s.alias in
-  let l1_seen = Hashtbl.create 8 in
   let ret_params = ref [] in
   let alts =
     List.map
@@ -1888,24 +1854,22 @@ and do_run env u expr ctx =
                 | None ->
                   (* acquired here (or received from a callee), reachable
                      from no returned value and no parameter: leaked *)
-                  let kk = loc_key i.i_loc in
-                  if not (Hashtbl.mem l1_seen kk) then begin
-                    Hashtbl.add l1_seen kk ();
-                    let what =
-                      match i.i_roots with
-                      | r :: _ -> "latch " ^ r ^ i.i_path
-                      | [] -> "a returned latch"
-                    in
-                    emit ~trace:i.i_origin env ~rule:"L1"
-                      ~hint:
-                        "balance the acquire on every path, use \
-                         Latch.with_latch, or justify the ownership \
-                         transfer with [@lint.allow]"
-                      i.i_loc
-                      (what ^ " (" ^ i.i_mode
-                     ^ ") acquired here is not released on every path of "
-                     ^ u.u_name)
-                  end;
+                  let what =
+                    match i.i_roots with
+                    | r :: _ -> "latch " ^ r ^ i.i_path
+                    | [] -> "a returned latch"
+                  in
+                  emit_once ~trace:i.i_origin env
+                    ("l1:" ^ loc_key i.i_loc)
+                    ~rule:"L1"
+                    ~hint:
+                      "balance the acquire on every path, use \
+                       Latch.with_latch, or justify the ownership \
+                       transfer with [@lint.allow]"
+                    i.i_loc
+                    (what ^ " (" ^ i.i_mode
+                   ^ ") acquired here is not released on every path of "
+                   ^ u.u_name);
                   None)
             s.held
         in

@@ -52,10 +52,11 @@ type config = {
   l9_undo_classifier : string;
   l10_yield_always : string list;
       (** calls that suspend the fiber on every invocation
-          ([Sched.yield], [Condvar.wait]) *)
+          ([Sched.yield], [Sched.Cond.wait]) *)
   l10_yield_may : string list;
       (** calls that may suspend ([Lock_manager.lock],
-          [Log_manager.flush]) *)
+          [Log_manager.flush]); with [l10_yield_always], the suspension
+          points L2 forbids under a latch *)
   l10_shared_fields : (string * string) list;
       (** mutable record fields that are cross-fiber shared state:
           field name -> class key, e.g. [("level", "Throttle.level")] *)
@@ -166,7 +167,11 @@ type file_summary = {
   fs_l9 : l9_info;
 }
 
-val module_name_of_file : string -> string
+val param_index : string list -> string -> int option
+(** Position of a name in a unit's parameter list. *)
+
+val chain_frames : string -> string list
+(** Split a witness chain ["f -> g -> Sched.yield"] into its frames. *)
 
 val summarize_file : ?config:config -> string -> file_summary
 (** Parse and analyse one [.ml] file from disk (pass A: units registered

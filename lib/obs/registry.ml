@@ -182,24 +182,13 @@ let sample_values t =
         [ (name, int_of_float (Float.round (rate_value r *. 1000.0))) ])
     (sorted_entries t)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let b = Buffer.create 1024 in
   Buffer.add_char b '{';
   List.iteri
     (fun i (name, e) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":" (json_escape name));
+      Buffer.add_string b (Printf.sprintf "\"%s\":" (Event.json_escape name));
       match e with
       | E_counter c -> Buffer.add_string b (string_of_int c.v)
       | E_gauge read -> Buffer.add_string b (string_of_int (read ()))

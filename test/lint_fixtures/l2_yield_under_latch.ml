@@ -1,5 +1,5 @@
-(* planted L2, twice: a direct scheduler yield under a latch, and a
-   transitive one through a local helper that forces the WAL *)
+(* planted L2, three times under a latch: a direct scheduler yield, a
+   transitive WAL force through a local helper, and a condition wait *)
 module Latch = Oib_sim.Latch
 module Sched = Oib_sim.Sched
 
@@ -13,4 +13,9 @@ let direct p =
 let transitive p log =
   Latch.acquire p X;
   force_log log;
+  Latch.release p X
+
+let condition_wait p cond =
+  Latch.acquire p X;
+  Sched.Cond.wait cond;
   Latch.release p X

@@ -1,5 +1,5 @@
 (* a perfectly balanced function carrying an allow that suppresses
-   nothing: --unused-allows must report it as stale *)
+   nothing: --strict must report it as stale *)
 module Latch = Oib_sim.Latch
 
 let balanced p =

@@ -147,6 +147,26 @@ let test_registry_roundtrip () =
        "Registry: \"fg.latency\" already registered as a window, wanted a \
         counter") (fun () -> ignore (Registry.counter reg "fg.latency"))
 
+(* A label value carrying control bytes must still render valid JSON:
+   escaped, never raw, and read back to the same series name. *)
+let test_registry_json_escapes_labels () =
+  let reg = Registry.create () in
+  let labels = [ ("role", "a\tb\nc") ] in
+  Registry.add (Registry.counter reg ~labels "pool.page_read") 3;
+  let json = Registry.to_json reg in
+  String.iter
+    (fun c ->
+      if Char.code c < 0x20 then
+        Alcotest.failf "raw control byte %#x in %S" (Char.code c) json)
+    json;
+  match Json.parse json with
+  | Error m -> Alcotest.failf "registry JSON does not parse: %s" m
+  | Ok j ->
+    Alcotest.(check (option int)) "labelled counter round-trips" (Some 3)
+      (Option.bind
+         (Json.member (Registry.render_name ~labels "pool.page_read") j)
+         Json.to_int)
+
 (* A name registered as one kind and looked up (or re-registered) as
    another must raise, never shadow: a silent miss would swallow the
    caller's observations. Same-kind re-registration stays legal — the
@@ -477,6 +497,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_registry_roundtrip;
           Alcotest.test_case "kind clash" `Quick test_registry_kind_clash;
+          Alcotest.test_case "label escapes" `Quick
+            test_registry_json_escapes_labels;
         ] );
       ("signal", [ Alcotest.test_case "hysteresis" `Quick test_signal_hysteresis ]);
       ( "quantiles",
