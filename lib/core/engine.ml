@@ -526,15 +526,15 @@ let lifecycle_errors ?(final = false) (ctx : t) =
                 (Catalog.state_name info.state)
             | (Catalog.Write_only | Catalog.Disabled), _ -> ());
             if info.state = Catalog.Readable then begin
-              if has_progress then
-                err "index %d: readable with a leftover progress record" id;
-              if
-                not
-                  (Range_set.is_empty
-                     (Range_set.load ctx.Ctx.kv ~index_id:id))
-              then
-                err "index %d: readable with a leftover scan-range record"
-                  id;
+              (* a finished build keeps nothing under ib/<id>/: no
+                 progress record, checkpoint, scan range or run *)
+              List.iter
+                (err "index %d: readable with leftover build state %s" id)
+                (List.sort compare
+                   (List.filter
+                      (String.starts_with ~prefix:(Printf.sprintf "ib/%d/" id))
+                      (Durable_kv.keys ctx.Ctx.kv
+                      @ Oib_sort.Run_store.run_names ctx.Ctx.runs)));
               match info.phase with
               | Catalog.Sf_building st ->
                 let n = Oib_sidefile.Side_file.length st.sidefile in

@@ -96,5 +96,5 @@ val lifecycle_errors : ?final:bool -> t -> string list
     the end of a run). Always: no [Disabled] index is cataloged, and every
     [Write_only] index has durable build progress. With [final] (default
     false), additionally: [Readable] iff phase [Ready], and a [Readable]
-    index has no leftover progress record, no sealed-scan-range record,
-    and no undrained side-file. Empty = consistent. *)
+    index has no undrained side-file and keeps no build state — no durable
+    key and no sorted run under ["ib/<id>/"]. Empty = consistent. *)

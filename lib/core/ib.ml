@@ -77,28 +77,43 @@ let check_pause ctx ~index_id =
   if Throttle.pause_requested ctx.Ctx.throttle then
     raise (Build_paused { index = index_id })
 
-(* durable build progress *)
+(* --- a build's durable state ---
+
+   Everything a build keeps lives under "ib/<id>/": the progress record,
+   the sort and merge checkpoints, the scan ranges, the supersede list,
+   and every sorted run. [drop_build_state] is the one place it goes. *)
+
+(* Durable build progress: the stage a restart re-enters the driver at. *)
 type stage =
-  | Scanning of { current_rid : Rid.t }
+  | Scanning of { last_scan_page : int }
+      (* heap end noted at admission (-1: empty); NSF scans up to it *)
   | Merging of { runs : string list }
-  | Inserting of { sorted : string; highest : Ikey.t option } (* NSF *)
-  | Bulking of { sorted : string; highest : Ikey.t option } (* SF *)
+  | Inserting of { highest : Ikey.t option } (* NSF *)
+  | Bulking of { highest : Ikey.t option } (* SF *)
   | Draining of { pos : int } (* SF *)
 
-type progress = {
-  p_algorithm : algorithm;
-  p_table : int;
-  p_stage : stage;
-  p_last_scan_page : int; (* scan end noted at build start; -1 = empty *)
-}
+type progress = { p_algorithm : algorithm; p_stage : stage }
 
-type Durable_kv.value += Ib_progress of progress
+(* (side-file length, scan position) pairs noted at each scan-stage
+   resume of an SF build: the drain skips entry i with RID r when some
+   pair has i < length and r > position *)
+type Durable_kv.value +=
+  | Ib_progress of progress
+  | Ib_superseded of (int * Rid.t) list
 
-let progress_key index_id = Printf.sprintf "ib/%d/progress" index_id
-let sort_key index_id = Printf.sprintf "ib/%d/sort" index_id
-let merge_key index_id = Printf.sprintf "ib/%d/mergeckpt" index_id
+let build_key index_id name = Printf.sprintf "ib/%d/%s" index_id name
+let progress_key index_id = build_key index_id "progress"
+let sort_key index_id = build_key index_id "sort"
+let sorted_run_name index_id = build_key index_id "merged-output"
 
-let sorted_run_name index_id = Printf.sprintf "ib/%d/merged-output" index_id
+let drop_build_state ctx index_id =
+  let mine = String.starts_with ~prefix:(build_key index_id "") in
+  List.iter
+    (fun n -> if mine n then Runs.delete_run ctx.Ctx.runs n)
+    (Runs.run_names ctx.Ctx.runs);
+  List.iter
+    (fun k -> if mine k then Durable_kv.remove ctx.Ctx.kv k)
+    (Durable_kv.keys ctx.Ctx.kv)
 
 (* a lock-owner id for IB's own lock calls, distinct from transaction ids *)
 let ib_owner index_id = 1_000_000 + index_id
@@ -116,6 +131,22 @@ let status ctx ~index_id ~algorithm =
     st
 
 let algorithm_name = function Nsf -> "nsf" | Sf -> "sf"
+
+let algorithm_of (info : Catalog.index_info) =
+  match info.phase with Catalog.Nsf_building _ -> Nsf | _ -> Sf
+
+(* the status a stage attaches to: normally created by the entry point,
+   so the algorithm label is already right *)
+let job_status ctx (info : Catalog.index_info) =
+  status ctx ~index_id:info.index_id
+    ~algorithm:(algorithm_name (algorithm_of info))
+
+let stage_phase = function
+  | Scanning _ -> BS.Scan
+  | Merging _ -> BS.Merge
+  | Inserting _ -> BS.Insert
+  | Bulking _ -> BS.Bulk
+  | Draining _ -> BS.Drain
 
 let note_phase ctx (st : BS.t) phase =
   if phase <> st.BS.phase then begin
@@ -159,13 +190,6 @@ let with_account ctx (st : BS.t) f =
         Oib_sim.Metrics.unregister_account ctx.Ctx.metrics ~fiber)
       f
 
-let note_checkpoint ctx (st : BS.t) ~stage =
-  st.BS.checkpoints <- st.BS.checkpoints + 1;
-  let tr = Sched.trace ctx.Ctx.sched in
-  if Oib_obs.Trace.tracing tr then
-    Oib_obs.Trace.emit tr
-      (Oib_obs.Event.Ib_checkpoint { index = st.BS.index_id; stage })
-
 (* lifecycle transition + trace event *)
 let set_state ctx index_id to_ =
   Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool index_id to_;
@@ -175,23 +199,87 @@ let set_state ctx index_id to_ =
       (Oib_obs.Event.Index_state
          { index = index_id; state = Catalog.state_name to_ })
 
-let set_progress ctx index_id ~algorithm ~table ~stage ~last_scan_page =
-  Durable_kv.set ctx.Ctx.kv (progress_key index_id)
-    (Ib_progress
-       {
-         p_algorithm = algorithm;
-         p_table = table;
-         p_stage = stage;
-         p_last_scan_page = last_scan_page;
-       })
+let set_progress ctx (info : Catalog.index_info) stage =
+  Durable_kv.set ctx.Ctx.kv (progress_key info.index_id)
+    (Ib_progress { p_algorithm = algorithm_of info; p_stage = stage })
 
 let get_progress ctx index_id =
   match Durable_kv.get ctx.Ctx.kv (progress_key index_id) with
   | Some (Ib_progress p) -> Some p
   | _ -> None
 
-let clear_progress ctx index_id =
-  Durable_kv.remove ctx.Ctx.kv (progress_key index_id)
+(* A sharp stage checkpoint (§2.2.3 "Periodic Checkpointing by IB"): force
+   the log (the commit call), take an image of the tree, record [stage]. *)
+let checkpoint_stage ctx (info : Catalog.index_info) stage =
+  LM.flush_all ctx.Ctx.log;
+  Btree.checkpoint_image info.tree ~lsn:(LM.flushed_lsn ctx.Ctx.log);
+  set_progress ctx info stage;
+  let st = job_status ctx info in
+  st.BS.checkpoints <- st.BS.checkpoints + 1;
+  let tr = Sched.trace ctx.Ctx.sched in
+  if Oib_obs.Trace.tracing tr then
+    Oib_obs.Trace.emit tr
+      (Oib_obs.Event.Ib_checkpoint
+         { index = info.index_id; stage = BS.phase_name (stage_phase stage) })
+
+(* --- the SF visibility frontier (§3.1) ---
+
+   [set_frontier] is the only writer of an SF build's Current-RID and
+   current key. During the scan the frontier trails the scan; past it,
+   every RID is visible. After a restart [restore_frontier] recomputes it
+   from the durable stage: in the scan stage it regresses to the sort
+   checkpoint's position, because IB re-extracts everything after it.
+
+   That regression makes the side-file entries already written for RIDs
+   above the restored position stale: the rescan extracts those records'
+   current values, and a later change to such a record appends nothing
+   while it is behind the frontier. So each scan-stage resume notes the
+   pair (side-file length, restored position) durably, and the drain
+   skips the entries any pair covers. A key-order build resumes as a
+   RID-order rescan from the start, so all its earlier entries are
+   skipped. *)
+
+type frontier =
+  | Page_done of int (* every record up to this heap page is extracted *)
+  | Key_done of string (* key-order scan (§6.2): up to this primary key *)
+  | Scan_done (* later file extensions go to the side-file (§3.2.2) *)
+
+let set_frontier (info : Catalog.index_info) frontier =
+  match info.phase with
+  | Catalog.Ready | Catalog.Nsf_building _ -> ()
+  | Catalog.Sf_building sf -> (
+    match frontier with
+    | Key_done pk -> sf.Catalog.current_key <- Some pk
+    | Page_done page ->
+      sf.Catalog.current_rid <-
+        (if page < 0 then Rid.minus_infinity else Rid.make ~page ~slot:max_int)
+    | Scan_done -> sf.Catalog.current_rid <- Rid.infinity)
+
+let superseded_key index_id = build_key index_id "superseded"
+
+let superseded ctx index_id =
+  match Durable_kv.get ctx.Ctx.kv (superseded_key index_id) with
+  | Some (Ib_superseded pairs) -> pairs
+  | _ -> []
+
+(* [resuming]: the builder is about to rescan, so note the supersede pair *)
+let restore_frontier ctx (info : Catalog.index_info) stage ~resuming =
+  match (stage, info.phase) with
+  | Scanning _, Catalog.Sf_building sf ->
+    let page =
+      Sort.checkpointed_scan_pos ctx.Ctx.kv ~ckpt_id:(sort_key info.index_id)
+    in
+    set_frontier info (Page_done (Option.value page ~default:(-1)));
+    if resuming then begin
+      (* force the log first: every position below the noted length is
+         then durable, so no later restart renumbers it *)
+      LM.flush_all ctx.Ctx.log;
+      Durable_kv.set ctx.Ctx.kv (superseded_key info.index_id)
+        (Ib_superseded
+           ((SF.length sf.Catalog.sidefile, sf.Catalog.current_rid)
+           :: superseded ctx info.index_id))
+    end
+  | _ -> set_frontier info Scan_done
 
 (* --- IB unique-key-value verification (§2.2.3) ---
 
@@ -221,212 +309,7 @@ let ib_unique_check ctx (info : Catalog.index_info) (a : Ikey.t) (b : Ikey.t) =
   LockM.unlock_all ctx.Ctx.locks ~txn:owner;
   still
 
-(* --- scan + extract + sort (shared by NSF and SF) --- *)
-
-(* One build job per index within a (possibly multi-index) scan. *)
-type job = {
-  spec : spec;
-  info : Catalog.index_info;
-  sorter : Sort.t;
-}
-
-(* the status a later stage attaches to: normally created by the
-   orchestration entry point, so the algorithm label is already right *)
-let job_status ctx (job : job) =
-  let algorithm =
-    match job.info.Catalog.phase with
-    | Catalog.Nsf_building _ -> "nsf"
-    | _ -> "sf"
-  in
-  status ctx ~index_id:job.spec.index_id ~algorithm
-
-(* [dynamic] (SF): the scan chases the end of the file so that pages added
-   by concurrent extensions are still scanned — only extensions after the
-   scan has drained the file go through the Current-RID = infinity rule
-   (§3.2.2). NSF instead notes the last page before starting and lets
-   transactions index later extensions directly (§2.3.1). *)
-let scan_and_sort ctx cfg tbl ~last_scan_page ~dynamic jobs ~set_current_rid =
-  let first_needed =
-    List.fold_left (fun acc j -> min acc (Sort.scan_pos j.sorter)) max_int jobs
-  in
-  (* Per-job record of already-scanned page ranges. On resume the sort
-     checkpoint may be ahead of the last sealed range (a crash hit between
-     the sort checkpoint and the range commit — both live in the same
-     forced kv, so coverage can only trail the checkpoint, never lead it);
-     reconcile by sealing the gap up to the checkpointed scan position. *)
-  let ranges =
-    List.map
-      (fun j ->
-        let rs = Range_set.load ctx.Ctx.kv ~index_id:j.spec.index_id in
-        let pos = Sort.scan_pos j.sorter in
-        if pos > Range_set.max_covered rs then begin
-          let lo = Range_set.max_covered rs + 1 in
-          Range_set.add rs ~lo ~hi:pos;
-          Range_set.commit ctx.Ctx.kv ~index_id:j.spec.index_id rs;
-          observe_range ~index:j.spec.index_id ~lo ~hi:pos
-        end;
-        (j, rs))
-      jobs
-  in
-  (* Seal everything scanned since the last commit point. Ordered after
-     [Sort.checkpoint]: a page is sealed only once its keys are durable in
-     the sorter's checkpointed state, so a sealed page is never rescanned
-     and never loses its keys. The WAL record is informational (the kv is
-     the authority); it lets trace analysis and recovery narrate coverage. *)
-  let commit_ranges () =
-    let any = ref false in
-    List.iter
-      (fun (j, rs) ->
-        let pos = Sort.scan_pos j.sorter in
-        let lo = Range_set.max_covered rs + 1 in
-        if pos >= lo then begin
-          Range_set.add rs ~lo ~hi:pos;
-          Range_set.commit ctx.Ctx.kv ~index_id:j.spec.index_id rs;
-          ignore
-            (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-               (LR.Range_commit { index = j.spec.index_id; lo; hi = pos }));
-          any := true;
-          observe_range ~index:j.spec.index_id ~lo ~hi:pos;
-          let tr = Sched.trace ctx.Ctx.sched in
-          if Oib_obs.Trace.tracing tr then
-            Oib_obs.Trace.emit tr
-              (Oib_obs.Event.Ib_range_commit
-                 { index = j.spec.index_id; lo; hi = pos })
-        end)
-      ranges;
-    if !any then LM.flush_all ctx.Ctx.log
-  in
-  let pages_done = ref 0 in
-  let process_page (page : Page.t) =
-    let pid = page.Page.id in
-    if pid > first_needed then begin
-      Oib_sim.Metrics.add ctx.Ctx.metrics Sequential_reads 1;
-      (* extract under a share latch; no locks (§2.2.2 / §3.2.2) *)
-      Latch.acquire page.Page.latch S;
-      let per_job = List.map (fun j -> (j, ref [])) jobs in
-      Heap_page.iter (Heap_page.of_payload page.Page.payload) (fun slot r ->
-          let rid = Rid.make ~page:pid ~slot in
-          List.iter
-            (fun (j, acc) -> acc := Catalog.key_of j.info r ~rid :: !acc)
-            per_job;
-          set_current_rid rid);
-      (* the whole page is done: advance Current-RID to the page boundary
-         while still holding the latch, so an insert into a later slot of
-         this page (blocked on the latch right now) sees itself behind the
-         scan and writes its side-file entry *)
-      set_current_rid (Rid.make ~page:pid ~slot:max_int);
-      Latch.release page.Page.latch S;
-      (* The extracted keys may reflect uncommitted updates, and the sorter
-         can spill them to the instantly-durable run store at any feed. If
-         such a transaction's log tail were lost in a crash it would not be
-         a loser, yet its effects would survive inside the durable runs
-         with nothing to compensate them. Force the log first so every
-         transaction whose effects we captured is durably logged (and hence
-         rolled back as a loser if it never commits). *)
-      LM.flush_all ctx.Ctx.log;
-      List.iter
-        (fun (j, acc) ->
-          if pid > Sort.scan_pos j.sorter then begin
-            observe_scan ~index:j.spec.index_id ~page:pid;
-            Sort.feed_page j.sorter ~scan_pos:pid (List.rev !acc);
-            let st = job_status ctx j in
-            st.BS.keys_processed <-
-              st.BS.keys_processed + List.length !acc
-          end)
-        per_job;
-      incr pages_done;
-      if !pages_done mod cfg.ckpt_every_pages = 0 then begin
-        List.iter (fun j -> Sort.checkpoint j.sorter) jobs;
-        commit_ranges ();
-        check_pause ctx ~index_id:(List.hd jobs).spec.index_id
-      end
-    end;
-    (* let transactions interleave between pages *)
-    Sched.yield ctx.Ctx.sched;
-    throttle_yields ctx
-  in
-  if not dynamic then
-    Heap_file.scan_pages tbl.Catalog.heap ~upto:last_scan_page process_page
-  else begin
-    let highest_done = ref (-1) in
-    let rec chase () =
-      let fresh =
-        List.filter
-          (fun id -> id > !highest_done)
-          (Heap_file.page_ids tbl.Catalog.heap)
-      in
-      match fresh with
-      | [] -> () (* drained: the caller flips Current-RID to infinity
-                    without yielding in between *)
-      | _ ->
-        List.iter
-          (fun id ->
-            process_page (Heap_file.page tbl.Catalog.heap id);
-            highest_done := id)
-          fresh;
-        chase ()
-    in
-    chase ()
-  end;
-  (* scan complete: checkpoint the sorters (making the tail durable) and
-     seal the remaining coverage *)
-  List.iter (fun j -> Sort.checkpoint j.sorter) jobs;
-  commit_ranges ()
-
-let merge_sorted ctx _cfg job =
-  note_phase ctx (job_status ctx job) BS.Merge;
-  let runs = Sort.finish job.sorter in
-  set_progress ctx job.spec.index_id
-    ~algorithm:
-      (match job.info.phase with
-      | Catalog.Nsf_building _ -> Nsf
-      | _ -> Sf)
-    ~table:job.info.table_id
-    ~stage:(Merging { runs })
-    ~last_scan_page:(-1);
-  runs
-
-(* merge [runs] into the canonical sorted run for this index *)
-let do_merge ctx job runs =
-  Merge.merge_all
-    ?charge:(sort_charge ctx job.spec.index_id)
-    ctx.Ctx.kv ctx.Ctx.runs ~ckpt_id:(merge_key job.spec.index_id)
-    ~inputs:runs
-    ~output:(sorted_run_name job.spec.index_id)
-    ~fan_in:16 ~ckpt_every:4096
-
-(* Run per-index post-scan pipelines in parallel, one fiber per index
-   (§6.2: "a process can be spawned for each index to sort the keys,
-   insert them and process the side-file"). Exceptions from children are
-   re-raised in the caller after all fibers finish. *)
-let parallel_jobs ctx jobs f =
-  (* every pipeline — inline or spawned — charges its own build *)
-  let f job = with_account ctx (job_status ctx job) (fun () -> f job) in
-  match jobs with
-  | [ job ] -> f job
-  | _ ->
-    let remaining = ref (List.length jobs) in
-    let failed = ref None in
-    let cond = Sched.Cond.create ctx.Ctx.sched in
-    List.iter
-      (fun job ->
-        ignore
-          (Sched.spawn ctx.Ctx.sched
-             ~name:(Printf.sprintf "ib-pipeline-%d" job.spec.index_id)
-             (fun () ->
-               (try f job
-                with e -> if !failed = None then failed := Some e);
-               decr remaining;
-               if !remaining = 0 then Sched.Cond.broadcast cond)))
-      jobs;
-    while !remaining > 0 do
-      Sched.Cond.wait cond
-    done;
-    match !failed with Some e -> raise e | None -> ()
-
-(* --- NSF: insert phase (§2.2.3) --- *)
-
-let cancel_build_internal ctx ~index_id =
+let cancel_build ctx ~index_id =
   (* quiesce updaters so rollbacks cannot run into a missing descriptor
      (§2.3.2), then drop everything *)
   let info = Catalog.index ctx.Ctx.catalog index_id in
@@ -449,43 +332,226 @@ let cancel_build_internal ctx ~index_id =
        (LR.Drop_index { index = index_id }));
   LM.flush_all ctx.Ctx.log;
   Catalog.drop_index ctx.Ctx.catalog index_id;
-  clear_progress ctx index_id;
-  Range_set.clear ctx.Ctx.kv ~index_id;
+  drop_build_state ctx index_id;
   LockM.unlock_all ctx.Ctx.locks ~txn:owner
 
-let nsf_unique_guard ctx job (key : Ikey.t) =
-  let info = job.info in
-  let rivals =
-    List.filter
-      (fun ((k : Ikey.t), pseudo) ->
-        (not pseudo) && not (Rid.equal k.rid key.rid))
-      (Btree.find_kv info.tree key.kv)
-  in
+(* [a] and [b] share a key value: if both records still hold it, the
+   unique index cannot be built — cancel the build and fail *)
+let reject_if_duplicate ctx (info : Catalog.index_info) a b =
+  if ib_unique_check ctx info a b then begin
+    cancel_build ctx ~index_id:info.index_id;
+    raise (Build_unique_violation { index = info.index_id; kv = a.Ikey.kv })
+  end
+
+(* before IB puts [key] in a unique index: every live rival entry with its
+   key value *)
+let unique_guard ctx (info : Catalog.index_info) (key : Ikey.t) =
   List.iter
-    (fun ((k : Ikey.t), _) ->
-      if ib_unique_check ctx info key k then begin
-        cancel_build_internal ctx ~index_id:info.index_id;
-        raise (Build_unique_violation { index = info.index_id; kv = key.kv })
-      end)
-    rivals
+    (fun ((k : Ikey.t), pseudo) ->
+      if (not pseudo) && not (Rid.equal k.rid key.rid) then
+        reject_if_duplicate ctx info key k)
+    (Btree.find_kv info.tree key.kv)
 
-let nsf_checkpoint ctx job ~highest =
-  (* §2.2.3 "Periodic Checkpointing by IB": force the log (the commit
-     call), take a sharp image, record the highest key *)
-  LM.flush_all ctx.Ctx.log;
-  Btree.checkpoint_image job.info.tree ~lsn:(LM.flushed_lsn ctx.Ctx.log);
-  set_progress ctx job.spec.index_id ~algorithm:Nsf ~table:job.info.table_id
-    ~stage:
-      (Inserting { sorted = sorted_run_name job.spec.index_id; highest })
-    ~last_scan_page:(-1);
-  note_checkpoint ctx (job_status ctx job) ~stage:"insert"
+(* --- scan + extract + sort (shared by NSF and SF) --- *)
 
-let nsf_insert_phase ctx cfg job ~from_key =
-  let st = job_status ctx job in
-  note_phase ctx st BS.Insert;
-  let run = Runs.find_run ctx.Ctx.runs (sorted_run_name job.spec.index_id) in
-  let cursor = Btree.new_cursor job.info.tree in
-  let n = Runs.length run in
+let start_sorter ctx cfg index_id =
+  let charge = sort_charge ctx index_id and ckpt_id = sort_key index_id in
+  let memory_keys = cfg.memory_keys in
+  match Sort.resume ?charge ctx.Ctx.kv ctx.Ctx.runs ~ckpt_id ~memory_keys with
+  | Some s -> s
+  | None -> Sort.start ?charge ctx.Ctx.kv ctx.Ctx.runs ~ckpt_id ~memory_keys
+
+(* One heap scan feeding every job's sorter (§6.2: several indexes in one
+   scan). SF chases the end of the file so that pages added by concurrent
+   extensions are still scanned — only extensions after the scan has
+   drained the file go through the Current-RID = infinity rule (§3.2.2).
+   NSF instead scans up to [last_scan_page], noted at admission, and lets
+   transactions index later extensions directly (§2.3.1). *)
+let heap_scan ctx cfg ~last_scan_page jobs =
+  let first_info : Catalog.index_info = fst (List.hd jobs) in
+  let tbl = Catalog.table ctx.Ctx.catalog first_info.Catalog.table_id in
+  let first_needed =
+    List.fold_left (fun acc (_, s) -> min acc (Sort.scan_pos s)) max_int jobs
+  in
+  (* Per-job record of already-scanned page ranges. On resume the sort
+     checkpoint may be ahead of the last sealed range (a crash hit between
+     the sort checkpoint and the range commit — both live in the same
+     forced kv, so coverage can only trail the checkpoint, never lead it);
+     reconcile by sealing the gap up to the checkpointed scan position. *)
+  let ranges =
+    List.map
+      (fun ((info : Catalog.index_info), sorter) ->
+        let rs = Range_set.load ctx.Ctx.kv ~index_id:info.index_id in
+        let pos = Sort.scan_pos sorter in
+        if pos > Range_set.max_covered rs then begin
+          let lo = Range_set.max_covered rs + 1 in
+          Range_set.add rs ~lo ~hi:pos;
+          Range_set.commit ctx.Ctx.kv ~index_id:info.index_id rs;
+          observe_range ~index:info.index_id ~lo ~hi:pos
+        end;
+        (info.index_id, sorter, rs))
+      jobs
+  in
+  (* Seal everything scanned since the last commit point. Ordered after
+     [Sort.checkpoint]: a page is sealed only once its keys are durable in
+     the sorter's checkpointed state, so a sealed page is never rescanned
+     and never loses its keys. The WAL record is informational (the kv is
+     the authority); it lets trace analysis and recovery narrate coverage. *)
+  let commit_ranges () =
+    let any = ref false in
+    List.iter
+      (fun (index, sorter, rs) ->
+        let pos = Sort.scan_pos sorter in
+        let lo = Range_set.max_covered rs + 1 in
+        if pos >= lo then begin
+          Range_set.add rs ~lo ~hi:pos;
+          Range_set.commit ctx.Ctx.kv ~index_id:index rs;
+          ignore
+            (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
+               (LR.Range_commit { index; lo; hi = pos }));
+          any := true;
+          observe_range ~index ~lo ~hi:pos;
+          let tr = Sched.trace ctx.Ctx.sched in
+          if Oib_obs.Trace.tracing tr then
+            Oib_obs.Trace.emit tr
+              (Oib_obs.Event.Ib_range_commit { index; lo; hi = pos })
+        end)
+      ranges;
+    if !any then LM.flush_all ctx.Ctx.log
+  in
+  let pages_done = ref 0 in
+  let process_page (page : Page.t) =
+    let pid = page.Page.id in
+    if pid > first_needed then begin
+      Oib_sim.Metrics.add ctx.Ctx.metrics Sequential_reads 1;
+      (* extract under a share latch; no locks (§2.2.2 / §3.2.2) *)
+      Latch.acquire page.Page.latch S;
+      let per_job = List.map (fun j -> (j, ref [])) jobs in
+      Heap_page.iter (Heap_page.of_payload page.Page.payload) (fun slot r ->
+          let rid = Rid.make ~page:pid ~slot in
+          List.iter
+            (fun ((info, _), acc) -> acc := Catalog.key_of info r ~rid :: !acc)
+            per_job);
+      (* the whole page is done: advance Current-RID to the page boundary
+         while still holding the latch, so an insert into a later slot of
+         this page (blocked on the latch right now) sees itself behind the
+         scan and writes its side-file entry *)
+      List.iter
+        (fun (info, _) ->
+          (job_status ctx info).BS.scan_pos <-
+            BS.At_rid (Rid.make ~page:pid ~slot:max_int);
+          set_frontier info (Page_done pid))
+        jobs;
+      Latch.release page.Page.latch S;
+      (* The extracted keys may reflect uncommitted updates, and the sorter
+         can spill them to the instantly-durable run store at any feed. If
+         such a transaction's log tail were lost in a crash it would not be
+         a loser, yet its effects would survive inside the durable runs
+         with nothing to compensate them. Force the log first so every
+         transaction whose effects we captured is durably logged (and hence
+         rolled back as a loser if it never commits). *)
+      LM.flush_all ctx.Ctx.log;
+      List.iter
+        (fun ((info, sorter), acc) ->
+          if pid > Sort.scan_pos sorter then begin
+            observe_scan ~index:info.Catalog.index_id ~page:pid;
+            Sort.feed_page sorter ~scan_pos:pid (List.rev !acc);
+            let st = job_status ctx info in
+            st.BS.keys_processed <-
+              st.BS.keys_processed + List.length !acc
+          end)
+        per_job;
+      incr pages_done;
+      if !pages_done mod cfg.ckpt_every_pages = 0 then begin
+        List.iter (fun (_, s) -> Sort.checkpoint s) jobs;
+        commit_ranges ();
+        check_pause ctx ~index_id:first_info.index_id
+      end
+    end;
+    (* let transactions interleave between pages *)
+    Sched.yield ctx.Ctx.sched;
+    throttle_yields ctx
+  in
+  (match algorithm_of first_info with
+  | Nsf ->
+    Heap_file.scan_pages tbl.Catalog.heap ~upto:last_scan_page process_page
+  | Sf ->
+    let highest_done = ref (-1) in
+    let rec chase () =
+      let fresh =
+        List.filter
+          (fun id -> id > !highest_done)
+          (Heap_file.page_ids tbl.Catalog.heap)
+      in
+      match fresh with
+      | [] -> () (* drained: the caller flips Current-RID to infinity
+                    without yielding in between *)
+      | _ ->
+        List.iter
+          (fun id ->
+            process_page (Heap_file.page tbl.Catalog.heap id);
+            highest_done := id)
+          fresh;
+        chase ()
+    in
+    chase ());
+  (* scan complete: checkpoint the sorters (making the tail durable) and
+     seal the remaining coverage *)
+  List.iter (fun (_, s) -> Sort.checkpoint s) jobs;
+  commit_ranges ()
+
+(* Run per-index post-scan pipelines in parallel, one fiber per index
+   (§6.2: "a process can be spawned for each index to sort the keys,
+   insert them and process the side-file"). Exceptions from children are
+   re-raised in the caller after all fibers finish. *)
+let parallel_jobs ctx jobs f =
+  (* every pipeline — inline or spawned — charges its own build *)
+  let f ((info, _) as job) =
+    with_account ctx (job_status ctx info) (fun () -> f job)
+  in
+  match jobs with
+  | [ job ] -> f job
+  | _ ->
+    let remaining = ref (List.length jobs) in
+    let failed = ref None in
+    let cond = Sched.Cond.create ctx.Ctx.sched in
+    List.iter
+      (fun ((info : Catalog.index_info), _ as job) ->
+        ignore
+          (Sched.spawn ctx.Ctx.sched
+             ~name:(Printf.sprintf "ib-pipeline-%d" info.index_id)
+             (fun () ->
+               (try f job
+                with e -> if !failed = None then failed := Some e);
+               decr remaining;
+               if !remaining = 0 then Sched.Cond.broadcast cond)))
+      jobs;
+    while !remaining > 0 do
+      Sched.Cond.wait cond
+    done;
+    match !failed with Some e -> raise e | None -> ()
+
+(* --- the post-scan stages --- *)
+
+(* where a resumed insert or bulk load continues in the sorted run: the
+   first key above the checkpointed highest *)
+let first_above run highest =
+  match highest with
+  | None -> 0
+  | Some h ->
+    let n = Runs.length run in
+    let rec find i =
+      if i >= n then n
+      else if Ikey.compare (Runs.get run i) h > 0 then i
+      else find (i + 1)
+    in
+    find 0
+
+(* NSF insert phase (§2.2.3) *)
+let nsf_insert_phase ctx cfg (info : Catalog.index_info) ~from_key =
+  let st = job_status ctx info in
+  let run = Runs.find_run ctx.Ctx.runs (sorted_run_name info.index_id) in
+  let cursor = Btree.new_cursor info.tree in
   let highest = ref from_key in
   let batch = ref [] in
   let batch_n = ref 0 in
@@ -495,29 +561,17 @@ let nsf_insert_phase ctx cfg job ~from_key =
       ignore
         (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
            (LR.Index_bulk_insert
-              { index = job.spec.index_id; keys = List.rev !batch }));
+              { index = info.index_id; keys = List.rev !batch }));
       batch := [];
       batch_n := 0
     end
   in
-  let start_pos =
-    (* skip keys at or below the checkpointed highest *)
-    match from_key with
-    | None -> 0
-    | Some h ->
-      let rec find i =
-        if i >= n then n
-        else if Ikey.compare (Runs.get run i) h > 0 then i
-        else find (i + 1)
-      in
-      find 0
-  in
-  for i = start_pos to n - 1 do
+  for i = first_above run from_key to Runs.length run - 1 do
     let key = Runs.get run i in
-    if job.spec.unique then nsf_unique_guard ctx job key;
+    if info.uniq then unique_guard ctx info key;
     (match
-       Btree.insert_if_absent job.info.tree
-         ~ib_split:cfg.specialized_split ~cursor key
+       Btree.insert_if_absent info.tree ~ib_split:cfg.specialized_split
+         ~cursor key
      with
     | `Inserted ->
       batch := key :: !batch;
@@ -531,15 +585,15 @@ let nsf_insert_phase ctx cfg job ~from_key =
     incr since_ckpt;
     if !since_ckpt >= cfg.ckpt_every_keys then begin
       flush_batch ();
-      nsf_checkpoint ctx job ~highest:!highest;
+      checkpoint_stage ctx info (Inserting { highest = !highest });
       (* gradual availability (footnote 3): everything strictly below the
          checkpointed key value is complete and may serve reads *)
-      (match (job.info.phase, !highest) with
+      (match (info.phase, !highest) with
       | Catalog.Nsf_building st, Some h ->
         st.Catalog.avail_below <- Some h.Ikey.kv
       | _ -> ());
       since_ckpt := 0;
-      check_pause ctx ~index_id:job.spec.index_id
+      check_pause ctx ~index_id:info.index_id
     end;
     if i mod 16 = 0 then begin
       Sched.yield ctx.Ctx.sched;
@@ -548,66 +602,33 @@ let nsf_insert_phase ctx cfg job ~from_key =
   done;
   flush_batch ()
 
-(* --- SF: bulk build + side-file drain (§3.2.4-3.2.5) --- *)
-
-let sf_state (info : Catalog.index_info) =
-  match info.phase with
-  | Catalog.Sf_building sf -> sf
-  | _ -> invalid_arg "Ib.sf_state: not an SF build"
-
-let sf_checkpoint_bulk ctx job ~highest =
-  LM.flush_all ctx.Ctx.log;
-  Btree.checkpoint_image job.info.tree ~lsn:(LM.flushed_lsn ctx.Ctx.log);
-  set_progress ctx job.spec.index_id ~algorithm:Sf ~table:job.info.table_id
-    ~stage:(Bulking { sorted = sorted_run_name job.spec.index_id; highest })
-    ~last_scan_page:(-1);
-  note_checkpoint ctx (job_status ctx job) ~stage:"bulk"
-
-let sf_bulk_phase ctx cfg job ~from_key =
-  let st = job_status ctx job in
-  note_phase ctx st BS.Bulk;
-  let run = Runs.find_run ctx.Ctx.runs (sorted_run_name job.spec.index_id) in
+(* SF bulk build (§3.2.4) *)
+let sf_bulk_phase ctx cfg (info : Catalog.index_info) ~from_key =
+  let st = job_status ctx info in
+  let run = Runs.find_run ctx.Ctx.runs (sorted_run_name info.index_id) in
   let b =
     match from_key with
-    | None -> Btree.Bulk.start job.info.tree
-    | Some _ -> Btree.Bulk.resume job.info.tree
-  in
-  let n = Runs.length run in
-  let start_pos =
-    match from_key with
-    | None -> 0
-    | Some h ->
-      let rec find i =
-        if i >= n then n
-        else if Ikey.compare (Runs.get run i) h > 0 then i
-        else find (i + 1)
-      in
-      find 0
+    | None -> Btree.Bulk.start info.tree
+    | Some _ -> Btree.Bulk.resume info.tree
   in
   let since_ckpt = ref 0 in
   let prev = ref from_key in
-  for i = start_pos to n - 1 do
+  for i = first_above run from_key to Runs.length run - 1 do
     let key = Runs.get run i in
     (* adjacent equal key values in the sorted stream: unique check *)
-    if job.spec.unique then begin
-      match !prev with
-      | Some p when String.equal p.Ikey.kv key.Ikey.kv ->
-        if ib_unique_check ctx job.info p key then begin
-          cancel_build_internal ctx ~index_id:job.spec.index_id;
-          raise
-            (Build_unique_violation
-               { index = job.spec.index_id; kv = key.Ikey.kv })
-        end
-      | _ -> ()
-    end;
+    (if info.uniq then
+       match !prev with
+       | Some p when String.equal p.Ikey.kv key.Ikey.kv ->
+         reject_if_duplicate ctx info p key
+       | _ -> ());
     Btree.Bulk.add b key;
     prev := Some key;
     st.BS.keys_processed <- st.BS.keys_processed + 1;
     incr since_ckpt;
     if !since_ckpt >= cfg.ckpt_every_keys then begin
-      sf_checkpoint_bulk ctx job ~highest:(Some key);
+      checkpoint_stage ctx info (Bulking { highest = Some key });
       since_ckpt := 0;
-      check_pause ctx ~index_id:job.spec.index_id
+      check_pause ctx ~index_id:info.index_id
     end;
     if i mod 16 = 0 then begin
       Sched.yield ctx.Ctx.sched;
@@ -616,89 +637,66 @@ let sf_bulk_phase ctx cfg job ~from_key =
   done;
   Btree.Bulk.finish b
 
+let sf_state (info : Catalog.index_info) =
+  match info.phase with
+  | Catalog.Sf_building sf -> sf
+  | _ -> invalid_arg "Ib.sf_state: not an SF build"
+
 (* apply one side-file entry to the tree as a transaction would, logging
    redo-undo records (§3.2.5) *)
-let sf_apply_entry ?cursor ctx job (e : SF.entry) =
-  let tree = job.info.tree in
-  if e.insert then begin
-    if job.spec.unique then begin
-      let rivals =
-        List.filter
-          (fun ((k : Ikey.t), pseudo) ->
-            (not pseudo) && not (Rid.equal k.rid e.key.Ikey.rid))
-          (Btree.find_kv tree e.key.Ikey.kv)
-      in
-      List.iter
-        (fun ((k : Ikey.t), _) ->
-          if ib_unique_check ctx job.info e.key k then begin
-            cancel_build_internal ctx ~index_id:job.spec.index_id;
-            raise
-              (Build_unique_violation
-                 { index = job.spec.index_id; kv = e.key.Ikey.kv })
-          end)
-        rivals
-    end;
-    let before = Btree.set_state tree ?cursor e.key LR.Present in
-    if before <> LR.Present then
-      ignore
-        (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-           (LR.Index_key
-              {
-                redoable = true;
-                op =
-                  { index = job.spec.index_id; key = e.key; before;
-                    after = LR.Present };
-              }))
-  end
-  else begin
-    let before = Btree.set_state tree ?cursor e.key LR.Absent in
-    if before <> LR.Absent then
-      ignore
-        (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-           (LR.Index_key
-              {
-                redoable = true;
-                op =
-                  { index = job.spec.index_id; key = e.key; before;
-                    after = LR.Absent };
-              }))
-  end
+let sf_apply_entry ?cursor ctx (info : Catalog.index_info) (e : SF.entry) =
+  if e.insert && info.uniq then unique_guard ctx info e.key;
+  let after = if e.insert then LR.Present else LR.Absent in
+  let before = Btree.set_state info.tree ?cursor e.key after in
+  if before <> after then
+    ignore
+      (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
+         (LR.Index_key
+            {
+              redoable = true;
+              op = { index = info.index_id; key = e.key; before; after };
+            }))
 
-let sf_drain_phase ctx cfg job ~from_pos =
-  let st = job_status ctx job in
-  note_phase ctx st BS.Drain;
-  let sf = sf_state job.info in
+(* SF side-file drain (§3.2.5) *)
+let sf_drain_phase ctx cfg (info : Catalog.index_info) ~from_pos =
+  let st = job_status ctx info in
+  let sf = sf_state info in
   sf.Catalog.draining <- true;
+  let live =
+    match superseded ctx info.index_id with
+    | [] -> fun _ _ -> true
+    | pairs ->
+      fun i (e : SF.entry) ->
+        not
+          (List.exists
+             (fun (len, rid) -> i < len && Rid.compare e.key.Ikey.rid rid > 0)
+             pairs)
+  in
   let pos = ref from_pos in
   let update_backlog () =
     st.BS.backlog <- max 0 (SF.length sf.Catalog.sidefile - !pos)
   in
   update_backlog ();
   let since_ckpt = ref 0 in
-  let checkpoint () =
-    LM.flush_all ctx.Ctx.log;
-    Btree.checkpoint_image job.info.tree ~lsn:(LM.flushed_lsn ctx.Ctx.log);
-    set_progress ctx job.spec.index_id ~algorithm:Sf ~table:job.info.table_id
-      ~stage:(Draining { pos = !pos })
-      ~last_scan_page:(-1);
-    note_checkpoint ctx st ~stage:"drain"
-  in
+  let checkpoint () = checkpoint_stage ctx info (Draining { pos = !pos }) in
   checkpoint ();
   let apply_upto upto ~sorted =
     let from_pos = !pos in
+    (* a sorted slice comes without its superseded entries *)
     let entries =
-      if sorted then SF.sorted_slice sf.Catalog.sidefile ~from:!pos ~upto
-      else SF.slice sf.Catalog.sidefile ~from:!pos ~upto
+      if sorted then
+        SF.sorted_slice ~keep:live sf.Catalog.sidefile ~from:from_pos ~upto
+      else SF.slice sf.Catalog.sidefile ~from:from_pos ~upto
     in
     (* a sorted stream is key-local: a remembered-path cursor avoids most
        root-to-leaf traversals (the measurable benefit of §3.2.5) *)
-    let cursor =
-      if sorted then Some (Btree.new_cursor job.info.tree) else None
-    in
-    List.iter
-      (fun e ->
-        sf_apply_entry ?cursor ctx job e;
-        st.BS.keys_processed <- st.BS.keys_processed + 1;
+    let cursor = if sorted then Some (Btree.new_cursor info.tree) else None in
+    List.iteri
+      (fun k e ->
+        if sorted || live (from_pos + k) e then begin
+          sf_apply_entry ?cursor ctx info e;
+          st.BS.keys_processed <- st.BS.keys_processed + 1
+        end;
         incr since_ckpt;
         if !since_ckpt >= cfg.ckpt_every_keys then begin
           (* position moves wholesale after the batch when sorting; only
@@ -707,7 +705,7 @@ let sf_drain_phase ctx cfg job ~from_pos =
             pos := !pos + !since_ckpt;
             update_backlog ();
             checkpoint ();
-            check_pause ctx ~index_id:job.spec.index_id
+            check_pause ctx ~index_id:info.index_id
           end;
           since_ckpt := 0
         end)
@@ -719,7 +717,7 @@ let sf_drain_phase ctx cfg job ~from_pos =
      if Oib_obs.Trace.tracing tr then
        Oib_obs.Trace.emit tr
          (Oib_obs.Event.Sidefile_drained
-            { sidefile = job.spec.index_id; from_pos; upto }));
+            { sidefile = info.index_id; from_pos; upto }));
     Sched.yield ctx.Ctx.sched;
     throttle_yields ctx
   in
@@ -739,180 +737,169 @@ let sf_drain_phase ctx cfg job ~from_pos =
   (* caught up: no yield between the check above and the flip below, so no
      transaction can append in between *)
   st.BS.backlog <- 0;
-  job.info.phase <- Catalog.Ready
+  info.phase <- Catalog.Ready
 
-(* --- build orchestration --- *)
-
-let finish_build ctx job =
+let finish_build ctx (info : Catalog.index_info) =
   (* Readable first (its own append + flush), then Build_done: a durable
      Build_done therefore implies a durably logged Readable, so recovery
      never sees a finished build stuck write-only. The guard covers a
      resumed finish whose first attempt crashed between the two — and
      only the Write_only -> Readable edge is legal, so match the source
      state explicitly rather than "anything but Readable". *)
-  if Catalog.state ctx.Ctx.catalog job.spec.index_id = Catalog.Write_only
-  then set_state ctx job.spec.index_id Catalog.Readable;
+  if Catalog.state ctx.Ctx.catalog info.index_id = Catalog.Write_only then
+    set_state ctx info.index_id Catalog.Readable;
   ignore
     (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-       (LR.Build_done { index = job.spec.index_id }));
+       (LR.Build_done { index = info.index_id }));
   LM.flush_all ctx.Ctx.log;
-  Btree.checkpoint_image job.info.tree ~lsn:(LM.flushed_lsn ctx.Ctx.log);
-  clear_progress ctx job.spec.index_id;
-  Range_set.clear ctx.Ctx.kv ~index_id:job.spec.index_id;
-  Runs.delete_run ctx.Ctx.runs (sorted_run_name job.spec.index_id);
-  job.info.phase <- Catalog.Ready;
-  note_phase ctx (job_status ctx job) BS.Ready
+  Btree.checkpoint_image info.tree ~lsn:(LM.flushed_lsn ctx.Ctx.log);
+  drop_build_state ctx info.index_id;
+  info.phase <- Catalog.Ready;
+  note_phase ctx (job_status ctx info) BS.Ready
 
-let start_sorter ctx cfg index_id =
-  let charge = sort_charge ctx index_id in
-  match
-    Sort.resume ?charge ctx.Ctx.kv ctx.Ctx.runs ~ckpt_id:(sort_key index_id)
-      ~memory_keys:cfg.memory_keys
-  with
-  | Some s -> s
-  | None ->
-    Sort.start ?charge ctx.Ctx.kv ctx.Ctx.runs ~ckpt_id:(sort_key index_id)
-      ~memory_keys:cfg.memory_keys
+(* --- the stage driver ---
 
-let build_indexes_nsf ctx cfg ~table specs =
-  let tbl = Catalog.table ctx.Ctx.catalog table in
+   Every build runs through [drive], entered at any durable stage: fresh
+   builds at the scan stage after admission, resumed builds at the stage
+   their progress record names. From the scan it runs the merge (§5.2),
+   then NSF's insert phase or SF's bulk load and side-file drain, and
+   finishes the build. Each stage is recorded before it runs, so a crash
+   anywhere re-enters the driver where it stopped. *)
+
+let rec drive ctx cfg (info : Catalog.index_info) stage =
+  note_phase ctx (job_status ctx info) (stage_phase stage);
+  match stage with
+  | Scanning { last_scan_page } -> scan_stage ctx cfg [ info ] ~last_scan_page
+  | Merging { runs } ->
+    ignore
+      (Merge.merge_all
+         ?charge:(sort_charge ctx info.index_id)
+         ctx.Ctx.kv ctx.Ctx.runs
+         ~ckpt_id:(build_key info.index_id "mergeckpt")
+         ~inputs:runs
+         ~output:(sorted_run_name info.index_id)
+         ~fan_in:16 ~ckpt_every:4096);
+    enter ctx cfg info
+      (match algorithm_of info with
+      | Nsf -> Inserting { highest = None }
+      | Sf -> Bulking { highest = None })
+  | Inserting { highest } ->
+    nsf_insert_phase ctx cfg info ~from_key:highest;
+    finish_build ctx info
+  | Bulking { highest } ->
+    sf_bulk_phase ctx cfg info ~from_key:highest;
+    (* the drain's first checkpoint records its stage *)
+    drive ctx cfg info (Draining { pos = 0 })
+  | Draining { pos } ->
+    sf_drain_phase ctx cfg info ~from_pos:pos;
+    finish_build ctx info
+
+and enter ctx cfg info stage =
+  set_progress ctx info stage;
+  drive ctx cfg info stage
+
+(* The heap-scan stage, shared by every build admitted together *)
+and scan_stage ctx cfg infos ~last_scan_page =
+  List.iter (fun info -> note_phase ctx (job_status ctx info) BS.Scan) infos;
+  let jobs =
+    List.map
+      (fun (info : Catalog.index_info) ->
+        (info, start_sorter ctx cfg info.index_id))
+      infos
+  in
+  heap_scan ctx cfg ~last_scan_page jobs;
+  List.iter (fun (info, _) -> set_frontier info Scan_done) jobs;
+  end_scan ctx cfg jobs
+
+(* the sorters become runs; each build continues in its own pipeline *)
+and end_scan ctx cfg jobs =
+  parallel_jobs ctx jobs (fun (info, sorter) ->
+      note_phase ctx (job_status ctx info) BS.Merge;
+      enter ctx cfg info (Merging { runs = Sort.finish sorter }))
+
+(* --- admission and the entry points --- *)
+
+let sf_building ~key_scan sidefile =
+  Catalog.Sf_building
+    {
+      sidefile;
+      current_rid = Rid.minus_infinity;
+      current_key = None;
+      key_scan;
+      draining = false;
+    }
+
+(* Admission: descriptors, Build_start and the Write_only transition, then
+   the durable scan stage. For NSF the caller holds the quiesce lock, so
+   no update can observe a descriptor before it is write-only; for SF no
+   operation is side-file-visible before the scan moves Current-RID, so
+   nothing is missed in the window. *)
+let admit ctx ~table ~phase specs =
+  let infos =
+    List.map
+      (fun spec ->
+        let info =
+          Catalog.add_index ctx.Ctx.catalog ctx.Ctx.pool ~table_id:table
+            ~index_id:spec.index_id ~key_cols:spec.key_cols
+            ~unique:spec.unique ~state:Catalog.Disabled ~phase:(phase spec)
+        in
+        ignore
+          (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
+             (LR.Build_start { index = spec.index_id; table }));
+        set_state ctx spec.index_id Catalog.Write_only;
+        info)
+      specs
+  in
+  LM.flush_all ctx.Ctx.log;
+  let heap = (Catalog.table ctx.Ctx.catalog table).Catalog.heap in
+  let last_scan_page =
+    Option.value ~default:(-1) (Heap_file.last_page_id heap)
+  in
+  List.iter
+    (fun info -> set_progress ctx info (Scanning { last_scan_page }))
+    infos;
+  (infos, last_scan_page)
+
+let build_indexes ctx cfg ~table specs =
+  if specs = [] then invalid_arg "Ib.build_indexes: no specs";
   let stats =
     List.map
-      (fun spec -> status ctx ~index_id:spec.index_id ~algorithm:"nsf")
+      (fun spec ->
+        status ctx ~index_id:spec.index_id
+          ~algorithm:(algorithm_name cfg.algorithm))
       specs
   in
   (* the orchestrating fiber's work (quiesce, shared scan) charges the
-     first build; per-index pipelines re-point to their own below *)
+     first build; per-index pipelines re-point to their own *)
   with_account ctx (List.hd stats) @@ fun () ->
-  List.iter (fun st -> note_phase ctx st BS.Quiesce) stats;
-  (* short quiesce: create all descriptors under an S table lock (§2.2.1) *)
-  let owner = ib_owner (List.hd specs).index_id in
-  (match LockM.lock ctx.Ctx.locks ~txn:owner (LockM.Table table) S with
-  | LockM.Granted -> ()
-  | LockM.Deadlock -> assert false);
-  let jobs =
-    List.map
-      (fun spec ->
-        let info =
-          Catalog.add_index ctx.Ctx.catalog ctx.Ctx.pool ~table_id:table
-            ~index_id:spec.index_id ~key_cols:spec.key_cols
-            ~unique:spec.unique ~state:Catalog.Disabled
-            ~phase:(Catalog.Nsf_building { avail_below = None })
-        in
-        ignore
-          (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-             (LR.Build_start { index = spec.index_id; table }));
-        (* admission: still inside the quiesce window, so no update can
-           observe the descriptor before it is write-only *)
-        set_state ctx spec.index_id Catalog.Write_only;
-        let sorter = start_sorter ctx cfg spec.index_id in
-        { spec; info; sorter })
-      specs
-  in
-  LM.flush_all ctx.Ctx.log;
-  let last_scan_page =
-    Option.value ~default:(-1) (Heap_file.last_page_id tbl.Catalog.heap)
-  in
-  List.iter
-    (fun job ->
-      set_progress ctx job.spec.index_id ~algorithm:Nsf ~table
-        ~stage:(Scanning { current_rid = Rid.minus_infinity })
-        ~last_scan_page)
-    jobs;
-  LockM.unlock_all ctx.Ctx.locks ~txn:owner;
-  (* quiesce over; updaters run against the new descriptors from here on *)
-  List.iter (fun st -> note_phase ctx st BS.Scan) stats;
-  scan_and_sort ctx cfg tbl ~last_scan_page ~dynamic:false jobs
-    ~set_current_rid:(fun rid ->
-      List.iter (fun (st : BS.t) -> st.BS.scan_pos <- BS.At_rid rid) stats);
-  parallel_jobs ctx jobs (fun job ->
-      let runs = merge_sorted ctx cfg job in
-      ignore (do_merge ctx job runs);
-      set_progress ctx job.spec.index_id ~algorithm:Nsf ~table
-        ~stage:
-          (Inserting { sorted = sorted_run_name job.spec.index_id; highest = None })
-        ~last_scan_page:(-1);
-      nsf_insert_phase ctx cfg job ~from_key:None;
-      finish_build ctx job)
-
-let build_indexes_sf ctx cfg ~table specs =
-  let tbl = Catalog.table ctx.Ctx.catalog table in
-  let stats =
-    List.map
-      (fun spec -> status ctx ~index_id:spec.index_id ~algorithm:"sf")
-      specs
-  in
-  with_account ctx (List.hd stats) @@ fun () ->
-  (* no quiesce: descriptors appear while updaters run (§3.2.1) *)
-  let jobs =
-    List.map
-      (fun spec ->
-        let info =
-          Catalog.add_index ctx.Ctx.catalog ctx.Ctx.pool ~table_id:table
-            ~index_id:spec.index_id ~key_cols:spec.key_cols
-            ~unique:spec.unique ~state:Catalog.Disabled
-            ~phase:
-              (Catalog.Sf_building
-                 {
-                   sidefile = SF.create ~sidefile_id:spec.index_id;
-                   current_rid = Rid.minus_infinity;
-                   current_key = None;
-                   key_scan = None;
-                   draining = false;
-                 })
-        in
-        ignore
-          (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-             (LR.Build_start { index = spec.index_id; table }));
-        (* admission before the scan moves Current-RID: no operation is
-           side-file-visible yet, so nothing is missed in the window *)
-        set_state ctx spec.index_id Catalog.Write_only;
-        let sorter = start_sorter ctx cfg spec.index_id in
-        { spec; info; sorter })
-      specs
-  in
-  LM.flush_all ctx.Ctx.log;
-  let last_scan_page =
-    Option.value ~default:(-1) (Heap_file.last_page_id tbl.Catalog.heap)
-  in
-  List.iter
-    (fun job ->
-      set_progress ctx job.spec.index_id ~algorithm:Sf ~table
-        ~stage:(Scanning { current_rid = Rid.minus_infinity })
-        ~last_scan_page)
-    jobs;
-  let states = List.map (fun job -> sf_state job.info) jobs in
-  List.iter (fun st -> note_phase ctx st BS.Scan) stats;
-  scan_and_sort ctx cfg tbl ~last_scan_page ~dynamic:true jobs
-    ~set_current_rid:(fun rid ->
-      List.iter (fun sf -> sf.Catalog.current_rid <- rid) states;
-      List.iter (fun (st : BS.t) -> st.BS.scan_pos <- BS.At_rid rid) stats);
-  (* scan complete: later file extensions go to the side-file (§3.2.2) *)
-  List.iter (fun sf -> sf.Catalog.current_rid <- Rid.infinity) states;
-  parallel_jobs ctx jobs (fun job ->
-      let runs = merge_sorted ctx cfg job in
-      ignore (do_merge ctx job runs);
-      set_progress ctx job.spec.index_id ~algorithm:Sf ~table
-        ~stage:
-          (Bulking { sorted = sorted_run_name job.spec.index_id; highest = None })
-        ~last_scan_page:(-1);
-      sf_bulk_phase ctx cfg job ~from_key:None;
-      sf_drain_phase ctx cfg job ~from_pos:0;
-      finish_build ctx job)
-
-let build_indexes ctx cfg ~table specs =
-  match specs with
-  | [] -> invalid_arg "Ib.build_indexes: no specs"
-  | _ -> (
+  let infos, last_scan_page =
     match cfg.algorithm with
-    | Nsf -> build_indexes_nsf ctx cfg ~table specs
-    | Sf -> build_indexes_sf ctx cfg ~table specs)
+    | Nsf ->
+      List.iter (fun st -> note_phase ctx st BS.Quiesce) stats;
+      (* short quiesce: create all descriptors under an S table lock
+         (§2.2.1); updaters run against them once it is released *)
+      let owner = ib_owner (List.hd specs).index_id in
+      (match LockM.lock ctx.Ctx.locks ~txn:owner (LockM.Table table) S with
+      | LockM.Granted -> ()
+      | LockM.Deadlock -> assert false);
+      let admitted =
+        admit ctx ~table specs ~phase:(fun _ ->
+            Catalog.Nsf_building { avail_below = None })
+      in
+      LockM.unlock_all ctx.Ctx.locks ~txn:owner;
+      admitted
+    | Sf ->
+      (* no quiesce: descriptors appear while updaters run (§3.2.1) *)
+      admit ctx ~table specs ~phase:(fun spec ->
+          sf_building ~key_scan:None (SF.create ~sidefile_id:spec.index_id))
+  in
+  scan_stage ctx cfg infos ~last_scan_page
 
 let build_index ctx cfg ~table spec = build_indexes ctx cfg ~table [ spec ]
 
 (* The baseline the paper's introduction rails against: the table is locked
    against all updates for the entire duration of the build ("current DBMSs
-   do not allow updates to a table while building an index on it", Â§1).
+   do not allow updates to a table while building an index on it", §1).
    Readers (IS/S) still pass. Implemented as an SF build executed under an
    S table lock held from before the descriptor until the index is Ready,
    so the code path measured is identical except for availability. *)
@@ -926,17 +913,16 @@ let build_index_offline ctx cfg ~table spec =
     (fun () ->
       build_indexes ctx { cfg with algorithm = Sf } ~table [ spec ])
 
-
-(* --- Â§6.2: secondary build over an index-organized table ---
+(* --- §6.2: secondary build over an index-organized table ---
 
    The records are reached through a unique primary index and the scan
    proceeds in primary-key order; "in place of Current-RID, we would use
-   the current-key as the scan position" (Â§6.2). Visibility compares an
+   the current-key as the scan position" (§6.2). Visibility compares an
    operation's primary key against the scan's current-key (Catalog's
-   key_scan mode). Only SF applies (that is the section's context).
-   Restart after a crash in the scan stage falls back to the RID-order
-   rescan (same keys, different order â the sort absorbs it); later
-   stages resume exactly as in the heap-scan build. *)
+   key_scan mode). Only SF applies (that is the section's context). Only
+   the scan is this build's own: admission and every later stage are the
+   heap build's, and a restart in the scan stage resumes as a RID-order
+   rescan (same keys, different order — the sort absorbs it). *)
 
 let build_secondary_via_primary ctx cfg ~table ~primary spec =
   let tbl = Catalog.table ctx.Ctx.catalog table in
@@ -952,52 +938,35 @@ let build_secondary_via_primary ctx cfg ~table ~primary spec =
     invalid_arg
       "Ib.build_secondary_via_primary: unique secondary over an IOT is not \
        supported (entries are <key value, primary key>)";
-  (* the paper's storage model: secondary entries are
-     <key value, primary key value> (Â§6.2) â realized by appending the
-     primary key columns to the secondary key, which gives every record
-     version an identity whose visibility matches its side-file routing *)
-  let key_cols = spec.key_cols @ pinfo.Catalog.key_cols in
   let bst = status ctx ~index_id:spec.index_id ~algorithm:"via-primary" in
   with_account ctx bst @@ fun () ->
-  let info =
-    Catalog.add_index ctx.Ctx.catalog ctx.Ctx.pool ~table_id:table
-      ~index_id:spec.index_id ~key_cols ~unique:false
-      ~state:Catalog.Disabled
-      ~phase:
-        (Catalog.Sf_building
-           {
-             sidefile = SF.create ~sidefile_id:spec.index_id;
-             current_rid = Rid.minus_infinity;
-             current_key = None;
-             key_scan = Some pinfo.Catalog.key_cols;
-             draining = false;
-           })
+  (* the paper's storage model: secondary entries are
+     <key value, primary key value> (§6.2) — realized by appending the
+     primary key columns to the secondary key, which gives every record
+     version an identity whose visibility matches its side-file routing *)
+  let infos, _ =
+    admit ctx ~table
+      [ { spec with key_cols = spec.key_cols @ pinfo.Catalog.key_cols } ]
+      ~phase:(fun spec ->
+        sf_building ~key_scan:(Some pinfo.Catalog.key_cols)
+          (SF.create ~sidefile_id:spec.index_id))
   in
-  ignore
-    (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-       (LR.Build_start { index = spec.index_id; table }));
-  set_state ctx spec.index_id Catalog.Write_only;
-  LM.flush_all ctx.Ctx.log;
-  set_progress ctx spec.index_id ~algorithm:Sf ~table
-    ~stage:(Scanning { current_rid = Rid.minus_infinity })
-    ~last_scan_page:(-1);
-  let bst = status ctx ~index_id:spec.index_id ~algorithm:"via-primary" in
+  let info = List.hd infos in
   note_phase ctx bst BS.Scan;
-  let sf = sf_state info in
   (* a dedicated checkpoint id: scan positions here are leaf ordinals, not
      page ids, so a restart must not resume the heap-scan sorter from them *)
-  let ksort_id = Printf.sprintf "ib/%d/ksort" spec.index_id in
   let sorter =
-    Sort.start ctx.Ctx.kv ctx.Ctx.runs ~ckpt_id:ksort_id
+    Sort.start ctx.Ctx.kv ctx.Ctx.runs
+      ~ckpt_id:(build_key spec.index_id "ksort")
       ~memory_keys:cfg.memory_keys
   in
-  let job = { spec; info; sorter } in
   (* Scan rounds: copy the primary leaf chain (advancing current-key to
      each leaf's upper copied bound under its latch), then fetch records
      and feed the sort. Inserts with keys above the scan position arrive
      in the primary index while we work, so chase until a round finds
      nothing new; the final empty check and the flip to "scan complete"
      happen without yielding. *)
+  let sf = sf_state info in
   let batch_no = ref (-1) in
   let scan_round () =
     let floor = sf.Catalog.current_key in
@@ -1017,7 +986,7 @@ let build_secondary_via_primary ctx cfg ~table ~primary spec =
         | [] -> ()
         | entries ->
           let last_pk = fst (List.nth entries (List.length entries - 1)) in
-          sf.Catalog.current_key <- Some last_pk;
+          set_frontier info (Key_done last_pk);
           bst.BS.scan_pos <- BS.At_key last_pk);
         if !batch <> [] then copied := !batch :: !copied);
     let batches = List.rev !copied in
@@ -1045,7 +1014,7 @@ let build_secondary_via_primary ctx cfg ~table ~primary spec =
             Latch.release page.Page.latch S)
           batch;
         Oib_sim.Metrics.add ctx.Ctx.metrics Sequential_reads 1;
-        Sort.feed_page job.sorter ~scan_pos:!batch_no (List.rev !keys);
+        Sort.feed_page sorter ~scan_pos:!batch_no (List.rev !keys);
         bst.BS.keys_processed <- bst.BS.keys_processed + List.length !keys;
         Sched.yield ctx.Ctx.sched)
       batches;
@@ -1053,28 +1022,8 @@ let build_secondary_via_primary ctx cfg ~table ~primary spec =
   in
   let rec chase () = if scan_round () then chase () in
   chase ();
-  (* scan complete *)
-  sf.Catalog.current_rid <- Rid.infinity;
-  note_phase ctx bst BS.Merge;
-  let runs = Sort.finish job.sorter in
-  set_progress ctx spec.index_id ~algorithm:Sf ~table ~stage:(Merging { runs })
-    ~last_scan_page:(-1);
-  ignore (do_merge ctx job runs);
-  set_progress ctx spec.index_id ~algorithm:Sf ~table
-    ~stage:(Bulking { sorted = sorted_run_name spec.index_id; highest = None })
-    ~last_scan_page:(-1);
-  sf_bulk_phase ctx cfg job ~from_key:None;
-  sf_drain_phase ctx cfg job ~from_pos:0;
-  (* drop this variant\'s private sort runs *)
-  List.iter
-    (fun n ->
-      if
-        String.length n >= String.length ksort_id
-        && String.sub n 0 (String.length ksort_id) = ksort_id
-      then Runs.delete_run ctx.Ctx.runs n)
-    (Runs.run_names ctx.Ctx.runs);
-  Durable_kv.remove ctx.Ctx.kv ksort_id;
-  finish_build ctx job
+  set_frontier info Scan_done;
+  end_scan ctx cfg [ (info, sorter) ]
 
 (* --- restart: phase restoration and resumption --- *)
 
@@ -1118,137 +1067,44 @@ let restore_phase_after_restart ctx ~index_id =
        record, so [Build_status] and the catalog agree from the first
        step after reopen (not only once the resuming builder gets
        scheduled). *)
-    let st =
-      status ctx ~index_id ~algorithm:(algorithm_name p.p_algorithm)
-    in
-    note_phase ctx st
-      (match p.p_stage with
-      | Scanning _ -> BS.Scan
-      | Merging _ -> BS.Merge
-      | Inserting _ -> BS.Insert
-      | Bulking _ -> BS.Bulk
-      | Draining _ -> BS.Drain);
-    (match p.p_algorithm with
-    | Nsf ->
-      Catalog.set_phase ctx.Ctx.catalog index_id
-        (Catalog.Nsf_building { avail_below = None })
-    | Sf ->
-      let sidefile = SF.rebuild_from_log ctx.Ctx.log ~sidefile_id:index_id in
-      let current_rid =
-        match p.p_stage with
-        | Scanning _ -> (
-          (* the authoritative scan position is the sort checkpoint's: IB
-             will re-extract everything after it, so the index regresses to
-             invisible for those RIDs until the rescan passes them again *)
-          match
-            Sort.checkpointed_scan_pos ctx.Ctx.kv ~ckpt_id:(sort_key index_id)
-          with
-          | Some pos when pos >= 0 -> Rid.make ~page:pos ~slot:max_int
-          | _ -> Rid.minus_infinity)
-        | Merging _ | Inserting _ | Bulking _ | Draining _ -> Rid.infinity
-      in
-      Catalog.set_phase ctx.Ctx.catalog index_id
-        (Catalog.Sf_building
-           { sidefile; current_rid; current_key = None; key_scan = None;
-             draining = false }))
+    note_phase ctx
+      (status ctx ~index_id ~algorithm:(algorithm_name p.p_algorithm))
+      (stage_phase p.p_stage);
+    Catalog.set_phase ctx.Ctx.catalog index_id
+      (match p.p_algorithm with
+      | Nsf -> Catalog.Nsf_building { avail_below = None }
+      | Sf ->
+        (* the side-file comes back from the log; a key-order build
+           resumes in RID order *)
+        sf_building ~key_scan:None
+          (SF.rebuild_from_log ctx.Ctx.log ~sidefile_id:index_id));
+    restore_frontier ctx
+      (Catalog.index ctx.Ctx.catalog index_id)
+      p.p_stage ~resuming:false
 
 let resume_one ctx cfg index_id =
   match get_progress ctx index_id with
   | None -> ()
-  | Some p when
-      (Catalog.index ctx.Ctx.catalog index_id).Catalog.phase = Catalog.Ready
-    ->
-    (* The crash hit finish_build after Build_done became durable but
-       before cleanup: the build is complete (recovery redid the tree and
-       left the phase Ready), only the leftovers need collecting. Only
-       the legal Write_only -> Readable edge is taken. *)
-    if Catalog.state ctx.Ctx.catalog index_id = Catalog.Write_only then
-      set_state ctx index_id Catalog.Readable;
-    clear_progress ctx index_id;
-    Range_set.clear ctx.Ctx.kv ~index_id;
-    Runs.delete_run ctx.Ctx.runs (sorted_run_name index_id);
-    note_phase ctx
-      (status ctx ~index_id ~algorithm:(algorithm_name p.p_algorithm))
-      BS.Ready
   | Some p ->
     let info = Catalog.index ctx.Ctx.catalog index_id in
-    let spec =
-      { index_id; key_cols = info.key_cols; unique = info.uniq }
-    in
-    let tbl = Catalog.table ctx.Ctx.catalog p.p_table in
-    let cfg = { cfg with algorithm = p.p_algorithm } in
-    let st =
-      status ctx ~index_id ~algorithm:(algorithm_name p.p_algorithm)
-    in
-    with_account ctx st @@ fun () ->
-    (match (p.p_algorithm, p.p_stage) with
-    | Nsf, Scanning _ | Sf, Scanning _ ->
-      note_phase ctx st BS.Scan;
-      let sorter = start_sorter ctx cfg index_id in
-      let job = { spec; info; sorter } in
-      (match p.p_algorithm with
-      | Sf ->
-        let sf = sf_state info in
-        (* visibility resumes from the sort checkpoint's position *)
-        sf.Catalog.current_rid <-
-          (if Sort.scan_pos sorter < 0 then Rid.minus_infinity
-           else Rid.make ~page:(Sort.scan_pos sorter) ~slot:max_int)
-      | Nsf -> ());
-      scan_and_sort ctx cfg tbl ~last_scan_page:p.p_last_scan_page
-        ~dynamic:(p.p_algorithm = Sf) [ job ]
-        ~set_current_rid:(fun rid ->
-          st.BS.scan_pos <- BS.At_rid rid;
-          match info.phase with
-          | Catalog.Sf_building sf -> sf.Catalog.current_rid <- rid
-          | _ -> ());
-      (match info.phase with
-      | Catalog.Sf_building sf -> sf.Catalog.current_rid <- Rid.infinity
-      | _ -> ());
-      let runs = merge_sorted ctx cfg job in
-      ignore (do_merge ctx job runs);
-      (match p.p_algorithm with
-      | Nsf ->
-        nsf_insert_phase ctx cfg job ~from_key:None;
-        finish_build ctx job
-      | Sf ->
-        sf_bulk_phase ctx cfg job ~from_key:None;
-        sf_drain_phase ctx cfg job ~from_pos:0;
-        finish_build ctx job)
-    | _, Merging { runs } ->
-      note_phase ctx st BS.Merge;
-      let sorter = start_sorter ctx cfg index_id in
-      let job = { spec; info; sorter } in
-      ignore (do_merge ctx job runs);
-      (match p.p_algorithm with
-      | Nsf ->
-        nsf_insert_phase ctx cfg job ~from_key:None;
-        finish_build ctx job
-      | Sf ->
-        sf_bulk_phase ctx cfg job ~from_key:None;
-        sf_drain_phase ctx cfg job ~from_pos:0;
-        finish_build ctx job)
-    | Nsf, Inserting { highest; _ } ->
-      let sorter = start_sorter ctx cfg index_id in
-      let job = { spec; info; sorter } in
-      nsf_insert_phase ctx cfg job ~from_key:highest;
-      finish_build ctx job
-    | Sf, Bulking { highest; _ } ->
-      let sorter = start_sorter ctx cfg index_id in
-      let job = { spec; info; sorter } in
-      sf_bulk_phase ctx cfg job ~from_key:highest;
-      sf_drain_phase ctx cfg job ~from_pos:0;
-      finish_build ctx job
-    | Sf, Draining { pos } ->
-      let sorter = start_sorter ctx cfg index_id in
-      let job = { spec; info; sorter } in
-      sf_drain_phase ctx cfg job ~from_pos:pos;
-      finish_build ctx job
-    | Nsf, (Bulking _ | Draining _) | Sf, Inserting _ -> assert false)
+    let st = status ctx ~index_id ~algorithm:(algorithm_name p.p_algorithm) in
+    if info.phase = Catalog.Ready then begin
+      (* The crash hit finish_build after Build_done became durable but
+         before cleanup: the build is complete (recovery redid the tree and
+         left the phase Ready), only the leftovers need collecting. Only
+         the legal Write_only -> Readable edge is taken. *)
+      if Catalog.state ctx.Ctx.catalog index_id = Catalog.Write_only then
+        set_state ctx index_id Catalog.Readable;
+      drop_build_state ctx index_id;
+      note_phase ctx st BS.Ready
+    end
+    else
+      with_account ctx st @@ fun () ->
+      restore_frontier ctx info p.p_stage ~resuming:true;
+      drive ctx cfg info p.p_stage
 
 let resume_builds ctx cfg =
   List.iter (fun id -> resume_one ctx cfg id) (interrupted_builds ctx)
-
-let cancel_build ctx ~index_id = cancel_build_internal ctx ~index_id
 
 (* --- pseudo-deleted key garbage collection (§2.2.4) --- *)
 

@@ -19,11 +19,19 @@
       built key, then drains the side-file — logging those changes like a
       transaction would — and finally flips the index to Ready.
 
-    Every stage records enough durable state (sort checkpoints, merge
-    counters, image checkpoints, drain position) that {!resume_builds}
-    continues an interrupted build after restart recovery instead of
-    starting over. Multiple indexes can be built in one scan of the data
-    (§6.2). *)
+    Every build runs through one stage driver: admission (descriptors,
+    write-only, the durable scan stage), then the scan (several indexes
+    may share one, §6.2), the merge, NSF's insert phase or SF's bulk load
+    and side-file drain, and the finish. Each stage is recorded before it
+    runs and checkpoints its own position, so {!resume_builds} re-enters
+    the driver at the recorded stage after restart recovery.
+
+    A restart in the scan stage regresses SF visibility to the sort
+    checkpoint, which makes the side-file entries already written for
+    RIDs above it stale: the resume durably notes (side-file length,
+    restored position), and the drain skips the entries that pair covers.
+    A build keeps all its durable state under ["ib/<id>/"]; finishing or
+    cancelling it deletes all of it. *)
 
 type algorithm = Nsf | Sf
 
@@ -81,17 +89,21 @@ val build_secondary_via_primary :
 (** §6.2's index-organized storage model: build a secondary index by
     range-scanning a unique [Ready] primary index in key order; the SF
     visibility rule uses the scan's *current key* in place of Current-RID.
-    Always a side-file build. A crash during the scan resumes as a fresh
-    RID-order rescan (the sort makes the two orders equivalent); crashes in
-    later stages resume from their checkpoints as usual. *)
+    Always a side-file build. Only the scan is its own: admission and the
+    later stages are the heap build's. A crash during the scan resumes as a
+    RID-order rescan from the start (the sort makes the two orders
+    equivalent), and the drain skips every side-file entry written before
+    that resume; crashes in later stages resume from their checkpoints. *)
 
 val resume_builds : Ctx.t -> config -> unit
 (** Continue every interrupted build found in durable state (call in a
-    fiber after [Engine.restart]). *)
+    fiber after [Engine.restart], or in-process after {!Build_paused}):
+    the stage driver is re-entered at each build's recorded stage. A build
+    whose finish was already durable only has its state collected. *)
 
 val cancel_build : Ctx.t -> index_id:int -> unit
-(** §2.3.2: quiesce updaters briefly, remove the descriptor and the
-    index. *)
+(** §2.3.2: quiesce updaters briefly, remove the descriptor, the index
+    and the build's durable state. *)
 
 val gc_pseudo_deleted : Ctx.t -> index_id:int -> int
 (** §2.2.4: physically remove committed pseudo-deleted keys. Uses the

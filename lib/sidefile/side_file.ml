@@ -40,8 +40,14 @@ let slice t ~from ~upto =
   let upto = min upto t.n and from = max 0 from in
   if from >= upto then [] else Array.to_list (Array.sub t.entries from (upto - from))
 
-let sorted_slice t ~from ~upto =
-  List.stable_sort (fun a b -> Ikey.compare a.key b.key) (slice t ~from ~upto)
+let sorted_slice ?keep t ~from ~upto =
+  let entries = slice t ~from ~upto in
+  let entries =
+    match keep with
+    | None -> entries
+    | Some keep -> List.filteri (fun k e -> keep (max 0 from + k) e) entries
+  in
+  List.stable_sort (fun a b -> Ikey.compare a.key b.key) entries
 
 let rebuild_from_log log ~sidefile_id =
   let t = create ~sidefile_id in

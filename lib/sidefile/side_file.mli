@@ -33,9 +33,11 @@ val iter_from : t -> int -> (int -> entry -> unit) -> unit
 val slice : t -> from:int -> upto:int -> entry list
 (** Entries in positions [\[from, upto)]. *)
 
-val sorted_slice : t -> from:int -> upto:int -> entry list
+val sorted_slice :
+  ?keep:(int -> entry -> bool) -> t -> from:int -> upto:int -> entry list
 (** The same entries sorted by key — *stably*, so multiple operations on
-    the same key apply in their original order. *)
+    the same key apply in their original order. [keep pos entry] (default:
+    all) selects the entries by position first. *)
 
 val rebuild_from_log : Oib_wal.Log_manager.t -> sidefile_id:int -> t
 (** Recovery: reconstruct the side-file from the durable log's redo-only

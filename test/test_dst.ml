@@ -188,6 +188,31 @@ let test_unique_violation_rollback_during_build () =
     (Btree.present_count (Catalog.index ctx.Ctx.catalog 10).Catalog.tree);
   check_clean ctx
 
+(* --- crash-only repros that once left a wrong index ---
+
+   A restart in the scan stage regresses SF visibility to the sort
+   checkpoint, so side-file entries already written above it are stale:
+   the drain must skip them. Each line is the oib-fuzz repro of a failure
+   (the key-order build resumes in RID order from the start). *)
+
+let check_repro ~seed ~alg ~rows ~workers ~txns ~ops ~post ~crash ~unique =
+  let sc =
+    Scenario.generate ~seed
+    |> Scenario.override ~alg ~rows ~workers ~txns ~ops ~post ~unique
+         ~faults:[ Scenario.Crash_at crash ]
+  in
+  let o = Runner.run sc in
+  Alcotest.(check (list string)) "oracle clean" [] o.Runner.errors;
+  Alcotest.(check bool) "failed" false (Runner.failed o)
+
+let test_sf_scan_crash_repro () =
+  check_repro ~seed:8 ~alg:Scenario.Sf ~rows:119 ~workers:3 ~txns:4 ~ops:2
+    ~post:1 ~crash:32 ~unique:false
+
+let test_iot_scan_crash_repro () =
+  check_repro ~seed:88 ~alg:Scenario.Iot ~rows:193 ~workers:2 ~txns:7 ~ops:4
+    ~post:2 ~crash:85 ~unique:true
+
 (* --- the harness catches, shrinks, and reproduces planted violations --- *)
 
 (* Same corruption oib-fuzz's --sabotage plants: a phantom entry inserted
@@ -312,6 +337,13 @@ let () =
         [
           Alcotest.test_case "rollback during concurrent NSF build" `Quick
             test_unique_violation_rollback_during_build;
+        ] );
+      ( "stale-sidefile",
+        [
+          Alcotest.test_case "sf crash in the scan" `Quick
+            test_sf_scan_crash_repro;
+          Alcotest.test_case "iot crash in the key-order scan" `Quick
+            test_iot_scan_crash_repro;
         ] );
       ( "harness",
         [

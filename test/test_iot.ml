@@ -119,6 +119,8 @@ let test_crash_resume () =
            build_secondary ~cfg ctx'));
   Sched.run ctx'.Ctx.sched;
   check_clean ctx';
+  Alcotest.(check (list string)) "lifecycle clean" []
+    (Engine.lifecycle_errors ~final:true ctx');
   Alcotest.(check bool) "ready after resume" true
     ((Catalog.index ctx'.Ctx.catalog 2).phase = Catalog.Ready)
 
