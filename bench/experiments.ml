@@ -750,9 +750,9 @@ let e13 () =
        scan position replaces Current-RID (§6.2)"
     t
 
-(* --- E14: crash + range-tracked resume overhead — committed scan ranges
-   (Range_set, §5's checkpoint idea applied to the whole scan) bound what a
-   mid-build crash costs end to end --- *)
+(* --- E14: crash + resume overhead — the sort checkpoint (§5) is the
+   scan's restart record, so a resumed scan skips every page it captured
+   and a mid-build crash costs only the work since the last checkpoint --- *)
 
 type resume_measure = {
   r_alg : string;
@@ -846,8 +846,8 @@ let e14 () =
     (resume_measures ());
   TP.print
     ~title:
-      "E14  crash + resume overhead: committed scan ranges bound the work a \
-       mid-build crash costs (Range_set; §5 applied to the whole scan)"
+      "E14  crash + resume overhead: the sort checkpoint bounds the work a \
+       mid-build crash costs (a resumed scan skips the pages it captured; §5)"
     t
 
 let all =

@@ -177,8 +177,8 @@ let json_of_core_run r =
   Buffer.add_string b "]}";
   Buffer.contents b
 
-(* resume_overhead: what a mid-build crash costs with range-tracked
-   resume, measured by Experiments.measure_resume on this config's rows.
+(* resume_overhead: what a mid-build crash costs when the resumed scan
+   restarts from the sort checkpoint, measured by Experiments.measure_resume on this config's rows.
    A top-level key next to "runs" — the baseline gate below reads only
    runs' name + [gated], so old baselines keep validating. *)
 let json_of_resume (m : Experiments.resume_measure) =

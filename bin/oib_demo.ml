@@ -78,22 +78,23 @@ let report ctx (stats : Driver.stats ref) (d : Metrics.t) steps =
     exit 1
 
 (* Lifecycle display for a (possibly paused) build: catalog state, build
-   phase, durable scan coverage. *)
+   phase, and the scan position of the last sort checkpoint (the page a
+   resumed scan continues after). *)
 let print_lifecycle ctx ~index_id =
   match Catalog.index ctx.Ctx.catalog index_id with
   | exception Invalid_argument _ ->
     Printf.printf "index %d: not in catalog\n" index_id
   | info ->
-    let rs = Range_set.load ctx.Ctx.kv ~index_id in
-    Printf.printf "index %d: state=%s phase=%s scanned=%s (%d pages sealed)\n"
+    Printf.printf "index %d: state=%s phase=%s scan checkpoint=%s\n"
       index_id
       (Catalog.state_name info.Catalog.state)
       (match info.Catalog.phase with
       | Catalog.Ready -> "ready"
       | Catalog.Nsf_building _ -> "nsf-building"
       | Catalog.Sf_building _ -> "sf-building")
-      (if Range_set.is_empty rs then "-" else Range_set.to_string rs)
-      (Range_set.covered_count rs)
+      (match Ib.scan_checkpoint ctx ~index_id with
+      | Some pos -> Printf.sprintf "page %d" pos
+      | None -> "-")
 
 let cmd_build alg rows workers txns unique seed jsonl profile profile_folded
     pause resume =
@@ -163,7 +164,7 @@ let cmd_build alg rows workers txns unique seed jsonl profile profile_folded
       | Some id -> Sched.remove_step_hook ctx.Ctx.sched id
       | None -> ());
       Throttle.clear_pause ctx.Ctx.throttle;
-      print_endline "resuming from the committed ranges...";
+      print_endline "resuming from the sort checkpoint...";
       ignore
         (Sched.spawn ctx.Ctx.sched ~name:"ib-resume" (fun () ->
              let t0 = Sched.steps ctx.Ctx.sched in
@@ -367,7 +368,7 @@ let build_cmd =
       & info [ "resume" ]
           ~doc:
             "With --pause: after the build pauses, continue it in place \
-             from the committed ranges and finish.")
+             from its last checkpoint and finish.")
   in
   Cmd.v
     (Cmd.info "build" ~doc:"Build an index online under a transaction mix")

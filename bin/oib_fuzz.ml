@@ -347,14 +347,26 @@ let cmd_sweep alg scenarios seed_base points sabotage sabotage_race sanitize
     lint_graph san_json atomics =
   let sess = make_sess ~sabotage ~sabotage_race ~sanitize () in
   let alg = Scenario.alg_of_string alg in
-  let total = ref 0 in
+  let total = ref 0 and checkpoints = ref 0 in
   let fail o =
     report_failure sess o;
     finish sess ~lint_graph ~san_json ~atomics;
     exit 1
   in
-  let rerun sc =
-    Runner.run ?inject:(inject_of sess) ?during:(during_of sess) sc
+  (* Report a failed run of [sc]. Only the sweep watches the scan
+     oracle, so a violation that the plain runner (and hence the shrinker
+     and `repro`) does not reproduce is printed as the sweep saw it. *)
+  let fail_run sc errors =
+    let o = Runner.run ?inject:(inject_of sess) ?during:(during_of sess) sc in
+    if Runner.failed o || san_dirty sess then fail o
+    else begin
+      Printf.printf "SCAN ORACLE VIOLATION:\n";
+      List.iter (fun e -> Printf.printf "  %s\n" e) errors;
+      Printf.printf "rerun: oib-fuzz sweep --alg %s --seed-base %d \
+                     --scenarios 1 --points %d\n%!"
+        (Scenario.alg_to_string sc.Scenario.alg) sc.Scenario.seed points;
+      exit 1
+    end
   in
   for i = 0 to scenarios - 1 do
     let seed = seed_base + i in
@@ -366,69 +378,32 @@ let cmd_sweep alg scenarios seed_base points sabotage sabotage_race sanitize
     in
     if r.Sweep.base_errors <> [] then begin
       Printf.printf "fault-free base run FAILS:\n";
-      fail (rerun (Scenario.override ~faults:[] sc))
+      fail_run (Scenario.override ~faults:[] sc) r.Sweep.base_errors
+    end;
+    if r.Sweep.checkpoints = 0 then begin
+      Printf.printf
+        "sweep observed no sort checkpoint — scan oracle was blind\n";
+      exit 1
     end;
     total := !total + 1 + List.length r.Sweep.points;
+    checkpoints := !checkpoints + r.Sweep.checkpoints;
     Printf.printf "  base %d steps, %d crash points: " r.Sweep.base_steps
       (List.length r.Sweep.points);
     (match Sweep.failures r with
     | [] when not (san_dirty sess) -> Printf.printf "all clean\n%!"
     | [] ->
       Printf.printf "SANITIZER FAIL\n";
-      fail (rerun (Scenario.override ~faults:[] sc))
+      fail_run (Scenario.override ~faults:[] sc) []
     | p :: _ ->
       Printf.printf "FAIL at step %d\n" p.Sweep.crash_step;
-      fail
-        (rerun
-           (Scenario.override ~faults:[ Scenario.Crash_at p.Sweep.crash_step ]
-              sc)))
+      fail_run
+        (Scenario.override ~faults:[ Scenario.Crash_at p.Sweep.crash_step ] sc)
+        p.Sweep.errors)
   done;
   Printf.printf "%d scenario/crash-point combinations clean\n" !total;
+  Printf.printf "scan oracle: %d sort checkpoints, no captured page rescanned\n"
+    !checkpoints;
   finish sess ~lint_graph ~san_json ~atomics
-
-(* Crash-at-every-step sweep over resumable builds with the
-   scan-accounting oracle attached: on top of the runner's battery,
-   every crash point proves that no page is ever re-extracted after its
-   range was sealed — resume really does skip covered ranges. *)
-let cmd_resume_sweep alg scenarios seed_base points =
-  let alg = Scenario.alg_of_string alg in
-  let total = ref 0 and scans = ref 0 and seals = ref 0 in
-  for i = 0 to scenarios - 1 do
-    let seed = seed_base + i in
-    let sc = Scenario.generate ~seed |> Scenario.override ~alg in
-    let r = Resume_sweep.run sc ~points in
-    Format.printf "%a@." Scenario.pp r.Resume_sweep.scenario;
-    if r.Resume_sweep.base_errors <> [] then begin
-      Printf.printf "fault-free base run FAILS:\n";
-      List.iter (fun e -> Printf.printf "  %s\n" e) r.Resume_sweep.base_errors;
-      exit 1
-    end;
-    total := !total + List.length r.Resume_sweep.points;
-    scans := !scans + r.Resume_sweep.total_scans;
-    seals := !seals + r.Resume_sweep.total_seals;
-    Printf.printf "  base %d steps, %d crash points, %d scans / %d seals: "
-      r.Resume_sweep.base_steps
-      (List.length r.Resume_sweep.points)
-      r.Resume_sweep.total_scans r.Resume_sweep.total_seals;
-    match Resume_sweep.failures r with
-    | [] -> Printf.printf "all clean\n%!"
-    | p :: _ ->
-      Printf.printf "FAIL at step %d\n" p.Resume_sweep.crash_step;
-      List.iter (fun e -> Printf.printf "  %s\n" e) p.Resume_sweep.errors;
-      Printf.printf "repro: %s\n%!"
-        (Scenario.repro_command
-           (Scenario.override
-              ~faults:[ Scenario.Crash_at p.Resume_sweep.crash_step ]
-              r.Resume_sweep.scenario));
-      exit 1
-  done;
-  if !seals = 0 then begin
-    (* a sweep that never sealed a range proved nothing *)
-    Printf.printf "resume sweep observed no range seals — oracle was blind\n";
-    exit 1
-  end;
-  Printf.printf "%d crash points clean (%d scans, %d seals accounted)\n" !total
-    !scans !seals
 
 (* Deterministic throttle scenario: a synthetic overload source trips the
    foreground-p99 signal for a fixed span of sampler ticks, so the
@@ -668,28 +643,6 @@ let sweep_cmd =
       $ sabotage_race_arg $ sanitize_arg $ lint_graph_arg $ san_json_arg
       $ atomics_arg)
 
-let resume_sweep_cmd =
-  let alg =
-    Arg.(value & opt string "nsf" & info [ "a"; "alg" ] ~docv:"ALG")
-  in
-  let scenarios =
-    Arg.(value & opt int 1 & info [ "scenarios" ] ~docv:"N" ~doc:"Seeds to sweep")
-  in
-  let base =
-    Arg.(value & opt int 1 & info [ "seed-base" ] ~docv:"SEED" ~doc:"First seed")
-  in
-  let points =
-    Arg.(
-      value & opt int 40
-      & info [ "points" ] ~docv:"K" ~doc:"Crash points per scenario")
-  in
-  Cmd.v
-    (Cmd.info "resume-sweep"
-       ~doc:
-         "Crash-point sweep with the scan-accounting oracle: resumed builds \
-          must never rescan a sealed range")
-    Term.(const cmd_resume_sweep $ alg $ scenarios $ base $ points)
-
 let throttle_cmd =
   let rows = Arg.(value & opt int 600 & info [ "rows" ] ~docv:"N") in
   let workers = Arg.(value & opt int 3 & info [ "workers" ] ~docv:"W") in
@@ -717,5 +670,4 @@ let () =
              ~doc:
                "Deterministic simulation tests: scenario fuzzing, crash-point \
                 sweeps, failure shrinking")
-          [ run_cmd; fuzz_cmd; sweep_cmd; resume_sweep_cmd; throttle_cmd;
-            repro_cmd ]))
+          [ run_cmd; fuzz_cmd; sweep_cmd; throttle_cmd; repro_cmd ]))

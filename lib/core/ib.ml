@@ -41,25 +41,19 @@ exception Build_paused of { index : int }
 
 type spec = { index_id : int; key_cols : int list; unique : bool }
 
-(* --- test observers (DST scan-accounting oracle) ---
+(* --- test observer (DST scan-accounting oracle) ---
 
-   [scan_observer] fires once per (index, heap page) extraction that feeds
-   the sort; [range_observer] fires when a scanned range is sealed. Both
-   are process-global so a harness can watch every engine incarnation. *)
+   Process-global, so a harness can watch every engine incarnation. *)
 
-let scan_observer : (index:int -> page:int -> unit) option ref = ref None
+type scan_event =
+  | Scan_start of { index : int; pos : int }
+  | Page_extracted of { index : int; page : int }
+  | Scan_checkpoint of { index : int; pos : int }
+
+let scan_observer : (scan_event -> unit) option ref = ref None
 let set_scan_observer f = scan_observer := f
 
-let range_observer : (index:int -> lo:int -> hi:int -> unit) option ref =
-  ref None
-
-let set_range_observer f = range_observer := f
-
-let observe_scan ~index ~page =
-  match !scan_observer with Some f -> f ~index ~page | None -> ()
-
-let observe_range ~index ~lo ~hi =
-  match !range_observer with Some f -> f ~index ~lo ~hi | None -> ()
+let observe e = match !scan_observer with Some f -> f e | None -> ()
 
 (* --- admission-controlled pacing --- *)
 
@@ -80,7 +74,7 @@ let check_pause ctx ~index_id =
 (* --- a build's durable state ---
 
    Everything a build keeps lives under "ib/<id>/": the progress record,
-   the sort and merge checkpoints, the scan ranges, the supersede list,
+   the sort and merge checkpoints, the supersede list,
    and every sorted run. [drop_build_state] is the one place it goes. *)
 
 (* Durable build progress: the stage a restart re-enters the driver at. *)
@@ -105,6 +99,9 @@ let build_key index_id name = Printf.sprintf "ib/%d/%s" index_id name
 let progress_key index_id = build_key index_id "progress"
 let sort_key index_id = build_key index_id "sort"
 let sorted_run_name index_id = build_key index_id "merged-output"
+
+let scan_checkpoint ctx ~index_id =
+  Sort.checkpointed_scan_pos ctx.Ctx.kv ~ckpt_id:(sort_key index_id)
 
 let drop_build_state ctx index_id =
   let mine = String.starts_with ~prefix:(build_key index_id "") in
@@ -266,9 +263,7 @@ let superseded ctx index_id =
 let restore_frontier ctx (info : Catalog.index_info) stage ~resuming =
   match (stage, info.phase) with
   | Scanning _, Catalog.Sf_building sf ->
-    let page =
-      Sort.checkpointed_scan_pos ctx.Ctx.kv ~ckpt_id:(sort_key info.index_id)
-    in
+    let page = scan_checkpoint ctx ~index_id:info.index_id in
     set_frontier info (Page_done (Option.value page ~default:(-1)));
     if resuming then begin
       (* force the log first: every position below the noted length is
@@ -370,54 +365,23 @@ let start_sorter ctx cfg index_id =
 let heap_scan ctx cfg ~last_scan_page jobs =
   let first_info : Catalog.index_info = fst (List.hd jobs) in
   let tbl = Catalog.table ctx.Ctx.catalog first_info.Catalog.table_id in
+  (* The sort checkpoint is the scan's restart record: a sorter resumed
+     at scan position p holds the keys of every page up to p, so the scan
+     feeds it only the pages above p. *)
+  List.iter
+    (fun ((info : Catalog.index_info), s) ->
+      observe (Scan_start { index = info.index_id; pos = Sort.scan_pos s }))
+    jobs;
   let first_needed =
     List.fold_left (fun acc (_, s) -> min acc (Sort.scan_pos s)) max_int jobs
   in
-  (* Per-job record of already-scanned page ranges. On resume the sort
-     checkpoint may be ahead of the last sealed range (a crash hit between
-     the sort checkpoint and the range commit — both live in the same
-     forced kv, so coverage can only trail the checkpoint, never lead it);
-     reconcile by sealing the gap up to the checkpointed scan position. *)
-  let ranges =
-    List.map
-      (fun ((info : Catalog.index_info), sorter) ->
-        let rs = Range_set.load ctx.Ctx.kv ~index_id:info.index_id in
-        let pos = Sort.scan_pos sorter in
-        if pos > Range_set.max_covered rs then begin
-          let lo = Range_set.max_covered rs + 1 in
-          Range_set.add rs ~lo ~hi:pos;
-          Range_set.commit ctx.Ctx.kv ~index_id:info.index_id rs;
-          observe_range ~index:info.index_id ~lo ~hi:pos
-        end;
-        (info.index_id, sorter, rs))
-      jobs
-  in
-  (* Seal everything scanned since the last commit point. Ordered after
-     [Sort.checkpoint]: a page is sealed only once its keys are durable in
-     the sorter's checkpointed state, so a sealed page is never rescanned
-     and never loses its keys. The WAL record is informational (the kv is
-     the authority); it lets trace analysis and recovery narrate coverage. *)
-  let commit_ranges () =
-    let any = ref false in
+  let checkpoint_sorters () =
     List.iter
-      (fun (index, sorter, rs) ->
-        let pos = Sort.scan_pos sorter in
-        let lo = Range_set.max_covered rs + 1 in
-        if pos >= lo then begin
-          Range_set.add rs ~lo ~hi:pos;
-          Range_set.commit ctx.Ctx.kv ~index_id:index rs;
-          ignore
-            (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-               (LR.Range_commit { index; lo; hi = pos }));
-          any := true;
-          observe_range ~index ~lo ~hi:pos;
-          let tr = Sched.trace ctx.Ctx.sched in
-          if Oib_obs.Trace.tracing tr then
-            Oib_obs.Trace.emit tr
-              (Oib_obs.Event.Ib_range_commit { index; lo; hi = pos })
-        end)
-      ranges;
-    if !any then LM.flush_all ctx.Ctx.log
+      (fun ((info : Catalog.index_info), s) ->
+        Sort.checkpoint s;
+        observe
+          (Scan_checkpoint { index = info.index_id; pos = Sort.scan_pos s }))
+      jobs
   in
   let pages_done = ref 0 in
   let process_page (page : Page.t) =
@@ -454,7 +418,8 @@ let heap_scan ctx cfg ~last_scan_page jobs =
       List.iter
         (fun ((info, sorter), acc) ->
           if pid > Sort.scan_pos sorter then begin
-            observe_scan ~index:info.Catalog.index_id ~page:pid;
+            observe
+              (Page_extracted { index = info.Catalog.index_id; page = pid });
             Sort.feed_page sorter ~scan_pos:pid (List.rev !acc);
             let st = job_status ctx info in
             st.BS.keys_processed <-
@@ -463,8 +428,7 @@ let heap_scan ctx cfg ~last_scan_page jobs =
         per_job;
       incr pages_done;
       if !pages_done mod cfg.ckpt_every_pages = 0 then begin
-        List.iter (fun (_, s) -> Sort.checkpoint s) jobs;
-        commit_ranges ();
+        checkpoint_sorters ();
         check_pause ctx ~index_id:first_info.index_id
       end
     end;
@@ -495,10 +459,8 @@ let heap_scan ctx cfg ~last_scan_page jobs =
         chase ()
     in
     chase ());
-  (* scan complete: checkpoint the sorters (making the tail durable) and
-     seal the remaining coverage *)
-  List.iter (fun (_, s) -> Sort.checkpoint s) jobs;
-  commit_ranges ()
+  (* scan complete: checkpoint the sorters, making the tail durable *)
+  checkpoint_sorters ()
 
 (* Run per-index post-scan pipelines in parallel, one fiber per index
    (§6.2: "a process can be spawned for each index to sort the keys,

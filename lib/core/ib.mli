@@ -61,16 +61,21 @@ exception Build_paused of { index : int }
 
 type spec = { index_id : int; key_cols : int list; unique : bool }
 
-val set_scan_observer : (index:int -> page:int -> unit) option -> unit
-(** Test hook (DST scan accounting): called once per (index, heap page)
-    whose extracted keys are fed to that index's sorter. Process-global —
-    survives engine crash/restart — so a harness can assert that no page
-    is ever scanned twice for one build across incarnations. [None]
-    uninstalls. *)
+(** What the heap scan tells {!set_scan_observer}. *)
+type scan_event =
+  | Scan_start of { index : int; pos : int }
+      (** a scan of [index] begins with its sorter at [pos]: the restored
+          checkpoint's scan position, or -1 for a fresh sorter *)
+  | Page_extracted of { index : int; page : int }
+      (** the keys of heap page [page] were fed to [index]'s sorter *)
+  | Scan_checkpoint of { index : int; pos : int }
+      (** a sort checkpoint durably captured every page up to [pos] *)
 
-val set_range_observer : (index:int -> lo:int -> hi:int -> unit) option -> unit
-(** Test hook: called when the builder seals scanned pages [lo..hi]
-    (inclusive) as durably covered for [index]. [None] uninstalls. *)
+val set_scan_observer : (scan_event -> unit) option -> unit
+(** Test hook (DST scan accounting). Process-global — survives engine
+    crash/restart — so a harness can check across incarnations that no
+    page a sort checkpoint captured is ever extracted again. [None]
+    uninstalls. *)
 
 val build_index : Ctx.t -> config -> table:int -> spec -> unit
 (** Run a complete build in the calling fiber. *)
@@ -126,6 +131,11 @@ val restore_phase_after_restart : Ctx.t -> index_id:int -> unit
     crash hit between the readable transition and a durable [Build_done])
     and rehydrates the published {!Build_status} from the progress record,
     so status and catalog agree before the resuming builder runs. *)
+
+val scan_checkpoint : Ctx.t -> index_id:int -> int option
+(** The scan position of the build's last sort checkpoint: every heap page
+    up to it is durably captured, and a resumed scan starts after it.
+    [None] when the build has no sort checkpoint. *)
 
 val interrupted_builds : Ctx.t -> int list
 (** Index ids with a durable in-progress build record. *)

@@ -165,22 +165,33 @@ let directly_maintained (info : Catalog.index_info) =
   | Catalog.Ready | Catalog.Nsf_building _ -> true
   | Catalog.Sf_building _ -> false
 
-(* per-index forward maintenance for one record op *)
+(* per-index forward maintenance for one record op. The side-file
+   appends come first: nothing between the routing decision (made under
+   the page latch) and them can suspend, so a drain never flips its build
+   to Ready with a routed change not yet appended. A directly maintained
+   index can wait on a record lock, so it goes after (DESIGN §7). *)
 let maintain_indexes ctx txn tbl ~rid ~sidefiled ops =
   (* ops: which keys to delete / insert, as functions of the index *)
+  let routed, rest =
+    List.partition
+      (fun (info : Catalog.index_info) -> List.mem info.index_id sidefiled)
+      tbl.Catalog.indexes
+  in
   List.iter
-    (fun (info : Catalog.index_info) ->
+    (fun info ->
       let dels, inss = ops info in
-      if List.mem info.index_id sidefiled then begin
-        List.iter (fun k -> sidefile_entry ctx txn info ~insert:false k) dels;
-        List.iter (fun k -> sidefile_entry ctx txn info ~insert:true k) inss
-      end
-      else if directly_maintained info then begin
+      List.iter (fun k -> sidefile_entry ctx txn info ~insert:false k) dels;
+      List.iter (fun k -> sidefile_entry ctx txn info ~insert:true k) inss)
+    routed;
+  List.iter
+    (fun info ->
+      (* an SF build whose target IB has not reached gets nothing *)
+      if directly_maintained info then begin
+        let dels, inss = ops info in
         List.iter (fun k -> key_delete ctx txn info k) dels;
         List.iter (fun k -> key_insert ctx txn info k) inss
-      end
-      (* else: SF build, target not yet reached by IB - ignore entirely *))
-    tbl.Catalog.indexes;
+      end)
+    rest;
   ignore rid
 
 (* --- record operations (Figure 1) --- *)
@@ -516,7 +527,7 @@ let undo_executor ctx txn body ~clr =
   | LR.Begin | LR.Commit | LR.Abort | LR.End | LR.Sidefile_append _
   | LR.Clr _ | LR.Build_start _ | LR.Build_done _ | LR.Heap_extend _
   | LR.Create_table _ | LR.Create_index _ | LR.Drop_index _
-  | LR.Index_state _ | LR.Range_commit _ ->
+  | LR.Index_state _ ->
     assert false
 
 let rollback ctx txn =

@@ -3,78 +3,64 @@
 open Oib_core
 
 type t = {
-  sealed : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* index -> sealed pages *)
-  max_hi : (int, int) Hashtbl.t; (* index -> highest sealed page *)
-  epoch_seen : (int * int, unit) Hashtbl.t; (* (index, page) this epoch *)
+  marks : (int, int) Hashtbl.t; (* index -> last checkpointed scan position *)
+  seen : (int * int, unit) Hashtbl.t; (* (index, page) extracted this epoch *)
   mutable epoch : int;
-  mutable scans : int;
-  mutable seals : int;
+  mutable extractions : int;
+  mutable checkpoints : int;
   mutable errs : string list;
 }
 
 let create () =
   {
-    sealed = Hashtbl.create 4;
-    max_hi = Hashtbl.create 4;
-    epoch_seen = Hashtbl.create 256;
+    marks = Hashtbl.create 4;
+    seen = Hashtbl.create 256;
     epoch = 0;
-    scans = 0;
-    seals = 0;
+    extractions = 0;
+    checkpoints = 0;
     errs = [];
   }
 
 let err t fmt = Printf.ksprintf (fun s -> t.errs <- s :: t.errs) fmt
 
-let sealed_for t index =
-  match Hashtbl.find_opt t.sealed index with
-  | Some h -> h
-  | None ->
-    let h = Hashtbl.create 64 in
-    Hashtbl.replace t.sealed index h;
-    h
+let mark t index = Option.value ~default:(-1) (Hashtbl.find_opt t.marks index)
 
-let on_scan t ~index ~page =
-  t.scans <- t.scans + 1;
-  if Hashtbl.mem (sealed_for t index) page then
-    err t
-      "index %d: page %d scanned after being sealed (epoch %d) — duplicate \
-       range scan"
-      index page t.epoch;
-  if Hashtbl.mem t.epoch_seen (index, page) then
-    err t "index %d: page %d scanned twice within epoch %d" index page
-      t.epoch;
-  Hashtbl.replace t.epoch_seen (index, page) ()
+let observe t (e : Ib.scan_event) =
+  match e with
+  | Scan_start { index; pos = -1 } ->
+    Hashtbl.remove t.marks index;
+    Hashtbl.filter_map_inplace
+      (fun (i, _) () -> if i = index then None else Some ())
+      t.seen
+  | Scan_start { index; pos } ->
+    if pos <> mark t index then
+      err t "index %d: scan resumed at page %d, but its last checkpoint is at %d"
+        index pos (mark t index)
+  | Page_extracted { index; page } ->
+    t.extractions <- t.extractions + 1;
+    if page <= mark t index then
+      err t
+        "index %d: page %d extracted again (epoch %d) after a checkpoint \
+         captured up to %d"
+        index page t.epoch (mark t index);
+    if Hashtbl.mem t.seen (index, page) then
+      err t "index %d: page %d extracted twice within epoch %d" index page
+        t.epoch;
+    Hashtbl.replace t.seen (index, page) ()
+  | Scan_checkpoint { index; pos } ->
+    t.checkpoints <- t.checkpoints + 1;
+    if pos < mark t index then
+      err t "index %d: checkpoint went down from %d to %d" index (mark t index)
+        pos;
+    Hashtbl.replace t.marks index pos
 
-let on_range t ~index ~lo ~hi =
-  t.seals <- t.seals + 1;
-  let prev = Option.value ~default:(-1) (Hashtbl.find_opt t.max_hi index) in
-  if hi <= prev then
-    err t "index %d: coverage regressed: sealed [%d,%d] after high mark %d"
-      index lo hi prev;
-  if lo <> prev + 1 then
-    err t "index %d: coverage gap: sealed [%d,%d] but high mark is %d" index
-      lo hi prev;
-  let s = sealed_for t index in
-  for p = lo to hi do
-    Hashtbl.replace s p ()
-  done;
-  Hashtbl.replace t.max_hi index (max prev hi)
-
-let install t =
-  Ib.set_scan_observer (Some (fun ~index ~page -> on_scan t ~index ~page));
-  Ib.set_range_observer (Some (fun ~index ~lo ~hi -> on_range t ~index ~lo ~hi))
-
-let uninstall () =
-  Ib.set_scan_observer None;
-  Ib.set_range_observer None
+let install t = Ib.set_scan_observer (Some (observe t))
+let uninstall () = Ib.set_scan_observer None
 
 let new_epoch t =
   t.epoch <- t.epoch + 1;
-  Hashtbl.reset t.epoch_seen
+  Hashtbl.reset t.seen
 
-let coverage t index =
-  Option.value ~default:(-1) (Hashtbl.find_opt t.max_hi index)
-
-let scans t = t.scans
-let seals t = t.seals
+let extractions t = t.extractions
+let checkpoints t = t.checkpoints
 let errors t = List.rev t.errs

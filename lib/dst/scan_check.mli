@@ -1,49 +1,49 @@
-(** Scan-accounting oracle for range-tracked resumable builds.
+(** Scan-accounting oracle: the sort checkpoint is the scan's restart
+    record.
 
-    Watches {!Oib_core.Ib.set_scan_observer} /
-    {!Oib_core.Ib.set_range_observer} across every engine incarnation of a
-    crash-and-resume run and checks the contract of the builder's
-    {!Oib_core.Range_set}:
+    Watches {!Oib_core.Ib.set_scan_observer} across every engine
+    incarnation of a crash-and-resume run and keeps one high mark per
+    index, the scan position of its last sort checkpoint. It flags:
 
-    - a page sealed by a range commit is {e never} extracted again for
-      that index, in any later incarnation (resume does not rescan
-      covered ranges);
-    - within one incarnation no page is extracted twice for one index;
-    - sealed coverage is contiguous and its high mark strictly monotone
-      across the whole run.
+    - a page at or below the mark that is extracted again (resume must
+      skip every page a checkpoint durably captured);
+    - a page extracted twice for one index within one incarnation;
+    - a mark that goes down;
+    - a resumed scan that does not start at the mark.
 
-    Rescanning an {e unsealed} page after a crash is legitimate (the
-    extraction was not durable) and is not flagged.
-
-    Intended for non-unique build scenarios: a unique-violation cancel
-    drops the index and its range record, after which a from-scratch
-    rebuild of the same index id would trip the sealed-page check. *)
+    A fresh scan (sorter at -1) resets its index, so a build cancelled
+    and rebuilt under the same index id starts over legally. Extracting
+    a page above the mark again after a crash is legitimate: its keys
+    were not durable. A media restore rewinds the checkpoint, so the
+    oracle is for crash-only runs. *)
 
 type t
 
 val create : unit -> t
 
+val observe : t -> Oib_core.Ib.scan_event -> unit
+(** Account one builder event ({!install} routes them here). *)
+
 val install : t -> unit
-(** Point the builder's process-global observers at [t]. The observers
-    survive engine crash/restart, so one [install] covers a whole
+(** Point the builder's process-global observer at [t]. It survives
+    engine crash/restart, so one [install] covers a whole
     multi-incarnation run. *)
 
 val uninstall : unit -> unit
-(** Clear the builder's observers (do this before the next scenario). *)
+(** Clear the builder's observer (do this before the next scenario). *)
 
 val new_epoch : t -> unit
 (** Declare an incarnation boundary (call from the runner's [on_engine]
-    hook): resets the within-epoch duplicate-extraction set. Sealed pages
-    and the coverage high mark persist — that is the point. *)
+    hook): pages above the mark may be extracted once more. *)
 
-val coverage : t -> int -> int
-(** Highest sealed page for an index; -1 when nothing is sealed. *)
+val mark : t -> int -> int
+(** An index's last checkpointed scan position; -1 when there is none. *)
 
-val scans : t -> int
+val extractions : t -> int
 (** Total page extractions observed. *)
 
-val seals : t -> int
-(** Total range commits observed. *)
+val checkpoints : t -> int
+(** Total scan-stage sort checkpoints observed. *)
 
 val errors : t -> string list
 (** Accumulated violations, oldest first (empty = clean). *)

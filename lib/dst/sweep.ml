@@ -9,6 +9,7 @@ type result = {
   base_steps : int;
   base_errors : string list;
   points : point list;
+  checkpoints : int;
 }
 
 let crash_points ~base_steps ~points =
@@ -17,36 +18,33 @@ let crash_points ~base_steps ~points =
   go [] every
 
 let sweep ?trace ?inject ?during ?(on_point = fun _ _ -> ()) sc ~points =
-  let base = Runner.run ?trace ?inject ?during (Scenario.override ~faults:[] sc) in
-  if Runner.failed base then
-    {
-      scenario = sc;
-      base_steps = base.Runner.total_steps;
-      base_errors = base.Runner.errors;
-      points = [];
-    }
-  else
-    let pts = crash_points ~base_steps:base.Runner.total_steps ~points in
-    let results =
+  let checkpoints = ref 0 in
+  (* one run under a fresh scan oracle; its errors join the battery's *)
+  let checked faults =
+    let chk = Scan_check.create () in
+    Scan_check.install chk;
+    let o =
+      Fun.protect ~finally:Scan_check.uninstall (fun () ->
+          Runner.run ?trace ?inject ?during
+            ~on_engine:(fun _ -> Scan_check.new_epoch chk)
+            (Scenario.override ~faults sc))
+    in
+    checkpoints := !checkpoints + Scan_check.checkpoints chk;
+    (o, o.Runner.errors @ Scan_check.errors chk)
+  in
+  let base, base_errors = checked [] in
+  let base_steps = base.Runner.total_steps in
+  let results =
+    if base_errors <> [] then []
+    else
       List.map
         (fun c ->
-          let o =
-            Runner.run ?trace ?inject ?during
-              (Scenario.override ~faults:[ Scenario.Crash_at c ] sc)
-          in
-          on_point c o.Runner.errors;
-          {
-            crash_step = c;
-            errors = o.Runner.errors;
-            failed_at = o.Runner.failed_at;
-          })
-        pts
-    in
-    {
-      scenario = sc;
-      base_steps = base.Runner.total_steps;
-      base_errors = [];
-      points = results;
-    }
+          let o, errors = checked [ Scenario.Crash_at c ] in
+          on_point c errors;
+          { crash_step = c; errors; failed_at = o.Runner.failed_at })
+        (crash_points ~base_steps ~points)
+  in
+  { scenario = sc; base_steps; base_errors; points = results;
+    checkpoints = !checkpoints }
 
 let failures r = List.filter (fun p -> p.errors <> []) r.points

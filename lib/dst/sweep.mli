@@ -4,7 +4,9 @@
     log-flush/page-write boundary; the sweep probes them all. It first
     runs the scenario fault-free to measure its total step count, then
     re-runs it once per evenly spaced crash step, each run crashing
-    there, recovering, resuming, and firing the full oracle battery. *)
+    there, recovering, resuming, and firing the full oracle battery.
+    Every run (the base too) also carries a fresh {!Scan_check} across
+    all its incarnations, whose violations join the run's errors. *)
 
 type point = {
   crash_step : int;
@@ -19,6 +21,9 @@ type result = {
       (** battery violations of the fault-free run itself; when non-empty
           no crash points were attempted *)
   points : point list;
+  checkpoints : int;
+      (** scan-stage sort checkpoints the scan oracle saw, over all runs:
+          a sweep that saw none checked nothing, so callers fail on 0 *)
 }
 
 val crash_points : base_steps:int -> points:int -> int list

@@ -104,10 +104,6 @@ let default_config =
         ("Throttle.level", ("Throttle.level", [ 0 ], false));
         ("Throttle.scaled", ("Throttle.level", [ 0 ], false));
         ("Throttle.extra_yields", ("Throttle.level", [ 0 ], false));
-        ("Range_set.add", ("Range_set", [ 0 ], true));
-        ("Range_set.mem", ("Range_set", [ 0 ], false));
-        ("Range_set.max_covered", ("Range_set", [ 0 ], false));
-        ("Range_set.missing", ("Range_set", [ 0 ], false));
       ];
     l10_exempt_modules = [ "Restart" ];
   }

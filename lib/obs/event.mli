@@ -79,9 +79,6 @@ type t =
   | Index_state of { index : int; state : string }
       (** lifecycle transition ([disabled|write-only|readable]), emitted
           when the catalog state changes — including recovery downgrades *)
-  | Ib_range_commit of { index : int; lo : int; hi : int }
-      (** the builder sealed heap pages [lo..hi] as scanned: a resumed
-          build will never rescan them *)
   | Ib_throttle of { level : int; reason : string }
       (** admission-control level change; [reason] names the health
           signal edge that drove it *)

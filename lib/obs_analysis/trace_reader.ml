@@ -118,11 +118,6 @@ let decode_event j kind =
     let* index = int_f "index" in
     let* state = str_f "state" in
     Ok (Event.Index_state { index; state })
-  | "ib.range_commit" ->
-    let* index = int_f "index" in
-    let* lo = int_f "lo" in
-    let* hi = int_f "hi" in
-    Ok (Event.Ib_range_commit { index; lo; hi })
   | "ib.throttle" ->
     let* level = int_f "level" in
     let* reason = str_f "reason" in

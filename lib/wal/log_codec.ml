@@ -96,11 +96,6 @@ let rec w_body w = function
     Binc.w_u8 w 16;
     Binc.w_i64 w index;
     Binc.w_i64 w state
-  | Range_commit { index; lo; hi } ->
-    Binc.w_u8 w 17;
-    Binc.w_i64 w index;
-    Binc.w_i64 w lo;
-    Binc.w_i64 w hi
 
 (* Exact image sizes, field for field as the writers above lay them
    out, so [encode] fills one buffer of the frame's size. *)
@@ -128,7 +123,6 @@ let rec body_size = function
   | Build_done _ | Create_table _ | Drop_index _ -> 9
   | Create_index { key_cols; _ } -> 26 + (8 * List.length key_cols)
   | Index_state _ -> 17
-  | Range_commit _ -> 25
 
 let encode (t : Log_record.t) =
   let payload =
@@ -277,11 +271,6 @@ let rec r_body c =
     let index = r_i64 c in
     let state = r_i64 c in
     Index_state { index; state }
-  | 17 ->
-    let index = r_i64 c in
-    let lo = r_i64 c in
-    let hi = r_i64 c in
-    Range_commit { index; lo; hi }
   | n -> fail ("bad body tag " ^ string_of_int n)
 
 let decode s ~pos =

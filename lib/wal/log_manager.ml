@@ -44,7 +44,6 @@ let kind_of_body : Log_record.body -> string = function
   | Create_index _ -> "create_index"
   | Drop_index _ -> "drop_index"
   | Index_state _ -> "index_state"
-  | Range_commit _ -> "range_commit"
 
 let append t ~txn ~prev_lsn body =
   let lsn = t.next_lsn in

@@ -44,14 +44,13 @@ type body =
     }
   | Drop_index of { index : index_id }
   | Index_state of { index : index_id; state : int }
-  | Range_commit of { index : index_id; lo : int; hi : int }
 
 type t = { lsn : Lsn.t; txn : txn_id option; prev_lsn : Lsn.t; body : body }
 
 let is_redoable = function
   | Index_key { redoable; _ } -> redoable
   | Begin | Commit | Abort | End | Build_start _ | Build_done _
-  | Index_state _ | Range_commit _ ->
+  | Index_state _ ->
     false
   | Heap _ | Index_bulk_insert _ | Sidefile_append _ | Clr _ | Heap_extend _
   | Create_table _ | Create_index _ | Drop_index _ ->
@@ -61,7 +60,7 @@ let is_undoable = function
   | Heap _ | Index_key _ | Index_bulk_insert _ -> true
   | Begin | Commit | Abort | End | Sidefile_append _ | Clr _ | Build_start _
   | Build_done _ | Heap_extend _ | Create_table _ | Create_index _
-  | Drop_index _ | Index_state _ | Range_commit _ ->
+  | Drop_index _ | Index_state _ ->
     false
 
 let heap_op_size = function
@@ -85,7 +84,6 @@ let rec body_size = function
   | Create_index { key_cols; _ } -> 14 + (8 * List.length key_cols)
   | Drop_index _ -> 5
   | Index_state _ -> 17
-  | Range_commit _ -> 25
 
 (* lsn + txn + prev_lsn header = 20 bytes *)
 let encoded_size t = 20 + body_size t.body
@@ -143,8 +141,6 @@ let rec pp_body ppf = function
       | 1 -> "write-only"
       | 2 -> "readable"
       | n -> "state" ^ string_of_int n)
-  | Range_commit { index; lo; hi } ->
-    Format.fprintf ppf "RANGE_COMMIT i%d [%d,%d]" index lo hi
 
 let pp ppf t =
   Format.fprintf ppf "%a txn=%s prev=%a %a" Lsn.pp t.lsn

@@ -89,14 +89,6 @@ type body =
           the last logged state. Not redone by the heap/index passes —
           the engine applies the final logged state per index after its
           catalog reopen. *)
-  | Range_commit of { index : index_id; lo : int; hi : int }
-      (** The index builder durably sealed scanned data pages [lo..hi]
-          (inclusive) for [index]'s build: their keys are in checkpointed
-          sort runs, so a resumed build must never rescan them. Written at
-          each batched scan chunk boundary, after the sort checkpoint.
-          Informational for recovery (coverage itself lives in the durable
-          kv, snapshot-consistent with the sort checkpoint); consumed by
-          the trace/DST scan-accounting oracles. *)
 
 type t = {
   lsn : Lsn.t;

@@ -213,6 +213,14 @@ let test_iot_scan_crash_repro () =
   check_repro ~seed:88 ~alg:Scenario.Iot ~rows:193 ~workers:2 ~txns:7 ~ops:4
     ~post:2 ~crash:85 ~unique:true
 
+(* A transaction routed a change to the secondary's side-file under the
+   page latch, then waited in the Ready primary's unique guard while the
+   drain finished: its deferred append once found the build Ready and
+   raised. *)
+let test_iot_route_outlives_drain () =
+  check_repro ~seed:28 ~alg:Scenario.Iot ~rows:122 ~workers:3 ~txns:1 ~ops:5
+    ~post:6 ~crash:20 ~unique:true
+
 (* --- the harness catches, shrinks, and reproduces planted violations --- *)
 
 (* Same corruption oib-fuzz's --sabotage plants: a phantom entry inserted
@@ -288,7 +296,9 @@ let test_sweep_small_scenario_clean () =
   let r = Sweep.sweep sc ~points:12 in
   Alcotest.(check (list string)) "base clean" [] r.Sweep.base_errors;
   Alcotest.(check bool) "points attempted" true (List.length r.Sweep.points >= 10);
-  Alcotest.(check int) "no failures" 0 (List.length (Sweep.failures r))
+  Alcotest.(check int) "no failures" 0 (List.length (Sweep.failures r));
+  Alcotest.(check bool) "scan oracle saw checkpoints" true
+    (r.Sweep.checkpoints > 0)
 
 let test_sweep_reports_poisoned_base () =
   let sc =
@@ -297,6 +307,68 @@ let test_sweep_reports_poisoned_base () =
   let r = Sweep.sweep ~inject:plant_phantom sc ~points:10 in
   Alcotest.(check bool) "base failure reported" true (r.Sweep.base_errors <> []);
   Alcotest.(check int) "no points wasted" 0 (List.length r.Sweep.points)
+
+(* --- the scan oracle, driven by planted builder events --- *)
+
+(* index 10's scan: fresh start, pages 0..3, a checkpoint at 3, pages 4..5
+   that no checkpoint captured *)
+let scan_to_checkpoint chk =
+  let ev e = Scan_check.observe chk e in
+  ev (Ib.Scan_start { index = 10; pos = -1 });
+  for page = 0 to 3 do
+    ev (Ib.Page_extracted { index = 10; page })
+  done;
+  ev (Ib.Scan_checkpoint { index = 10; pos = 3 });
+  for page = 4 to 5 do
+    ev (Ib.Page_extracted { index = 10; page })
+  done
+
+let flagged chk needle =
+  List.exists (fun e -> contains e needle) (Scan_check.errors chk)
+
+let test_scan_check_reextract_below_mark () =
+  let chk = Scan_check.create () in
+  scan_to_checkpoint chk;
+  Scan_check.new_epoch chk;
+  Scan_check.observe chk (Ib.Scan_start { index = 10; pos = 3 });
+  (* page 4 was not captured: extracting it again is legal *)
+  Scan_check.observe chk (Ib.Page_extracted { index = 10; page = 4 });
+  Alcotest.(check (list string)) "rescan above the mark" []
+    (Scan_check.errors chk);
+  Scan_check.observe chk (Ib.Page_extracted { index = 10; page = 2 });
+  Alcotest.(check bool) "page 2 reported" true
+    (flagged chk "page 2 extracted again")
+
+let test_scan_check_double_in_epoch () =
+  let chk = Scan_check.create () in
+  scan_to_checkpoint chk;
+  Scan_check.observe chk (Ib.Page_extracted { index = 10; page = 5 });
+  Alcotest.(check bool) "page 5 reported" true
+    (flagged chk "page 5 extracted twice within epoch 0")
+
+let test_scan_check_resume_below_mark () =
+  let chk = Scan_check.create () in
+  scan_to_checkpoint chk;
+  Scan_check.new_epoch chk;
+  Scan_check.observe chk (Ib.Scan_start { index = 10; pos = 2 });
+  Alcotest.(check bool) "resume at 2 reported" true
+    (flagged chk "scan resumed at page 2, but its last checkpoint is at 3");
+  Scan_check.observe chk (Ib.Scan_checkpoint { index = 10; pos = 2 });
+  Alcotest.(check bool) "falling mark reported" true
+    (flagged chk "checkpoint went down from 3 to 2")
+
+let test_scan_check_fresh_start_resets () =
+  let chk = Scan_check.create () in
+  scan_to_checkpoint chk;
+  (* a unique violation cancels the build; the same index id is rebuilt
+     from scratch, in the same incarnation and again after a crash *)
+  scan_to_checkpoint chk;
+  Scan_check.new_epoch chk;
+  scan_to_checkpoint chk;
+  Alcotest.(check (list string)) "rebuilds are clean" []
+    (Scan_check.errors chk);
+  Alcotest.(check int) "mark of the last rebuild" 3 (Scan_check.mark chk 10);
+  Alcotest.(check int) "checkpoints counted" 3 (Scan_check.checkpoints chk)
 
 (* --- bounded mini-fuzz: generated fault plans, every oracle, in-tree --- *)
 
@@ -344,6 +416,8 @@ let () =
             test_sf_scan_crash_repro;
           Alcotest.test_case "iot crash in the key-order scan" `Quick
             test_iot_scan_crash_repro;
+          Alcotest.test_case "iot append routed before the drain ends" `Quick
+            test_iot_route_outlives_drain;
         ] );
       ( "harness",
         [
@@ -361,6 +435,17 @@ let () =
             test_sweep_small_scenario_clean;
           Alcotest.test_case "poisoned base reported" `Quick
             test_sweep_reports_poisoned_base;
+        ] );
+      ( "scan-check",
+        [
+          Alcotest.test_case "re-extraction below the mark" `Quick
+            test_scan_check_reextract_below_mark;
+          Alcotest.test_case "double extraction in one epoch" `Quick
+            test_scan_check_double_in_epoch;
+          Alcotest.test_case "resume below the mark" `Quick
+            test_scan_check_resume_below_mark;
+          Alcotest.test_case "fresh start after cancel resets" `Quick
+            test_scan_check_fresh_start_resets;
         ] );
       ( "mini-fuzz",
         [

@@ -56,7 +56,6 @@ let all_variants =
     Event.Ib_phase { index = 10; phase = "scan" };
     Event.Ib_checkpoint { index = 10; stage = nasty };
     Event.Index_state { index = 10; state = nasty };
-    Event.Ib_range_commit { index = 10; lo = 3; hi = 9 };
     Event.Ib_throttle { level = 2; reason = nasty };
     Event.Sidefile_append { sidefile = 10; insert = false; pos = 31 };
     Event.Sidefile_drained { sidefile = 10; from_pos = 0; upto = 31 };
@@ -115,22 +114,21 @@ let variant_index : Event.t -> int = function
   | Ib_phase _ -> 27
   | Ib_checkpoint _ -> 28
   | Index_state _ -> 29
-  | Ib_range_commit _ -> 30
-  | Ib_throttle _ -> 31
-  | Sidefile_append _ -> 32
-  | Sidefile_drained _ -> 33
-  | Checkpoint _ -> 34
-  | Recovery_step _ -> 35
-  | Crash _ -> 36
-  | Span_begin _ -> 37
-  | Span_end _ -> 38
-  | Sample _ -> 39
-  | Prof_sample _ -> 40
-  | Shared _ -> 41
-  | Epoch _ -> 42
-  | Run_start -> 43
+  | Ib_throttle _ -> 30
+  | Sidefile_append _ -> 31
+  | Sidefile_drained _ -> 32
+  | Checkpoint _ -> 33
+  | Recovery_step _ -> 34
+  | Crash _ -> 35
+  | Span_begin _ -> 36
+  | Span_end _ -> 37
+  | Sample _ -> 38
+  | Prof_sample _ -> 39
+  | Shared _ -> 40
+  | Epoch _ -> 41
+  | Run_start -> 42
 
-let n_variants = 44
+let n_variants = 43
 
 let test_roundtrip () =
   Alcotest.(check (list int)) "every constructor listed once"

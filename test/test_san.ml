@@ -284,7 +284,7 @@ let test_atomics_diff () =
   let quiet = San.create () in
   Alcotest.(check (list string)) "static-only crossing is informational"
     [ "SAN-atomics-info" ]
-    (rules_of (San.diff_atomics quiet ~static:[ "Range_set" ]))
+    (rules_of (San.diff_atomics quiet ~static:[ "Throttle.level" ]))
 
 let test_atomics_json_parse () =
   (match
