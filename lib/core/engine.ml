@@ -143,7 +143,12 @@ let recover_over ~seed (old : t) ~store ~kv ~runs =
       Oib_obs.Trace.emit trace (Oib_obs.Event.Recovery_step { step; detail })
   in
   (* ---- restart recovery ---- *)
-  let analysis = Restart.analyze log in
+  (* decode the durable log once; every pass below reads this list. The
+     only record restart itself flushes before a later pass is
+     [restore_phase_after_restart]'s Index_state downgrade, and no later
+     pass reads Index_state records. *)
+  let records = LM.durable_records log in
+  let analysis = Restart.analyze records in
   recovery_step "analysis"
     (Printf.sprintf "losers=%d builds_in_progress=%d"
        (List.length analysis.losers)
@@ -159,7 +164,7 @@ let recover_over ~seed (old : t) ~store ~kv ~runs =
       | Oib_wal.Log_record.Heap_extend { page; _ } ->
         Buffer_pool.reserve_page_ids pool ~upto:page
       | _ -> ())
-    (LM.durable_records log);
+    records;
   (* catalog objects over the surviving store *)
   Catalog.reopen ctx.Ctx.catalog pool;
   (* ... and in the durable inventories: after a log truncation the
@@ -200,7 +205,7 @@ let recover_over ~seed (old : t) ~store ~kv ~runs =
         | _ -> Catalog.drop_index ctx.Ctx.catalog index
         | exception Invalid_argument _ -> ())
       | _ -> ())
-    (LM.durable_records log);
+    records;
   (* land every surviving index in its last durably logged lifecycle
      state: the kv entry may trail the log (crash between the Index_state
      flush and the catalog rewrite) or predate it (media restore from an
@@ -219,10 +224,10 @@ let recover_over ~seed (old : t) ~store ~kv ~runs =
         | tbl -> Heap_file.ensure_page_registered tbl.heap page
         | exception Invalid_argument _ -> ())
       | _ -> ())
-    (LM.durable_records log);
+    records;
   (* repeat history on the data pages *)
   recovery_step "redo_heap" "";
-  Restart.redo_heap log pool
+  Restart.redo_heap records pool
     ~page_capacity:(Catalog.page_capacity ctx.Ctx.catalog);
   (* a page can be in the inventory yet exist nowhere: registered
      durably at extend time, then lost with the unflushed log tail. No
@@ -246,20 +251,21 @@ let recover_over ~seed (old : t) ~store ~kv ~runs =
   List.iter
     (fun (tbl : Catalog.table_info) ->
       List.iter
-        (fun (info : Catalog.index_info) -> Restart.replay_index log info.tree)
+        (fun (info : Catalog.index_info) ->
+          Restart.replay_index records info.tree)
         tbl.indexes)
     (Catalog.tables ctx.Ctx.catalog);
   (* in-progress builds: phase down from Ready, rebuild side-files *)
   List.iter
     (fun (index_id, _table) ->
       recovery_step "restore_build" (Printf.sprintf "index=%d" index_id);
-      Ib.restore_phase_after_restart ctx ~index_id)
+      Ib.restore_phase_after_restart ctx ~records ~index_id)
     analysis.builds_in_progress;
   (* roll back losers with the live-abort executor *)
   List.iter
-    (fun (txn_id, last) ->
+    (fun (txn_id, chain) ->
       recovery_step "rollback_loser" (Printf.sprintf "txn=%d" txn_id);
-      let txn = Txn.adopt txns ~txn_id ~last in
+      let txn = Txn.adopt txns ~txn_id ~chain in
       Table_ops.rollback ctx txn)
     analysis.losers;
   LM.flush_all log;

@@ -123,14 +123,17 @@ val spawn_gc_daemon :
     "scheduled as a background activity"). Returns a stop function and the
     running total of collected tombstones. *)
 
-val restore_phase_after_restart : Ctx.t -> index_id:int -> unit
+val restore_phase_after_restart :
+  Ctx.t -> records:Oib_wal.Log_record.t list -> index_id:int -> unit
 (** Used by [Engine.restart]: downgrade a reopened index's phase from
     [Ready] to its true in-progress state using the builder's durable
     progress record (no-op when the index has no progress record). Also
     downgrades a [Readable] lifecycle state back to [Write_only] (the
     crash hit between the readable transition and a durable [Build_done])
     and rehydrates the published {!Build_status} from the progress record,
-    so status and catalog agree before the resuming builder runs. *)
+    so status and catalog agree before the resuming builder runs. An SF
+    build's side-file is rebuilt from [records], the restart's decoded
+    durable log. *)
 
 val scan_checkpoint : Ctx.t -> index_id:int -> int option
 (** The scan position of the build's last sort checkpoint: every heap page

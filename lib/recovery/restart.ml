@@ -3,7 +3,7 @@ module LR = Oib_wal.Log_record
 module Lsn = Oib_wal.Lsn
 
 type analysis = {
-  losers : (int * Lsn.t) list;
+  losers : (int * LR.t list) list;
   winners : int list;
   builds_in_progress : (int * int) list;
   builds_done : int list;
@@ -12,9 +12,11 @@ type analysis = {
   max_txn_id : int;
 }
 
-let analyze log =
-  let last : (int, Lsn.t) Hashtbl.t = Hashtbl.create 32 in
-  let ended : (int, unit) Hashtbl.t = Hashtbl.create 32 in
+let analyze records =
+  (* the records of every transaction not yet committed or ended, newest
+     first: what each loser's rollback walks. A transaction that ended
+     without commit completed its rollback and is no loser. *)
+  let chains : (int, LR.t list) Hashtbl.t = Hashtbl.create 32 in
   let committed : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let builds : (int, int) Hashtbl.t = Hashtbl.create 4 in
   let states : (int, int) Hashtbl.t = Hashtbl.create 4 in
@@ -27,11 +29,14 @@ let analyze log =
       (match r.txn with
       | Some id ->
         if id > !max_txn then max_txn := id;
-        Hashtbl.replace last id r.lsn;
         (match r.body with
-        | LR.Commit -> Hashtbl.replace committed id ()
-        | LR.End -> Hashtbl.replace ended id ()
-        | _ -> ())
+        | LR.Commit ->
+          Hashtbl.replace committed id ();
+          Hashtbl.remove chains id
+        | LR.End -> Hashtbl.remove chains id
+        | _ ->
+          Hashtbl.replace chains id
+            (r :: Option.value (Hashtbl.find_opt chains id) ~default:[]))
       | None -> ());
       match r.body with
       | LR.Build_start { index; table } -> Hashtbl.replace builds index table
@@ -43,19 +48,12 @@ let analyze log =
         Hashtbl.replace states index state
       | LR.Drop_index { index } -> Hashtbl.remove states index
       | _ -> ())
-    (Oib_wal.Log_manager.durable_records log);
-  let losers = ref [] and winners = ref [] in
-  Hashtbl.iter
-    (fun id lsn ->
-      if Hashtbl.mem committed id then winners := id :: !winners
-      else if not (Hashtbl.mem ended id) then losers := (id, lsn) :: !losers
-      else
-        (* ended without commit: a completed rollback; nothing to do *)
-        ())
-    last;
+    records;
+  let losers = Hashtbl.fold (fun id chain acc -> (id, chain) :: acc) chains [] in
+  let winners = Hashtbl.fold (fun id () acc -> id :: acc) committed [] in
   {
-    losers = List.sort (fun (a, _) (b, _) -> compare a b) !losers;
-    winners = List.sort compare !winners;
+    losers = List.sort (fun (a, _) (b, _) -> compare a b) losers;
+    winners = List.sort compare winners;
     builds_in_progress = Hashtbl.fold (fun i t acc -> (i, t) :: acc) builds [];
     builds_done = !done_builds;
     index_states =
@@ -72,7 +70,7 @@ let apply_heap_op page_payload op =
   | LR.Heap_update { rid; new_record; _ } ->
     Heap_page.put hp rid.Oib_util.Rid.slot new_record
 
-let redo_heap log pool ~page_capacity =
+let redo_heap records pool ~page_capacity =
   let page_of id =
     match Buffer_pool.get pool ~kind:Heap_page.kind id with
     | p -> p
@@ -94,9 +92,9 @@ let redo_heap log pool ~page_capacity =
       | LR.Heap { page; op; _ } -> redo_one r.lsn page op
       | LR.Clr { action = LR.Heap { page; op; _ }; _ } -> redo_one r.lsn page op
       | _ -> ())
-    (Oib_wal.Log_manager.durable_records log)
+    records
 
-let replay_index log tree =
+let replay_index records tree =
   let index_id = Oib_btree.Btree.index_id tree in
   let after = Oib_btree.Btree.image_lsn tree in
   let apply_op (op : LR.index_key_op) =
@@ -114,4 +112,4 @@ let replay_index log tree =
             keys
         | LR.Clr { action = LR.Index_key { op; _ }; _ } -> apply_op op
         | _ -> ())
-    (Oib_wal.Log_manager.durable_records log)
+    records

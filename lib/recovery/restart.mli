@@ -1,7 +1,11 @@
 (** ARIES-style restart recovery passes.
 
+    Every pass reads the same list, the durable log decoded once by the
+    caller ({!Oib_wal.Log_manager.durable_records}).
+
     - {!analyze} scans the durable log and classifies transactions
-      (winners / losers) and index builds (done / in progress).
+      (winners / losers) and index builds (done / in progress), and
+      collects each loser's records for its rollback.
     - {!redo_heap} repeats history on the data pages: every redoable heap
       action (including CLR actions) is reapplied unless the page's
       page_LSN shows it already there. Pages that were never flushed are
@@ -13,15 +17,16 @@
       reproduces the tree's logical content exactly (see DESIGN.md §2 for
       why the no-steal index-page policy makes this sound).
     - Loser undo is driven by the caller through {!Oib_txn.Txn_manager}
-      with the same undo executor used for normal rollback; {!adoptable}
-      lists what to adopt.
+      with the same undo executor used for normal rollback: each loser's
+      chain goes to [Txn_manager.adopt].
 
     The whole restart sequence is orchestrated by the engine layer
     ([Oib_core.Engine.restart]), which owns the catalog. *)
 
 type analysis = {
-  losers : (int * Oib_wal.Lsn.t) list;
-      (** transaction id, LSN its undo must start from; oldest first *)
+  losers : (int * Oib_wal.Log_record.t list) list;
+      (** transaction id and its durable records, newest first (the undo
+          starts from the head); ordered by id *)
   winners : int list;
   builds_in_progress : (int * int) list; (** index id, table id *)
   builds_done : int list;
@@ -36,12 +41,12 @@ type analysis = {
   max_txn_id : int;
 }
 
-val analyze : Oib_wal.Log_manager.t -> analysis
+val analyze : Oib_wal.Log_record.t list -> analysis
 
 val redo_heap :
-  Oib_wal.Log_manager.t -> Oib_storage.Buffer_pool.t -> page_capacity:int ->
+  Oib_wal.Log_record.t list -> Oib_storage.Buffer_pool.t -> page_capacity:int ->
   unit
 
-val replay_index : Oib_wal.Log_manager.t -> Oib_btree.Btree.t -> unit
+val replay_index : Oib_wal.Log_record.t list -> Oib_btree.Btree.t -> unit
 (** Replay operations for this index with LSN greater than the tree's image
     LSN. *)

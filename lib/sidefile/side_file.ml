@@ -49,7 +49,7 @@ let sorted_slice ?keep t ~from ~upto =
   in
   List.stable_sort (fun a b -> Ikey.compare a.key b.key) entries
 
-let rebuild_from_log log ~sidefile_id =
+let rebuild_from_log records ~sidefile_id =
   let t = create ~sidefile_id in
   List.iter
     (fun (r : Oib_wal.Log_record.t) ->
@@ -63,7 +63,7 @@ let rebuild_from_log log ~sidefile_id =
         when sidefile = sidefile_id ->
         ignore (apply_append t ~insert key)
       | _ -> ())
-    (Oib_wal.Log_manager.durable_records log);
+    records;
   t
 
 let pp_entry ppf e =

@@ -11,7 +11,9 @@ type txn = {
   begin_lsn : Lsn.t;
   begin_step : int; (* scheduler step at begin, for latency histograms *)
   span : int; (* trace span covering the whole transaction (0 untraced) *)
+  tag : int option; (* [Some txn_id], shared by every chained record *)
   mutable last : Lsn.t;
+  mutable chain : LR.t list; (* records logged while active, newest first *)
   mutable st : status;
 }
 
@@ -40,10 +42,14 @@ let begin_txn t =
   let txn_id = t.next_id in
   t.next_id <- txn_id + 1;
   let span = txn_span t txn_id in
-  let begin_lsn = LM.append t.log ~txn:(Some txn_id) ~prev_lsn:Lsn.nil LR.Begin in
+  let tag = Some txn_id in
+  let begin_lsn = LM.append t.log ~txn:tag ~prev_lsn:Lsn.nil LR.Begin in
+  let first =
+    { LR.lsn = begin_lsn; txn = tag; prev_lsn = Lsn.nil; body = LR.Begin }
+  in
   let txn =
-    { txn_id; begin_lsn; begin_step = Trace.now t.trace; span;
-      last = begin_lsn; st = Active }
+    { txn_id; begin_lsn; begin_step = Trace.now t.trace; span; tag;
+      last = begin_lsn; chain = [ first ]; st = Active }
   in
   Hashtbl.replace t.active txn_id txn;
   if Trace.tracing t.trace then
@@ -56,12 +62,15 @@ let last_lsn txn = txn.last
 
 let log_op t txn body =
   assert (txn.st = Active);
-  let lsn = LM.append t.log ~txn:(Some txn.txn_id) ~prev_lsn:txn.last body in
+  let prev_lsn = txn.last in
+  let lsn = LM.append t.log ~txn:txn.tag ~prev_lsn body in
   txn.last <- lsn;
+  txn.chain <- { LR.lsn; txn = txn.tag; prev_lsn; body } :: txn.chain;
   lsn
 
 let finish t txn st =
   txn.st <- st;
+  txn.chain <- [];
   Hashtbl.remove t.active txn.txn_id;
   Oib_lock.Lock_manager.unlock_all t.locks ~txn:txn.txn_id
 
@@ -87,28 +96,31 @@ let rollback t txn ~undo =
   assert (txn.st = Active);
   if Trace.tracing t.trace then
     Trace.emit t.trace (Event.Undo_begin { txn = txn.txn_id });
-  (* Walk newest-to-oldest. A CLR's undo_next skips the records that were
-     already compensated if rollback itself was interrupted (restart). *)
-  let rec walk lsn =
+  (* Walk the chain newest-to-oldest by prev_lsn. A CLR's undo_next skips
+     the records that were already compensated if rollback itself was
+     interrupted (restart). The walk reads the chain as it stood at the
+     start: the CLRs it writes are newer than every target. *)
+  let rec walk lsn chain =
     if Lsn.( > ) lsn Lsn.nil then
-      match LM.record_at t.log lsn with
-      | None -> () (* chain older than durable log: nothing active remains *)
-      | Some r -> (
-        match r.LR.body with
-        | LR.Clr { undo_next; _ } -> walk undo_next
+      match chain with
+      | (r : LR.t) :: older when Lsn.( > ) r.lsn lsn -> walk lsn older
+      | (r : LR.t) :: older when Lsn.equal r.lsn lsn -> (
+        match r.body with
+        | LR.Clr { undo_next; _ } -> walk undo_next older
         | body when LR.is_undoable body ->
           if Trace.tracing t.trace then
             Trace.emit t.trace
               (Event.Txn_rollback_step
                  { txn = txn.txn_id; lsn = Lsn.to_int lsn });
           let clr action =
-            log_op t txn (LR.Clr { action; undo_next = r.LR.prev_lsn })
+            log_op t txn (LR.Clr { action; undo_next = r.prev_lsn })
           in
           undo body ~clr;
-          walk r.LR.prev_lsn
-        | _ -> walk r.LR.prev_lsn)
+          walk r.prev_lsn older
+        | _ -> walk r.prev_lsn older)
+      | _ -> () (* the chain ends above [lsn]: the log was truncated *)
   in
-  walk txn.last;
+  walk txn.last txn.chain;
   ignore (log_op t txn LR.Abort);
   ignore (log_op t txn LR.End);
   if Trace.tracing t.trace then
@@ -122,11 +134,12 @@ let rollback t txn ~undo =
     Trace.emit t.trace (Event.Txn_abort { txn = txn.txn_id; latency });
   Trace.span_end t.trace txn.span
 
-let adopt t ~txn_id ~last =
+let adopt t ~txn_id ~chain =
   let span = txn_span t txn_id in
+  let last = match chain with (r : LR.t) :: _ -> r.lsn | [] -> Lsn.nil in
   let txn =
     { txn_id; begin_lsn = last; begin_step = Trace.now t.trace; span;
-      last; st = Active }
+      tag = Some txn_id; last; chain; st = Active }
   in
   Hashtbl.replace t.active txn_id txn;
   if txn_id >= t.next_id then t.next_id <- txn_id + 1;

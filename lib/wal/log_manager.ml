@@ -8,9 +8,8 @@ type t = {
   mutable durable : Buffer.t;
   mutable durable_lsn : Lsn.t;
   mutable start : Lsn.t;
-  mutable volatile : (Log_record.t * string) list; (* newest first *)
+  mutable volatile : (Lsn.t * string) list; (* encoded, newest first *)
   mutable volatile_bytes : int; (* encoded bytes awaiting flush *)
-  by_lsn : (int, Log_record.t) Hashtbl.t;
 }
 
 let create ?(trace = Trace.null) metrics =
@@ -23,7 +22,6 @@ let create ?(trace = Trace.null) metrics =
     start = Lsn.nil;
     volatile = [];
     volatile_bytes = 0;
-    by_lsn = Hashtbl.create 1024;
   }
 
 (* A short tag for trace events: which family of record was appended. *)
@@ -48,11 +46,9 @@ let kind_of_body : Log_record.body -> string = function
 let append t ~txn ~prev_lsn body =
   let lsn = t.next_lsn in
   t.next_lsn <- Lsn.next lsn;
-  let record = { Log_record.lsn; txn; prev_lsn; body } in
-  let bytes = Log_codec.encode record in
-  t.volatile <- (record, bytes) :: t.volatile;
+  let bytes = Log_codec.encode { Log_record.lsn; txn; prev_lsn; body } in
+  t.volatile <- (lsn, bytes) :: t.volatile;
   t.volatile_bytes <- t.volatile_bytes + String.length bytes;
-  Hashtbl.replace t.by_lsn (Lsn.to_int lsn) record;
   Oib_sim.Metrics.add t.metrics Log_records 1;
   Oib_sim.Metrics.add t.metrics Log_bytes (String.length bytes);
   if Trace.tracing t.trace then
@@ -77,15 +73,13 @@ let flush t ~upto =
     (* volatile is newest-first; move the prefix with lsn <= upto to the
        durable buffer, oldest first. *)
     let to_keep, to_flush =
-      List.partition
-        (fun ((r : Log_record.t), _) -> Lsn.( > ) r.lsn upto)
-        t.volatile
+      List.partition (fun (lsn, _) -> Lsn.( > ) lsn upto) t.volatile
     in
     List.iter
-      (fun ((r : Log_record.t), bytes) ->
+      (fun (lsn, bytes) ->
         Buffer.add_string t.durable bytes;
         t.volatile_bytes <- t.volatile_bytes - String.length bytes;
-        if Lsn.( > ) r.lsn t.durable_lsn then t.durable_lsn <- r.lsn)
+        if Lsn.( > ) lsn t.durable_lsn then t.durable_lsn <- lsn)
       (List.rev to_flush);
     t.volatile <- to_keep;
     Trace.span_end t.trace span
@@ -94,7 +88,7 @@ let flush t ~upto =
 let flush_all t =
   match t.volatile with
   | [] -> ()
-  | ((newest, _) :: _) -> flush t ~upto:newest.Log_record.lsn
+  | (newest, _) :: _ -> flush t ~upto:newest
 
 let flushed_lsn t = t.durable_lsn
 
@@ -103,57 +97,41 @@ let last_lsn t = Lsn.of_int (Lsn.to_int t.next_lsn - 1)
 let durable_records t = Log_codec.decode_stream (Buffer.contents t.durable)
 
 let crash t =
-  let survivor =
-    {
-      metrics = t.metrics;
-      trace = t.trace;
-      next_lsn = Lsn.next t.durable_lsn;
-      durable = Buffer.create (Buffer.length t.durable);
-      durable_lsn = t.durable_lsn;
-      start = t.start;
-      volatile = [];
-      volatile_bytes = 0;
-      by_lsn = Hashtbl.create 1024;
-    }
-  in
-  Buffer.add_buffer survivor.durable t.durable;
-  List.iter
-    (fun (r : Log_record.t) ->
-      Hashtbl.replace survivor.by_lsn (Lsn.to_int r.lsn) r)
-    (durable_records survivor);
-  survivor
+  let durable = Buffer.create (Buffer.length t.durable) in
+  Buffer.add_buffer durable t.durable;
+  {
+    metrics = t.metrics;
+    trace = t.trace;
+    next_lsn = Lsn.next t.durable_lsn;
+    durable;
+    durable_lsn = t.durable_lsn;
+    start = t.start;
+    volatile = [];
+    volatile_bytes = 0;
+  }
 
 let all_records t =
-  durable_records t @ List.rev_map (fun (r, _) -> r) t.volatile
-
-let record_at t lsn = Hashtbl.find_opt t.by_lsn (Lsn.to_int lsn)
+  Log_codec.decode_stream
+    (Buffer.contents t.durable ^ String.concat "" (List.rev_map snd t.volatile))
 
 let durable_bytes t = Buffer.length t.durable
 
 let unflushed_bytes t = t.volatile_bytes
 
+(* Durable records are in LSN order, so the retained suffix starts at the
+   first frame at or above [below]. *)
 let truncate t ~below =
-  let before = Buffer.length t.durable in
-  let keep =
-    List.filter
-      (fun (r : Log_record.t) -> Lsn.( >= ) r.lsn below)
-      (durable_records t)
+  let bytes = Buffer.contents t.durable in
+  let rec first_kept pos =
+    match Log_codec.decode bytes ~pos with
+    | Some (r, next) when Lsn.( < ) r.Log_record.lsn below -> first_kept next
+    | _ -> pos
   in
-  let fresh = Buffer.create (max 4096 before) in
-  List.iter
-    (fun (r : Log_record.t) ->
-      Buffer.add_string fresh (Log_codec.encode r);
-      Hashtbl.remove t.by_lsn (Lsn.to_int r.lsn))
-    keep;
-  (* re-register kept records; drop everything below the new start *)
-  Hashtbl.iter
-    (fun lsn _ -> if lsn < Lsn.to_int below then Hashtbl.remove t.by_lsn lsn)
-    (Hashtbl.copy t.by_lsn);
-  List.iter
-    (fun (r : Log_record.t) -> Hashtbl.replace t.by_lsn (Lsn.to_int r.lsn) r)
-    keep;
+  let cut = first_kept 0 in
+  let fresh = Buffer.create (max 4096 (String.length bytes - cut)) in
+  Buffer.add_substring fresh bytes cut (String.length bytes - cut);
   t.durable <- fresh;
   if Lsn.( > ) below t.start then t.start <- below;
-  before - Buffer.length fresh
+  cut
 
 let start_lsn t = t.start

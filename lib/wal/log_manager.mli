@@ -1,11 +1,14 @@
-(** The write-ahead log.
+(** The write-ahead log: what a log disk plus a log buffer would hold.
 
-    Appends are buffered in volatile memory; [flush] makes a prefix durable
-    (serialized bytes). A simulated crash discards the volatile tail — the
-    survivor log is re-decoded from the durable bytes, exactly as a real
-    restart reads the log from disk. Transactions force the log at commit;
-    the buffer pool forces it up to a page's page_LSN before writing that
-    page (the write-ahead rule). *)
+    An append encodes the record into the volatile tail (the log buffer);
+    [flush] moves a prefix of the tail to the durable bytes (the disk). No
+    decoded record is kept, so the log offers no random access: live
+    rollback walks the transaction's own chain ({!Oib_txn.Txn_manager}),
+    and restart decodes the durable bytes once ({!durable_records}) and
+    hands the list to every pass. A simulated crash discards the volatile
+    tail and keeps the durable bytes as they are. Transactions force the
+    log at commit; the buffer pool forces it up to a page's page_LSN before
+    writing that page (the write-ahead rule). *)
 
 type t
 
@@ -27,16 +30,15 @@ val flushed_lsn : t -> Lsn.t
 val last_lsn : t -> Lsn.t
 
 val crash : t -> t
-(** Volatile tail is lost; the result contains only what was flushed. *)
+(** Volatile tail is lost; the result holds only the flushed bytes. Decodes
+    nothing. *)
 
 val durable_records : t -> Log_record.t list
-(** Decode the durable log, in LSN order (what restart recovery sees). *)
+(** Decode the durable log, in LSN order (what restart recovery sees).
+    Each call decodes every durable byte again. *)
 
 val all_records : t -> Log_record.t list
-(** Durable + volatile records — for tests and debugging only. *)
-
-val record_at : t -> Lsn.t -> Log_record.t option
-(** Random access for rollback's undo-chain walk. *)
+(** Durable + volatile records, decoded — for tests and debugging only. *)
 
 val durable_bytes : t -> int
 

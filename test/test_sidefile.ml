@@ -65,7 +65,7 @@ let test_rebuild_from_log () =
   in
   LM.flush_all log;
   let survivor = LM.crash log in
-  let sf = SF.rebuild_from_log survivor ~sidefile_id:7 in
+  let sf = SF.rebuild_from_log (LM.durable_records survivor) ~sidefile_id:7 in
   Alcotest.(check int) "only sidefile 7's entries, incl. CLRs" 3 (SF.length sf);
   Alcotest.(check bool) "order preserved" true
     ((SF.get sf 0).insert && not (SF.get sf 1).insert && (SF.get sf 2).insert)
@@ -83,7 +83,7 @@ let test_rebuild_ignores_unflushed () =
       (LR.Sidefile_append { sidefile = 7; insert = true; key = key 2 })
   in
   let survivor = LM.crash log in
-  let sf = SF.rebuild_from_log survivor ~sidefile_id:7 in
+  let sf = SF.rebuild_from_log (LM.durable_records survivor) ~sidefile_id:7 in
   Alcotest.(check int) "lost tail dropped" 1 (SF.length sf)
 
 let prop_rebuild_roundtrip =
@@ -102,7 +102,7 @@ let prop_rebuild_roundtrip =
           ignore (SF.apply_append sf ~insert (key i)))
         ops;
       LM.flush_all log;
-      let sf' = SF.rebuild_from_log (LM.crash log) ~sidefile_id:3 in
+      let sf' = SF.rebuild_from_log (LM.durable_records (LM.crash log)) ~sidefile_id:3 in
       SF.length sf' = SF.length sf
       && List.for_all
            (fun i ->

@@ -162,25 +162,32 @@ let test_flush_is_prefix () =
     (List.map Lsn.to_int (List.filteri (fun i _ -> i < 5) lsns))
     (List.map Lsn.to_int got)
 
-let test_flush_all_and_record_at () =
+let test_flush_all () =
   let lm = mk () in
   let l1 = LM.append lm ~txn:(Some 1) ~prev_lsn:Lsn.nil LR.Begin in
+  Alcotest.(check int) "nothing durable yet" 0 (LM.durable_bytes lm);
   LM.flush_all lm;
   Alcotest.(check int) "flushed to last" (Lsn.to_int l1)
     (Lsn.to_int (LM.flushed_lsn lm));
-  (match LM.record_at lm l1 with
-  | Some r -> Alcotest.(check bool) "body" true (r.LR.body = LR.Begin)
-  | None -> Alcotest.fail "record_at miss");
-  Alcotest.(check bool) "missing lsn" true (LM.record_at lm (Lsn.of_int 999) = None)
+  Alcotest.(check int) "tail drained" 0 (LM.unflushed_bytes lm);
+  match LM.durable_records lm with
+  | [ r ] -> Alcotest.(check bool) "body" true (r.LR.body = LR.Begin)
+  | _ -> Alcotest.fail "one durable record expected"
 
-let test_record_at_after_crash () =
+let test_crash_keeps_durable_bytes () =
   let lm = mk () in
   let l1 = LM.append lm ~txn:(Some 1) ~prev_lsn:Lsn.nil LR.Begin in
-  LM.flush_all lm;
+  let _ = LM.append lm ~txn:(Some 1) ~prev_lsn:l1 LR.Commit in
+  LM.flush lm ~upto:l1;
+  let _ = LM.append lm ~txn:(Some 2) ~prev_lsn:Lsn.nil LR.Begin in
   let survivor = LM.crash lm in
-  match LM.record_at survivor l1 with
-  | Some r -> Alcotest.(check bool) "rebuilt index" true (r.LR.body = LR.Begin)
-  | None -> Alcotest.fail "record_at lost after crash"
+  Alcotest.(check int) "same durable bytes" (LM.durable_bytes lm)
+    (LM.durable_bytes survivor);
+  Alcotest.(check int) "no tail" 0 (LM.unflushed_bytes survivor);
+  Alcotest.(check bool) "same records" true
+    (LM.durable_records survivor = LM.durable_records lm);
+  Alcotest.(check int) "all_records = durable" 1
+    (List.length (LM.all_records survivor))
 
 let test_is_redoable_undoable () =
   let key = Ikey.make "k" (Rid.make ~page:0 ~slot:0) in
@@ -209,10 +216,9 @@ let () =
           Alcotest.test_case "lsn monotonic" `Quick test_lsn_monotonic;
           Alcotest.test_case "flush and crash" `Quick test_flush_and_crash;
           Alcotest.test_case "flush is prefix" `Quick test_flush_is_prefix;
-          Alcotest.test_case "flush_all / record_at" `Quick
-            test_flush_all_and_record_at;
-          Alcotest.test_case "record_at after crash" `Quick
-            test_record_at_after_crash;
+          Alcotest.test_case "flush_all" `Quick test_flush_all;
+          Alcotest.test_case "crash keeps durable bytes" `Quick
+            test_crash_keeps_durable_bytes;
         ] );
       ( "classification",
         [ Alcotest.test_case "redoable/undoable" `Quick test_is_redoable_undoable ]
