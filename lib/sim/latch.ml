@@ -8,7 +8,7 @@ let mode_name = function S -> "S" | X -> "X"
 type t = {
   sched : Sched.t;
   metrics : Metrics.t;
-  name : string;
+  name : string option;  (* [None]: named after its page when needed *)
   uid : int;
   role : string;
   page : int;
@@ -19,12 +19,20 @@ type t = {
       (* FIFO, head = oldest *)
 }
 
-let create ?(name = "latch") ?(role = "latch") ?(page = -1) sched metrics =
+let create ?name ?(role = "latch") ?(page = -1) sched metrics =
   let uid = Sched.fresh_uid sched in
   { sched; metrics; name; uid; role; page; s_holders = 0; x_held = false;
     holder_ids = []; waiters = [] }
 
 let uid t = t.uid
+
+(* Formatted only for a trace event, a span or a wait: page latches are
+   made on every page creation and pool miss. *)
+let name t =
+  match t.name with
+  | Some n -> n
+  | None when t.page >= 0 -> Printf.sprintf "page-%d" t.page
+  | None -> "latch"
 
 let trace t = Sched.trace t.sched
 
@@ -86,9 +94,9 @@ let acquire t mode =
     if Trace.tracing tr then
       Trace.emit tr
         (Event.Latch_wait
-           { latch = t.name; mode = mode_name mode;
+           { latch = name t; mode = mode_name mode;
              holders = holder_names t });
-    let span = Trace.span_begin tr ~cat:"latch" ~name:t.name in
+    let span = Trace.span_begin tr ~cat:"latch" ~name:(name t) in
     let fiber = current_id t in
     Sched.suspend t.sched (fun resume ->
         t.waiters <- t.waiters @ [ (mode, fiber, resume) ]);
@@ -99,7 +107,7 @@ let acquire t mode =
     Metrics.add t.metrics Latch_wait_steps waited;
     if Trace.tracing tr then
       Trace.emit tr
-        (Event.Latch_acquired { latch = t.name; mode = mode_name mode; waited });
+        (Event.Latch_acquired { latch = name t; mode = mode_name mode; waited });
     Trace.span_end tr span
   end
 
@@ -118,7 +126,7 @@ let release t mode =
   if Trace.tracing tr then
     Trace.emit tr
       (Event.Latch_released
-         { latch = t.name; mode = mode_name mode; uid = t.uid; role = t.role;
+         { latch = name t; mode = mode_name mode; uid = t.uid; role = t.role;
            page = t.page });
   (match mode with
   | S ->

@@ -16,7 +16,9 @@ val create :
 (** [role] names the owning structure (a page format's role) for the
     sanitizer's latch-order graph; [page] is the guarded buffer-pool page
     id (or [-1]), letting the sanitizer treat latched sections as page
-    accesses. Both default to inert values. *)
+    accesses. Both default to inert values. [name] labels the latch in
+    trace events and spans; it defaults to ["page-<page>"] for a page
+    latch and ["latch"] otherwise, formatted only when an event needs it. *)
 
 val uid : t -> int
 (** Identity unique within the latch's scheduler, and so within one

@@ -20,10 +20,7 @@ let make ~kind ~id ~sched ~metrics ~payload =
   {
     id;
     kind;
-    latch =
-      Oib_sim.Latch.create
-        ~name:(Printf.sprintf "page-%d" id)
-        ~role:kind.role ~page:id sched metrics;
+    latch = Oib_sim.Latch.create ~role:kind.role ~page:id sched metrics;
     lsn = Oib_wal.Lsn.nil;
     payload;
     dirty = false;

@@ -78,9 +78,8 @@ let spawn_workers ctx cfg ~table =
   (* shared registry of committed records *)
   let live : (Rid.t, unit) Hashtbl.t = Hashtbl.create 1024 in
   List.iter
-    (fun (rid, _) -> Hashtbl.replace live rid ())
-    (Oib_storage.Heap_file.all_records
-       (Catalog.table ctx.Ctx.catalog table).heap);
+    (fun rid -> Hashtbl.replace live rid ())
+    (Oib_storage.Heap_file.rids (Catalog.table ctx.Ctx.catalog table).heap);
   let zipf = Zipf.create ~n:cfg.key_space ~theta:cfg.theta in
   let pick_live rng =
     let n = Hashtbl.length live in
@@ -180,6 +179,4 @@ let spawn_workers ctx cfg ~table =
   stats
 
 let live_rids ctx ~table =
-  List.map fst
-    (Oib_storage.Heap_file.all_records
-       (Catalog.table ctx.Ctx.catalog table).heap)
+  Oib_storage.Heap_file.rids (Catalog.table ctx.Ctx.catalog table).heap

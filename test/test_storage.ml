@@ -511,6 +511,253 @@ let test_corrupt_image_refused () =
         (List.mem (Oib_obs.Event.Span_end { span }) !events))
     io_spans
 
+(* --- heap page against a slot-array model --- *)
+
+(* The page as an array of slots, with the image encoder the page had
+   when it held decoded records: the oracle for the image bytes. *)
+type model_slot = M_free | M_reserved of int | M_record of Record.t
+
+type model = {
+  m_capacity : int;
+  mutable m_slots : model_slot array;
+  mutable m_used : int;
+}
+
+let model_encode m =
+  let b = Buffer.create 256 in
+  let i64 v = Buffer.add_int64_le b (Int64.of_int v) in
+  i64 m.m_capacity;
+  i64 (Array.length m.m_slots);
+  i64 m.m_used;
+  Array.iter
+    (function
+      | M_free -> Buffer.add_uint8 b 0
+      | M_reserved c ->
+        Buffer.add_uint8 b 1;
+        i64 c
+      | M_record r ->
+        Buffer.add_uint8 b 2;
+        i64 (Array.length r.Record.cols);
+        Array.iter
+          (fun c ->
+            i64 (String.length c);
+            Buffer.add_string b c)
+          r.Record.cols)
+    m.m_slots;
+  Buffer.contents b
+
+let model_charge = function
+  | M_free -> 0
+  | M_reserved c -> c
+  | M_record r -> Heap_page.cost r
+
+let model_set m slot v =
+  let n = Array.length m.m_slots in
+  if slot >= n then
+    m.m_slots <-
+      Array.init (slot + 1) (fun i -> if i < n then m.m_slots.(i) else M_free);
+  m.m_used <- m.m_used - model_charge m.m_slots.(slot) + model_charge v;
+  m.m_slots.(slot) <- v
+
+type page_op =
+  | Reserve of Record.t
+  | Put of int * Record.t
+  | Unreserve of int
+  | Remove of int
+
+let show_page_op = function
+  | Reserve r -> "Reserve " ^ Record.to_string r
+  | Put (i, r) -> Printf.sprintf "Put %d %s" i (Record.to_string r)
+  | Unreserve i -> Printf.sprintf "Unreserve %d" i
+  | Remove i -> Printf.sprintf "Remove %d" i
+
+let gen_page_ops =
+  QCheck.Gen.(
+    let col = string_size ~gen:printable (int_range 0 12) in
+    let record = map Record.make (array_size (int_range 0 3) col) in
+    let slot = int_range (-1) 12 in
+    list_size (int_range 0 60)
+      (frequency
+         [
+           (4, map (fun r -> Reserve r) record);
+           (4, map2 (fun i r -> Put (i, r)) slot record);
+           (2, map (fun i -> Unreserve i) slot);
+           (3, map (fun i -> Remove i) slot);
+         ]))
+
+let arb_page_ops =
+  QCheck.make ~print:(QCheck.Print.list show_page_op)
+    ~shrink:QCheck.Shrink.list gen_page_ops
+
+let page_capacity = 400
+
+(* Apply [op] to the page and the model; false if they disagree on the
+   outcome. *)
+let apply_page_op hp m op =
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+  match op with
+  | Reserve r ->
+    if Heap_page.cost r <= m.m_capacity - m.m_used then begin
+      let slot = Heap_page.reserve hp r in
+      let first_free =
+        let rec go i =
+          if i >= Array.length m.m_slots then i
+          else if m.m_slots.(i) = M_free then i
+          else go (i + 1)
+        in
+        go 0
+      in
+      model_set m first_free (M_reserved (Heap_page.cost r));
+      slot = first_free
+    end
+    else raises (fun () -> ignore (Heap_page.reserve hp r))
+  | Put (slot, r) ->
+    if slot < 0 then raises (fun () -> Heap_page.put hp slot r)
+    else begin
+      Heap_page.put hp slot r;
+      model_set m slot (M_record r);
+      true
+    end
+  | Unreserve slot ->
+    if slot < 0 || slot >= Array.length m.m_slots then begin
+      Heap_page.unreserve hp slot;
+      true
+    end
+    else begin
+      match m.m_slots.(slot) with
+      | M_reserved _ ->
+        Heap_page.unreserve hp slot;
+        model_set m slot M_free;
+        true
+      | M_free | M_record _ -> raises (fun () -> Heap_page.unreserve hp slot)
+    end
+  | Remove slot ->
+    Heap_page.remove hp slot;
+    if slot >= 0 && slot < Array.length m.m_slots then model_set m slot M_free;
+    true
+
+let key_value_or_error f =
+  match f () with
+  | k -> Ok k
+  | exception Invalid_argument _ -> Error ()
+
+let page_agrees hp m =
+  let image = Heap_page.encode hp in
+  let slots_agree =
+    let ok = ref true in
+    Array.iteri
+      (fun i v ->
+        let r = match v with M_record r -> Some r | _ -> None in
+        if Heap_page.get hp i <> r then ok := false;
+        match r with
+        | Some r ->
+          List.iter
+            (fun cols ->
+              if
+                key_value_or_error (fun () -> Heap_page.key_value hp i cols)
+                <> key_value_or_error (fun () -> Record.key_value r cols)
+              then ok := false)
+            [ [ 0 ]; [ 1 ]; [ 2; 0 ]; [ 1; 2 ]; [ 0; 1; 2 ]; []; [ -1 ] ]
+        | None -> ())
+      m.m_slots;
+    !ok
+  in
+  let decoded = Heap_page.decode image in
+  image = model_encode m
+  && Heap_page.free_bytes hp = m.m_capacity - m.m_used
+  && Heap_page.record_count hp
+     = Array.fold_left
+         (fun n v -> match v with M_record _ -> n + 1 | _ -> n)
+         0 m.m_slots
+  && slots_agree
+  && Heap_page.encode decoded = image
+  && Heap_page.records decoded = Heap_page.records hp
+  && Heap_page.free_bytes decoded = Heap_page.free_bytes hp
+
+let page_of_ops ops =
+  let hp = Heap_page.create ~capacity:page_capacity in
+  let m = { m_capacity = page_capacity; m_slots = [||]; m_used = 0 } in
+  let ok = List.for_all (fun op -> apply_page_op hp m op && page_agrees hp m) ops in
+  (hp, m, ok)
+
+let prop_heap_page_matches_model =
+  QCheck.Test.make ~name:"page agrees with the slot-array model" ~count:300
+    arb_page_ops (fun ops ->
+      let _, _, ok = page_of_ops ops in
+      ok)
+
+(* Offsets of the image's tag and count bytes: the slot count, and each
+   slot's tag and (for a record) its column count. *)
+let tag_and_count_bytes m =
+  let at = ref 24 and acc = ref (List.init 8 (fun i -> 8 + i)) in
+  Array.iter
+    (fun v ->
+      acc := !at :: !acc;
+      match v with
+      | M_free -> at := !at + 1
+      | M_reserved _ -> at := !at + 9
+      | M_record r ->
+        acc := List.init 8 (fun i -> !at + 1 + i) @ !acc;
+        at := Array.fold_left (fun a c -> a + 8 + String.length c) (!at + 9) r.Record.cols)
+    m.m_slots;
+  !acc
+
+(* The decoder the page had when it held decoded records: the oracle
+   for which images are refused. *)
+let model_decode s =
+  let r = Binc.reader s in
+  let m_capacity = Binc.r_i64 r in
+  let n = Binc.r_count r ~min_bytes:1 in
+  let m_used = Binc.r_i64 r in
+  let m_slots =
+    Array.init n (fun _ ->
+        match Binc.r_u8 r with
+        | 0 -> M_free
+        | 1 -> M_reserved (Binc.r_i64 r)
+        | 2 ->
+          let k = Binc.r_count r ~min_bytes:8 in
+          M_record (Record.make (Array.init k (fun _ -> Binc.r_str r)))
+        | t -> raise (Binc.Corrupt (Printf.sprintf "slot tag %d" t)))
+  in
+  if not (Binc.at_end r) then raise (Binc.Corrupt "trailing bytes");
+  { m_capacity; m_slots; m_used }
+
+(* A damaged image is refused with [Binc.Corrupt] exactly when the
+   oracle decoder refuses it; otherwise it is a page whose image is
+   exactly those bytes and which agrees with the oracle's slots. Nothing
+   else escapes decode. *)
+let refused_or_faithful s =
+  let oracle = match model_decode s with m -> Some m | exception Binc.Corrupt _ -> None in
+  match Heap_page.decode s, oracle with
+  | hp, Some m -> Heap_page.encode hp = s && page_agrees hp m
+  | exception Binc.Corrupt _ -> oracle = None
+  | _, None -> false
+  | exception _ -> false
+
+let prop_heap_page_damage =
+  QCheck.Test.make ~name:"damaged page images refused" ~count:100 arb_page_ops
+    (fun ops ->
+      let _, m, _ = page_of_ops ops in
+      let image = model_encode m in
+      let prefixes_ok =
+        List.for_all
+          (fun n -> refused_or_faithful (String.sub image 0 n))
+          (List.init (String.length image) Fun.id)
+      in
+      let changes_ok =
+        List.for_all
+          (fun pos ->
+            let orig = Char.code image.[pos] in
+            List.for_all
+              (fun v ->
+                let b = Bytes.of_string image in
+                Bytes.set b pos (Char.chr (v land 0xff));
+                refused_or_faithful (Bytes.to_string b))
+              [ 0; 1; 2; 3; 0x7f; 0x80; 0xff; orig + 1; orig - 1 ])
+          (tag_and_count_bytes m)
+      in
+      prefixes_ok && changes_ok)
+
 let () =
   Alcotest.run "storage"
     [
@@ -523,6 +770,8 @@ let () =
           Alcotest.test_case "unreserve" `Quick test_heap_page_unreserve;
           Alcotest.test_case "capacity enforced" `Quick
             test_heap_page_capacity_enforced;
+          QCheck_alcotest.to_alcotest prop_heap_page_matches_model;
+          QCheck_alcotest.to_alcotest prop_heap_page_damage;
         ] );
       ( "heap-file",
         [
