@@ -228,6 +228,9 @@ let drop_index t index_id =
 
 let key_of info record ~rid = Ikey.make (Record.key_value record info.key_cols) rid
 
+let key_at info hp ~rid =
+  Ikey.make (Heap_page.key_value hp rid.Rid.slot info.key_cols) rid
+
 (* Visibility of one index for an operation on [target] (Figure 1; for
    key-order scans, §6.2's current-key rule — <= because the extraction of
    the record with that exact key happened under its page latch, so an

@@ -136,6 +136,10 @@ val drop_index : t -> int -> unit
 val key_of : index_info -> Record.t -> rid:Rid.t -> Ikey.t
 (** Build the index entry for a record. *)
 
+val key_at : index_info -> Oib_storage.Heap_page.t -> rid:Rid.t -> Ikey.t
+(** {!key_of} for the record in [rid]'s slot of the heap page, read from
+    the page bytes without building the record. *)
+
 val visible_to : index_info -> target:Rid.t -> record:Record.t -> bool
 (** Figure 1's per-index visibility rule. *)
 
