@@ -150,16 +150,16 @@ let json_of_core_run r =
   Printf.bprintf b "\"compares\":%d,\"log_bytes\":%d,\"fg_p99\":%.1f,"
     (Resource.get res Sort_compares) (Resource.get res Log_bytes) fg_p99;
   (* where the steps went: the profiler's wait-state breakdown, so a
-     baseline failure can be explained (`oib-prof diff`) and not just
+     baseline failure can be explained (`oib-trace prof diff`) and not just
      detected. The baseline gate below reads only name + [gated], so
      adding this section never trips old baselines. *)
   Printf.bprintf b "\"profile\":{\"samples\":%d,\"rounds\":%d,\"by_state\":{"
-    (Profiler.samples r.prof) (Profiler.ticks r.prof);
+    (Profiler.total (Profiler.fold r.prof)) (Profiler.ticks r.prof);
   List.iteri
     (fun i (state, n) ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "%S:%d" state n)
-    (Profiler.by_state r.prof);
+    (Profiler.by_state (Profiler.fold r.prof));
   Buffer.add_string b "}},";
   Printf.bprintf b "\"cost\":%s,\"phases\":[" (Resource.to_json res);
   (* phase_spans and phase_costs both derive one entry per history
@@ -209,9 +209,10 @@ let write_folded runs =
     (fun r ->
       let path = Printf.sprintf "PROF_%s.folded" r.algorithm in
       let oc = open_out path in
-      output_string oc (Profiler.folded r.prof);
+      output_string oc (Profiler.folded (Profiler.fold r.prof));
       close_out oc;
-      Printf.printf "wrote %s (%d samples)\n%!" path (Profiler.samples r.prof))
+      Printf.printf "wrote %s (%d samples)\n%!" path
+        (Profiler.total (Profiler.fold r.prof)))
     runs
 
 let trajectory_path () =
@@ -230,7 +231,9 @@ let append_trajectory ?(resume = []) runs =
          \"log_bytes\":%d,\"prof_samples\":%d,\
          \"schema\":\"bench-trajectory/v1\",\"seed\":%d,\"wall_steps\":%d}\n"
         r.algorithm (Resource.get res Sort_compares) r.status.BS.keys_processed
-        (Resource.get res Log_bytes) (Profiler.samples r.prof) r.seed r.total_steps)
+        (Resource.get res Log_bytes)
+        (Profiler.total (Profiler.fold r.prof))
+        r.seed r.total_steps)
     runs;
   (* resume-overhead records ride the same log with a "kind" tag (plain
      run records carry no "kind"); wall_steps is the crash+resume total

@@ -96,8 +96,7 @@ let print_lifecycle ctx ~index_id =
       | Some pos -> Printf.sprintf "page %d" pos
       | None -> "-")
 
-let cmd_build alg rows workers txns unique seed jsonl profile profile_folded
-    pause resume =
+let cmd_build alg rows workers txns unique seed jsonl profile pause resume =
   let alg = alg_of_string alg in
   let trace = Trace.create () in
   ignore (Trace.attach_recorder trace ~capacity:2048);
@@ -190,14 +189,8 @@ let cmd_build alg rows workers txns unique seed jsonl profile profile_folded
   | None -> ()
   | Some p ->
     Printf.printf "profiler: %d samples in %d rounds\n"
-      (Oib_obs.Profiler.samples p)
-      (Oib_obs.Profiler.ticks p);
-    (match profile_folded with
-    | None -> ()
-    | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Oib_obs.Profiler.folded p));
-      Printf.printf "online folded stacks written to %s\n" path));
+      (Oib_obs.Profiler.total (Oib_obs.Profiler.fold p))
+      (Oib_obs.Profiler.ticks p));
   close_jsonl ();
   match jsonl with
   | Some path -> Printf.printf "event trace written to %s\n" path
@@ -341,16 +334,7 @@ let build_cmd =
       & info [ "profile" ] ~docv:"K"
           ~doc:
             "Sample every live fiber every $(docv) virtual steps, emitting \
-             prof.sample events (analyze with oib-prof).")
-  in
-  let profile_folded =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile-folded" ] ~docv:"FILE"
-          ~doc:
-            "With --profile, also write the online profiler's folded \
-             stacks to $(docv).")
+             prof.sample events (analyze with oib-trace prof).")
   in
   let pause =
     Arg.(
@@ -374,7 +358,7 @@ let build_cmd =
     (Cmd.info "build" ~doc:"Build an index online under a transaction mix")
     Term.(
       const cmd_build $ alg_arg $ rows_arg $ workers $ txns $ unique $ seed_arg
-      $ jsonl_arg $ profile $ profile_folded $ pause $ resume)
+      $ jsonl_arg $ profile $ pause $ resume)
 
 let crash_cmd =
   let at = Arg.(value & opt int 2000 & info [ "at" ] ~docv:"STEP" ~doc:"Crash step") in

@@ -286,10 +286,10 @@ let exec sess ~jsonl ~lint_graph ~san_json ~atomics ?profile sc =
   | Some (p, _) ->
     let module Profiler = Oib_obs.Profiler in
     Printf.printf "profile (final incarnation): %d samples in %d rounds\n"
-      (Profiler.samples p) (Profiler.ticks p);
+      (Profiler.total (Profiler.fold p)) (Profiler.ticks p);
     List.iter
       (fun (state, w) -> Printf.printf "  %-9s %6d\n" state w)
-      (Profiler.by_state p));
+      (Profiler.by_state (Profiler.fold p)));
   close ();
   if Runner.failed o || san_dirty sess then begin
     report_failure sess o;
@@ -574,7 +574,7 @@ let profile_arg =
         ~doc:
           "Sample every live fiber every $(docv) steps; prof.sample events \
            land in --trace-jsonl and a final-incarnation state breakdown is \
-           printed (analyze with oib-prof)")
+           printed (analyze with oib-trace prof)")
 
 let run_cmd =
   Cmd.v

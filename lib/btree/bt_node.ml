@@ -465,17 +465,3 @@ let internal_split_half n =
       0
       (Array.init (max 0 (n.nc - 1)) Fun.id);
   (right, push_up)
-
-let internal_truncate_after n i =
-  assert (i >= 0 && i < n.nc);
-  let dropped = ref [] in
-  for j = n.nc - 1 downto i + 1 do
-    dropped := n.children.(j) :: !dropped
-  done;
-  n.nc <- i + 1;
-  n.ibytes <-
-    Array.fold_left
-      (fun acc j -> acc + sep_cost n.seps.(j))
-      0
-      (Array.init (max 0 (n.nc - 1)) Fun.id);
-  !dropped

@@ -139,7 +139,3 @@ val internal_append : internal -> Ikey.t -> child:int -> unit
 
 val internal_split_half : internal -> internal * Ikey.t
 (** Split an internal node; the middle separator is pushed up. *)
-
-val internal_truncate_after : internal -> int -> int list
-(** Drop all children to the right of index [i]; returns dropped page
-    ids. *)

@@ -14,7 +14,7 @@ type t = {
   uniq : bool;
   mutable root : int;
   pages : (int, unit) Hashtbl.t;
-      (* every page of the tree: allocation adds, truncation removes *)
+      (* every page of the tree, added on allocation *)
   mutable dirty : Page.t list;
       (* pages dirtied since the last image, each once (a page joins when
          its dirty bit goes up; the image clears both) *)
@@ -130,13 +130,10 @@ let checkpoint_image t ~lsn =
   Oib_wal.Log_manager.flush_all (Buffer_pool.log t.pool);
   (* Sharp snapshot: no yields occur between these flushes under the
      cooperative scheduler. Only pages dirtied since the last image can
-     differ from it; one a truncation dropped is no longer the tree's. *)
+     differ from it. *)
   let dirty = t.dirty in
   t.dirty <- [];
-  List.iter
-    (fun (p : Page.t) ->
-      if Hashtbl.mem t.pages p.id then Buffer_pool.flush_page t.pool p)
-    dirty;
+  List.iter (Buffer_pool.flush_page t.pool) dirty;
   persist_meta t ~image_lsn:lsn
 
 (* --- descent --- *)
@@ -784,45 +781,6 @@ module Bulk = struct
 
   let finish _b = ()
 end
-
-(* --- truncation (SF restart) --- *)
-
-let truncate_above t key_opt =
-  match key_opt with
-  | None ->
-    (* empty the tree entirely *)
-    List.iter (fun id -> Buffer_pool.evict t.pool id) (page_ids t);
-    Hashtbl.reset t.pages;
-    let root = alloc_node t (Leaf (new_leaf ())) in
-    t.root <- root.Page.id
-  | Some h ->
-    let rec drop_subtree id =
-      (match node_of (page t id) with
-      | Leaf _ -> ()
-      | Internal n ->
-        for i = 0 to n.nc - 1 do
-          drop_subtree n.children.(i)
-        done);
-      Hashtbl.remove t.pages id;
-      Buffer_pool.evict t.pool id
-    in
-    let rec go id =
-      let p = page t id in
-      match node_of p with
-      | Leaf l ->
-        while leaf_n l > 0 && leaf_compare l (leaf_n l - 1) h > 0 do
-          leaf_remove_at l (leaf_n l - 1)
-        done;
-        leaf_set_next l (-1);
-        leaf_set_high l None;
-        dirty t p
-      | Internal n ->
-        let i = child_for n h in
-        List.iter drop_subtree (internal_truncate_after n i);
-        dirty t p;
-        go n.children.(i)
-    in
-    go t.root
 
 (* --- statistics --- *)
 

@@ -48,7 +48,7 @@ val root_page_id : t -> int
 val image_lsn : t -> Oib_wal.Lsn.t
 val page_ids : t -> int list
 (** Every page of the tree, in no particular order: an inventory kept on
-    allocation and truncation, so no page is read to list them. *)
+    allocation, so no page is read to list them. *)
 
 val checkpoint_image : t -> lsn:Oib_wal.Lsn.t -> unit
 (** Flush the tree pages dirtied since the last image and record tree
@@ -141,12 +141,6 @@ module Bulk : sig
   val keys_added : b -> int
   val finish : b -> unit
 end
-
-val truncate_above : t -> Ikey.t option -> unit
-(** Reset the tree so keys greater than the given key disappear (SF restart
-    after a crash, §3.2.4: "the index pages can be reset in such a way that
-    the keys higher than the checkpointed key disappear"). [None] empties
-    the tree. Pages cut off are deallocated. *)
 
 (* --- statistics --- *)
 

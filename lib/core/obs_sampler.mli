@@ -38,7 +38,7 @@ val install_profiler :
     period still profile),
     classifying each into on-cpu / blocked-on-{latch,lock,io,logflush} /
     sched and emitting one [Prof_sample] event per fiber per round.
-    Returns the profiler (for the online tree) and an uninstall thunk
+    Returns the profiler (for the online fold) and an uninstall thunk
     (removes the hook and the profiler's sink). Uses [add_step_hook],
     not the tick slot, so it coexists with {!install}. Hooks never
     advance virtual time, so installing the profiler does not perturb

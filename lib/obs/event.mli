@@ -92,7 +92,7 @@ type t =
   | Sample of { key : string; value : int }
       (** One point of a named time series, emitted in batches by the
           periodic sampler. The key namespace is a contract with the
-          offline tools (oib-trace, oib-top, bench): within one batch
+          offline tools (oib-trace, bench): within one batch
           every key appears at most once, and keys follow
           - [metrics.<counter>] — the engine's global counter record;
           - [pool.*] / [wal.*] — subsystem gauges (dirty/cached pages,

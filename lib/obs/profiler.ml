@@ -10,10 +10,9 @@
 
    — attributing waits to the blocking resource and (for latches and
    locks) to the blocker fiber(s). Each classified row becomes one
-   [Prof_sample] event on the trace and one unit of weight in an
-   in-memory prefix tree keyed by the fiber's open-span path, so the
-   online tree and an offline aggregation of the event stream agree
-   byte-for-byte on the folded output.
+   [Prof_sample] event on the trace and one unit of weight in a [fold]
+   keyed by the fiber's open-span path. The offline analyzer feeds the
+   same fold from a capture's events, so both agree byte for byte.
 
    Everything is derived from virtual time and seeded scheduling, so the
    same seed yields byte-identical profiles. *)
@@ -23,22 +22,6 @@
 type fiber_run_state = Running | Runnable | Blocked
 
 type wait = Wait_latch of string * string | Wait_lock of string * string
-
-type node = {
-  mutable weight : int; (* samples ending exactly here *)
-  children : (string, node) Hashtbl.t;
-}
-
-type t = {
-  trace : Trace.t;
-  mutable root : node;
-  mutable ticks : int; (* sampling rounds since last reset *)
-  mutable samples : int; (* one per (round, live fiber) *)
-  by_state : (string, int) Hashtbl.t;
-  by_fiber : (string, int) Hashtbl.t; (* normalized fiber name -> samples *)
-  waits : (int, wait) Hashtbl.t; (* fiber id -> what it blocked on *)
-  txn_fiber : (int, string) Hashtbl.t; (* txn id -> fiber name *)
-}
 
 let states = [ "oncpu"; "latch"; "lock"; "io"; "logflush"; "sched" ]
 
@@ -60,8 +43,7 @@ let norm s =
     s;
   Buffer.contents b
 
-(* The frame list of one sample, shared by the online tree and the
-   offline aggregator so both fold identically: normalized fiber name,
+(* The frame list of one sample: normalized fiber name,
    then the open-span path outermost-first, then a synthetic wait frame
    naming the blocking state (and resource, when known). *)
 let frames ~fname ~path ~state ~resource =
@@ -74,46 +56,62 @@ let frames ~fname ~path ~state ~resource =
     @ [ (if resource = "" then "wait:" ^ state
          else "wait:" ^ state ^ ":" ^ resource) ]
 
-(* --- weighted prefix tree --- *)
+(* --- the fold: sample weight by frame path, by state and by fiber --- *)
 
-let new_node () = { weight = 0; children = Hashtbl.create 4 }
+type fold = {
+  paths : (string, int) Hashtbl.t; (* ';'-joined frames -> weight *)
+  by_state : (string, int) Hashtbl.t;
+  by_fiber : (string, int) Hashtbl.t; (* normalized fiber name -> weight *)
+  mutable total : int;
+}
 
-let add_frames root fs =
-  let rec go node = function
-    | [] -> node.weight <- node.weight + 1
-    | f :: rest ->
-      let child =
-        match Hashtbl.find_opt node.children f with
-        | Some c -> c
-        | None ->
-          let c = new_node () in
-          Hashtbl.replace node.children f c;
-          c
-      in
-      go child rest
-  in
-  go root fs
+let new_fold () =
+  {
+    paths = Hashtbl.create 64;
+    by_state = Hashtbl.create 8;
+    by_fiber = Hashtbl.create 8;
+    total = 0;
+  }
 
-let fold_tree root f acc =
-  let rec go prefix node acc =
-    let acc = if node.weight > 0 then f (List.rev prefix) node.weight acc else acc in
-    Hashtbl.fold (fun k c ks -> (k, c) :: ks) node.children []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.fold_left (fun acc (k, c) -> go (k :: prefix) c acc) acc
-  in
-  go [] root acc
+let bump tbl key =
+  Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
+
+let add f ~fname ~path ~state ~resource =
+  bump f.paths (String.concat ";" (frames ~fname ~path ~state ~resource));
+  bump f.by_state state;
+  bump f.by_fiber fname;
+  f.total <- f.total + 1
+
+let total f = f.total
+
+let sorted tbl =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let weights f = sorted f.paths
+
+let by_state f = sorted f.by_state
+
+let by_fiber f = sorted f.by_fiber
+
+let folded f =
+  let b = Buffer.create 1024 in
+  List.iter (fun (path, w) -> Printf.bprintf b "%s %d\n" path w) (weights f);
+  Buffer.contents b
 
 (* --- lifecycle --- *)
 
-let bump tbl key n =
-  Hashtbl.replace tbl key (n + Option.value (Hashtbl.find_opt tbl key) ~default:0)
+type t = {
+  trace : Trace.t;
+  mutable fold : fold; (* one sample per (round, live fiber) *)
+  mutable ticks : int; (* sampling rounds since last reset *)
+  waits : (int, wait) Hashtbl.t; (* fiber id -> what it blocked on *)
+  txn_fiber : (int, string) Hashtbl.t; (* txn id -> fiber name *)
+}
 
 let reset t =
-  t.root <- new_node ();
+  t.fold <- new_fold ();
   t.ticks <- 0;
-  t.samples <- 0;
-  Hashtbl.reset t.by_state;
-  Hashtbl.reset t.by_fiber;
   Hashtbl.reset t.waits;
   Hashtbl.reset t.txn_fiber
 
@@ -121,7 +119,7 @@ let sink_name = "profiler"
 
 (* The sink keeps the blocker bookkeeping current: which fiber waits on
    which resource, held by whom, and which fiber runs which txn. A crash
-   or epoch marker resets everything, so the online tree always describes
+   or epoch marker resets everything, so the online fold always describes
    the trace's final incarnation. *)
 let on_event t (s : Event.stamped) =
   match s.event with
@@ -141,11 +139,8 @@ let create trace =
   let t =
     {
       trace;
-      root = new_node ();
+      fold = new_fold ();
       ticks = 0;
-      samples = 0;
-      by_state = Hashtbl.create 8;
-      by_fiber = Hashtbl.create 8;
       waits = Hashtbl.create 8;
       txn_fiber = Hashtbl.create 8;
     }
@@ -202,31 +197,9 @@ let sample t ~fibers =
       Trace.emit t.trace
         (Event.Prof_sample
            { fiber = id; fname; state = st; path; resource; blocker });
-      add_frames t.root (frames ~fname ~path ~state:st ~resource);
-      t.samples <- t.samples + 1;
-      bump t.by_state st 1;
-      bump t.by_fiber fname 1)
+      add t.fold ~fname ~path ~state:st ~resource)
     fibers
-
-(* --- views --- *)
 
 let ticks t = t.ticks
 
-let samples t = t.samples
-
-let sorted tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let by_state t = sorted t.by_state
-
-let by_fiber t = sorted t.by_fiber
-
-let weights t =
-  fold_tree t.root (fun fs w acc -> (String.concat ";" fs, w) :: acc) []
-  |> List.rev
-
-let folded t =
-  let b = Buffer.create 1024 in
-  List.iter (fun (path, w) -> Printf.bprintf b "%s %d\n" path w) (weights t);
-  Buffer.contents b
+let fold t = t.fold

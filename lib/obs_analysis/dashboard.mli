@@ -1,6 +1,6 @@
 (** Fold a trace event stream into one renderable dashboard frame.
 
-    The model behind [oib-top]: feed it stamped events — live off a
+    The model behind [oib-trace top]: feed it stamped events — live off a
     {!Oib_obs.Trace} sink or replayed from a JSONL capture — and
     {!render} the current state as a fixed-layout text frame showing
     foreground latency quantiles, EWMA rates, health signals, page-IO by

@@ -1,12 +1,9 @@
-(* Offline profile aggregation: fold a trace's [Prof_sample] events into
-   the same weighted stacks the online profiler keeps, then slice them —
-   folded output for flamegraph tooling, top-down and bottom-up tables,
+(* Offline profile analysis: feed a trace's [Prof_sample] events into the
+   online profiler's fold ([Oib_obs.Profiler.fold]), so `oib-trace prof
+   folded` over a capture is byte-identical to what the live engine
+   accumulated, then slice them — top-down and bottom-up tables,
    wait-state breakdowns per build phase and per txn class, blocker
-   attribution edges, and the diff algebra for comparing two runs.
-
-   Frame construction is shared with the online side
-   ([Oib_obs.Profiler.frames]), so `oib-prof folded` over a capture is
-   byte-identical to the tree the live engine accumulated. *)
+   attribution edges, and the diff algebra for comparing two runs. *)
 
 module Event = Oib_obs.Event
 module Profiler = Oib_obs.Profiler
@@ -34,38 +31,25 @@ let frames_of s =
   Profiler.frames ~fname:s.fname ~path:s.path ~state:s.state
     ~resource:s.resource
 
-(* --- weighted stacks: path string -> weight --- *)
-
-let bump tbl key n =
-  Hashtbl.replace tbl key (n + Option.value (Hashtbl.find_opt tbl key) ~default:0)
-
-let sorted_pairs tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let weights events =
-  let tbl = Hashtbl.create 64 in
+let fold events =
+  let f = Profiler.new_fold () in
   List.iter
-    (fun s -> bump tbl (String.concat ";" (frames_of s)) 1)
+    (fun s ->
+      Profiler.add f ~fname:s.fname ~path:s.path ~state:s.state
+        ~resource:s.resource)
     (samples events);
-  sorted_pairs tbl
+  f
 
-let folded events =
-  let b = Buffer.create 1024 in
-  List.iter (fun (path, w) -> Printf.bprintf b "%s %d\n" path w) (weights events);
-  Buffer.contents b
-
-let total_weight events = List.length (samples events)
-
-let by_state events =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun s -> bump tbl s.state 1) (samples events);
-  sorted_pairs tbl
-
-let by_fiber events =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun s -> bump tbl s.fname 1) (samples events);
-  sorted_pairs tbl
+(* The weights of equal keys summed, sorted by key. *)
+let sum_by_key pairs =
+  List.sort (fun (a, _) (b, _) -> compare a b) pairs
+  |> List.fold_left
+       (fun acc (k, w) ->
+         match acc with
+         | (k', n) :: rest when k' = k -> (k, n + w) :: rest
+         | _ -> (k, w) :: acc)
+       []
+  |> List.rev
 
 (* --- hierarchy tables --- *)
 
@@ -156,41 +140,39 @@ let waits_by_phase events =
         (index, phase, t0, t1))
       intervals
   in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      if s.state <> "oncpu" then
-        List.iter
-          (fun (index, phase, t0, t1) ->
-            if s.step >= t0 && s.step < t1 then
-              bump tbl (index, phase, s.state) 1)
-          ends)
-    (samples events);
-  Hashtbl.fold (fun (i, p, st) w acc -> (i, p, st, w) :: acc) tbl []
-  |> List.sort compare
+  samples events
+  |> List.concat_map (fun s ->
+         if s.state = "oncpu" then []
+         else
+           List.filter_map
+             (fun (index, phase, t0, t1) ->
+               if s.step >= t0 && s.step < t1 then
+                 Some ((index, phase, s.state), 1)
+               else None)
+             ends)
+  |> sum_by_key
+  |> List.map (fun ((i, p, st), w) -> (i, p, st, w))
 
 (* waits per txn class = normalized fiber name x state: "how do workers
    wait" vs "how does the ib wait" *)
 let waits_by_class events =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun s -> if s.state <> "oncpu" then bump tbl (s.fname, s.state) 1)
-    (samples events);
-  Hashtbl.fold (fun (f, st) w acc -> (f, st, w) :: acc) tbl []
-  |> List.sort compare
+  samples events
+  |> List.filter_map (fun s ->
+         if s.state = "oncpu" then None else Some ((s.fname, s.state), 1))
+  |> sum_by_key
+  |> List.map (fun ((f, st), w) -> (f, st, w))
 
 (* blocker attribution: (state, resource, blocker fiber) -> weight *)
 let wait_edges events =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      if s.state <> "oncpu" && s.blocker <> "" then
-        List.iter
-          (fun b -> bump tbl (s.state, s.resource, Profiler.norm b) 1)
-          (String.split_on_char ',' s.blocker))
-    (samples events);
-  Hashtbl.fold (fun (st, r, b) w acc -> (st, r, b, w) :: acc) tbl []
-  |> List.sort compare
+  samples events
+  |> List.concat_map (fun s ->
+         if s.state = "oncpu" || s.blocker = "" then []
+         else
+           List.map
+             (fun b -> ((s.state, s.resource, Profiler.norm b), 1))
+             (String.split_on_char ',' s.blocker))
+  |> sum_by_key
+  |> List.map (fun ((st, r, b), w) -> (st, r, b, w))
 
 (* --- diff algebra --- *)
 
@@ -199,13 +181,10 @@ let wait_edges events =
    |delta| descending then path, so the headline regression leads. A
    self-diff is therefore always empty. *)
 let diff a_events b_events =
-  let a = weights a_events and b = weights b_events in
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (p, w) -> bump tbl p (-w)) a;
-  List.iter (fun (p, w) -> bump tbl p w) b;
-  Hashtbl.fold
-    (fun p d acc -> if d = 0 then acc else (p, d) :: acc)
-    tbl []
+  let weights events = Profiler.weights (fold events) in
+  List.map (fun (p, w) -> (p, -w)) (weights a_events) @ weights b_events
+  |> sum_by_key
+  |> List.filter (fun (_, d) -> d <> 0)
   |> List.sort (fun (pa, da) (pb, db) ->
          if abs da <> abs db then compare (abs db) (abs da)
          else String.compare pa pb)

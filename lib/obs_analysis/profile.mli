@@ -1,8 +1,9 @@
-(** Offline profile aggregation over [Prof_sample] events — the analysis
-    side of {!Oib_obs.Profiler}, and the engine behind [oib-prof].
+(** Offline profile analysis over [Prof_sample] events — the analysis
+    side of {!Oib_obs.Profiler}, and the engine behind [oib-trace prof].
 
-    Frame construction is shared with the online profiler, so {!folded}
-    over a JSONL capture is byte-identical to the live engine's tree. *)
+    {!fold} feeds a capture's samples into the online profiler's own
+    {!Oib_obs.Profiler.fold}, so its folded output over a JSONL capture
+    is byte-identical to the live engine's by construction. *)
 
 type sample = {
   step : int;
@@ -20,18 +21,8 @@ val samples : Oib_obs.Event.stamped list -> sample list
 val frames_of : sample -> string list
 (** The sample's frame list (via {!Oib_obs.Profiler.frames}). *)
 
-val weights : Oib_obs.Event.stamped list -> (string * int) list
-(** Weighted stacks: [(";"-joined frames, weight)], sorted by path.
-    Weights sum to {!total_weight}. *)
-
-val folded : Oib_obs.Event.stamped list -> string
-(** Folded-stack lines ["f1;f2;f3 W\n"], flamegraph-ready. *)
-
-val total_weight : Oib_obs.Event.stamped list -> int
-(** Number of samples in the capture. *)
-
-val by_state : Oib_obs.Event.stamped list -> (string * int) list
-val by_fiber : Oib_obs.Event.stamped list -> (string * int) list
+val fold : Oib_obs.Event.stamped list -> Oib_obs.Profiler.fold
+(** Every sample of the capture, added in order. *)
 
 val top_down : Oib_obs.Event.stamped list -> (string * int * int) list
 (** [(path prefix, total, self)] — [total] counts samples passing

@@ -168,8 +168,9 @@ let test_bulk_no_latching () =
   Alcotest.(check int) "bulk build acquires no latches" before
     (Oib_sim.Metrics.get env.Tenv.metrics Latch_acquires)
 
-(* A bulk resumed after truncation restarts one above the highest entry
-   left, 264 here, which is below the right spine's last separator. *)
+(* A bulk resumed after the top entries were deleted restarts one above
+   the highest entry left, 264 here, which is below the right spine's
+   last separator. *)
 let test_bulk_refuses_below_fence () =
   let env = Tenv.make () in
   let t = mk_tree ~capacity:128 env ~id:1 in
@@ -186,7 +187,8 @@ let test_bulk_refuses_below_fence () =
   ignore (Btree.set_state t (Tenv.keyn 320) LR.Present);
   ignore (Btree.insert_if_absent t ~ib_split:true ~cursor (Tenv.keyn 321));
   ignore (Btree.insert_if_absent t ~ib_split:true ~cursor (Tenv.keyn 263));
-  Btree.truncate_above t (Some (Tenv.keyn 300));
+  ignore (Btree.set_state t (Tenv.keyn 321) LR.Absent);
+  ignore (Btree.set_state t (Tenv.keyn 320) LR.Absent);
   let start =
     List.fold_left
       (fun acc ((k : Ikey.t), _) -> max acc (k.rid.Rid.page + 1))
@@ -210,35 +212,6 @@ let test_bulk_refuses_below_fence () =
   Alcotest.(check state) "the fence key is reachable" LR.Present
     (Btree.read_state t fence);
   check_healthy t
-
-(* --- truncation --- *)
-
-let test_truncate_above () =
-  let env = Tenv.make () in
-  let t = mk_tree env ~id:1 in
-  let b = Btree.Bulk.start t in
-  for i = 0 to 999 do
-    Btree.Bulk.add b (Tenv.keyn i)
-  done;
-  Btree.truncate_above t (Some (Tenv.keyn 399));
-  check_healthy t;
-  Alcotest.(check int) "count after truncate" 400 (Btree.entry_count t);
-  Alcotest.(check state) "399 stays" LR.Present (Btree.read_state t (Tenv.keyn 399));
-  Alcotest.(check state) "400 gone" LR.Absent (Btree.read_state t (Tenv.keyn 400));
-  (* the tree must remain usable for further bottom-up additions via normal
-     inserts *)
-  ignore (Btree.set_state t (Tenv.keyn 400) LR.Present);
-  check_healthy t
-
-let test_truncate_to_empty () =
-  let env = Tenv.make () in
-  let t = mk_tree env ~id:1 in
-  for i = 0 to 99 do
-    ignore (Btree.set_state t (Tenv.keyn i) LR.Present)
-  done;
-  Btree.truncate_above t None;
-  check_healthy t;
-  Alcotest.(check int) "empty" 0 (Btree.entry_count t)
 
 (* --- cursor fast path --- *)
 
@@ -367,45 +340,6 @@ let reachable t =
   in
   List.sort compare (go (Btree.root_page_id t) [])
 
-let test_checkpoint_skips_truncated_pages () =
-  let env = Tenv.make () in
-  let t = mk_tree env ~id:1 in
-  for i = 0 to 599 do
-    ignore (Btree.set_state t (Tenv.keyn (2 * i)) LR.Present)
-  done;
-  Btree.checkpoint_image t ~lsn:(Oib_wal.Lsn.of_int 1);
-  (* dirty pages all over the key range and split new ones off, then cut
-     most of them away as an SF restart does *)
-  for i = 0 to 599 do
-    ignore (Btree.set_state t (Tenv.keyn ((2 * i) + 1)) LR.Present)
-  done;
-  let before = Btree.page_ids t in
-  let images =
-    List.map (fun id -> (id, Oib_storage.Stable_store.read env.Tenv.store id)) before
-  in
-  Btree.truncate_above t (Some (Tenv.keyn 200));
-  let after = Btree.page_ids t in
-  let dropped = List.filter (fun id -> not (List.mem id after)) before in
-  Alcotest.(check bool) "truncation dropped pages" true (List.length dropped > 10);
-  Alcotest.(check bool) "some dropped pages never reached the store" true
-    (List.exists (fun id -> List.assoc id images = None) dropped);
-  let w0 = page_writes env in
-  Btree.checkpoint_image t ~lsn:(Oib_wal.Lsn.of_int 2);
-  List.iter
-    (fun id ->
-      Alcotest.(check bool)
-        (Printf.sprintf "dropped page %d not written" id)
-        true
-        (Oib_storage.Stable_store.read env.Tenv.store id = List.assoc id images))
-    dropped;
-  Alcotest.(check bool) "only kept pages written" true
-    (page_writes env - w0 <= List.length after);
-  check_healthy t;
-  let env' = Tenv.crash env in
-  let t' = Btree.open_from_image env'.Tenv.pool env'.Tenv.kv ~index_id:1 in
-  check_healthy t';
-  Alcotest.(check int) "image holds the truncated tree" 201 (Btree.entry_count t')
-
 let test_reopened_tree_starts_clean () =
   let env = Tenv.make () in
   let t = mk_tree env ~id:2 in
@@ -430,7 +364,6 @@ type tree_op =
   | Ib_ins of int
   | Del of int
   | Bulk of int
-  | Trunc of int option
   | Ckpt
 
 let show_tree_op = function
@@ -438,7 +371,6 @@ let show_tree_op = function
   | Ib_ins k -> Printf.sprintf "Ib_ins %d" k
   | Del k -> Printf.sprintf "Del %d" k
   | Bulk n -> Printf.sprintf "Bulk %d" n
-  | Trunc k -> Printf.sprintf "Trunc %s" (Option.fold ~none:"-" ~some:string_of_int k)
   | Ckpt -> "Ckpt"
 
 let gen_tree_op =
@@ -449,7 +381,6 @@ let gen_tree_op =
         (4, map (fun k -> Ib_ins k) (int_bound 400));
         (2, map (fun k -> Del k) (int_bound 400));
         (2, map (fun n -> Bulk n) (int_range 1 150));
-        (1, map (fun k -> Trunc k) (opt (int_bound 400)));
         (1, return Ckpt);
       ])
 
@@ -487,7 +418,6 @@ let prop_inventory_is_reachable =
               Btree.Bulk.add b (Tenv.keyn i)
             done;
             Btree.Bulk.finish b
-          | Trunc k -> Btree.truncate_above t (Option.map Tenv.keyn k)
           | Ckpt -> Btree.checkpoint_image t ~lsn:Oib_wal.Lsn.nil);
           if List.sort compare (Btree.page_ids t) <> reachable t then ok := false)
         ops;
@@ -548,11 +478,6 @@ let () =
           Alcotest.test_case "refuses below fence" `Quick
             test_bulk_refuses_below_fence;
         ] );
-      ( "truncate",
-        [
-          Alcotest.test_case "truncate above key" `Quick test_truncate_above;
-          Alcotest.test_case "truncate to empty" `Quick test_truncate_to_empty;
-        ] );
       ( "cursor",
         [ Alcotest.test_case "fast path" `Quick test_cursor_fast_path ] );
       ( "ib-split",
@@ -568,8 +493,6 @@ let () =
             test_image_survives_crash;
           Alcotest.test_case "empty tree recoverable" `Quick
             test_empty_tree_recoverable_at_create;
-          Alcotest.test_case "checkpoint skips truncated pages" `Quick
-            test_checkpoint_skips_truncated_pages;
           Alcotest.test_case "reopened tree starts clean" `Quick
             test_reopened_tree_starts_clean;
         ] );

@@ -104,19 +104,6 @@ let test_cursor_random_jumps_fall_back () =
   Alcotest.(check int) "count matches distinct keys" (Hashtbl.length seen)
     (Btree.entry_count t)
 
-let test_truncate_below_everything () =
-  let env = Tenv.make () in
-  let t = mk_tree env ~id:1 in
-  let b = Btree.Bulk.start t in
-  for i = 10 to 500 do
-    Btree.Bulk.add b (Tenv.keyn i)
-  done;
-  Btree.truncate_above t (Some (Tenv.keyn 0));
-  healthy t;
-  Alcotest.(check int) "nothing survives" 0 (Btree.entry_count t);
-  ignore (Btree.set_state t (Tenv.keyn 1) LR.Present);
-  healthy t
-
 let test_open_missing_image () =
   let env = Tenv.make () in
   match Btree.open_from_image env.Tenv.pool env.Tenv.kv ~index_id:404 with
@@ -795,8 +782,6 @@ let () =
             test_range_degenerate_bounds;
           Alcotest.test_case "cursor random jumps" `Quick
             test_cursor_random_jumps_fall_back;
-          Alcotest.test_case "truncate below everything" `Quick
-            test_truncate_below_everything;
           Alcotest.test_case "open missing image" `Quick test_open_missing_image;
           Alcotest.test_case "double checkpoint" `Quick
             test_double_checkpoint_then_crash;

@@ -1,5 +1,5 @@
 (* The deterministic virtual-time profiler: qcheck invariants on the
-   weighted tree (folded weights partition the sample count, globally
+   fold (folded weights partition the sample count, globally
    and per fiber; every sample lands in exactly one wait-state bucket),
    online-vs-offline folding agreement over an instrumented build,
    byte-for-byte same-seed determinism, the empty self-diff, and a
@@ -47,11 +47,12 @@ let sum l = List.fold_left (fun a (_, w) -> a + w) 0 l
 let weights_partition_samples rounds =
   let prof, captured = run_rounds rounds in
   let total = List.fold_left (fun a r -> a + List.length r) 0 rounds in
-  (* global: tree weights, bucket counts and event count all equal the
+  (* global: path weights, bucket counts and event count all equal the
      number of (round, fiber) pairs handed in *)
-  Profiler.samples prof = total
-  && sum (Profiler.weights prof) = total
-  && sum (Profiler.by_state prof) = total
+  let fold = Profiler.fold prof in
+  Profiler.total fold = total
+  && sum (Profiler.weights fold) = total
+  && sum (Profiler.by_state fold) = total
   && List.length captured = total
   (* per fiber: the stacks rooted at each fiber's frame carry exactly
      that fiber's sample count *)
@@ -63,10 +64,10 @@ let weights_partition_samples rounds =
                match String.index_opt path ';' with
                | Some i -> String.sub path 0 i = fname
                | None -> path = fname)
-             (Profiler.weights prof)
+             (Profiler.weights fold)
          in
          sum rooted = n)
-       (Profiler.by_fiber prof)
+       (Profiler.by_fiber fold)
 
 let buckets_partition rounds =
   let _, captured = run_rounds rounds in
@@ -94,7 +95,9 @@ let qcheck_buckets =
 
 (* --- instrumented builds ------------------------------------------- *)
 
-let profiled_build alg ~seed =
+let index10 = { Ib.index_id = 10; key_cols = [ 0 ]; unique = false }
+
+let profiled_build ?(specs = [ index10 ]) alg ~seed =
   let trace = Trace.create () in
   let jsonl = Buffer.create 4096 in
   Trace.add_jsonl_buffer_sink trace ~name:"jsonl" jsonl;
@@ -111,19 +114,28 @@ let profiled_build alg ~seed =
   in
   ignore
     (Sched.spawn ctx.Ctx.sched ~name:"ib" (fun () ->
-         Ib.build_index ctx (Ib.default_config alg) ~table:1
-           { Ib.index_id = 10; key_cols = [ 0 ]; unique = false }));
+         Ib.build_indexes ctx (Ib.default_config alg) ~table:1 specs));
   Sched.run ctx.Ctx.sched;
   (prof, List.rev !events, Buffer.contents jsonl)
 
+(* One index, and two built in one scan (paper §6.2): the second one's
+   pipeline fibers ("ib-pipeline-#") put paths beside the builder's "ib"
+   whose joined form sorts differently from their frame lists. *)
 let test_online_eq_offline () =
-  let prof, events, _ = profiled_build Ib.Nsf ~seed:11 in
-  Alcotest.(check bool) "profile non-empty" true (Profiler.samples prof > 0);
-  Alcotest.(check string) "online tree folds like the offline aggregator"
-    (Profile.folded events) (Profiler.folded prof);
-  Alcotest.(check int) "offline total weight = online sample count"
-    (Profiler.samples prof)
-    (Profile.total_weight events)
+  List.iter
+    (fun (specs, seed) ->
+      let prof, events, _ = profiled_build ~specs Ib.Nsf ~seed in
+      let online = Profiler.fold prof and offline = Profile.fold events in
+      Alcotest.(check bool) "profile non-empty" true
+        (Profiler.total online > 0);
+      Alcotest.(check string) "online fold = offline fold"
+        (Profiler.folded offline) (Profiler.folded online);
+      Alcotest.(check int) "offline total weight = online sample count"
+        (Profiler.total online) (Profiler.total offline))
+    [
+      ([ index10 ], 11);
+      ([ index10; { Ib.index_id = 11; key_cols = [ 1 ]; unique = false } ], 3);
+    ]
 
 let test_build_buckets () =
   let _, events, _ = profiled_build Ib.Sf ~seed:11 in
@@ -136,14 +148,15 @@ let test_build_buckets () =
     samples;
   Alcotest.(check int) "by_state partitions the capture"
     (List.length samples)
-    (sum (Profile.by_state events))
+    (sum (Profiler.by_state (Profile.fold events)))
 
 let test_determinism () =
   let prof_a, _, jsonl_a = profiled_build Ib.Nsf ~seed:23 in
   let prof_b, _, jsonl_b = profiled_build Ib.Nsf ~seed:23 in
   Alcotest.(check string) "same seed, byte-identical capture" jsonl_a jsonl_b;
   Alcotest.(check string) "same seed, byte-identical folded profile"
-    (Profiler.folded prof_a) (Profiler.folded prof_b)
+    (Profiler.folded (Profiler.fold prof_a))
+    (Profiler.folded (Profiler.fold prof_b))
 
 let test_self_diff_empty () =
   let _, events, _ = profiled_build Ib.Nsf ~seed:5 in
