@@ -32,6 +32,8 @@ let wire_observability (ctx : Ctx.t) =
   ignore (Oib_obs.Registry.window reg ~slots:8 "fg.latency");
   Oib_obs.Registry.gauge reg "wal.unflushed_bytes" (fun () ->
       LM.unflushed_bytes ctx.Ctx.log);
+  Oib_obs.Registry.gauge reg "wal.durable_bytes" (fun () ->
+      LM.durable_bytes ctx.Ctx.log);
   Oib_obs.Registry.gauge reg "pool.dirty_pages" (fun () ->
       Buffer_pool.dirty_count ctx.Ctx.pool);
   Oib_obs.Registry.gauge reg "pool.cached_pages" (fun () ->

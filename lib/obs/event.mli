@@ -96,8 +96,8 @@ type t =
           every key appears at most once, and keys follow
           - [metrics.<counter>] — the engine's global counter record;
           - [pool.*] / [wal.*] — subsystem gauges (dirty/cached pages,
-            unflushed WAL bytes) and role-labelled IO counters such as
-            [pool.page_read{role=scan}];
+            unflushed and durable WAL bytes) and role-labelled IO
+            counters such as [pool.page_read{role=scan}];
           - [window.<name>.p50|.p95|.p99|.count] — sliding-window
             quantiles (e.g. [window.fg.latency.p99]);
           - [rate.<name>] — EWMA rates scaled to events per 1000 steps;

@@ -6,6 +6,8 @@ exception Corrupt of string
 
 let writer size = { buf = Bytes.create size; wpos = 0 }
 
+let writer_at buf off = { buf; wpos = off }
+
 let contents w =
   if w.wpos = Bytes.length w.buf then Bytes.unsafe_to_string w.buf
   else Bytes.sub_string w.buf 0 w.wpos

@@ -12,6 +12,11 @@ val writer : int -> writer
 (** A writer for an image of exactly this many bytes. Writing past the
     end raises [Invalid_argument]. *)
 
+val writer_at : Bytes.t -> int -> writer
+(** [writer_at b off] writes into [b] from offset [off] on, in place: the
+    caller owns [b] and reads what was written there, never through
+    {!contents}. Writing past the end of [b] raises [Invalid_argument]. *)
+
 val contents : writer -> string
 (** The bytes written. When they fill the writer exactly, its buffer is
     handed over without a copy and the writer must not be used again. *)

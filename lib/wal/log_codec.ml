@@ -124,12 +124,11 @@ let rec body_size = function
   | Create_index { key_cols; _ } -> 26 + (8 * List.length key_cols)
   | Index_state _ -> 17
 
-let encode (t : Log_record.t) =
-  let payload =
-    16 + (match t.txn with None -> 1 | Some _ -> 9) + body_size t.body
-  in
-  let w = Binc.writer (8 + payload) in
-  Binc.w_i64 w payload;
+let frame_size (t : Log_record.t) =
+  8 + 16 + (match t.txn with None -> 1 | Some _ -> 9) + body_size t.body
+
+let write w ~size (t : Log_record.t) =
+  Binc.w_i64 w (size - 8);
   Binc.w_i64 w (Lsn.to_int t.lsn);
   (match t.txn with
   | None -> Binc.w_u8 w 0
@@ -137,31 +136,45 @@ let encode (t : Log_record.t) =
     Binc.w_u8 w 1;
     Binc.w_i64 w id);
   Binc.w_i64 w (Lsn.to_int t.prev_lsn);
-  w_body w t.body;
+  w_body w t.body
+
+let encode_into buf ~pos ~size t = write (Binc.writer_at buf pos) ~size t
+
+let frame_len buf ~pos = 8 + Int64.to_int (Bytes.get_int64_le buf pos)
+
+let frame_lsn buf ~pos =
+  Lsn.of_int (Int64.to_int (Bytes.get_int64_le buf (pos + 8)))
+
+let encode t =
+  let size = frame_size t in
+  let w = Binc.writer size in
+  write w ~size t;
   Binc.contents w
 
 (* --- primitive readers --- *)
 
-type cursor = { s : string; mutable pos : int }
+(* Reads stop at [limit], not at the end of [s]: a log segment's bytes
+   past its last frame are unwritten. *)
+type cursor = { s : Bytes.t; mutable pos : int; limit : int }
 
 let fail msg = failwith ("Log_codec: corrupt log: " ^ msg)
 
 let r_u8 c =
-  if c.pos >= String.length c.s then fail "eof in u8";
-  let v = Char.code c.s.[c.pos] in
+  if c.pos >= c.limit then fail "eof in u8";
+  let v = Char.code (Bytes.get c.s c.pos) in
   c.pos <- c.pos + 1;
   v
 
 let r_i64 c =
-  if c.pos + 8 > String.length c.s then fail "eof in i64";
-  let v = Int64.to_int (String.get_int64_le c.s c.pos) in
+  if c.pos + 8 > c.limit then fail "eof in i64";
+  let v = Int64.to_int (Bytes.get_int64_le c.s c.pos) in
   c.pos <- c.pos + 8;
   v
 
 let r_str c =
   let n = r_i64 c in
-  if n < 0 || c.pos + n > String.length c.s then fail "bad string length";
-  let v = String.sub c.s c.pos n in
+  if n < 0 || c.pos + n > c.limit then fail "bad string length";
+  let v = Bytes.sub_string c.s c.pos n in
   c.pos <- c.pos + n;
   v
 
@@ -273,24 +286,26 @@ let rec r_body c =
     Index_state { index; state }
   | n -> fail ("bad body tag " ^ string_of_int n)
 
-let decode s ~pos =
-  let len = String.length s in
-  if pos >= len then None
-  else if pos + 8 > len then None
+let decode_bytes s ~pos ~limit =
+  if pos + 8 > limit then None
   else begin
-    let frame_len = Int64.to_int (String.get_int64_le s pos) in
-    if frame_len < 0 then fail "negative frame length";
-    if pos + 8 + frame_len > len then None
+    let size = frame_len s ~pos in
+    if size < 8 then fail "negative frame length";
+    if pos + size > limit then None
     else begin
-      let c = { s; pos = pos + 8 } in
+      let c = { s; pos = pos + 8; limit } in
       let lsn = Lsn.of_int (r_i64 c) in
       let txn = match r_u8 c with 0 -> None | _ -> Some (r_i64 c) in
       let prev_lsn = Lsn.of_int (r_i64 c) in
       let body = r_body c in
-      if c.pos <> pos + 8 + frame_len then fail "frame length mismatch";
+      if c.pos <> pos + size then fail "frame length mismatch";
       Some ({ lsn; txn; prev_lsn; body }, c.pos)
     end
   end
+
+(* The cursor only reads, so viewing the string as bytes is safe. *)
+let decode s ~pos =
+  decode_bytes (Bytes.unsafe_of_string s) ~pos ~limit:(String.length s)
 
 let decode_stream s =
   let rec go pos acc =

@@ -484,6 +484,36 @@ let test_sampler_emits_plane_keys () =
     (List.length sorted)
     (List.length (List.sort_uniq compare sorted))
 
+(* the wal.durable_bytes gauge reads the live incarnation's log *)
+let test_durable_bytes_gauge () =
+  let gauge ctx =
+    match List.assoc "wal.durable_bytes" (Registry.snapshot ctx.Ctx.registry) with
+    | Registry.Int n -> n
+    | _ -> Alcotest.fail "wal.durable_bytes is not an integer gauge"
+  in
+  let check what ctx =
+    Alcotest.(check int) what
+      (Oib_wal.Log_manager.durable_bytes ctx.Ctx.log)
+      (gauge ctx)
+  in
+  let ctx = Engine.create ~seed:3 ~page_capacity:256 () in
+  let _ = Catalog.create_table ctx.Ctx.catalog ctx.Ctx.pool ~table_id:1 in
+  let _ = Driver.populate ctx ~table:1 ~rows:200 ~seed:3 in
+  (match
+     Engine.run_txn ctx (fun txn ->
+         Table_ops.insert ctx txn ~table:1 (Oib_util.Record.make [| "k"; "v" |]))
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "insert did not commit");
+  check "after a commit" ctx;
+  let ctx = Engine.crash ctx in
+  check "after crash-restart" ctx;
+  let before = gauge ctx in
+  let reclaimed = Engine.truncate_log ctx in
+  check "after truncate_log" ctx;
+  Alcotest.(check bool) "truncation reclaimed bytes" true (reclaimed > 0);
+  Alcotest.(check bool) "the gauge fell" true (gauge ctx < before)
+
 let () =
   Alcotest.run "obs_plane"
     [
@@ -516,5 +546,7 @@ let () =
           Alcotest.test_case "quiet stays quiet" `Quick test_overload_quiet;
           Alcotest.test_case "sampler plane keys" `Quick
             test_sampler_emits_plane_keys;
+          Alcotest.test_case "wal.durable_bytes gauge" `Quick
+            test_durable_bytes_gauge;
         ] );
     ]

@@ -189,6 +189,210 @@ let test_crash_keeps_durable_bytes () =
   Alcotest.(check int) "all_records = durable" 1
     (List.length (LM.all_records survivor))
 
+(* --- log manager against a model --- *)
+
+(* One step of the model test. *)
+type op =
+  | Append of LR.txn_id option * LR.body
+  | Sized of int (* a frame of exactly this many bytes *)
+  | Fill (* a frame that exactly fills the tail segment *)
+  | Flush of int (* upto = flushed_lsn + k: below, inside or past the tail *)
+  | Flush_all
+  | Flush_sealed (* upto the last frame before the first volatile segment break *)
+  | Crash
+  | Truncate of int (* below = start_lsn + k *)
+
+let seg = LM.segment_size
+
+let sized_body len =
+  LR.Index_key
+    {
+      redoable = true;
+      op =
+        {
+          index = 0;
+          key = Ikey.make (String.make len 'k') (Rid.make ~page:1 ~slot:2);
+          before = LR.Absent;
+          after = LR.Present;
+        };
+    }
+
+(* The smallest frame [Sized] can make. *)
+let min_sized =
+  Codec.frame_size
+    { LR.lsn = Lsn.nil; txn = Some 1; prev_lsn = Lsn.nil; body = sized_body 0 }
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (10, map2 (fun txn body -> Append (txn, body)) (opt (int_bound 50)) gen_body);
+        ( 3,
+          map (fun n -> Sized n)
+            (oneof
+               [
+                 int_range min_sized 3000;
+                 int_range (seg - 100) (seg + 100);
+                 int_range (seg + 1) (2 * seg);
+               ]) );
+        (2, return Fill);
+        (4, map (fun k -> Flush k) (int_range (-2) 40));
+        (1, return Flush_all);
+        (2, return Flush_sealed);
+        (1, return Crash);
+        (2, map (fun k -> Truncate k) (int_range 0 25));
+      ])
+
+let print_op = function
+  | Append (_, body) -> "append " ^ Format.asprintf "%a" LR.pp_body body
+  | Sized n -> Printf.sprintf "sized %d" n
+  | Fill -> "fill"
+  | Flush k -> Printf.sprintf "flush +%d" k
+  | Flush_all -> "flush_all"
+  | Flush_sealed -> "flush_sealed"
+  | Crash -> "crash"
+  | Truncate k -> Printf.sprintf "truncate +%d" k
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 60) gen_op)
+
+(* The model: retained frames split at the durable position, oldest
+   first, and where the tail segment stands, which [Fill] needs. The
+   segment placement only steers the sizes [Fill] asks for; every check
+   is on what the log returns. *)
+type model = {
+  mutable durable : LR.t list;
+  mutable volatile : (LR.t * (int * int)) list; (* with the tail after it *)
+  mutable flushed : Lsn.t;
+  mutable start : Lsn.t;
+  mutable tail : (int * int) option; (* capacity, fill *)
+  mutable last_durable : (int * int) option; (* the tail after it *)
+}
+
+let encoded rs = String.concat "" (List.map Codec.encode rs)
+
+let place m size =
+  m.tail <-
+    (match m.tail with
+    | Some (cap, fill) when fill + size <= cap -> Some (cap, fill + size)
+    | _ -> Some (max seg size, size))
+
+let check_against lm m =
+  let reference rs = Codec.decode_stream (encoded rs) in
+  let ok =
+    LM.durable_records lm = reference m.durable
+    && LM.all_records lm = reference (m.durable @ List.map fst m.volatile)
+    && LM.durable_bytes lm = String.length (encoded m.durable)
+    && LM.unflushed_bytes lm
+       = String.length (encoded (List.map fst m.volatile))
+    && Lsn.equal (LM.flushed_lsn lm) m.flushed
+    && Lsn.equal (LM.start_lsn lm) m.start
+  in
+  if not ok then
+    QCheck.Test.fail_reportf
+      "log diverged: %d/%d durable/all records (model %d/%d), %d/%d bytes \
+       (model %d/%d), flushed %d (model %d), start %d (model %d)"
+      (List.length (LM.durable_records lm))
+      (List.length (LM.all_records lm))
+      (List.length m.durable)
+      (List.length m.durable + List.length m.volatile)
+      (LM.durable_bytes lm) (LM.unflushed_bytes lm)
+      (String.length (encoded m.durable))
+      (String.length (encoded (List.map fst m.volatile)))
+      (Lsn.to_int (LM.flushed_lsn lm))
+      (Lsn.to_int m.flushed)
+      (Lsn.to_int (LM.start_lsn lm))
+      (Lsn.to_int m.start)
+
+let prop_log_model =
+  QCheck.Test.make ~name:"log manager = encoded frames" ~count:150 arb_ops
+    (fun ops ->
+      let lm = ref (mk ()) in
+      let m =
+        { durable = []; volatile = []; flushed = Lsn.nil; start = Lsn.nil;
+          tail = None; last_durable = None }
+      in
+      (* crashed logs, with the records they held when they crashed *)
+      let dead = ref [] in
+      let append txn body =
+        let prev_lsn = Lsn.of_int 7 in
+        let lsn = LM.append !lm ~txn ~prev_lsn body in
+        let r = { LR.lsn; txn; prev_lsn; body } in
+        place m (Codec.frame_size r);
+        m.volatile <- m.volatile @ [ (r, Option.get m.tail) ]
+      in
+      let sized n = append (Some 1) (sized_body (n - min_sized)) in
+      let flushed upto =
+        let now, later =
+          List.partition (fun (r, _) -> Lsn.( <= ) r.LR.lsn upto) m.volatile
+        in
+        if now <> [] then begin
+          let last, tail = List.nth now (List.length now - 1) in
+          m.durable <- m.durable @ List.map fst now;
+          m.volatile <- later;
+          m.flushed <- last.LR.lsn;
+          m.last_durable <- Some tail
+        end
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Append (txn, body) -> append txn body
+          | Sized n -> sized n
+          | Fill ->
+            let room =
+              match m.tail with Some (cap, fill) -> cap - fill | None -> seg
+            in
+            sized (if room >= min_sized then room else seg)
+          | Flush k ->
+            let upto = Lsn.of_int (max 0 (Lsn.to_int (LM.flushed_lsn !lm) + k)) in
+            LM.flush !lm ~upto;
+            flushed upto
+          | Flush_all ->
+            LM.flush_all !lm;
+            flushed (LM.last_lsn !lm)
+          | Flush_sealed ->
+            (* a frame at offset 0 opened a segment and sealed the one
+               before it *)
+            let rec before_break prev = function
+              | (r, (_, fill)) :: rest ->
+                if prev <> None && fill = Codec.frame_size r then prev
+                else before_break (Some r) rest
+              | [] -> None
+            in
+            Option.iter
+              (fun (r : LR.t) ->
+                LM.flush !lm ~upto:r.lsn;
+                flushed r.lsn)
+              (before_break None m.volatile)
+          | Crash ->
+            dead :=
+              (!lm, LM.durable_records !lm, LM.all_records !lm) :: !dead;
+            lm := LM.crash !lm;
+            m.volatile <- [];
+            m.tail <- m.last_durable
+          | Truncate k ->
+            let below = Lsn.of_int (Lsn.to_int m.start + k) in
+            let cut, kept =
+              List.partition (fun r -> Lsn.( < ) r.LR.lsn below) m.durable
+            in
+            let reclaimed = LM.truncate !lm ~below in
+            if reclaimed <> String.length (encoded cut) then
+              QCheck.Test.fail_reportf "truncate reclaimed %d bytes, model %d"
+                reclaimed (String.length (encoded cut));
+            m.durable <- kept;
+            if Lsn.( > ) below m.start then m.start <- below);
+          check_against !lm m)
+        ops;
+      (* appends to a survivor never show in the log it came from *)
+      List.for_all
+        (fun (old, durable, all) ->
+          LM.durable_records old = durable && LM.all_records old = all)
+        !dead)
+
 let test_is_redoable_undoable () =
   let key = Ikey.make "k" (Rid.make ~page:0 ~slot:0) in
   let ixop r =
@@ -219,6 +423,7 @@ let () =
           Alcotest.test_case "flush_all" `Quick test_flush_all;
           Alcotest.test_case "crash keeps durable bytes" `Quick
             test_crash_keeps_durable_bytes;
+          QCheck_alcotest.to_alcotest prop_log_model;
         ] );
       ( "classification",
         [ Alcotest.test_case "redoable/undoable" `Quick test_is_redoable_undoable ]
