@@ -615,7 +615,7 @@ let e11 () =
           | Oib_wal.Log_record.Index_bulk_insert { keys; _ } ->
             incr bulk;
             bulk_keys := !bulk_keys + List.length keys;
-            bulk_bytes := !bulk_bytes + Oib_wal.Log_record.encoded_size r
+            bulk_bytes := !bulk_bytes + Oib_wal.Log_codec.frame_size r
           | _ -> ())
         (Oib_wal.Log_manager.all_records ctx.Ctx.log);
       TP.add_row t
@@ -647,10 +647,22 @@ let e12 () =
           ~cfg:(Ib.default_config Ib.Sf) ()
       in
       assert (oracle_ok ctx);
-      (* a side-file entry is roughly one key + op flag; compare against
-         everything the log recorded in the same window, which a log-based
-         catch-up would have to scan (§6) *)
-      let sf_bytes = Metrics.get d Sidefile_appends * 24 in
+      (* a side-file entry is its op flag and its key, sized in the log's
+         own key encoding; compare against everything the log recorded in
+         the same window, which a log-based catch-up would have to scan
+         (§6). Each entry is logged once, as an append or as a rollback's
+         compensating CLR. *)
+      let sf_bytes =
+        List.fold_left
+          (fun acc (r : Oib_wal.Log_record.t) ->
+            match r.body with
+            | Sidefile_append { key; _ }
+            | Clr { action = Sidefile_append { key; _ }; _ } ->
+              acc + 1 + Oib_wal.Log_codec.key_size key
+            | _ -> acc)
+          0
+          (Oib_wal.Log_manager.all_records ctx.Ctx.log)
+      in
       TP.add_row t
         [
           string_of_int workers;

@@ -63,31 +63,6 @@ let is_undoable = function
   | Drop_index _ | Index_state _ ->
     false
 
-let heap_op_size = function
-  | Heap_insert { record; _ } | Heap_delete { record; _ } ->
-    16 + Record.encoded_size record
-  | Heap_update { old_record; new_record; _ } ->
-    16 + Record.encoded_size old_record + Record.encoded_size new_record
-
-let rec body_size = function
-  | Begin | Commit | Abort | End -> 1
-  | Heap { op; sidefiled; _ } -> 9 + (8 * List.length sidefiled) + heap_op_size op
-  | Index_key { op; _ } -> 12 + Ikey.encoded_size op.key
-  | Index_bulk_insert { keys; _ } ->
-    List.fold_left (fun acc k -> acc + Ikey.encoded_size k) 9 keys
-  | Sidefile_append { key; _ } -> 10 + Ikey.encoded_size key
-  | Clr { action; _ } -> 9 + body_size action
-  | Build_start _ -> 9
-  | Build_done _ -> 5
-  | Heap_extend _ -> 9
-  | Create_table _ -> 5
-  | Create_index { key_cols; _ } -> 14 + (8 * List.length key_cols)
-  | Drop_index _ -> 5
-  | Index_state _ -> 17
-
-(* lsn + txn + prev_lsn header = 20 bytes *)
-let encoded_size t = 20 + body_size t.body
-
 let pp_key_state ppf = function
   | Absent -> Format.pp_print_string ppf "absent"
   | Present -> Format.pp_print_string ppf "present"

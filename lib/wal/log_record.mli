@@ -102,9 +102,6 @@ type t = {
 val is_redoable : body -> bool
 val is_undoable : body -> bool
 
-val encoded_size : t -> int
-(** Size of the binary encoding, charged to the log-bytes metric. *)
-
 val pp_key_state : Format.formatter -> key_state -> unit
 val pp_body : Format.formatter -> body -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
 type t = int
 
 let nil = 0
-let of_int i = i
-let to_int t = t
+external of_int : int -> t = "%identity"
+external to_int : t -> int = "%identity"
 let next t = t + 1
 let compare = Int.compare
 let equal = Int.equal

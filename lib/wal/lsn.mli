@@ -9,8 +9,10 @@ type t
 val nil : t
 (** Sorts before every real LSN; the page_LSN of a never-updated page. *)
 
-val of_int : int -> t
-val to_int : t -> int
+external of_int : int -> t = "%identity"
+(** Conversions are identity primitives, so they cost no call. *)
+
+external to_int : t -> int = "%identity"
 val next : t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
