@@ -1,7 +1,6 @@
 open Oib_storage
 module Txn = Oib_txn.Txn_manager
 module LM = Oib_wal.Log_manager
-module Restart = Oib_recovery.Restart
 module Btree = Oib_btree.Btree
 
 type t = Ctx.t
@@ -98,8 +97,7 @@ let create ?(seed = 42) ?(page_capacity = 1024)
   ctx
 
 (* Rebuild a live system over [store]/[kv]/[runs] and the survivor log,
-   then run restart recovery: analysis, heap redo, logical index replay,
-   build-phase restoration, loser rollback. *)
+   then run restart recovery ({!Restart.recover}). *)
 let recover_over ~seed (old : t) ~store ~kv ~runs =
   (* the trace hub survives restart: the same sinks/recorder/histograms
      observe the new incarnation, whose scheduler re-registers its clock *)
@@ -140,138 +138,7 @@ let recover_over ~seed (old : t) ~store ~kv ~runs =
      and point fiber attribution at the new scheduler; stale per-fiber
      accounts (their fibers died with the old scheduler) are dropped *)
   wire_observability ctx;
-  let recovery_step step detail =
-    if Oib_obs.Trace.tracing trace then
-      Oib_obs.Trace.emit trace (Oib_obs.Event.Recovery_step { step; detail })
-  in
-  (* ---- restart recovery ---- *)
-  (* decode the durable log once; every pass below reads this list. The
-     only record restart itself flushes before a later pass is
-     [restore_phase_after_restart]'s Index_state downgrade, and no later
-     pass reads Index_state records. *)
-  let records = LM.durable_records log in
-  let analysis = Restart.analyze records in
-  recovery_step "analysis"
-    (Printf.sprintf "losers=%d builds_in_progress=%d"
-       (List.length analysis.losers)
-       (List.length analysis.builds_in_progress));
-  Txn.ensure_next_id txns (analysis.max_txn_id + 1);
-  (* heap pages named in the log but never flushed sit above the stable
-     store's max id; reserve them before anything allocates *)
-  List.iter
-    (fun (r : Oib_wal.Log_record.t) ->
-      match r.body with
-      | Oib_wal.Log_record.Heap { page; _ }
-      | Oib_wal.Log_record.Clr { action = Oib_wal.Log_record.Heap { page; _ }; _ }
-      | Oib_wal.Log_record.Heap_extend { page; _ } ->
-        Buffer_pool.reserve_page_ids pool ~upto:page
-      | _ -> ())
-    records;
-  (* catalog objects over the surviving store *)
-  Catalog.reopen ctx.Ctx.catalog pool;
-  (* ... and in the durable inventories: after a log truncation the
-     Heap_extend records above are gone, but the heap files still own
-     their pages *)
-  List.iter
-    (fun (tbl : Catalog.table_info) ->
-      List.iter
-        (fun id -> Buffer_pool.reserve_page_ids pool ~upto:id)
-        (Heap_file.page_ids tbl.heap);
-      List.iter
-        (fun (info : Catalog.index_info) ->
-          List.iter
-            (fun id -> Buffer_pool.reserve_page_ids pool ~upto:id)
-            (Oib_btree.Btree.page_ids info.tree))
-        tbl.indexes)
-    (Catalog.tables ctx.Ctx.catalog);
-  (* replay DDL the restored metadata may predate (media recovery) *)
-  List.iter
-    (fun (r : Oib_wal.Log_record.t) ->
-      match r.body with
-      | Oib_wal.Log_record.Create_table { table } -> (
-        match Catalog.table ctx.Ctx.catalog table with
-        | _ -> ()
-        | exception Invalid_argument _ ->
-          ignore
-            (Catalog.create_table ~log:false ctx.Ctx.catalog pool
-               ~table_id:table))
-      | Oib_wal.Log_record.Create_index { index; table; key_cols; uniq } -> (
-        match Catalog.index ctx.Ctx.catalog index with
-        | _ -> ()
-        | exception Invalid_argument _ ->
-          ignore
-            (Catalog.add_index ~log:false ctx.Ctx.catalog pool ~table_id:table
-               ~index_id:index ~key_cols ~unique:uniq ~phase:Catalog.Ready))
-      | Oib_wal.Log_record.Drop_index { index } -> (
-        match Catalog.index ctx.Ctx.catalog index with
-        | _ -> Catalog.drop_index ctx.Ctx.catalog index
-        | exception Invalid_argument _ -> ())
-      | _ -> ())
-    records;
-  (* land every surviving index in its last durably logged lifecycle
-     state: the kv entry may trail the log (crash between the Index_state
-     flush and the catalog rewrite) or predate it (media restore from an
-     old image) *)
-  List.iter
-    (fun (index_id, state) ->
-      Catalog.restore_state ctx.Ctx.catalog index_id
-        (Catalog.state_of_int state))
-    analysis.index_states;
-  (* re-register file extensions the restored metadata may predate *)
-  List.iter
-    (fun (r : Oib_wal.Log_record.t) ->
-      match r.body with
-      | Oib_wal.Log_record.Heap_extend { table; page } -> (
-        match Catalog.table ctx.Ctx.catalog table with
-        | tbl -> Heap_file.ensure_page_registered tbl.heap page
-        | exception Invalid_argument _ -> ())
-      | _ -> ())
-    records;
-  (* repeat history on the data pages *)
-  recovery_step "redo_heap" "";
-  Restart.redo_heap records pool
-    ~page_capacity:(Catalog.page_capacity ctx.Ctx.catalog);
-  (* a page can be in the inventory yet exist nowhere: registered
-     durably at extend time, then lost with the unflushed log tail. No
-     durable record could touch it (commit would have flushed the log),
-     so empty is its correct redone state. *)
-  List.iter
-    (fun (tbl : Catalog.table_info) ->
-      List.iter
-        (fun id ->
-          if not (Buffer_pool.mem pool id) then
-            ignore
-              (Buffer_pool.install pool ~kind:Heap_page.kind id
-                 ~payload:
-                   (Heap_page.Heap
-                      (Heap_page.create
-                         ~capacity:(Catalog.page_capacity ctx.Ctx.catalog)))))
-        (Heap_file.page_ids tbl.heap))
-    (Catalog.tables ctx.Ctx.catalog);
-  (* bring every index from its image to the end of the durable log *)
-  recovery_step "replay_indexes" "";
-  List.iter
-    (fun (tbl : Catalog.table_info) ->
-      List.iter
-        (fun (info : Catalog.index_info) ->
-          Restart.replay_index records info.tree)
-        tbl.indexes)
-    (Catalog.tables ctx.Ctx.catalog);
-  (* in-progress builds: phase down from Ready, rebuild side-files *)
-  List.iter
-    (fun (index_id, _table) ->
-      recovery_step "restore_build" (Printf.sprintf "index=%d" index_id);
-      Ib.restore_phase_after_restart ctx ~records ~index_id)
-    analysis.builds_in_progress;
-  (* roll back losers with the live-abort executor *)
-  List.iter
-    (fun (txn_id, chain) ->
-      recovery_step "rollback_loser" (Printf.sprintf "txn=%d" txn_id);
-      let txn = Txn.adopt txns ~txn_id ~chain in
-      Table_ops.rollback ctx txn)
-    analysis.losers;
-  LM.flush_all log;
-  recovery_step "done" "";
+  Restart.recover ctx;
   ctx
 
 let crash ?(seed = 4242) (old : t) =

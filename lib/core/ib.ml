@@ -997,7 +997,7 @@ let interrupted_builds ctx =
       | _ -> None)
     (Durable_kv.keys ctx.Ctx.kv)
 
-let restore_phase_after_restart ctx ~records ~index_id =
+let restore_phase_after_restart ctx ~sidefile ~index_id =
   match get_progress ctx index_id with
   | None -> ()
   | Some p ->
@@ -1035,8 +1035,7 @@ let restore_phase_after_restart ctx ~records ~index_id =
       | Sf ->
         (* the side-file comes back from the log; a key-order build
            resumes in RID order *)
-        sf_building ~key_scan:None
-          (SF.rebuild_from_log records ~sidefile_id:index_id));
+        sf_building ~key_scan:None sidefile);
     restore_frontier ctx
       (Catalog.index ctx.Ctx.catalog index_id)
       p.p_stage ~resuming:false

@@ -102,9 +102,10 @@ val build_secondary_via_primary :
 
 val resume_builds : Ctx.t -> config -> unit
 (** Continue every interrupted build found in durable state (call in a
-    fiber after [Engine.restart], or in-process after {!Build_paused}):
-    the stage driver is re-entered at each build's recorded stage. A build
-    whose finish was already durable only has its state collected. *)
+    fiber after [Engine.crash] or [Engine.media_restore], or in-process
+    after {!Build_paused}): the stage driver is re-entered at each build's
+    recorded stage. A build whose finish was already durable only has its
+    state collected. *)
 
 val cancel_build : Ctx.t -> index_id:int -> unit
 (** §2.3.2: quiesce updaters briefly, remove the descriptor, the index
@@ -124,16 +125,15 @@ val spawn_gc_daemon :
     running total of collected tombstones. *)
 
 val restore_phase_after_restart :
-  Ctx.t -> records:Oib_wal.Log_record.t list -> index_id:int -> unit
-(** Used by [Engine.restart]: downgrade a reopened index's phase from
+  Ctx.t -> sidefile:Oib_sidefile.Side_file.t -> index_id:int -> unit
+(** Used by [Restart.recover]: downgrade a reopened index's phase from
     [Ready] to its true in-progress state using the builder's durable
     progress record (no-op when the index has no progress record). Also
     downgrades a [Readable] lifecycle state back to [Write_only] (the
     crash hit between the readable transition and a durable [Build_done])
     and rehydrates the published {!Build_status} from the progress record,
     so status and catalog agree before the resuming builder runs. An SF
-    build's side-file is rebuilt from [records], the restart's decoded
-    durable log. *)
+    build gets [sidefile], rebuilt by restart from the durable log. *)
 
 val scan_checkpoint : Ctx.t -> index_id:int -> int option
 (** The scan position of the build's last sort checkpoint: every heap page

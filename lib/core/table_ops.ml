@@ -515,7 +515,9 @@ let undo_index_key ctx ~clr (op : LR.index_key_op) =
               op = { index = op.index; key = op.key; before; after = target };
             }))
 
-let undo_executor ctx txn body ~clr =
+(* no wildcard arm (warning 4 is an error): a new record kind must be
+   given an undo here *)
+let[@warning "@4"] undo_executor ctx txn body ~clr =
   match body with
   | LR.Heap { page; visible_indexes; sidefiled; op } ->
     undo_heap ctx txn ~clr ~page ~old_count:visible_indexes ~old_sf:sidefiled

@@ -62,6 +62,9 @@ val range_lookup :
 val rollback : Ctx.t -> Oib_txn.Txn_manager.txn -> unit
 (** Roll back with this layer's undo executor. *)
 
+val apply_heap_op : Oib_storage.Heap_page.t -> LR.heap_op -> unit
+(** Perform a heap action on its page (forward, undo and restart redo). *)
+
 val undo_executor :
   Ctx.t -> Oib_txn.Txn_manager.txn -> LR.body ->
   clr:(LR.body -> Oib_wal.Lsn.t) -> unit

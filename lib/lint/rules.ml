@@ -278,106 +278,6 @@ let l5_diags edges =
           ("latch-order cycle " ^ path))
     !cycles
 
-(* --- L9: WAL exhaustiveness ------------------------------------------ *)
-
-let l9_diags ~config summaries =
-  match
-    List.find_opt
-      (fun fs -> fs.fs_module = config.l9_record_module)
-      summaries
-  with
-  | None -> []
-  | Some rec_fs -> (
-    match List.assoc_opt config.l9_type rec_fs.fs_l9.l9_variants with
-    | None -> []
-    | Some ctors ->
-      let files names =
-        List.filter (fun fs -> List.mem fs.fs_module names) summaries
-      in
-      let in_pats names c =
-        List.exists (fun fs -> Hashtbl.mem fs.fs_l9.l9_pats c) (files names)
-      in
-      let in_cons names c =
-        List.exists (fun fs -> Hashtbl.mem fs.fs_l9.l9_cons c) (files names)
-      in
-      let arms_of cls =
-        List.filter (fun (f, _, _) -> f = cls) rec_fs.fs_l9.l9_arms
-      in
-      (* [Some false_rhs] when the classifier covers the ctor, None when
-         it does not; a wildcard arm covers everything it reaches *)
-      let classify cls c =
-        let arms = arms_of cls in
-        match List.find_opt (fun (_, ct, _) -> ct = c) arms with
-        | Some (_, _, f) -> Some f
-        | None -> (
-          match List.find_opt (fun (_, ct, _) -> ct = "_") arms with
-          | Some (_, _, f) -> Some f
-          | None -> None)
-      in
-      let allows = rec_fs.fs_allows in
-      List.concat_map
-        (fun (c, loc) ->
-          let out = ref [] in
-          (* all checks for one constructor anchor at its declaration;
-             the site key keeps them distinct through Diag.dedupe *)
-          let add ~site ~hint msg =
-            out := diag_of ~site ~rule:"L9" ~hint ~allows loc msg :: !out
-          in
-          if not (in_pats config.l9_codec_modules c) then
-            add ~site:"encode"
-              ~hint:
-                ("add an encode arm for " ^ c ^ " in "
-                ^ String.concat "/" config.l9_codec_modules)
-              ("WAL record constructor " ^ c
-             ^ " is never matched in the log codec (encode path)");
-          if not (in_cons config.l9_codec_modules c) then
-            add ~site:"decode"
-              ~hint:
-                ("construct " ^ c ^ " in the decode path of "
-                ^ String.concat "/" config.l9_codec_modules)
-              ("WAL record constructor " ^ c
-             ^ " is never constructed by the log codec (decode path)");
-          (if arms_of config.l9_redo_classifier <> [] then
-             match classify config.l9_redo_classifier c with
-             | None ->
-               add ~site:"redo-classify"
-                 ~hint:
-                   ("add a " ^ config.l9_redo_classifier ^ " arm for " ^ c)
-                 ("WAL record constructor " ^ c ^ " is not classified by "
-                ^ config.l9_redo_classifier)
-             | Some false_rhs ->
-               if (not false_rhs) && not (in_pats config.l9_redo_modules c)
-               then
-                 add ~site:"redo"
-                   ~hint:
-                     ("match " ^ c ^ " in the redo replay ("
-                     ^ String.concat "/" config.l9_redo_modules
-                     ^ ") or classify it "
-                     ^ config.l9_redo_classifier ^ " = false")
-                   ("redoable WAL record " ^ c
-                  ^ " has no redo-replay coverage"));
-          (if arms_of config.l9_undo_classifier <> [] then
-             match classify config.l9_undo_classifier c with
-             | None ->
-               add ~site:"undo-classify"
-                 ~hint:
-                   ("add a " ^ config.l9_undo_classifier ^ " arm for " ^ c)
-                 ("WAL record constructor " ^ c ^ " is not classified by "
-                ^ config.l9_undo_classifier)
-             | Some false_rhs ->
-               if (not false_rhs) && not (in_pats config.l9_undo_modules c)
-               then
-                 add ~site:"undo"
-                   ~hint:
-                     ("match " ^ c ^ " in the undo path ("
-                     ^ String.concat "/" config.l9_undo_modules
-                     ^ ") or classify it "
-                     ^ config.l9_undo_classifier ^ " = false")
-                   ("undoable WAL record " ^ c
-                  ^ " has no undo-path coverage"));
-          List.rev !out)
-        ctors)
-
 (* --- local findings (L1/L3/L7/L8/parse/allow) --- *)
 
 let local_diags summaries =
@@ -422,8 +322,7 @@ let run ~config cg =
         in
         (edges, l5_diags edges))
   in
-  let l9 = timed "L9" (fun () -> l9_diags ~config summaries) in
-  let diags = local @ l1 @ l2 @ l4 @ l5 @ l9 in
+  let diags = local @ l1 @ l2 @ l4 @ l5 in
   {
     diags = List.sort Diag.compare (List.sort_uniq compare diags);
     order_edges =

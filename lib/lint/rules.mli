@@ -22,10 +22,6 @@
       a latch in module [B]; a cycle is a potential lock-order inversion.
       Intra-module self-edges are ignored (tree-order hand-over-hand
       crabbing is governed by page order, not module order).
-    - L9: WAL exhaustiveness — every constructor of the log-record body
-      variant must be encoded and decoded by the codec, classified by the
-      redo/undo predicates, and (when classified replayable) matched in
-      the corresponding replay modules.
 
     Suppressions from in-scope [[@lint.allow]] attributes are applied,
     never dropped: a suppressed diagnostic keeps its justification. *)

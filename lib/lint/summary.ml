@@ -32,14 +32,6 @@ type config = {
   l8_read_calls : string list;  (* index-read entry points to gate *)
   l8_read_modules : string list;  (* modules where the read gate applies *)
   l8_exempt : string list;  (* e.g. recovery's restore_state *)
-  (* L9: WAL exhaustiveness *)
-  l9_record_module : string;
-  l9_type : string;
-  l9_codec_modules : string list;
-  l9_redo_modules : string list;
-  l9_undo_modules : string list;
-  l9_redo_classifier : string;
-  l9_undo_classifier : string;
   (* L10/L11: yield-point atomicity & stale projections *)
   l10_yield_always : string list;
       (* base calls that suspend on every invocation (Sched.yield &c) *)
@@ -74,13 +66,6 @@ let default_config =
     l8_read_calls = [ "Btree.find"; "Btree.iter_range"; "Btree.iter_from" ];
     l8_read_modules = [ "Table_ops" ];
     l8_exempt = [ "Catalog.restore_state" ];
-    l9_record_module = "Log_record";
-    l9_type = "body";
-    l9_codec_modules = [ "Log_codec" ];
-    l9_redo_modules = [ "Restart"; "Engine"; "Side_file" ];
-    l9_undo_modules = [ "Table_ops"; "Restart" ];
-    l9_redo_classifier = "is_redoable";
-    l9_undo_classifier = "is_undoable";
     l10_yield_always =
       [ "Sched.yield"; "Sched.suspend"; "Sched.Cond.wait" ];
     l10_yield_may =
@@ -189,17 +174,6 @@ type u = {
          in place *)
 }
 
-(* L9 raw material, collected once per file: declared variants,
-   constructors mentioned in patterns / constructions anywhere, and the
-   arms of single-match classifier functions (is_redoable & co). *)
-type l9_info = {
-  l9_variants : (string * (string * Location.t) list) list;
-  l9_pats : (string, unit) Hashtbl.t;
-  l9_cons : (string, unit) Hashtbl.t;
-  l9_arms : (string * string * bool) list;
-      (* (classifier, ctor or "_", rhs is literal [false]) *)
-}
-
 type file_summary = {
   fs_file : string;
   fs_module : string;
@@ -208,7 +182,6 @@ type file_summary = {
   fs_allows : allow list;
       (* every well-formed [@lint.allow] parsed in the file, in source
          order — the registry the unused-allow report is computed from *)
-  fs_l9 : l9_info;
 }
 
 let module_name_of_file f =
@@ -1936,111 +1909,6 @@ and analyze_unit env ~name ~loc ~allows expr =
 and sub_unit env ~name ~loc ~allows expr =
   analyze_unit env ~name ~loc ~allows expr
 
-(* --- L9 raw-material collection -------------------------------------- *)
-
-let l9_empty () =
-  {
-    l9_variants = [];
-    l9_pats = Hashtbl.create 16;
-    l9_cons = Hashtbl.create 16;
-    l9_arms = [];
-  }
-
-let last_component lid =
-  match List.rev (Longident.flatten lid) with l :: _ -> l | [] -> ""
-
-let rec pat_ctor_names p =
-  match p.ppat_desc with
-  | Ppat_construct ({ txt; _ }, _) -> [ last_component txt ]
-  | Ppat_or (a, b) -> pat_ctor_names a @ pat_ctor_names b
-  | Ppat_constraint (p, _) | Ppat_alias (p, _) | Ppat_open (_, p) ->
-    pat_ctor_names p
-  | Ppat_any | Ppat_var _ -> [ "_" ]
-  | _ -> [ "_" ]
-
-let collect_l9 str =
-  let info = ref (l9_empty ()) in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_construct ({ txt; _ }, _) ->
-            Hashtbl.replace !info.l9_pats (last_component txt) ()
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_construct ({ txt; _ }, _) ->
-            Hashtbl.replace !info.l9_cons (last_component txt) ()
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-      type_declaration =
-        (fun it d ->
-          (match d.ptype_kind with
-          | Ptype_variant ctors ->
-            let cs =
-              List.map (fun c -> (c.pcd_name.txt, c.pcd_loc)) ctors
-            in
-            info :=
-              { !info with
-                l9_variants = (d.ptype_name.txt, cs) :: !info.l9_variants }
-          | _ -> ());
-          Ast_iterator.default_iterator.type_declaration it d);
-    }
-  in
-  it.structure it str;
-  (* classifier arms: top-level [let f = function ...] (or a match on a
-     parameter) with constructor patterns *)
-  let rhs_false e =
-    match (strip_fun e).pexp_desc with
-    | Pexp_construct ({ txt = Longident.Lident "false"; _ }, None) -> true
-    | _ -> false
-  in
-  let arms_of name expr =
-    let rec body e =
-      match e.pexp_desc with
-      | Pexp_fun (_, _, _, b) | Pexp_newtype (_, b)
-      | Pexp_constraint (b, _) -> body b
-      | _ -> e
-    in
-    let cases =
-      match (body expr).pexp_desc with
-      | Pexp_function cases | Pexp_match (_, cases) -> Some cases
-      | _ -> None
-    in
-    match cases with
-    | None -> []
-    | Some cases ->
-      List.concat_map
-        (fun c ->
-          let f = rhs_false c.pc_rhs in
-          List.map (fun ctor -> (name, ctor, f)) (pat_ctor_names c.pc_lhs))
-        cases
-  in
-  let rec scan items =
-    List.iter
-      (fun item ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let n = binding_name vb in
-              if n <> "_" then
-                info :=
-                  { !info with l9_arms = !info.l9_arms @ arms_of n vb.pvb_expr })
-            vbs
-        | Pstr_module
-            { pmb_expr = { pmod_desc = Pmod_structure inner; _ }; _ } ->
-          scan inner
-        | _ -> ())
-      items
-  in
-  scan str;
-  !info
-
 (* --- structure traversal --------------------------------------------- *)
 
 let register_module_binding env (mb : module_binding) prefix process =
@@ -2103,7 +1971,6 @@ let summarize_source ?(config = default_config) ~file src =
       fs_module = modname;
       fs_units = [];
       fs_allows = [];
-      fs_l9 = l9_empty ();
       fs_findings =
         [
           {
@@ -2183,7 +2050,6 @@ let summarize_source ?(config = default_config) ~file src =
       fs_units = List.rev !units;
       fs_findings = List.rev !file_findings;
       fs_allows = List.rev !all_allows;
-      fs_l9 = collect_l9 str;
     }
 
 let summarize_file ?config file =

@@ -43,13 +43,6 @@ type config = {
   l8_read_calls : string list;  (** index-read entry points to gate *)
   l8_read_modules : string list;  (** modules where the read gate applies *)
   l8_exempt : string list;  (** e.g. recovery's [restore_state] *)
-  l9_record_module : string;  (** module declaring the WAL record variant *)
-  l9_type : string;  (** the variant type name, e.g. ["body"] *)
-  l9_codec_modules : string list;
-  l9_redo_modules : string list;
-  l9_undo_modules : string list;
-  l9_redo_classifier : string;  (** e.g. ["is_redoable"] *)
-  l9_undo_classifier : string;
   l10_yield_always : string list;
       (** calls that suspend the fiber on every invocation
           ([Sched.yield], [Sched.Cond.wait]) *)
@@ -144,18 +137,6 @@ type u = {
           fields in place *)
 }
 
-type l9_info = {
-  l9_variants : (string * (string * Location.t) list) list;
-      (** declared variant types: (type name, constructors) *)
-  l9_pats : (string, unit) Hashtbl.t;
-      (** constructor names matched in patterns anywhere in the file *)
-  l9_cons : (string, unit) Hashtbl.t;
-      (** constructor names constructed anywhere in the file *)
-  l9_arms : (string * string * bool) list;
-      (** classifier arms: (function, ctor or "_", rhs is literal
-          [false]) — for [is_redoable]-style coverage predicates *)
-}
-
 type file_summary = {
   fs_file : string;
   fs_module : string;
@@ -164,7 +145,6 @@ type file_summary = {
       (** file-level findings: parse errors, malformed allow attributes *)
   fs_allows : allow list;
       (** every well-formed [@lint.allow] in the file, in source order *)
-  fs_l9 : l9_info;
 }
 
 val param_index : string list -> string -> int option

@@ -49,22 +49,5 @@ let sorted_slice ?keep t ~from ~upto =
   in
   List.stable_sort (fun a b -> Ikey.compare a.key b.key) entries
 
-let rebuild_from_log records ~sidefile_id =
-  let t = create ~sidefile_id in
-  List.iter
-    (fun (r : Oib_wal.Log_record.t) ->
-      match r.body with
-      | Oib_wal.Log_record.Sidefile_append { sidefile; insert; key }
-        when sidefile = sidefile_id ->
-        ignore (apply_append t ~insert key)
-      | Oib_wal.Log_record.Clr
-          { action = Oib_wal.Log_record.Sidefile_append { sidefile; insert; key };
-            _ }
-        when sidefile = sidefile_id ->
-        ignore (apply_append t ~insert key)
-      | _ -> ())
-    records;
-  t
-
 let pp_entry ppf e =
   Format.fprintf ppf "%s %a" (if e.insert then "ins" else "del") Ikey.pp e.key

@@ -39,8 +39,4 @@ val sorted_slice :
     the same key apply in their original order. [keep pos entry] (default:
     all) selects the entries by position first. *)
 
-val rebuild_from_log : Oib_wal.Log_record.t list -> sidefile_id:int -> t
-(** Recovery: reconstruct the side-file from the redo-only append records
-    of the decoded durable log, in LSN order. *)
-
 val pp_entry : Format.formatter -> entry -> unit

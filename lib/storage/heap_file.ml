@@ -55,7 +55,7 @@ let set_bound t ord v =
   t.bound.(!i) <- v;
   while !i > 1 do
     i := !i / 2;
-    t.bound.(!i) <- max t.bound.(2 * !i) t.bound.((2 * !i) + 1)
+    t.bound.(!i) <- Int.max t.bound.(2 * !i) t.bound.((2 * !i) + 1)
   done
 
 let grow t =
@@ -65,7 +65,7 @@ let grow t =
   let bound = Array.make (2 * cap) no_page in
   Array.blit t.bound (Array.length t.ids) bound cap t.count;
   for i = cap - 1 downto 1 do
-    bound.(i) <- max bound.(2 * i) bound.((2 * i) + 1)
+    bound.(i) <- Int.max bound.(2 * i) bound.((2 * i) + 1)
   done;
   t.ids <- ids;
   t.bound <- bound

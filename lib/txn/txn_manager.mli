@@ -61,7 +61,7 @@ val rollback :
 val adopt : t -> txn_id:int -> chain:LR.t list -> txn
 (** Re-create a loser transaction's handle during restart so it can be
     rolled back with {!rollback}. [chain] is the loser's durable records,
-    newest first, as [Oib_recovery.Restart.analyze] collects them; the
+    newest first, as [Oib_core.Restart.analyze] collects them; the
     rollback starts from its head ([Lsn.nil] when empty), and a resumed
     rollback finds its earlier CLRs there. Writes no Begin record. *)
 

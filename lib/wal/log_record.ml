@@ -47,16 +47,8 @@ type body =
 
 type t = { lsn : Lsn.t; txn : txn_id option; prev_lsn : Lsn.t; body : body }
 
-let is_redoable = function
-  | Index_key { redoable; _ } -> redoable
-  | Begin | Commit | Abort | End | Build_start _ | Build_done _
-  | Index_state _ ->
-    false
-  | Heap _ | Index_bulk_insert _ | Sidefile_append _ | Clr _ | Heap_extend _
-  | Create_table _ | Create_index _ | Drop_index _ ->
-    true
-
-let is_undoable = function
+(* no wildcard arm (warning 4 is an error): a new kind must be classified *)
+let[@warning "@4"] is_undoable = function
   | Heap _ | Index_key _ | Index_bulk_insert _ -> true
   | Begin | Commit | Abort | End | Sidefile_append _ | Clr _ | Build_start _
   | Build_done _ | Heap_extend _ | Create_table _ | Create_index _

@@ -99,7 +99,6 @@ type t = {
   body : body;
 }
 
-val is_redoable : body -> bool
 val is_undoable : body -> bool
 
 val pp_key_state : Format.formatter -> key_state -> unit

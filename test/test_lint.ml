@@ -143,31 +143,6 @@ let test_l8_lifecycle () =
     "unguarded transition + wrong direction + ungated read" 3
     (count_rule "L8" res)
 
-let l9_cfg ~clean =
-  let tag n = if clean then "L9_clean_" ^ n else "L9_" ^ n in
-  { Summary.default_config with
-    Summary.l9_record_module = tag "records";
-    Summary.l9_codec_modules = [ tag "codec" ];
-    Summary.l9_redo_modules = [ tag "redo" ];
-    Summary.l9_undo_modules = [ tag "redo" ];
-  }
-
-let test_l9_exhaustiveness () =
-  let res =
-    run_cfg (l9_cfg ~clean:false)
-      [ "l9_records.ml"; "l9_codec.ml"; "l9_redo.ml" ]
-  in
-  check_rules "the orphan constructor trips L9"
-    [ ("L9", "l9_records.ml") ]
-    res;
-  Alcotest.(check int) "no encode + no decode + no redo coverage" 3
-    (count_rule "L9" res);
-  let clean =
-    run_cfg (l9_cfg ~clean:true)
-      [ "l9_clean_records.ml"; "l9_clean_codec.ml"; "l9_clean_redo.ml" ]
-  in
-  Alcotest.(check int) "covered corpus is silent" 0 (count_rule "L9" clean)
-
 let test_explain_trace () =
   (* the transitive L2 finding (yield reached through a local helper)
      must carry the interprocedural witness chain *)
@@ -241,9 +216,7 @@ let all_fixture_files =
     "l3_logged.ml"; "l4_rogue_print.ml"; "l4_clean.ml"; "lock_manager.ml";
     "l5_cycle_a.ml"; "l5_cycle_b.ml"; "l5_upper.ml"; "l5_lower.ml";
     "l7_escape.ml"; "l7_clean.ml"; "l8_illegal.ml"; "l8_clean.ml";
-    "l9_records.ml"; "l9_codec.ml"; "l9_redo.ml"; "l9_clean_records.ml";
-    "l9_clean_codec.ml"; "l9_clean_redo.ml"; "malformed_allow.ml";
-    "unused_allow.ml";
+    "malformed_allow.ml"; "unused_allow.ml";
     "l10_window.ml"; "l10_clean.ml"; "l10_allowed.ml"; "l11_stale.ml";
     "l11_clean.ml"; "l12_regions.ml"; "df_recursion.ml";
   ]
@@ -340,8 +313,6 @@ let () =
             test_l5_hierarchy_clean;
           Alcotest.test_case "L7 page-handle escape" `Quick test_l7_escape;
           Alcotest.test_case "L8 lifecycle protocol" `Quick test_l8_lifecycle;
-          Alcotest.test_case "L9 WAL exhaustiveness" `Quick
-            test_l9_exhaustiveness;
           Alcotest.test_case "L10 yield atomicity" `Quick test_l10_atomicity;
           Alcotest.test_case "L10 suppression recorded" `Quick
             test_l10_allowed;

@@ -6,7 +6,7 @@ open Oib_testsupport
 module LR = Oib_wal.Log_record
 module Lsn = Oib_wal.Lsn
 module LM = Oib_wal.Log_manager
-module Restart = Oib_recovery.Restart
+module Restart = Oib_core.Restart
 
 let heap_insert page slot v =
   LR.Heap
@@ -41,7 +41,6 @@ let test_analysis_classifies () =
   let _ = LM.append log ~txn:None ~prev_lsn:Lsn.nil (LR.Build_done { index = 8 }) in
   LM.flush_all log;
   let a = Restart.analyze (LM.durable_records (LM.crash log)) in
-  Alcotest.(check (list int)) "winners" [ 1 ] a.winners;
   Alcotest.(check (list (pair int int))) "losers at their last lsn"
     [ (2, Lsn.to_int b2) ]
     (List.map
@@ -49,7 +48,6 @@ let test_analysis_classifies () =
        a.losers);
   Alcotest.(check (list (pair int int))) "build 9 in progress" [ (9, 1) ]
     a.builds_in_progress;
-  Alcotest.(check (list int)) "build 8 done" [ 8 ] a.builds_done;
   Alcotest.(check int) "max txn id" 2 a.max_txn_id
 
 let test_analysis_completed_rollback_not_loser () =
@@ -60,8 +58,7 @@ let test_analysis_completed_rollback_not_loser () =
   let _ = LM.append log ~txn:(Some 4) ~prev_lsn:a2 LR.End in
   LM.flush_all log;
   let a = Restart.analyze (LM.durable_records (LM.crash log)) in
-  Alcotest.(check int) "no losers" 0 (List.length a.losers);
-  Alcotest.(check int) "no winners either" 0 (List.length a.winners)
+  Alcotest.(check int) "no losers" 0 (List.length a.losers)
 
 (* --- heap redo --- *)
 
@@ -74,7 +71,9 @@ let test_redo_rebuilds_lost_page () =
   let _ = LM.append log ~txn:(Some 1) ~prev_lsn:l2 (heap_delete 3 0 "a") in
   LM.flush_all log;
   let env' = Tenv.crash env in
-  Restart.redo_heap (LM.durable_records env'.Tenv.log) env'.Tenv.pool ~page_capacity:256;
+  Restart.redo_heap
+    (Restart.analyze (LM.durable_records env'.Tenv.log))
+    env'.Tenv.pool ~page_capacity:256;
   let page =
     Oib_storage.Buffer_pool.get env'.Tenv.pool ~kind:Oib_storage.Heap_page.kind 3
   in
@@ -101,7 +100,9 @@ let test_redo_page_lsn_idempotence () =
   Oib_storage.Page.set_lsn p l1;
   Oib_storage.Buffer_pool.flush_page env.Tenv.pool p;
   let env' = Tenv.crash env in
-  Restart.redo_heap (LM.durable_records env'.Tenv.log) env'.Tenv.pool ~page_capacity:256;
+  Restart.redo_heap
+    (Restart.analyze (LM.durable_records env'.Tenv.log))
+    env'.Tenv.pool ~page_capacity:256;
   let page =
     Oib_storage.Buffer_pool.get env'.Tenv.pool ~kind:Oib_storage.Heap_page.kind 3
   in
@@ -164,7 +165,7 @@ let test_replay_from_image () =
   LM.flush_all log;
   let env' = Tenv.crash env in
   let tree' = Oib_btree.Btree.open_from_image env'.Tenv.pool env'.Tenv.kv ~index_id:5 in
-  Restart.replay_index (LM.durable_records env'.Tenv.log) tree';
+  Restart.replay_index (Restart.analyze (LM.durable_records env'.Tenv.log)) tree';
   Alcotest.(check bool) "k3 gone" true
     (Oib_btree.Btree.read_state tree' (key 3) = LR.Absent);
   Alcotest.(check bool) "k10 present" true
@@ -192,7 +193,7 @@ let test_replay_bulk_inserts () =
   LM.flush_all log;
   let env' = Tenv.crash env in
   let tree' = Oib_btree.Btree.open_from_image env'.Tenv.pool env'.Tenv.kv ~index_id:5 in
-  Restart.replay_index (LM.durable_records env'.Tenv.log) tree';
+  Restart.replay_index (Restart.analyze (LM.durable_records env'.Tenv.log)) tree';
   Alcotest.(check int) "all bulk keys replayed" 30
     (Oib_btree.Btree.present_count tree')
 
@@ -234,7 +235,7 @@ let prop_replay_equals_live =
       let tree' =
         Oib_btree.Btree.open_from_image env'.Tenv.pool env'.Tenv.kv ~index_id:5
       in
-      Restart.replay_index (LM.durable_records env'.Tenv.log) tree';
+      Restart.replay_index (Restart.analyze (LM.durable_records env'.Tenv.log)) tree';
       Oib_btree.Bt_check.check tree' = []
       && Oib_btree.Bt_check.collect_entries tree' = live)
 

@@ -267,6 +267,157 @@ let check_cancel_then_rebuild alg =
 let test_cancel_then_rebuild_nsf () = check_cancel_then_rebuild Ib.Nsf
 let test_cancel_then_rebuild_sf () = check_cancel_then_rebuild Ib.Sf
 
+(* --- every record kind through one restart --- *)
+
+module LR = Oib_wal.Log_record
+
+(* The kind of each record, named by an exhaustive match (warning 4 as an
+   error: a new constructor must be named here). A CLR is named with its
+   action, an undo-only index key op apart from a redoable one. *)
+let[@warning "@4"] rec kind_name : LR.body -> string = function
+  | LR.Begin -> "Begin"
+  | LR.Commit -> "Commit"
+  | LR.Abort -> "Abort"
+  | LR.End -> "End"
+  | LR.Heap _ -> "Heap"
+  | LR.Index_key { redoable = true; _ } -> "Index_key"
+  | LR.Index_key { redoable = false; _ } -> "Index_key(undo-only)"
+  | LR.Index_bulk_insert _ -> "Index_bulk_insert"
+  | LR.Sidefile_append _ -> "Sidefile_append"
+  | LR.Clr { action; _ } -> "Clr(" ^ kind_name action ^ ")"
+  | LR.Build_start _ -> "Build_start"
+  | LR.Build_done _ -> "Build_done"
+  | LR.Heap_extend _ -> "Heap_extend"
+  | LR.Create_table _ -> "Create_table"
+  | LR.Create_index _ -> "Create_index"
+  | LR.Drop_index _ -> "Drop_index"
+  | LR.Index_state _ -> "Index_state"
+
+(* the 16 constructors, with a CLR's three actions and the undo-only
+   index key op told apart *)
+let every_kind =
+  [
+    "Begin"; "Commit"; "Abort"; "End"; "Heap"; "Index_key";
+    "Index_key(undo-only)"; "Index_bulk_insert"; "Sidefile_append";
+    "Clr(Heap)"; "Clr(Index_key)"; "Clr(Sidefile_append)"; "Build_start";
+    "Build_done"; "Heap_extend"; "Create_table"; "Create_index";
+    "Drop_index"; "Index_state";
+  ]
+
+let oracle_errors ?final ctx =
+  Engine.consistency_errors ctx @ Engine.lifecycle_errors ?final ctx
+
+let spawn_build ctx alg ?(unique = false) ?(key_cols = [ 0 ]) index_id =
+  ignore
+    (Sched.spawn ctx.Ctx.sched ~name:"ib" (fun () ->
+         Ib.build_index ctx (test_cfg alg) ~table:1
+           { Ib.index_id; key_cols; unique }))
+
+let build_phase ctx index_id =
+  match
+    List.find_opt
+      (fun (st : Build_status.t) -> st.index_id = index_id)
+      (Engine.build_progress ctx)
+  with
+  | Some st -> st.phase
+  | None -> Build_status.Init
+
+(* §2.1.1's undo-only record, set up on purpose. [t] inserts a record
+   ahead of an NSF build's scan, then waits in the unique index's check on
+   [h]'s uncommitted rival until the builder has inserted [t]'s key
+   itself; [h] rolls back, and [t]'s own insert of that key finds it
+   present. *)
+let ib_inserts_first ctx =
+  spawn_build ctx Ib.Nsf ~unique:true ~key_cols:[ 1 ] 13;
+  Sched.run ctx.Ctx.sched;
+  let rec wait cond =
+    if not (cond ()) then begin
+      Sched.yield ctx.Ctx.sched;
+      wait cond
+    end
+  in
+  (* free two slots on the last heap page, so both inserts land on a page
+     the build's scan has yet to reach *)
+  let last_two =
+    match List.rev (Driver.live_rids ctx ~table:1) with
+    | a :: b :: _ -> [ a; b ]
+    | _ -> Alcotest.fail "table too small"
+  in
+  (match
+     Engine.run_txn ctx (fun txn ->
+         List.iter (Table_ops.delete ctx txn ~table:1) last_two)
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "delete did not commit");
+  let record = Oib_util.Record.make [| "v-first"; "rival" |] in
+  let h_inserted = ref false in
+  spawn_build ctx Ib.Nsf 14;
+  ignore
+    (Sched.spawn ctx.Ctx.sched ~name:"h" (fun () ->
+         wait (fun () -> build_phase ctx 14 = Build_status.Scan);
+         let h = Oib_txn.Txn_manager.begin_txn ctx.Ctx.txns in
+         ignore (Table_ops.insert ctx h ~table:1 record);
+         h_inserted := true;
+         wait (fun () -> build_phase ctx 14 = Build_status.Ready);
+         Table_ops.rollback ctx h));
+  ignore
+    (Sched.spawn ctx.Ctx.sched ~name:"t" (fun () ->
+         wait (fun () -> !h_inserted);
+         match
+           Engine.run_txn ctx (fun t -> Table_ops.insert ctx t ~table:1 record)
+         with
+         | Ok _ -> ()
+         | Error _ -> Alcotest.fail "t did not commit"));
+  Sched.run ctx.Ctx.sched
+
+(* An NSF build and a cancelled one under updaters with rollbacks, then an
+   SF build under updaters cut off by a crash: the durable log holds every
+   record kind, in-progress SF build and losers included. Restart must
+   leave both oracles clean, and so must a second restart over the log the
+   first one extended; the build then finishes. *)
+let test_every_record_kind () =
+  let seed = 1 in
+  let ctx = setup ~seed in
+  let _ = Driver.populate ctx ~table:1 ~rows:150 ~seed in
+  let wcfg =
+    { Driver.default with seed; workers = 3; txns_per_worker = 30; abort_pct = 0.4 }
+  in
+  ib_inserts_first ctx;
+  let _ = Driver.spawn_workers ctx wcfg ~table:1 in
+  spawn_build ctx Ib.Nsf 10;
+  Sched.run ctx.Ctx.sched;
+  spawn_build ctx Ib.Nsf 12;
+  Sched.run ctx.Ctx.sched;
+  Ib.cancel_build ctx ~index_id:12;
+  let _ = Driver.spawn_workers ctx { wcfg with seed = seed + 1 } ~table:1 in
+  spawn_build ctx Ib.Sf 11;
+  (* crash once the scan is done: the side-file holds the updaters'
+     appends and their rollbacks' compensations *)
+  Sched.set_crash_trap ctx.Ctx.sched (fun _ ->
+      Build_status.rank (build_phase ctx 11) >= Build_status.rank Build_status.Bulk);
+  (try Sched.run ctx.Ctx.sched with Sched.Crashed -> ());
+  let kinds =
+    List.map
+      (fun (r : LR.t) -> kind_name r.body)
+      (Oib_wal.Log_manager.durable_records ctx.Ctx.log)
+  in
+  Alcotest.(check (list string)) "no record kind missing from the durable log"
+    [] (List.filter (fun k -> not (List.mem k kinds)) every_kind);
+  let ctx' = Engine.crash ~seed:(seed + 10) ctx in
+  Alcotest.(check (list string)) "oracles clean after restart" []
+    (oracle_errors ctx');
+  Alcotest.(check (list int)) "the SF build is in progress" [ 11 ]
+    (List.map fst (Engine.unfinished_builds ctx'));
+  let ctx'' = Engine.crash ~seed:(seed + 11) ctx' in
+  Alcotest.(check (list string)) "oracles clean after a second restart" []
+    (oracle_errors ctx'');
+  ignore
+    (Sched.spawn ctx''.Ctx.sched ~name:"ib-resume" (fun () ->
+         Ib.resume_builds ctx'' (test_cfg Ib.Sf)));
+  Sched.run ctx''.Ctx.sched;
+  Alcotest.(check (list string)) "oracles clean once the build finished" []
+    (oracle_errors ~final:true ctx'')
+
 let prop_crash_anywhere_nsf =
   QCheck.Test.make ~name:"NSF: crash anywhere, recover, finish" ~count:14
     QCheck.(pair small_nat (int_bound 99))
@@ -315,6 +466,8 @@ let () =
             test_sf_stale_sidefile_seed7;
           Alcotest.test_case "cancel then rebuild (nsf)" `Quick
             test_cancel_then_rebuild_nsf;
+          Alcotest.test_case "every record kind through restart" `Quick
+            test_every_record_kind;
           Alcotest.test_case "cancel then rebuild (sf)" `Quick
             test_cancel_then_rebuild_sf;
         ] );

@@ -3,6 +3,11 @@ module SF = Oib_sidefile.Side_file
 module LR = Oib_wal.Log_record
 module LM = Oib_wal.Log_manager
 module Lsn = Oib_wal.Lsn
+module Restart = Oib_core.Restart
+
+(* the side-file restart rebuilds from the decoded durable log *)
+let rebuild log ~sidefile_id =
+  Restart.sidefile (Restart.analyze (LM.durable_records log)) ~sidefile_id
 
 let key i = Ikey.make (Printf.sprintf "k%03d" i) (Rid.make ~page:i ~slot:0)
 
@@ -65,7 +70,7 @@ let test_rebuild_from_log () =
   in
   LM.flush_all log;
   let survivor = LM.crash log in
-  let sf = SF.rebuild_from_log (LM.durable_records survivor) ~sidefile_id:7 in
+  let sf = rebuild survivor ~sidefile_id:7 in
   Alcotest.(check int) "only sidefile 7's entries, incl. CLRs" 3 (SF.length sf);
   Alcotest.(check bool) "order preserved" true
     ((SF.get sf 0).insert && not (SF.get sf 1).insert && (SF.get sf 2).insert)
@@ -83,7 +88,7 @@ let test_rebuild_ignores_unflushed () =
       (LR.Sidefile_append { sidefile = 7; insert = true; key = key 2 })
   in
   let survivor = LM.crash log in
-  let sf = SF.rebuild_from_log (LM.durable_records survivor) ~sidefile_id:7 in
+  let sf = rebuild survivor ~sidefile_id:7 in
   Alcotest.(check int) "lost tail dropped" 1 (SF.length sf)
 
 let prop_rebuild_roundtrip =
@@ -102,7 +107,7 @@ let prop_rebuild_roundtrip =
           ignore (SF.apply_append sf ~insert (key i)))
         ops;
       LM.flush_all log;
-      let sf' = SF.rebuild_from_log (LM.durable_records (LM.crash log)) ~sidefile_id:3 in
+      let sf' = rebuild (LM.crash log) ~sidefile_id:3 in
       SF.length sf' = SF.length sf
       && List.for_all
            (fun i ->

@@ -2,7 +2,7 @@ module Txn = Oib_txn.Txn_manager
 module LR = Oib_wal.Log_record
 module Lsn = Oib_wal.Lsn
 module LM = Oib_wal.Log_manager
-module Restart = Oib_recovery.Restart
+module Restart = Oib_core.Restart
 
 let mk () =
   let sched = Oib_sim.Sched.create () in

@@ -664,14 +664,12 @@ let prop_log_model =
           LM.durable_records old = durable && LM.all_records old = all)
         !dead)
 
-let test_is_redoable_undoable () =
+let test_is_undoable () =
   let key = Ikey.make "k" (Rid.make ~page:0 ~slot:0) in
   let ixop r =
     LR.Index_key
       { redoable = r; op = { index = 0; key; before = LR.Absent; after = LR.Present } }
   in
-  Alcotest.(check bool) "undo-only not redoable" false (LR.is_redoable (ixop false));
-  Alcotest.(check bool) "normal index op redoable" true (LR.is_redoable (ixop true));
   Alcotest.(check bool) "undo-only is undoable" true (LR.is_undoable (ixop false));
   Alcotest.(check bool) "clr not undoable" false
     (LR.is_undoable (LR.Clr { action = ixop true; undo_next = Lsn.nil }));
@@ -706,6 +704,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_log_model;
         ] );
       ( "classification",
-        [ Alcotest.test_case "redoable/undoable" `Quick test_is_redoable_undoable ]
+        [ Alcotest.test_case "undoable" `Quick test_is_undoable ]
       );
     ]
