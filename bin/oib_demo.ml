@@ -77,17 +77,15 @@ let report ctx (stats : Driver.stats ref) (d : Metrics.t) steps =
     List.iter print_endline errs;
     exit 1
 
-(* Lifecycle display for a (possibly paused) build: catalog state, build
-   phase, and the scan position of the last sort checkpoint (the page a
-   resumed scan continues after). *)
+(* Lifecycle display for a (possibly paused) build: its build phase and
+   the scan position of the last sort checkpoint (the page a resumed scan
+   continues after). *)
 let print_lifecycle ctx ~index_id =
   match Catalog.index ctx.Ctx.catalog index_id with
   | exception Invalid_argument _ ->
     Printf.printf "index %d: not in catalog\n" index_id
   | info ->
-    Printf.printf "index %d: state=%s phase=%s scan checkpoint=%s\n"
-      index_id
-      (Catalog.state_name info.Catalog.state)
+    Printf.printf "index %d: phase=%s scan checkpoint=%s\n" index_id
       (match info.Catalog.phase with
       | Catalog.Ready -> "ready"
       | Catalog.Nsf_building _ -> "nsf-building"

@@ -3,7 +3,7 @@
    Parses every .ml under --root with compiler-libs (parsetree only),
    builds a whole-tree call graph, solves the interprocedural
    latch-effect and may-yield fixpoints, and enforces the
-   latch/WAL/logging/lifecycle/interference discipline rules L1..L12
+   latch/WAL/logging/interference discipline rules L1..L12
    described in DESIGN.md §12, §17 and §18.
    Exit status: 0 clean, 1 unsuppressed diagnostics. *)
 
@@ -179,8 +179,7 @@ let emit_atomics =
 
 let cmd =
   let doc =
-    "latch/WAL/logging/lifecycle/interference protocol linter for the oib \
-     tree"
+    "latch/WAL/logging/interference protocol linter for the oib tree"
   in
   let info = Cmd.info "oib-lint" ~doc in
   Cmd.v info

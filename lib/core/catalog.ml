@@ -16,44 +16,6 @@ and sf_state = {
   mutable draining : bool;
 }
 
-(* Lifecycle state machine (after the FDB Record Layer online indexer):
-   Disabled -> Write_only at build admission, Write_only -> Readable at the
-   catch-up flip, and either may be disabled again (cancel / take offline).
-   Write_only indexes receive NSF/SF maintenance but never serve reads;
-   transitions are WAL-logged before the catalog's durable entry is
-   rewritten, so recovery lands every index in its last logged state. *)
-type index_state = Disabled | Write_only | Readable
-
-exception
-  Illegal_transition of {
-    index : int;
-    from_ : index_state;
-    to_ : index_state;
-  }
-
-exception Invalid_index_state of int
-
-let state_name = function
-  | Disabled -> "disabled"
-  | Write_only -> "write-only"
-  | Readable -> "readable"
-
-let state_to_int = function Disabled -> 0 | Write_only -> 1 | Readable -> 2
-
-let state_of_int = function
-  | 0 -> Disabled
-  | 1 -> Write_only
-  | 2 -> Readable
-  | n -> raise (Invalid_index_state n)
-
-let legal_transition ~from_ ~to_ =
-  match (from_, to_) with
-  | Disabled, Write_only -> true
-  | Write_only, Readable -> true
-  | Write_only, Disabled -> true
-  | Readable, Disabled -> true
-  | (Disabled | Write_only | Readable), _ -> false
-
 type index_info = {
   index_id : int;
   table_id : int;
@@ -61,7 +23,6 @@ type index_info = {
   uniq : bool;
   tree : Oib_btree.Btree.t;
   mutable phase : build_phase;
-  mutable state : index_state;
 }
 
 type table_info = {
@@ -75,7 +36,6 @@ type t = {
   page_capacity : int;
   tables : (int, table_info) Hashtbl.t;
   indexes : (int, index_info) Hashtbl.t;
-  mutable trace : Oib_obs.Trace.t;  (* sanitizer events only *)
 }
 
 type Durable_kv.value +=
@@ -86,7 +46,6 @@ type Durable_kv.value +=
       key_cols : int list;
       uniq : bool;
       seq : int; (* creation position within the table *)
-      state : int; (* index_state, via state_to_int *)
     }
   | Table_list of int list
   | Index_list of int list
@@ -100,25 +59,7 @@ let create kv ~page_capacity =
     page_capacity;
     tables = Hashtbl.create 8;
     indexes = Hashtbl.create 16;
-    trace = Oib_obs.Trace.null;
   }
-
-let set_trace t trace = t.trace <- trace
-
-(* Shared-state events for the sanitizer's L12 interference automaton.
-   The key carries the index instance — the per-index state words are
-   independent, exactly as the linter keys accesses by instance — and
-   the sanitizer strips the "(i)" suffix back to the class when diffing
-   against the static table. *)
-let emit_shared t index_id ~write site =
-  if Oib_obs.Trace.tracing t.trace then
-    Oib_obs.Trace.emit t.trace
-      (Oib_obs.Event.Shared
-         {
-           key = Printf.sprintf "Catalog.state(%d)" index_id;
-           write;
-           site;
-         })
 
 let kv t = t.kv
 let page_capacity t = t.page_capacity
@@ -162,30 +103,8 @@ let tables t = Hashtbl.fold (fun _ info acc -> info :: acc) t.tables []
 
 let indexes_of t table_id = (table t table_id).indexes
 
-(* rewrite an index's durable catalog entry (creation and every state
-   transition; the kv is forced, so this is the state's durable home) *)
-let persist_index t (info : index_info) =
-  let tbl = table t info.table_id in
-  let seq =
-    let rec pos i = function
-      | [] -> invalid_arg "Catalog.persist_index: detached info"
-      | x :: rest -> if x.index_id = info.index_id then i else pos (i + 1) rest
-    in
-    pos 0 tbl.indexes
-  in
-  Durable_kv.set t.kv (index_cat_key info.index_id)
-    (Index_cat
-       {
-         index_id = info.index_id;
-         table_id = info.table_id;
-         key_cols = info.key_cols;
-         uniq = info.uniq;
-         seq;
-         state = state_to_int info.state;
-       })
-
-let add_index ?(log = true) ?state t pool ~table_id ~index_id ~key_cols
-    ~unique ~phase =
+let add_index ?(log = true) t pool ~table_id ~index_id ~key_cols ~unique
+    ~phase =
   let tbl = table t table_id in
   if Hashtbl.mem t.indexes index_id then
     invalid_arg "Catalog.add_index: index exists";
@@ -193,21 +112,14 @@ let add_index ?(log = true) ?state t pool ~table_id ~index_id ~key_cols
     Oib_btree.Btree.create pool t.kv ~index_id ~page_capacity:t.page_capacity
       ~unique
   in
-  (* default lifecycle state derived from the phase: a Ready descriptor
-     (recovery replay, tests) is readable, a building one is write-only.
-     Builders pass ~state:Disabled and log the Write_only admission
-     explicitly. *)
-  let state =
-    match state with
-    | Some s -> s
-    | None -> ( match phase with Ready -> Readable | _ -> Write_only)
-  in
-  let info =
-    { index_id; table_id; key_cols; uniq = unique; tree; phase; state }
-  in
+  let info = { index_id; table_id; key_cols; uniq = unique; tree; phase } in
+  (* the forced catalog entry *)
+  Durable_kv.set t.kv (index_cat_key index_id)
+    (Index_cat
+       { index_id; table_id; key_cols; uniq = unique;
+         seq = List.length tbl.indexes });
   tbl.indexes <- tbl.indexes @ [ info ];
   Hashtbl.replace t.indexes index_id info;
-  persist_index t info;
   persist_lists t;
   if log then
     log_ddl pool
@@ -246,13 +158,9 @@ let sf_visible sf ~target ~record =
     | Some ck -> String.compare (Record.key_value record cols) ck <= 0)
 
 let visible_to info ~target ~record =
-  (* a Disabled index receives no maintenance at all: it either has not
-     been admitted yet or is being torn down *)
-  if info.state = Disabled then false
-  else
-    match info.phase with
-    | Ready | Nsf_building _ -> true
-    | Sf_building sf -> sf_visible sf ~target ~record
+  match info.phase with
+  | Ready | Nsf_building _ -> true
+  | Sf_building sf -> sf_visible sf ~target ~record
 
 let visible_count_for _t (tbl : table_info) ~target ~record =
   List.length (List.filter (visible_to ~target ~record) tbl.indexes)
@@ -261,52 +169,12 @@ let sidefiled_for _t (tbl : table_info) ~target ~record =
   List.filter_map
     (fun info ->
       match info.phase with
-      | Sf_building sf
-        when info.state <> Disabled && sf_visible sf ~target ~record ->
+      | Sf_building sf when sf_visible sf ~target ~record ->
         Some info.index_id
       | _ -> None)
     tbl.indexes
 
 let set_phase t index_id phase = (index t index_id).phase <- phase
-
-let state t index_id =
-  emit_shared t index_id ~write:false "catalog.state";
-  (index t index_id).state
-
-(* Durability order: WAL record first (appended + flushed), then the
-   forced catalog entry, then memory. A crash between the two leaves the
-   log ahead of the kv; recovery applies the last logged state per index
-   after reopen, so the logged transition wins either way. *)
-let set_state t pool index_id to_ =
-  let info = index t index_id in
-  emit_shared t index_id ~write:false "catalog.set_state";
-  let from_ = info.state in
-  if not (legal_transition ~from_ ~to_) then
-    raise (Illegal_transition { index = index_id; from_; to_ });
-  log_ddl pool
-    (Oib_wal.Log_record.Index_state
-       { index = index_id; state = state_to_int to_ });
-  (* log_ddl forces the WAL, which may suspend this fiber; another DDL
-     fiber could have transitioned the index meanwhile. Re-validate
-     against the current state before installing, so a raced transition
-     surfaces as Illegal_transition instead of silently clobbering it
-     (the logged record is then a no-op replay of a rejected change). *)
-  emit_shared t index_id ~write:false "catalog.set_state.revalidate";
-  let cur = info.state in
-  if not (legal_transition ~from_:cur ~to_) then
-    raise (Illegal_transition { index = index_id; from_ = cur; to_ });
-  info.state <- to_;
-  emit_shared t index_id ~write:true "catalog.set_state";
-  persist_index t info
-
-(* recovery-only: apply a replayed state without legality checks or
-   logging (the transition is already in the log) *)
-let restore_state t index_id state =
-  match Hashtbl.find_opt t.indexes index_id with
-  | None -> ()
-  | Some info ->
-    info.state <- state;
-    persist_index t info
 
 let reopen t pool =
   Hashtbl.reset t.tables;
@@ -332,25 +200,15 @@ let reopen t pool =
       (fun id ->
         match Durable_kv.get t.kv (index_cat_key id) with
         | Some (Index_cat c) ->
-          Some (c.table_id, c.seq, id, c.key_cols, c.uniq, c.state)
+          Some (c.table_id, c.seq, id, c.key_cols, c.uniq)
         | _ -> None)
       index_ids
   in
   let entries = List.sort compare entries in
   List.iter
-    (fun (table_id, _seq, index_id, key_cols, uniq, state) ->
+    (fun (table_id, _seq, index_id, key_cols, uniq) ->
       let tree = Oib_btree.Btree.open_from_image pool t.kv ~index_id in
-      let info =
-        {
-          index_id;
-          table_id;
-          key_cols;
-          uniq;
-          tree;
-          phase = Ready;
-          state = state_of_int state;
-        }
-      in
+      let info = { index_id; table_id; key_cols; uniq; tree; phase = Ready } in
       let tbl = table t table_id in
       tbl.indexes <- tbl.indexes @ [ info ];
       Hashtbl.replace t.indexes index_id info)

@@ -1,5 +1,10 @@
 (** Tables, index descriptors, visibility and build state.
 
+    An index has one lifecycle, its {!build_phase}: it is being built from
+    its descriptor's creation until its builder finishes, and only then
+    ([Ready]) serves reads — apart from a building NSF index's completed
+    prefix ([avail_below]). Transactions maintain it by phase alone.
+
     An index descriptor carries the paper's control state: for NSF the
     index is visible to updaters from descriptor creation on; for SF
     visibility is per-operation, governed by the builder's Current-RID scan
@@ -45,39 +50,6 @@ and sf_state = {
       (** IB is processing the side-file (transactions may still append) *)
 }
 
-type index_state =
-  | Disabled
-      (** no maintenance, no reads: not yet admitted, or being torn down *)
-  | Write_only
-      (** receives NSF/SF maintenance (per {!visible_to}) but is invisible
-          to reads — the state of every in-progress build *)
-  | Readable  (** fully built and serving reads *)
-
-exception
-  Illegal_transition of {
-    index : int;
-    from_ : index_state;
-    to_ : index_state;
-  }
-
-val legal_transition : from_:index_state -> to_:index_state -> bool
-(** The lifecycle DAG: [Disabled -> Write_only -> Readable], plus
-    [Write_only -> Disabled] (cancel) and [Readable -> Disabled] (take
-    offline). Everything else — including self-transitions — is illegal. *)
-
-exception Invalid_index_state of int
-(** Raised by {!state_of_int} for an integer outside [0..2] — a corrupted
-    [Index_state] WAL record or catalog entry. Typed (rather than
-    [Invalid_argument]) so recovery can distinguish log corruption from a
-    programming error and surface the offending value. *)
-
-val state_name : index_state -> string
-val state_to_int : index_state -> int
-
-val state_of_int : int -> index_state
-(** Inverse of {!state_to_int}. Raises {!Invalid_index_state} on any
-    integer that does not encode a lifecycle state. *)
-
 type index_info = {
   index_id : int;
   table_id : int;
@@ -85,7 +57,6 @@ type index_info = {
   uniq : bool;
   tree : Oib_btree.Btree.t;
   mutable phase : build_phase;
-  mutable state : index_state;
 }
 
 type table_info = {
@@ -97,11 +68,6 @@ type table_info = {
 type t
 
 val create : Oib_storage.Durable_kv.t -> page_capacity:int -> t
-
-val set_trace : t -> Oib_obs.Trace.t -> unit
-(** Point the catalog's sanitizer events ([Shared] on class
-    [Catalog.state], keyed per index instance) at the current
-    incarnation's trace. Defaults to {!Oib_obs.Trace.null}. *)
 
 val kv : t -> Oib_storage.Durable_kv.t
 val page_capacity : t -> int
@@ -119,15 +85,12 @@ val tables : t -> table_info list
 val indexes_of : t -> int -> index_info list
 
 val add_index :
-  ?log:bool -> ?state:index_state -> t -> Oib_storage.Buffer_pool.t ->
-  table_id:int -> index_id:int -> key_cols:int list -> unique:bool ->
-  phase:build_phase -> index_info
+  ?log:bool -> t -> Oib_storage.Buffer_pool.t -> table_id:int ->
+  index_id:int -> key_cols:int list -> unique:bool -> phase:build_phase ->
+  index_info
 (** Create the descriptor + empty tree and force the catalog entry. The
     caller is responsible for the quiesce protocol (NSF) or the
-    [Index_Build] flag discipline (SF). [log] as in {!create_table}.
-    [state] defaults from the phase ([Ready] -> [Readable], building ->
-    [Write_only]); builders pass [~state:Disabled] and log the admission
-    transition themselves. *)
+    [Index_Build] flag discipline (SF). [log] as in {!create_table}. *)
 
 val drop_index : t -> int -> unit
 (** Remove descriptor and catalog entry (cancel of an index build, §2.3.2;
@@ -158,21 +121,7 @@ val reopen :
   t -> Oib_storage.Buffer_pool.t -> unit
 (** After a crash: re-create table and index objects from the durable
     catalog, reopening heap files and index checkpoint images. Build
-    phases are restored as [Ready] and lifecycle states from the durable
-    entries; the engine's restart logic downgrades the in-progress ones
-    using the log analysis and replays the last logged state. *)
+    phases are restored as [Ready]; restart gives every build the log
+    shows unfinished its building phase back. *)
 
 val set_phase : t -> int -> build_phase -> unit
-
-val state : t -> int -> index_state
-
-val set_state : t -> Oib_storage.Buffer_pool.t -> int -> index_state -> unit
-(** Transition an index's lifecycle state: the WAL record is appended and
-    flushed {e first}, then the forced catalog entry is rewritten, then
-    memory — so the logged transition always wins after a crash. Raises
-    {!Illegal_transition} for moves outside {!legal_transition}. *)
-
-val restore_state : t -> int -> index_state -> unit
-(** Recovery-only: apply a replayed [Index_state] without legality checks
-    or logging (no-op for unknown indexes — e.g. dropped later in the
-    log). *)

@@ -67,8 +67,7 @@ let wire_observability (ctx : Ctx.t) =
              (Oib_obs.Event.Ib_throttle { level = Throttle.level th; reason })));
   (* point the shared-state sanitizer events (L12 interference twin) at
      this incarnation's trace *)
-  Throttle.set_trace ctx.Ctx.throttle ctx.Ctx.trace;
-  Catalog.set_trace ctx.Ctx.catalog ctx.Ctx.trace
+  Throttle.set_trace ctx.Ctx.throttle ctx.Ctx.trace
 
 let create ?(seed = 42) ?(page_capacity = 1024)
     ?(trace = Oib_obs.Trace.null) () =
@@ -361,11 +360,11 @@ let consistency_errors (ctx : t) =
 
 (* --- the lifecycle oracle ---
 
-   Invariants of the index state machine as seen at a quiescent point: the
-   non-final checks hold after any crash + recovery (mid-build transients
-   are never observed there — recovery lands every in-progress build in
-   [Write_only] with its progress record intact); the final checks hold
-   once every build has been driven to completion. *)
+   Invariants of the build phase at a quiescent point: the always-checks
+   hold after any crash + recovery (recovery lands every unfinished build
+   in its building phase, and a crash leaves its progress record
+   intact); the final checks hold once every build has been driven to
+   completion. *)
 
 let lifecycle_errors ?(final = false) (ctx : t) =
   let errs = ref [] in
@@ -376,44 +375,21 @@ let lifecycle_errors ?(final = false) (ctx : t) =
       List.iter
         (fun (info : Catalog.index_info) ->
           let id = info.index_id in
-          let has_progress = List.mem id in_progress in
-          (match info.state with
-          | Catalog.Disabled ->
-            (* Disabled exists only inside the (yield-free) admission and
-               cancel windows; a quiescent point must never see one *)
-            err "index %d: disabled but still cataloged" id
-          | Catalog.Write_only ->
-            if not has_progress then
-              err "index %d: write-only without durable build progress" id
-          | Catalog.Readable -> ());
-          if final then begin
-            (match (info.state, info.phase) with
-            | Catalog.Readable, Catalog.Ready -> ()
-            | Catalog.Readable, _ ->
-              err "index %d: readable but phase is not Ready" id
-            | (Catalog.Write_only | Catalog.Disabled), Catalog.Ready ->
-              err "index %d: phase Ready but state %s" id
-                (Catalog.state_name info.state)
-            | (Catalog.Write_only | Catalog.Disabled), _ -> ());
-            if info.state = Catalog.Readable then begin
+          match info.phase with
+          | Catalog.Nsf_building _ | Catalog.Sf_building _ ->
+            if not (List.mem id in_progress) then
+              err "index %d: building without durable build progress" id
+          | Catalog.Ready ->
+            if final then
               (* a finished build keeps nothing under ib/<id>/: no
                  progress record, checkpoint, scan range or run *)
               List.iter
-                (err "index %d: readable with leftover build state %s" id)
+                (err "index %d: ready with leftover build state %s" id)
                 (List.sort compare
                    (List.filter
                       (String.starts_with ~prefix:(Printf.sprintf "ib/%d/" id))
                       (Durable_kv.keys ctx.Ctx.kv
-                      @ Oib_sort.Run_store.run_names ctx.Ctx.runs)));
-              match info.phase with
-              | Catalog.Sf_building st ->
-                let n = Oib_sidefile.Side_file.length st.sidefile in
-                if n > 0 then
-                  err "index %d: readable with %d undrained side-file \
-                       entries" id n
-              | Catalog.Ready | Catalog.Nsf_building _ -> ()
-            end
-          end)
+                      @ Oib_sort.Run_store.run_names ctx.Ctx.runs))))
         tbl.indexes)
     (Catalog.tables ctx.Ctx.catalog);
   let errors = List.rev !errs in

@@ -93,8 +93,8 @@ val consistency_errors : t -> string list
 
 val lifecycle_errors : ?final:bool -> t -> string list
 (** The index-lifecycle oracle, for quiescent points (after recovery or at
-    the end of a run). Always: no [Disabled] index is cataloged, and every
-    [Write_only] index has durable build progress. With [final] (default
-    false), additionally: [Readable] iff phase [Ready], and a [Readable]
-    index has no undrained side-file and keeps no build state — no durable
-    key and no sorted run under ["ib/<id>/"]. Empty = consistent. *)
+    the end of a run). Always: every index in a building phase has durable
+    build progress, so its build can resume. With [final] (default
+    false), additionally: a [Ready] index keeps no build state — no
+    durable key and no sorted run under ["ib/<id>/"]. Empty =
+    consistent. *)

@@ -12,7 +12,7 @@ module Sort = Oib_sort.Sort_phase
 module Merge = Oib_sort.Merge_phase
 module Runs = Oib_sort.Run_store
 
-type algorithm = Nsf | Sf
+type algorithm = LR.algorithm = Nsf | Sf
 
 type config = {
   algorithm : algorithm;
@@ -77,7 +77,8 @@ let check_pause ctx ~index_id =
    the sort and merge checkpoints, the supersede list,
    and every sorted run. [drop_build_state] is the one place it goes. *)
 
-(* Durable build progress: the stage a restart re-enters the driver at. *)
+(* Durable build progress: the stage a restart re-enters the driver at.
+   The build's algorithm is in its Build_start record. *)
 type stage =
   | Scanning of { last_scan_page : int }
       (* heap end noted at admission (-1: empty); NSF scans up to it *)
@@ -86,13 +87,11 @@ type stage =
   | Bulking of { highest : Ikey.t option } (* SF *)
   | Draining of { pos : int } (* SF *)
 
-type progress = { p_algorithm : algorithm; p_stage : stage }
-
 (* (side-file length, scan position) pairs noted at each scan-stage
    resume of an SF build: the drain skips entry i with RID r when some
    pair has i < length and r > position *)
 type Durable_kv.value +=
-  | Ib_progress of progress
+  | Ib_progress of stage
   | Ib_superseded of (int * Rid.t) list
 
 let build_key index_id name = Printf.sprintf "ib/%d/%s" index_id name
@@ -187,18 +186,8 @@ let with_account ctx (st : BS.t) f =
         Oib_sim.Metrics.unregister_account ctx.Ctx.metrics ~fiber)
       f
 
-(* lifecycle transition + trace event *)
-let set_state ctx index_id to_ =
-  Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool index_id to_;
-  let tr = Sched.trace ctx.Ctx.sched in
-  if Oib_obs.Trace.tracing tr then
-    Oib_obs.Trace.emit tr
-      (Oib_obs.Event.Index_state
-         { index = index_id; state = Catalog.state_name to_ })
-
 let set_progress ctx (info : Catalog.index_info) stage =
-  Durable_kv.set ctx.Ctx.kv (progress_key info.index_id)
-    (Ib_progress { p_algorithm = algorithm_of info; p_stage = stage })
+  Durable_kv.set ctx.Ctx.kv (progress_key info.index_id) (Ib_progress stage)
 
 let get_progress ctx index_id =
   match Durable_kv.get ctx.Ctx.kv (progress_key index_id) with
@@ -314,11 +303,6 @@ let cancel_build ctx ~index_id =
    with
   | LockM.Granted -> ()
   | LockM.Deadlock -> ());
-  (* tear-down transition first: a crash mid-cancel must not leave the
-     index maintained (the Drop_index below removes it from the log's
-     state map anyway, so order only matters for the in-memory window) *)
-  if Catalog.state ctx.Ctx.catalog index_id <> Catalog.Disabled then
-    set_state ctx index_id Catalog.Disabled;
   ignore
     (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
        (LR.Build_done { index = index_id }));
@@ -702,15 +686,8 @@ let sf_drain_phase ctx cfg (info : Catalog.index_info) ~from_pos =
   st.BS.backlog <- 0;
   info.phase <- Catalog.Ready
 
+(* Build_done ends the build: from it on, restart leaves the index Ready *)
 let finish_build ctx (info : Catalog.index_info) =
-  (* Readable first (its own append + flush), then Build_done: a durable
-     Build_done therefore implies a durably logged Readable, so recovery
-     never sees a finished build stuck write-only. The guard covers a
-     resumed finish whose first attempt crashed between the two — and
-     only the Write_only -> Readable edge is legal, so match the source
-     state explicitly rather than "anything but Readable". *)
-  if Catalog.state ctx.Ctx.catalog info.index_id = Catalog.Write_only then
-    set_state ctx info.index_id Catalog.Readable;
   ignore
     (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
        (LR.Build_done { index = info.index_id }));
@@ -792,11 +769,10 @@ let sf_building ~key_scan sidefile =
       draining = false;
     }
 
-(* Admission: descriptors, Build_start and the Write_only transition, then
-   the durable scan stage. For NSF the caller holds the quiesce lock, so
-   no update can observe a descriptor before it is write-only; for SF no
-   operation is side-file-visible before the scan moves Current-RID, so
-   nothing is missed in the window. *)
+(* Admission: descriptors and Build_start, then the durable scan stage.
+   Nothing here can suspend: for NSF the caller holds the quiesce lock,
+   and for SF no operation is side-file-visible before the scan moves
+   Current-RID, so nothing is missed in the window. *)
 let admit ctx ~table ~phase specs =
   let infos =
     List.map
@@ -804,12 +780,12 @@ let admit ctx ~table ~phase specs =
         let info =
           Catalog.add_index ctx.Ctx.catalog ctx.Ctx.pool ~table_id:table
             ~index_id:spec.index_id ~key_cols:spec.key_cols
-            ~unique:spec.unique ~state:Catalog.Disabled ~phase:(phase spec)
+            ~unique:spec.unique ~phase:(phase spec)
         in
         ignore
           (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-             (LR.Build_start { index = spec.index_id; table }));
-        set_state ctx spec.index_id Catalog.Write_only;
+             (LR.Build_start
+                { index = spec.index_id; table; algorithm = algorithm_of info }));
         info)
       specs
   in
@@ -997,69 +973,49 @@ let interrupted_builds ctx =
       | _ -> None)
     (Durable_kv.keys ctx.Ctx.kv)
 
-let restore_phase_after_restart ctx ~sidefile ~index_id =
+(* The log says the build is unfinished, so the index is building
+   whether or not its progress record survived; without one (a media
+   restore from a backup older than the build) it cannot resume, and the
+   lifecycle oracle names it. *)
+let restore_phase_after_restart ctx ~algorithm ~sidefile ~index_id =
+  Catalog.set_phase ctx.Ctx.catalog index_id
+    (match algorithm with
+    | Nsf -> Catalog.Nsf_building { avail_below = None }
+    | Sf ->
+      (* a key-order build resumes in RID order *)
+      sf_building ~key_scan:None sidefile);
   match get_progress ctx index_id with
   | None -> ()
-  | Some p ->
-    (* A build still in progress must not be readable: the log's last
-       state can be Readable only when the crash hit after finish_build's
-       transition but before Build_done became durable (the build will be
-       redone from its checkpoints). Downgrade — logged as a genuine new
-       transition so the next recovery lands write-only directly. *)
-    if Catalog.state ctx.Ctx.catalog index_id = Catalog.Readable then begin
-      ignore
-        (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-           (LR.Index_state
-              {
-                index = index_id;
-                state = Catalog.state_to_int Catalog.Write_only;
-              }));
-      LM.flush_all ctx.Ctx.log;
-      Catalog.restore_state ctx.Ctx.catalog index_id Catalog.Write_only;
-      let tr = Sched.trace ctx.Ctx.sched in
-      if Oib_obs.Trace.tracing tr then
-        Oib_obs.Trace.emit tr
-          (Oib_obs.Event.Index_state
-             { index = index_id; state = Catalog.state_name Catalog.Write_only })
-    end;
-    (* Rehydrate the published build status from the durable progress
-       record, so [Build_status] and the catalog agree from the first
-       step after reopen (not only once the resuming builder gets
-       scheduled). *)
+  | Some stage ->
+    (* publish the build's status from the first step after reopen, not
+       only once the resuming builder gets scheduled *)
     note_phase ctx
-      (status ctx ~index_id ~algorithm:(algorithm_name p.p_algorithm))
-      (stage_phase p.p_stage);
-    Catalog.set_phase ctx.Ctx.catalog index_id
-      (match p.p_algorithm with
-      | Nsf -> Catalog.Nsf_building { avail_below = None }
-      | Sf ->
-        (* the side-file comes back from the log; a key-order build
-           resumes in RID order *)
-        sf_building ~key_scan:None sidefile);
-    restore_frontier ctx
-      (Catalog.index ctx.Ctx.catalog index_id)
-      p.p_stage ~resuming:false
+      (status ctx ~index_id ~algorithm:(algorithm_name algorithm))
+      (stage_phase stage);
+    restore_frontier ctx (Catalog.index ctx.Ctx.catalog index_id) stage
+      ~resuming:false
 
 let resume_one ctx cfg index_id =
   match get_progress ctx index_id with
   | None -> ()
-  | Some p ->
+  | Some stage -> (
     let info = Catalog.index ctx.Ctx.catalog index_id in
-    let st = status ctx ~index_id ~algorithm:(algorithm_name p.p_algorithm) in
-    if info.phase = Catalog.Ready then begin
+    match info.phase with
+    | Catalog.Ready ->
       (* The crash hit finish_build after Build_done became durable but
-         before cleanup: the build is complete (recovery redid the tree and
-         left the phase Ready), only the leftovers need collecting. Only
-         the legal Write_only -> Readable edge is taken. *)
-      if Catalog.state ctx.Ctx.catalog index_id = Catalog.Write_only then
-        set_state ctx index_id Catalog.Readable;
+         before cleanup: the build is complete (recovery redid the tree
+         and left the phase Ready), only the leftovers need collecting. *)
       drop_build_state ctx index_id;
-      note_phase ctx st BS.Ready
-    end
-    else
+      Option.iter
+        (fun st -> note_phase ctx st BS.Ready)
+        (Hashtbl.find_opt ctx.Ctx.builds index_id)
+    | Catalog.Nsf_building _ | Catalog.Sf_building _ ->
+      let st =
+        status ctx ~index_id ~algorithm:(algorithm_name (algorithm_of info))
+      in
       with_account ctx st @@ fun () ->
-      restore_frontier ctx info p.p_stage ~resuming:true;
-      drive ctx cfg info p.p_stage
+      restore_frontier ctx info stage ~resuming:true;
+      drive ctx cfg info stage)
 
 let resume_builds ctx cfg =
   List.iter (fun id -> resume_one ctx cfg id) (interrupted_builds ctx)

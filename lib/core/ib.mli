@@ -20,7 +20,7 @@
       transaction would — and finally flips the index to Ready.
 
     Every build runs through one stage driver: admission (descriptors,
-    write-only, the durable scan stage), then the scan (several indexes
+    [Build_start], the durable scan stage), then the scan (several indexes
     may share one, §6.2), the merge, NSF's insert phase or SF's bulk load
     and side-file drain, and the finish. Each stage is recorded before it
     runs and checkpoints its own position, so {!resume_builds} re-enters
@@ -33,7 +33,7 @@
     A build keeps all its durable state under ["ib/<id>/"]; finishing or
     cancelling it deletes all of it. *)
 
-type algorithm = Nsf | Sf
+type algorithm = Oib_wal.Log_record.algorithm = Nsf | Sf
 
 type config = {
   algorithm : algorithm;
@@ -125,15 +125,15 @@ val spawn_gc_daemon :
     running total of collected tombstones. *)
 
 val restore_phase_after_restart :
-  Ctx.t -> sidefile:Oib_sidefile.Side_file.t -> index_id:int -> unit
-(** Used by [Restart.recover]: downgrade a reopened index's phase from
-    [Ready] to its true in-progress state using the builder's durable
-    progress record (no-op when the index has no progress record). Also
-    downgrades a [Readable] lifecycle state back to [Write_only] (the
-    crash hit between the readable transition and a durable [Build_done])
-    and rehydrates the published {!Build_status} from the progress record,
-    so status and catalog agree before the resuming builder runs. An SF
-    build gets [sidefile], rebuilt by restart from the durable log. *)
+  Ctx.t -> algorithm:algorithm -> sidefile:Oib_sidefile.Side_file.t ->
+  index_id:int -> unit
+(** Used by [Restart.recover] for each build whose [Build_start] has no
+    durable [Build_done]: give the reopened index the building phase of
+    [algorithm], so it refuses reads whether or not its progress record
+    survived. An SF build gets [sidefile], rebuilt by restart from the
+    durable log. With a progress record, also restore the SF visibility
+    frontier and the published {!Build_status} from it, so status and
+    catalog agree before the resuming builder runs. *)
 
 val scan_checkpoint : Ctx.t -> index_id:int -> int option
 (** The scan position of the build's last sort checkpoint: every heap page

@@ -16,8 +16,7 @@ type key_redo = { lsn : Lsn.t; keys : Ikey.t list; after : LR.key_state }
 
 type analysis = {
   losers : (int * LR.t list) list;
-  builds_in_progress : (int * int) list;
-  index_states : (int * int) list;
+  builds_in_progress : (int * LR.algorithm) list;
   max_txn_id : int;
   max_heap_page : int;
   ddl : ddl list;
@@ -38,8 +37,7 @@ let[@warning "@4"] analyze records =
      first: what each loser's rollback walks. A transaction that ended
      without commit completed its rollback and is no loser. *)
   let chains : (int, LR.t list) Hashtbl.t = Hashtbl.create 32 in
-  let builds : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let states : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  let builds : (int, LR.algorithm) Hashtbl.t = Hashtbl.create 4 in
   let key_redo = Hashtbl.create 4 in
   let sidefile_appends = Hashtbl.create 4 in
   let max_txn = ref 0 and max_page = ref (-1) in
@@ -80,19 +78,14 @@ let[@warning "@4"] analyze records =
             push sidefile_appends sidefile (insert, key)
           | LR.Begin | LR.Commit | LR.Abort | LR.End | LR.Index_bulk_insert _
           | LR.Clr _ | LR.Build_start _ | LR.Build_done _ | LR.Heap_extend _
-          | LR.Create_table _ | LR.Create_index _ | LR.Drop_index _
-          | LR.Index_state _ ->
+          | LR.Create_table _ | LR.Create_index _ | LR.Drop_index _ ->
             ());
           false
-        | LR.Build_start { index; table } ->
-          Hashtbl.replace builds index table;
+        | LR.Build_start { index; algorithm; _ } ->
+          Hashtbl.replace builds index algorithm;
           false
         | LR.Build_done { index } ->
           Hashtbl.remove builds index;
-          false
-        | LR.Index_state { index; state } ->
-          (* records are in LSN order: last one per index wins *)
-          Hashtbl.replace states index state;
           false
         | LR.Heap_extend { table; page } ->
           max_page := Int.max !max_page page;
@@ -105,7 +98,6 @@ let[@warning "@4"] analyze records =
           ddl := Create_index { index; table; key_cols; uniq } :: !ddl;
           false
         | LR.Drop_index { index } ->
-          Hashtbl.remove states index;
           ddl := Drop_index index :: !ddl;
           false
       in
@@ -121,9 +113,7 @@ let[@warning "@4"] analyze records =
   let losers = Hashtbl.fold (fun id chain acc -> (id, chain) :: acc) chains [] in
   {
     losers = List.sort (fun (a, _) (b, _) -> Int.compare a b) losers;
-    builds_in_progress = Hashtbl.fold (fun i t acc -> (i, t) :: acc) builds [];
-    index_states =
-      List.sort compare (Hashtbl.fold (fun i s acc -> (i, s) :: acc) states []);
+    builds_in_progress = Hashtbl.fold (fun i a acc -> (i, a) :: acc) builds [];
     max_txn_id = !max_txn;
     max_heap_page = !max_page;
     ddl = List.rev !ddl;
@@ -174,10 +164,7 @@ let recover (ctx : Ctx.t) =
     if Oib_obs.Trace.tracing ctx.trace then
       Oib_obs.Trace.emit ctx.trace (Oib_obs.Event.Recovery_step { step; detail })
   in
-  (* decode the durable log once and walk it once. The only record
-     restart itself flushes before it is done is
-     [restore_phase_after_restart]'s Index_state downgrade, which nothing
-     below reads. *)
+  (* decode the durable log once and walk it once *)
   let a = analyze (LM.durable_records ctx.log) in
   recovery_step "analysis"
     (Printf.sprintf "losers=%d builds_in_progress=%d" (List.length a.losers)
@@ -224,14 +211,6 @@ let recover (ctx : Ctx.t) =
         | _ -> Catalog.drop_index ctx.catalog index
         | exception Invalid_argument _ -> ()))
     a.ddl;
-  (* land every surviving index in its last durably logged lifecycle
-     state: the kv entry may trail the log (crash between the Index_state
-     flush and the catalog rewrite) or predate it (media restore from an
-     old image) *)
-  List.iter
-    (fun (index_id, state) ->
-      Catalog.restore_state ctx.catalog index_id (Catalog.state_of_int state))
-    a.index_states;
   (* re-register file extensions the restored metadata may predate *)
   List.iter
     (fun (table, page) ->
@@ -266,9 +245,9 @@ let recover (ctx : Ctx.t) =
     (Catalog.tables ctx.catalog);
   (* in-progress builds: phase down from Ready, rebuild side-files *)
   List.iter
-    (fun (index_id, _table) ->
+    (fun (index_id, algorithm) ->
       recovery_step "restore_build" (Printf.sprintf "index=%d" index_id);
-      Ib.restore_phase_after_restart ctx
+      Ib.restore_phase_after_restart ctx ~algorithm
         ~sidefile:(sidefile a ~sidefile_id:index_id) ~index_id)
     a.builds_in_progress;
   (* roll back losers with the live-abort executor *)

@@ -4,8 +4,8 @@
     decoded once) exactly once, with one match that names every record
     kind, and collects everything restart needs. {!recover} applies it:
 
-    - DDL, logged index states and file extensions the restored metadata
-      may predate (media recovery);
+    - DDL and file extensions the restored metadata may predate (media
+      recovery);
     - {!redo_heap} repeats history on the data pages: every heap action,
       CLRs included, is reapplied unless the page's page_LSN shows it
       already there; a page never flushed is recreated empty first;
@@ -15,8 +15,8 @@
       logged, so setting each logged key to its [after] state in LSN order
       reproduces the tree's logical content (DESIGN.md §2 says why the
       no-steal index-page policy makes this sound);
-    - in-progress builds get their phase back, an SF build its
-      {!sidefile};
+    - every build with a [Build_start] and no [Build_done] gets its
+      building phase back, an SF build its {!sidefile};
     - losers are rolled back through {!Oib_txn.Txn_manager.adopt} with the
       undo executor of a live abort. *)
 
@@ -37,10 +37,9 @@ type analysis = {
   losers : (int * Oib_wal.Log_record.t list) list;
       (** transaction id and its durable records, newest first (the undo
           starts from the head); ordered by id *)
-  builds_in_progress : (int * int) list;  (** index id, table id *)
-  index_states : (int * int) list;
-      (** index id -> last logged lifecycle state (encoded as in
-          [Index_state]); indexes dropped later in the log are omitted *)
+  builds_in_progress : (int * Oib_wal.Log_record.algorithm) list;
+      (** index id and algorithm of each [Build_start] with no
+          [Build_done] *)
   max_txn_id : int;
   max_heap_page : int;  (** highest heap page the log names; -1 if none *)
   ddl : ddl list;

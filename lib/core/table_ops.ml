@@ -158,10 +158,7 @@ let sidefile_entry ctx txn info ~insert key =
   note_sidefile_append ctx info ~insert pos
 
 let directly_maintained (info : Catalog.index_info) =
-  (* a Disabled descriptor (pre-admission / mid-teardown) gets nothing *)
-  info.Catalog.state <> Catalog.Disabled
-  &&
-  match info.phase with
+  match info.Catalog.phase with
   | Catalog.Ready | Catalog.Nsf_building _ -> true
   | Catalog.Sf_building _ -> false
 
@@ -313,15 +310,13 @@ let read ctx txn ~table rid =
 
 let index_lookup ctx txn ~index kv =
   let info = Catalog.index ctx.Ctx.catalog index in
-  (* the lifecycle state is the read gate: only [Readable] serves, with
-     one carve-out — a write-only NSF build's completed prefix (gradual
+  (* the build phase is the read gate: only [Ready] serves, with one
+     carve-out — a building NSF index's completed prefix (gradual
      availability, footnote 3) *)
-  (match (info.Catalog.state, info.phase) with
-  | Catalog.Readable, _ -> ()
-  | Catalog.Write_only, Catalog.Nsf_building { avail_below = Some bound }
-    when kv < bound ->
-    ()
-  | (Catalog.Write_only | Catalog.Disabled), _ ->
+  (match info.Catalog.phase with
+  | Catalog.Ready -> ()
+  | Catalog.Nsf_building { avail_below = Some bound } when kv < bound -> ()
+  | Catalog.Nsf_building _ | Catalog.Sf_building _ ->
     invalid_arg "Table_ops.index_lookup: index still being built");
   let tbl = Catalog.table ctx.Ctx.catalog info.table_id in
   lock ctx txn (LockM.Table info.table_id) IS;
@@ -339,10 +334,10 @@ let index_lookup ctx txn ~index kv =
 let range_lookup ctx txn ~index ?lo ?hi () =
   let info = Catalog.index ctx.Ctx.catalog index in
   (* ranges have no per-key gradual-availability carve-out: serve only
-     once the index is [Readable] *)
-  (match info.Catalog.state with
-  | Catalog.Readable -> ()
-  | Catalog.Write_only | Catalog.Disabled ->
+     once the index is [Ready] *)
+  (match info.Catalog.phase with
+  | Catalog.Ready -> ()
+  | Catalog.Nsf_building _ | Catalog.Sf_building _ ->
     invalid_arg "Table_ops.range_lookup: index still being built");
   let tbl = Catalog.table ctx.Ctx.catalog info.table_id in
   lock ctx txn (LockM.Table info.table_id) IS;
@@ -528,8 +523,7 @@ let[@warning "@4"] undo_executor ctx txn body ~clr =
     assert false
   | LR.Begin | LR.Commit | LR.Abort | LR.End | LR.Sidefile_append _
   | LR.Clr _ | LR.Build_start _ | LR.Build_done _ | LR.Heap_extend _
-  | LR.Create_table _ | LR.Create_index _ | LR.Drop_index _
-  | LR.Index_state _ ->
+  | LR.Create_table _ | LR.Create_index _ | LR.Drop_index _ ->
     assert false
 
 let rollback ctx txn =

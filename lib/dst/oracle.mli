@@ -9,10 +9,10 @@
     - {!progress_monotonic}: every build's phase history within this
       incarnation ranks monotonically ({!Oib_core.Build_status.rank}
       never decreases, transition steps never go backwards);
-    - {!lifecycle}: {!Oib_core.Engine.lifecycle_errors} — the index state
-      machine's quiescent-point invariants (no [Disabled] stragglers, no
-      write-only index without durable progress; finally, [Readable] iff
-      [Ready] with no leftover progress/range/side-file state);
+    - {!lifecycle}: {!Oib_core.Engine.lifecycle_errors} — the build
+      phase's quiescent-point invariants (no building index without
+      durable progress; finally, no [Ready] index with leftover build
+      state);
     - {!completion}: no build left unfinished and no side-file left
       undrained — only meaningful once a scenario has run to completion,
       hence gated behind [~final].

@@ -11,11 +11,7 @@
 
    [reach] is the generic may-property engine (may-block, may-acquire,
    may-append): units are marked from seeded call sites until nothing
-   changes, each with a human-readable witness chain for --explain.
-
-   [mutators] finds lifecycle-mutator wrappers: a unit that forwards
-   its own parameters into the (index, state) positions of a known
-   mutator is itself a mutator with those parameter positions. *)
+   changes, each with a human-readable witness chain for --explain. *)
 
 open Summary
 
@@ -112,33 +108,6 @@ let reach cg ~seed =
               (Callgraph.lookup cg ~caller_module:u.u_module c.c_callee))
         u.u_calls)
 
-(* --- lifecycle-mutator wrappers --- *)
-
-let mutators cg ~seed =
-  mark_until_stable cg (fun find u ->
-      List.find_map
-        (fun c ->
-          if c.c_callback then None
-          else
-            let target =
-              match seed c.c_callee with
-              | Some p -> Some p
-              | None ->
-                List.find_map find
-                  (Callgraph.lookup cg ~caller_module:u.u_module c.c_callee)
-            in
-            match target with
-            | Some (ip, sp) -> (
-              match (List.nth_opt c.c_args ip, List.nth_opt c.c_args sp) with
-              | Some ik, Some sk -> (
-                match (param_index u.u_params ik, param_index u.u_params sk)
-                with
-                | Some ip', Some sp' -> Some (ip', sp')
-                | _ -> None)
-              | _ -> None)
-            | None -> None)
-        u.u_calls)
-
 (* --- the converged context for the final emission pass --- *)
 
 let final_ctx ~config cg =
@@ -147,20 +116,12 @@ let final_ctx ~config cg =
         if List.mem c.c_callee config.l3_appends then Some c.c_callee
         else None)
   in
-  let muts =
-    mutators cg ~seed:(fun n -> List.assoc_opt n config.l8_mutators)
-  in
   {
     x_effects = effects cg;
     x_appends =
       (fun ~caller_module n ->
         List.exists
           (fun u -> Hashtbl.mem appends (u.u_module, u.u_name))
-          (Callgraph.lookup cg ~caller_module n));
-    x_mutators =
-      (fun ~caller_module n ->
-        List.find_map
-          (fun u -> Hashtbl.find_opt muts (u.u_module, u.u_name))
           (Callgraph.lookup cg ~caller_module n));
     x_yields = yields cg;
     x_emit = true;

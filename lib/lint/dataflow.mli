@@ -24,15 +24,7 @@ val reach :
     seeded call site is reachable through the graph, mapping
     (module, unit) to a ["f -> g -> base"] witness chain. *)
 
-val mutators :
-  Callgraph.t ->
-  seed:(string -> (int * int) option) ->
-  (string * string, int * int) Hashtbl.t
-(** Lifecycle-mutator wrapper fixpoint: a unit forwarding its own
-    parameters into the (index, state) positions of a known mutator is
-    itself a mutator at those parameter positions. *)
-
 val emit_pass : config:Summary.config -> Callgraph.t -> unit
 (** Re-run every unit, with emission on, under the converged context:
-    effect resolution from the solved fixpoint, transitive WAL-append
-    knowledge for L3 and wrapper knowledge for L8. *)
+    effect resolution from the solved fixpoint and transitive WAL-append
+    knowledge for L3. *)

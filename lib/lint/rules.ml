@@ -278,7 +278,7 @@ let l5_diags edges =
           ("latch-order cycle " ^ path))
     !cycles
 
-(* --- local findings (L1/L3/L7/L8/parse/allow) --- *)
+(* --- local findings (L1/L3/L7/parse/allow) --- *)
 
 let local_diags summaries =
   List.concat_map

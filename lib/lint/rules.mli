@@ -1,6 +1,6 @@
 (** Rule evaluation over the solved call graph.
 
-    Unit-local findings (L1 leaks, L3, L7 escape sites, L8 site checks,
+    Unit-local findings (L1 leaks, L3, L7 escape sites,
     parse and malformed-allow errors) are produced by the summariser's
     emission pass and collected here; this module adds the whole-graph
     rules and applies [[@lint.allow]] suppression uniformly:

@@ -21,17 +21,6 @@ type config = {
          is out of tree; in-tree transfers are inferred from effects *)
   l7_exempt_modules : string list;
       (* page-cache internals that legitimately store page structures *)
-  (* L8: lifecycle protocol automaton *)
-  l8_states : string list;  (* DFA states, bit i = i-th constructor *)
-  l8_legal : (string * string) list;  (* legal (from, to) transitions *)
-  l8_state_fn : string;  (* state-reading call, e.g. "Catalog.state" *)
-  l8_mutators : (string * (int * int)) list;
-      (* transition calls: name -> positional (index arg, state arg) *)
-  l8_initializers : (string * string * string) list;
-      (* descriptor-creating calls: (name, index label, state label) *)
-  l8_read_calls : string list;  (* index-read entry points to gate *)
-  l8_read_modules : string list;  (* modules where the read gate applies *)
-  l8_exempt : string list;  (* e.g. recovery's restore_state *)
   (* L10/L11: yield-point atomicity & stale projections *)
   l10_yield_always : string list;
       (* base calls that suspend on every invocation (Sched.yield &c) *)
@@ -52,20 +41,6 @@ let default_config =
     l3_appends = [ "Log_manager.append"; "Txn_manager.log_op" ];
     l7_sources = [ "Heap_file.latch_rid" ];
     l7_exempt_modules = [ "Page"; "Buffer_pool"; "Latch" ];
-    l8_states = [ "Disabled"; "Write_only"; "Readable" ];
-    l8_legal =
-      [
-        ("Disabled", "Write_only");
-        ("Write_only", "Readable");
-        ("Write_only", "Disabled");
-        ("Readable", "Disabled");
-      ];
-    l8_state_fn = "Catalog.state";
-    l8_mutators = [ ("Catalog.set_state", (2, 3)) ];
-    l8_initializers = [ ("Catalog.add_index", "index_id", "state") ];
-    l8_read_calls = [ "Btree.find"; "Btree.iter_range"; "Btree.iter_from" ];
-    l8_read_modules = [ "Table_ops" ];
-    l8_exempt = [ "Catalog.restore_state" ];
     l10_yield_always =
       [ "Sched.yield"; "Sched.suspend"; "Sched.Cond.wait" ];
     l10_yield_may =
@@ -77,13 +52,10 @@ let default_config =
         ("keys_processed", "Build_status.keys_processed");
         ("backlog", "Build_status.backlog");
         ("level", "Throttle.level");
-        ("state", "Catalog.state");
-        ("lsn", "Page.lsn");
+        ("Page.lsn", "Page.lsn");
       ];
     l10_shared_calls =
       [
-        ("Catalog.state", ("Catalog.state", [ 1 ], false));
-        ("Catalog.set_state", ("Catalog.state", [ 2 ], true));
         ("Catalog.set_phase", ("Catalog.phase", [ 1 ], true));
         ("Build_status.set_phase", ("Build_status.phase", [ 0 ], true));
         ("Throttle.level", ("Throttle.level", [ 0 ], false));
@@ -107,7 +79,6 @@ type call = {
   c_loc : Location.t;
   c_held : (string * string) list;
   c_arg1 : string option;
-  c_args : string list;  (* positional argument keys, in order *)
   c_callback : bool;
       (* a module-qualified function passed as an argument: a call-graph
          edge for reachability, but no effect application at this site *)
@@ -131,9 +102,6 @@ type ctx = {
       (* None: unknown/out-of-tree callee (identity, no tracking) *)
   x_appends : caller_module:string -> string -> bool;
       (* callee may (transitively) append to the WAL: discharges L3 *)
-  x_mutators : caller_module:string -> string -> (int * int) option;
-      (* callee is a (possibly wrapped) lifecycle mutator: positional
-         (index arg, state arg) *)
   x_yields : caller_module:string -> string -> Yield_effect.t option;
       (* callee's may-yield summary; None: unknown/out-of-tree callee
          (assumed non-yielding — base sets name the true primitives) *)
@@ -144,7 +112,6 @@ let initial_ctx =
   {
     x_effects = (fun ~caller_module:_ _ -> None);
     x_appends = (fun ~caller_module:_ _ -> false);
-    x_mutators = (fun ~caller_module:_ _ -> None);
     x_yields = (fun ~caller_module:_ _ -> None);
     x_emit = false;
   }
@@ -268,7 +235,6 @@ type state = {
   held : item list;
   pend : (string * Location.t) list;  (* L3: mutations awaiting an append *)
   dead : (string * Location.t) list;  (* L7: handle var -> release site *)
-  facts : (string * int) list;  (* L8: index key -> possible-state bitmask *)
   neg : Latch_effect.atom list;  (* releases of caller-held param latches *)
   alias : string list;  (* roots the last call's return value aliases *)
   sreads : srd list;  (* L10: shared reads, freshest per (class, inst) *)
@@ -277,7 +243,7 @@ type state = {
 }
 
 let empty_state =
-  { held = []; pend = []; dead = []; facts = []; neg = []; alias = [];
+  { held = []; pend = []; dead = []; neg = []; alias = [];
     sreads = []; projs = []; ydef = false }
 
 let max_states = 48
@@ -452,14 +418,6 @@ let positional args =
     (fun (l, e) -> match l with Asttypes.Nolabel -> Some e | _ -> None)
     args
 
-let labeled args name =
-  List.find_map
-    (fun (l, e) ->
-      match l with
-      | Asttypes.Labelled n | Asttypes.Optional n when n = name -> Some e
-      | _ -> None)
-    args
-
 let rec strip_fun e =
   match e.pexp_desc with
   | Pexp_constraint (e, _) | Pexp_newtype (_, e) -> strip_fun e
@@ -608,117 +566,6 @@ let tail_value_idents body =
   tail body;
   out
 
-(* --- L8: lifecycle fact lattice ------------------------------------- *)
-
-let l8_bit cfg name =
-  let rec go i = function
-    | [] -> None
-    | s :: _ when s = name -> Some (1 lsl i)
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 cfg.l8_states
-
-let l8_full cfg = (1 lsl List.length cfg.l8_states) - 1
-
-let l8_legal_sources cfg to_ =
-  List.fold_left
-    (fun m (f, t) ->
-      if t = to_ then
-        match l8_bit cfg f with Some b -> m lor b | None -> m
-      else m)
-    0 cfg.l8_legal
-
-let fact_key k = "st:" ^ k
-
-let fact_of s key = List.assoc_opt key s.facts
-
-let set_fact s key mask =
-  { s with facts = (key, mask) :: List.remove_assoc key s.facts }
-
-let meet_fact cfg s key mask =
-  let cur = match fact_of s key with Some m -> m | None -> l8_full cfg in
-  set_fact s key (cur land mask)
-
-(* the constructor a state-literal expression denotes, if any *)
-let l8_ctor cfg e =
-  match (strip_fun e).pexp_desc with
-  | Pexp_construct ({ txt; _ }, None) -> (
-    match List.rev (Longident.flatten txt) with
-    | last :: _ when List.mem last cfg.l8_states -> Some last
-    | _ -> None)
-  | _ -> None
-
-(* is [e] a read of some index's lifecycle state? Returns the fact key
-   identifying the index: either [Catalog.state t id] (key from the id
-   argument) or a [.state] field access (key from the record base). *)
-let l8_state_read env e =
-  match (strip_fun e).pexp_desc with
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-    when resolve env txt = env.cfg.l8_state_fn -> (
-    match positional args with
-    | [ _; id ] | [ id ] -> Some (fact_key (expr_key id))
-    | _ -> None)
-  | Pexp_field (b, { txt; _ }) -> (
-    match List.rev (Longident.flatten txt) with
-    | "state" :: _ -> Some (fact_key (expr_key b))
-    | _ -> None)
-  | _ -> None
-
-(* Refine [facts] from a boolean condition: returns per-branch state
-   transformers. Recognizes [state = Ctor], [state <> Ctor], [&&], [not]
-   (and parenthesized combinations); anything else refines nothing. *)
-let rec l8_cond env cond =
-  match (strip_fun cond).pexp_desc with
-  | Pexp_apply
-      ({ pexp_desc = Pexp_ident { txt = Longident.Lident ("=" | "<>" as op); _ }; _ },
-       [ (_, a); (_, b) ]) -> (
-    let read, lit =
-      match (l8_state_read env a, l8_ctor env.cfg b) with
-      | (Some _ as r), (Some _ as l) -> (r, l)
-      | _ -> (l8_state_read env b, l8_ctor env.cfg a)
-    in
-    match (read, lit) with
-    | Some key, Some ctor -> (
-      match l8_bit env.cfg ctor with
-      | Some bit ->
-        let eq s = meet_fact env.cfg s key bit
-        and ne s = meet_fact env.cfg s key (l8_full env.cfg land lnot bit) in
-        if op = "=" then (eq, ne) else (ne, eq)
-      | None -> (Fun.id, Fun.id))
-    | _ -> (Fun.id, Fun.id))
-  | Pexp_apply
-      ({ pexp_desc = Pexp_ident { txt = Longident.Lident "not"; _ }; _ },
-       [ (_, a) ]) ->
-    let t, f = l8_cond env a in
-    (f, t)
-  | Pexp_apply
-      ({ pexp_desc = Pexp_ident { txt = Longident.Lident "&&"; _ }; _ },
-       [ (_, a); (_, b) ]) ->
-    (* then-branch: both held; else-branch: unknown which failed *)
-    let ta, _ = l8_cond env a in
-    let tb, _ = l8_cond env b in
-    ((fun s -> tb (ta s)), Fun.id)
-  | _ -> (Fun.id, Fun.id)
-
-(* state-constructor mask matched by a case pattern (for [match] on a
-   state read); [None] = pattern constrains nothing (var / wildcard) *)
-let pat_mask cfg p =
-  let rec go p =
-    match p.ppat_desc with
-    | Ppat_construct ({ txt; _ }, None) -> (
-      match List.rev (Longident.flatten txt) with
-      | last :: _ -> (
-        match l8_bit cfg last with Some b -> Some b | None -> None)
-      | [] -> None)
-    | Ppat_or (a, b) -> (
-      match (go a, go b) with
-      | Some x, Some y -> Some (x lor y)
-      | _ -> None)
-    | Ppat_constraint (p, _) | Ppat_alias (p, _) | Ppat_open (_, p) -> go p
-    | _ -> None
-  in
-  go p
-
 (* --- latch bookkeeping ---------------------------------------------- *)
 
 let item_named item key =
@@ -760,14 +607,12 @@ let held_snapshot sts =
   List.sort_uniq compare pairs
 
 let record_call ?(callback = false) env sts name loc pos =
-  let keys = List.map expr_key pos in
   env.acc.calls <-
     {
       c_callee = name;
       c_loc = loc;
       c_held = held_snapshot sts;
-      c_arg1 = (match keys with k :: _ -> Some k | [] -> None);
-      c_args = keys;
+      c_arg1 = (match pos with e :: _ -> Some (expr_key e) | [] -> None);
       c_callback = callback;
       c_allows = env.allows;
     }
@@ -1004,144 +849,6 @@ let l7_capture_check env sts loc fn =
       ids
   end
 
-(* L8 checks at a call site; returns updated states *)
-let l8_call env sts name loc args =
-  let cfg = env.cfg in
-  if List.mem name cfg.l8_exempt then sts
-  else
-    let full = l8_full cfg in
-    let mutator =
-      match List.assoc_opt name cfg.l8_mutators with
-      | Some p -> Some p
-      | None -> env.ctx.x_mutators ~caller_module:env.modname name
-    in
-    match mutator with
-    | Some (ipos, spos) -> (
-      let pos = positional args in
-      let index_key =
-        match List.nth_opt pos ipos with
-        | Some e -> Some (fact_key (expr_key e))
-        | None -> None
-      in
-      let target = List.nth_opt pos spos in
-      match Option.map (l8_ctor cfg) target with
-      | Some (Some ctor) ->
-        (* literal target: sources outside legal_transition's preimage
-           must be excluded by a dominating fact *)
-        let legal = l8_legal_sources cfg ctor in
-        let bit = match l8_bit cfg ctor with Some b -> b | None -> 0 in
-        List.map
-          (fun s ->
-            let src =
-              match index_key with
-              | Some k -> (
-                match fact_of s k with Some m -> m | None -> full)
-              | None -> full
-            in
-            let illegal = src land lnot legal in
-            if illegal <> 0 then begin
-              let names =
-                List.filteri
-                  (fun i _ -> illegal land (1 lsl i) <> 0)
-                  cfg.l8_states
-              in
-              emit_once env ("mut:" ^ loc_key loc) ~rule:"L8"
-                ~hint:
-                  "guard the transition with a state check (match on \
-                   Catalog.state / the descriptor's state field) so \
-                   only legal source states reach this call"
-                loc
-                ("lifecycle transition to " ^ ctor
-               ^ " is reachable from " ^ String.concat "/" names
-               ^ ", outside legal_transition")
-            end;
-            match index_key with
-            | Some k -> set_fact s k bit
-            | None -> s)
-          sts
-      | Some None -> (
-        (* non-literal target: fine if we are a wrapper forwarding our
-           own parameter (checked at our call sites); opaque otherwise *)
-        let target_key =
-          match target with Some e -> expr_key e | None -> "<expr>"
-        in
-        match param_index env.params target_key with
-        | Some _ -> sts
-        | None ->
-          emit_once env ("mutx:" ^ loc_key loc) ~rule:"L8"
-            ~hint:
-              "pass the target state as a constructor literal (or \
-               forward a parameter) so the transition is statically \
-               checkable"
-            loc
-            ("lifecycle transition target of " ^ name
-           ^ " is not statically known");
-          List.map
-            (fun s ->
-              match index_key with
-              | Some k -> set_fact s k full
-              | None -> s)
-            sts)
-      | None -> sts)
-    | None -> (
-      (* initializer: a descriptor created with a known state seeds the
-         fact for its index key *)
-      match
-        List.find_opt (fun (n, _, _) -> n = name) cfg.l8_initializers
-      with
-      | Some (_, ilabel, slabel) -> (
-        match labeled args ilabel with
-        | Some ie -> (
-          let k = fact_key (expr_key ie) in
-          match Option.bind (labeled args slabel) (fun e ->
-              Option.bind (l8_ctor cfg e) (l8_bit cfg))
-          with
-          | Some bit -> List.map (fun s -> set_fact s k bit) sts
-          | None -> List.map (fun s -> set_fact s k full) sts)
-        | None -> sts)
-      | None ->
-        (* read gate: in gated modules an index read must be dominated
-           by a fact excluding Disabled *)
-        if
-          List.mem name cfg.l8_read_calls
-          && List.mem env.modname cfg.l8_read_modules
-        then begin
-          let pos = positional args in
-          let arg1 = match pos with e :: _ -> expr_key e | [] -> "<expr>" in
-          let disabled =
-            match l8_bit cfg (List.nth cfg.l8_states 0) with
-            | Some b -> b
-            | None -> 1
-          in
-          let gated =
-            List.for_all
-              (fun s ->
-                List.exists
-                  (fun (k, m) ->
-                    (* fact key "st:info" gates reads of "info.tree" *)
-                    let base =
-                      String.sub k 3 (String.length k - 3)
-                    in
-                    (arg1 = base
-                    || (String.length arg1 > String.length base
-                        && String.sub arg1 0 (String.length base + 1)
-                           = base ^ "."))
-                    && m land disabled = 0)
-                  s.facts)
-              sts
-          in
-          if not gated then
-            emit_once env ("read:" ^ loc_key loc) ~rule:"L8"
-              ~hint:
-                "dominate the read with a lifecycle gate (check the \
-                 descriptor's state, or Catalog.state, before using \
-                 the index)"
-              loc
-              ("index read " ^ name
-             ^ " is not dominated by a lifecycle-state gate")
-        end;
-        sts)
-
 (* --- L10/L11: yield-point atomicity ---------------------------------- *)
 
 (* "f -> g -> Sched.yield" -> ["f"; "g"; "Sched.yield"] (OCaml paths
@@ -1165,16 +872,32 @@ let inst_of_positions pos positions =
   in
   String.concat "," keys
 
+(* The shared class of a field access. A table key "M.f" names the
+   field [f] of module [M]'s record: it matches [x.M.f] anywhere and a
+   bare [x.f] only inside [M], so another record's field of the same
+   name is not shared state. A bare key "f" matches every [x.f]. *)
+let shared_field env fld =
+  match List.rev (strip_oib (Longident.flatten fld)) with
+  | [] -> None
+  | f :: quals ->
+    let owner = match quals with m :: _ -> m | [] -> env.modname in
+    List.find_map
+      (fun (key, cls) ->
+        match String.rindex_opt key '.' with
+        | None -> if key = f then Some cls else None
+        | Some i ->
+          if
+            String.sub key (i + 1) (String.length key - i - 1) = f
+            && String.sub key 0 i = owner
+          then Some cls
+          else None)
+      env.cfg.l10_shared_fields
+
 (* is [e] (syntactically) a read of shared state? *)
 let l10_read_of env e =
   match (strip_fun e).pexp_desc with
-  | Pexp_field (b, { txt; _ }) -> (
-    match List.rev (Longident.flatten txt) with
-    | f :: _ -> (
-      match List.assoc_opt f env.cfg.l10_shared_fields with
-      | Some cls -> Some (cls, expr_key b)
-      | None -> None)
-    | [] -> None)
+  | Pexp_field (b, { txt; _ }) ->
+    Option.map (fun cls -> (cls, expr_key b)) (shared_field env txt)
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
     match List.assoc_opt (resolve env txt) env.cfg.l10_shared_calls with
     | Some (cls, positions, false) ->
@@ -1389,23 +1112,15 @@ let rec walk env sts e =
     in
     walk env sa b
   | Pexp_ifthenelse (c, t, eo) ->
-    let ft, fe = l8_cond env c in
     let sc = walk env sts c in
-    let st = walk env (List.map ft sc) t in
-    let se =
-      match eo with
-      | Some el -> walk env (List.map fe sc) el
-      | None -> List.map fe sc
-    in
+    let st = walk env sc t in
+    let se = match eo with Some el -> walk env sc el | None -> sc in
     union st se
-  | Pexp_match (scrut, cases) ->
-    let read = l8_state_read env scrut in
-    let s0 = walk env sts scrut in
-    match_union env s0 ~read cases
+  | Pexp_match (scrut, cases) -> match_union env (walk env sts scrut) cases
   | Pexp_try (body, handlers) ->
     (* handlers approximated as running from the entry state *)
     let sb = walk env sts body in
-    let sh = match_union env sts ~read:None handlers in
+    let sh = match_union env sts handlers in
     union sb sh
   | Pexp_fun (_, _, _, body) ->
     (* closure creation outside an argument position: check captures,
@@ -1414,7 +1129,7 @@ let rec walk env sts e =
     union sts (walk env sts body)
   | Pexp_function cases ->
     l7_capture_check env sts e.pexp_loc e;
-    union sts (match_union env sts ~read:None cases)
+    union sts (match_union env sts cases)
   | Pexp_while (c, b) ->
     let sc = walk env sts c in
     union sc (walk env sc b)
@@ -1438,18 +1153,13 @@ let rec walk env sts e =
       if fname <> "id" then l7_dead_use env sts e.pexp_loc ("." ^ fname) r
     | _ -> ());
     let sts = walk env sts b in
-    (match List.assoc_opt fname env.cfg.l10_shared_fields with
+    (match shared_field env fld.txt with
     | Some cls -> l10_note_read env sts cls (expr_key b) e.pexp_loc
     | None -> sts)
   | Pexp_setfield (a, fld, b) ->
     l7_store_check env sts e.pexp_loc "a mutable field" b;
     let sts = walk env (walk env sts a) b in
-    let fname =
-      match List.rev (Longident.flatten fld.txt) with
-      | f :: _ -> f
-      | [] -> ""
-    in
-    (match List.assoc_opt fname env.cfg.l10_shared_fields with
+    (match shared_field env fld.txt with
     | Some cls -> l10_note_write env sts cls (expr_key a) e.pexp_loc
     | None -> sts)
   | Pexp_constraint (a, _)
@@ -1473,25 +1183,15 @@ let rec walk env sts e =
     | _ -> walk env sts a)
   | _ -> sts
 
-(* union over match/function cases; [read] is the fact key when the
-   scrutinee reads a lifecycle state, so constructor patterns refine it *)
-and match_union env s0 ~read cases =
+(* union over match/function cases *)
+and match_union env s0 cases =
   match cases with
   | [] -> s0
   | _ ->
     List.fold_left
       (fun acc c ->
-        let entry =
-          match read with
-          | Some key -> (
-            match pat_mask env.cfg c.pc_lhs with
-            | Some mask ->
-              List.map (fun s -> meet_fact env.cfg s key mask) s0
-            | None -> s0)
-          | None -> s0
-        in
         (* bind the scrutinee's pending latches to the case's variables *)
-        let entry = bind_states env entry (pat_vars c.pc_lhs) in
+        let entry = bind_states env s0 (pat_vars c.pc_lhs) in
         let sg =
           match c.pc_guard with Some g -> walk env entry g | None -> entry
         in
@@ -1605,7 +1305,7 @@ and pipe env sts a fn =
   let sts = walk env sts a in
   match (strip_fun fn).pexp_desc with
   | Pexp_fun (_, _, _, body) -> walk env sts body
-  | Pexp_function cases -> match_union env sts ~read:None cases
+  | Pexp_function cases -> match_union env sts cases
   | Pexp_ident { txt; _ } ->
     named_call env sts (resolve env txt) fn.pexp_loc []
   | _ -> walk env sts fn
@@ -1618,7 +1318,7 @@ and walk_args env sts args =
         (* callback argument: zero-or-once inline, under the current
            latch state; capture is legal (it does not escape the call) *)
         union sts (walk env sts body)
-      | Pexp_function cases -> union sts (match_union env sts ~read:None cases)
+      | Pexp_function cases -> union sts (match_union env sts cases)
       | Pexp_ident { txt = Longident.Ldot _ as lid; _ } ->
         (* module-qualified function value: a call-graph edge for
            reachability (the HOF may invoke it), no effect application *)
@@ -1704,7 +1404,7 @@ and named_call env sts name loc args =
         | fn :: _ -> (
           match (strip_fun fn).pexp_desc with
           | Pexp_fun (_, _, _, body) -> walk env inner body
-          | Pexp_function cases -> match_union env inner ~read:None cases
+          | Pexp_function cases -> match_union env inner cases
           | Pexp_ident { txt; _ } ->
             named_call env inner (resolve env txt) fn.pexp_loc []
           | _ -> walk env inner fn)
@@ -1734,7 +1434,6 @@ and named_call env sts name loc args =
         | _ -> ())
       pos;
     record_call env sts name loc pos;
-    let sts = l8_call env sts name loc args in
     let sts = l10_call env sts name loc pos in
     let sts =
       if env.in_l3 && List.mem name env.cfg.l3_mutators then
@@ -1774,7 +1473,7 @@ and do_run env u expr ctx =
   let exits =
     match b.pexp_desc with
     | Pexp_function cases ->
-      match_union env [ empty_state ] ~read:None cases
+      match_union env [ empty_state ] cases
     | _ -> walk env [ empty_state ] b
   in
   let tails =

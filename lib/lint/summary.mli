@@ -4,8 +4,8 @@
     type information) and every value binding becomes an analysis
     {e unit}. Walking a unit's body tracks, path-sensitively, the
     latches held (acquired directly or produced by callee effects), L3
-    pending mutations, released (dead) page handles, and L8 lifecycle
-    facts; it records every call site together with the latches held at
+    pending mutations, released (dead) page handles, and L10/L11 shared
+    reads; it records every call site together with the latches held at
     that moment.
 
     Unlike the single-pass v1, a unit's walk is {e re-runnable}: the
@@ -32,17 +32,6 @@ type config = {
           sources; in-tree transfers are inferred from latch effects) *)
   l7_exempt_modules : string list;
       (** page-cache internals that legitimately store page structures *)
-  l8_states : string list;
-      (** lifecycle DFA states; bit [i] of a fact mask = [i]-th entry *)
-  l8_legal : (string * string) list;  (** legal (from, to) transitions *)
-  l8_state_fn : string;  (** state-reading call, e.g. ["Catalog.state"] *)
-  l8_mutators : (string * (int * int)) list;
-      (** transition calls: name -> positional (index arg, state arg) *)
-  l8_initializers : (string * string * string) list;
-      (** descriptor-creating calls: (name, index label, state label) *)
-  l8_read_calls : string list;  (** index-read entry points to gate *)
-  l8_read_modules : string list;  (** modules where the read gate applies *)
-  l8_exempt : string list;  (** e.g. recovery's [restore_state] *)
   l10_yield_always : string list;
       (** calls that suspend the fiber on every invocation
           ([Sched.yield], [Sched.Cond.wait]) *)
@@ -52,7 +41,9 @@ type config = {
           points L2 forbids under a latch *)
   l10_shared_fields : (string * string) list;
       (** mutable record fields that are cross-fiber shared state:
-          field name -> class key, e.g. [("level", "Throttle.level")] *)
+          field -> class key, e.g. [("level", "Throttle.level")]. A
+          qualified field ["Page.lsn"] matches [x.Page.lsn] anywhere and a
+          bare [x.lsn] only inside [Page]. *)
   l10_shared_calls : (string * (string * int list * bool)) list;
       (** accessor calls over shared state: name -> (class key,
           instance-argument positions, is-write) *)
@@ -78,7 +69,6 @@ type call = {
   c_held : (string * string) list;
       (** latches possibly held at the call: (latch expr text, mode) *)
   c_arg1 : string option;  (** text of the first positional argument *)
-  c_args : string list;  (** all positional argument keys, in order *)
   c_callback : bool;
       (** a module-qualified function passed as an argument: call-graph
           edge for reachability, no effect application at the site *)
@@ -101,8 +91,6 @@ type ctx = {
       (** resolve a callee's latch effect; [None] = unknown/out-of-tree *)
   x_appends : caller_module:string -> string -> bool;
       (** callee may (transitively) append to the WAL (discharges L3) *)
-  x_mutators : caller_module:string -> string -> (int * int) option;
-      (** callee is a (wrapped) lifecycle mutator: (index pos, state pos) *)
   x_yields : caller_module:string -> string -> Yield_effect.t option;
       (** resolve a callee's may-yield effect; [None] = unknown *)
   x_emit : bool;  (** final pass: produce findings *)
@@ -121,7 +109,7 @@ type u = {
   mutable u_calls : call list;
   mutable u_acquires_latch : bool;
       (** the unit contains a direct [Latch.acquire]/[with_latch] *)
-  mutable u_local : finding list;  (** unit-local L1/L3/L7/L8 findings *)
+  mutable u_local : finding list;  (** unit-local L1/L3/L7 findings *)
   mutable u_effect : Latch_effect.t;  (** current fixpoint value *)
   mutable u_yield : Yield_effect.t;
       (** current may-yield fixpoint value *)

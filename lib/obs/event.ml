@@ -48,7 +48,6 @@ type t =
   | Undo_end of { txn : int }
   | Ib_phase of { index : int; phase : string }
   | Ib_checkpoint of { index : int; stage : string }
-  | Index_state of { index : int; state : string }
   | Ib_throttle of { level : int; reason : string }
   | Sidefile_append of { sidefile : int; insert : bool; pos : int }
   | Sidefile_drained of { sidefile : int; from_pos : int; upto : int }
@@ -106,7 +105,6 @@ let kind = function
   | Undo_end _ -> "txn.undo_end"
   | Ib_phase _ -> "ib.phase"
   | Ib_checkpoint _ -> "ib.checkpoint"
-  | Index_state _ -> "index.state"
   | Ib_throttle _ -> "ib.throttle"
   | Sidefile_append _ -> "sidefile.append"
   | Sidefile_drained _ -> "sidefile.drained"
@@ -133,7 +131,7 @@ let sanitizer_only = function
   | Lock_wait _ | Lock_acquired _ | Lock_denied _ | Lock_released_all _
   | Page_read _ | Page_write _ | Log_append _ | Log_flush _ | Txn_begin _
   | Txn_commit _ | Txn_abort _ | Txn_rollback_step _ | Ib_phase _
-  | Ib_checkpoint _ | Index_state _ | Ib_throttle _
+  | Ib_checkpoint _ | Ib_throttle _
   | Sidefile_append _ | Sidefile_drained _ | Checkpoint _ | Recovery_step _
   | Crash _ | Span_begin _ | Span_end _ | Sample _ | Prof_sample _ | Epoch _ ->
     false
@@ -187,8 +185,6 @@ let detail = function
   | Ib_phase { index; phase } -> Printf.sprintf "index=%d phase=%s" index phase
   | Ib_checkpoint { index; stage } ->
     Printf.sprintf "index=%d stage=%s" index stage
-  | Index_state { index; state } ->
-    Printf.sprintf "index=%d state=%s" index state
   | Ib_throttle { level; reason } ->
     Printf.sprintf "level=%d reason=%s" level reason
   | Sidefile_append { sidefile; insert; pos } ->
@@ -291,8 +287,6 @@ let fields = function
   | Ib_phase { index; phase } -> [ ("index", `I index); ("phase", `S phase) ]
   | Ib_checkpoint { index; stage } ->
     [ ("index", `I index); ("stage", `S stage) ]
-  | Index_state { index; state } ->
-    [ ("index", `I index); ("state", `S state) ]
   | Ib_throttle { level; reason } ->
     [ ("level", `I level); ("reason", `S reason) ]
   | Sidefile_append { sidefile; insert; pos } ->

@@ -76,9 +76,6 @@ type t =
   | Undo_end of { txn : int }
   | Ib_phase of { index : int; phase : string }
   | Ib_checkpoint of { index : int; stage : string }
-  | Index_state of { index : int; state : string }
-      (** lifecycle transition ([disabled|write-only|readable]), emitted
-          when the catalog state changes — including recovery downgrades *)
   | Ib_throttle of { level : int; reason : string }
       (** admission-control level change; [reason] names the health
           signal edge that drove it *)
@@ -124,9 +121,10 @@ type t =
           empty when unknown). *)
   | Shared of { key : string; write : bool; site : string }
       (** an access to cross-fiber shared state; [key] is the lint
-          class key (e.g. ["Throttle.level"], ["Catalog.state(3)"]) so
-          the dynamic interference automaton lines up with the static
-          L12 atomics table, [site] names the emission point *)
+          class key (e.g. ["Throttle.level"]), optionally with an
+          instance suffix (["Class(3)"]), so the dynamic interference
+          automaton lines up with the static L12 atomics table; [site]
+          names the emission point *)
   | Epoch of { label : string }
       (** engine-incarnation boundary on a trace that survives a
           restart; the step clock restarts at the next event *)

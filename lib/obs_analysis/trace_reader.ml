@@ -114,10 +114,6 @@ let decode_event j kind =
     let* index = int_f "index" in
     let* stage = str_f "stage" in
     Ok (Event.Ib_checkpoint { index; stage })
-  | "index.state" ->
-    let* index = int_f "index" in
-    let* state = str_f "state" in
-    Ok (Event.Index_state { index; state })
   | "ib.throttle" ->
     let* level = int_f "level" in
     let* reason = str_f "reason" in

@@ -320,7 +320,7 @@ let analyse t f (ev : Event.t) =
     if write then begin
       (match Hashtbl.find_opt m key with
       | Some (true, rsite) ->
-        (* staleness is tracked per instance ("Catalog.state(3)") but
+        (* staleness is tracked per instance (a key "Class(3)") but
            the static table classifies per class — strip the instance
            before recording *)
         let cls =
@@ -342,9 +342,9 @@ let analyse t f (ev : Event.t) =
   | Latch_wait _ | Latch_acquired _ | Lock_wait _ | Lock_acquired _
   | Lock_denied _ | Lock_released_all _ | Page_read _ | Log_flush _
   | Txn_begin _ | Txn_commit _ | Txn_abort _ | Txn_rollback_step _
-  | Ib_phase _ | Ib_checkpoint _ | Index_state _
-  | Ib_throttle _ | Sidefile_append _ | Sidefile_drained _ | Checkpoint _
-  | Recovery_step _ | Crash _ | Span_begin _ | Span_end _ | Sample _
+  | Ib_phase _ | Ib_checkpoint _ | Ib_throttle _ | Sidefile_append _
+  | Sidefile_drained _ | Checkpoint _ | Recovery_step _ | Crash _
+  | Span_begin _ | Span_end _ | Sample _
   | Prof_sample _ ->
     false
 

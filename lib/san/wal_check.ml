@@ -51,8 +51,8 @@ let feed t (ev : Oib_obs.Event.t) =
   | Latch_wait _ | Latch_acquired _ | Lock_wait _ | Lock_acquired _
   | Lock_denied _ | Lock_released_all _ | Page_read _ | Log_flush _
   | Txn_begin _ | Txn_commit _ | Txn_abort _ | Txn_rollback_step _
-  | Ib_phase _ | Ib_checkpoint _ | Index_state _
-  | Ib_throttle _ | Sidefile_append _ | Sidefile_drained _ | Checkpoint _
-  | Recovery_step _ | Crash _ | Span_begin _ | Span_end _ | Sample _
+  | Ib_phase _ | Ib_checkpoint _ | Ib_throttle _ | Sidefile_append _
+  | Sidefile_drained _ | Checkpoint _ | Recovery_step _ | Crash _
+  | Span_begin _ | Span_end _ | Sample _
   | Prof_sample _ ->
     ()

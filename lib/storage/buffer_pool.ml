@@ -107,7 +107,7 @@ let get t ~(kind : Page.kind) id =
           raise e
       in
       let page = Page.make ~kind ~id ~sched:t.sched ~metrics:t.metrics ~payload in
-      page.lsn <- lsn;
+      page.Page.lsn <- lsn;
       Hashtbl.replace t.cache id page;
       Oib_obs.Trace.span_end tr span;
       page
@@ -135,12 +135,12 @@ let write_back t (page : Page.t) =
       (Oib_obs.Event.Page_write
          {
            page = page.id;
-           page_lsn = Oib_wal.Lsn.to_int page.lsn;
+           page_lsn = Oib_wal.Lsn.to_int page.Page.lsn;
            flushed_lsn =
              Oib_wal.Lsn.to_int (Oib_wal.Log_manager.flushed_lsn t.log);
          });
   Stable_store.write t.store page.id
-    { image = page.kind.encode page.payload; lsn = page.lsn };
+    { image = page.kind.encode page.payload; lsn = page.Page.lsn };
   page.dirty <- false
 
 let flush_page t (page : Page.t) =
@@ -153,7 +153,7 @@ let flush_page t (page : Page.t) =
       else 0
     in
     (* write-ahead rule; its logflush span nests inside this io span *)
-    Oib_wal.Log_manager.flush t.log ~upto:page.lsn;
+    Oib_wal.Log_manager.flush t.log ~upto:page.Page.lsn;
     write_back t page;
     Oib_obs.Trace.span_end tr span
   end

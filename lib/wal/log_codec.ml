@@ -30,6 +30,8 @@ let[@inline] of_bool b = if b then 1 else 0
 
 let of_state = function Absent -> 0 | Present -> 1 | Pseudo_deleted -> 2
 
+let of_algorithm = function Nsf -> 0 | Sf -> 1
+
 (* --- writers --- *)
 
 (* warning 4 (fragile match) is an error in the record-kind matches: a
@@ -50,7 +52,6 @@ let[@warning "@4"] body_tag = function
   | Create_table _ -> 13
   | Create_index _ -> 14
   | Drop_index _ -> 15
-  | Index_state _ -> 16
 
 (* The count ends the run; the ints, if any, follow it. *)
 let w_ints w k l =
@@ -125,13 +126,13 @@ let rec w_body w ~lsn k = function
       w_body w ~lsn 0 action
     end
     else w_body w ~lsn k action
-  | Build_start { index; table } -> flush w (put (put k index) table)
+  | Build_start { index; table; algorithm } ->
+    flush w (put (put (put k index) table) (of_algorithm algorithm))
   | Build_done { index } | Drop_index { index } -> flush w (put k index)
   | Heap_extend { table; page } -> flush w (put (put k table) page)
   | Create_table { table } -> flush w (put k table)
   | Create_index { index; table; key_cols; uniq } ->
     w_ints w (put (put (put k index) table) (of_bool uniq)) key_cols
-  | Index_state { index; state } -> flush w (put (put k index) state)
 
 (* The frame from [at + 1] on, then its length at [at]. *)
 let write_frame w ~at (t : Log_record.t) =
@@ -190,6 +191,11 @@ let state = function
   | 1 -> Present
   | 2 -> Pseudo_deleted
   | n -> corrupt ("bad key state " ^ string_of_int n)
+
+let algorithm = function
+  | 0 -> Nsf
+  | 1 -> Sf
+  | n -> corrupt ("bad build algorithm " ^ string_of_int n)
 
 (* A count of elements that each take at least [min_bytes] of what is
    left of the frame: one it cannot hold is refused before anything is
@@ -288,8 +294,9 @@ let rec r_body r ~lsn k tag =
     let undo_next = Lsn.of_int (lsn - Binc.unzigzag v.(o)) in
     Clr { action = r_body r ~lsn 0 v.(o + 1); undo_next }
   | 10 ->
-    let o = first r k 2 in
-    Build_start { index = v.(o); table = v.(o + 1) }
+    let o = first r k 3 in
+    Build_start
+      { index = v.(o); table = v.(o + 1); algorithm = algorithm v.(o + 2) }
   | 11 -> Build_done { index = v.(first r k 1) }
   | 12 ->
     let o = first r k 2 in
@@ -300,9 +307,6 @@ let rec r_body r ~lsn k tag =
     let index = v.(o) and table = v.(o + 1) and uniq = bool v.(o + 2) in
     Create_index { index; table; uniq; key_cols = r_ints r v.(o + 3) }
   | 15 -> Drop_index { index = v.(first r k 1) }
-  | 16 ->
-    let o = first r k 2 in
-    Index_state { index = v.(o); state = v.(o + 1) }
   | n -> corrupt ("bad body tag " ^ string_of_int n)
 
 (* The header's run is the LSN, the body's tag, the prev-LSN delta and

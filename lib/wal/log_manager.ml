@@ -65,7 +65,6 @@ let kind_of_body : Log_record.body -> string = function
   | Create_table _ -> "create_table"
   | Create_index _ -> "create_index"
   | Drop_index _ -> "drop_index"
-  | Index_state _ -> "index_state"
 
 let push t seg =
   if t.nsegs = Array.length t.segs then begin

@@ -5,6 +5,8 @@ type index_id = int
 
 type key_state = Absent | Present | Pseudo_deleted
 
+type algorithm = Nsf | Sf
+
 type heap_op =
   | Heap_insert of { rid : Rid.t; record : Record.t }
   | Heap_delete of { rid : Rid.t; record : Record.t }
@@ -32,7 +34,7 @@ type body =
   | Index_bulk_insert of { index : index_id; keys : Ikey.t list }
   | Sidefile_append of { sidefile : index_id; insert : bool; key : Ikey.t }
   | Clr of { action : body; undo_next : Lsn.t }
-  | Build_start of { index : index_id; table : int }
+  | Build_start of { index : index_id; table : int; algorithm : algorithm }
   | Build_done of { index : index_id }
   | Heap_extend of { table : int; page : int }
   | Create_table of { table : int }
@@ -43,7 +45,6 @@ type body =
       uniq : bool;
     }
   | Drop_index of { index : index_id }
-  | Index_state of { index : index_id; state : int }
 
 type t = { lsn : Lsn.t; txn : txn_id option; prev_lsn : Lsn.t; body : body }
 
@@ -52,7 +53,7 @@ let[@warning "@4"] is_undoable = function
   | Heap _ | Index_key _ | Index_bulk_insert _ -> true
   | Begin | Commit | Abort | End | Sidefile_append _ | Clr _ | Build_start _
   | Build_done _ | Heap_extend _ | Create_table _ | Create_index _
-  | Drop_index _ | Index_state _ ->
+  | Drop_index _ ->
     false
 
 let pp_key_state ppf = function
@@ -90,8 +91,9 @@ let rec pp_body ppf = function
       Ikey.pp key
   | Clr { action; undo_next } ->
     Format.fprintf ppf "CLR[%a] undo_next=%a" pp_body action Lsn.pp undo_next
-  | Build_start { index; table } ->
-    Format.fprintf ppf "BUILD_START i%d t%d" index table
+  | Build_start { index; table; algorithm } ->
+    Format.fprintf ppf "BUILD_START i%d t%d %s" index table
+      (match algorithm with Nsf -> "nsf" | Sf -> "sf")
   | Build_done { index } -> Format.fprintf ppf "BUILD_DONE i%d" index
   | Heap_extend { table; page } ->
     Format.fprintf ppf "HEAP_EXTEND t%d p%d" table page
@@ -101,13 +103,6 @@ let rec pp_body ppf = function
       (String.concat "," (List.map string_of_int key_cols))
       (if uniq then " unique" else "")
   | Drop_index { index } -> Format.fprintf ppf "DROP_INDEX i%d" index
-  | Index_state { index; state } ->
-    Format.fprintf ppf "INDEX_STATE i%d %s" index
-      (match state with
-      | 0 -> "disabled"
-      | 1 -> "write-only"
-      | 2 -> "readable"
-      | n -> "state" ^ string_of_int n)
 
 let pp ppf t =
   Format.fprintf ppf "%a txn=%s prev=%a %a" Lsn.pp t.lsn

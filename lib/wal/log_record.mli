@@ -25,6 +25,8 @@ type index_id = int
 
 type key_state = Absent | Present | Pseudo_deleted
 
+type algorithm = Nsf | Sf  (** an index build's algorithm (§2, §3) *)
+
 type heap_op =
   | Heap_insert of { rid : Rid.t; record : Record.t }
   | Heap_delete of { rid : Rid.t; record : Record.t }
@@ -65,7 +67,10 @@ type body =
   | Clr of { action : body; undo_next : Lsn.t }
       (** Compensation: [action] is the change applied by undo (itself a
           [Heap], [Index_key] or [Sidefile_append] body); redo-only. *)
-  | Build_start of { index : index_id; table : int }
+  | Build_start of { index : index_id; table : int; algorithm : algorithm }
+      (** An index build was admitted; until its [Build_done] the index is
+          being built and serves no reads. The algorithm lets restart give
+          the index its building phase from the log alone. *)
   | Build_done of { index : index_id }
   | Heap_extend of { table : int; page : int }
       (** redo-only: a data file grew by one page — media recovery must be
@@ -81,14 +86,6 @@ type body =
       (** DDL records (redo-only): catalog changes are recoverable from the
           log so media recovery can recreate descriptors born after the
           last image copy *)
-  | Index_state of { index : index_id; state : int }
-      (** Index lifecycle transition (Disabled=0 / Write_only=1 /
-          Readable=2, see [Oib_core.Catalog.index_state]). Logged and
-          flushed {e before} the catalog's durable entry is rewritten, so
-          after a crash the replayed log suffix always lands the index in
-          the last logged state. Not redone by the heap/index passes —
-          the engine applies the final logged state per index after its
-          catalog reopen. *)
 
 type t = {
   lsn : Lsn.t;

@@ -1,19 +1,25 @@
-(* planted: two stale-projection uses — a catalog state compared after
-   a direct yield, and a counter snapshot used after a transitively
-   yielding call. Expected: 2 x L11, 0 x L10 (no write-back). *)
+(* planted: three stale-projection uses — a throttle level compared
+   after a direct yield, a counter snapshot used after a transitively
+   yielding call, and a page's LSN (qualified [Page.lsn]) used after a
+   yield. Expected: 3 x L11, 0 x L10 (no write-back). *)
 
 type st = { mutable keys_processed : int }
 
 let force lm = Log_manager.flush_all lm
 
-let stale_direct cat sched id =
-  let s = Catalog.state cat id in
+let stale_direct th sched =
+  let level = Throttle.level th in
   Sched.yield sched;
-  (* s describes the pre-yield world; deciding on it now acts on a
+  (* level describes the pre-yield world; deciding on it now acts on a
      snapshot another fiber may have invalidated *)
-  if s = Disabled then drop_index cat id
+  if level = 0 then resume_builds th
 
 let stale_via_helper st lm =
   let n = st.keys_processed in
   force lm;
   report n
+
+let stale_page_lsn p lm =
+  let lsn = p.Page.lsn in
+  force lm;
+  redo_above lsn

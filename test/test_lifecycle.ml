@@ -1,136 +1,73 @@
-(* The index lifecycle state machine (Disabled -> Write_only -> Readable,
-   with the two teardown edges back to Disabled): only DAG transitions are
-   accepted, Write_only indexes absorb maintenance without serving reads,
-   and a reopened engine always lands in the last WAL-logged state. *)
+(* The index lifecycle is the build phase: a building index absorbs
+   maintenance without serving reads (bar an NSF build's completed
+   prefix), and restart gives an index its phase from the durable log —
+   building from its Build_start until its Build_done, whether or not its
+   progress record survived. *)
 
 open Oib_core
 module Btree = Oib_btree.Btree
+module Sched = Oib_sim.Sched
+module Driver = Oib_workload.Driver
+module LR = Oib_wal.Log_record
 
-let all_states = [| Catalog.Disabled; Catalog.Write_only; Catalog.Readable |]
-
-let setup () =
-  let ctx = Engine.create ~seed:11 ~page_capacity:512 () in
+let setup ?(seed = 11) () =
+  let ctx = Engine.create ~seed ~page_capacity:512 () in
   let _ = Catalog.create_table ctx.Ctx.catalog ctx.Ctx.pool ~table_id:1 in
   ctx
 
-(* an index born Disabled (the builders' admission state), lifecycle
-   driven by hand *)
-let fresh_index ?(index_id = 10) ?(phase = Catalog.Ready) ctx =
-  Catalog.add_index ctx.Ctx.catalog ctx.Ctx.pool ~state:Catalog.Disabled
-    ~table_id:1 ~index_id ~key_cols:[ 0 ] ~unique:false ~phase
+let add_index ctx ~index_id phase =
+  Catalog.add_index ctx.Ctx.catalog ctx.Ctx.pool ~table_id:1 ~index_id
+    ~key_cols:[ 0 ] ~unique:false ~phase
 
-(* shortest legal path from Disabled to [target] *)
-let drive ctx index_id target =
-  let step to_ = Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool index_id to_ in
-  match target with
-  | Catalog.Disabled -> ()
-  | Catalog.Write_only -> step Catalog.Write_only
-  | Catalog.Readable ->
-    step Catalog.Write_only;
-    step Catalog.Readable
+(* an SF build whose scan has not started: no operation is visible to it *)
+let sf_before_scan index_id =
+  Catalog.Sf_building
+    {
+      sidefile = Oib_sidefile.Side_file.create ~sidefile_id:index_id;
+      current_rid = Oib_util.Rid.minus_infinity;
+      current_key = None;
+      key_scan = None;
+      draining = false;
+    }
 
-(* -------------------------------------------------------------------- *)
-(* 1. the transition relation, exhaustively and as a random walk        *)
+let is_ready ctx index_id =
+  (Catalog.index ctx.Ctx.catalog index_id).Catalog.phase = Catalog.Ready
 
-let legal_pairs =
-  [
-    (Catalog.Disabled, Catalog.Write_only);
-    (Catalog.Write_only, Catalog.Readable);
-    (Catalog.Write_only, Catalog.Disabled);
-    (Catalog.Readable, Catalog.Disabled);
-  ]
-
-let test_all_pairs () =
-  Array.iter
-    (fun from_ ->
-      Array.iter
-        (fun to_ ->
-          let expect = List.mem (from_, to_) legal_pairs in
-          Alcotest.(check bool)
-            (Printf.sprintf "legal_transition %s->%s" (Catalog.state_name from_)
-               (Catalog.state_name to_))
-            expect
-            (Catalog.legal_transition ~from_ ~to_);
-          (* a fresh engine per pair: drive to [from_], attempt [to_] *)
-          let ctx = setup () in
-          let info = fresh_index ctx in
-          drive ctx info.Catalog.index_id from_;
-          match
-            Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool info.Catalog.index_id
-              to_
-          with
-          | () ->
-            Alcotest.(check bool) "accepted => legal" true expect;
-            Alcotest.(check string) "state moved"
-              (Catalog.state_name to_)
-              (Catalog.state_name (Catalog.state ctx.Ctx.catalog 10))
-          | exception Catalog.Illegal_transition { from_ = seen; _ } ->
-            Alcotest.(check bool) "rejected => illegal" false expect;
-            Alcotest.(check string) "exception carries from"
-              (Catalog.state_name from_)
-              (Catalog.state_name seen);
-            Alcotest.(check string) "state unchanged"
-              (Catalog.state_name from_)
-              (Catalog.state_name (Catalog.state ctx.Ctx.catalog 10)))
-        all_states)
-    all_states
-
-let prop_random_walk =
-  QCheck.Test.make ~name:"random walk agrees with legal_transition" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 12) (int_bound 2))
-    (fun targets ->
-      let ctx = setup () in
-      let info = fresh_index ctx in
-      let model = ref Catalog.Disabled in
-      List.for_all
-        (fun i ->
-          let to_ = all_states.(i) in
-          let legal = Catalog.legal_transition ~from_:!model ~to_ in
-          match
-            Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool
-              info.Catalog.index_id to_
-          with
-          | () ->
-            model := to_;
-            legal && Catalog.state ctx.Ctx.catalog 10 = to_
-          | exception Catalog.Illegal_transition _ ->
-            (not legal) && Catalog.state ctx.Ctx.catalog 10 = !model)
-        targets)
-
-(* -------------------------------------------------------------------- *)
-(* 2. Write_only absorbs maintenance but never serves reads             *)
-
-let must_reject_reads ctx ~index =
-  (match
-     Engine.run_txn ctx (fun txn ->
-         ignore (Table_ops.index_lookup ctx txn ~index "k000"))
-   with
-  | Ok () -> Alcotest.fail "index_lookup served a non-Readable index"
+let must_reject_lookup ctx ~index kv =
+  match
+    Engine.run_txn ctx (fun txn ->
+        ignore (Table_ops.index_lookup ctx txn ~index kv))
+  with
+  | Ok () -> Alcotest.failf "index_lookup served %S from a building index" kv
   | Error _ -> Alcotest.fail "lookup failed for the wrong reason"
-  | exception Invalid_argument _ -> ());
+  | exception Invalid_argument _ -> ()
+
+let must_reject_reads ?(kv = "k000") ctx ~index =
+  must_reject_lookup ctx ~index kv;
   match
     Engine.run_txn ctx (fun txn ->
         ignore (Table_ops.range_lookup ctx txn ~index ()))
   with
-  | Ok () -> Alcotest.fail "range_lookup served a non-Readable index"
+  | Ok () -> Alcotest.fail "range_lookup served a building index"
   | Error _ -> Alcotest.fail "range lookup failed for the wrong reason"
   | exception Invalid_argument _ -> ()
 
-let test_write_only_absorbs () =
+let lookup_hits ctx ~index kv =
+  match
+    Engine.run_txn ctx (fun txn -> Table_ops.index_lookup ctx txn ~index kv)
+  with
+  | Ok hits -> List.length hits
+  | Error _ -> Alcotest.fail "lookup txn failed"
+
+(* -------------------------------------------------------------------- *)
+(* 1. a building index absorbs maintenance but never serves reads       *)
+
+let test_building_absorbs () =
   let ctx = setup () in
-  (* NSF-building descriptor: direct maintenance from creation on *)
-  let wo =
-    fresh_index ~index_id:10
-      ~phase:(Catalog.Nsf_building { Catalog.avail_below = None })
-      ctx
+  let nsf =
+    add_index ctx ~index_id:10 (Catalog.Nsf_building { avail_below = None })
   in
-  Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool 10 Catalog.Write_only;
-  (* a Disabled sibling must stay untouched by the same traffic *)
-  let off =
-    fresh_index ~index_id:11
-      ~phase:(Catalog.Nsf_building { Catalog.avail_below = None })
-      ctx
-  in
+  let sf = add_index ctx ~index_id:11 (sf_before_scan 11) in
   let rid0 = ref Oib_util.Rid.minus_infinity in
   (match
      Engine.run_txn ctx (fun txn ->
@@ -145,10 +82,10 @@ let test_write_only_absorbs () =
    with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "insert txn failed");
-  Alcotest.(check int) "write_only index absorbed the inserts" 20
-    (Btree.entry_count wo.Catalog.tree);
-  Alcotest.(check int) "disabled index untouched" 0
-    (Btree.entry_count off.Catalog.tree);
+  Alcotest.(check int) "the NSF build absorbed the inserts" 20
+    (Btree.entry_count nsf.Catalog.tree);
+  Alcotest.(check int) "nothing reaches an SF build ahead of its scan" 0
+    (Btree.entry_count sf.Catalog.tree);
   must_reject_reads ctx ~index:10;
   must_reject_reads ctx ~index:11;
   (* deletes are absorbed too (pseudo-delete, entry becomes a tombstone) *)
@@ -156,101 +93,172 @@ let test_write_only_absorbs () =
    with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "delete txn failed");
-  Alcotest.(check int) "delete pseudo-deleted in the write_only index" 1
-    (Btree.pseudo_count wo.Catalog.tree);
+  Alcotest.(check int) "delete pseudo-deleted in the NSF build" 1
+    (Btree.pseudo_count nsf.Catalog.tree);
   must_reject_reads ctx ~index:10;
-  (* once Readable (and Ready), the same index serves the lookup *)
+  (* gradual availability (footnote 3): the completed prefix serves point
+     lookups, nothing at or above the bound does, and ranges wait *)
+  Catalog.set_phase ctx.Ctx.catalog 10
+    (Catalog.Nsf_building { avail_below = Some "k010" });
+  Alcotest.(check int) "a key below avail_below is served" 1
+    (lookup_hits ctx ~index:10 "k005");
+  must_reject_lookup ctx ~index:10 "k010";
+  must_reject_reads ~kv:"k015" ctx ~index:10;
+  (* once Ready, the same index serves both read paths *)
   Catalog.set_phase ctx.Ctx.catalog 10 Catalog.Ready;
-  Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool 10 Catalog.Readable;
+  Alcotest.(check int) "a Ready index serves the lookup" 1
+    (lookup_hits ctx ~index:10 "k015");
   match
-    Engine.run_txn ctx (fun txn ->
-        let hits = Table_ops.index_lookup ctx txn ~index:10 "k005" in
-        Alcotest.(check int) "readable lookup finds the row" 1
-          (List.length hits))
+    Engine.run_txn ctx (fun txn -> Table_ops.range_lookup ctx txn ~index:10 ())
   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "readable lookup txn failed"
+  | Ok hits -> Alcotest.(check int) "and the range" 19 (List.length hits)
+  | Error _ -> Alcotest.fail "range txn failed"
 
 (* -------------------------------------------------------------------- *)
-(* 3. reopen after a crash lands in the last WAL-logged state           *)
+(* 2. restart gives each index its phase from the durable log           *)
 
-let test_crash_lands_in_logged_state () =
-  let ctx = setup () in
-  let _ = fresh_index ctx in
-  Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool 10 Catalog.Write_only;
-  let ctx = Engine.crash ctx in
-  Alcotest.(check string) "write_only survives the crash" "write-only"
-    (Catalog.state_name (Catalog.state ctx.Ctx.catalog 10));
-  Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool 10 Catalog.Readable;
-  Catalog.set_phase ctx.Ctx.catalog 10 Catalog.Ready;
-  let ctx = Engine.crash ctx in
-  Alcotest.(check string) "readable survives the crash" "readable"
-    (Catalog.state_name (Catalog.state ctx.Ctx.catalog 10));
-  Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool 10 Catalog.Disabled;
-  let ctx = Engine.crash ctx in
-  Alcotest.(check string) "disabled survives the crash" "disabled"
-    (Catalog.state_name (Catalog.state ctx.Ctx.catalog 10))
+let test_cfg alg =
+  {
+    (Ib.default_config alg) with
+    ckpt_every_pages = 8;
+    ckpt_every_keys = 64;
+    memory_keys = 64;
+  }
 
-let prop_crash_preserves_state =
-  QCheck.Test.make
-    ~name:"crash after any legal walk lands in the walk's last state"
-    ~count:30
-    QCheck.(list_of_size Gen.(int_range 0 8) (int_bound 2))
-    (fun targets ->
+let spawn_build ctx alg =
+  ignore
+    (Sched.spawn ctx.Ctx.sched ~name:"ib" (fun () ->
+         Ib.build_index ctx (test_cfg alg) ~table:1
+           { Ib.index_id = 10; key_cols = [ 0 ]; unique = false }))
+
+let build_phase ctx =
+  match
+    List.find_opt
+      (fun (st : Build_status.t) -> st.index_id = 10)
+      (Engine.build_progress ctx)
+  with
+  | Some st -> st.phase
+  | None -> Build_status.Init
+
+(* run until the build of index 10 reaches its scan, then stop there *)
+let run_into_scan ctx =
+  Sched.set_crash_trap ctx.Ctx.sched (fun _ ->
+      build_phase ctx = Build_status.Scan);
+  try
+    Sched.run ctx.Ctx.sched;
+    Alcotest.fail "the build finished before its scan was cut"
+  with Sched.Crashed -> ()
+
+let resume ctx alg =
+  ignore
+    (Sched.spawn ctx.Ctx.sched ~name:"ib-resume" (fun () ->
+         Ib.resume_builds ctx (test_cfg alg)));
+  Sched.run ctx.Ctx.sched
+
+let test_phase_ladder () =
+  List.iter
+    (fun alg ->
       let ctx = setup () in
-      let info = fresh_index ctx in
-      let model = ref Catalog.Disabled in
-      List.iter
-        (fun i ->
-          let to_ = all_states.(i) in
-          if Catalog.legal_transition ~from_:!model ~to_ then begin
-            Catalog.set_state ctx.Ctx.catalog ctx.Ctx.pool
-              info.Catalog.index_id to_;
-            model := to_
-          end)
-        targets;
-      (* keep Readable consistent with a finished build before recovery,
-         else the restart logic legitimately downgrades it *)
-      if !model = Catalog.Readable then
-        Catalog.set_phase ctx.Ctx.catalog 10 Catalog.Ready;
-      let ctx' = Engine.crash ctx in
-      Catalog.state ctx'.Ctx.catalog 10 = !model)
+      let _ = Driver.populate ctx ~table:1 ~rows:150 ~seed:3 in
+      spawn_build ctx alg;
+      run_into_scan ctx;
+      let ctx = Engine.crash ctx in
+      Alcotest.(check bool) "building after a crash mid-build" false
+        (is_ready ctx 10);
+      must_reject_reads ctx ~index:10;
+      Alcotest.(check (list string)) "lifecycle clean mid-build" []
+        (Engine.lifecycle_errors ctx);
+      resume ctx alg;
+      Alcotest.(check bool) "Ready once resumed" true (is_ready ctx 10);
+      let ctx = Engine.crash ctx in
+      Alcotest.(check bool) "Ready survives the crash" true (is_ready ctx 10);
+      Alcotest.(check (list string)) "both oracles clean" []
+        (Engine.consistency_errors ctx
+        @ Engine.lifecycle_errors ~final:true ctx))
+    [ Ib.Nsf; Ib.Sf ]
 
-(* a corrupted or future-version catalog page must fail loudly with the
-   typed error, never map to an arbitrary state *)
-let test_state_of_int_roundtrip () =
+(* the log's verdict on index 10: its Build_start has no Build_done *)
+let unfinished_in_log ctx =
+  List.fold_left
+    (fun acc (r : LR.t) ->
+      match r.body with
+      | LR.Build_start { index = 10; _ } -> true
+      | LR.Build_done { index = 10 } -> false
+      | _ -> acc)
+    false
+    (Oib_wal.Log_manager.durable_records ctx.Ctx.log)
+
+let prop_crash_lands_in_logged_phase =
+  QCheck.Test.make ~name:"any crash lands in the logged phase" ~count:30
+    QCheck.(pair bool (int_range 1 160))
+    (fun (sf, crash_at) ->
+      let alg = if sf then Ib.Sf else Ib.Nsf in
+      let ctx = setup ~seed:crash_at () in
+      let _ = Driver.populate ctx ~table:1 ~rows:150 ~seed:crash_at in
+      let wcfg =
+        { Driver.default with seed = crash_at; workers = 2; txns_per_worker = 20 }
+      in
+      let _ = Driver.spawn_workers ctx wcfg ~table:1 in
+      spawn_build ctx alg;
+      Sched.set_crash_trap ctx.Ctx.sched (fun step -> step >= crash_at);
+      (try Sched.run ctx.Ctx.sched with Sched.Crashed -> ());
+      let ctx = Engine.crash ctx in
+      let building = unfinished_in_log ctx in
+      match Catalog.index ctx.Ctx.catalog 10 with
+      | exception Invalid_argument _ -> not building
+      | _ ->
+        if building then must_reject_reads ctx ~index:10;
+        is_ready ctx 10 = not building
+        && Engine.lifecycle_errors ctx = []
+        &&
+        (resume ctx alg;
+         is_ready ctx 10
+         && Engine.consistency_errors ctx = []
+         && Engine.lifecycle_errors ~final:true ctx = []))
+
+(* -------------------------------------------------------------------- *)
+(* 3. a media restore from a backup older than the build                *)
+
+(* The restored kv holds no progress record for the build, but the log
+   holds its Build_start: the index comes back building, refuses reads
+   and is named by the lifecycle oracle — it never comes back Ready. *)
+let test_media_restore_mid_build () =
   List.iter
-    (fun st ->
-      Alcotest.(check bool) "roundtrips" true
-        (Catalog.state_of_int (Catalog.state_to_int st) = st))
-    [ Catalog.Disabled; Catalog.Write_only; Catalog.Readable ];
-  List.iter
-    (fun bogus ->
-      Alcotest.check_raises
-        (Printf.sprintf "state_of_int %d raises" bogus)
-        (Catalog.Invalid_index_state bogus)
-        (fun () -> ignore (Catalog.state_of_int bogus)))
-    [ -1; 3; 42; max_int ]
+    (fun alg ->
+      let ctx = setup () in
+      let _ = Driver.populate ctx ~table:1 ~rows:150 ~seed:5 in
+      let backup = Engine.backup ctx in
+      spawn_build ctx alg;
+      run_into_scan ctx;
+      let ctx = Engine.media_restore ctx backup in
+      (match ((Catalog.index ctx.Ctx.catalog 10).Catalog.phase, alg) with
+      | Catalog.Nsf_building _, Ib.Nsf | Catalog.Sf_building _, Ib.Sf -> ()
+      | Catalog.Ready, _ -> Alcotest.fail "restored index came back Ready"
+      | (Catalog.Nsf_building _ | Catalog.Sf_building _), _ ->
+        Alcotest.fail "restored index has the other algorithm's phase");
+      must_reject_reads ctx ~index:10;
+      Alcotest.(check (list string)) "the lifecycle oracle names it"
+        [ "index 10: building without durable build progress" ]
+        (Engine.lifecycle_errors ctx))
+    [ Ib.Nsf; Ib.Sf ]
 
 let () =
   Alcotest.run "lifecycle"
     [
-      ( "transitions",
-        [
-          Alcotest.test_case "all 9 pairs, driven" `Quick test_all_pairs;
-          QCheck_alcotest.to_alcotest prop_random_walk;
-          Alcotest.test_case "state_of_int rejects corruption" `Quick
-            test_state_of_int_roundtrip;
-        ] );
-      ( "write_only",
+      ( "building",
         [
           Alcotest.test_case "absorbs writes, rejects reads" `Quick
-            test_write_only_absorbs;
+            test_building_absorbs;
         ] );
       ( "crash",
         [
-          Alcotest.test_case "state ladder across crashes" `Quick
-            test_crash_lands_in_logged_state;
-          QCheck_alcotest.to_alcotest prop_crash_preserves_state;
+          Alcotest.test_case "phase ladder across crashes" `Quick
+            test_phase_ladder;
+          QCheck_alcotest.to_alcotest prop_crash_lands_in_logged_phase;
+        ] );
+      ( "media",
+        [
+          Alcotest.test_case "restore mid-build stays building" `Quick
+            test_media_restore_mid_build;
         ] );
     ]

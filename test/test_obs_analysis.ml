@@ -55,7 +55,6 @@ let all_variants =
     Event.Undo_end { txn = 9 };
     Event.Ib_phase { index = 10; phase = "scan" };
     Event.Ib_checkpoint { index = 10; stage = nasty };
-    Event.Index_state { index = 10; state = nasty };
     Event.Ib_throttle { level = 2; reason = nasty };
     Event.Sidefile_append { sidefile = 10; insert = false; pos = 31 };
     Event.Sidefile_drained { sidefile = 10; from_pos = 0; upto = 31 };
@@ -113,22 +112,21 @@ let variant_index : Event.t -> int = function
   | Undo_end _ -> 26
   | Ib_phase _ -> 27
   | Ib_checkpoint _ -> 28
-  | Index_state _ -> 29
-  | Ib_throttle _ -> 30
-  | Sidefile_append _ -> 31
-  | Sidefile_drained _ -> 32
-  | Checkpoint _ -> 33
-  | Recovery_step _ -> 34
-  | Crash _ -> 35
-  | Span_begin _ -> 36
-  | Span_end _ -> 37
-  | Sample _ -> 38
-  | Prof_sample _ -> 39
-  | Shared _ -> 40
-  | Epoch _ -> 41
-  | Run_start -> 42
+  | Ib_throttle _ -> 29
+  | Sidefile_append _ -> 30
+  | Sidefile_drained _ -> 31
+  | Checkpoint _ -> 32
+  | Recovery_step _ -> 33
+  | Crash _ -> 34
+  | Span_begin _ -> 35
+  | Span_end _ -> 36
+  | Sample _ -> 37
+  | Prof_sample _ -> 38
+  | Shared _ -> 39
+  | Epoch _ -> 40
+  | Run_start -> 41
 
-let n_variants = 43
+let n_variants = 42
 
 let test_roundtrip () =
   Alcotest.(check (list int)) "every constructor listed once"

@@ -36,8 +36,8 @@ let test_analysis_classifies () =
   let _ = LM.append log ~txn:(Some 1) ~prev_lsn:a2 LR.End in
   let b1 = LM.append log ~txn:(Some 2) ~prev_lsn:Lsn.nil LR.Begin in
   let b2 = LM.append log ~txn:(Some 2) ~prev_lsn:b1 (heap_insert 5 0 "x") in
-  let _ = LM.append log ~txn:None ~prev_lsn:Lsn.nil (LR.Build_start { index = 9; table = 1 }) in
-  let _ = LM.append log ~txn:None ~prev_lsn:Lsn.nil (LR.Build_start { index = 8; table = 1 }) in
+  let _ = LM.append log ~txn:None ~prev_lsn:Lsn.nil (LR.Build_start { index = 9; table = 1; algorithm = LR.Nsf }) in
+  let _ = LM.append log ~txn:None ~prev_lsn:Lsn.nil (LR.Build_start { index = 8; table = 1; algorithm = LR.Sf }) in
   let _ = LM.append log ~txn:None ~prev_lsn:Lsn.nil (LR.Build_done { index = 8 }) in
   LM.flush_all log;
   let a = Restart.analyze (LM.durable_records (LM.crash log)) in
@@ -46,8 +46,8 @@ let test_analysis_classifies () =
     (List.map
        (fun (id, chain) -> (id, Lsn.to_int (List.hd chain).LR.lsn))
        a.losers);
-  Alcotest.(check (list (pair int int))) "build 9 in progress" [ (9, 1) ]
-    a.builds_in_progress;
+  Alcotest.(check bool) "build 9 in progress, with its algorithm" true
+    (a.builds_in_progress = [ (9, LR.Nsf) ]);
   Alcotest.(check int) "max txn id" 2 a.max_txn_id
 
 let test_analysis_completed_rollback_not_loser () =

@@ -291,9 +291,8 @@ let[@warning "@4"] rec kind_name : LR.body -> string = function
   | LR.Create_table _ -> "Create_table"
   | LR.Create_index _ -> "Create_index"
   | LR.Drop_index _ -> "Drop_index"
-  | LR.Index_state _ -> "Index_state"
 
-(* the 16 constructors, with a CLR's three actions and the undo-only
+(* the 15 constructors, with a CLR's three actions and the undo-only
    index key op told apart *)
 let every_kind =
   [
@@ -301,7 +300,7 @@ let every_kind =
     "Index_key(undo-only)"; "Index_bulk_insert"; "Sidefile_append";
     "Clr(Heap)"; "Clr(Index_key)"; "Clr(Sidefile_append)"; "Build_start";
     "Build_done"; "Heap_extend"; "Create_table"; "Create_index";
-    "Drop_index"; "Index_state";
+    "Drop_index";
   ]
 
 let oracle_errors ?final ctx =

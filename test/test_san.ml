@@ -224,12 +224,12 @@ let shared ~key ~write ~site = Event.Shared { key; write; site }
    it lines up with the linter's atomics table. *)
 let test_shared_crossing_detected () =
   let san = San.create () in
-  feed san 1 (shared ~key:"Catalog.state(3)" ~write:false ~site:"guard");
+  feed san 1 (shared ~key:"Build_status.phase(3)" ~write:false ~site:"guard");
   feed san 1 Event.Yield;
-  feed san 1 (shared ~key:"Catalog.state(3)" ~write:true ~site:"commit");
+  feed san 1 (shared ~key:"Build_status.phase(3)" ~write:true ~site:"commit");
   Alcotest.(check (list (pair string string)))
     "crossing recorded per class with its witness"
-    [ ("Catalog.state", "guard->commit") ]
+    [ ("Build_status.phase", "guard->commit") ]
     (San.shared_crossings san)
 
 (* a latch held across the suspension keeps the section atomic — the
@@ -257,22 +257,22 @@ let test_shared_revalidation_clears () =
     "post-yield re-read clears staleness" []
     (San.shared_crossings san)
 
-(* per-instance staleness: reading index 1 and writing index 2 is not a
-   crossing, even though both share the Catalog.state class *)
+(* per-instance staleness: reading build 1 and writing build 2 is not a
+   crossing, even though both share the Build_status.phase class *)
 let test_shared_instances_independent () =
   let san = San.create () in
-  feed san 1 (shared ~key:"Catalog.state(1)" ~write:false ~site:"r");
+  feed san 1 (shared ~key:"Build_status.phase(1)" ~write:false ~site:"r");
   feed san 1 Event.Yield;
-  feed san 1 (shared ~key:"Catalog.state(2)" ~write:true ~site:"w");
+  feed san 1 (shared ~key:"Build_status.phase(2)" ~write:true ~site:"w");
   Alcotest.(check (list (pair string string)))
     "different instances do not alias" []
     (San.shared_crossings san)
 
 let test_atomics_diff () =
   let san = San.create () in
-  feed san 1 (shared ~key:"Catalog.state(1)" ~write:false ~site:"r");
+  feed san 1 (shared ~key:"Build_status.phase(1)" ~write:false ~site:"r");
   feed san 1 Event.Yield;
-  feed san 1 (shared ~key:"Catalog.state(1)" ~write:true ~site:"w");
+  feed san 1 (shared ~key:"Build_status.phase(1)" ~write:true ~site:"w");
   let rules_of ds =
     List.sort_uniq compare (List.map (fun (d : Diag.t) -> d.Diag.rule) ds)
   in
@@ -280,7 +280,7 @@ let test_atomics_diff () =
     [ "SAN-atomics" ]
     (rules_of (San.diff_atomics san ~static:[]));
   Alcotest.(check int) "agreeing tables are silent" 0
-    (List.length (San.diff_atomics san ~static:[ "Catalog.state" ]));
+    (List.length (San.diff_atomics san ~static:[ "Build_status.phase" ]));
   let quiet = San.create () in
   Alcotest.(check (list string)) "static-only crossing is informational"
     [ "SAN-atomics-info" ]

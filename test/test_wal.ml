@@ -57,7 +57,11 @@ let gen_body_base_of ~num ~str =
         map3
           (fun sidefile insert key -> LR.Sidefile_append { sidefile; insert; key })
           num bool gen_key;
-        map2 (fun index table -> LR.Build_start { index; table }) num num;
+        map3
+          (fun index table sf ->
+            LR.Build_start
+              { index; table; algorithm = (if sf then LR.Sf else LR.Nsf) })
+          num num bool;
         map (fun index -> LR.Build_done { index }) num;
         map2 (fun table page -> LR.Heap_extend { table; page }) num num;
         map (fun table -> LR.Create_table { table }) num;
@@ -67,7 +71,6 @@ let gen_body_base_of ~num ~str =
          and* uniq = bool in
          return (LR.Create_index { index; table; key_cols; uniq }));
         map (fun index -> LR.Drop_index { index }) num;
-        map2 (fun index state -> LR.Index_state { index; state }) num num;
       ])
 
 let gen_body_of ~num ~str =
