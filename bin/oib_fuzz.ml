@@ -11,9 +11,9 @@
 
    With --sanitize every run's event stream also feeds oib-san, attached
    as one more trace sink (lockset race detection, latch-order cycle
-   prediction, WAL runtime verification, shared-state interference); any
-   sanitizer finding fails the command exactly like an oracle violation,
-   including shrinking and the repro line. *)
+   prediction, WAL runtime verification); any sanitizer finding fails
+   the command exactly like an oracle violation, including shrinking and
+   the repro line. *)
 
 open Oib_dst
 module Trace = Oib_obs.Trace
@@ -114,12 +114,9 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* End-of-command sanitizer epilogue: stats JSON, the static-vs-runtime
-   latch-graph diff against `oib-lint --emit-graph` output, the
-   static-vs-dynamic shared-state atomics diff against
-   `oib-lint --emit-atomics` output, and the clean/dirty verdict line.
-   A dynamic-only atomics crossing is a hard failure: the sanitizer
-   watched a lost-update window the linter's table calls atomic. *)
-let finish sess ~lint_graph ~san_json ~atomics =
+   latch-graph diff against `oib-lint --emit-graph` output, and the
+   clean/dirty verdict line. *)
+let finish sess ~lint_graph ~san_json =
   match sess.san with
   | None -> ()
   | Some (_, san) ->
@@ -143,28 +140,6 @@ let finish sess ~lint_graph ~san_json ~atomics =
         (match San.diff_static san ~static with
         | [] -> Printf.printf "static and runtime latch graphs agree\n"
         | ds -> List.iter (fun d -> print_endline (Diag.to_string d)) ds))
-    | None -> ());
-    (match atomics with
-    | Some path -> (
-      match San.static_atomics_of_json (read_file path) with
-      | Error e -> Printf.printf "atomics %s: %s\n" path e
-      | Ok static ->
-        let dynamic = San.shared_crossings san in
-        Printf.printf
-          "shared-state atomics: %d dynamic crossing(s), %d static\n"
-          (List.length dynamic) (List.length static);
-        let ds = San.diff_atomics san ~static in
-        (match ds with
-        | [] -> Printf.printf "static and dynamic atomics tables agree\n"
-        | ds -> List.iter (fun d -> print_endline (Diag.to_string d)) ds);
-        if
-          List.exists (fun (d : Diag.t) -> d.Diag.rule = "SAN-atomics") ds
-        then begin
-          Printf.printf
-            "ATOMICS VIOLATION: runtime observed a shared-state crossing \
-             the static table calls atomic\n%!";
-          exit 1
-        end)
     | None -> ());
     if San.clean san then Printf.printf "sanitizer: clean\n%!"
 
@@ -235,7 +210,7 @@ let report_failure sess (o : Runner.outcome) =
     (Scenario.repro_command ~sabotage:sess.sabotage
        ~sabotage_race:sess.sabotage_race ~sanitize:(sanitizing sess) small)
 
-let exec sess ~jsonl ~lint_graph ~san_json ~atomics ?profile sc =
+let exec sess ~jsonl ~lint_graph ~san_json ?profile sc =
   Format.printf "%a@." Scenario.pp sc;
   let trace, close =
     match (trace_of sess, jsonl, profile) with
@@ -293,13 +268,13 @@ let exec sess ~jsonl ~lint_graph ~san_json ~atomics ?profile sc =
   close ();
   if Runner.failed o || san_dirty sess then begin
     report_failure sess o;
-    finish sess ~lint_graph ~san_json ~atomics;
+    finish sess ~lint_graph ~san_json;
     exit 1
   end;
-  finish sess ~lint_graph ~san_json ~atomics
+  finish sess ~lint_graph ~san_json
 
 let cmd_run seed alg rows workers txns sabotage sabotage_race sanitize jsonl
-    lint_graph san_json atomics profile =
+    lint_graph san_json profile =
   let sess = make_sess ~sabotage ~sabotage_race ~sanitize () in
   let sc =
     Scenario.generate ~seed
@@ -307,10 +282,10 @@ let cmd_run seed alg rows workers txns sabotage sabotage_race sanitize jsonl
          ?alg:(Option.map Scenario.alg_of_string alg)
          ?rows ?workers ?txns
   in
-  exec sess ~jsonl ~lint_graph ~san_json ~atomics ?profile sc
+  exec sess ~jsonl ~lint_graph ~san_json ?profile sc
 
 let cmd_repro seed alg rows unique workers txns ops post faults sabotage
-    sabotage_race sanitize jsonl lint_graph san_json atomics profile =
+    sabotage_race sanitize jsonl lint_graph san_json profile =
   let sess = make_sess ~sabotage ~sabotage_race ~sanitize () in
   let sc =
     Scenario.generate ~seed
@@ -319,10 +294,10 @@ let cmd_repro seed alg rows unique workers txns ops post faults sabotage
          ?rows ~unique ?workers ?txns ?ops ?post
          ?faults:(Option.map Scenario.faults_of_string faults)
   in
-  exec sess ~jsonl ~lint_graph ~san_json ~atomics ?profile sc
+  exec sess ~jsonl ~lint_graph ~san_json ?profile sc
 
 let cmd_fuzz count seed_base alg sabotage sabotage_race sanitize lint_graph
-    san_json atomics =
+    san_json =
   let sess = make_sess ~sabotage ~sabotage_race ~sanitize () in
   let alg = Option.map Scenario.alg_of_string alg in
   for seed = seed_base to seed_base + count - 1 do
@@ -336,21 +311,21 @@ let cmd_fuzz count seed_base alg sabotage sabotage_race sanitize lint_graph
     print_outcome o;
     if Runner.failed o || san_dirty sess then begin
       report_failure sess o;
-      finish sess ~lint_graph ~san_json ~atomics;
+      finish sess ~lint_graph ~san_json;
       exit 1
     end
   done;
   Printf.printf "%d scenarios clean\n" count;
-  finish sess ~lint_graph ~san_json ~atomics
+  finish sess ~lint_graph ~san_json
 
 let cmd_sweep alg scenarios seed_base points sabotage sabotage_race sanitize
-    lint_graph san_json atomics =
+    lint_graph san_json =
   let sess = make_sess ~sabotage ~sabotage_race ~sanitize () in
   let alg = Scenario.alg_of_string alg in
   let total = ref 0 and checkpoints = ref 0 in
   let fail o =
     report_failure sess o;
-    finish sess ~lint_graph ~san_json ~atomics;
+    finish sess ~lint_graph ~san_json;
     exit 1
   in
   (* Report a failed run of [sc]. Only the sweep watches the scan
@@ -403,7 +378,7 @@ let cmd_sweep alg scenarios seed_base points sabotage sabotage_race sanitize
   Printf.printf "%d scenario/crash-point combinations clean\n" !total;
   Printf.printf "scan oracle: %d sort checkpoints, no captured page rescanned\n"
     !checkpoints;
-  finish sess ~lint_graph ~san_json ~atomics
+  finish sess ~lint_graph ~san_json
 
 (* Deterministic throttle scenario: a synthetic overload source trips the
    foreground-p99 signal for a fixed span of sampler ticks, so the
@@ -529,8 +504,8 @@ let sanitize_arg =
     & info [ "sanitize" ]
         ~doc:
           "Feed the event stream to oib-san, attached as a trace sink \
-           (lockset races, latch-order cycles, WAL discipline, shared-state \
-           interference); findings fail like oracle violations")
+           (lockset races, latch-order cycles, WAL discipline); findings \
+           fail like oracle violations")
 
 let jsonl_arg =
   Arg.(
@@ -555,17 +530,6 @@ let san_json_arg =
     & info [ "san-json" ] ~docv:"FILE"
         ~doc:"Write sanitizer counters as JSON to $(docv)")
 
-let atomics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "atomics" ] ~docv:"FILE"
-        ~doc:
-          "Static atomic-section table from `oib-lint --emit-atomics`, \
-           diffed against the dynamically observed shared-state crossings \
-           after the sanitized runs; a dynamic-only crossing fails the \
-           command")
-
 let profile_arg =
   Arg.(
     value
@@ -582,7 +546,7 @@ let run_cmd =
     Term.(
       const cmd_run $ seed_arg $ alg_opt $ rows_opt $ workers_opt $ txns_opt
       $ sabotage_arg $ sabotage_race_arg $ sanitize_arg $ jsonl_arg
-      $ lint_graph_arg $ san_json_arg $ atomics_arg $ profile_arg)
+      $ lint_graph_arg $ san_json_arg $ profile_arg)
 
 let repro_cmd =
   let ops = Arg.(value & opt (some int) None & info [ "ops" ] ~docv:"N") in
@@ -603,7 +567,7 @@ let repro_cmd =
       const cmd_repro $ seed_arg $ alg_opt $ rows_opt $ unique $ workers_opt
       $ txns_opt $ ops $ post $ faults $ sabotage_arg $ sabotage_race_arg
       $ sanitize_arg $ jsonl_arg $ lint_graph_arg $ san_json_arg
-      $ atomics_arg $ profile_arg)
+      $ profile_arg)
 
 let fuzz_cmd =
   let count =
@@ -617,8 +581,7 @@ let fuzz_cmd =
        ~doc:"Generated scenarios with generated fault plans, shrink failures")
     Term.(
       const cmd_fuzz $ count $ base $ alg_opt $ sabotage_arg
-      $ sabotage_race_arg $ sanitize_arg $ lint_graph_arg $ san_json_arg
-      $ atomics_arg)
+      $ sabotage_race_arg $ sanitize_arg $ lint_graph_arg $ san_json_arg)
 
 let sweep_cmd =
   let alg =
@@ -640,8 +603,7 @@ let sweep_cmd =
        ~doc:"Re-run a scenario crashing at every k-th scheduler step")
     Term.(
       const cmd_sweep $ alg $ scenarios $ base $ points $ sabotage_arg
-      $ sabotage_race_arg $ sanitize_arg $ lint_graph_arg $ san_json_arg
-      $ atomics_arg)
+      $ sabotage_race_arg $ sanitize_arg $ lint_graph_arg $ san_json_arg)
 
 let throttle_cmd =
   let rows = Arg.(value & opt int 600 & info [ "rows" ] ~docv:"N") in

@@ -3,8 +3,8 @@
    Parses every .ml under --root with compiler-libs (parsetree only),
    builds a whole-tree call graph, solves the interprocedural
    latch-effect and may-yield fixpoints, and enforces the
-   latch/WAL/logging/interference discipline rules L1..L12
-   described in DESIGN.md §12, §17 and §18.
+   latch/WAL/logging/interference discipline rules L1-L5, L7, L10 and
+   L11 described in DESIGN.md §12, §17 and §18.
    Exit status: 0 clean, 1 unsuppressed diagnostics. *)
 
 open Cmdliner
@@ -71,15 +71,14 @@ let trajectory_record (res : L.result) =
   in
   (* alphabetical keys, schema bench-trajectory/v1 *)
   Printf.sprintf
-    "{\"analysis_ms\":%.3f,\"files\":%d,\"findings\":%d,\"kind\":\"lint_engine\",\"l12_ms\":%.3f,\"rules\":\"%s\",\"schema\":\"bench-trajectory/v1\",\"units\":%d}"
+    "{\"analysis_ms\":%.3f,\"files\":%d,\"findings\":%d,\"kind\":\"lint_engine\",\"rules\":\"%s\",\"schema\":\"bench-trajectory/v1\",\"units\":%d}"
     ms st.L.st_files
     (total st.L.st_by_rule + total st.L.st_suppressed_by_rule)
-    (Option.value ~default:0. (List.assoc_opt "L12" st.L.st_rule_ms))
     (Oib_lint.Diag.json_escape rules)
     st.L.st_units
 
 let run root stats json show_suppressed strict emit_graph graph explain
-    trajectory emit_atomics =
+    trajectory =
   if not (Sys.file_exists root && Sys.is_directory root) then begin
     prerr_endline ("oib-lint: no such directory: " ^ root);
     2
@@ -95,8 +94,6 @@ let run root stats json show_suppressed strict emit_graph graph explain
     write_file emit_graph (fun () ->
         graph_json res.L.r_rules.Oib_lint.Rules.order_edges ^ "\n");
     write_file graph (fun () -> Oib_lint.Callgraph.to_json res.L.r_graph);
-    write_file emit_atomics (fun () ->
-        Oib_lint.Atomics.to_json res.L.r_rules.Oib_lint.Rules.atomics);
     (match trajectory with
     | Some path ->
       let oc =
@@ -165,18 +162,6 @@ let trajectory =
   Arg.(
     value & opt (some string) None & info [ "trajectory" ] ~docv:"FILE" ~doc)
 
-let emit_atomics =
-  let doc =
-    "Write the L12 atomic-section table (per-function yield-free regions \
-     and the crossing/atomic shared-state classification) as JSON to \
-     $(docv), for the sanitizer's static-vs-dynamic diff \
-     (oib_fuzz --atomics)."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "emit-atomics" ] ~docv:"FILE" ~doc)
-
 let cmd =
   let doc =
     "latch/WAL/logging/interference protocol linter for the oib tree"
@@ -185,6 +170,6 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ root $ stats $ json $ show_suppressed $ strict $ emit_graph
-      $ graph $ explain $ trajectory $ emit_atomics)
+      $ graph $ explain $ trajectory)
 
 let () = exit (Cmd.eval' cmd)

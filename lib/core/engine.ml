@@ -64,10 +64,7 @@ let wire_observability (ctx : Ctx.t) =
        (fun th reason ->
          if Oib_obs.Trace.tracing ctx.Ctx.trace then
            Oib_obs.Trace.emit ctx.Ctx.trace
-             (Oib_obs.Event.Ib_throttle { level = Throttle.level th; reason })));
-  (* point the shared-state sanitizer events (L12 interference twin) at
-     this incarnation's trace *)
-  Throttle.set_trace ctx.Ctx.throttle ctx.Ctx.trace
+             (Oib_obs.Event.Ib_throttle { level = Throttle.level th; reason })))
 
 let create ?(seed = 42) ?(page_capacity = 1024)
     ?(trace = Oib_obs.Trace.null) () =
@@ -156,12 +153,10 @@ type backup = {
   b_lsn : Oib_wal.Lsn.t;  (** durable log position the image is clean at *)
 }
 
-let backup (ctx : t) =
-  (* an image copy must be taken from a clean point: flush the log and the
-     data pages, and sharp-image every completed index so the copy carries
-     fresh tree images *)
-  LM.flush_all ctx.Ctx.log;
-  Buffer_pool.flush_all ctx.Ctx.pool;
+(* Sharp-image every Ready index at the flushed LSN, so that replaying
+   it needs no log record older than that; a building index is
+   recovered from its own log records instead. *)
+let image_ready_indexes (ctx : t) =
   List.iter
     (fun (tbl : Catalog.table_info) ->
       List.iter
@@ -171,7 +166,15 @@ let backup (ctx : t) =
             Btree.checkpoint_image info.tree ~lsn:(LM.flushed_lsn ctx.Ctx.log)
           | Catalog.Nsf_building _ | Catalog.Sf_building _ -> ())
         tbl.indexes)
-    (Catalog.tables ctx.Ctx.catalog);
+    (Catalog.tables ctx.Ctx.catalog)
+
+let backup (ctx : t) =
+  (* an image copy must be taken from a clean point: flush the log and the
+     data pages, and sharp-image every completed index so the copy carries
+     fresh tree images *)
+  LM.flush_all ctx.Ctx.log;
+  Buffer_pool.flush_all ctx.Ctx.pool;
+  image_ready_indexes ctx;
   {
     b_store = Stable_store.snapshot ctx.Ctx.store;
     b_kv = Durable_kv.snapshot ctx.Ctx.kv;
@@ -241,16 +244,7 @@ let truncate_log (ctx : t) =
   if Txn.active_count ctx.Ctx.txns > 0 then keep (Txn.commit_lsn ctx.Ctx.txns);
   (* indexes: sharp-image each Ready tree so replay needs nothing older;
      in-progress builds pin their Build_start *)
-  List.iter
-    (fun (tbl : Catalog.table_info) ->
-      List.iter
-        (fun (info : Catalog.index_info) ->
-          match info.phase with
-          | Catalog.Ready ->
-            Btree.checkpoint_image info.tree ~lsn:(LM.flushed_lsn ctx.Ctx.log)
-          | Catalog.Nsf_building _ | Catalog.Sf_building _ -> ())
-        tbl.indexes)
-    (Catalog.tables ctx.Ctx.catalog);
+  image_ready_indexes ctx;
   List.iter
     (fun (r : Oib_wal.Log_record.t) ->
       match r.body with

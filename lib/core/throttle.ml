@@ -11,7 +11,6 @@ type t = {
   mutable watched : string list;
   mutable notify : (t -> string -> unit) option;
   mutable pause : bool;
-  mutable trace : Oib_obs.Trace.t;  (* sanitizer events only *)
 }
 
 let create ?(max_level = 3) () =
@@ -23,33 +22,16 @@ let create ?(max_level = 3) () =
     watched = [];
     notify = None;
     pause = false;
-    trace = Oib_obs.Trace.null;
   }
 
-let set_trace t trace = t.trace <- trace
-
-(* Shared-state events for the sanitizer's L12 interference automaton:
-   every [t.level] read/write the linter counts has a dynamic twin here,
-   so the static and dynamic crossing sets stay comparable. *)
-let emit_shared t ~write site =
-  if Oib_obs.Trace.tracing t.trace then
-    Oib_obs.Trace.emit t.trace
-      (Oib_obs.Event.Shared { key = "Throttle.level"; write; site })
-
-let level t =
-  emit_shared t ~write:false "throttle.level";
-  t.level
+let level t = t.level
 
 let backoffs t = t.backoffs
 let restores t = t.restores
 
-let scaled t ~base =
-  emit_shared t ~write:false "throttle.scaled";
-  max 1 (base lsr t.level)
+let scaled t ~base = max 1 (base lsr t.level)
 
-let extra_yields t =
-  emit_shared t ~write:false "throttle.extra_yields";
-  t.level
+let extra_yields t = t.level
 
 let set_notify t f = t.notify <- f
 
@@ -61,10 +43,8 @@ let on_change t set s change =
   if List.mem name t.watched then
     match change with
     | Signal.Raised ->
-      emit_shared t ~write:false "throttle.on_change";
       if t.level < t.max_level then begin
         t.level <- t.level + 1;
-        emit_shared t ~write:true "throttle.on_change";
         t.backoffs <- t.backoffs + 1;
         fire t (name ^ " raised")
       end
@@ -79,10 +59,8 @@ let on_change t set s change =
             | None -> false)
           t.watched
       in
-      emit_shared t ~write:false "throttle.on_change";
       if (not any_active) && t.level > 0 then begin
         t.level <- 0;
-        emit_shared t ~write:true "throttle.on_change";
         t.restores <- t.restores + 1;
         fire t (name ^ " cleared")
       end

@@ -46,12 +46,6 @@ val scaled : t -> base:int -> int
 val extra_yields : t -> int
 (** Yields the builder inserts after each unit of work ([= level]). *)
 
-val set_trace : t -> Oib_obs.Trace.t -> unit
-(** Point the throttle's sanitizer events ([Shared] on class
-    [Throttle.level]) at the current incarnation's trace. Defaults to
-    {!Oib_obs.Trace.null}; with nothing attached each emission site is
-    one pointer compare. *)
-
 val set_notify : t -> (t -> string -> unit) option -> unit
 (** Hook fired on every level change with a short reason (e.g.
     ["overload.fg_p99 raised"]). The engine points this at the current

@@ -26,7 +26,6 @@ type t = {
   diags : Diag.t list;
   order_edges : (string * string) list;
   rule_ms : (string * float) list;
-  atomics : Atomics.t;  (* L12 static atomic-section table *)
 }
 
 (* --- suppression --- *)
@@ -301,7 +300,6 @@ let run ~config cg =
     r
   in
   let local = timed "local" (fun () -> local_diags summaries) in
-  let atomics = timed "L12" (fun () -> Atomics.compute cg) in
   let l1 = timed "L1" (fun () -> l1_param_diags cg) in
   (* L2's suspension points are the ones L10 treats as yields *)
   let suspends = config.l10_yield_always @ config.l10_yield_may in
@@ -329,5 +327,4 @@ let run ~config cg =
       List.sort_uniq compare
         (Hashtbl.fold (fun (a, b) _ acc -> (a, b) :: acc) edges []);
     rule_ms = List.rev !timings;
-    atomics;
   }

@@ -32,9 +32,6 @@ type t = {
       (** distinct latch-order edges [A -> B] discovered for L5 *)
   rule_ms : (string * float) list;
       (** per-rule-family wall time, milliseconds, in evaluation order *)
-  atomics : Atomics.t;
-      (** L12 static atomic-section table, exportable via
-          {!Atomics.to_json} for the oib-fuzz sanitize diff *)
 }
 
 val run : config:Summary.config -> Callgraph.t -> t

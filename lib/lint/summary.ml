@@ -26,8 +26,9 @@ type config = {
       (* base calls that suspend on every invocation (Sched.yield &c) *)
   l10_yield_may : string list;
       (* base calls that may suspend (lock waits, log forces) *)
-  l10_shared_fields : (string * string) list;
-      (* mutable record field name -> shared-state class key *)
+  l10_shared_fields : string list;
+      (* mutable record fields "M.f" that are shared state; the field
+         name is its class key *)
   l10_shared_calls : (string * (string * int list * bool)) list;
       (* call name -> (class key, instance arg positions, is_write) *)
   l10_exempt_modules : string list;
@@ -48,11 +49,8 @@ let default_config =
         "Log_manager.flush"; "Log_manager.flush_all" ];
     l10_shared_fields =
       [
-        ("phase", "Build_status.phase");
-        ("keys_processed", "Build_status.keys_processed");
-        ("backlog", "Build_status.backlog");
-        ("level", "Throttle.level");
-        ("Page.lsn", "Page.lsn");
+        "Build_status.phase"; "Build_status.keys_processed";
+        "Build_status.backlog"; "Throttle.level"; "Page.lsn";
       ];
     l10_shared_calls =
       [
@@ -128,13 +126,6 @@ type u = {
   mutable u_local : finding list;
   mutable u_effect : Latch_effect.t;
   mutable u_yield : Yield_effect.t;
-  mutable u_yield_sites : (Location.t * string) list;
-      (* suspension points in walk order: (site, witness chain) *)
-  mutable u_accesses : (string * string * bool * Location.t) list;
-      (* shared-state footprint: (class, inst, is_write, site) *)
-  mutable u_crossings : string list;
-      (* class keys whose read-compute-write spans a yield (recorded
-         before [@lint.allow] suppression — the static L12 half) *)
   u_rerun : ctx -> unit;
       (* re-execute the transfer function under a new context, refreshing
          u_calls / u_acquires_latch / u_local / u_effect / u_yield &c
@@ -156,6 +147,10 @@ let module_name_of_file f =
 
 (* --- [@lint.allow "Ln: reason"] attributes --- *)
 
+(* The rules that run, and so the only ones an allow may name. L6, L8,
+   L9 and L12 are retired; their numbers are not reused. *)
+let live_rules = [ "L1"; "L2"; "L3"; "L4"; "L5"; "L7"; "L10"; "L11" ]
+
 let allow_of_attribute (attr : attribute) =
   if attr.attr_name.txt <> "lint.allow" then None
   else
@@ -176,14 +171,7 @@ let allow_of_attribute (attr : attribute) =
         let reason =
           String.trim (String.sub s (i + 1) (String.length s - i - 1))
         in
-        let rule_ok =
-          (String.length rule = 2
-          && rule.[0] = 'L'
-          && rule.[1] >= '1'
-          && rule.[1] <= '9')
-          || List.mem rule [ "L10"; "L11"; "L12" ]
-        in
-        if not rule_ok then
+        if not (List.mem rule live_rules) then
           malformed ("[@lint.allow]: unknown rule " ^ Filename.quote rule)
         else if String.length reason < 8 then
           malformed "[@lint.allow]: justification too short (>= 8 chars)"
@@ -273,11 +261,6 @@ type acc = {
   mutable acq : bool;
   mutable yields : (Location.t * string) list;
       (* yield sites in walk order: (site, witness chain) *)
-  mutable accesses : (string * string * bool * Location.t) list;
-      (* shared accesses in walk order: (class, inst, is_write, site) *)
-  crossings : (string, unit) Hashtbl.t;
-      (* class keys with a stale-read-then-write window, recorded
-         before suppression — the static half of the L12 twin *)
   seen : (string, unit) Hashtbl.t;
       (* rule-prefixed keys of findings already emitted: dedups a site
          across the path states that reach it *)
@@ -290,8 +273,6 @@ let fresh_acc () =
     local = [];
     acq = false;
     yields = [];
-    accesses = [];
-    crossings = Hashtbl.create 4;
     seen = Hashtbl.create 8;
     handles = Hashtbl.create 8;
   }
@@ -873,25 +854,16 @@ let inst_of_positions pos positions =
   String.concat "," keys
 
 (* The shared class of a field access. A table key "M.f" names the
-   field [f] of module [M]'s record: it matches [x.M.f] anywhere and a
-   bare [x.f] only inside [M], so another record's field of the same
-   name is not shared state. A bare key "f" matches every [x.f]. *)
+   field [f] of module [M]'s record: it matches [x.M.f] (or [x.A.f] with
+   [A] an alias of [M]) anywhere and a bare [x.f] only inside [M], so
+   another record's field of the same name is not shared state. *)
 let shared_field env fld =
-  match List.rev (strip_oib (Longident.flatten fld)) with
-  | [] -> None
-  | f :: quals ->
-    let owner = match quals with m :: _ -> m | [] -> env.modname in
-    List.find_map
-      (fun (key, cls) ->
-        match String.rindex_opt key '.' with
-        | None -> if key = f then Some cls else None
-        | Some i ->
-          if
-            String.sub key (i + 1) (String.length key - i - 1) = f
-            && String.sub key 0 i = owner
-          then Some cls
-          else None)
-      env.cfg.l10_shared_fields
+  let key =
+    match fld with
+    | Longident.Lident f -> env.modname ^ "." ^ f
+    | _ -> resolve env fld
+  in
+  if List.mem key env.cfg.l10_shared_fields then Some key else None
 
 (* is [e] (syntactically) a read of shared state? *)
 let l10_read_of env e =
@@ -906,8 +878,7 @@ let l10_read_of env e =
   | _ -> None
 
 (* a fresh read replaces any staler knowledge of the same (class, inst) *)
-let l10_note_read env sts cls inst loc =
-  env.acc.accesses <- (cls, inst, false, loc) :: env.acc.accesses;
+let l10_note_read sts cls inst loc =
   List.map
     (fun s ->
       let keep =
@@ -922,7 +893,6 @@ let l10_note_read env sts cls inst loc =
     sts
 
 let l10_note_write env sts cls inst loc =
-  env.acc.accesses <- (cls, inst, true, loc) :: env.acc.accesses;
   List.iter
     (fun s ->
       List.iter
@@ -930,7 +900,6 @@ let l10_note_write env sts cls inst loc =
           if r.sr_class = cls && r.sr_inst = inst then
             match r.sr_stale with
             | Some w ->
-              Hashtbl.replace env.acc.crossings cls ();
               if env.in_l10 then
                 emit_once ~trace:(chain_frames w) env
                   ("l10:" ^ loc_key loc ^ ":" ^ cls)
@@ -1063,7 +1032,7 @@ let l10_call env sts name loc pos =
     | Some (cls, positions, is_write) ->
       let inst = inst_of_positions pos positions in
       if is_write then l10_note_write env sts cls inst loc
-      else l10_note_read env sts cls inst loc
+      else l10_note_read sts cls inst loc
     | None -> sts
   in
   match yield_class env name with
@@ -1154,7 +1123,7 @@ let rec walk env sts e =
     | _ -> ());
     let sts = walk env sts b in
     (match shared_field env fld.txt with
-    | Some cls -> l10_note_read env sts cls (expr_key b) e.pexp_loc
+    | Some cls -> l10_note_read sts cls (expr_key b) e.pexp_loc
     | None -> sts)
   | Pexp_setfield (a, fld, b) ->
     l7_store_check env sts e.pexp_loc "a mutable field" b;
@@ -1567,11 +1536,6 @@ and do_run env u expr ctx =
   u.u_acquires_latch <- acc.acq;
   u.u_local <- List.rev acc.local;
   u.u_effect <- Latch_effect.make ~alts ~ret_params:!ret_params;
-  u.u_yield_sites <- List.rev acc.yields;
-  u.u_accesses <- List.rev acc.accesses;
-  u.u_crossings <-
-    List.sort_uniq compare
-      (Hashtbl.fold (fun k () a -> k :: a) acc.crossings []);
   u.u_yield <-
     (if exits = [] then Yield_effect.bottom
      else
@@ -1596,9 +1560,6 @@ and analyze_unit env ~name ~loc ~allows expr =
       u_local = [];
       u_effect = Latch_effect.bottom;
       u_yield = Yield_effect.bottom;
-      u_yield_sites = [];
-      u_accesses = [];
-      u_crossings = [];
       u_rerun = (fun ctx -> do_run { env with register = false } u expr ctx);
     }
   in

@@ -39,11 +39,11 @@ type config = {
       (** calls that may suspend ([Lock_manager.lock],
           [Log_manager.flush]); with [l10_yield_always], the suspension
           points L2 forbids under a latch *)
-  l10_shared_fields : (string * string) list;
-      (** mutable record fields that are cross-fiber shared state:
-          field -> class key, e.g. [("level", "Throttle.level")]. A
-          qualified field ["Page.lsn"] matches [x.Page.lsn] anywhere and a
-          bare [x.lsn] only inside [Page]. *)
+  l10_shared_fields : string list;
+      (** mutable record fields that are cross-fiber shared state, each
+          ["M.f"] (which is also its class key): it matches [x.M.f], or
+          [x.A.f] with [A] an alias of [M], anywhere, and a bare [x.f]
+          only inside [M]. *)
   l10_shared_calls : (string * (string * int list * bool)) list;
       (** accessor calls over shared state: name -> (class key,
           instance-argument positions, is-write) *)
@@ -55,7 +55,7 @@ type config = {
 val default_config : config
 
 type allow = {
-  a_rule : string;  (** "L1".."L12" *)
+  a_rule : string;  (** one of the live rules L1-L5, L7, L10, L11 *)
   a_reason : string;
   a_loc : Location.t;  (** the attribute itself, for unused-allow reports *)
   a_used : bool ref;
@@ -113,13 +113,6 @@ type u = {
   mutable u_effect : Latch_effect.t;  (** current fixpoint value *)
   mutable u_yield : Yield_effect.t;
       (** current may-yield fixpoint value *)
-  mutable u_yield_sites : (Location.t * string) list;
-      (** suspension points in the body: (site, witness chain) *)
-  mutable u_accesses : (string * string * bool * Location.t) list;
-      (** shared-state accesses: (class key, instance, is-write, site) *)
-  mutable u_crossings : string list;
-      (** class keys with a read→yield→write window in this unit,
-          recorded before allow suppression (feeds the L12 export) *)
   u_rerun : ctx -> unit;
       (** re-execute the transfer function, refreshing the mutable
           fields in place *)

@@ -8,14 +8,13 @@
    One stream serves two kinds of consumer: the renderers (flight
    recorder, JSONL, the profiler and dashboards) and the oib-san
    sanitizer. Some constructors exist for the sanitizer alone — every
-   latch/lock grant, data accesses, page-LSN moves, suspensions — and
+   latch/lock grant, data accesses, page-LSN moves, resumptions — and
    [sanitizer_only] marks them so the stock renderers skip them. *)
 
 type t =
   | Fiber_spawn of { fiber : int; name : string }
   | Fiber_exit
   | Resume of { fiber : int }
-  | Yield
   | Latch_wait of { latch : string; mode : string; holders : string }
   | Latch_grant of { uid : int; role : string; page : int; excl : bool }
   | Latch_acquired of { latch : string; mode : string; waited : int }
@@ -65,7 +64,6 @@ type t =
       resource : string;
       blocker : string;
     }
-  | Shared of { key : string; write : bool; site : string }
   | Epoch of { label : string }
       (** engine-incarnation boundary in a multi-run trace; the step clock
           restarts at the next event *)
@@ -79,7 +77,6 @@ let kind = function
   | Fiber_spawn _ -> "fiber.spawn"
   | Fiber_exit -> "fiber.exit"
   | Resume _ -> "fiber.resume"
-  | Yield -> "fiber.yield"
   | Latch_wait _ -> "latch.wait"
   | Latch_grant _ -> "latch.grant"
   | Latch_acquired _ -> "latch.acquired"
@@ -115,7 +112,6 @@ let kind = function
   | Span_end _ -> "span.end"
   | Sample _ -> "sample"
   | Prof_sample _ -> "prof.sample"
-  | Shared _ -> "shared"
   | Epoch _ -> "epoch"
   | Run_start -> "run.start"
 
@@ -123,9 +119,9 @@ let kind = function
    compiles. The five facts both consumers need (spawn, latch release,
    page write-back, log append, epoch) are rendered. *)
 let sanitizer_only = function
-  | Fiber_exit | Resume _ | Yield | Latch_grant _ | Lock_grant _ | Lock_rel _
+  | Fiber_exit | Resume _ | Latch_grant _ | Lock_grant _ | Lock_rel _
   | Access _ | Lsn_set _ | Page_evict _ | Undo_begin _ | Undo_end _
-  | Shared _ | Run_start ->
+  | Run_start ->
     true
   | Fiber_spawn _ | Latch_wait _ | Latch_acquired _ | Latch_released _
   | Lock_wait _ | Lock_acquired _ | Lock_denied _ | Lock_released_all _
@@ -142,7 +138,7 @@ let sanitizer_only = function
    dumps read as they did before the streams merged. *)
 let detail = function
   | Fiber_spawn { fiber; name } -> Printf.sprintf "fiber=%d name=%s" fiber name
-  | Fiber_exit | Yield | Run_start -> ""
+  | Fiber_exit | Run_start -> ""
   | Resume { fiber } -> Printf.sprintf "fiber=%d" fiber
   | Latch_wait { latch; mode; holders } ->
     Printf.sprintf "latch=%s mode=%s holders=%s" latch mode holders
@@ -203,8 +199,6 @@ let detail = function
   | Prof_sample { fiber; fname; state; path; resource; blocker } ->
     Printf.sprintf "fiber=%d fname=%s state=%s path=%s resource=%s blocker=%s"
       fiber fname state path resource blocker
-  | Shared { key; write; site } ->
-    Printf.sprintf "key=%s write=%b site=%s" key write site
   | Epoch { label } -> Printf.sprintf "label=%s" label
 
 let pp ppf e = Format.fprintf ppf "%-18s %s" (kind e) (detail e)
@@ -239,7 +233,7 @@ let fields = function
      same JSON object (like Recovery_step's "what" below) *)
   | Fiber_spawn { fiber; name } ->
     [ ("id", `I fiber); ("name", `S name) ]
-  | Fiber_exit | Yield | Run_start -> []
+  | Fiber_exit | Run_start -> []
   | Resume { fiber } -> [ ("id", `I fiber) ]
   | Latch_wait { latch; mode; holders } ->
     [ ("latch", `S latch); ("mode", `S mode); ("holders", `S holders) ]
@@ -310,8 +304,6 @@ let fields = function
   | Prof_sample { fiber; fname; state; path; resource; blocker } ->
     [ ("id", `I fiber); ("fname", `S fname); ("state", `S state);
       ("path", `S path); ("resource", `S resource); ("blocker", `S blocker) ]
-  | Shared { key; write; site } ->
-    [ ("key", `S key); ("write", `B write); ("site", `S site) ]
   | Epoch { label } -> [ ("label", `S label) ]
 
 let to_json s =

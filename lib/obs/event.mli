@@ -23,10 +23,6 @@ type t =
           lock-queue pump, condition signal — every blocking primitive
           funnels through [Sched.suspend], so this one edge covers all
           of them) *)
-  | Yield
-      (** the stamped fiber is about to suspend ([Sched.yield] /
-          [Sched.suspend]); everything it read from shared state before
-          this point may be stale when it resumes *)
   | Latch_wait of { latch : string; mode : string; holders : string }
       (** [holders] is the comma-joined names of the fibers currently
           holding the latch, oldest grant first — the blockers the
@@ -119,12 +115,6 @@ type t =
           [resource] names the blocking resource (empty when on-cpu)
           and [blocker] the fiber name(s) holding it (comma-joined,
           empty when unknown). *)
-  | Shared of { key : string; write : bool; site : string }
-      (** an access to cross-fiber shared state; [key] is the lint
-          class key (e.g. ["Throttle.level"]), optionally with an
-          instance suffix (["Class(3)"]), so the dynamic interference
-          automaton lines up with the static L12 atomics table; [site]
-          names the emission point *)
   | Epoch of { label : string }
       (** engine-incarnation boundary on a trace that survives a
           restart; the step clock restarts at the next event *)
@@ -141,10 +131,9 @@ val kind : t -> string
 
 val sanitizer_only : t -> bool
 (** True for the constructors only the sanitizer reads: [Fiber_exit],
-    [Resume], [Yield], [Latch_grant], [Lock_grant], [Lock_rel],
-    [Access], [Lsn_set], [Page_evict], [Undo_begin], [Undo_end],
-    [Shared] and [Run_start]. The flight recorder and the stock JSONL
-    sinks skip them. *)
+    [Resume], [Latch_grant], [Lock_grant], [Lock_rel], [Access],
+    [Lsn_set], [Page_evict], [Undo_begin], [Undo_end] and [Run_start].
+    The flight recorder and the stock JSONL sinks skip them. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_stamped : Format.formatter -> stamped -> unit

@@ -15,13 +15,6 @@ type t = {
   lockset : Lockset.t;
   goodlock : Goodlock.t;
   wal : Wal_check.t;
-  (* dynamic L12 twin: per-fiber shared-state staleness automaton.
-     [shared.(f).(key)] = (stale, read site) — stale flips true at an
-     unlatched suspension; a write over a stale read is an observed
-     read→yield→write crossing. Crossings accumulate across runs (like
-     Goodlock edges); the per-fiber maps are volatile. *)
-  shared : (int, (string, bool * string) Hashtbl.t) Hashtbl.t;
-  shared_crossings : (string, string) Hashtbl.t;  (* key -> witness *)
   mutable reports : Diag.t list;
   seen : (string, unit) Hashtbl.t;  (* rule ^ site dedup *)
   mutable notify : (Diag.t -> unit) option;
@@ -91,8 +84,6 @@ let create () =
               let s = Lazy.force t in
               add_report s (wal_diag ~check ~site msg) (fun () ->
                   s.wal_violations <- s.wal_violations + 1));
-        shared = Hashtbl.create 32;
-        shared_crossings = Hashtbl.create 8;
         reports = [];
         seen = Hashtbl.create 32;
         notify = None;
@@ -210,7 +201,6 @@ let reset_volatile t =
   Hashtbl.reset t.lock_rel_vc;
   Hashtbl.reset t.held_latches;
   Hashtbl.reset t.held_locks;
-  Hashtbl.reset t.shared;
   Lockset.reset t.lockset
 
 (* --- the consumer --- *)
@@ -229,7 +219,6 @@ let analyse t f (ev : Event.t) =
     set_vc t (-1) (Vc.join (vc t (-1)) (vc t f));
     Hashtbl.remove t.held_latches f;
     Hashtbl.remove t.held_locks f;
-    Hashtbl.remove t.shared f;
     true
   | Resume { fiber } ->
     (* stamped fiber [f] is the resumer: the thunk runs in its context *)
@@ -293,47 +282,6 @@ let analyse t f (ev : Event.t) =
     true (* the WAL checker's alone *)
   | Page_evict { page } ->
     Lockset.clear_page t.lockset page;
-    true
-  | Yield ->
-    (* a latch held across the suspension keeps the section atomic
-       with respect to other fibers of the same protocol (the static
-       analysis makes the same held=[] cut, leaving latched blocking
-       to L2); an unlatched yield invalidates everything this fiber
-       has read from shared state *)
-    if latches_of t f = [] then (
-      match Hashtbl.find_opt t.shared f with
-      | None -> ()
-      | Some m ->
-        Hashtbl.iter
-          (fun key (_, rsite) -> Hashtbl.replace m key (true, rsite))
-          (Hashtbl.copy m));
-    true
-  | Shared { key; write; site } ->
-    let m =
-      match Hashtbl.find_opt t.shared f with
-      | Some m -> m
-      | None ->
-        let m = Hashtbl.create 8 in
-        Hashtbl.replace t.shared f m;
-        m
-    in
-    if write then begin
-      (match Hashtbl.find_opt m key with
-      | Some (true, rsite) ->
-        (* staleness is tracked per instance (a key "Class(3)") but
-           the static table classifies per class — strip the instance
-           before recording *)
-        let cls =
-          match String.index_opt key '(' with
-          | Some i -> String.sub key 0 i
-          | None -> key
-        in
-        if not (Hashtbl.mem t.shared_crossings cls) then
-          Hashtbl.replace t.shared_crossings cls (rsite ^ "->" ^ site)
-      | _ -> ());
-      Hashtbl.remove m key
-    end
-    else Hashtbl.replace m key (false, site);
     true
   | Epoch _ | Run_start ->
     t.runs <- t.runs + 1;
@@ -421,65 +369,6 @@ let static_graph_of_json src =
       with Failure m -> Error m)
     | _ -> Error "graph JSON has no \"edges\" list")
 
-(* --- L12 twin: dynamically observed shared-state crossings --- *)
-
-let shared_crossings t =
-  List.sort compare
-    (Hashtbl.fold (fun k w acc -> (k, w) :: acc) t.shared_crossings [])
-
-let diff_atomics t ~static =
-  (* [static] is the linter's crossing list (oib-lint --emit-atomics).
-     Dynamic ⊇-violations are real: the sanitizer watched a fiber
-     read, suspend unlatched, and write a class the static table calls
-     atomic — one of the two analyses is missing an access site.
-     Static-only crossings are informational (window not exercised). *)
-  let dynamic = shared_crossings t in
-  let dyn_only =
-    List.filter (fun (k, _) -> not (List.mem k static)) dynamic
-  in
-  let static_only =
-    List.filter (fun k -> not (List.mem_assoc k dynamic)) static
-  in
-  let dyn_diag (k, w) =
-    Diag.make ~site:(k ^ ":" ^ w) ~file:"<san>" ~line:0 ~col:0
-      ~rule:"SAN-atomics"
-      ~hint:
-        "the runtime observed a read -> unlatched yield -> write window \
-         on this shared-state class but the static atomics table calls \
-         it atomic; add the missing access/yield to the lint config or \
-         fix the instrumentation"
-      ("dynamic shared-state crossing on " ^ k ^ " (" ^ w
-     ^ ") is absent from the static atomics table")
-  in
-  let static_diag k =
-    Diag.make ~site:k ~file:"<san>" ~line:0 ~col:0 ~rule:"SAN-atomics-info"
-      ~hint:
-        "informational: widen the workload until the window is \
-         exercised, or fix/justify the static finding"
-      ("static shared-state crossing on " ^ k
-     ^ " was never exercised at runtime")
-  in
-  Diag.dedupe
-    (List.map dyn_diag dyn_only @ List.map static_diag static_only)
-
-let static_atomics_of_json src =
-  let module J = Oib_obs_analysis.Json in
-  match J.parse src with
-  | Error e -> Error ("bad atomics JSON: " ^ e)
-  | Ok j -> (
-    match J.member "crossing" j with
-    | Some (J.List ks) -> (
-      try
-        Ok
-          (List.map
-             (fun k ->
-               match J.to_string k with
-               | Some s -> s
-               | None -> failwith "non-string crossing entry")
-             ks)
-      with Failure m -> Error m)
-    | _ -> Error "atomics JSON has no \"crossing\" list")
-
 let stats_json t =
   let order_cycles = List.length (Goodlock.cycles t.goodlock) in
   "{\"events\":" ^ string_of_int t.events
@@ -488,6 +377,4 @@ let stats_json t =
   ^ ",\"order_cycles\":" ^ string_of_int order_cycles
   ^ ",\"wal_violations\":" ^ string_of_int t.wal_violations
   ^ ",\"edges\":" ^ string_of_int (List.length (runtime_edges t))
-  ^ ",\"shared_crossings\":"
-  ^ string_of_int (List.length (shared_crossings t))
   ^ "}"

@@ -11,13 +11,7 @@
       deadlocks — accumulated {e across} runs, so two runs that each
       take only one half of an inversion still assemble the cycle;
     - the {!Wal_check} runtime verifier (page-LSN monotonicity,
-      log-before-steal at write-back, CLR discipline during undo);
-    - a shared-state interference automaton, the dynamic half of the
-      linter's L12 twin: per fiber and shared-state class, a read
-      followed by an {e unlatched} suspension ([Yield] event) and then
-      a write is an observed lost-update window ("crossing"),
-      accumulated across runs and diffed against the static atomics
-      table with {!diff_atomics}.
+      log-before-steal at write-back, CLR discipline during undo).
 
     Findings are {!Oib_lint.Diag.t} values under rules [SAN-race],
     [SAN-order] and [SAN-wal], deduplicated by [(rule, site)] and
@@ -62,22 +56,7 @@ val diff_static : t -> static:(string * string) list -> Oib_lint.Diag.t list
     never exercised, and observed latch edges the static analysis
     missed. *)
 
-val shared_crossings : t -> (string * string) list
-(** Dynamically observed read→unlatched-yield→write windows:
-    (class key, "read site->write site" witness), sorted. Accumulated
-    across runs; epochs do not clear them. *)
-
-val static_atomics_of_json : string -> (string list, string) result
-(** Parse the crossing list out of the JSON written by
-    [oib-lint --emit-atomics]. *)
-
-val diff_atomics : t -> static:string list -> Oib_lint.Diag.t list
-(** Diff observed crossings against the static table. Dynamic-only
-    crossings are [SAN-atomics] errors (the static analysis missed an
-    access or yield site); static-only crossings are
-    [SAN-atomics-info] (window not exercised by this workload). *)
-
 val stats_json : t -> string
 (** Counters ([events], [runs], [races], [order_cycles],
-    [wal_violations], [edges], [shared_crossings]) as a small JSON
-    object for [SAN_stats.json]. *)
+    [wal_violations], [edges]) as a small JSON object for
+    [SAN_stats.json]. *)

@@ -44,8 +44,8 @@ let feed t (ev : Oib_obs.Event.t) =
   | Epoch _ | Run_start ->
     Hashtbl.reset t.page_lsn;
     Hashtbl.reset t.undoing
-  | Fiber_spawn _ | Fiber_exit | Resume _ | Yield | Latch_grant _
-  | Latch_released _ | Lock_grant _ | Lock_rel _ | Access _ | Shared _ ->
+  | Fiber_spawn _ | Fiber_exit | Resume _ | Latch_grant _
+  | Latch_released _ | Lock_grant _ | Lock_rel _ | Access _ ->
     ()
   (* rendered only *)
   | Latch_wait _ | Latch_acquired _ | Lock_wait _ | Lock_acquired _

@@ -163,19 +163,10 @@ let spawn t ?name f =
 
 let in_fiber t = t.current <> None
 
-let yield t =
-  if in_fiber t then begin
-    if Oib_obs.Trace.tracing t.trace then
-      Oib_obs.Trace.emit t.trace Oib_obs.Event.Yield;
-    perform Yield
-  end
+let yield t = if in_fiber t then perform Yield
 
 let suspend t register =
-  if in_fiber t then begin
-    if Oib_obs.Trace.tracing t.trace then
-      Oib_obs.Trace.emit t.trace Oib_obs.Event.Yield;
-    perform (Suspend register)
-  end
+  if in_fiber t then perform (Suspend register)
   else invalid_arg "Sched.suspend: not inside a fiber"
 
 (* Remove and return a uniformly random element of the run queue. Random

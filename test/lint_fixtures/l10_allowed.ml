@@ -2,13 +2,11 @@
    single-writer protocol makes the window benign. Expected: 0 errors,
    1 suppressed L10. *)
 
-type st = { mutable backlog : int }
-
 let force lm = Log_manager.flush_all lm
 
 let chase st lm =
-  if st.backlog > 0 then begin
+  if st.Build_status.backlog > 0 then begin
     force lm;
-    (st.backlog <- 0)
+    (st.Build_status.backlog <- 0)
     [@lint.allow "L10: single-writer fiber owns backlog; drain is the only mutator"]
   end

@@ -3,22 +3,21 @@
    adjacent RMW whose right-hand side is itself a fresh read.
    Expected: no findings. *)
 
-type st = { mutable keys_processed : int; mutable backlog : int }
-
 let with_revalidation st sched =
-  if st.keys_processed > 0 then begin
+  if st.Build_status.keys_processed > 0 then begin
     Sched.yield sched;
     (* fresh read after the yield: the decision is re-made on current
        state, so there is no lost-update window *)
-    if st.keys_processed > 0 then st.keys_processed <- 0
+    if st.Build_status.keys_processed > 0 then
+      st.Build_status.keys_processed <- 0
   end
 
 let write_then_yield st sched =
-  if st.backlog > 0 then begin
-    st.backlog <- 0;
+  if st.Build_status.backlog > 0 then begin
+    st.Build_status.backlog <- 0;
     Sched.yield sched
   end
 
 let adjacent_rmw st sched =
   Sched.yield sched;
-  st.keys_processed <- st.keys_processed + 1
+  st.Build_status.keys_processed <- st.Build_status.keys_processed + 1

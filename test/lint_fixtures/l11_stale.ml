@@ -3,8 +3,6 @@
    yielding call, and a page's LSN (qualified [Page.lsn]) used after a
    yield. Expected: 3 x L11, 0 x L10 (no write-back). *)
 
-type st = { mutable keys_processed : int }
-
 let force lm = Log_manager.flush_all lm
 
 let stale_direct th sched =
@@ -15,7 +13,7 @@ let stale_direct th sched =
   if level = 0 then resume_builds th
 
 let stale_via_helper st lm =
-  let n = st.keys_processed in
+  let n = st.Build_status.keys_processed in
   force lm;
   report n
 

@@ -91,19 +91,26 @@ let test_l5_hierarchy_clean () =
   Alcotest.(check bool) "the one-way edge is still recorded" true
     (List.mem ("L5_upper", "L5_lower") res.Lint.r_rules.Rules.order_edges)
 
-let test_malformed_allow () =
-  let res = run [ "malformed_allow.ml" ] in
-  Alcotest.(check bool) "rule-less allow payload is reported" true
-    (List.exists
-       (fun (d : Diag.t) -> d.Diag.rule = "allow")
-       (Lint.errors res));
-  Alcotest.(check bool) "and it does not suppress the underlying L1" true
-    (count_rule "L1" res >= 1)
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
+
+let test_malformed_allow () =
+  let res = run [ "malformed_allow.ml" ] in
+  let allow_msgs =
+    List.filter_map
+      (fun (d : Diag.t) ->
+        if d.Diag.rule = "allow" then Some d.Diag.msg else None)
+      (Lint.errors res)
+  in
+  Alcotest.(check int) "rule-less and retired-rule allows are reported" 2
+    (List.length allow_msgs);
+  Alcotest.(check bool) "the retired rule is named" true
+    (List.exists (fun m -> contains m "unknown rule" && contains m "L9")
+       allow_msgs);
+  Alcotest.(check int) "and neither suppresses its underlying L1" 2
+    (count_rule "L1" res)
 
 let test_unused_allow_reported () =
   let res = run [ "unused_allow.ml" ] in
@@ -140,7 +147,9 @@ let test_explain_trace () =
     (List.exists (fun (d : Diag.t) -> List.length d.Diag.trace >= 2) l2)
 
 let test_l10_atomicity () =
-  let res = run [ "l10_window.ml"; "l10_clean.ml" ] in
+  let res =
+    run [ "l10_window.ml"; "l10_clean.ml"; "l10_foreign_field.ml" ]
+  in
   check_rules "only the planted file trips L10"
     [ ("L10", "l10_window.ml") ]
     res;
@@ -179,22 +188,6 @@ let test_l10_explain_trace () =
   Alcotest.(check bool) "at least one L10 carries a call path" true
     (List.exists (fun (d : Diag.t) -> List.length d.Diag.trace >= 2) l10)
 
-let test_l12_atomics_table () =
-  let res = run [ "l12_regions.ml" ] in
-  let at = res.Lint.r_rules.Rules.atomics in
-  Alcotest.(check bool) "backlog crosses a yield" true
-    (List.mem "Build_status.backlog" at.Atomics.at_crossing);
-  Alcotest.(check bool) "keys_processed stays atomic" true
-    (List.mem "Build_status.keys_processed" at.Atomics.at_atomic);
-  Alcotest.(check bool) "crossing keys never listed as atomic" true
-    (not (List.mem "Build_status.backlog" at.Atomics.at_atomic));
-  let json = Atomics.to_json at in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("json mentions " ^ needle) true
-        (contains json needle))
-    [ "oib-lint-atomics/v1"; "\"crossing\""; "\"atomic\""; "\"regions\"" ]
-
 let all_fixture_files =
   [
     "l1_unbalanced.ml"; "l1_balanced.ml"; "l2_yield_under_latch.ml";
@@ -204,7 +197,7 @@ let all_fixture_files =
     "l7_escape.ml"; "l7_clean.ml";
     "malformed_allow.ml"; "unused_allow.ml";
     "l10_window.ml"; "l10_clean.ml"; "l10_allowed.ml"; "l11_stale.ml";
-    "l11_clean.ml"; "l12_regions.ml"; "df_recursion.ml";
+    "l11_clean.ml"; "l10_foreign_field.ml"; "df_recursion.ml";
   ]
 
 let shuffle st l =
@@ -244,7 +237,7 @@ let determinism_test =
 let yield_corpus =
   [
     "df_recursion.ml"; "l10_window.ml"; "l10_clean.ml"; "l11_stale.ml";
-    "l12_regions.ml"; "l2_yield_under_latch.ml";
+    "l2_yield_under_latch.ml";
   ]
 
 let solved_graph_json ~order =
@@ -304,7 +297,6 @@ let () =
           Alcotest.test_case "L11 stale handle" `Quick test_l11_stale_handle;
           Alcotest.test_case "L10 explain carries call path" `Quick
             test_l10_explain_trace;
-          Alcotest.test_case "L12 atomics table" `Quick test_l12_atomics_table;
           Alcotest.test_case "explain carries call path" `Quick
             test_explain_trace;
           Alcotest.test_case "malformed allow reported" `Quick

@@ -24,7 +24,6 @@ let all_variants =
     Event.Fiber_spawn { fiber = 3; name = nasty };
     Event.Fiber_exit;
     Event.Resume { fiber = 4 };
-    Event.Yield;
     Event.Latch_wait { latch = nasty; mode = "X"; holders = nasty };
     Event.Latch_grant { uid = 6; role = nasty; page = -1; excl = false };
     Event.Latch_acquired { latch = nasty; mode = "S"; waited = 7 };
@@ -74,7 +73,6 @@ let all_variants =
         resource = nasty;
         blocker = "ib";
       };
-    Event.Shared { key = nasty; write = false; site = nasty };
     Event.Epoch { label = nasty };
     Event.Run_start;
   ]
@@ -86,47 +84,45 @@ let variant_index : Event.t -> int = function
   | Fiber_spawn _ -> 0
   | Fiber_exit -> 1
   | Resume _ -> 2
-  | Yield -> 3
-  | Latch_wait _ -> 4
-  | Latch_grant _ -> 5
-  | Latch_acquired _ -> 6
-  | Latch_released _ -> 7
-  | Lock_wait _ -> 8
-  | Lock_grant _ -> 9
-  | Lock_acquired _ -> 10
-  | Lock_denied _ -> 11
-  | Lock_rel _ -> 12
-  | Lock_released_all _ -> 13
-  | Page_read _ -> 14
-  | Page_write _ -> 15
-  | Access _ -> 16
-  | Lsn_set _ -> 17
-  | Page_evict _ -> 18
-  | Log_append _ -> 19
-  | Log_flush _ -> 20
-  | Txn_begin _ -> 21
-  | Txn_commit _ -> 22
-  | Txn_abort _ -> 23
-  | Txn_rollback_step _ -> 24
-  | Undo_begin _ -> 25
-  | Undo_end _ -> 26
-  | Ib_phase _ -> 27
-  | Ib_checkpoint _ -> 28
-  | Ib_throttle _ -> 29
-  | Sidefile_append _ -> 30
-  | Sidefile_drained _ -> 31
-  | Checkpoint _ -> 32
-  | Recovery_step _ -> 33
-  | Crash _ -> 34
-  | Span_begin _ -> 35
-  | Span_end _ -> 36
-  | Sample _ -> 37
-  | Prof_sample _ -> 38
-  | Shared _ -> 39
-  | Epoch _ -> 40
-  | Run_start -> 41
+  | Latch_wait _ -> 3
+  | Latch_grant _ -> 4
+  | Latch_acquired _ -> 5
+  | Latch_released _ -> 6
+  | Lock_wait _ -> 7
+  | Lock_grant _ -> 8
+  | Lock_acquired _ -> 9
+  | Lock_denied _ -> 10
+  | Lock_rel _ -> 11
+  | Lock_released_all _ -> 12
+  | Page_read _ -> 13
+  | Page_write _ -> 14
+  | Access _ -> 15
+  | Lsn_set _ -> 16
+  | Page_evict _ -> 17
+  | Log_append _ -> 18
+  | Log_flush _ -> 19
+  | Txn_begin _ -> 20
+  | Txn_commit _ -> 21
+  | Txn_abort _ -> 22
+  | Txn_rollback_step _ -> 23
+  | Undo_begin _ -> 24
+  | Undo_end _ -> 25
+  | Ib_phase _ -> 26
+  | Ib_checkpoint _ -> 27
+  | Ib_throttle _ -> 28
+  | Sidefile_append _ -> 29
+  | Sidefile_drained _ -> 30
+  | Checkpoint _ -> 31
+  | Recovery_step _ -> 32
+  | Crash _ -> 33
+  | Span_begin _ -> 34
+  | Span_end _ -> 35
+  | Sample _ -> 36
+  | Prof_sample _ -> 37
+  | Epoch _ -> 38
+  | Run_start -> 39
 
-let n_variants = 42
+let n_variants = 40
 
 let test_roundtrip () =
   Alcotest.(check (list int)) "every constructor listed once"

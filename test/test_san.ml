@@ -215,89 +215,6 @@ let test_wal_steal_before_flush () =
   Buffer_pool.unsafe_steal_without_wal ctx.Ctx.pool page;
   check_rules "steal before flush caught" [ "SAN-wal" ] san
 
-(* --- shared-state interference automaton (the L12 dynamic twin) --- *)
-
-let shared ~key ~write ~site = Event.Shared { key; write; site }
-
-(* read → unlatched yield → write on one shared-state instance is a
-   crossing; the record is keyed by class (instance suffix stripped) so
-   it lines up with the linter's atomics table. *)
-let test_shared_crossing_detected () =
-  let san = San.create () in
-  feed san 1 (shared ~key:"Build_status.phase(3)" ~write:false ~site:"guard");
-  feed san 1 Event.Yield;
-  feed san 1 (shared ~key:"Build_status.phase(3)" ~write:true ~site:"commit");
-  Alcotest.(check (list (pair string string)))
-    "crossing recorded per class with its witness"
-    [ ("Build_status.phase", "guard->commit") ]
-    (San.shared_crossings san)
-
-(* a latch held across the suspension keeps the section atomic — the
-   same held=[] cut the static L10 makes (latched blocking is L2's). *)
-let test_shared_latched_yield_atomic () =
-  let san = San.create () in
-  feed san 1 (latch_acq ~uid:1 ~page:7 ());
-  feed san 1 (shared ~key:"Page.lsn" ~write:false ~site:"r");
-  feed san 1 Event.Yield;
-  feed san 1 (shared ~key:"Page.lsn" ~write:true ~site:"w");
-  feed san 1 (latch_rel ~uid:1 ~page:7 ());
-  Alcotest.(check (list (pair string string)))
-    "latched yield is not a crossing" []
-    (San.shared_crossings san)
-
-(* a fresh read after the yield re-validates: the write then acts on
-   current state, mirroring the static rule's revalidation idiom *)
-let test_shared_revalidation_clears () =
-  let san = San.create () in
-  feed san 1 (shared ~key:"Throttle.level" ~write:false ~site:"r1");
-  feed san 1 Event.Yield;
-  feed san 1 (shared ~key:"Throttle.level" ~write:false ~site:"r2");
-  feed san 1 (shared ~key:"Throttle.level" ~write:true ~site:"w");
-  Alcotest.(check (list (pair string string)))
-    "post-yield re-read clears staleness" []
-    (San.shared_crossings san)
-
-(* per-instance staleness: reading build 1 and writing build 2 is not a
-   crossing, even though both share the Build_status.phase class *)
-let test_shared_instances_independent () =
-  let san = San.create () in
-  feed san 1 (shared ~key:"Build_status.phase(1)" ~write:false ~site:"r");
-  feed san 1 Event.Yield;
-  feed san 1 (shared ~key:"Build_status.phase(2)" ~write:true ~site:"w");
-  Alcotest.(check (list (pair string string)))
-    "different instances do not alias" []
-    (San.shared_crossings san)
-
-let test_atomics_diff () =
-  let san = San.create () in
-  feed san 1 (shared ~key:"Build_status.phase(1)" ~write:false ~site:"r");
-  feed san 1 Event.Yield;
-  feed san 1 (shared ~key:"Build_status.phase(1)" ~write:true ~site:"w");
-  let rules_of ds =
-    List.sort_uniq compare (List.map (fun (d : Diag.t) -> d.Diag.rule) ds)
-  in
-  Alcotest.(check (list string)) "dynamic-only crossing is an error"
-    [ "SAN-atomics" ]
-    (rules_of (San.diff_atomics san ~static:[]));
-  Alcotest.(check int) "agreeing tables are silent" 0
-    (List.length (San.diff_atomics san ~static:[ "Build_status.phase" ]));
-  let quiet = San.create () in
-  Alcotest.(check (list string)) "static-only crossing is informational"
-    [ "SAN-atomics-info" ]
-    (rules_of (San.diff_atomics quiet ~static:[ "Throttle.level" ]))
-
-let test_atomics_json_parse () =
-  (match
-     San.static_atomics_of_json
-       "{\"schema\":\"oib-lint-atomics/v1\",\"crossing\":[\"A.x\",\"B.y\"],\"atomic\":[],\"units\":[]}"
-   with
-  | Ok ks ->
-    Alcotest.(check (list string)) "crossing list parsed" [ "A.x"; "B.y" ] ks
-  | Error e -> Alcotest.fail e);
-  match San.static_atomics_of_json "{\"schema\":\"x\"}" with
-  | Ok _ -> Alcotest.fail "missing crossing list must be rejected"
-  | Error _ -> ()
-
 (* --- clean full builds under the DST runner --- *)
 
 let clean_build alg () =
@@ -482,19 +399,6 @@ let () =
           Alcotest.test_case "clr discipline" `Quick test_wal_clr_discipline;
           Alcotest.test_case "steal before flush" `Quick
             test_wal_steal_before_flush;
-        ] );
-      ( "atomics",
-        [
-          Alcotest.test_case "crossing detected" `Quick
-            test_shared_crossing_detected;
-          Alcotest.test_case "latched yield atomic" `Quick
-            test_shared_latched_yield_atomic;
-          Alcotest.test_case "revalidation clears" `Quick
-            test_shared_revalidation_clears;
-          Alcotest.test_case "instances independent" `Quick
-            test_shared_instances_independent;
-          Alcotest.test_case "static diff" `Quick test_atomics_diff;
-          Alcotest.test_case "json parse" `Quick test_atomics_json_parse;
         ] );
       ( "clean builds",
         [
