@@ -2,9 +2,9 @@
 
    Parses every .ml under --root with compiler-libs (parsetree only),
    builds a whole-tree call graph, solves the interprocedural
-   latch-effect and may-yield fixpoints, and enforces the
-   latch/WAL/logging/interference discipline rules L1-L5, L7, L10 and
-   L11 described in DESIGN.md §12, §17 and §18.
+   latch-effect fixpoint and may-suspend reachability, and enforces the
+   latch/WAL/logging discipline rules L1-L5 and L7 described in
+   DESIGN.md §12 and §17.
    Exit status: 0 clean, 1 unsuppressed diagnostics. *)
 
 open Cmdliner
@@ -164,7 +164,7 @@ let trajectory =
 
 let cmd =
   let doc =
-    "latch/WAL/logging/interference protocol linter for the oib tree"
+    "latch/WAL/logging protocol linter for the oib tree"
   in
   let info = Cmd.info "oib-lint" ~doc in
   Cmd.v info

@@ -57,10 +57,12 @@ let observe e = match !scan_observer with Some f -> f e | None -> ()
 
 (* --- admission-controlled pacing --- *)
 
-(* Extra voluntary yields at IB pacing points while the throttle is
-   backed off; a no-op at level 0, so fault-free runs are step-identical
-   to pre-throttle builds. *)
-let throttle_yields ctx =
+(* An IB pacing point: one voluntary yield so transactions interleave,
+   then one more per throttle level, read after that yield, while the
+   builder is backed off. At level 0 there are no extra yields, so
+   fault-free runs are step-identical to pre-throttle builds. *)
+let pace ctx =
+  Sched.yield ctx.Ctx.sched;
   for _ = 1 to Throttle.extra_yields ctx.Ctx.throttle do
     Sched.yield ctx.Ctx.sched
   done
@@ -418,8 +420,7 @@ let heap_scan ctx cfg ~last_scan_page jobs =
       end
     end;
     (* let transactions interleave between pages *)
-    Sched.yield ctx.Ctx.sched;
-    throttle_yields ctx
+    pace ctx
   in
   (match algorithm_of first_info with
   | Nsf ->
@@ -542,10 +543,7 @@ let nsf_insert_phase ctx cfg (info : Catalog.index_info) ~from_key =
       since_ckpt := 0;
       check_pause ctx ~index_id:info.index_id
     end;
-    if i mod 16 = 0 then begin
-      Sched.yield ctx.Ctx.sched;
-      throttle_yields ctx
-    end
+    if i mod 16 = 0 then pace ctx
   done;
   flush_batch ()
 
@@ -577,10 +575,7 @@ let sf_bulk_phase ctx cfg (info : Catalog.index_info) ~from_key =
       since_ckpt := 0;
       check_pause ctx ~index_id:info.index_id
     end;
-    if i mod 16 = 0 then begin
-      Sched.yield ctx.Ctx.sched;
-      throttle_yields ctx
-    end
+    if i mod 16 = 0 then pace ctx
   done;
   Btree.Bulk.finish b
 
@@ -665,8 +660,7 @@ let sf_drain_phase ctx cfg (info : Catalog.index_info) ~from_pos =
        Oib_obs.Trace.emit tr
          (Oib_obs.Event.Sidefile_drained
             { sidefile = info.index_id; from_pos; upto }));
-    Sched.yield ctx.Ctx.sched;
-    throttle_yields ctx
+    pace ctx
   in
   (* the bulk of the side-file may be applied sorted (§3.2.5); the chase
      loop then applies new arrivals sequentially until it catches up *)
@@ -951,7 +945,7 @@ let build_secondary_via_primary ctx cfg ~table ~primary spec =
         Oib_sim.Metrics.add ctx.Ctx.metrics Sequential_reads 1;
         Sort.feed_page sorter ~scan_pos:!batch_no (List.rev !keys);
         bst.BS.keys_processed <- bst.BS.keys_processed + List.length !keys;
-        Sched.yield ctx.Ctx.sched)
+        pace ctx)
       batches;
     batches <> []
   in

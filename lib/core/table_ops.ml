@@ -152,7 +152,9 @@ let sidefile_entry ctx txn info ~insert key =
   (* The side-file is instantly durable but is not redone from the log; if
      this transaction's log tail were lost in a crash it would not be a
      loser, yet the entry would survive and the drain would apply it.
-     Force the log so the writer is durably a known transaction first. *)
+     Force the log so the writer is durably a known transaction first.
+     The force never suspends (it only advances the durable offset), which
+     [maintain_indexes] relies on. *)
   Oib_wal.Log_manager.flush_all ctx.Ctx.log;
   let pos = SF.apply_append sf.Catalog.sidefile ~insert key in
   note_sidefile_append ctx info ~insert pos
@@ -165,7 +167,9 @@ let directly_maintained (info : Catalog.index_info) =
 (* per-index forward maintenance for one record op. The side-file
    appends come first: nothing between the routing decision (made under
    the page latch) and them can suspend, so a drain never flips its build
-   to Ready with a routed change not yet appended. A directly maintained
+   to Ready with a routed change not yet appended. That holds only
+   because [sidefile_entry]'s [Log_manager.flush_all] never suspends; a
+   force that waited on I/O would open the window. A directly maintained
    index can wait on a record lock, so it goes after (DESIGN §7). *)
 let maintain_indexes ctx txn tbl ~rid ~sidefiled ops =
   (* ops: which keys to delete / insert, as functions of the index *)

@@ -102,11 +102,10 @@ let to_json t =
       (List.map
          (fun u ->
            Printf.sprintf
-             "{\"unit\":\"%s\",\"file\":\"%s\",\"effect\":\"%s\",\"yield\":\"%s\",\"acquires\":%b}"
+             "{\"unit\":\"%s\",\"file\":\"%s\",\"effect\":\"%s\",\"acquires\":%b}"
              (Diag.json_escape (full u))
              (Diag.json_escape u.u_file)
              (Diag.json_escape (Latch_effect.to_string u.u_effect))
-             (Diag.json_escape (Yield_effect.to_string u.u_yield))
              u.u_acquires_latch)
          t.cg_units)
   in
@@ -127,7 +126,7 @@ let to_json t =
              u.u_calls)
          t.cg_units)
   in
-  "{\"schema\":\"oib-lint-callgraph/v1\",\"nodes\":[\n"
+  "{\"schema\":\"oib-lint-callgraph/v2\",\"nodes\":[\n"
   ^ String.concat ",\n" nodes
   ^ "\n],\"edges\":[\n"
   ^ String.concat ",\n" edges

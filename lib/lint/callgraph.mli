@@ -29,4 +29,4 @@ val is_opaque : string -> bool
 
 val to_json : t -> string
 (** Deterministic (sorted) JSON rendering of nodes (with converged latch
-    effects) and resolved edges, schema [oib-lint-callgraph/v1]. *)
+    effects) and resolved edges, schema [oib-lint-callgraph/v2]. *)

@@ -11,7 +11,9 @@
 
    [reach] is the generic may-property engine (may-block, may-acquire,
    may-append): units are marked from seeded call sites until nothing
-   changes, each with a human-readable witness chain for --explain. *)
+   changes, each with a human-readable witness chain for --explain.
+   Seeded with [config.suspends] it is the tree's only "can this call
+   suspend?" analysis. *)
 
 open Summary
 
@@ -25,22 +27,14 @@ let resolver get join bottom cg ~caller_module name =
 let effects =
   resolver (fun u -> u.u_effect) Latch_effect.join Latch_effect.bottom
 
-let yields = resolver (fun u -> u.u_yield) Yield_effect.join Yield_effect.bottom
-
 let max_visits = 24
 
 (* [order] permutes only the initial enqueue order; the fixpoint must be
    (and is, see the order-independence property test) insensitive to it *)
 let solve_effects ?(order = fun us -> us) cg =
   let units = Callgraph.units cg in
-  let ctx =
-    { initial_ctx with x_effects = effects cg; x_yields = yields cg }
-  in
-  List.iter
-    (fun u ->
-      u.u_effect <- Latch_effect.bottom;
-      u.u_yield <- Yield_effect.bottom)
-    units;
+  let ctx = { initial_ctx with x_effects = effects cg } in
+  List.iter (fun u -> u.u_effect <- Latch_effect.bottom) units;
   let visits : (string * string, int) Hashtbl.t = Hashtbl.create 256 in
   let queued : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
   let q = Queue.create () in
@@ -60,16 +54,12 @@ let solve_effects ?(order = fun us -> us) cg =
     if n < max_visits then begin
       Hashtbl.replace visits k (n + 1);
       let old = u.u_effect in
-      let oldy = u.u_yield in
       u.u_rerun ctx;
       (* keep the solution monotone even if a capped approximation
-         momentarily shrinks a component *)
+         momentarily shrinks it *)
       u.u_effect <- Latch_effect.join old u.u_effect;
-      u.u_yield <- Yield_effect.join oldy u.u_yield;
-      if
-        (not (Latch_effect.equal old u.u_effect))
-        || not (Yield_effect.equal oldy u.u_yield)
-      then List.iter enqueue (Callgraph.callers cg u)
+      if not (Latch_effect.equal old u.u_effect) then
+        List.iter enqueue (Callgraph.callers cg u)
     end
   done
 
@@ -123,7 +113,6 @@ let final_ctx ~config cg =
         List.exists
           (fun u -> Hashtbl.mem appends (u.u_module, u.u_name))
           (Callgraph.lookup cg ~caller_module n));
-    x_yields = yields cg;
     x_emit = true;
   }
 

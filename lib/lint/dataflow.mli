@@ -7,10 +7,10 @@
 
 val solve_effects :
   ?order:(Summary.u list -> Summary.u list) -> Callgraph.t -> unit
-(** Iterate every unit's transfer function to the joint latch-effect /
-    may-yield fixpoint (both reset to bottom first, callers requeued on
-    growth of either, per-unit visit cap as a termination backstop).
-    Mutates [u_effect] and [u_yield] in place; emission is off.
+(** Iterate every unit's transfer function to the latch-effect fixpoint
+    (reset to bottom first, callers requeued on growth, per-unit visit
+    cap as a termination backstop). Mutates [u_effect] in place;
+    emission is off.
 
     [order] permutes only the initial worklist enqueue order — the
     converged solution must be (and is, see the order-independence
@@ -22,7 +22,9 @@ val reach :
   (string * string, string) Hashtbl.t
 (** Generic may-property reachability: marks every unit from which a
     seeded call site is reachable through the graph, mapping
-    (module, unit) to a ["f -> g -> base"] witness chain. *)
+    (module, unit) to a ["f -> g -> base"] witness chain. Seeded with
+    [Summary.config.suspends], it is the one may-suspend analysis
+    (L2's). *)
 
 val emit_pass : config:Summary.config -> Callgraph.t -> unit
 (** Re-run every unit, with emission on, under the converged context:

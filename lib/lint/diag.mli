@@ -1,6 +1,6 @@
 (** Linter and sanitizer diagnostics.
 
-    A diagnostic names the rule it enforces (static [L1]-[L11], runtime
+    A diagnostic names the rule it enforces (static [L1]-[L7], runtime
     [SAN-*]), a source position (or a synthetic file for runtime
     findings), a one-line message, and a one-line fix hint. Static
     diagnostics can be suppressed by a [[@lint.allow "Ln: reason"]]
@@ -12,7 +12,7 @@ type t = {
   file : string;
   line : int;
   col : int;
-  rule : string;  (** "L1".."L11", "SAN-race", "SAN-order", "SAN-wal", … *)
+  rule : string;  (** "L1".."L7", "SAN-race", "SAN-order", "SAN-wal", … *)
   msg : string;
   hint : string;  (** one-line fix hint *)
   site : string;

@@ -40,6 +40,13 @@ let diag_of ?(site = "") ?(trace = []) ~rule ~hint ~allows loc msg =
   in
   Diag.of_location ~suppressed ~site ~trace ~rule ~hint loc msg
 
+(* "f -> g -> Sched.yield" -> ["f"; "g"; "Sched.yield"] (OCaml paths
+   never contain '-' or '>') *)
+let chain_frames w =
+  List.filter_map
+    (fun s -> match String.trim s with "" -> None | s -> Some s)
+    (String.split_on_char '>' (String.concat "" (String.split_on_char '-' w)))
+
 let held_text held =
   String.concat ", " (List.map (fun (k, m) -> k ^ "(" ^ m ^ ")") held)
 
@@ -301,13 +308,12 @@ let run ~config cg =
   in
   let local = timed "local" (fun () -> local_diags summaries) in
   let l1 = timed "L1" (fun () -> l1_param_diags cg) in
-  (* L2's suspension points are the ones L10 treats as yields *)
-  let suspends = config.l10_yield_always @ config.l10_yield_may in
   let l2 =
     timed "L2" (fun () ->
         Dataflow.reach cg ~seed:(fun c ->
-            if List.mem c.c_callee suspends then Some c.c_callee else None)
-        |> l2_diags cg ~suspends)
+            if List.mem c.c_callee config.suspends then Some c.c_callee
+            else None)
+        |> l2_diags cg ~suspends:config.suspends)
   in
   let l4 = timed "L4" (fun () -> l4_diags summaries) in
   let edges, l5 =

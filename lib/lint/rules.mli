@@ -9,11 +9,11 @@
       parameter-rooted latch at exit pushes the release obligation to its
       callers; with no in-tree caller, nobody discharges it.
     - L2: no (transitively) blocking call while a latch is held. The base
-      blocking set is the suspension points L10 also uses
-      ([config.l10_yield_always @ config.l10_yield_may]: scheduler
-      yields and condition waits, lock-manager waits, WAL flushes);
-      blocking-ness propagates through {!Dataflow.reach} and each finding
-      carries the witness chain as its trace.
+      blocking set is [config.suspends] (scheduler yields and condition
+      waits, lock-manager waits, WAL forces); blocking-ness propagates
+      through {!Dataflow.reach}, the tree's one "can this call suspend?"
+      analysis, and each finding carries the witness chain as its
+      trace.
     - L4: runtime output discipline — no console-printing calls in [lib/]
       outside the explicit reporting modules, and no [Printf] at all in
       the lock-manager/WAL modules.

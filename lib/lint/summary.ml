@@ -21,18 +21,9 @@ type config = {
          is out of tree; in-tree transfers are inferred from effects *)
   l7_exempt_modules : string list;
       (* page-cache internals that legitimately store page structures *)
-  (* L10/L11: yield-point atomicity & stale projections *)
-  l10_yield_always : string list;
-      (* base calls that suspend on every invocation (Sched.yield &c) *)
-  l10_yield_may : string list;
-      (* base calls that may suspend (lock waits, log forces) *)
-  l10_shared_fields : string list;
-      (* mutable record fields "M.f" that are shared state; the field
-         name is its class key *)
-  l10_shared_calls : (string * (string * int list * bool)) list;
-      (* call name -> (class key, instance arg positions, is_write) *)
-  l10_exempt_modules : string list;
-      (* single-fiber phases (recovery) where staleness is impossible *)
+  suspends : string list;
+      (* base calls that may suspend the fiber (scheduler yields, lock
+         waits, log forces): the seeds of L2's may-block reachability *)
 }
 
 let default_config =
@@ -42,25 +33,12 @@ let default_config =
     l3_appends = [ "Log_manager.append"; "Txn_manager.log_op" ];
     l7_sources = [ "Heap_file.latch_rid" ];
     l7_exempt_modules = [ "Page"; "Buffer_pool"; "Latch" ];
-    l10_yield_always =
-      [ "Sched.yield"; "Sched.suspend"; "Sched.Cond.wait" ];
-    l10_yield_may =
-      [ "Lock_manager.lock"; "Lock_manager.instant_lock";
-        "Log_manager.flush"; "Log_manager.flush_all" ];
-    l10_shared_fields =
+    suspends =
       [
-        "Build_status.phase"; "Build_status.keys_processed";
-        "Build_status.backlog"; "Throttle.level"; "Page.lsn";
+        "Sched.yield"; "Sched.suspend"; "Sched.Cond.wait";
+        "Lock_manager.lock"; "Lock_manager.instant_lock";
+        "Log_manager.flush"; "Log_manager.flush_all";
       ];
-    l10_shared_calls =
-      [
-        ("Catalog.set_phase", ("Catalog.phase", [ 1 ], true));
-        ("Build_status.set_phase", ("Build_status.phase", [ 0 ], true));
-        ("Throttle.level", ("Throttle.level", [ 0 ], false));
-        ("Throttle.scaled", ("Throttle.level", [ 0 ], false));
-        ("Throttle.extra_yields", ("Throttle.level", [ 0 ], false));
-      ];
-    l10_exempt_modules = [ "Restart" ];
   }
 
 type allow = {
@@ -100,9 +78,6 @@ type ctx = {
       (* None: unknown/out-of-tree callee (identity, no tracking) *)
   x_appends : caller_module:string -> string -> bool;
       (* callee may (transitively) append to the WAL: discharges L3 *)
-  x_yields : caller_module:string -> string -> Yield_effect.t option;
-      (* callee's may-yield summary; None: unknown/out-of-tree callee
-         (assumed non-yielding — base sets name the true primitives) *)
   x_emit : bool;  (* final pass: produce findings *)
 }
 
@@ -110,7 +85,6 @@ let initial_ctx =
   {
     x_effects = (fun ~caller_module:_ _ -> None);
     x_appends = (fun ~caller_module:_ _ -> false);
-    x_yields = (fun ~caller_module:_ _ -> None);
     x_emit = false;
   }
 
@@ -125,11 +99,9 @@ type u = {
   mutable u_acquires_latch : bool;
   mutable u_local : finding list;
   mutable u_effect : Latch_effect.t;
-  mutable u_yield : Yield_effect.t;
   u_rerun : ctx -> unit;
       (* re-execute the transfer function under a new context, refreshing
-         u_calls / u_acquires_latch / u_local / u_effect / u_yield &c
-         in place *)
+         u_calls / u_acquires_latch / u_local / u_effect in place *)
 }
 
 type file_summary = {
@@ -147,9 +119,9 @@ let module_name_of_file f =
 
 (* --- [@lint.allow "Ln: reason"] attributes --- *)
 
-(* The rules that run, and so the only ones an allow may name. L6, L8,
-   L9 and L12 are retired; their numbers are not reused. *)
-let live_rules = [ "L1"; "L2"; "L3"; "L4"; "L5"; "L7"; "L10"; "L11" ]
+(* The rules that run, and so the only ones an allow may name. L6 and
+   L8-L12 are retired; their numbers are not reused. *)
+let live_rules = [ "L1"; "L2"; "L3"; "L4"; "L5"; "L7" ]
 
 let allow_of_attribute (attr : attribute) =
   if attr.attr_name.txt <> "lint.allow" then None
@@ -197,42 +169,15 @@ type item = {
   i_pending : bool;
 }
 
-(* A shared-state read the path has performed: class key (what kind of
-   state), instance key (which object, by source text), the read site,
-   and — once an unlatched may-yield call has been crossed — the yield
-   witness chain that staled it. *)
-type srd = {
-  sr_class : string;
-  sr_inst : string;
-  sr_loc : Location.t;
-  sr_stale : string option;
-}
-
-(* A local binding whose RHS projected a value out of shared state
-   (L11): the variable, the (class, instance) it was projected from,
-   the binding site, and the staling yield witness once crossed. *)
-type prj = {
-  pj_var : string;
-  pj_class : string;
-  pj_inst : string;
-  pj_loc : Location.t;
-  pj_stale : string option;
-}
-
 type state = {
   held : item list;
   pend : (string * Location.t) list;  (* L3: mutations awaiting an append *)
   dead : (string * Location.t) list;  (* L7: handle var -> release site *)
   neg : Latch_effect.atom list;  (* releases of caller-held param latches *)
   alias : string list;  (* roots the last call's return value aliases *)
-  sreads : srd list;  (* L10: shared reads, freshest per (class, inst) *)
-  projs : prj list;  (* L11: projected-value bindings *)
-  ydef : bool;  (* the path has definitely suspended at least once *)
 }
 
-let empty_state =
-  { held = []; pend = []; dead = []; neg = []; alias = [];
-    sreads = []; projs = []; ydef = false }
+let empty_state = { held = []; pend = []; dead = []; neg = []; alias = [] }
 
 let max_states = 48
 
@@ -259,8 +204,6 @@ type acc = {
   mutable calls : call list;
   mutable local : finding list;
   mutable acq : bool;
-  mutable yields : (Location.t * string) list;
-      (* yield sites in walk order: (site, witness chain) *)
   seen : (string, unit) Hashtbl.t;
       (* rule-prefixed keys of findings already emitted: dedups a site
          across the path states that reach it *)
@@ -272,7 +215,6 @@ let fresh_acc () =
     calls = [];
     local = [];
     acq = false;
-    yields = [];
     seen = Hashtbl.create 8;
     handles = Hashtbl.create 8;
   }
@@ -283,7 +225,6 @@ type env = {
   modname : string;
   in_l3 : bool;
   in_l7 : bool;
-  in_l10 : bool;
   allows : allow list;
   acc : acc;
   units : u list ref;
@@ -830,215 +771,6 @@ let l7_capture_check env sts loc fn =
       ids
   end
 
-(* --- L10/L11: yield-point atomicity ---------------------------------- *)
-
-(* "f -> g -> Sched.yield" -> ["f"; "g"; "Sched.yield"] (OCaml paths
-   never contain '-' or '>') *)
-let chain_frames w =
-  if w = "" then []
-  else
-    List.filter_map
-      (fun s -> match String.trim s with "" -> None | s -> Some s)
-      (String.split_on_char '>'
-         (String.concat "" (String.split_on_char '-' w)))
-
-let inst_of_positions pos positions =
-  let keys =
-    List.map
-      (fun i ->
-        match List.nth_opt pos i with
-        | Some e -> expr_key e
-        | None -> "?")
-      positions
-  in
-  String.concat "," keys
-
-(* The shared class of a field access. A table key "M.f" names the
-   field [f] of module [M]'s record: it matches [x.M.f] (or [x.A.f] with
-   [A] an alias of [M]) anywhere and a bare [x.f] only inside [M], so
-   another record's field of the same name is not shared state. *)
-let shared_field env fld =
-  let key =
-    match fld with
-    | Longident.Lident f -> env.modname ^ "." ^ f
-    | _ -> resolve env fld
-  in
-  if List.mem key env.cfg.l10_shared_fields then Some key else None
-
-(* is [e] (syntactically) a read of shared state? *)
-let l10_read_of env e =
-  match (strip_fun e).pexp_desc with
-  | Pexp_field (b, { txt; _ }) ->
-    Option.map (fun cls -> (cls, expr_key b)) (shared_field env txt)
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-    match List.assoc_opt (resolve env txt) env.cfg.l10_shared_calls with
-    | Some (cls, positions, false) ->
-      Some (cls, inst_of_positions (positional args) positions)
-    | _ -> None)
-  | _ -> None
-
-(* a fresh read replaces any staler knowledge of the same (class, inst) *)
-let l10_note_read sts cls inst loc =
-  List.map
-    (fun s ->
-      let keep =
-        List.filter
-          (fun r -> not (r.sr_class = cls && r.sr_inst = inst))
-          s.sreads
-      in
-      { s with
-        sreads =
-          { sr_class = cls; sr_inst = inst; sr_loc = loc; sr_stale = None }
-          :: keep })
-    sts
-
-let l10_note_write env sts cls inst loc =
-  List.iter
-    (fun s ->
-      List.iter
-        (fun r ->
-          if r.sr_class = cls && r.sr_inst = inst then
-            match r.sr_stale with
-            | Some w ->
-              if env.in_l10 then
-                emit_once ~trace:(chain_frames w) env
-                  ("l10:" ^ loc_key loc ^ ":" ^ cls)
-                  ~rule:"L10"
-                  ~hint:
-                    "hold the protecting latch across the section, or \
-                     re-read/validate the shared state after the yield \
-                     before writing"
-                  loc
-                  ("read of " ^ cls ^ "(" ^ inst ^ ") at line "
-                  ^ string_of_int r.sr_loc.Location.loc_start.pos_lnum
-                  ^ " spans a may-yield call (" ^ w
-                  ^ ") before this write: lost-update window")
-            | None -> ())
-        s.sreads)
-    sts;
-  (* the write is now the freshest knowledge of the key *)
-  List.map
-    (fun s ->
-      { s with
-        sreads =
-          List.filter
-            (fun r -> not (r.sr_class = cls && r.sr_inst = inst))
-            s.sreads })
-    sts
-
-(* Crossing a suspension point: record the site; [always] marks every
-   path as definitely suspended; an unlatched crossing stales shared
-   reads and projections (a held latch is taken as the protection —
-   latched blocking is L2's complaint, not L10's). *)
-let note_yield env sts loc ~always witness =
-  if
-    not
-      (List.exists (fun (l, _) -> loc_key l = loc_key loc) env.acc.yields)
-  then env.acc.yields <- (loc, witness) :: env.acc.yields;
-  List.map
-    (fun s ->
-      let s = if always then { s with ydef = true } else s in
-      if s.held <> [] then s
-      else
-        {
-          s with
-          sreads =
-            List.map
-              (fun r ->
-                if r.sr_stale = None then { r with sr_stale = Some witness }
-                else r)
-              s.sreads;
-          projs =
-            List.map
-              (fun p ->
-                if p.pj_stale = None then { p with pj_stale = Some witness }
-                else p)
-              s.projs;
-        })
-    sts
-
-(* classify a call as a suspension point: base sets first, then the
-   interprocedural may-yield solution with its witness chain *)
-let yield_class env name =
-  if List.mem name env.cfg.l10_yield_always then Some (true, name)
-  else if List.mem name env.cfg.l10_yield_may then Some (false, name)
-  else
-    match env.ctx.x_yields ~caller_module:env.modname name with
-    | Some ye when Yield_effect.yields ye ->
-      let w =
-        if ye.Yield_effect.witness = "" then name
-        else name ^ " -> " ^ ye.Yield_effect.witness
-      in
-      Some (Yield_effect.definite ye, w)
-    | _ -> None
-
-(* L11: positional ident arguments that are stale projections. A
-   comparison of a stale projection against a fresh read of the same
-   (class, inst) is the sanctioned re-validation idiom: it clears the
-   staleness instead of firing. *)
-let l11_check_args env sts name loc pos =
-  let revalidating p =
-    (name = "=" || name = "<>")
-    && List.exists
-         (fun e ->
-           match l10_read_of env e with
-           | Some (cls, inst) -> cls = p.pj_class && inst = p.pj_inst
-           | None -> false)
-         pos
-  in
-  let arg_vars =
-    List.filter_map
-      (fun e ->
-        match e.pexp_desc with
-        | Pexp_ident { txt = Longident.Lident r; _ } -> Some r
-        | _ -> None)
-      pos
-  in
-  List.map
-    (fun s ->
-      let projs =
-        List.map
-          (fun p ->
-            if (not (List.mem p.pj_var arg_vars)) || p.pj_stale = None then p
-            else if revalidating p then { p with pj_stale = None }
-            else begin
-              (match p.pj_stale with
-              | Some w when env.in_l10 ->
-                emit_once ~trace:(chain_frames w) env
-                  ("l11:" ^ loc_key loc ^ ":" ^ p.pj_var)
-                  ~rule:"L11"
-                  ~hint:
-                    "re-fetch the value after the yield (or compare it \
-                     against a fresh read) before acting on it"
-                  loc
-                  ("value " ^ p.pj_var ^ " projected from " ^ p.pj_class
-                  ^ "(" ^ p.pj_inst ^ ") at line "
-                  ^ string_of_int p.pj_loc.Location.loc_start.pos_lnum
-                  ^ " is used after a may-yield call (" ^ w
-                  ^ ") without re-fetching")
-              | _ -> ());
-              p
-            end)
-          s.projs
-      in
-      { s with projs })
-    sts
-
-(* the L10/L11 transfer at a generic call site *)
-let l10_call env sts name loc pos =
-  let sts = l11_check_args env sts name loc pos in
-  let sts =
-    match List.assoc_opt name env.cfg.l10_shared_calls with
-    | Some (cls, positions, is_write) ->
-      let inst = inst_of_positions pos positions in
-      if is_write then l10_note_write env sts cls inst loc
-      else l10_note_read sts cls inst loc
-    | None -> sts
-  in
-  match yield_class env name with
-  | Some (always, w) -> note_yield env sts loc ~always w
-  | None -> sts
-
 let rec walk env sts e =
   let env =
     match collect_allows env e.pexp_attributes with
@@ -1121,16 +853,10 @@ let rec walk env sts e =
     | Pexp_ident { txt = Longident.Lident r; _ } ->
       if fname <> "id" then l7_dead_use env sts e.pexp_loc ("." ^ fname) r
     | _ -> ());
-    let sts = walk env sts b in
-    (match shared_field env fld.txt with
-    | Some cls -> l10_note_read sts cls (expr_key b) e.pexp_loc
-    | None -> sts)
-  | Pexp_setfield (a, fld, b) ->
+    walk env sts b
+  | Pexp_setfield (a, _, b) ->
     l7_store_check env sts e.pexp_loc "a mutable field" b;
-    let sts = walk env (walk env sts a) b in
-    (match shared_field env fld.txt with
-    | Some cls -> l10_note_write env sts cls (expr_key a) e.pexp_loc
-    | None -> sts)
+    walk env (walk env sts a) b
   | Pexp_constraint (a, _)
   | Pexp_coerce (a, _, _)
   | Pexp_newtype (_, a)
@@ -1217,22 +943,6 @@ and binding env sts vb =
       Hashtbl.replace env.acc.handles v vb.pvb_loc
     | _ -> ());
     let sts = walk env sts vb.pvb_expr in
-    (* a var bound to a shared-state projection is L11-tracked *)
-    let sts =
-      match (vars, l10_read_of env vb.pvb_expr) with
-      | [ v ], Some (cls, inst) ->
-        List.map
-          (fun s ->
-            {
-              s with
-              projs =
-                { pj_var = v; pj_class = cls; pj_inst = inst;
-                  pj_loc = vb.pvb_loc; pj_stale = None }
-                :: List.filter (fun p -> p.pj_var <> v) s.projs;
-            })
-          sts
-      | _ -> sts
-    in
     (* vars bound to a returned latch are handles too *)
     List.iter
       (fun s ->
@@ -1403,7 +1113,6 @@ and named_call env sts name loc args =
         | _ -> ())
       pos;
     record_call env sts name loc pos;
-    let sts = l10_call env sts name loc pos in
     let sts =
       if env.in_l3 && List.mem name env.cfg.l3_mutators then
         List.map (fun s -> { s with pend = (name, loc) :: s.pend }) sts
@@ -1535,15 +1244,7 @@ and do_run env u expr ctx =
   u.u_calls <- List.rev acc.calls;
   u.u_acquires_latch <- acc.acq;
   u.u_local <- List.rev acc.local;
-  u.u_effect <- Latch_effect.make ~alts ~ret_params:!ret_params;
-  u.u_yield <-
-    (if exits = [] then Yield_effect.bottom
-     else
-       match List.rev acc.yields with
-       | [] -> Yield_effect.never
-       | (_, w) :: _ ->
-         if List.for_all (fun s -> s.ydef) exits then Yield_effect.always w
-         else Yield_effect.may w)
+  u.u_effect <- Latch_effect.make ~alts ~ret_params:!ret_params
 
 and analyze_unit env ~name ~loc ~allows expr =
   let params = fun_params (strip_fun expr) in
@@ -1559,7 +1260,6 @@ and analyze_unit env ~name ~loc ~allows expr =
       u_acquires_latch = false;
       u_local = [];
       u_effect = Latch_effect.bottom;
-      u_yield = Yield_effect.bottom;
       u_rerun = (fun ctx -> do_run { env with register = false } u expr ctx);
     }
   in
@@ -1599,7 +1299,6 @@ let summarize_source ?(config = default_config) ~file src =
       modname;
       in_l3 = List.mem modname config.l3_modules;
       in_l7 = not (List.mem modname config.l7_exempt_modules);
-      in_l10 = not (List.mem modname config.l10_exempt_modules);
       allows = [];
       acc = fresh_acc ();
       units;

@@ -4,9 +4,8 @@
     type information) and every value binding becomes an analysis
     {e unit}. Walking a unit's body tracks, path-sensitively, the
     latches held (acquired directly or produced by callee effects), L3
-    pending mutations, released (dead) page handles, and L10/L11 shared
-    reads; it records every call site together with the latches held at
-    that moment.
+    pending mutations and released (dead) page handles; it records every
+    call site together with the latches held at that moment.
 
     Unlike the single-pass v1, a unit's walk is {e re-runnable}: the
     first pass registers units and runs under {!initial_ctx} (no
@@ -32,30 +31,19 @@ type config = {
           sources; in-tree transfers are inferred from latch effects) *)
   l7_exempt_modules : string list;
       (** page-cache internals that legitimately store page structures *)
-  l10_yield_always : string list;
-      (** calls that suspend the fiber on every invocation
-          ([Sched.yield], [Sched.Cond.wait]) *)
-  l10_yield_may : string list;
-      (** calls that may suspend ([Lock_manager.lock],
-          [Log_manager.flush]); with [l10_yield_always], the suspension
-          points L2 forbids under a latch *)
-  l10_shared_fields : string list;
-      (** mutable record fields that are cross-fiber shared state, each
-          ["M.f"] (which is also its class key): it matches [x.M.f], or
-          [x.A.f] with [A] an alias of [M], anywhere, and a bare [x.f]
-          only inside [M]. *)
-  l10_shared_calls : (string * (string * int list * bool)) list;
-      (** accessor calls over shared state: name -> (class key,
-          instance-argument positions, is-write) *)
-  l10_exempt_modules : string list;
-      (** single-fiber phases (recovery) where interference rules are
-          vacuous *)
+  suspends : string list;
+      (** calls that may suspend the fiber: scheduler yields and
+          condition waits, lock-manager waits, WAL forces. The seeds of
+          the one "can this call suspend?" analysis, {!Dataflow.reach},
+          whose result L2 forbids under a latch. A WAL force never
+          suspends in the simulator; it is listed because a real one is
+          I/O. *)
 }
 
 val default_config : config
 
 type allow = {
-  a_rule : string;  (** one of the live rules L1-L5, L7, L10, L11 *)
+  a_rule : string;  (** one of the live rules L1-L5, L7 *)
   a_reason : string;
   a_loc : Location.t;  (** the attribute itself, for unused-allow reports *)
   a_used : bool ref;
@@ -91,8 +79,6 @@ type ctx = {
       (** resolve a callee's latch effect; [None] = unknown/out-of-tree *)
   x_appends : caller_module:string -> string -> bool;
       (** callee may (transitively) append to the WAL (discharges L3) *)
-  x_yields : caller_module:string -> string -> Yield_effect.t option;
-      (** resolve a callee's may-yield effect; [None] = unknown *)
   x_emit : bool;  (** final pass: produce findings *)
 }
 
@@ -111,8 +97,6 @@ type u = {
       (** the unit contains a direct [Latch.acquire]/[with_latch] *)
   mutable u_local : finding list;  (** unit-local L1/L3/L7 findings *)
   mutable u_effect : Latch_effect.t;  (** current fixpoint value *)
-  mutable u_yield : Yield_effect.t;
-      (** current may-yield fixpoint value *)
   u_rerun : ctx -> unit;
       (** re-execute the transfer function, refreshing the mutable
           fields in place *)
@@ -130,9 +114,6 @@ type file_summary = {
 
 val param_index : string list -> string -> int option
 (** Position of a name in a unit's parameter list. *)
-
-val chain_frames : string -> string list
-(** Split a witness chain ["f -> g -> Sched.yield"] into its frames. *)
 
 val summarize_file : ?config:config -> string -> file_summary
 (** Parse and analyse one [.ml] file from disk (pass A: units registered

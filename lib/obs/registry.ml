@@ -7,7 +7,6 @@ type rate = { ewma : Window.Ewma.t; mutable last : int option }
 type entry =
   | E_counter of counter
   | E_gauge of (unit -> int)
-  | E_hist of Hist.t
   | E_window of Window.t
   | E_rate of rate
 
@@ -41,7 +40,6 @@ let render_name ?(labels = []) name =
 let kind_of = function
   | E_counter _ -> "counter"
   | E_gauge _ -> "gauge"
-  | E_hist _ -> "histogram"
   | E_window _ -> "window"
   | E_rate _ -> "rate"
 
@@ -80,14 +78,6 @@ let gauge t ?labels name read =
   match Hashtbl.find_opt t.entries name with
   | None | Some (E_gauge _) -> Hashtbl.replace t.entries name (E_gauge read)
   | Some e -> clash name e "gauge"
-
-let hist t ?bounds ?labels name =
-  let name = render_name ?labels name in
-  intern t ~name ~kind:"histogram"
-    ~make:(fun () ->
-      let h = Hist.create ?bounds () in
-      (E_hist h, h))
-    ~cast:(function E_hist h -> Some h | _ -> None)
 
 let window t ?bounds ?(slots = 8) ?labels name =
   let name = render_name ?labels name in
@@ -137,7 +127,6 @@ let rate_value r = Window.Ewma.rate r.ewma
 type value =
   | Int of int
   | Float of float
-  | Histogram of Hist.t
   | Windowed of Window.t
 
 let sorted_entries t =
@@ -151,7 +140,6 @@ let snapshot t =
         match e with
         | E_counter c -> Int c.v
         | E_gauge read -> Int (read ())
-        | E_hist h -> Histogram h
         | E_window w -> Windowed w
         | E_rate r -> Float (rate_value r)
       in
@@ -161,15 +149,13 @@ let snapshot t =
 (* Flattened integer view for Sample events. Windows expand to
    window.<name>.p50/.p95/.p99/.count (the prefix marks them as sliding
    quantiles, not raw series); rates scale to events per 1000 steps so
-   they survive the integer sample channel. Plain histograms are
-   post-hoc artifacts and are not sampled. *)
+   they survive the integer sample channel. *)
 let sample_values t =
   List.concat_map
     (fun (name, e) ->
       match e with
       | E_counter c -> [ (name, c.v) ]
       | E_gauge read -> [ (name, read ()) ]
-      | E_hist _ -> []
       | E_window w ->
         let k suffix = "window." ^ name ^ suffix in
         [
@@ -192,7 +178,6 @@ let to_json t =
       match e with
       | E_counter c -> Buffer.add_string b (string_of_int c.v)
       | E_gauge read -> Buffer.add_string b (string_of_int (read ()))
-      | E_hist h -> Buffer.add_string b (Hist.to_json h)
       | E_window w -> Buffer.add_string b (Window.to_json w)
       | E_rate r -> Buffer.add_string b (Printf.sprintf "%.4f" (rate_value r)))
     (sorted_entries t);

@@ -1,8 +1,8 @@
 (** Central metrics registry.
 
     One engine owns one registry; every named series the observability
-    plane exposes — counters, derived gauges, histograms, sliding
-    {!Window}s and EWMA rates — registers here under a stable rendered
+    plane exposes — counters, derived gauges, sliding {!Window}s and
+    EWMA rates — registers here under a stable rendered
     name, and {e Obs_sampler}, [bench/obs_report] and the JSONL sinks all
     read the same {!snapshot}/{!sample_values} instead of each keeping a
     private field list. {!Oib_sim.Metrics.attach_registry} bridges the
@@ -38,9 +38,9 @@ val gauge : t -> ?labels:labels -> string -> (unit -> int) -> unit
     closure — after a crash/restart, derived gauges must re-close over
     the new incarnation's subsystems. *)
 
-(** {2 Histograms and windows} *)
-
-val hist : t -> ?bounds:int array -> ?labels:labels -> string -> Hist.t
+(** {2 Windows} — sliding quantiles over the last few sampler ticks.
+    Whole-run latency histograms live on the trace hub ({!Trace}), which
+    is where reports read them. *)
 
 val window :
   t -> ?bounds:int array -> ?slots:int -> ?labels:labels -> string -> Window.t
@@ -79,7 +79,6 @@ val rate_value : rate -> float
 type value =
   | Int of int
   | Float of float
-  | Histogram of Hist.t
   | Windowed of Window.t
 
 val snapshot : t -> (string * value) list
@@ -91,7 +90,7 @@ val sample_values : t -> (string * int) list
     counters and gauges verbatim; each window [w] expands to
     [window.w.p50]/[.p95]/[.p99]/[.count] (percentiles rounded to the
     nearest step); each rate [r] scales to events per 1000 steps,
-    rounded. Histograms are omitted. *)
+    rounded. *)
 
 val to_json : t -> string
 (** One JSON object keyed by rendered name. *)

@@ -1,7 +1,7 @@
-(* yield-fixpoint stress shapes for the worklist-order qcheck: mutual
-   recursion through a yield point, self-recursion through a may-yield
-   call, and a higher-order wrapper. Expected: no findings; the solved
-   yield summaries must be identical under any worklist order. *)
+(* fixpoint stress shapes for the worklist-order qcheck: mutual
+   recursion through a yield point, self-recursion through a log force,
+   and a higher-order wrapper. Expected: no findings; the solved effects
+   must be identical under any worklist order. *)
 
 let rec ping sched n =
   if n > 0 then begin

@@ -1,6 +1,6 @@
-(* the l10_window "chase" shape with a written justification: a
-   single-writer protocol makes the window benign. Expected: 0 errors,
-   1 suppressed L10. *)
+(* an allow naming the retired L10 (lost-update windows): it must be
+   reported as malformed, not silently honoured. Expected: exactly one
+   "allow" diagnostic. *)
 
 let force lm = Log_manager.flush_all lm
 

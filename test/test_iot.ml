@@ -139,6 +139,45 @@ let test_rejects_bad_primary () =
         ~primary:3
         { Ib.index_id = 4; key_cols = [ 1 ]; unique = false })
 
+(* The key-order scan's Scan-phase steps with no updaters. The health
+   signals the throttle watches get fixed sources (the wiring
+   [oib-fuzz throttle] uses): the foreground p99 reads [p99] at every
+   sampler tick, the others read 0. *)
+let scan_steps ~p99 =
+  let ctx, _ = setup ~rows:400 () in
+  let quiet name = Oib_obs.Signal.register ctx.Ctx.signals ~name in
+  quiet "overload.fg_p99" ~raise_above:60.0 ~clear_below:25.0
+    ~source:(fun () -> p99);
+  quiet "wal.backlog" ~raise_above:16384.0 ~clear_below:4096.0
+    ~source:(fun () -> 0.0);
+  quiet "pool.dirty_ratio" ~raise_above:0.7 ~clear_below:0.4
+    ~source:(fun () -> 0.0);
+  Obs_sampler.install ctx ~every:5;
+  ignore (Sched.spawn ctx.Ctx.sched ~name:"ib" (fun () -> build_secondary ctx));
+  Sched.run ctx.Ctx.sched;
+  check_clean ctx;
+  let st =
+    List.find
+      (fun (st : Build_status.t) -> st.index_id = 2)
+      (Engine.build_progress ctx)
+  in
+  let rec span = function
+    | (Build_status.Scan, t0) :: (_, t1) :: _ -> t1 - t0
+    | _ :: rest -> span rest
+    | [] -> Alcotest.fail "no Scan phase in the build's history"
+  in
+  (Throttle.level ctx.Ctx.throttle, span (Build_status.history st))
+
+let test_backoff_paces_scan () =
+  let level0, quiet = scan_steps ~p99:0.0 in
+  let level, backed_off = scan_steps ~p99:100.0 in
+  Alcotest.(check int) "quiet signals leave the throttle at level 0" 0 level0;
+  Alcotest.(check bool) "the overload backs the throttle off" true (level > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "backed-off scan takes more steps (%d vs %d)" backed_off
+       quiet)
+    true (backed_off > quiet)
+
 let prop_iot_seeds =
   QCheck.Test.make ~name:"IOT secondary build consistent across seeds"
     ~count:10 QCheck.small_nat (fun seed ->
@@ -160,6 +199,8 @@ let () =
             test_build_under_fire;
           Alcotest.test_case "crash and resume" `Quick test_crash_resume;
           Alcotest.test_case "rejects bad primary" `Quick test_rejects_bad_primary;
+          Alcotest.test_case "throttle backoff paces the scan" `Quick
+            test_backoff_paces_scan;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_iot_seeds ]);
     ]

@@ -146,47 +146,16 @@ let test_explain_trace () =
   Alcotest.(check bool) "at least one L2 carries a call path" true
     (List.exists (fun (d : Diag.t) -> List.length d.Diag.trace >= 2) l2)
 
-let test_l10_atomicity () =
-  let res =
-    run [ "l10_window.ml"; "l10_clean.ml"; "l10_foreign_field.ml" ]
-  in
-  check_rules "only the planted file trips L10"
-    [ ("L10", "l10_window.ml") ]
-    res;
-  Alcotest.(check int) "direct yield + transitive flush window" 2
-    (count_rule "L10" res);
-  Alcotest.(check int) "no spurious L11 from the guards" 0
-    (count_rule "L11" res)
-
-let test_l10_allowed () =
+let test_retired_l10_allow () =
+  (* L10 is retired: an allow that names it suppresses nothing and is
+     itself reported as malformed *)
   let res = run [ "l10_allowed.ml" ] in
-  Alcotest.(check int) "no unsuppressed diagnostics" 0
-    (List.length (Lint.errors res));
-  let supp =
-    List.filter (fun (d : Diag.t) -> d.Diag.suppressed <> None) res.Lint.r_diags
-  in
-  Alcotest.(check int) "one suppressed L10" 1 (List.length supp);
-  Alcotest.(check string) "rule" "L10" (List.hd supp).Diag.rule
-
-let test_l11_stale_handle () =
-  let res = run [ "l11_stale.ml"; "l11_clean.ml" ] in
-  check_rules "only the planted file trips L11"
-    [ ("L11", "l11_stale.ml") ]
-    res;
-  Alcotest.(check int) "stale level + stale counter + stale page LSN" 3
-    (count_rule "L11" res);
-  Alcotest.(check int) "projection-only code has no write window" 0
-    (count_rule "L10" res)
-
-let test_l10_explain_trace () =
-  (* acceptance: the transitive L10 (yield reached through the [force]
-     helper) must carry the interprocedural witness chain *)
-  let res = run [ "l10_window.ml" ] in
-  let l10 =
-    List.filter (fun (d : Diag.t) -> d.Diag.rule = "L10") (Lint.errors res)
-  in
-  Alcotest.(check bool) "at least one L10 carries a call path" true
-    (List.exists (fun (d : Diag.t) -> List.length d.Diag.trace >= 2) l10)
+  match Lint.errors res with
+  | [ d ] ->
+    Alcotest.(check string) "rule" "allow" d.Diag.rule;
+    Alcotest.(check bool) "names the retired rule" true
+      (contains d.Diag.msg "unknown rule" && contains d.Diag.msg "L10")
+  | l -> Alcotest.failf "expected one malformed allow, got %d" (List.length l)
 
 let all_fixture_files =
   [
@@ -195,9 +164,8 @@ let all_fixture_files =
     "l3_logged.ml"; "l4_rogue_print.ml"; "l4_clean.ml"; "lock_manager.ml";
     "l5_cycle_a.ml"; "l5_cycle_b.ml"; "l5_upper.ml"; "l5_lower.ml";
     "l7_escape.ml"; "l7_clean.ml";
-    "malformed_allow.ml"; "unused_allow.ml";
-    "l10_window.ml"; "l10_clean.ml"; "l10_allowed.ml"; "l11_stale.ml";
-    "l11_clean.ml"; "l10_foreign_field.ml"; "df_recursion.ml";
+    "malformed_allow.ml"; "unused_allow.ml"; "l10_allowed.ml";
+    "df_recursion.ml";
   ]
 
 let shuffle st l =
@@ -228,21 +196,21 @@ let determinism_test =
       String.equal (render shuffled) (render rerun)
       && String.equal (render canonical) (render shuffled))
 
-(* Satellite property: the joint latch-effect / may-yield fixpoint must
-   not depend on the worklist's initial enqueue order. The corpus pins
-   the hard convergence shapes: mutual recursion through a yield point,
-   self-recursion through a may-yield call, higher-order application
-   (df_recursion.ml), plus real L10/L11 windows whose witness chains
-   must also come out identical. *)
-let yield_corpus =
+(* The latch-effect fixpoint must not depend on the worklist's initial
+   enqueue order. The corpus pins the hard convergence shapes: mutual
+   recursion and self-recursion (df_recursion.ml), latches handed to
+   callers and released for them (the L1 fixtures, btree-style
+   transfers), and latched calls reached through local helpers. *)
+let effect_corpus =
   [
-    "df_recursion.ml"; "l10_window.ml"; "l10_clean.ml"; "l11_stale.ml";
-    "l2_yield_under_latch.ml";
+    "df_recursion.ml"; "l1_unbalanced.ml"; "l1_balanced.ml";
+    "l2_yield_under_latch.ml"; "l5_cycle_a.ml"; "l5_cycle_b.ml";
+    "l7_escape.ml";
   ]
 
 let solved_graph_json ~order =
   let summaries =
-    List.map (fun f -> Summary.summarize_file (fx f)) yield_corpus
+    List.map (fun f -> Summary.summarize_file (fx f)) effect_corpus
   in
   let cg = Callgraph.build summaries in
   Dataflow.solve_effects ~order cg;
@@ -250,7 +218,7 @@ let solved_graph_json ~order =
   Callgraph.to_json cg
 
 let worklist_order_test =
-  QCheck.Test.make ~name:"yield fixpoint is worklist-order independent"
+  QCheck.Test.make ~name:"latch fixpoint is order-independent"
     ~count:25 QCheck.small_int (fun seed ->
       let st = Random.State.make [| seed |] in
       let canonical = solved_graph_json ~order:(fun us -> us) in
@@ -268,12 +236,11 @@ let test_stats_json () =
       "\"files\":1"; "\"L1\""; "\"suppressions\"";
       "\"phase_ms\":{\"summarize\":"; "\"rule_ms\":{\"local\":";
     ];
-  (* L10/L11 are timed inside the emit phase, not as rule rows *)
   List.iter
     (fun absent ->
       Alcotest.(check bool) ("json omits " ^ absent) false
         (contains json absent))
-    [ "\"baselined\""; "\"L10\":"; "\"L11\":" ]
+    [ "\"baselined\"" ]
 
 let () =
   Alcotest.run "lint"
@@ -291,12 +258,8 @@ let () =
           Alcotest.test_case "L5 one-way hierarchy clean" `Quick
             test_l5_hierarchy_clean;
           Alcotest.test_case "L7 page-handle escape" `Quick test_l7_escape;
-          Alcotest.test_case "L10 yield atomicity" `Quick test_l10_atomicity;
-          Alcotest.test_case "L10 suppression recorded" `Quick
-            test_l10_allowed;
-          Alcotest.test_case "L11 stale handle" `Quick test_l11_stale_handle;
-          Alcotest.test_case "L10 explain carries call path" `Quick
-            test_l10_explain_trace;
+          Alcotest.test_case "retired L10 allow is malformed" `Quick
+            test_retired_l10_allow;
           Alcotest.test_case "explain carries call path" `Quick
             test_explain_trace;
           Alcotest.test_case "malformed allow reported" `Quick
