@@ -107,16 +107,9 @@ let print_outcome (o : Runner.outcome) =
     (if o.Runner.build_cancelled then " build-cancelled" else "")
     (if Runner.failed o then "FAIL" else "ok")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* End-of-command sanitizer epilogue: stats JSON, the static-vs-runtime
-   latch-graph diff against `oib-lint --emit-graph` output, and the
-   clean/dirty verdict line. *)
-let finish sess ~lint_graph ~san_json =
+(* End-of-command sanitizer epilogue: stats JSON and the clean/dirty
+   verdict line. *)
+let finish sess ~san_json =
   match sess.san with
   | None -> ()
   | Some (_, san) ->
@@ -127,19 +120,6 @@ let finish sess ~lint_graph ~san_json =
       output_string oc "\n";
       close_out oc;
       Printf.printf "sanitizer stats written to %s\n" path
-    | None -> ());
-    (match lint_graph with
-    | Some path -> (
-      match San.static_graph_of_json (read_file path) with
-      | Error e -> Printf.printf "lint-graph %s: %s\n" path e
-      | Ok static ->
-        let edges = San.runtime_edges san in
-        Printf.printf "latch-order graph: %d runtime edge(s)\n"
-          (List.length edges);
-        List.iter (fun (a, b) -> Printf.printf "  %s -> %s\n" a b) edges;
-        (match San.diff_static san ~static with
-        | [] -> Printf.printf "static and runtime latch graphs agree\n"
-        | ds -> List.iter (fun d -> print_endline (Diag.to_string d)) ds))
     | None -> ());
     if San.clean san then Printf.printf "sanitizer: clean\n%!"
 
@@ -210,7 +190,7 @@ let report_failure sess (o : Runner.outcome) =
     (Scenario.repro_command ~sabotage:sess.sabotage
        ~sabotage_race:sess.sabotage_race ~sanitize:(sanitizing sess) small)
 
-let exec sess ~jsonl ~lint_graph ~san_json ?profile sc =
+let exec sess ~jsonl ~san_json ?profile sc =
   Format.printf "%a@." Scenario.pp sc;
   let trace, close =
     match (trace_of sess, jsonl, profile) with
@@ -268,13 +248,13 @@ let exec sess ~jsonl ~lint_graph ~san_json ?profile sc =
   close ();
   if Runner.failed o || san_dirty sess then begin
     report_failure sess o;
-    finish sess ~lint_graph ~san_json;
+    finish sess ~san_json;
     exit 1
   end;
-  finish sess ~lint_graph ~san_json
+  finish sess ~san_json
 
 let cmd_run seed alg rows workers txns sabotage sabotage_race sanitize jsonl
-    lint_graph san_json profile =
+    san_json profile =
   let sess = make_sess ~sabotage ~sabotage_race ~sanitize () in
   let sc =
     Scenario.generate ~seed
@@ -282,10 +262,10 @@ let cmd_run seed alg rows workers txns sabotage sabotage_race sanitize jsonl
          ?alg:(Option.map Scenario.alg_of_string alg)
          ?rows ?workers ?txns
   in
-  exec sess ~jsonl ~lint_graph ~san_json ?profile sc
+  exec sess ~jsonl ~san_json ?profile sc
 
 let cmd_repro seed alg rows unique workers txns ops post faults sabotage
-    sabotage_race sanitize jsonl lint_graph san_json profile =
+    sabotage_race sanitize jsonl san_json profile =
   let sess = make_sess ~sabotage ~sabotage_race ~sanitize () in
   let sc =
     Scenario.generate ~seed
@@ -294,10 +274,9 @@ let cmd_repro seed alg rows unique workers txns ops post faults sabotage
          ?rows ~unique ?workers ?txns ?ops ?post
          ?faults:(Option.map Scenario.faults_of_string faults)
   in
-  exec sess ~jsonl ~lint_graph ~san_json ?profile sc
+  exec sess ~jsonl ~san_json ?profile sc
 
-let cmd_fuzz count seed_base alg sabotage sabotage_race sanitize lint_graph
-    san_json =
+let cmd_fuzz count seed_base alg sabotage sabotage_race sanitize san_json =
   let sess = make_sess ~sabotage ~sabotage_race ~sanitize () in
   let alg = Option.map Scenario.alg_of_string alg in
   for seed = seed_base to seed_base + count - 1 do
@@ -311,21 +290,21 @@ let cmd_fuzz count seed_base alg sabotage sabotage_race sanitize lint_graph
     print_outcome o;
     if Runner.failed o || san_dirty sess then begin
       report_failure sess o;
-      finish sess ~lint_graph ~san_json;
+      finish sess ~san_json;
       exit 1
     end
   done;
   Printf.printf "%d scenarios clean\n" count;
-  finish sess ~lint_graph ~san_json
+  finish sess ~san_json
 
 let cmd_sweep alg scenarios seed_base points sabotage sabotage_race sanitize
-    lint_graph san_json =
+    san_json =
   let sess = make_sess ~sabotage ~sabotage_race ~sanitize () in
   let alg = Scenario.alg_of_string alg in
   let total = ref 0 and checkpoints = ref 0 in
   let fail o =
     report_failure sess o;
-    finish sess ~lint_graph ~san_json;
+    finish sess ~san_json;
     exit 1
   in
   (* Report a failed run of [sc]. Only the sweep watches the scan
@@ -378,7 +357,13 @@ let cmd_sweep alg scenarios seed_base points sabotage sabotage_race sanitize
   Printf.printf "%d scenario/crash-point combinations clean\n" !total;
   Printf.printf "scan oracle: %d sort checkpoints, no captured page rescanned\n"
     !checkpoints;
-  finish sess ~lint_graph ~san_json
+  finish sess ~san_json
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Deterministic throttle scenario: a synthetic overload source trips the
    foreground-p99 signal for a fixed span of sampler ticks, so the
@@ -514,15 +499,6 @@ let jsonl_arg =
     & info [ "trace-jsonl" ] ~docv:"FILE"
         ~doc:"Write every trace event to $(docv) as JSON lines.")
 
-let lint_graph_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "lint-graph" ] ~docv:"FILE"
-        ~doc:
-          "Static latch-order graph from `oib-lint --emit-graph`, diffed \
-           against the runtime graph after the sanitized runs")
-
 let san_json_arg =
   Arg.(
     value
@@ -546,7 +522,7 @@ let run_cmd =
     Term.(
       const cmd_run $ seed_arg $ alg_opt $ rows_opt $ workers_opt $ txns_opt
       $ sabotage_arg $ sabotage_race_arg $ sanitize_arg $ jsonl_arg
-      $ lint_graph_arg $ san_json_arg $ profile_arg)
+      $ san_json_arg $ profile_arg)
 
 let repro_cmd =
   let ops = Arg.(value & opt (some int) None & info [ "ops" ] ~docv:"N") in
@@ -566,8 +542,7 @@ let repro_cmd =
     Term.(
       const cmd_repro $ seed_arg $ alg_opt $ rows_opt $ unique $ workers_opt
       $ txns_opt $ ops $ post $ faults $ sabotage_arg $ sabotage_race_arg
-      $ sanitize_arg $ jsonl_arg $ lint_graph_arg $ san_json_arg
-      $ profile_arg)
+      $ sanitize_arg $ jsonl_arg $ san_json_arg $ profile_arg)
 
 let fuzz_cmd =
   let count =
@@ -581,7 +556,7 @@ let fuzz_cmd =
        ~doc:"Generated scenarios with generated fault plans, shrink failures")
     Term.(
       const cmd_fuzz $ count $ base $ alg_opt $ sabotage_arg
-      $ sabotage_race_arg $ sanitize_arg $ lint_graph_arg $ san_json_arg)
+      $ sabotage_race_arg $ sanitize_arg $ san_json_arg)
 
 let sweep_cmd =
   let alg =
@@ -603,7 +578,7 @@ let sweep_cmd =
        ~doc:"Re-run a scenario crashing at every k-th scheduler step")
     Term.(
       const cmd_sweep $ alg $ scenarios $ base $ points $ sabotage_arg
-      $ sabotage_race_arg $ sanitize_arg $ lint_graph_arg $ san_json_arg)
+      $ sabotage_race_arg $ sanitize_arg $ san_json_arg)
 
 let throttle_cmd =
   let rows = Arg.(value & opt int 600 & info [ "rows" ] ~docv:"N") in

@@ -3,7 +3,7 @@
    Parses every .ml under --root with compiler-libs (parsetree only),
    builds a whole-tree call graph, solves the interprocedural
    latch-effect fixpoint and may-suspend reachability, and enforces the
-   latch/WAL/logging discipline rules L1-L5 and L7 described in
+   latch/WAL/logging discipline rules L1-L4 and L7 described in
    DESIGN.md §12 and §17.
    Exit status: 0 clean, 1 unsuppressed diagnostics. *)
 
@@ -33,17 +33,6 @@ let print_stats (st : L.stats) =
   List.iter (fun (k, v) -> line "  %-10s %.2f\n" k v) st.L.st_phase_ms;
   line "rule wall time (ms):\n";
   List.iter (fun (k, v) -> line "  %-10s %.2f\n" k v) st.L.st_rule_ms
-
-(* The static L5 latch-order graph, for the sanitizer's
-   static-vs-runtime diff (oib_fuzz --lint-graph). *)
-let graph_json (edges : (string * string) list) =
-  let str s = "\"" ^ Oib_lint.Diag.json_escape s ^ "\"" in
-  "{\"edges\":["
-  ^ String.concat ","
-      (List.map
-         (fun (a, b) -> "{\"from\":" ^ str a ^ ",\"to\":" ^ str b ^ "}")
-         edges)
-  ^ "]}"
 
 let write_file path contents =
   Option.iter
@@ -77,8 +66,7 @@ let trajectory_record (res : L.result) =
     (Oib_lint.Diag.json_escape rules)
     st.L.st_units
 
-let run root stats json show_suppressed strict emit_graph graph explain
-    trajectory =
+let run root stats json show_suppressed strict graph explain trajectory =
   if not (Sys.file_exists root && Sys.is_directory root) then begin
     prerr_endline ("oib-lint: no such directory: " ^ root);
     2
@@ -91,8 +79,6 @@ let run root stats json show_suppressed strict emit_graph graph explain
     if strict then
       List.iter (print_diag ~explain:false) res.L.r_unused_allows;
     write_file json (fun () -> L.stats_to_json res.L.r_stats ^ "\n");
-    write_file emit_graph (fun () ->
-        graph_json res.L.r_rules.Oib_lint.Rules.order_edges ^ "\n");
     write_file graph (fun () -> Oib_lint.Callgraph.to_json res.L.r_graph);
     (match trajectory with
     | Some path ->
@@ -132,14 +118,6 @@ let strict =
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
-let emit_graph =
-  let doc =
-    "Write the static L5 latch-order graph as JSON to $(docv), for the \
-     sanitizer's static-vs-runtime diff (oib_fuzz --lint-graph)."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "emit-graph" ] ~docv:"FILE" ~doc)
-
 let graph =
   let doc =
     "Write the full interprocedural call graph (nodes with converged \
@@ -169,7 +147,7 @@ let cmd =
   let info = Cmd.info "oib-lint" ~doc in
   Cmd.v info
     Term.(
-      const run $ root $ stats $ json $ show_suppressed $ strict $ emit_graph
-      $ graph $ explain $ trajectory)
+      const run $ root $ stats $ json $ show_suppressed $ strict $ graph
+      $ explain $ trajectory)
 
 let () = exit (Cmd.eval' cmd)

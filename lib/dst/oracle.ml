@@ -2,20 +2,6 @@ open Oib_core
 
 let consistency ctx = Engine.consistency_errors ctx
 
-let structural (ctx : Ctx.t) =
-  List.concat_map
-    (fun (tbl : Catalog.table_info) ->
-      List.concat_map
-        (fun (info : Catalog.index_info) ->
-          match info.phase with
-          | Catalog.Ready ->
-            List.map
-              (Printf.sprintf "index %d: btree: %s" info.index_id)
-              (Oib_btree.Bt_check.check info.tree)
-          | Catalog.Nsf_building _ | Catalog.Sf_building _ -> [])
-        tbl.indexes)
-    (Catalog.tables ctx.Ctx.catalog)
-
 let progress_monotonic ctx =
   List.concat_map
     (fun (st : Build_status.t) ->
@@ -62,6 +48,6 @@ let battery ?(final = true) ctx =
       [ Printf.sprintf "oracle precondition: %d transaction(s) still active" n ]
     else []
   in
-  pre @ consistency ctx @ structural ctx @ progress_monotonic ctx
+  pre @ consistency ctx @ progress_monotonic ctx
   @ lifecycle ~final ctx
   @ (if final then completion ctx else [])

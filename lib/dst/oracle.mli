@@ -3,9 +3,9 @@
     Each check returns human-readable violations (empty = pass):
 
     - {!consistency}: {!Oib_core.Engine.consistency_errors} — every
-      [Ready] index holds exactly one live entry per record key;
-    - {!structural}: {!Oib_btree.Bt_check.check} over every [Ready]
-      tree's invariants (ordering, separators, chains, accounting);
+      [Ready] tree passes {!Oib_btree.Bt_check.check} (ordering,
+      separators, chains, accounting) and holds exactly one live entry
+      per record key;
     - {!progress_monotonic}: every build's phase history within this
       incarnation ranks monotonically ({!Oib_core.Build_status.rank}
       never decreases, transition steps never go backwards);
@@ -21,7 +21,6 @@
     transactions are still active. *)
 
 val consistency : Oib_core.Ctx.t -> string list
-val structural : Oib_core.Ctx.t -> string list
 val progress_monotonic : Oib_core.Ctx.t -> string list
 val lifecycle : ?final:bool -> Oib_core.Ctx.t -> string list
 val completion : Oib_core.Ctx.t -> string list

@@ -25,7 +25,7 @@ type t = {
 }
 
 (* The latch and scheduler modules ARE the blocking/acquiring
-   primitives; resolving into them would collapse L2 into L1/L5. *)
+   primitives; resolving into them would collapse L2 into L1. *)
 let opaque_modules = [ "Latch"; "Sched" ]
 
 (* A dotted callee whose first component is capitalized is

@@ -9,9 +9,9 @@
    terminates even on recursion through approximated higher-order
    calls.
 
-   [reach] is the generic may-property engine (may-block, may-acquire,
-   may-append): units are marked from seeded call sites until nothing
-   changes, each with a human-readable witness chain for --explain.
+   [reach] is the generic may-property engine (may-block, may-append):
+   units are marked from seeded call sites until nothing changes, each
+   with a human-readable witness chain for --explain.
    Seeded with [config.suspends] it is the tree's only "can this call
    suspend?" analysis. *)
 

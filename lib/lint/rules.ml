@@ -24,7 +24,6 @@ let printf_banned_modules =
 
 type t = {
   diags : Diag.t list;
-  order_edges : (string * string) list;
   rule_ms : (string * float) list;
 }
 
@@ -181,109 +180,6 @@ let l4_diags summaries =
     summaries;
   !out
 
-(* --- L5 --- *)
-
-let acquire_calls = [ "Latch.acquire"; "Latch.with_latch" ]
-
-let l5_edges cg acquiring =
-  (* A -> B with a witness call site: a function in A holds a latch across
-     a call that may acquire in B. *)
-  let edges : (string * string, Summary.call * string) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun u ->
-      List.iter
-        (fun c ->
-          if c.c_held <> [] then begin
-            let targets =
-              if List.mem c.c_callee acquire_calls then [ u.u_module ]
-              else
-                List.filter_map
-                  (fun callee ->
-                    if
-                      Hashtbl.mem acquiring (callee.u_module, callee.u_name)
-                    then Some callee.u_module
-                    else None)
-                  (Callgraph.lookup cg ~caller_module:u.u_module c.c_callee)
-            in
-            List.iter
-              (fun b ->
-                if b <> u.u_module then
-                  let k = (u.u_module, b) in
-                  if not (Hashtbl.mem edges k) then
-                    Hashtbl.replace edges k (c, u.u_name))
-              (List.sort_uniq compare targets)
-          end)
-        u.u_calls)
-    (Callgraph.units cg);
-  edges
-
-let l5_diags edges =
-  (* adjacency + DFS cycle extraction, over *sorted* edges and start
-     nodes: hashtable iteration order must never pick which witness a
-     cycle is reported through, or the output stops being byte-stable *)
-  let sorted_edges =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) edges [])
-  in
-  let adj : (string, string list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (a, b) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt adj a) in
-      if not (List.mem b prev) then Hashtbl.replace adj a (prev @ [ b ]))
-    sorted_edges;
-  let color : (string, [ `Grey | `Black ]) Hashtbl.t = Hashtbl.create 16 in
-  let cycles = ref [] in
-  let seen_cycle = Hashtbl.create 4 in
-  let rec dfs stack n =
-    match Hashtbl.find_opt color n with
-    | Some `Black -> ()
-    | Some `Grey ->
-      (* back edge: extract the cycle from the stack *)
-      let rec cut = function
-        | x :: rest -> if x = n then [ x ] else x :: cut rest
-        | [] -> []
-      in
-      let cyc = List.rev (cut stack) in
-      let canon = List.sort compare cyc in
-      let key = String.concat "," canon in
-      if not (Hashtbl.mem seen_cycle key) then begin
-        Hashtbl.add seen_cycle key ();
-        cycles := cyc :: !cycles
-      end
-    | None ->
-      Hashtbl.replace color n `Grey;
-      List.iter
-        (fun m -> dfs (m :: stack) m)
-        (Option.value ~default:[] (Hashtbl.find_opt adj n));
-      Hashtbl.replace color n `Black
-  in
-  List.iter
-    (fun n -> dfs [ n ] n)
-    (List.sort_uniq compare
-       (List.concat_map (fun (a, b) -> [ a; b ]) sorted_edges));
-  List.map
-    (fun cyc ->
-      let path = String.concat " -> " (cyc @ [ List.hd cyc ]) in
-      (* anchor the diagnostic at the witness site of the first edge *)
-      let a = List.hd cyc in
-      let b = match cyc with _ :: b :: _ -> b | _ -> a in
-      let witness = Hashtbl.find_opt edges (a, b) in
-      match witness with
-      | Some (c, uname) ->
-        diag_of ~rule:"L5" ~trace:cyc
-          ~hint:
-            "establish a global latch-acquisition order between these \
-             modules, or justify the protocol with [@lint.allow]"
-          ~allows:c.c_allows c.c_loc
-          ("latch-order cycle " ^ path ^ " (edge " ^ a ^ " -> " ^ b
-         ^ " via " ^ uname ^ " calling " ^ c.c_callee ^ ")")
-      | None ->
-        Diag.make ~file:"<latch-order>" ~line:0 ~col:0 ~rule:"L5"
-          ~hint:"establish a global latch-acquisition order"
-          ("latch-order cycle " ^ path))
-    !cycles
-
 (* --- local findings (L1/L3/L7/parse/allow) --- *)
 
 let local_diags summaries =
@@ -316,21 +212,8 @@ let run ~config cg =
         |> l2_diags cg ~suspends:config.suspends)
   in
   let l4 = timed "L4" (fun () -> l4_diags summaries) in
-  let edges, l5 =
-    timed "L5" (fun () ->
-        let edges =
-          Dataflow.reach cg ~seed:(fun c ->
-              if List.mem c.c_callee acquire_calls then Some c.c_callee
-              else None)
-          |> l5_edges cg
-        in
-        (edges, l5_diags edges))
-  in
-  let diags = local @ l1 @ l2 @ l4 @ l5 in
+  let diags = local @ l1 @ l2 @ l4 in
   {
     diags = List.sort Diag.compare (List.sort_uniq compare diags);
-    order_edges =
-      List.sort_uniq compare
-        (Hashtbl.fold (fun (a, b) _ acc -> (a, b) :: acc) edges []);
     rule_ms = List.rev !timings;
   }

@@ -17,19 +17,12 @@
     - L4: runtime output discipline — no console-printing calls in [lib/]
       outside the explicit reporting modules, and no [Printf] at all in
       the lock-manager/WAL modules.
-    - L5: static latch-order graph. An edge [A -> B] is added when a
-      function in module [A] holds a latch across a call that may acquire
-      a latch in module [B]; a cycle is a potential lock-order inversion.
-      Intra-module self-edges are ignored (tree-order hand-over-hand
-      crabbing is governed by page order, not module order).
 
     Suppressions from in-scope [[@lint.allow]] attributes are applied,
     never dropped: a suppressed diagnostic keeps its justification. *)
 
 type t = {
   diags : Diag.t list;  (** every diagnostic, suppressed ones included *)
-  order_edges : (string * string) list;
-      (** distinct latch-order edges [A -> B] discovered for L5 *)
   rule_ms : (string * float) list;
       (** per-rule-family wall time, milliseconds, in evaluation order *)
 }

@@ -119,9 +119,9 @@ let module_name_of_file f =
 
 (* --- [@lint.allow "Ln: reason"] attributes --- *)
 
-(* The rules that run, and so the only ones an allow may name. L6 and
-   L8-L12 are retired; their numbers are not reused. *)
-let live_rules = [ "L1"; "L2"; "L3"; "L4"; "L5"; "L7" ]
+(* The rules that run, and so the only ones an allow may name. L5, L6
+   and L8-L12 are retired; their numbers are not reused. *)
+let live_rules = [ "L1"; "L2"; "L3"; "L4"; "L7" ]
 
 let allow_of_attribute (attr : attribute) =
   if attr.attr_name.txt <> "lint.allow" then None
@@ -172,7 +172,9 @@ type item = {
 type state = {
   held : item list;
   pend : (string * Location.t) list;  (* L3: mutations awaiting an append *)
-  dead : (string * Location.t) list;  (* L7: handle var -> release site *)
+  dead : (string * Location.t option) list;
+      (* L7: handle var -> its release site, or [None] once the name is
+         bound again to a value that is no page handle *)
   neg : Latch_effect.atom list;  (* releases of caller-held param latches *)
   alias : string list;  (* roots the last call's return value aliases *)
 }
@@ -560,7 +562,7 @@ let l3_flush env sts =
 
 let mark_dead s root loc =
   if String.contains root '.' then s
-  else { s with dead = (root, loc) :: List.remove_assoc root s.dead }
+  else { s with dead = (root, Some loc) :: List.remove_assoc root s.dead }
 
 (* Release the latch named [key] (mode [mode]) in one state. If nothing
    matches and the key roots at one of our parameters, the unit is
@@ -737,7 +739,7 @@ let l7_dead_use env sts loc what root =
     List.iter
       (fun s ->
         match List.assoc_opt root s.dead with
-        | Some rel when Hashtbl.mem env.acc.handles root ->
+        | Some (Some rel) when Hashtbl.mem env.acc.handles root ->
           emit_once env
             ("dead:" ^ loc_key loc ^ ":" ^ root)
             ~rule:"L7" ~hint:"re-latch the page before touching it" loc
@@ -896,9 +898,11 @@ and match_union env s0 cases =
 (* Root pending items (and alias extensions) at freshly bound names. A
    pattern that binds nothing drops pending items: the alternative where
    a latch was returned cannot be the one this armless pattern matched,
-   and a discarded binding cannot carry the latch onward. *)
-and bind_states env sts vars =
-  ignore env;
+   and a discarded binding cannot carry the latch onward. A name bound
+   again is no longer a released handle (L7); unless it now holds a
+   handle ([source], or a latch returned here), it is no live one
+   either. *)
+and bind_states ?(source = false) env sts vars =
   List.map
     (fun s ->
       let held =
@@ -914,7 +918,18 @@ and bind_states env sts vars =
             else Some i)
           s.held
       in
-      { s with held; alias = [] })
+      let handle =
+        source || List.exists (fun i -> i.i_pending && i.i_path <> "") s.held
+      in
+      let dead =
+        List.filter_map
+          (fun v ->
+            if handle || not (Hashtbl.mem env.acc.handles v) then None
+            else Some (v, None))
+          vars
+        @ List.filter (fun (r, _) -> not (List.mem r vars)) s.dead
+      in
+      { s with held; dead; alias = [] })
     sts
 
 and binding env sts vb =
@@ -937,11 +952,14 @@ and binding env sts vb =
     let vars = pat_vars vb.pvb_pat in
     (* a var bound to a configured handle source becomes a tracked page
        handle for L7 *)
-    (match ((strip_fun vb.pvb_expr).pexp_desc, vars) with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _), [ v ]
-      when List.mem (resolve env txt) env.cfg.l7_sources ->
-      Hashtbl.replace env.acc.handles v vb.pvb_loc
-    | _ -> ());
+    let source =
+      match ((strip_fun vb.pvb_expr).pexp_desc, vars) with
+      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _), [ v ]
+        when List.mem (resolve env txt) env.cfg.l7_sources ->
+        Hashtbl.replace env.acc.handles v vb.pvb_loc;
+        true
+      | _ -> false
+    in
     let sts = walk env sts vb.pvb_expr in
     (* vars bound to a returned latch are handles too *)
     List.iter
@@ -951,7 +969,7 @@ and binding env sts vb =
             (fun v -> Hashtbl.replace env.acc.handles v vb.pvb_loc)
             vars)
       sts;
-    bind_states env sts vars
+    bind_states ~source env sts vars
   end
 
 and apply env sts f args =
@@ -1229,8 +1247,10 @@ and do_run env u expr ctx =
         if Hashtbl.mem acc.handles v then
           match
             if
-              List.for_all (fun s -> List.mem_assoc v s.dead) exits
-            then List.assoc_opt v (List.hd exits).dead
+              List.for_all
+                (fun s -> Option.join (List.assoc_opt v s.dead) <> None)
+                exits
+            then Option.join (List.assoc_opt v (List.hd exits).dead)
             else None
           with
           | Some rel ->

@@ -43,7 +43,7 @@ type config = {
 val default_config : config
 
 type allow = {
-  a_rule : string;  (** one of the live rules L1-L5, L7 *)
+  a_rule : string;  (** one of the live rules L1-L4, L7 *)
   a_reason : string;
   a_loc : Location.t;  (** the attribute itself, for unused-allow reports *)
   a_used : bool ref;

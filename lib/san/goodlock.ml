@@ -1,21 +1,16 @@
-type t = { edges : (string * string, string) Hashtbl.t }
-(* value = first witness site *)
+type t = { edges : (string * string, unit) Hashtbl.t }
 
 let create () = { edges = Hashtbl.create 32 }
 
-let add_edge t ~src ~dst ~site =
-  if src <> dst && not (Hashtbl.mem t.edges (src, dst)) then
-    Hashtbl.replace t.edges (src, dst) site
+let add_edge t ~src ~dst =
+  if src <> dst then Hashtbl.replace t.edges (src, dst) ()
 
 let edges t =
   List.sort_uniq compare
     (Hashtbl.fold (fun k _ acc -> k :: acc) t.edges [])
 
-let witness t k = Hashtbl.find_opt t.edges k
-
 (* Deterministic cycle extraction: DFS over sorted nodes with sorted
-   adjacency, deduplicating cycles by their canonical (sorted) node set.
-   Mirrors the linter's L5 search so the two reports line up. *)
+   adjacency, deduplicating cycles by their canonical (sorted) node set. *)
 let cycles t =
   let es = edges t in
   let adj : (string, string list) Hashtbl.t = Hashtbl.create 16 in
@@ -54,18 +49,3 @@ let cycles t =
   in
   List.iter (fun n -> dfs [ n ] n) nodes;
   List.rev !out
-
-let lock_node n = String.length n >= 5 && String.sub n 0 5 = "lock:"
-
-let diff ~runtime ~static =
-  let static = List.sort_uniq compare static in
-  let runtime = List.sort_uniq compare runtime in
-  let static_only = List.filter (fun e -> not (List.mem e runtime)) static in
-  let runtime_only =
-    List.filter
-      (fun (a, b) ->
-        (not (lock_node a)) && (not (lock_node b))
-        && not (List.mem (a, b) static))
-      runtime
-  in
-  (static_only, runtime_only)

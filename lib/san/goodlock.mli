@@ -9,33 +9,19 @@
 
     Unlike the shadow state, the graph survives [Epoch] boundaries: a
     cycle assembled from edges observed in *different* runs is exactly
-    the potential deadlock that never manifested. Cycle extraction and
-    the static-graph diff are deterministic (sorted nodes, sorted
-    adjacency). *)
+    the potential deadlock that never manifested. Cycle extraction is
+    deterministic (sorted nodes, sorted adjacency). *)
 
 type t
 
 val create : unit -> t
 
-val add_edge : t -> src:string -> dst:string -> site:string -> unit
-(** Record [src -> dst]; [site] is the first witness kept for the report.
-    Self-edges are dropped. *)
+val add_edge : t -> src:string -> dst:string -> unit
+(** Record [src -> dst]. Self-edges are dropped. *)
 
 val edges : t -> (string * string) list
 (** Sorted, deduplicated. *)
 
-val witness : t -> string * string -> string option
-
 val cycles : t -> string list list
 (** Elementary cycles found by DFS, each reported once under a canonical
     key; deterministic across runs. *)
-
-val diff :
-  runtime:(string * string) list ->
-  static:(string * string) list ->
-  (string * string) list * (string * string) list
-(** [(static_only, runtime_only)]. [static_only] is every static edge
-    not observed at runtime (not exercised by the workload);
-    [runtime_only] is every observed latch edge absent from the static
-    graph (edges touching ["lock:"] nodes are excluded — the static
-    analysis has no lock-manager nodes). *)

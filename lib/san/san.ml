@@ -229,13 +229,11 @@ let analyse t f (ev : Event.t) =
     absorb t t.latch_rel_vc uid f;
     List.iter
       (fun h ->
-        Goodlock.add_edge t.goodlock ~src:h.h_role ~dst:role
-          ~site:(h.h_role ^ "->" ^ role))
+        Goodlock.add_edge t.goodlock ~src:h.h_role ~dst:role)
       (latches_of t f);
     List.iter
       (fun (_, table) ->
-        Goodlock.add_edge t.goodlock ~src:(lock_node table) ~dst:role
-          ~site:(lock_node table ^ "->" ^ role))
+        Goodlock.add_edge t.goodlock ~src:(lock_node table) ~dst:role)
       (locks_of t f);
     Hashtbl.replace t.held_latches f
       ({ h_uid = uid; h_role = role; h_excl = excl } :: latches_of t f);
@@ -259,14 +257,12 @@ let analyse t f (ev : Event.t) =
     if not cond then begin
       List.iter
         (fun h ->
-          Goodlock.add_edge t.goodlock ~src:h.h_role ~dst:(lock_node table)
-            ~site:(h.h_role ^ "->" ^ lock_node table))
+          Goodlock.add_edge t.goodlock ~src:h.h_role ~dst:(lock_node table))
         (latches_of t f);
       List.iter
         (fun (_, tb') ->
           Goodlock.add_edge t.goodlock ~src:(lock_node tb')
-            ~dst:(lock_node table)
-            ~site:(lock_node tb' ^ "->" ^ lock_node table))
+            ~dst:(lock_node table))
         (locks_of t f)
     end;
     Hashtbl.replace t.held_locks f ((target, table) :: locks_of t f);
@@ -321,53 +317,6 @@ let reports t = Diag.dedupe (cycle_diags t @ t.reports)
 let clean t = reports t = []
 
 let runtime_edges t = Goodlock.edges t.goodlock
-
-let diff_static t ~static =
-  let static_only, runtime_only =
-    Goodlock.diff ~runtime:(runtime_edges t) ~static
-  in
-  let edge_diag ~dir (a, b) =
-    let msg =
-      match dir with
-      | `Static_only ->
-        "static latch-order edge " ^ a ^ " -> " ^ b
-        ^ " was never exercised at runtime"
-      | `Runtime_only ->
-        "runtime latch-order edge " ^ a ^ " -> " ^ b
-        ^ " is absent from the static graph"
-    in
-    Diag.make
-      ~site:(a ^ "->" ^ b)
-      ~file:"<san>" ~line:0 ~col:0 ~rule:"SAN-graph"
-      ~hint:
-        "informational: widen the workload (static-only) or check the \
-         linter's module aliasing (runtime-only)"
-      msg
-  in
-  Diag.dedupe
-    (List.map (edge_diag ~dir:`Static_only) static_only
-    @ List.map (edge_diag ~dir:`Runtime_only) runtime_only)
-
-let static_graph_of_json src =
-  let module J = Oib_obs_analysis.Json in
-  match J.parse src with
-  | Error e -> Error ("bad graph JSON: " ^ e)
-  | Ok j -> (
-    match J.member "edges" j with
-    | Some (J.List es) -> (
-      try
-        Ok
-          (List.map
-             (fun e ->
-               match
-                 ( Option.bind (J.member "from" e) J.to_string,
-                   Option.bind (J.member "to" e) J.to_string )
-               with
-               | Some a, Some b -> (a, b)
-               | _ -> failwith "edge missing from/to")
-             es)
-      with Failure m -> Error m)
-    | _ -> Error "graph JSON has no \"edges\" list")
 
 let stats_json t =
   let order_cycles = List.length (Goodlock.cycles t.goodlock) in

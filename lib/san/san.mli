@@ -46,16 +46,6 @@ val clean : t -> bool
 val runtime_edges : t -> (string * string) list
 (** The accumulated acquisition-order graph, sorted. *)
 
-val static_graph_of_json :
-  string -> ((string * string) list, string) result
-(** Parse the JSON written by [oib-lint --emit-graph]. *)
-
-val diff_static : t -> static:(string * string) list -> Oib_lint.Diag.t list
-(** Both directions of the static-vs-runtime latch-graph comparison, as
-    [SAN-graph] informational diagnostics: static edges the workload
-    never exercised, and observed latch edges the static analysis
-    missed. *)
-
 val stats_json : t -> string
 (** Counters ([events], [runs], [races], [order_cycles],
     [wal_violations], [edges]) as a small JSON object for

@@ -274,68 +274,6 @@ let test_sinks_independent () =
     (contains (San.stats_json sanitized)
        ("\"events\":" ^ string_of_int read ^ ","))
 
-(* --- static-vs-runtime latch-graph diff --- *)
-
-let test_graph_json_roundtrip () =
-  match
-    San.static_graph_of_json
-      {|{"edges":[{"from":"A","to":"B"},{"from":"B","to":"C"}]}|}
-  with
-  | Error e -> Alcotest.fail e
-  | Ok edges ->
-    Alcotest.(check (list (pair string string)))
-      "parsed edges"
-      [ ("A", "B"); ("B", "C") ]
-      (List.sort compare edges)
-
-let test_diff_static () =
-  let san = San.create () in
-  (* one observed latch edge A -> B, plus a lock edge that the static
-     side can never see and so must not be reported as missed *)
-  feed san 1 (latch_acq ~role:"A" ~uid:1 ~page:(-1) ());
-  feed san 1 (latch_acq ~role:"B" ~uid:2 ~page:(-1) ());
-  feed san 1 (lock_acq ~txn:1 ~target:"r" ~table:false ());
-  Alcotest.(check bool)
-    "A->B observed" true
-    (List.mem ("A", "B") (San.runtime_edges san));
-  (* static graph: agrees on A->B, has one edge the run never took *)
-  let ds = San.diff_static san ~static:[ ("A", "B"); ("C", "D") ] in
-  let msgs = List.map (fun (d : Diag.t) -> d.Diag.msg) ds in
-  Alcotest.(check int) "one diff" 1 (List.length ds);
-  Alcotest.(check bool)
-    "unexercised static edge reported" true
-    (List.exists
-       (fun m ->
-         contains m "C -> D"
-         && contains m "never exercised")
-       msgs);
-  (* empty static graph: the observed latch edge is a miss, the lock
-     edge is not *)
-  let ds2 = San.diff_static san ~static:[] in
-  Alcotest.(check int) "one runtime-only diff" 1 (List.length ds2);
-  List.iter
-    (fun (d : Diag.t) ->
-      Alcotest.(check string) "rule" "SAN-graph" d.Diag.rule)
-    (ds @ ds2)
-
-(* The L5 fixture pair gives a non-empty static graph (the library tree
-   itself latches in an order the linter proves acyclic, yielding no
-   edges), so the diff path is exercised against real linter output. *)
-let test_diff_against_lint_fixture () =
-  let res =
-    Oib_lint.Lint.run_files
-      [
-        Filename.concat "lint_fixtures" "l5_cycle_a.ml";
-        Filename.concat "lint_fixtures" "l5_cycle_b.ml";
-      ]
-  in
-  let static = res.Oib_lint.Lint.r_rules.Oib_lint.Rules.order_edges in
-  Alcotest.(check bool) "fixture graph non-empty" true (static <> []);
-  let san = San.create () in
-  let ds = San.diff_static san ~static in
-  Alcotest.(check int)
-    "every static edge unexercised" (List.length static) (List.length ds)
-
 (* --- report determinism --- *)
 
 let plant_reports san =
@@ -406,14 +344,6 @@ let () =
           Alcotest.test_case "sf" `Quick (clean_build Scenario.Sf);
           Alcotest.test_case "trace sinks independent" `Quick
             test_sinks_independent;
-        ] );
-      ( "graph diff",
-        [
-          Alcotest.test_case "json roundtrip" `Quick
-            test_graph_json_roundtrip;
-          Alcotest.test_case "diff static" `Quick test_diff_static;
-          Alcotest.test_case "diff against lint fixture" `Quick
-            test_diff_against_lint_fixture;
         ] );
       ( "reports",
         [
