@@ -602,12 +602,13 @@ let e11 () =
   let t =
     TP.create
       ~columns:
-        [ "batch size"; "IB bulk log records"; "IB log bytes"; "keys/record" ]
+        [ "batch size"; "IB bulk log records"; "IB log bytes"; "keys/record";
+          "build latches" ]
   in
   List.iter
     (fun batch ->
       let cfg = { (Ib.default_config Ib.Nsf) with batch_size = batch } in
-      let ctx, _, _, _ = rig ~rows:2000 ~cfg () in
+      let ctx, _, d, _ = rig ~rows:2000 ~cfg () in
       let bulk = ref 0 and bulk_bytes = ref 0 and bulk_keys = ref 0 in
       List.iter
         (fun (r : Oib_wal.Log_record.t) ->
@@ -624,6 +625,7 @@ let e11 () =
           string_of_int !bulk;
           string_of_int !bulk_bytes;
           f1 (float_of_int !bulk_keys /. float_of_int (max 1 !bulk));
+          string_of_int (Metrics.get d Latch_acquires);
         ])
     [ 1; 8; 32; 128 ];
   TP.print

@@ -303,8 +303,7 @@ let push l (key : Ikey.t) pseudo =
   l.used <- l.used + size;
   l.bytes <- l.bytes + leaf_entry_cost key
 
-let leaf_insert l (key : Ikey.t) ~pseudo =
-  let i = leaf_lower_bound l key in
+let leaf_insert_at l i (key : Ikey.t) ~pseudo =
   if i = l.n then push l key pseudo
   else begin
     assert (leaf_compare l i key <> 0);
@@ -324,6 +323,9 @@ let leaf_insert l (key : Ikey.t) ~pseudo =
     l.used <- l.used + size;
     l.bytes <- l.bytes + leaf_entry_cost key
   end
+
+let leaf_insert l key ~pseudo =
+  leaf_insert_at l (leaf_lower_bound l key) key ~pseudo
 
 let leaf_append l key ~pseudo =
   assert (l.n = 0 || leaf_compare l (l.n - 1) key < 0);

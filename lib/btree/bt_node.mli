@@ -99,6 +99,10 @@ val leaf_insert : leaf -> Ikey.t -> pseudo:bool -> unit
 (** Insert at sorted position. The entry must not already exist and must
     fit. *)
 
+val leaf_insert_at : leaf -> int -> Ikey.t -> pseudo:bool -> unit
+(** {!leaf_insert} at [i], the key's {!leaf_lower_bound}, for a caller
+    that has already searched for the key. *)
+
 val leaf_append : leaf -> Ikey.t -> pseudo:bool -> unit
 (** Append a key strictly greater than the current last entry (bulk-load
     fast path; no search, no shifting). *)

@@ -375,6 +375,12 @@ let insert_into t p l held key ~pseudo ~ib_split =
 
 let new_cursor t = { pid = t.root }
 
+(* [key], at or above the leaf's first entry, sorts below its high key
+   and fits: it goes into [l] with no split. *)
+let takes_without_split t l key =
+  (match leaf_high l with None -> true | Some h -> Ikey.compare key h < 0)
+  && leaf_fits l ~capacity:t.capacity key
+
 (* Cursor fast path: go straight to the remembered leaf if the key provably
    belongs there and no split would be required. *)
 let try_fast_path t cursor key =
@@ -388,10 +394,7 @@ let try_fast_path t cursor key =
       let in_range =
         l' == l && leaf_n l' > 0
         && leaf_compare l' 0 key <= 0
-        && (match leaf_high l' with
-           | None -> true
-           | Some h -> Ikey.compare key h < 0)
-        && leaf_fits l' ~capacity:t.capacity key
+        && takes_without_split t l' key
       in
       if in_range then Some (p, l')
       else begin
@@ -478,44 +481,84 @@ and set_state_slow t ?cursor key (target : state) : state =
       ignore (insert_into t p l held key ~pseudo:true ~ib_split:false));
     Absent
 
-let insert_if_absent t ?(ib_split = false) ?cursor key =
+(* The index builder's slow path: a root-to-leaf X descent, then the
+   IB split if the leaf is full. The cursor follows an inserted key. *)
+let insert_slow t ~ib_split ?cursor key =
   let m = metrics t in
-  let finish_fast p l =
-    match leaf_find l key with
-    | Some i ->
-      let st = state_of_flag (leaf_pseudo l i) in
-      Latch.release p.Page.latch X;
-      Oib_sim.Metrics.add m Keys_rejected_duplicate 1;
-      `Rejected st
-    | None ->
-      Oib_sim.Metrics.add m Fast_path_inserts 1;
-      Oib_sim.Metrics.add m Keys_inserted 1;
-      leaf_insert l key ~pseudo:false;
-      dirty t p;
-      Latch.release p.Page.latch X;
-      `Inserted
+  let p, held = descend_write t key in
+  let l = leaf_of_payload p.Page.payload in
+  match leaf_find l key with
+  | Some i ->
+    let st = state_of_flag (leaf_pseudo l i) in
+    release_write p held;
+    Oib_sim.Metrics.add m Keys_rejected_duplicate 1;
+    `Rejected st
+  | None ->
+    Oib_sim.Metrics.add m Keys_inserted 1;
+    let landed = insert_into t p l held key ~pseudo:false ~ib_split in
+    (match cursor with Some c -> c.pid <- landed.Page.id | None -> ());
+    `Inserted
+
+let insert_run t ?(ib_split = false) ~cursor ~key_at ~from ~upto f =
+  let m = metrics t in
+  let rec enter i =
+    if i >= upto then i
+    else
+      let key = key_at i in
+      match try_fast_path t cursor key with
+      | Some (p, l) -> hold p l i key
+      | None -> slow i key
+  and slow i key =
+    if f key (insert_slow t ~ib_split ~cursor key) then enter (i + 1)
+    else i + 1
+  (* Keys go into the X-latched cursor leaf while they belong there; one
+     lower-bound search each finds a duplicate or the insert position. *)
+  and hold p l i key =
+    let i = ref i and key = ref key in
+    let fast = ref 0 and dup = ref 0 in
+    let go_on = ref true and stay = ref true in
+    while !stay do
+      let k = !key in
+      let j = leaf_lower_bound l k in
+      (go_on :=
+         if j < leaf_n l && leaf_compare l j k = 0 then begin
+           incr dup;
+           f k (`Rejected (state_of_flag (leaf_pseudo l j)))
+         end
+         else begin
+           leaf_insert_at l j k ~pseudo:false;
+           incr fast;
+           f k `Inserted
+         end);
+      incr i;
+      stay := !go_on && !i < upto;
+      if !stay then begin
+        key := key_at !i;
+        stay := takes_without_split t l !key
+      end
+    done;
+    if !fast > 0 then dirty t p;
+    Latch.release p.Page.latch X;
+    Oib_sim.Metrics.add m Fast_path_inserts !fast;
+    Oib_sim.Metrics.add m Keys_inserted !fast;
+    Oib_sim.Metrics.add m Keys_rejected_duplicate !dup;
+    (* the key that stopped the loop needs another leaf *)
+    if !go_on && !i < upto then slow !i !key else !i
   in
-  let slow () =
-    let p, held = descend_write t key in
-    let l = leaf_of_payload p.Page.payload in
-    match leaf_find l key with
-    | Some i ->
-      let st = state_of_flag (leaf_pseudo l i) in
-      release_write p held;
-      Oib_sim.Metrics.add m Keys_rejected_duplicate 1;
-      `Rejected st
-    | None ->
-      Oib_sim.Metrics.add m Keys_inserted 1;
-      let landed = insert_into t p l held key ~pseudo:false ~ib_split in
-      (match cursor with Some c -> c.pid <- landed.Page.id | None -> ());
-      `Inserted
-  in
+  enter from
+
+let insert_if_absent t ?(ib_split = false) ?cursor key =
   match cursor with
-  | None -> slow ()
-  | Some c -> (
-    match try_fast_path t c key with
-    | Some (p, l) -> finish_fast p l
-    | None -> slow ())
+  | None -> insert_slow t ~ib_split key
+  | Some cursor ->
+    let outcome = ref `Inserted in
+    ignore
+      (insert_run t ~ib_split ~cursor ~key_at:(fun _ -> key) ~from:0 ~upto:1
+         (fun _ r ->
+           outcome := r;
+           true)
+        : int);
+    !outcome
 
 let find_kv t kv =
   let probe = Ikey.make kv Rid.minus_infinity in

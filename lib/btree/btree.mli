@@ -83,6 +83,23 @@ val insert_if_absent :
     higher keys (§2.3.1). A cursor makes consecutive ascending inserts skip
     the root-to-leaf traversal (remembered path). *)
 
+val insert_run :
+  t -> ?ib_split:bool -> cursor:cursor -> key_at:(int -> Ikey.t) ->
+  from:int -> upto:int ->
+  (Ikey.t -> [ `Inserted | `Rejected of state ] -> bool) -> int
+(** The index builder's multi-key insert (§2.3.1): {!insert_if_absent} of
+    [key_at i] for [i] from [from], in order, stopping before [upto] or
+    after a key whose outcome the callback answers with [false], and
+    returning the index after the last key taken. Keys must not descend.
+    The callback runs under the leaf latch and must not yield.
+
+    The cursor leaf is X-latched once for every run of keys that sort
+    below its high key and fit, with one search per key, and its
+    counters are added once for the run. Any other key takes
+    {!insert_if_absent}'s slow path (root-to-leaf descent and split),
+    which moves the cursor. Outcomes, tree contents and every counter
+    but [Latch_acquires] equal those of per-key {!insert_if_absent}. *)
+
 val find_kv : t -> string -> (Ikey.t * bool) list
 (** All entries with the given key value (flag = pseudo-deleted), in RID
     order — what unique-violation checking examines. *)

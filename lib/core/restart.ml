@@ -145,8 +145,14 @@ let replay_index a tree =
   let image = Btree.image_lsn tree in
   List.iter
     (fun k ->
-      if Lsn.( > ) k.lsn image then
-        List.iter (fun key -> ignore (Btree.set_state tree key k.after)) k.keys)
+      if Lsn.( > ) k.lsn image then begin
+        (* a bulk record's keys ascend: a cursor takes each to the leaf
+           its predecessor went to, without a descent *)
+        let cursor = Btree.new_cursor tree in
+        List.iter
+          (fun key -> ignore (Btree.set_state tree ~cursor key k.after))
+          k.keys
+      end)
     (Option.value ~default:[]
        (Hashtbl.find_opt a.key_redo (Btree.index_id tree)))
 
