@@ -182,10 +182,16 @@ let report_failure sess (o : Runner.outcome) =
     List.iter (fun d -> Printf.printf "  %s\n" (Diag.to_string d))
       (San.reports s)
   | None -> ());
-  Trace.set_on_dump tr (fun s ->
-      print_string s;
-      print_newline ());
-  Trace.failure tr ~reason:"oib-fuzz violation (minimal scenario)";
+  (* dump the ring as it stood before the failing battery, whose own
+     latches on every heap page and tree would otherwise fill it *)
+  let reason = "oib-fuzz violation (minimal scenario)" in
+  (match o2.Runner.ring_before_battery with
+  | Some ring -> print_endline (Oib_obs.Flight_recorder.dump ~reason ring)
+  | None ->
+    Trace.set_on_dump tr (fun s ->
+        print_string s;
+        print_newline ());
+    Trace.failure tr ~reason);
   Printf.printf "repro: %s\n%!"
     (Scenario.repro_command ~sabotage:sess.sabotage
        ~sabotage_race:sess.sabotage_race ~sanitize:(sanitizing sess) small)

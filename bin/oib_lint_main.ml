@@ -63,7 +63,7 @@ let trajectory_record (res : L.result) =
     "{\"analysis_ms\":%.3f,\"files\":%d,\"findings\":%d,\"kind\":\"lint_engine\",\"rules\":\"%s\",\"schema\":\"bench-trajectory/v1\",\"units\":%d}"
     ms st.L.st_files
     (total st.L.st_by_rule + total st.L.st_suppressed_by_rule)
-    (Oib_lint.Diag.json_escape rules)
+    (Oib_util.Json_string.escape rules)
     st.L.st_units
 
 let run root stats json show_suppressed strict graph explain trajectory =

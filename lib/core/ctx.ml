@@ -15,7 +15,8 @@ type t = {
   catalog : Catalog.t;
   runs : Oib_sort.Run_store.t;
   builds : (int, Build_status.t) Hashtbl.t; (* index_id -> live progress *)
-  registry : Oib_obs.Registry.t; (* central metrics registry *)
+  rates : (Oib_obs.Resource.counter * Oib_obs.Window.Ewma.t) list;
+      (* the sampler's EWMA rates, in key order *)
   signals : Oib_obs.Signal.set; (* overload/health signals *)
   throttle : Throttle.t; (* IB admission control; survives crash *)
 }

@@ -16,8 +16,10 @@ type t = {
   catalog : Catalog.t;
   runs : Oib_sort.Run_store.t;
   builds : (int, Build_status.t) Hashtbl.t;  (** index_id -> live progress *)
-  registry : Oib_obs.Registry.t;
-      (** central metrics registry; survives crash/restart with [metrics] *)
+  rates : (Oib_obs.Resource.counter * Oib_obs.Window.Ewma.t) list;
+      (** the EWMA rates the periodic sampler folds and reports as
+          [rate.<counter>], in key order; survive crash/restart with
+          [metrics] *)
   signals : Oib_obs.Signal.set;
       (** overload/health signals evaluated on sampler ticks; survives
           crash/restart *)

@@ -16,32 +16,20 @@ let dirty_ratio_raise = 0.7
 let dirty_ratio_clear = 0.4
 
 (* (Re)connect the observability plane to this incarnation's subsystems.
-   The registry and signal set survive a crash with [metrics]; everything
-   here is idempotent, with sources/gauges replaced so they close over the
-   live scheduler, log and pool rather than the dead incarnation's. *)
+   The metrics (with their latency window), the rates and the signal set
+   survive a crash; everything here is idempotent, with signal sources
+   replaced so they close over the live scheduler, log and pool rather
+   than the dead incarnation's. *)
 let wire_observability (ctx : Ctx.t) =
   let m = ctx.Ctx.metrics in
-  let reg = ctx.Ctx.registry in
   Oib_sim.Metrics.set_fiber_source m (fun () ->
       Option.value ~default:(-1) (Oib_sim.Sched.current_fiber ctx.Ctx.sched));
   Oib_sim.Metrics.clear_accounts m;
-  if Oib_sim.Metrics.registry m = None then
-    Oib_sim.Metrics.attach_registry m reg;
-  (* foreground committed-txn latency window (fed by Txn_manager.commit) *)
-  ignore (Oib_obs.Registry.window reg ~slots:8 "fg.latency");
-  Oib_obs.Registry.gauge reg "wal.unflushed_bytes" (fun () ->
-      LM.unflushed_bytes ctx.Ctx.log);
-  Oib_obs.Registry.gauge reg "wal.durable_bytes" (fun () ->
-      LM.durable_bytes ctx.Ctx.log);
-  Oib_obs.Registry.gauge reg "pool.dirty_pages" (fun () ->
-      Buffer_pool.dirty_count ctx.Ctx.pool);
-  Oib_obs.Registry.gauge reg "pool.cached_pages" (fun () ->
-      Buffer_pool.cached_count ctx.Ctx.pool);
   let sg = ctx.Ctx.signals in
   Oib_obs.Signal.register sg ~name:"overload.fg_p99"
     ~raise_above:overload_fg_p99_raise ~clear_below:overload_fg_p99_clear
     ~source:(fun () ->
-      match Oib_obs.Registry.find_window reg "fg.latency" with
+      match Oib_sim.Metrics.latency m with
       | Some w -> Oib_obs.Window.percentile w 0.99
       | None -> 0.0);
   Oib_obs.Signal.register sg ~name:"wal.backlog"
@@ -57,8 +45,6 @@ let wire_observability (ctx : Ctx.t) =
   (* the throttle's signal subscription is made once, in [create] (the
      subscription list survives restart with the set); only its trace
      notifier is re-pointed at this incarnation *)
-  Oib_obs.Registry.gauge reg "throttle.level" (fun () ->
-      Throttle.level ctx.Ctx.throttle);
   Throttle.set_notify ctx.Ctx.throttle
     (Some
        (fun th reason ->
@@ -81,7 +67,10 @@ let create ?(seed = 42) ?(page_capacity = 1024)
   let ctx =
     { Ctx.sched; metrics; trace; log; store; kv; pool; locks; txns; catalog;
       runs; builds = Hashtbl.create 8;
-      registry = Oib_obs.Registry.create ();
+      rates =
+        List.map
+          (fun c -> (c, Oib_obs.Window.Ewma.create ()))
+          Oib_obs.Resource.[ Log_bytes; Page_reads; Page_writes; Txn_commits ];
       signals = Oib_obs.Signal.create_set ();
       throttle = Throttle.create () }
   in
@@ -125,12 +114,12 @@ let recover_over ~seed (old : t) ~store ~kv ~runs =
       catalog;
       runs;
       builds = Hashtbl.create 8;
-      registry = old.Ctx.registry;
+      rates = old.Ctx.rates;
       signals = old.Ctx.signals;
       throttle = old.Ctx.throttle;
     }
   in
-  (* re-close gauges/signal sources over the new incarnation's subsystems
+  (* re-close signal sources over the new incarnation's subsystems
      and point fiber attribution at the new scheduler; stale per-fiber
      accounts (their fibers died with the old scheduler) are dropped *)
   wire_observability ctx;

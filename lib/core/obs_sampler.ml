@@ -1,11 +1,12 @@
-(* Periodic time-series sampler: every N virtual steps, snapshot the
-   engine's registry (counters, gauges, window quantiles, rates) and
-   every live build's progress and cost into the trace as [Sample]
-   events, evaluate the health signals, and advance the sliding windows
-   one tick. The scheduler's tick hook drives it (no fiber: a sampling
-   fiber would keep the scheduler alive forever), so samples are stamped
-   as "main" at exact multiples of the period and an offline reader can
-   reassemble them into aligned series.
+(* Periodic time-series sampler: every N virtual steps, read the engine's
+   own state (counter totals, log, pool and throttle gauges, the
+   foreground latency window, the EWMA rates) and every live build's
+   progress and cost into the trace as [Sample] events, evaluate the
+   health signals, and advance the latency window one tick. The
+   scheduler's tick hook drives it (no fiber: a sampling fiber would keep
+   the scheduler alive forever), so samples are stamped as "main" at
+   exact multiples of the period and an offline reader can reassemble
+   them into aligned series.
 
    Signal evaluation and window rotation happen on every tick even when
    nothing is tracing: subscribers (e.g. an admission-control throttle)
@@ -16,10 +17,14 @@ module Sched = Oib_sim.Sched
 module Trace = Oib_obs.Trace
 module Event = Oib_obs.Event
 module Metrics = Oib_sim.Metrics
-module Registry = Oib_obs.Registry
 module Signal = Oib_obs.Signal
 module Resource = Oib_obs.Resource
+module Window = Oib_obs.Window
+module Pool = Oib_storage.Buffer_pool
+module Log = Oib_wal.Log_manager
 module BS = Build_status
+
+let round x = int_of_float (Float.round x)
 
 let sample ?rate_steps (ctx : Ctx.t) =
   let m = ctx.Ctx.metrics in
@@ -27,28 +32,41 @@ let sample ?rate_steps (ctx : Ctx.t) =
   (match rate_steps with
   | Some steps ->
     List.iter
-      (fun (name, total) ->
-        Registry.rate_observe
-          (Registry.rate ctx.Ctx.registry ("rate." ^ name))
-          ~total ~steps)
-      (List.map
-         (fun c -> (Resource.name c, Metrics.get m c))
-         [ Txn_commits; Page_reads; Page_writes; Log_bytes ])
+      (fun (c, r) -> Window.Ewma.observe r ~total:(Metrics.get m c) ~steps)
+      ctx.Ctx.rates
   | None -> ());
   (* 2. evaluate health signals — before emission, so the emitted
      [signal.*] states are this tick's; subscribers fire here *)
   ignore (Signal.eval ctx.Ctx.signals);
-  (* 3. emit one deduplicated batch of samples *)
+  (* 3. emit one batch of samples; every key is distinct by construction *)
   let tr = ctx.Ctx.trace in
   if Trace.tracing tr then begin
-    let seen = Hashtbl.create 64 in
-    let emit key value =
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
-        Trace.emit tr (Event.Sample { key; value })
-      end
-    in
-    List.iter (fun (key, v) -> emit key v) (Registry.sample_values ctx.Ctx.registry);
+    let emit key value = Trace.emit tr (Event.Sample { key; value }) in
+    (match Metrics.latency m with
+    | Some w ->
+      let h = Window.merged w in
+      let p q = round (Oib_obs.Hist.percentile h q) in
+      emit "window.fg.latency.p50" (p 0.50);
+      emit "window.fg.latency.p95" (p 0.95);
+      emit "window.fg.latency.p99" (p 0.99);
+      emit "window.fg.latency.count" (Window.count w)
+    | None -> ());
+    (* counters by name: the key order is part of the namespace *)
+    List.iter
+      (fun (name, v) -> emit ("metrics." ^ name) v)
+      (List.sort compare (Metrics.to_assoc m));
+    emit "pool.cached_pages" (Pool.cached_count ctx.Ctx.pool);
+    emit "pool.dirty_pages" (Pool.dirty_count ctx.Ctx.pool);
+    (* a rate reports from the first periodic tick on *)
+    List.iter
+      (fun (c, r) ->
+        if Window.Ewma.started r then
+          emit ("rate." ^ Resource.name c)
+            (round (Window.Ewma.rate r *. 1000.0)))
+      ctx.Ctx.rates;
+    emit "throttle.level" (Throttle.level ctx.Ctx.throttle);
+    emit "wal.durable_bytes" (Log.durable_bytes ctx.Ctx.log);
+    emit "wal.unflushed_bytes" (Log.unflushed_bytes ctx.Ctx.log);
     Hashtbl.fold (fun _ st acc -> st :: acc) ctx.Ctx.builds []
     |> List.sort (fun (a : BS.t) b -> compare a.BS.index_id b.BS.index_id)
     |> List.iter (fun (st : BS.t) ->
@@ -70,9 +88,9 @@ let sample ?rate_steps (ctx : Ctx.t) =
           (if Signal.active s then 1 else 0))
       (Signal.signals ctx.Ctx.signals)
   end;
-  (* 4. advance the sliding windows: this tick's observations are now
-     the newest slot; the oldest ages out *)
-  Registry.rotate_windows ctx.Ctx.registry
+  (* 4. advance the latency window: this tick's observations are now the
+     newest slot; the oldest ages out *)
+  Option.iter Window.rotate (Metrics.latency m)
 
 let install (ctx : Ctx.t) ~every =
   Sched.set_tick ctx.Ctx.sched ~every (fun _ -> sample ~rate_steps:every ctx)

@@ -2,22 +2,25 @@
     metrics plane.
 
     [install ctx ~every] hooks the scheduler's tick so that every
-    [every] virtual steps one full sample runs: EWMA rates fold in the
-    latest counter deltas, the health signals are evaluated (firing any
-    subscribers), one deduplicated batch of [Sample] events is emitted
-    into the trace, and every registered sliding window rotates one
-    slot. Signal evaluation and window rotation happen even when
-    nothing is tracing, so DST runs reproduce signal flips with or
-    without a sink attached.
+    [every] virtual steps one full sample runs: the EWMA rates
+    ([Ctx.rates]) fold in the latest counter totals, the health signals
+    are evaluated (firing any subscribers), one batch of [Sample] events
+    is emitted into the trace, and the foreground latency window
+    ({!Oib_sim.Metrics.latency}) rotates one slot. Signal evaluation and
+    window rotation happen even when nothing is tracing, so DST runs
+    reproduce signal flips with or without a sink attached.
 
-    The sample keys (see {!Oib_obs.Event} for the full namespace
-    contract) are: [metrics.<counter>] and the other registry series
-    ([pool.*], [wal.*], [window.<name>.p50/.p95/.p99/.count],
-    [rate.<name>] scaled to events per 1000 steps), three progress and
-    four cost keys per live build ([build.<id>.keys_processed],
-    [.backlog], [.phase], [.cost.pages], [.cost.log_bytes],
-    [.cost.wait_steps], [.cost.compares]) and one [signal.<name>]
-    (0/1) per registered signal. *)
+    A batch reads each key straight from its source, so no key repeats.
+    In order (see {!Oib_obs.Event} for the namespace contract):
+    [window.fg.latency.p50/.p95/.p99/.count]; [metrics.<counter>] for
+    every engine total, by name; [pool.cached_pages],
+    [pool.dirty_pages]; [rate.<counter>] scaled to events per 1000
+    steps, once the rate has a baseline; [throttle.level];
+    [wal.durable_bytes], [wal.unflushed_bytes]; three progress and four
+    cost keys per live build ([build.<id>.keys_processed], [.backlog],
+    [.phase], [.cost.pages], [.cost.log_bytes], [.cost.wait_steps],
+    [.cost.compares]); and one [signal.<name>] (0/1) per registered
+    signal. *)
 
 val install : Ctx.t -> every:int -> unit
 (** Claims the scheduler's single tick hook. [every] must be positive. *)
@@ -28,7 +31,7 @@ val sample : ?rate_steps:int -> Ctx.t -> unit
 (** Run one full tick immediately (what the tick hook calls, with
     [rate_steps = every]). Without [rate_steps] the EWMA rates are left
     untouched — a manual call has no well-defined step delta. Note a
-    call advances the window clock (rotates every window). *)
+    call advances the window clock (rotates the latency window). *)
 
 val install_profiler :
   Ctx.t -> ?every:int -> unit -> Oib_obs.Profiler.t * (unit -> unit)

@@ -10,6 +10,7 @@ type outcome = {
   total_steps : int;
   build_cancelled : bool;
   committed : int;
+  ring_before_battery : Oib_obs.Flight_recorder.t option;
 }
 
 let failed o = o.errors <> []
@@ -163,7 +164,7 @@ let run ?trace ?inject ?during ?on_engine (sc : Scenario.t) =
         | None -> false);
     hook
   in
-  let result errors failed_at =
+  let result ?ring errors failed_at =
     {
       scenario = sc;
       errors;
@@ -173,7 +174,17 @@ let run ?trace ?inject ?during ?on_engine (sc : Scenario.t) =
       build_cancelled = !cancelled;
       committed =
         List.fold_left (fun a c -> a + (!c).Driver.committed) 0 !stats_cells;
+      ring_before_battery = ring;
     }
+  in
+  (* every battery runs through here: its errors, and the ring as it
+     stood before the battery latched every heap page and tree *)
+  let battery ctx checks =
+    let ring =
+      Option.map Oib_obs.Flight_recorder.copy
+        (Oib_obs.Trace.recorder ctx.Ctx.trace)
+    in
+    (checks ctx, ring)
   in
   let rec life ctx =
     let hook = arm ctx in
@@ -220,8 +231,8 @@ let run ?trace ?inject ?during ?on_engine (sc : Scenario.t) =
       in
       engine_ready ctx';
       incarnations := !incarnations + 1;
-      (match Oracle.battery ~final:false ctx' with
-      | [] ->
+      (match battery ctx' (Oracle.battery ~final:false) with
+      | [], _ ->
         spawn_resume ctx' sc cancelled;
         if sc.workers > 0 then
           stats_cells :=
@@ -234,8 +245,9 @@ let run ?trace ?inject ?during ?on_engine (sc : Scenario.t) =
               ~table:1
             :: !stats_cells;
         life ctx'
-      | errs ->
-        result errs (Some (Printf.sprintf "after-restart-%d" (!incarnations - 1))))
+      | errs, ring ->
+        result ?ring errs
+          (Some (Printf.sprintf "after-restart-%d" (!incarnations - 1))))
     | exception Sched.Deadlock msg ->
       result [ "scheduler deadlock: " ^ msg ] (Some "deadlock")
     | exception exn ->
@@ -244,9 +256,9 @@ let run ?trace ?inject ?during ?on_engine (sc : Scenario.t) =
         (Some "exception")
   and finalize ctx =
     (match inject with Some f -> f ctx | None -> ());
-    match Oracle.battery ~final:true ctx with
-    | _ :: _ as errs -> result errs (Some "final")
-    | [] -> (
+    match battery ctx (Oracle.battery ~final:true) with
+    | (_ :: _ as errs), ring -> result ?ring errs (Some "final")
+    | [], _ -> (
       (* double-recovery idempotence: crash the completed engine, crash
          the freshly recovered engine again at step 0, recover, re-check *)
       let ctx_a = Engine.crash ~seed:(sc.seed + 7001) ctx in
@@ -255,9 +267,12 @@ let run ?trace ?inject ?during ?on_engine (sc : Scenario.t) =
       spawn_resume ctx_b sc cancelled;
       match Sched.run ctx_b.Ctx.sched with
       | () -> (
-        match Oracle.battery ~final:true ctx_b @ ready_regressions ctx_b with
-        | [] -> result [] None
-        | errs -> result errs (Some "double-recovery"))
+        match
+          battery ctx_b (fun c ->
+              Oracle.battery ~final:true c @ ready_regressions c)
+        with
+        | [], _ -> result [] None
+        | errs, ring -> result ?ring errs (Some "double-recovery"))
       | exception Sched.Deadlock msg ->
         result [ "double-recovery deadlock: " ^ msg ] (Some "double-recovery")
       | exception exn ->

@@ -30,6 +30,11 @@ type outcome = {
   total_steps : int;  (** scheduler steps summed over incarnations *)
   build_cancelled : bool;
   committed : int;  (** transactions committed across all incarnations *)
+  ring_before_battery : Oib_obs.Flight_recorder.t option;
+      (** a copy of the trace's flight recorder taken just before the
+          battery that failed, so a dump shows the failing run rather
+          than the battery's own page and tree walks; [None] when no
+          battery failed or the trace has no recorder *)
 }
 
 val failed : outcome -> bool

@@ -97,15 +97,16 @@ let build summaries =
 
 let to_json t =
   let full u = u.u_module ^ "." ^ u.u_name in
+  let esc = Oib_util.Json_string.escape in
   let nodes =
     List.sort_uniq compare
       (List.map
          (fun u ->
            Printf.sprintf
              "{\"unit\":\"%s\",\"file\":\"%s\",\"effect\":\"%s\",\"acquires\":%b}"
-             (Diag.json_escape (full u))
-             (Diag.json_escape u.u_file)
-             (Diag.json_escape (Latch_effect.to_string u.u_effect))
+             (esc (full u))
+             (esc u.u_file)
+             (esc (Latch_effect.to_string u.u_effect))
              u.u_acquires_latch)
          t.cg_units)
   in
@@ -119,8 +120,8 @@ let to_json t =
                  (fun callee ->
                    Printf.sprintf
                      "{\"from\":\"%s\",\"to\":\"%s\",\"callback\":%b}"
-                     (Diag.json_escape (full u))
-                     (Diag.json_escape (full callee))
+                     (esc (full u))
+                     (esc (full callee))
                      c.c_callback)
                  (lookup t ~caller_module:u.u_module c.c_callee))
              u.u_calls)

@@ -57,7 +57,3 @@ val compare : t -> t -> int
 
 val dedupe : t list -> t list
 (** Sort by {!compare} and drop exact-key duplicates. *)
-
-val json_escape : string -> string
-(** Escape a string for a JSON string literal (quotes, backslashes and
-    control bytes); every JSON file [oib-lint] writes goes through it. *)

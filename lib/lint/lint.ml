@@ -117,7 +117,7 @@ let errors r =
   List.filter (fun (d : Diag.t) -> d.suppressed = None) r.r_diags
 
 let stats_to_json st =
-  let str s = "\"" ^ Diag.json_escape s ^ "\"" in
+  let str s = "\"" ^ Oib_util.Json_string.escape s ^ "\"" in
   let obj value l =
     "{"
     ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ value v) l)

@@ -32,11 +32,16 @@ type t =
       (** the request would deadlock; the caller becomes a victim *)
   | Lock_rel of { txn : int; target : string; table : bool }
   | Lock_released_all of { owner : int }
-  | Page_read of { page : int }
-  | Page_write of { page : int; page_lsn : int; flushed_lsn : int }
+  | Page_read of { page : int; role : string }
+  | Page_write of {
+      page : int;
+      role : string;
+      page_lsn : int;
+      flushed_lsn : int;
+    }
   | Access of { page : int; write : bool; site : string }
   | Lsn_set of { page : int; old_lsn : int; new_lsn : int; site : string }
-  | Page_evict of { page : int }
+  | Page_evict of { page : int; role : string }
   | Log_append of { lsn : int; kind : string; bytes : int; txn : int }
   | Log_flush of { upto : int }
   | Txn_begin of { txn : int }
@@ -134,8 +139,8 @@ let sanitizer_only = function
 
 (* key=value detail string, shared by the textual dump and pp. The
    sanitizer's payload on the shared events (latch uid/role/page, page
-   and flushed LSNs at write-back, the appending txn) stays out of it, so
-   dumps read as they did before the streams merged. *)
+   and flushed LSNs at write-back, the appending txn) and the page
+   events' role stay out of it, so dumps read as they always have. *)
 let detail = function
   | Fiber_spawn { fiber; name } -> Printf.sprintf "fiber=%d name=%s" fiber name
   | Fiber_exit | Run_start -> ""
@@ -162,13 +167,12 @@ let detail = function
   | Lock_rel { txn; target; table } ->
     Printf.sprintf "txn=%d target=%s table=%b" txn target table
   | Lock_released_all { owner } -> Printf.sprintf "owner=%d" owner
-  | Page_read { page } -> Printf.sprintf "page=%d" page
-  | Page_write { page; _ } -> Printf.sprintf "page=%d" page
+  | Page_read { page; _ } | Page_write { page; _ } | Page_evict { page; _ } ->
+    Printf.sprintf "page=%d" page
   | Access { page; write; site } ->
     Printf.sprintf "page=%d write=%b site=%s" page write site
   | Lsn_set { page; old_lsn; new_lsn; site } ->
     Printf.sprintf "page=%d old=%d new=%d site=%s" page old_lsn new_lsn site
-  | Page_evict { page } -> Printf.sprintf "page=%d" page
   | Log_append { lsn; kind; bytes; _ } ->
     Printf.sprintf "lsn=%d kind=%s bytes=%d" lsn kind bytes
   | Log_flush { upto } -> Printf.sprintf "upto=%d" upto
@@ -210,24 +214,6 @@ let to_line s = Format.asprintf "%a" pp_stamped s
 
 (* --- machine-readable JSON (no external dependency) --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let fields = function
   (* "id", not "fiber": the stamp already writes a "fiber" key into the
      same JSON object (like Recovery_step's "what" below) *)
@@ -260,9 +246,10 @@ let fields = function
   | Lock_rel { txn; target; table } ->
     [ ("txn", `I txn); ("target", `S target); ("table", `B table) ]
   | Lock_released_all { owner } -> [ ("owner", `I owner) ]
-  | Page_read { page } | Page_evict { page } -> [ ("page", `I page) ]
-  | Page_write { page; page_lsn; flushed_lsn } ->
-    [ ("page", `I page); ("page_lsn", `I page_lsn);
+  | Page_read { page; role } | Page_evict { page; role } ->
+    [ ("page", `I page); ("role", `S role) ]
+  | Page_write { page; role; page_lsn; flushed_lsn } ->
+    [ ("page", `I page); ("role", `S role); ("page_lsn", `I page_lsn);
       ("flushed_lsn", `I flushed_lsn) ]
   | Access { page; write; site } ->
     [ ("page", `I page); ("write", `B write); ("site", `S site) ]
@@ -307,16 +294,17 @@ let fields = function
   | Epoch { label } -> [ ("label", `S label) ]
 
 let to_json s =
+  let esc = Oib_util.Json_string.escape in
   let b = Buffer.create 128 in
   Buffer.add_string b
     (Printf.sprintf "{\"step\":%d,\"fiber\":%d,\"fiber_name\":\"%s\",\"type\":\"%s\""
-       s.step s.fiber (json_escape s.fiber_name) (kind s.event));
+       s.step s.fiber (esc s.fiber_name) (kind s.event));
   List.iter
     (fun (k, v) ->
       Buffer.add_string b
         (match v with
         | `I i -> Printf.sprintf ",\"%s\":%d" k i
-        | `S x -> Printf.sprintf ",\"%s\":\"%s\"" k (json_escape x)
+        | `S x -> Printf.sprintf ",\"%s\":\"%s\"" k (esc x)
         | `B x -> Printf.sprintf ",\"%s\":%b" k x))
     (fields s.event);
   Buffer.add_char b '}';

@@ -51,15 +51,23 @@ type t =
       (** one lock of a transaction's release; [Lock_released_all] is
           the transaction-level summary *)
   | Lock_released_all of { owner : int }
-  | Page_read of { page : int }
-  | Page_write of { page : int; page_lsn : int; flushed_lsn : int }
+  | Page_read of { page : int; role : string }
+      (** a buffer-pool miss read the page from the stable store; [role]
+          names the page's owner (e.g. [Heap_file], [Btree]), as on the
+          latch events *)
+  | Page_write of {
+      page : int;
+      role : string;
+      page_lsn : int;
+      flushed_lsn : int;
+    }
       (** write-back to the stable store; [flushed_lsn] is the log's
           durable horizon at that moment (WAL rule: must be
           [>= page_lsn]) *)
   | Access of { page : int; write : bool; site : string }
       (** a data access to the page ([site] names the emission point) *)
   | Lsn_set of { page : int; old_lsn : int; new_lsn : int; site : string }
-  | Page_evict of { page : int }
+  | Page_evict of { page : int; role : string }
       (** the volatile page object was discarded; a later re-read builds
           a new object (new latch) from the stable image *)
   | Log_append of { lsn : int; kind : string; bytes : int; txn : int }
@@ -87,13 +95,14 @@ type t =
           periodic sampler. The key namespace is a contract with the
           offline tools (oib-trace, bench): within one batch
           every key appears at most once, and keys follow
-          - [metrics.<counter>] — the engine's global counter record;
-          - [pool.*] / [wal.*] — subsystem gauges (dirty/cached pages,
-            unflushed and durable WAL bytes) and role-labelled IO
-            counters such as [pool.page_read{role=scan}];
-          - [window.<name>.p50|.p95|.p99|.count] — sliding-window
-            quantiles (e.g. [window.fg.latency.p99]);
-          - [rate.<name>] — EWMA rates scaled to events per 1000 steps;
+          - [metrics.<counter>] — the engine's counter totals;
+          - [pool.*] / [wal.*] / [throttle.level] — gauges read at
+            sample time (dirty/cached pages, unflushed and durable WAL
+            bytes, the build throttle's level);
+          - [window.fg.latency.p50|.p95|.p99|.count] — the sliding
+            window of foreground commit latencies;
+          - [rate.<counter>] — EWMA rates scaled to events per 1000
+            steps;
           - [build.<index_id>.keys_processed|backlog|phase] and
             [build.<index_id>.cost.pages|log_bytes|wait_steps|compares]
             — per-build progress and attributed resource cost;
@@ -143,5 +152,3 @@ val to_line : stamped -> string
 
 val to_json : stamped -> string
 (** One JSON object (one JSONL line), no trailing newline. *)
-
-val json_escape : string -> string

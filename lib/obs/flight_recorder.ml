@@ -17,6 +17,7 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Flight_recorder.create: capacity <= 0";
   { capacity; buf = Array.make capacity dummy; total = 0; next = 0 }
 
+let copy t = { t with buf = Array.copy t.buf }
 let capacity t = t.capacity
 let total t = t.total
 let size t = min t.total t.capacity

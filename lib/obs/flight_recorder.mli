@@ -13,6 +13,10 @@ val record : t -> Event.stamped -> unit
 val contents : t -> Event.stamped list
 (** Retained events, oldest first. *)
 
+val copy : t -> t
+(** A detached copy of the ring: later {!record}s into either leave the
+    other as it was. *)
+
 val capacity : t -> int
 
 val total : t -> int

@@ -46,8 +46,8 @@ val all : counter list
 (** Every counter, in report order. *)
 
 val name : counter -> string
-(** Snake-case key used by {!to_assoc}, {!to_json} and the registry
-    bridge, e.g. ["page_reads"]. *)
+(** Snake-case key used by {!to_assoc}, {!to_json} and the sampler's
+    [metrics.*] and [rate.*] keys, e.g. ["page_reads"]. *)
 
 type t
 

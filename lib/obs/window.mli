@@ -10,13 +10,12 @@
     p99 over "the last N ticks" cheap enough to read on every tick.
 
     Also provides {!Ewma}, an exponentially weighted moving average of an
-    event rate fed with per-tick counter deltas. *)
+    event rate fed with a monotonic counter total once per tick. *)
 
 type t
 
-val create : ?bounds:int array -> slots:int -> unit -> t
-(** [bounds] defaults to {!Hist.default_bounds}. [Invalid_argument] if
-    [slots < 1]. *)
+val create : slots:int -> unit -> t
+(** Slots use {!Hist.default_bounds}. [Invalid_argument] if [slots < 1]. *)
 
 val observe : t -> int -> unit
 (** Record one observation into the current (head) slot. *)
@@ -25,11 +24,8 @@ val rotate : t -> unit
 (** Advance the ring one tick: the oldest slot's observations are
     discarded and a fresh head slot opens. *)
 
-val slots : t -> int
 val rotations : t -> int
 (** Total [rotate] calls since creation. *)
-
-val bounds : t -> int array
 
 val merged : t -> Hist.t
 (** Fresh histogram merging every live slot (the full window). *)
@@ -41,8 +37,6 @@ val percentile : t -> float -> float
 (** [percentile t p], [p] in [0,1], over the merged window; 0.0 when the
     window holds no observations. *)
 
-val to_json : t -> string
-
 (** EWMA event rates (events per scheduler step). *)
 module Ewma : sig
   type t
@@ -51,9 +45,14 @@ module Ewma : sig
   (** [alpha] in (0,1], default 0.3: weight of the newest tick. The first
       tick primes the rate directly. *)
 
-  val tick : t -> count:int -> steps:int -> unit
-  (** Fold in one tick covering [steps] scheduler steps during which
-      [count] events occurred. Ignored if [steps <= 0]. *)
+  val observe : t -> total:int -> steps:int -> unit
+  (** Feed the current value of a monotonic counter. The first call only
+      records the baseline; each later call is one tick covering [steps]
+      scheduler steps during which [total - previous] events occurred
+      (ignored if [steps <= 0], though the baseline still moves). *)
+
+  val started : t -> bool
+  (** A baseline has been recorded (at least one {!observe}). *)
 
   val rate : t -> float
   (** Smoothed events per step (0.0 before the first tick). *)

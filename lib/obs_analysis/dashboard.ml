@@ -8,8 +8,10 @@ type t = {
   latest : (string, int) Hashtbl.t; (* newest value per sample key *)
   mutable last_step : int;
   mutable samples : int;
+  reads : (string, int) Hashtbl.t; (* page reads per page role *)
   mutable commits : int;
   mutable aborts : int;
+  mutable deadlocks : int;
   mutable crashes : int;
   mutable epochs : int;
 }
@@ -19,8 +21,10 @@ let create () =
     latest = Hashtbl.create 128;
     last_step = 0;
     samples = 0;
+    reads = Hashtbl.create 8;
     commits = 0;
     aborts = 0;
+    deadlocks = 0;
     crashes = 0;
     epochs = 1;
   }
@@ -33,6 +37,11 @@ let feed t (s : Event.stamped) =
     t.samples <- t.samples + 1
   | Event.Txn_commit _ -> t.commits <- t.commits + 1
   | Event.Txn_abort _ -> t.aborts <- t.aborts + 1
+  | Event.Lock_denied _ -> t.deadlocks <- t.deadlocks + 1
+  (* captures written before page events carried a role have none *)
+  | Event.Page_read { role; _ } when role <> "" ->
+    Hashtbl.replace t.reads role
+      (1 + Option.value (Hashtbl.find_opt t.reads role) ~default:0)
   | Event.Crash _ -> t.crashes <- t.crashes + 1
   | Event.Epoch _ ->
     t.epochs <- t.epochs + 1;
@@ -49,7 +58,7 @@ let get t key = Hashtbl.find_opt t.latest key
 let get0 t key = Option.value (get t key) ~default:0
 
 (* keys matching [prefix]<middle>[suffix], returned as (middle, value)
-   sorted by middle — e.g. build ids or role labels *)
+   sorted by middle — e.g. build ids or signal names *)
 let matching t ~prefix ~suffix =
   let plen = String.length prefix and slen = String.length suffix in
   Hashtbl.fold
@@ -91,8 +100,7 @@ let render t =
       n
   | None -> Buffer.add_string buf "fg latency   (no window samples yet)\n");
   Printf.bprintf buf "txns         commits %-8d aborts %-8d deadlocks %d\n"
-    t.commits t.aborts
-    (get0 t "metrics.deadlocks");
+    t.commits t.aborts t.deadlocks;
   (* EWMA rates, already scaled to events per 1000 steps *)
   (match matching t ~prefix:"rate." ~suffix:"" with
   | [] -> Buffer.add_string buf "rates /1k    (no rate samples yet)\n"
@@ -104,8 +112,8 @@ let render t =
     (get0 t "pool.dirty_pages")
     (get0 t "pool.cached_pages")
     (get0 t "wal.unflushed_bytes");
-  (* role-labelled page IO counters: pool.page_read{role=scan} ... *)
-  (match matching t ~prefix:"pool.page_read{role=" ~suffix:"}" with
+  (* page reads by the role of the page read *)
+  (match List.sort compare (List.of_seq (Hashtbl.to_seq t.reads)) with
   | [] -> ()
   | roles ->
     Buffer.add_string buf "reads/role  ";

@@ -3,8 +3,8 @@
     The model behind [oib-trace top]: feed it stamped events — live off a
     {!Oib_obs.Trace} sink or replayed from a JSONL capture — and
     {!render} the current state as a fixed-layout text frame showing
-    foreground latency quantiles, EWMA rates, health signals, page-IO by
-    role, and every build's phase, progress and attributed cost. The
+    foreground latency quantiles, EWMA rates, health signals, page reads
+    by role, and every build's phase, progress and attributed cost. The
     fold keeps only "latest value per sample key" plus a few event
     counters, so feeding is O(1) per event and a frame can be rendered
     at any point of the stream. Pure state + string: no printing here
@@ -15,9 +15,10 @@ type t
 val create : unit -> t
 
 val feed : t -> Oib_obs.Event.stamped -> unit
-(** Latest-wins for [Sample] keys; [Txn_commit]/[Txn_abort]/[Crash]/
-    [Epoch] bump counters; everything else only advances the step
-    clock. *)
+(** Latest-wins for [Sample] keys; [Txn_commit]/[Txn_abort]/
+    [Lock_denied] (deadlock victims)/[Crash]/[Epoch] bump counters and
+    [Page_read] counts per page role; everything else only advances the
+    step clock. *)
 
 val feed_all : t -> Oib_obs.Event.stamped list -> unit
 

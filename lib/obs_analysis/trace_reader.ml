@@ -76,12 +76,13 @@ let decode_event j kind =
     Ok (Event.Lock_released_all { owner })
   | "page.read" ->
     let* page = int_f "page" in
-    Ok (Event.Page_read { page })
+    Ok (Event.Page_read { page; role = opt Json.to_string "role" "" })
   | "page.write" ->
     let* page = int_f "page" in
     Ok
       (Event.Page_write
-         { page; page_lsn = opt Json.to_int "page_lsn" 0;
+         { page; role = opt Json.to_string "role" "";
+           page_lsn = opt Json.to_int "page_lsn" 0;
            flushed_lsn = opt Json.to_int "flushed_lsn" 0 })
   | "log.append" ->
     let* lsn = int_f "lsn" in

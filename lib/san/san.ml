@@ -276,7 +276,7 @@ let analyse t f (ev : Event.t) =
     true
   | Lsn_set _ | Page_write _ | Log_append _ | Undo_begin _ | Undo_end _ ->
     true (* the WAL checker's alone *)
-  | Page_evict { page } ->
+  | Page_evict { page; _ } ->
     Lockset.clear_page t.lockset page;
     true
   | Epoch _ | Run_start ->

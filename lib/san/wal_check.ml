@@ -23,7 +23,7 @@ let feed t (ev : Oib_obs.Event.t) =
        ^ string_of_int floor ^ " -> " ^ string_of_int new_lsn ^ " at "
        ^ site);
     Hashtbl.replace t.page_lsn page (max floor new_lsn)
-  | Page_write { page; page_lsn; flushed_lsn } ->
+  | Page_write { page; page_lsn; flushed_lsn; _ } ->
     if flushed_lsn < page_lsn then
       t.report ~check:"steal-before-flush"
         ~site:("page-" ^ string_of_int page)
@@ -31,7 +31,7 @@ let feed t (ev : Oib_obs.Event.t) =
        ^ string_of_int page_lsn ^ " but the log is only durable to "
        ^ string_of_int flushed_lsn
        ^ " (write-ahead rule: force the log before stealing)")
-  | Page_evict { page } -> Hashtbl.remove t.page_lsn page
+  | Page_evict { page; _ } -> Hashtbl.remove t.page_lsn page
   | Undo_begin { txn } -> Hashtbl.replace t.undoing txn ()
   | Undo_end { txn } -> Hashtbl.remove t.undoing txn
   | Log_append { txn; kind; _ } ->

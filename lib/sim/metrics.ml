@@ -2,7 +2,7 @@ module Resource = Oib_obs.Resource
 
 type t = {
   totals : Resource.t;
-  mutable registry : Oib_obs.Registry.t option;
+  latency : Oib_obs.Window.t option; (* [None] on detached copies *)
   mutable fiber_source : unit -> int;
   accounts : (int, Resource.t) Hashtbl.t;
   (* the last fiber -> account resolution; [cached_fiber = no_fiber]
@@ -13,43 +13,34 @@ type t = {
 
 let no_fiber = min_int
 
-let create () =
+let make ~totals ~latency =
   {
-    totals = Resource.create ();
-    registry = None;
+    totals;
+    latency;
     fiber_source = (fun () -> -1);
     accounts = Hashtbl.create 8;
     cached_fiber = no_fiber;
     cached_account = None;
   }
 
+let create () =
+  make ~totals:(Resource.create ())
+    ~latency:(Some (Oib_obs.Window.create ~slots:8 ()))
+
 let totals t = t.totals
 let get t c = Resource.get t.totals c
 let to_assoc t = Resource.to_assoc t.totals
 let reset t = Resource.reset t.totals
 
-(* Detached copies carry only counters: no registry, no accounts. *)
-let of_totals totals = { (create ()) with totals }
+(* Detached copies carry only counters: no latency window, no accounts. *)
+let of_totals totals = make ~totals ~latency:None
 let snapshot t = of_totals (Resource.snapshot t.totals)
 let diff ~after ~before = of_totals (Resource.diff ~after:after.totals ~before:before.totals)
 
-(* --- registry bridge ------------------------------------------------- *)
+let latency t = t.latency
 
-let attach_registry t reg =
-  t.registry <- Some reg;
-  List.iter
-    (fun c ->
-      Oib_obs.Registry.gauge reg
-        ("metrics." ^ Resource.name c)
-        (fun () -> Resource.get t.totals c))
-    Resource.all
-
-let registry t = t.registry
-
-let observe_window t name v =
-  match t.registry with
-  | Some reg -> Oib_obs.Registry.observe_window reg name v
-  | None -> ()
+let observe_latency t v =
+  match t.latency with Some w -> Oib_obs.Window.observe w v | None -> ()
 
 (* --- per-fiber build accounts ---------------------------------------- *)
 

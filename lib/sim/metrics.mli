@@ -1,12 +1,16 @@
-(** Counter plumbing: engine totals and per-build attribution.
+(** Counter plumbing: engine totals, per-build attribution and the
+    foreground latency window.
 
-    Each engine instance owns a [Metrics.t]. It holds the engine totals
-    (one {!Oib_obs.Resource.t}, the only counter set) and routes every
-    count through one choke point, {!add}, which bumps the totals and the
+    Each engine instance owns a [Metrics.t], and it survives the engine's
+    crash/restart. It holds the engine totals (one
+    {!Oib_obs.Resource.t}, the only counter set) and routes every count
+    through one choke point, {!add}, which bumps the totals and the
     account of the build the current fiber works for, so the two can
     never disagree on what happened. [Metrics.t] itself declares no
     counters: {!snapshot}, {!diff} and {!to_assoc} are views over the
-    totals. *)
+    totals. It also holds the sliding window of committed foreground
+    transaction latencies ({!latency}), which the periodic sampler
+    reports and the [overload.fg_p99] health signal reads. *)
 
 type t
 
@@ -30,26 +34,20 @@ val reset : t -> unit
 
 val snapshot : t -> t
 (** A detached copy of the totals; it shares nothing with [t] and has no
-    registry or accounts. *)
+    latency window or accounts. *)
 
 val diff : after:t -> before:t -> t
 (** Totals of [after] minus [before], detached like {!snapshot}. *)
 
-(** {2 Registry bridge}
+(** {2 Foreground latency window} *)
 
-    [attach_registry] registers every counter of the totals as a derived
-    gauge named [metrics.<counter>], so registry readers (sampler, bench,
-    JSONL sinks) see live values. *)
+val observe_latency : t -> int -> unit
+(** Record one committed foreground transaction's latency (scheduler
+    steps) in {!latency}; a no-op on a detached copy. *)
 
-val attach_registry : t -> Oib_obs.Registry.t -> unit
-
-val registry : t -> Oib_obs.Registry.t option
-
-val observe_window : t -> string -> int -> unit
-(** Observe into a named window of the attached registry; no-op when no
-    registry is attached or the window does not exist. Lets deep
-    subsystems (e.g. the transaction manager feeding [fg.latency])
-    report without holding a registry handle. *)
+val latency : t -> Oib_obs.Window.t option
+(** The window of the last 8 sampler ticks' commit latencies, rotated by
+    the sampler ([window.fg.latency.*]); [None] on a detached copy. *)
 
 (** {2 Per-fiber build accounts}
 

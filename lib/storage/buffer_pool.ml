@@ -5,12 +5,7 @@ type t = {
   store : Stable_store.t;
   cache : (int, Page.t) Hashtbl.t;
   mutable next_page_id : int;
-  mutable io_registry : Oib_obs.Registry.t option;
-  mutable io_counters : (string * Oib_obs.Registry.counter option array) list;
-      (* per role, indexed by [io_index]: handles found in [io_registry] *)
 }
-
-type io = Read | Write | Evict
 
 let create ~sched ~metrics ~log ~store =
   {
@@ -21,56 +16,12 @@ let create ~sched ~metrics ~log ~store =
     cache = Hashtbl.create 256;
     (* after a crash, page ids must not be reused *)
     next_page_id = Stable_store.max_page_id store + 1;
-    io_registry = None;
-    io_counters = [];
   }
 
 let sched t = t.sched
 let metrics t = t.metrics
 let log t = t.log
 let store t = t.store
-
-let io_index = function Read -> 0 | Write -> 1 | Evict -> 2
-
-let io_name = function
-  | Read -> "pool.page_read"
-  | Write -> "pool.page_write"
-  | Evict -> "pool.page_evict"
-
-(* Role-labeled page-traffic counters in the central registry (e.g.
-   [pool.page_read{role=Heap_file}]), a no-op when no registry is
-   attached. Each handle is found (or created) by its rendered name on
-   its first bump and cached until the metrics carry another registry,
-   so a page I/O renders and hashes no name. *)
-let bump t io ~role =
-  match Oib_sim.Metrics.registry t.metrics with
-  | None -> ()
-  | Some reg ->
-    (match t.io_registry with
-    | Some r when r == reg -> ()
-    | _ ->
-      t.io_registry <- Some reg;
-      t.io_counters <- []);
-    let rec find = function
-      | (r, slots) :: rest ->
-        if r == role || String.equal r role then slots else find rest
-      | [] ->
-        let slots = Array.make 3 None in
-        t.io_counters <- (role, slots) :: t.io_counters;
-        slots
-    in
-    let slots = find t.io_counters in
-    let c =
-      match slots.(io_index io) with
-      | Some c -> c
-      | None ->
-        let c =
-          Oib_obs.Registry.counter reg ~labels:[ ("role", role) ] (io_name io)
-        in
-        slots.(io_index io) <- Some c;
-        c
-    in
-    Oib_obs.Registry.incr c
 
 let new_page t ~kind ~payload =
   let id = t.next_page_id in
@@ -88,7 +39,6 @@ let get t ~(kind : Page.kind) id =
     | None -> raise Not_found
     | Some { image; lsn } ->
       Oib_sim.Metrics.add t.metrics Page_reads 1;
-      bump t Read ~role:kind.role;
       let tr = Oib_sim.Sched.trace t.sched in
       let span =
         if Oib_obs.Trace.tracing tr then
@@ -97,7 +47,8 @@ let get t ~(kind : Page.kind) id =
         else 0
       in
       if Oib_obs.Trace.tracing tr then
-        Oib_obs.Trace.emit tr (Oib_obs.Event.Page_read { page = id });
+        Oib_obs.Trace.emit tr
+          (Oib_obs.Event.Page_read { page = id; role = kind.role });
       (* the decode is part of the read; a corrupt image ends the span
          and leaves nothing cached *)
       let payload =
@@ -129,12 +80,12 @@ let install t ~kind id ~payload =
 let write_back t (page : Page.t) =
   let tr = Oib_sim.Sched.trace t.sched in
   Oib_sim.Metrics.add t.metrics Page_writes 1;
-  bump t Write ~role:page.kind.role;
   if Oib_obs.Trace.tracing tr then
     Oib_obs.Trace.emit tr
       (Oib_obs.Event.Page_write
          {
            page = page.id;
+           role = page.kind.role;
            page_lsn = Oib_wal.Lsn.to_int page.Page.lsn;
            flushed_lsn =
              Oib_wal.Lsn.to_int (Oib_wal.Log_manager.flushed_lsn t.log);
@@ -186,8 +137,8 @@ let note_evict t id =
   | Some page ->
     let tr = Oib_sim.Sched.trace t.sched in
     if Oib_obs.Trace.tracing tr then
-      Oib_obs.Trace.emit tr (Oib_obs.Event.Page_evict { page = id });
-    bump t Evict ~role:page.Page.kind.role;
+      Oib_obs.Trace.emit tr
+        (Oib_obs.Event.Page_evict { page = id; role = page.Page.kind.role });
     Oib_sim.Metrics.add t.metrics Pages_evicted 1
 
 let evict t id =

@@ -87,7 +87,7 @@ let commit t txn =
   Trace.observe t.trace "txn_latency" latency;
   (* foreground committed-txn latency feeds the sliding window behind
      the overload signal *)
-  Oib_sim.Metrics.observe_window t.metrics "fg.latency" latency;
+  Oib_sim.Metrics.observe_latency t.metrics latency;
   if Trace.tracing t.trace then
     Trace.emit t.trace (Event.Txn_commit { txn = txn.txn_id; latency });
   Trace.span_end t.trace txn.span

@@ -243,6 +243,33 @@ let test_harness_catches_planted_violation () =
   Alcotest.(check (option string)) "at the final battery" (Some "final")
     o.Runner.failed_at
 
+(* The failure dump holds the ring as it stood when the failing run
+   handed over to the battery (here: right after the planted phantom),
+   not the battery's own latch traffic, which the live ring still
+   records. *)
+let test_failure_dump_precedes_battery () =
+  let sc = Scenario.generate ~seed:3 |> Scenario.override ~alg:Scenario.Nsf in
+  let trace = Oib_obs.Trace.create () in
+  let recorder = Oib_obs.Trace.attach_recorder trace ~capacity:64 in
+  let module FR = Oib_obs.Flight_recorder in
+  let at_handover = ref ([], 0) in
+  let inject ctx =
+    plant_phantom ctx;
+    at_handover := (FR.contents recorder, FR.total recorder)
+  in
+  let o = Runner.run ~trace ~inject sc in
+  Alcotest.(check (option string)) "at the final battery" (Some "final")
+    o.Runner.failed_at;
+  let ring = Option.get o.Runner.ring_before_battery in
+  let contents, total = !at_handover in
+  Alcotest.(check int) "events recorded up to the handover" total
+    (FR.total ring);
+  Alcotest.(check (list string)) "ring as the run left it"
+    (List.map Oib_obs.Event.to_line contents)
+    (List.map Oib_obs.Event.to_line (FR.contents ring));
+  Alcotest.(check bool) "the battery recorded more" true
+    (FR.total recorder > total)
+
 let test_shrinker_minimizes_and_repro_round_trips () =
   let sc = Scenario.generate ~seed:3 |> Scenario.override ~alg:Scenario.Nsf in
   let reproduces c = Runner.failed (Runner.run ~inject:plant_phantom c) in
@@ -423,6 +450,8 @@ let () =
         [
           Alcotest.test_case "catches planted violation" `Quick
             test_harness_catches_planted_violation;
+          Alcotest.test_case "failure dump precedes the battery" `Quick
+            test_failure_dump_precedes_battery;
           Alcotest.test_case "shrinks and reproduces" `Quick
             test_shrinker_minimizes_and_repro_round_trips;
           Alcotest.test_case "fault-plan parser" `Quick test_fault_plan_parser;

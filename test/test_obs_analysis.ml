@@ -12,6 +12,7 @@ module TR = Oib_obs_analysis.Trace_reader
 module Span_tree = Oib_obs_analysis.Span_tree
 module Contention = Oib_obs_analysis.Contention
 module Check = Oib_obs_analysis.Check
+module Dashboard = Oib_obs_analysis.Dashboard
 
 (* --- encode -> parse round trip, every variant, hostile strings --- *)
 
@@ -39,11 +40,12 @@ let all_variants =
       { owner = 1000010; target = "table:1"; mode = "S"; blockers = nasty };
     Event.Lock_rel { txn = 4; target = nasty; table = false };
     Event.Lock_released_all { owner = 1000010 };
-    Event.Page_read { page = 42 };
-    Event.Page_write { page = 0; page_lsn = 31; flushed_lsn = 29 };
+    Event.Page_read { page = 42; role = nasty };
+    Event.Page_write
+      { page = 0; role = "Btree"; page_lsn = 31; flushed_lsn = 29 };
     Event.Access { page = 2; write = true; site = nasty };
     Event.Lsn_set { page = 2; old_lsn = 3; new_lsn = 5; site = nasty };
-    Event.Page_evict { page = 2 };
+    Event.Page_evict { page = 2; role = "Heap_file" };
     Event.Log_append { lsn = 17; kind = nasty; bytes = 128; txn = 8 };
     Event.Log_flush { upto = 99 };
     Event.Txn_begin { txn = 8 };
@@ -168,8 +170,8 @@ let test_roundtrip () =
     TR.parse_line
       {|{"step":1,"fiber":0,"fiber_name":"m","type":"page.write","page":3}|}
   with
-  | Ok { event = Event.Page_write { page = 3; _ }; _ } -> ()
-  | _ -> Alcotest.fail "page.write without LSN keys rejected"
+  | Ok { event = Event.Page_write { page = 3; role = ""; _ }; _ } -> ()
+  | _ -> Alcotest.fail "page.write without LSN or role keys rejected"
 
 let test_reader_collects_errors () =
   let events, errors =
@@ -177,7 +179,7 @@ let test_reader_collects_errors () =
       [
         Event.to_json
           { Event.step = 1; fiber = 0; fiber_name = "main";
-            event = Event.Page_read { page = 1 } };
+            event = Event.Page_read { page = 1; role = "" } };
         "";
         "not json at all";
         "{\"step\":2,\"kind\":\"no.such.kind\",\"fiber\":0,\"fiber_name\":\"m\"}";
@@ -439,21 +441,24 @@ let test_check_catches_corruption () =
     ]
     "terminates twice";
   expect_violation "unannounced step reset"
-    [ at 10 (Event.Page_read { page = 1 }); at 3 (Event.Page_read { page = 2 }) ]
+    [
+      at 10 (Event.Page_read { page = 1; role = "" });
+      at 3 (Event.Page_read { page = 2; role = "" });
+    ]
     "step clock reset";
   (* the same reset is fine when a crash or a marker announces it *)
   Alcotest.(check (list Alcotest.reject)) "crash announces the reset" []
     (Check.run
        [
          at 10 (Event.Crash { reason = "power" });
-         at 3 (Event.Page_read { page = 2 });
+         at 3 (Event.Page_read { page = 2; role = "" });
        ]);
   Alcotest.(check (list Alcotest.reject)) "marker announces the reset" []
     (Check.run
        [
-         at 10 (Event.Page_read { page = 1 });
+         at 10 (Event.Page_read { page = 1; role = "" });
          at 0 (Event.Epoch { label = "restart" });
-         at 3 (Event.Page_read { page = 2 });
+         at 3 (Event.Page_read { page = 2; role = "" });
        ]);
   (* a crashed epoch may leave waits and spans unresolved *)
   Alcotest.(check (list Alcotest.reject)) "crash excuses open state" []
@@ -463,6 +468,55 @@ let test_check_catches_corruption () =
          at 4 (Event.Span_begin { span = 1; parent = 0; cat = "txn"; name = "t" });
          at 9 (Event.Crash { reason = "power" });
        ])
+
+(* --- oib-trace top: the dashboard frame --- *)
+
+let frame_line frame prefix =
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' frame)
+  with
+  | Some l -> l
+  | None -> Alcotest.failf "no %S line in the frame:\n%s" prefix frame
+
+(* The frame's deadlock figure is the number of deadlock victims in the
+   stream: one [lock.denied] each. *)
+let test_dashboard_deadlocks () =
+  let events =
+    capture Ib.Nsf ~sample_every:50 ~seed:5 ~rows:1500 ~workers:3 ~txns:25
+  in
+  let denied =
+    List.length
+      (List.filter
+         (fun (s : Event.stamped) ->
+           match s.event with Event.Lock_denied _ -> true | _ -> false)
+         events)
+  in
+  Alcotest.(check bool) "the build has deadlock victims" true (denied > 0);
+  let d = Dashboard.create () in
+  Dashboard.feed_all d events;
+  let words =
+    String.split_on_char ' ' (frame_line (Dashboard.render d) "txns")
+    |> List.filter (( <> ) "")
+  in
+  let rec after = function
+    | "deadlocks" :: v :: _ -> int_of_string v
+    | _ :: rest -> after rest
+    | [] -> Alcotest.fail "no deadlock figure"
+  in
+  Alcotest.(check int) "deadlocks = lock.denied events" denied (after words)
+
+(* reads/role counts the page.read events by the role they carry; a read
+   from a capture that predates the role field is left out *)
+let test_dashboard_reads_per_role () =
+  let d = Dashboard.create () in
+  List.iteri
+    (fun i role ->
+      Dashboard.feed d (at i (Event.Page_read { page = i; role })))
+    [ "Heap_file"; "Btree"; ""; "Heap_file" ];
+  Alcotest.(check string) "reads by role" "reads/role   Btree 1 Heap_file 2"
+    (frame_line (Dashboard.render d) "reads/role")
 
 let () =
   Alcotest.run "obs_analysis"
@@ -501,4 +555,11 @@ let () =
       ( "sampler",
         [ Alcotest.test_case "time series keys + monotone" `Quick
             test_sampler_series ] );
+      ( "dashboard",
+        [
+          Alcotest.test_case "deadlocks are lock.denied events" `Quick
+            test_dashboard_deadlocks;
+          Alcotest.test_case "reads per role" `Quick
+            test_dashboard_reads_per_role;
+        ] );
     ]

@@ -1,5 +1,5 @@
 (* The online metrics plane: sliding-window quantiles vs an exact
-   histogram, registry snapshot/JSON round-trips, signal hysteresis,
+   histogram, the sampler's batches, signal hysteresis,
    online-vs-offline quantile agreement, per-build resource accounting
    and the overload signal under hot vs quiet traffic. *)
 
@@ -9,12 +9,10 @@ module Trace = Oib_obs.Trace
 module Event = Oib_obs.Event
 module Hist = Oib_obs.Hist
 module Window = Oib_obs.Window
-module Registry = Oib_obs.Registry
 module Signal = Oib_obs.Signal
 module Resource = Oib_obs.Resource
 module Driver = Oib_workload.Driver
 module Quantiles = Oib_obs_analysis.Quantiles
-module Json = Oib_obs_analysis.Json
 module BS = Build_status
 
 (* --- Window vs exact Hist ------------------------------------------- *)
@@ -99,108 +97,6 @@ let test_window_basics () =
   (* first tick's observation has aged out *)
   Alcotest.(check int) "oldest aged out" 1 (Window.count w);
   Alcotest.(check int) "rotations counted" 2 (Window.rotations w)
-
-(* --- registry snapshot / JSON round-trip ---------------------------- *)
-
-let test_registry_roundtrip () =
-  let reg = Registry.create () in
-  let c = Registry.counter reg ~labels:[ ("role", "scan") ] "pool.page_read" in
-  Registry.add c 41;
-  Registry.incr c;
-  let cell = ref 7 in
-  Registry.gauge reg "pool.dirty_pages" (fun () -> !cell);
-  let w = Registry.window reg ~slots:4 "fg.latency" in
-  Window.observe w 12;
-  Window.observe w 40;
-  let json =
-    match Json.parse (Registry.to_json reg) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "registry JSON does not parse: %s" m
-  in
-  let int_member k =
-    match Option.bind (Json.member k json) Json.to_int with
-    | Some v -> v
-    | None -> Alcotest.failf "missing int member %S" k
-  in
-  Alcotest.(check int) "labelled counter survives" 42
-    (int_member "pool.page_read{role=scan}");
-  Alcotest.(check int) "gauge read at snapshot" 7 (int_member "pool.dirty_pages");
-  cell := 9;
-  Alcotest.(check int) "gauge re-read, not cached" 9
-    (match Registry.snapshot reg with
-    | s -> (
-      match List.assoc "pool.dirty_pages" s with
-      | Registry.Int v -> v
-      | _ -> Alcotest.fail "gauge kind"));
-  (* window flattens into the sample view under the window. prefix *)
-  let samples = Registry.sample_values reg in
-  Alcotest.(check int) "window count sampled" 2
-    (List.assoc "window.fg.latency.count" samples);
-  Alcotest.(check bool) "window p99 sampled" true
-    (List.mem_assoc "window.fg.latency.p99" samples);
-  (* find-or-create returns the same series; kind clash is an error *)
-  Alcotest.(check int) "counter interned" 42
-    (Registry.counter_value
-       (Registry.counter reg ~labels:[ ("role", "scan") ] "pool.page_read"));
-  Alcotest.check_raises "kind clash"
-    (Invalid_argument
-       "Registry: \"fg.latency\" already registered as a window, wanted a \
-        counter") (fun () -> ignore (Registry.counter reg "fg.latency"))
-
-(* A label value carrying control bytes must still render valid JSON:
-   escaped, never raw, and read back to the same series name. *)
-let test_registry_json_escapes_labels () =
-  let reg = Registry.create () in
-  let labels = [ ("role", "a\tb\nc") ] in
-  Registry.add (Registry.counter reg ~labels "pool.page_read") 3;
-  let json = Registry.to_json reg in
-  String.iter
-    (fun c ->
-      if Char.code c < 0x20 then
-        Alcotest.failf "raw control byte %#x in %S" (Char.code c) json)
-    json;
-  match Json.parse json with
-  | Error m -> Alcotest.failf "registry JSON does not parse: %s" m
-  | Ok j ->
-    Alcotest.(check (option int)) "labelled counter round-trips" (Some 3)
-      (Option.bind
-         (Json.member (Registry.render_name ~labels "pool.page_read") j)
-         Json.to_int)
-
-(* A name registered as one kind and looked up (or re-registered) as
-   another must raise, never shadow: a silent miss would swallow the
-   caller's observations. Same-kind re-registration stays legal — the
-   documented crash-re-wiring path for gauges. *)
-let test_registry_kind_clash () =
-  let reg = Registry.create () in
-  let c = Registry.counter reg "wal.flushes" in
-  Registry.incr c;
-  let window_clash =
-    Invalid_argument
-      "Registry: \"wal.flushes\" already registered as a counter, wanted a \
-       window"
-  in
-  Alcotest.check_raises "find_window on a counter name" window_clash
-    (fun () -> ignore (Registry.find_window reg "wal.flushes"));
-  Alcotest.check_raises "observe_window on a counter name" window_clash
-    (fun () -> Registry.observe_window reg "wal.flushes" 3);
-  Alcotest.check_raises "window registration over a counter" window_clash
-    (fun () -> ignore (Registry.window reg "wal.flushes"));
-  Alcotest.check_raises "gauge registration over a counter"
-    (Invalid_argument
-       "Registry: \"wal.flushes\" already registered as a counter, wanted a \
-        gauge") (fun () -> Registry.gauge reg "wal.flushes" (fun () -> 0));
-  (* absent names stay quiet: observation sites may fire before wiring *)
-  Alcotest.(check bool) "missing window is None" true
-    (Registry.find_window reg "not.there" = None);
-  Registry.observe_window reg "not.there" 5;
-  (* same-kind re-registration re-points the gauge (crash re-wiring) *)
-  Registry.gauge reg "pool.dirty" (fun () -> 1);
-  Registry.gauge reg "pool.dirty" (fun () -> 2);
-  Alcotest.(check int) "gauge re-wired, not duplicated" 2
-    (match List.assoc "pool.dirty" (Registry.snapshot reg) with
-    | Registry.Int v -> v
-    | _ -> Alcotest.fail "gauge kind")
 
 (* --- signal hysteresis ---------------------------------------------- *)
 
@@ -473,30 +369,51 @@ let test_sampler_emits_plane_keys () =
         (fun (s, k, _) -> if s = last then Some k else None)
         !samples
   in
-  Alcotest.(check bool) "emits window p99" true
-    (List.mem "window.fg.latency.p99" keys_at_last_batch);
-  Alcotest.(check bool) "emits signal state" true
-    (List.mem "signal.overload.fg_p99" keys_at_last_batch);
-  Alcotest.(check bool) "emits rate series" true
-    (List.mem "rate.txn_commits" keys_at_last_batch);
-  let sorted = List.sort compare keys_at_last_batch in
-  Alcotest.(check int) "no duplicate keys in one batch"
-    (List.length sorted)
-    (List.length (List.sort_uniq compare sorted))
+  (* a batch's full key list in order: the namespace the offline tools
+     read (Event.Sample) *)
+  Alcotest.(check (list string)) "last batch, in order"
+    [
+      "window.fg.latency.p50"; "window.fg.latency.p95";
+      "window.fg.latency.p99"; "window.fg.latency.count";
+      "metrics.fast_path_inserts"; "metrics.keys_inserted";
+      "metrics.keys_rejected_duplicate"; "metrics.latch_acquires";
+      "metrics.latch_wait_steps"; "metrics.latch_waits";
+      "metrics.lock_calls"; "metrics.lock_wait_steps"; "metrics.lock_waits";
+      "metrics.log_bytes"; "metrics.log_flushes"; "metrics.log_records";
+      "metrics.page_reads"; "metrics.page_splits"; "metrics.page_writes";
+      "metrics.pages_evicted"; "metrics.pseudo_deletes";
+      "metrics.run_spills"; "metrics.sequential_reads";
+      "metrics.sidefile_appends"; "metrics.sort_compares";
+      "metrics.tree_traversals"; "metrics.txn_aborts";
+      "metrics.txn_commits"; "pool.cached_pages"; "pool.dirty_pages";
+      "rate.log_bytes"; "rate.page_reads"; "rate.page_writes";
+      "rate.txn_commits"; "throttle.level"; "wal.durable_bytes";
+      "wal.unflushed_bytes"; "signal.overload.fg_p99";
+      "signal.pool.dirty_ratio"; "signal.wal.backlog";
+    ]
+    (List.rev keys_at_last_batch)
 
-(* the wal.durable_bytes gauge reads the live incarnation's log *)
+(* the sampled wal.durable_bytes reads the live incarnation's log *)
 let test_durable_bytes_gauge () =
+  let trace = Trace.create () in
+  let last = ref None in
+  Trace.add_sink trace ~name:"t" (fun (s : Event.stamped) ->
+      match s.event with
+      | Event.Sample { key = "wal.durable_bytes"; value } -> last := Some value
+      | _ -> ());
   let gauge ctx =
-    match List.assoc "wal.durable_bytes" (Registry.snapshot ctx.Ctx.registry) with
-    | Registry.Int n -> n
-    | _ -> Alcotest.fail "wal.durable_bytes is not an integer gauge"
+    last := None;
+    Obs_sampler.sample ctx;
+    match !last with
+    | Some n -> n
+    | None -> Alcotest.fail "no wal.durable_bytes sample"
   in
   let check what ctx =
     Alcotest.(check int) what
       (Oib_wal.Log_manager.durable_bytes ctx.Ctx.log)
       (gauge ctx)
   in
-  let ctx = Engine.create ~seed:3 ~page_capacity:256 () in
+  let ctx = Engine.create ~seed:3 ~page_capacity:256 ~trace () in
   let _ = Catalog.create_table ctx.Ctx.catalog ctx.Ctx.pool ~table_id:1 in
   let _ = Driver.populate ctx ~table:1 ~rows:200 ~seed:3 in
   (match
@@ -522,13 +439,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_window_basics;
           QCheck_alcotest.to_alcotest qcheck_window;
           QCheck_alcotest.to_alcotest qcheck_percentile_range;
-        ] );
-      ( "registry",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_registry_roundtrip;
-          Alcotest.test_case "kind clash" `Quick test_registry_kind_clash;
-          Alcotest.test_case "label escapes" `Quick
-            test_registry_json_escapes_labels;
         ] );
       ("signal", [ Alcotest.test_case "hysteresis" `Quick test_signal_hysteresis ]);
       ( "quantiles",

@@ -94,7 +94,7 @@ let test_vc_no_handoff_races () =
 let test_evict_clears_shadow () =
   let san = San.create () in
   feed san 1 (Event.Access { page = 4; write = true; site = "a" });
-  feed san 0 (Event.Page_evict { page = 4 });
+  feed san 0 (Event.Page_evict { page = 4; role = "Heap_file" });
   feed san 2 (Event.Access { page = 4; write = true; site = "b" });
   check_rules "evict clears the shadow" [] san
 

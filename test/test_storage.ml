@@ -441,37 +441,48 @@ let test_stable_store_holds_flushed_image () =
   Alcotest.(check bool) "flushed entry" true
     (Ikey.equal (Tenv.keyn 1) (fst (Oib_btree.Bt_node.leaf_get leaf' 0)))
 
-(* The pool keeps its page I/O counter handles, but looks them up again
-   when the metrics carry another registry: each registry counts only the
-   I/O done while it was attached, under the same rendered names. *)
-let test_io_counters_follow_registry () =
-  let env = Tenv.make () in
-  let write () =
-    let p =
-      Buffer_pool.new_page env.Tenv.pool ~kind:Heap_page.kind
-        ~payload:(Heap_page.Heap (Heap_page.create ~capacity:64))
-    in
-    Buffer_pool.flush_page env.Tenv.pool p
+(* Every page read, write-back and eviction event names the role of the
+   page it moved, for heap and B+-tree pages alike. *)
+let test_page_events_carry_role () =
+  let trace = Oib_obs.Trace.create () in
+  let seen = ref [] in
+  Oib_obs.Trace.add_sink trace ~name:"test" (fun e ->
+      match e.Oib_obs.Event.event with
+      | Oib_obs.Event.Page_read { page; role } ->
+        seen := ("read", page, role) :: !seen
+      | Page_write { page; role; _ } -> seen := ("write", page, role) :: !seen
+      | Page_evict { page; role } -> seen := ("evict", page, role) :: !seen
+      | _ -> ());
+  let sched = Oib_sim.Sched.create ~trace () in
+  let metrics = Oib_sim.Metrics.create () in
+  let pool =
+    Buffer_pool.create ~sched ~metrics
+      ~log:(Oib_wal.Log_manager.create metrics)
+      ~store:(Stable_store.create ())
   in
-  let writes reg =
-    Oib_obs.Registry.counter_value
-      (Oib_obs.Registry.counter reg ~labels:[ ("role", "Heap_file") ]
-         "pool.page_write")
+  let heap =
+    Buffer_pool.new_page pool ~kind:Heap_page.kind
+      ~payload:(Heap_page.Heap (Heap_page.create ~capacity:64))
   in
-  write ();
-  let r1 = Oib_obs.Registry.create () in
-  Oib_sim.Metrics.attach_registry env.Tenv.metrics r1;
-  write ();
-  write ();
-  let r2 = Oib_obs.Registry.create () in
-  Oib_sim.Metrics.attach_registry env.Tenv.metrics r2;
-  write ();
-  Alcotest.(check int) "first registry" 2 (writes r1);
-  Alcotest.(check int) "second registry" 1 (writes r2);
-  Alcotest.(check bool) "no read counter made" true
-    (List.for_all
-       (fun (name, _) -> name <> "pool.page_read{role=Heap_file}")
-       (Oib_obs.Registry.snapshot r2))
+  let node =
+    Buffer_pool.new_page pool ~kind:Oib_btree.Bt_node.kind
+      ~payload:(Oib_btree.Bt_node.Node (Leaf (Oib_btree.Bt_node.new_leaf ())))
+  in
+  let cycle kind (p : Page.t) =
+    Buffer_pool.flush_page pool p;
+    Buffer_pool.evict pool p.Page.id;
+    ignore (Buffer_pool.get pool ~kind p.Page.id)
+  in
+  cycle Heap_page.kind heap;
+  cycle Oib_btree.Bt_node.kind node;
+  let h = heap.Page.id and n = node.Page.id in
+  Alcotest.(check (list (triple string int string))) "roles"
+    [
+      ("write", h, "Heap_file"); ("evict", h, "Heap_file");
+      ("read", h, "Heap_file"); ("write", n, "Btree");
+      ("evict", n, "Btree"); ("read", n, "Btree");
+    ]
+    (List.rev !seen)
 
 (* A page whose stable image does not decode is refused on the read: the
    pool caches nothing, and the read's io span still ends. *)
@@ -798,7 +809,7 @@ let () =
             test_stable_store_holds_flushed_image;
           Alcotest.test_case "corrupt image refused" `Quick
             test_corrupt_image_refused;
-          Alcotest.test_case "io counters follow the registry" `Quick
-            test_io_counters_follow_registry;
+          Alcotest.test_case "page events carry their role" `Quick
+            test_page_events_carry_role;
         ] );
     ]
