@@ -152,22 +152,18 @@ let node_safe t p =
    return the leaf is X-latched and [held] lists the still-latched unsafe
    ancestors, innermost first, each with the child index taken. *)
 let descend_write t key =
-  let m = metrics t in
-  Oib_sim.Metrics.add m Tree_traversals 1;
+  Oib_sim.Metrics.add (metrics t) Tree_traversals 1;
   let depth = ref 1 in
-  let release_held held =
-    List.iter (fun (p, _, _) -> Latch.release p.Page.latch X) held
-  in
   let rec go p held =
     match node_of p with
-    | Leaf l -> (p, l, held)
+    | Leaf _ -> (p, held)
     | Internal n ->
       let i = child_for n key in
       let child = page t n.children.(i) in
       Latch.acquire child.Page.latch X;
       incr depth;
       if node_safe t child then begin
-        release_held held;
+        List.iter (fun (q, _, _) -> Latch.release q.Page.latch X) held;
         Latch.release p.Page.latch X;
         go child []
       end
@@ -175,16 +171,9 @@ let descend_write t key =
   in
   let root = page t t.root in
   Latch.acquire root.Page.latch X;
-  (match node_of root with
-  | Leaf l -> (root, l, [])
-  | Internal _ -> go root [])
-  |> fun (p, l, held) ->
-  ignore l;
+  let leaf = go root [] in
   observe_traversal t !depth;
-  (p, held)
-[@@lint.allow
-  "L1: hand-over-hand X descent transfers the latched leaf and retained \
-   ancestors to the caller, which releases them via release_write"]
+  leaf
 
 (* Read descent: S-latch crabbing; returns the S-latched leaf page. *)
 let descend_read t key =
@@ -208,19 +197,19 @@ let descend_read t key =
   observe_traversal t !depth;
   leaf
 
-(* Leftmost leaf, S-latched. *)
-let leftmost_leaf t =
+(* Leftmost leaf, latched in [mode] by crabbing. *)
+let leftmost_leaf t mode =
   let rec go p =
     match node_of p with
     | Leaf _ -> p
     | Internal n ->
       let child = page t n.children.(0) in
-      Latch.acquire child.Page.latch S;
-      Latch.release p.Page.latch S;
+      Latch.acquire child.Page.latch mode;
+      Latch.release p.Page.latch mode;
       go child
   in
   let root = page t t.root in
-  Latch.acquire root.Page.latch S;
+  Latch.acquire root.Page.latch mode;
   go root
 
 (* --- splits --- *)
@@ -268,7 +257,6 @@ let rec propagate t held sep right_pid =
    page is X-latched, all ancestors and the sibling are released/never
    latched. *)
 let split_leaf t (p : Page.t) (l : leaf) held key ~ib_split =
-  let m = metrics t in
   let choose_std () =
     let right_node, sep = leaf_split_half l in
     let right = install_right t p (Leaf right_node) in
@@ -280,16 +268,39 @@ let split_leaf t (p : Page.t) (l : leaf) held key ~ib_split =
       (right, right_node)
     end
   in
-  let result =
-    if not ib_split then choose_std ()
+  if not ib_split then choose_std ()
+  else begin
+    let i = leaf_lower_bound l key in
+    if i >= leaf_n l then begin
+      (* nothing higher: open a fresh rightmost leaf for the key *)
+      let right_node = new_leaf () in
+      leaf_set_next right_node (leaf_next l);
+      leaf_set_high right_node (leaf_high l);
+      let right = install_right t p (Leaf right_node) in
+      leaf_set_high l (Some key);
+      dirty t p;
+      propagate t held key right.Page.id;
+      Latch.release p.Page.latch X;
+      Latch.acquire right.Page.latch X;
+      (right, right_node)
+    end
     else begin
-      let i = leaf_lower_bound l key in
-      if i >= leaf_n l then begin
-        (* nothing higher: open a fresh rightmost leaf for the key *)
-        let right_node = new_leaf () in
-        leaf_set_next right_node (leaf_next l);
-        leaf_set_high right_node (leaf_high l);
-        let right = install_right t p (Leaf right_node) in
+      (* move only the higher keys (inserted by transactions) right *)
+      let right_node, _sep0 = leaf_split_above l key in
+      let right = install_right t p (Leaf right_node) in
+      if leaf_fits l ~capacity:t.capacity key then begin
+        (* the key becomes the left leaf's last entry, so the separator
+           must be computed against it, not the pre-split last *)
+        let sep =
+          Bt_node.separator ~before:key ~first:(leaf_key right_node 0)
+        in
+        leaf_set_high l (Some sep);
+        dirty t p;
+        propagate t held sep right.Page.id;
+        (p, l)
+      end
+      else begin
+        (* left is still too full: the key leads the right node instead *)
         leaf_set_high l (Some key);
         dirty t p;
         propagate t held key right.Page.id;
@@ -297,43 +308,8 @@ let split_leaf t (p : Page.t) (l : leaf) held key ~ib_split =
         Latch.acquire right.Page.latch X;
         (right, right_node)
       end
-      else begin
-        (* move only the higher keys (inserted by transactions) right *)
-        let right_node, _sep0 = leaf_split_above l key in
-        let right = install_right t p (Leaf right_node) in
-        if leaf_fits l ~capacity:t.capacity key then begin
-          (* the key becomes the left leaf's last entry, so the separator
-             must be computed against it, not the pre-split last *)
-          let sep =
-            Bt_node.separator ~before:key ~first:(leaf_key right_node 0)
-          in
-          leaf_set_high l (Some sep);
-          dirty t p;
-          propagate t held sep right.Page.id;
-          (p, l)
-        end
-        else begin
-          (* left is still too full: the key leads the right node instead *)
-          leaf_set_high l (Some key);
-          dirty t p;
-          propagate t held key right.Page.id;
-          Latch.release p.Page.latch X;
-          Latch.acquire right.Page.latch X;
-          (right, right_node)
-        end
-      end
     end
-  in
-  ignore m;
-  result
-[@@lint.allow
-  "L1: swaps the caller's leaf latch for the X-latched split target; the \
-   caller's release_write balances whichever page is returned"]
-
-(* Release all latches after a write operation. *)
-let release_write (p : Page.t) held =
-  Latch.release p.Page.latch X;
-  List.iter (fun (q, _, _) -> Latch.release q.Page.latch X) held
+  end
 
 (* --- compound key operations --- *)
 
@@ -352,213 +328,186 @@ let read_state t key =
   Latch.release p.Page.latch S;
   st
 
-(* Insert [key] into the X-latched [l]/[p], splitting if needed. Returns
-   the page/leaf actually holding the key, still X-latched. *)
-let insert_into t p l held key ~pseudo ~ib_split =
+(* Crabbing releases ancestors at nodes with room for [max_entry] more
+   bytes, so no larger key may enter the tree: refused before any
+   latch. *)
+let check_size t key =
   if Ikey.encoded_size key > max_entry t then
-    invalid_arg "Btree: key larger than max entry size";
-  if leaf_fits l ~capacity:t.capacity key then begin
-    leaf_insert l key ~pseudo;
-    dirty t p;
-    release_write p held;
-    p
+    invalid_arg "Btree: key larger than max entry size"
+
+(* The one transition table. [j] is [key]'s lower bound in the X-latched
+   leaf [l]: move [key] to [target] or, with [add] (the index builder's
+   insert, NSF §2.2.3, whose [target] is [Present]), insert it only if it
+   is absent, and count the change. Returns the state before. An added
+   entry must fit; the caller marks the page dirty. *)
+let apply t l j key ~add (target : state) : state =
+  let m = metrics t in
+  if j < leaf_n l && leaf_compare l j key = 0 then begin
+    let before = state_of_flag (leaf_pseudo l j) in
+    (if add then Oib_sim.Metrics.add m Keys_rejected_duplicate 1
+     else
+       match target with
+       | Absent -> leaf_remove_at l j
+       | Present -> leaf_set_flag l j false
+       | Pseudo_deleted ->
+         leaf_set_flag l j true;
+         if before <> Pseudo_deleted then
+           Oib_sim.Metrics.add m Pseudo_deletes 1);
+    before
   end
   else begin
-    let p', l' = split_leaf t p l held key ~ib_split in
-    leaf_insert l' key ~pseudo;
-    dirty t p';
-    Latch.release p'.Page.latch X;
-    (* the split used the held ancestors but did not release them *)
-    List.iter (fun (q, _, _) -> Latch.release q.Page.latch X) held;
-    p'
+    (match target with
+    | Absent -> ()
+    | Present | Pseudo_deleted ->
+      let pseudo = target = Pseudo_deleted in
+      Oib_sim.Metrics.add m Keys_inserted 1;
+      if pseudo then Oib_sim.Metrics.add m Pseudo_deletes 1;
+      leaf_insert_at l j key ~pseudo);
+    Absent
   end
+
+(* [apply] changed the leaf: added, removed or re-flagged an entry *)
+let wrote ~add (target : state) (before : state) =
+  if before = Absent then target <> Absent else not add
+
+(* A root-to-leaf X descent, then a split if [key] must be added to a
+   full leaf ([ib_split] selects §2.3.1's split): returns the leaf that
+   takes [key], X-latched, and the ancestors still held. *)
+let descend_for t ~ib_split key (target : state) =
+  let p, held = descend_write t key in
+  let l = leaf_of_payload p.Page.payload in
+  if
+    target = Absent
+    || leaf_fits l ~capacity:t.capacity key
+    || (let j = leaf_lower_bound l key in
+        j < leaf_n l && leaf_compare l j key = 0)
+  then (p, held)
+  else (fst (split_leaf t p l held key ~ib_split), held)
 
 let new_cursor t = { pid = t.root }
 
-(* [key], at or above the leaf's first entry, sorts below its high key
-   and fits: it goes into [l] with no split. *)
-let takes_without_split t l key =
-  (match leaf_high l with None -> true | Some h -> Ikey.compare key h < 0)
+(* [key] keeps the size rule, is at or above the leaf's first entry and
+   below its high key, so it belongs to [l], and fits there with no
+   split: the one test for entering the cursor leaf and for staying in a
+   latched leaf. *)
+let takes t l key =
+  Ikey.encoded_size key <= max_entry t
+  && leaf_n l > 0
+  && leaf_compare l 0 key <= 0
+  && (match leaf_high l with None -> true | Some h -> Ikey.compare key h < 0)
   && leaf_fits l ~capacity:t.capacity key
 
-(* Cursor fast path: go straight to the remembered leaf if the key provably
-   belongs there and no split would be required. *)
-let try_fast_path t cursor key =
+(* The cursor leaf, X-latched, if it takes [key]. *)
+let latch_cursor t cursor key =
   match Buffer_pool.get t.pool ~kind:Bt_node.kind cursor.pid with
   | exception Not_found -> None
   | p -> (
     match p.Page.payload with
     | Node (Leaf l) ->
       Latch.acquire p.Page.latch X;
-      let l' = leaf_of_payload p.Page.payload in
-      let in_range =
-        l' == l && leaf_n l' > 0
-        && leaf_compare l' 0 key <= 0
-        && takes_without_split t l' key
-      in
-      if in_range then Some (p, l')
+      if leaf_of_payload p.Page.payload == l && takes t l key then Some (p, l)
       else begin
         Latch.release p.Page.latch X;
         None
       end
     | _ -> None)
 
-(* state transition on an X-latched leaf where the key is known to fit *)
-let set_on_leaf t p l key (target : state) : state =
-  let m = metrics t in
-  match leaf_find l key with
-  | Some i ->
-    let before = state_of_flag (leaf_pseudo l i) in
-    (match target with
-    | Absent -> leaf_remove_at l i
-    | Present -> leaf_set_flag l i false
-    | Pseudo_deleted ->
-      leaf_set_flag l i true;
-      if before <> Pseudo_deleted then
-        Oib_sim.Metrics.add m Pseudo_deletes 1);
-    dirty t p;
-    before
-  | None ->
-    (match target with
-    | Absent -> ()
-    | Present ->
-      Oib_sim.Metrics.add m Keys_inserted 1;
-      leaf_insert l key ~pseudo:false;
-      dirty t p
-    | Pseudo_deleted ->
-      Oib_sim.Metrics.add m Keys_inserted 1;
-      Oib_sim.Metrics.add m Pseudo_deletes 1;
-      leaf_insert l key ~pseudo:true;
-      dirty t p);
-    Absent
+(* End a tenure on a leaf: one dirty mark, its fast-path count, then the
+   release of the leaf and of any ancestors its descent kept. *)
+let leave t p held ~wrote ~fast =
+  if wrote then dirty t p;
+  Oib_sim.Metrics.add (metrics t) Fast_path_inserts fast;
+  Latch.release p.Page.latch X;
+  List.iter (fun (q, _, _) -> Latch.release q.Page.latch X) held
 
-let rec set_state t ?cursor key (target : state) : state =
-  match
-    match cursor with
-    | Some c -> (
-      match try_fast_path t c key with
-      | Some (p, l) ->
-        let m = metrics t in
-        Oib_sim.Metrics.add m Fast_path_inserts 1;
-        let before = set_on_leaf t p l key target in
-        Latch.release p.Page.latch X;
-        Some before
-      | None -> None)
-    | None -> None
-  with
-  | Some before -> before
-  | None -> set_state_slow t ?cursor key target
-
-and set_state_slow t ?cursor key (target : state) : state =
-  let m = metrics t in
-  let p, held = descend_write t key in
+(* One key through a descent; the cursor, if any, follows the leaf. *)
+let apply_descended t ~ib_split cursor key ~add target =
+  let p, held = descend_for t ~ib_split key target in
   let l = leaf_of_payload p.Page.payload in
+  let before = apply t l (leaf_lower_bound l key) key ~add target in
   (match cursor with Some c -> c.pid <- p.Page.id | None -> ());
-  match leaf_find l key with
-  | Some i ->
-    let before = state_of_flag (leaf_pseudo l i) in
-    (match target with
-    | Absent ->
-      leaf_remove_at l i;
-      dirty t p
-    | Present -> leaf_set_flag l i false
-    | Pseudo_deleted ->
-      leaf_set_flag l i true;
-      if before <> Pseudo_deleted then
-        Oib_sim.Metrics.add m Pseudo_deletes 1);
-    dirty t p;
-    release_write p held;
-    before
-  | None ->
-    (match target with
-    | Absent -> release_write p held
-    | Present ->
-      Oib_sim.Metrics.add m Keys_inserted 1;
-      ignore (insert_into t p l held key ~pseudo:false ~ib_split:false)
-    | Pseudo_deleted ->
-      Oib_sim.Metrics.add m Keys_inserted 1;
-      Oib_sim.Metrics.add m Pseudo_deletes 1;
-      ignore (insert_into t p l held key ~pseudo:true ~ib_split:false));
-    Absent
+  leave t p held ~wrote:(wrote ~add target before) ~fast:0;
+  before
 
-(* The index builder's slow path: a root-to-leaf X descent, then the
-   IB split if the leaf is full. The cursor follows an inserted key. *)
-let insert_slow t ~ib_split ?cursor key =
-  let m = metrics t in
-  let p, held = descend_write t key in
-  let l = leaf_of_payload p.Page.payload in
-  match leaf_find l key with
-  | Some i ->
-    let st = state_of_flag (leaf_pseudo l i) in
-    release_write p held;
-    Oib_sim.Metrics.add m Keys_rejected_duplicate 1;
-    `Rejected st
-  | None ->
-    Oib_sim.Metrics.add m Keys_inserted 1;
-    let landed = insert_into t p l held key ~pseudo:false ~ib_split in
-    (match cursor with Some c -> c.pid <- landed.Page.id | None -> ());
-    `Inserted
+(* A key a tenure takes without a descent is a fast-path key, unless it
+   is a rejected duplicate. *)
+let counts_fast ~add (before : state) = not add || before = Absent
 
-let insert_run t ?(ib_split = false) ~cursor ~key_at ~from ~upto f =
-  let m = metrics t in
+let run t ~ib_split ~add ~cursor ~key_at ~state_at ~from ~upto f =
   let rec enter i =
     if i >= upto then i
-    else
+    else begin
       let key = key_at i in
-      match try_fast_path t cursor key with
-      | Some (p, l) -> hold p l i key
-      | None -> slow i key
-  and slow i key =
-    if f key (insert_slow t ~ib_split ~cursor key) then enter (i + 1)
-    else i + 1
-  (* Keys go into the X-latched cursor leaf while they belong there; one
-     lower-bound search each finds a duplicate or the insert position. *)
-  and hold p l i key =
+      check_size t key;
+      match latch_cursor t cursor key with
+      | Some (p, l) -> hold p l [] i key ~descended:false
+      | None -> descend i key
+    end
+  and descend i key =
+    let p, held = descend_for t ~ib_split key (state_at i) in
+    cursor.pid <- p.Page.id;
+    hold p (leaf_of_payload p.Page.payload) held i key ~descended:true
+  (* keys go into the X-latched leaf while they belong there; only the
+     first key of a descent was not a fast-path key *)
+  and hold p l held i key ~descended =
     let i = ref i and key = ref key in
-    let fast = ref 0 and dup = ref 0 in
+    let changed = ref false and fast = ref 0 and first = ref descended in
     let go_on = ref true and stay = ref true in
     while !stay do
-      let k = !key in
-      let j = leaf_lower_bound l k in
-      (go_on :=
-         if j < leaf_n l && leaf_compare l j k = 0 then begin
-           incr dup;
-           f k (`Rejected (state_of_flag (leaf_pseudo l j)))
-         end
-         else begin
-           leaf_insert_at l j k ~pseudo:false;
-           incr fast;
-           f k `Inserted
-         end);
+      let k = !key and target = state_at !i in
+      let before = apply t l (leaf_lower_bound l k) k ~add target in
+      if wrote ~add target before then changed := true;
+      if counts_fast ~add before && not !first then incr fast;
+      first := false;
+      go_on := f !i k before;
       incr i;
-      stay := !go_on && !i < upto;
-      if !stay then begin
-        key := key_at !i;
-        stay := takes_without_split t l !key
-      end
+      stay :=
+        !go_on && !i < upto
+        && begin
+             key := key_at !i;
+             takes t l !key
+           end
     done;
-    if !fast > 0 then dirty t p;
-    Latch.release p.Page.latch X;
-    Oib_sim.Metrics.add m Fast_path_inserts !fast;
-    Oib_sim.Metrics.add m Keys_inserted !fast;
-    Oib_sim.Metrics.add m Keys_rejected_duplicate !dup;
+    leave t p held ~wrote:!changed ~fast:!fast;
     (* the key that stopped the loop needs another leaf *)
-    if !go_on && !i < upto then slow !i !key else !i
+    if !go_on && !i < upto then begin
+      check_size t !key;
+      descend !i !key
+    end
+    else !i
   in
   enter from
 
+let set_state t key target =
+  check_size t key;
+  apply_descended t ~ib_split:false None key ~add:false target
+
+let set_run t ~cursor ~key_at ~state_at ~from ~upto f =
+  run t ~ib_split:false ~add:false ~cursor ~key_at ~state_at ~from ~upto f
+
+let outcome (before : state) =
+  if before = Absent then `Inserted else `Rejected before
+
+let insert_run t ?(ib_split = false) ~cursor ~key_at ~from ~upto f =
+  run t ~ib_split ~add:true ~cursor ~key_at
+    ~state_at:(fun _ -> Oib_wal.Log_record.Present)
+    ~from ~upto
+    (fun _ key before -> f key (outcome before))
+
 let insert_if_absent t ?(ib_split = false) ?cursor key =
-  match cursor with
-  | None -> insert_slow t ~ib_split key
-  | Some cursor ->
-    let outcome = ref `Inserted in
-    ignore
-      (insert_run t ~ib_split ~cursor ~key_at:(fun _ -> key) ~from:0 ~upto:1
-         (fun _ r ->
-           outcome := r;
-           true)
-        : int);
-    !outcome
+  check_size t key;
+  outcome
+    (match cursor with
+    | None -> apply_descended t ~ib_split None key ~add:true Present
+    | Some c -> (
+      match latch_cursor t c key with
+      | None -> apply_descended t ~ib_split cursor key ~add:true Present
+      | Some (p, l) ->
+        let before = apply t l (leaf_lower_bound l key) key ~add:true Present in
+        leave t p []
+          ~wrote:(wrote ~add:true Present before)
+          ~fast:(Bool.to_int (counts_fast ~add:true before));
+        before))
 
 let find_kv t kv =
   let probe = Ikey.make kv Rid.minus_infinity in
@@ -600,7 +549,7 @@ let iter_range t ?lo ?hi f =
     | None -> Ikey.make "" Rid.minus_infinity
   in
   let p =
-    match lo with Some _ -> descend_read t start_key | None -> leftmost_leaf t
+    match lo with Some _ -> descend_read t start_key | None -> leftmost_leaf t S
   in
   let hi_key = Option.map (fun h -> Ikey.make h Rid.minus_infinity) hi in
   let beyond l i =
@@ -634,7 +583,7 @@ let range t ?lo ?hi () =
   List.rev !acc
 
 let iter_leaves t f =
-  let p = leftmost_leaf t in
+  let p = leftmost_leaf t S in
   let rec walk (p : Page.t) =
     let l = leaf_of_payload p.Page.payload in
     f p.Page.id l;
@@ -675,22 +624,8 @@ let gc_pseudo_deleted t ~keep =
       walk np
     end
   in
-  let rec leftmost (p : Page.t) =
-    match node_of p with
-    | Leaf _ -> p
-    | Internal n ->
-      let child = page t n.children.(0) in
-      Latch.acquire child.Page.latch X;
-      Latch.release p.Page.latch X;
-      leftmost child
-  in
-  let root = page t t.root in
-  Latch.acquire root.Page.latch X;
-  walk (leftmost root);
+  walk (leftmost_leaf t X);
   !removed
-[@@lint.allow
-  "L1: X-latch crabbing down the leftmost path and along the leaf chain; \
-   each step releases the predecessor after latching the successor"]
 
 (* --- bottom-up bulk build (SF) --- *)
 
@@ -707,7 +642,6 @@ module Bulk = struct
     (* the rightmost leaf's lower bound, until a key is appended above
        it *)
     mutable fence : Ikey.t option;
-    mutable count : int;
   }
 
   let start tree =
@@ -715,7 +649,7 @@ module Bulk = struct
     (match node_of root with
     | Leaf l when leaf_n l = 0 -> ()
     | _ -> invalid_arg "Btree.Bulk.start: tree not empty");
-    { tree; spine = [ root ]; highest = None; fence = None; count = 0 }
+    { tree; spine = [ root ]; highest = None; fence = None }
 
   let resume tree =
     (* rightmost path, leaf first; the last separator on the way down is
@@ -732,7 +666,7 @@ module Bulk = struct
         walk n.children.(n.nc - 1) (p :: acc) fence
     in
     let spine, highest, fence = walk tree.root [] None in
-    { tree; spine; highest; fence; count = 0 }
+    { tree; spine; highest; fence }
 
   (* Push (sep, right child) into the spine at [levels_above] the leaf;
      grow new levels as needed. The paper's bottom-up split moves no keys:
@@ -778,7 +712,6 @@ module Bulk = struct
     let t = b.tree in
     b.highest <- Some key;
     b.fence <- None;
-    b.count <- b.count + 1;
     let m = metrics t in
     Oib_sim.Metrics.add m Keys_inserted 1;
     Oib_sim.Metrics.add m Fast_path_inserts 1;
@@ -806,6 +739,7 @@ module Bulk = struct
 
   (* one comparison per key orders it and spots a re-extracted entry *)
   let add b key =
+    check_size b.tree key;
     let c = match b.highest with Some h -> Ikey.compare h key | None -> -1 in
     if c < 0 then begin
       (match b.fence with
@@ -818,10 +752,6 @@ module Bulk = struct
     (* else the same logical entry extracted twice (e.g. a record re-read
        across key-order scan rounds): adding it again is a no-op *)
 
-  let highest b = b.highest
-
-  let keys_added b = b.count
-
   let finish _b = ()
 end
 
@@ -829,20 +759,14 @@ end
 
 let node_at t id = node_of (page t id)
 
-let entry_count t =
+let count_entries t keep =
   let n = ref 0 in
-  iter_entries t (fun _ ~pseudo:_ -> incr n);
+  iter_entries t (fun _ ~pseudo -> if keep pseudo then incr n);
   !n
 
-let present_count t =
-  let n = ref 0 in
-  iter_entries t (fun _ ~pseudo -> if not pseudo then incr n);
-  !n
-
-let pseudo_count t =
-  let n = ref 0 in
-  iter_entries t (fun _ ~pseudo -> if pseudo then incr n);
-  !n
+let entry_count t = count_entries t (fun _ -> true)
+let present_count t = count_entries t not
+let pseudo_count t = count_entries t Fun.id
 
 let leaf_count t =
   let n = ref 0 in

@@ -6,7 +6,13 @@
     between states atomically under the leaf latch and reports the previous
     state. The transaction and index-builder layers decide the transition
     (and log it as an absolute [before -> after] record); restart recovery
-    replays transitions by calling {!set_state} with the logged [after].
+    replays transitions with {!set_run} and the logged [after] states.
+
+    One transition table serves every key operation, and one run loop
+    ({!set_run}, {!insert_run}) decides how long a leaf latch is held. An
+    entry is at most a quarter of a page, the size crabbing assumes: every
+    operation that could add a larger key, {!Bulk.add} included, refuses
+    it with [Invalid_argument] before taking any latch.
 
     Concurrency: writers descend with exclusive latch crabbing, releasing
     ancestors at safe (non-full) nodes; readers use share crabbing. All
@@ -67,12 +73,30 @@ val new_cursor : t -> cursor
 
 val read_state : t -> Ikey.t -> state
 
-val set_state : t -> ?cursor:cursor -> Ikey.t -> state -> state
+val set_state : t -> Ikey.t -> state -> state
 (** Absolute transition; returns the previous state. [Present] /
     [Pseudo_deleted] insert the entry if absent or set its flag; [Absent]
-    physically removes it. A cursor serves key-local operation streams
-    (e.g. applying a sorted side-file) without re-traversing from the
-    root. *)
+    physically removes it. A root-to-leaf descent: the path of every
+    transaction's index maintenance. *)
+
+val set_run :
+  t -> cursor:cursor -> key_at:(int -> Ikey.t) -> state_at:(int -> state) ->
+  from:int -> upto:int -> (int -> Ikey.t -> state -> bool) -> int
+(** {!set_state} of [key_at i] to [state_at i] for each [i] from [from],
+    in order, stopping before [upto] or after a key for which the callback
+    (index, key, previous state; run under the leaf latch, must not yield)
+    answers [false]; returns the index after the last key taken. Keys may
+    come in any order and repeat.
+
+    The leaf a key reaches, through the cursor or by a descent that the
+    cursor then follows, stays X-latched while the next keys sort at or
+    above its first entry and below its high key, and fit: one latch and
+    one dirty mark per run of keys on a leaf. States, contents and every
+    counter but [Latch_acquires], [Tree_traversals] and
+    [Fast_path_inserts] equal per-key {!set_state}'s, and a run takes at
+    most one latch more than per-key {!set_state}: its first cursor
+    attempt. Restart replay and the sorted side-file drain (§3.2.5) use
+    it. *)
 
 val insert_if_absent :
   t -> ?ib_split:bool -> ?cursor:cursor -> Ikey.t ->
@@ -88,17 +112,9 @@ val insert_run :
   from:int -> upto:int ->
   (Ikey.t -> [ `Inserted | `Rejected of state ] -> bool) -> int
 (** The index builder's multi-key insert (§2.3.1): {!insert_if_absent} of
-    [key_at i] for [i] from [from], in order, stopping before [upto] or
-    after a key whose outcome the callback answers with [false], and
-    returning the index after the last key taken. Keys must not descend.
-    The callback runs under the leaf latch and must not yield.
-
-    The cursor leaf is X-latched once for every run of keys that sort
-    below its high key and fit, with one search per key, and its
-    counters are added once for the run. Any other key takes
-    {!insert_if_absent}'s slow path (root-to-leaf descent and split),
-    which moves the cursor. Outcomes, tree contents and every counter
-    but [Latch_acquires] equal those of per-key {!insert_if_absent}. *)
+    each [key_at i] through {!set_run}'s loop and stopping rule. Outcomes,
+    contents and every counter but [Latch_acquires] equal per-key
+    {!insert_if_absent}'s with the same cursor. *)
 
 val find_kv : t -> string -> (Ikey.t * bool) list
 (** All entries with the given key value (flag = pseudo-deleted), in RID
@@ -148,14 +164,13 @@ module Bulk : sig
   val add : b -> Ikey.t -> unit
   (** Append a key; keys must arrive in ascending order, and a key equal
       to the last one added is ignored (the same entry extracted twice).
+      Refuses a key over the size rule with [Invalid_argument].
       Raises {!Below_fence} for a key below the right spine's low fence
       recorded by {!resume}. Appends to the rightmost leaf with no
       traversal, no latching, and
       one key comparison to check the order; grows the tree bottom-up,
       left to right. *)
 
-  val highest : b -> Ikey.t option
-  val keys_added : b -> int
   val finish : b -> unit
 end
 

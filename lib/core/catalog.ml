@@ -140,6 +140,17 @@ let drop_index t index_id =
 
 let key_of info record ~rid = Ikey.make (Record.key_value record info.key_cols) rid
 
+let log_key_move ~log info key ~before ~after =
+  if before <> after then
+    ignore
+      (log
+         (Oib_wal.Log_record.Index_key
+            {
+              redoable = true;
+              op = { index = info.index_id; key; before; after };
+            })
+        : Oib_wal.Lsn.t)
+
 let key_at info hp ~rid =
   Ikey.make (Heap_page.key_value hp rid.Rid.slot info.key_cols) rid
 

@@ -99,6 +99,15 @@ val drop_index : t -> int -> unit
 val key_of : index_info -> Record.t -> rid:Rid.t -> Ikey.t
 (** Build the index entry for a record. *)
 
+val log_key_move :
+  log:(Oib_wal.Log_record.body -> Oib_wal.Lsn.t) -> index_info -> Ikey.t ->
+  before:Oib_wal.Log_record.key_state -> after:Oib_wal.Log_record.key_state ->
+  unit
+(** Log [key]'s move in the index from [before] to [after], a redoable
+    [Index_key] record, through [log] (a transaction's, a CLR writer or
+    the builder's); nothing if the key stayed put. Called with the state the
+    tree reported before setting [after]. *)
+
 val key_at : index_info -> Oib_storage.Heap_page.t -> rid:Rid.t -> Ikey.t
 (** {!key_of} for the record in [rid]'s slot of the heap page, read from
     the page bytes without building the record. *)

@@ -116,6 +116,9 @@ let drop_build_state ctx index_id =
 (* a lock-owner id for IB's own lock calls, distinct from transaction ids *)
 let ib_owner index_id = 1_000_000 + index_id
 
+(* the builder logs outside any transaction *)
+let ib_log ctx body = LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil body
+
 (* --- published build progress (Build_status + trace events) --- *)
 
 module BS = Build_status
@@ -305,12 +308,8 @@ let cancel_build ctx ~index_id =
    with
   | LockM.Granted -> ()
   | LockM.Deadlock -> ());
-  ignore
-    (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-       (LR.Build_done { index = index_id }));
-  ignore
-    (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-       (LR.Drop_index { index = index_id }));
+  ignore (ib_log ctx (LR.Build_done { index = index_id }));
+  ignore (ib_log ctx (LR.Drop_index { index = index_id }));
   LM.flush_all ctx.Ctx.log;
   Catalog.drop_index ctx.Ctx.catalog index_id;
   drop_build_state ctx index_id;
@@ -507,7 +506,7 @@ let nsf_insert_phase ctx cfg (info : Catalog.index_info) ~from_key =
   let flush_batch () =
     if !batch <> [] then begin
       ignore
-        (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
+        (ib_log ctx
            (LR.Index_bulk_insert
               { index = info.index_id; keys = List.rev !batch }));
       batch := [];
@@ -605,20 +604,15 @@ let sf_state (info : Catalog.index_info) =
   | Catalog.Sf_building sf -> sf
   | _ -> invalid_arg "Ib.sf_state: not an SF build"
 
-(* apply one side-file entry to the tree as a transaction would, logging
-   redo-undo records (§3.2.5) *)
-let sf_apply_entry ?cursor ctx (info : Catalog.index_info) (e : SF.entry) =
+(* a side-file entry's key state *)
+let entry_state (e : SF.entry) = if e.insert then LR.Present else LR.Absent
+
+(* apply one side-file entry to the tree as a transaction would *)
+let sf_apply_entry ctx (info : Catalog.index_info) (e : SF.entry) =
   if e.insert && info.uniq then unique_guard ctx info e.key;
-  let after = if e.insert then LR.Present else LR.Absent in
-  let before = Btree.set_state info.tree ?cursor e.key after in
-  if before <> after then
-    ignore
-      (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-         (LR.Index_key
-            {
-              redoable = true;
-              op = { index = info.index_id; key = e.key; before; after };
-            }))
+  let after = entry_state e in
+  Catalog.log_key_move ~log:(ib_log ctx) info e.key ~after
+    ~before:(Btree.set_state info.tree e.key after)
 
 (* SF side-file drain (§3.2.5) *)
 let sf_drain_phase ctx cfg (info : Catalog.index_info) ~from_pos =
@@ -643,36 +637,52 @@ let sf_drain_phase ctx cfg (info : Catalog.index_info) ~from_pos =
   let since_ckpt = ref 0 in
   let checkpoint () = checkpoint_stage ctx info (Draining { pos = !pos }) in
   checkpoint ();
+  (* a sorted slice comes without its superseded entries, and it is
+     key-local: runs through a remembered-path cursor avoid most
+     root-to-leaf traversals (the measurable benefit of §3.2.5). A unique
+     index's guard S-latches leaves, so there each run is one key. *)
+  let apply_sorted ~from_pos ~upto =
+    let entries =
+      Array.of_list
+        (SF.sorted_slice ~keep:live sf.Catalog.sidefile ~from:from_pos ~upto)
+    in
+    let n = Array.length entries in
+    let key_at i = entries.(i).SF.key in
+    let state_at i = entry_state entries.(i) in
+    let cursor = Btree.new_cursor info.tree in
+    let i = ref 0 in
+    while !i < n do
+      let e = entries.(!i) in
+      if e.insert && info.uniq then unique_guard ctx info e.key;
+      i :=
+        Btree.set_run info.tree ~cursor ~key_at ~state_at ~from:!i
+          ~upto:(if info.uniq then !i + 1 else n)
+          (fun j key before ->
+            Catalog.log_key_move ~log:(ib_log ctx) info key ~before
+              ~after:(state_at j);
+            st.BS.keys_processed <- st.BS.keys_processed + 1;
+            true)
+    done
+  in
   let apply_upto upto ~sorted =
     let from_pos = !pos in
-    (* a sorted slice comes without its superseded entries *)
-    let entries =
-      if sorted then
-        SF.sorted_slice ~keep:live sf.Catalog.sidefile ~from:from_pos ~upto
-      else SF.slice sf.Catalog.sidefile ~from:from_pos ~upto
-    in
-    (* a sorted stream is key-local: a remembered-path cursor avoids most
-       root-to-leaf traversals (the measurable benefit of §3.2.5) *)
-    let cursor = if sorted then Some (Btree.new_cursor info.tree) else None in
-    List.iteri
-      (fun k e ->
-        if sorted || live (from_pos + k) e then begin
-          sf_apply_entry ?cursor ctx info e;
-          st.BS.keys_processed <- st.BS.keys_processed + 1
-        end;
-        incr since_ckpt;
-        if !since_ckpt >= cfg.ckpt_every_keys then begin
-          (* position moves wholesale after the batch when sorting; only
-             checkpoint inside a batch when applying sequentially *)
-          if not sorted then begin
+    if sorted then apply_sorted ~from_pos ~upto
+    else
+      List.iteri
+        (fun k e ->
+          if live (from_pos + k) e then begin
+            sf_apply_entry ctx info e;
+            st.BS.keys_processed <- st.BS.keys_processed + 1
+          end;
+          incr since_ckpt;
+          if !since_ckpt >= cfg.ckpt_every_keys then begin
             pos := !pos + !since_ckpt;
             update_backlog ();
             checkpoint ();
-            check_pause ctx ~index_id:info.index_id
-          end;
-          since_ckpt := 0
-        end)
-      entries;
+            check_pause ctx ~index_id:info.index_id;
+            since_ckpt := 0
+          end)
+        (SF.slice sf.Catalog.sidefile ~from:from_pos ~upto);
     pos := upto;
     since_ckpt := 0;
     update_backlog ();
@@ -703,9 +713,7 @@ let sf_drain_phase ctx cfg (info : Catalog.index_info) ~from_pos =
 
 (* Build_done ends the build: from it on, restart leaves the index Ready *)
 let finish_build ctx (info : Catalog.index_info) =
-  ignore
-    (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-       (LR.Build_done { index = info.index_id }));
+  ignore (ib_log ctx (LR.Build_done { index = info.index_id }));
   LM.flush_all ctx.Ctx.log;
   Btree.checkpoint_image info.tree ~lsn:(LM.flushed_lsn ctx.Ctx.log);
   drop_build_state ctx info.index_id;
@@ -798,7 +806,7 @@ let admit ctx ~table ~phase specs =
             ~unique:spec.unique ~phase:(phase spec)
         in
         ignore
-          (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
+          (ib_log ctx
              (LR.Build_start
                 { index = spec.index_id; table; algorithm = algorithm_of info }));
         info)
@@ -1037,10 +1045,30 @@ let resume_builds ctx cfg =
 
 (* --- pseudo-deleted key garbage collection (§2.2.4) --- *)
 
+let gc_pseudo_deleted ctx ~index_id =
+  let info = Catalog.index ctx.Ctx.catalog index_id in
+  let owner = ib_owner index_id + 500_000 in
+  (* Commit_LSN shortcut at system granularity: with no transaction active,
+     every pseudo-delete is committed and no lock calls are needed *)
+  let quiescent = Oib_txn.Txn_manager.active_count ctx.Ctx.txns = 0 in
+  let keep (key : Ikey.t) =
+    if quiescent then false
+    else if
+      LockM.try_instant_lock ctx.Ctx.locks ~txn:owner (LockM.Record key.rid) S
+    then false (* deleter finished: collect *)
+    else true (* probably uncommitted: skip (§2.2.4) *)
+  in
+  Btree.gc_pseudo_deleted info.tree ~keep:(fun key ->
+      let k = keep key in
+      if not k then
+        Catalog.log_key_move ~log:(ib_log ctx) info key
+          ~before:LR.Pseudo_deleted ~after:LR.Absent;
+      k)
+
 (* Background garbage collection (§2.2.4: "garbage collection of the
    pseudo-deleted keys in the index can be scheduled as a background
    activity"). The daemon sweeps periodically until stopped. *)
-let rec spawn_gc_daemon ctx ~index_id ~every =
+let spawn_gc_daemon ctx ~index_id ~every =
   let stop = ref false in
   let collected = ref 0 in
   ignore
@@ -1054,41 +1082,7 @@ let rec spawn_gc_daemon ctx ~index_id ~every =
            if not !stop then
              match Catalog.index ctx.Ctx.catalog index_id with
              | info when info.Catalog.phase = Catalog.Ready ->
-               collected := !collected + gc_once ctx ~index_id
+               collected := !collected + gc_pseudo_deleted ctx ~index_id
              | _ | (exception Invalid_argument _) -> ()
          done));
   ((fun () -> stop := true), collected)
-
-and gc_once ctx ~index_id =
-  let info = Catalog.index ctx.Ctx.catalog index_id in
-  let owner = ib_owner index_id + 500_000 in
-  (* Commit_LSN shortcut at system granularity: with no transaction active,
-     every pseudo-delete is committed and no lock calls are needed *)
-  let quiescent = Oib_txn.Txn_manager.active_count ctx.Ctx.txns = 0 in
-  let keep (key : Ikey.t) =
-    if quiescent then false
-    else if
-      LockM.try_instant_lock ctx.Ctx.locks ~txn:owner (LockM.Record key.rid) S
-    then false (* deleter finished: collect *)
-    else true (* probably uncommitted: skip (§2.2.4) *)
-  in
-  let log_removal key =
-    ignore
-      (LM.append ctx.Ctx.log ~txn:None ~prev_lsn:Lsn.nil
-         (LR.Index_key
-            {
-              redoable = true;
-              op =
-                { index = index_id; key; before = LR.Pseudo_deleted;
-                  after = LR.Absent };
-            }))
-  in
-  let removed =
-    Btree.gc_pseudo_deleted info.tree ~keep:(fun key ->
-        let k = keep key in
-        if not k then log_removal key;
-        k)
-  in
-  removed
-
-let gc_pseudo_deleted ctx ~index_id = gc_once ctx ~index_id

@@ -141,20 +141,28 @@ let redo_heap a pool ~page_capacity =
   in
   List.iter redo_one a.heap_redo
 
+(* One run over the index's logged keys after its image, in log order:
+   the leaf a key lands on stays X-latched while the keys that follow
+   belong to it. *)
 let replay_index a tree =
   let image = Btree.image_lsn tree in
-  List.iter
-    (fun k ->
-      if Lsn.( > ) k.lsn image then begin
-        (* a bulk record's keys ascend: a cursor takes each to the leaf
-           its predecessor went to, without a descent *)
-        let cursor = Btree.new_cursor tree in
-        List.iter
-          (fun key -> ignore (Btree.set_state tree ~cursor key k.after))
-          k.keys
-      end)
-    (Option.value ~default:[]
-       (Hashtbl.find_opt a.key_redo (Btree.index_id tree)))
+  let ops =
+    Array.of_list
+      (List.concat_map
+         (fun k ->
+           if Lsn.( > ) k.lsn image then
+             List.map (fun key -> (key, k.after)) k.keys
+           else [])
+         (Option.value ~default:[]
+            (Hashtbl.find_opt a.key_redo (Btree.index_id tree))))
+  in
+  ignore
+    (Btree.set_run tree ~cursor:(Btree.new_cursor tree)
+       ~key_at:(fun i -> fst ops.(i))
+       ~state_at:(fun i -> snd ops.(i))
+       ~from:0 ~upto:(Array.length ops)
+       (fun _ _ _ -> true)
+      : int)
 
 let sidefile a ~sidefile_id =
   let sf = SF.create ~sidefile_id in

@@ -25,11 +25,9 @@ let heap_page (page : Page.t) = Heap_page.of_payload page.payload
 
 (* --- direct index key maintenance (§2.2.3) --- *)
 
-let log_key_op ctx txn ~redoable info (key : Ikey.t) ~before ~after =
-  ignore
-    (Txn.log_op ctx.Ctx.txns txn
-       (LR.Index_key
-          { redoable; op = { index = info.Catalog.index_id; key; before; after } }))
+let log_key_move ctx txn info key ~before ~after =
+  Catalog.log_key_move ~log:(Txn.log_op ctx.Ctx.txns txn) info key ~before
+    ~after
 
 (* Wait-dance around a rival entry's record lock: returns once the rival's
    writer has terminated. *)
@@ -102,17 +100,24 @@ let rec key_insert ctx txn info (key : Ikey.t) =
         ignore (Btree.set_state info.tree key LR.Absent);
         key_insert ctx txn info key
       end
-      else log_key_op ctx txn ~redoable:true info key ~before ~after:LR.Present
+      else log_key_move ctx txn info key ~before ~after:LR.Present
     end
-    else log_key_op ctx txn ~redoable:true info key ~before ~after:LR.Present
+    else log_key_move ctx txn info key ~before ~after:LR.Present
   | LR.Pseudo_deleted ->
     (* reactivation (the paper's T2 example, §2.2.3) *)
-    log_key_op ctx txn ~redoable:true info key ~before ~after:LR.Present
+    log_key_move ctx txn info key ~before ~after:LR.Present
   | LR.Present ->
     (* the index builder inserted it first: write the undo-only record so a
        rollback still removes the key (§2.1.1) *)
-    log_key_op ctx txn ~redoable:false info key ~before:LR.Absent
-      ~after:LR.Present)
+    ignore
+      (Txn.log_op ctx.Ctx.txns txn
+         (LR.Index_key
+            {
+              redoable = false;
+              op =
+                { index = info.index_id; key; before = LR.Absent;
+                  after = LR.Present };
+            })))
 
 let key_delete ctx txn info (key : Ikey.t) =
   let before = Btree.set_state info.Catalog.tree key LR.Pseudo_deleted in
@@ -120,7 +125,7 @@ let key_delete ctx txn info (key : Ikey.t) =
   | LR.Present | LR.Absent ->
     (* found: pseudo-delete; not found: leave a tombstone so a late IB
        insert is rejected (§2.1.2) *)
-    log_key_op ctx txn ~redoable:true info key ~before ~after:LR.Pseudo_deleted
+    log_key_move ctx txn info key ~before ~after:LR.Pseudo_deleted
   | LR.Pseudo_deleted -> () (* no state change, nothing to compensate *)
 
 (* --- side-file routing --- *)
@@ -389,36 +394,13 @@ let inverse_key_ops info ~rid = function
 
 (* direct logical undo in a tree, with the tombstone discipline: undo
    deletes become Present, undo inserts become tombstones *)
-let logical_tree_undo ctx info ~clr (dels, inss) =
-  List.iter
-    (fun key ->
-      let before = Btree.set_state info.Catalog.tree key LR.Pseudo_deleted in
-      if before <> LR.Pseudo_deleted then
-        ignore
-          (clr
-             (LR.Index_key
-                {
-                  redoable = true;
-                  op =
-                    { index = info.Catalog.index_id; key; before;
-                      after = LR.Pseudo_deleted };
-                })))
-    dels;
-  List.iter
-    (fun key ->
-      let before = Btree.set_state info.Catalog.tree key LR.Present in
-      if before <> LR.Present then
-        ignore
-          (clr
-             (LR.Index_key
-                {
-                  redoable = true;
-                  op =
-                    { index = info.Catalog.index_id; key; before;
-                      after = LR.Present };
-                })))
-    inss;
-  ignore ctx
+let logical_tree_undo info ~clr (dels, inss) =
+  let set after key =
+    Catalog.log_key_move ~log:clr info key ~after
+      ~before:(Btree.set_state info.Catalog.tree key after)
+  in
+  List.iter (set LR.Pseudo_deleted) dels;
+  List.iter (set LR.Present) inss
 
 let sidefile_undo ctx info ~clr (dels, inss) =
   let sf = sf_state info in
@@ -484,7 +466,7 @@ let undo_heap ctx _txn ~clr ~page ~old_count ~old_sf op =
       if visible_then && sidefiled_then then
         match info.phase with
         | Catalog.Sf_building _ -> sidefile_undo ctx info ~clr ops
-        | Catalog.Ready -> logical_tree_undo ctx info ~clr ops
+        | Catalog.Ready -> logical_tree_undo info ~clr ops
         | Catalog.Nsf_building _ -> assert false
       else if (not visible_then) && visible_now then
         (* Figure 2's transition branch: the index became visible after the
@@ -492,7 +474,7 @@ let undo_heap ctx _txn ~clr ~page ~old_count ~old_sf op =
         match info.phase with
         | Catalog.Sf_building _ -> sidefile_undo ctx info ~clr ops
         | Catalog.Ready | Catalog.Nsf_building _ ->
-          logical_tree_undo ctx info ~clr ops)
+          logical_tree_undo info ~clr ops)
     tbl.Catalog.indexes
 
 let undo_index_key ctx ~clr (op : LR.index_key_op) =
@@ -504,15 +486,8 @@ let undo_index_key ctx ~clr (op : LR.index_key_op) =
     | LR.Pseudo_deleted -> LR.Present
     | LR.Absent -> op.before
   in
-  let before = Btree.set_state info.tree op.key target in
-  if before <> target then
-    ignore
-      (clr
-         (LR.Index_key
-            {
-              redoable = true;
-              op = { index = op.index; key = op.key; before; after = target };
-            }))
+  Catalog.log_key_move ~log:clr info op.key ~after:target
+    ~before:(Btree.set_state info.tree op.key target)
 
 (* no wildcard arm (warning 4 is an error): a new record kind must be
    given an undo here *)

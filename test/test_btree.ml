@@ -423,15 +423,27 @@ let prop_inventory_is_reachable =
         ops;
       !ok && Bt_check.check t = [])
 
-(* --- multi-key insert --- *)
+(* --- multi-key runs --- *)
 
 type run_step =
   | Run of int * int (* offer up to n keys, stop after k inserted *)
+  | Set_run of (int * LR.key_state) list * int
+      (* set each key to its state, in this order; stop after k keys *)
   | Txn of int * bool (* a transaction's insert (pseudo-deleted if true) *)
   | Evict of int (* image the tree, then evict the pages with id mod 3 = r *)
 
+let show_state = function
+  | LR.Absent -> "a"
+  | LR.Present -> "p"
+  | LR.Pseudo_deleted -> "d"
+
 let show_run_step = function
   | Run (n, k) -> Printf.sprintf "Run (%d, %d)" n k
+  | Set_run (ops, k) ->
+    Printf.sprintf "Set_run ([%s], %d)"
+      (String.concat " "
+         (List.map (fun (k, s) -> string_of_int k ^ show_state s) ops))
+      k
   | Txn (k, p) -> Printf.sprintf "Txn (%d, %b)" k p
   | Evict r -> Printf.sprintf "Evict %d" r
 
@@ -454,6 +466,34 @@ let show_run_case c =
     (String.concat "; " (List.map string_of_int c.keys))
     (String.concat "; " (List.map show_run_step c.steps))
 
+(* A set-run walks the key space from a random start in steps of -3..3,
+   so it ascends, descends and repeats keys; about a third of the runs
+   only remove, which empties leaves. *)
+let gen_set_run =
+  QCheck.Gen.(
+    let* start = int_bound 300 in
+    let* deltas = list_size (int_range 1 40) (int_range (-3) 3) in
+    let* only_remove = int_bound 2 in
+    let target =
+      if only_remove = 0 then return LR.Absent
+      else
+        frequency
+          [ (3, return LR.Absent); (2, return LR.Present);
+            (2, return LR.Pseudo_deleted) ]
+    in
+    let keys =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (k, acc) d ->
+                let k = max 0 (min 300 (k + d)) in
+                (k, k :: acc))
+              (start, []) deltas))
+    in
+    let* targets = list_repeat (List.length keys) target in
+    let+ stop = int_range 1 45 in
+    Set_run (List.combine keys targets, stop))
+
 let gen_run_case =
   QCheck.Gen.(
     let* capacity = oneofl [ 128; 256 ] in
@@ -466,6 +506,7 @@ let gen_run_case =
         (frequency
            [
              (6, map2 (fun n k -> Run (n, k)) (int_range 1 40) (int_range 1 12));
+             (4, gen_set_run);
              (2, map2 (fun k p -> Txn (k, p)) (int_bound 300) bool);
              (1, map (fun r -> Evict r) (int_bound 2));
            ])
@@ -473,37 +514,45 @@ let gen_run_case =
     { capacity; ib_split; pre; late_cursor;
       keys = List.sort_uniq compare keys; steps })
 
-(* [insert_run] on one tree and per-key [insert_if_absent] on a twin take
-   the same keys through the same cursor history: the outcomes, entries
-   and counters agree, and the run takes no more latches. With a cursor,
-   [insert_if_absent] is [insert_run] over one key, so the twin shares
-   the per-key body (duplicate check, insert position, counters): the
-   twin checks where runs start and stop, and the [model] below, kept
-   apart from the tree code, is the independent check of each outcome,
-   of the entries and of the insert and rejection counts. *)
+(* Runs on tree [a] against per-key twins that take the same steps. On
+   [b] every key is its own run through the same cursor history
+   (per-key [insert_if_absent] with the cursor, one-key [set_run]s): the
+   outcomes, entries and every counter agree, and the runs take no more
+   latches. On [c] a set-run's keys go one by one through [set_state],
+   with no cursor: the before-states, entries and every counter a cursor
+   does not move agree, and a set-run takes at most one latch more, its
+   first cursor attempt. The twins share the per-key body (transition
+   table, counters); the [model] below, kept apart from the tree code, is
+   the independent check of each outcome, of the entries and of the
+   insert, rejection and pseudo-delete counts. *)
 let run_matches_per_key c =
-  (* every key's state, and the inserts and rejections it implies *)
+  (* every key's state, and the counts its changes imply *)
   let model = Hashtbl.create 64 in
   let state k = Option.value ~default:LR.Absent (Hashtbl.find_opt model k) in
   let inserts = ref 0 and rejects = ref 0 and run_inserts = ref 0 in
-  let set k pseudo =
-    if state k = LR.Absent then incr inserts;
-    Hashtbl.replace model k (if pseudo then LR.Pseudo_deleted else LR.Present)
+  let pseudo_deletes = ref 0 and set_keys = ref 0 and set_runs = ref 0 in
+  let set k (target : LR.key_state) =
+    let before = state k in
+    if before = LR.Absent && target <> LR.Absent then incr inserts;
+    if target = LR.Pseudo_deleted && before <> LR.Pseudo_deleted then
+      incr pseudo_deletes;
+    if target = LR.Absent then Hashtbl.remove model k
+    else Hashtbl.replace model k target
   in
-  List.iter (fun (k, pseudo) -> set k pseudo) c.pre;
+  let flag pseudo = if pseudo then LR.Pseudo_deleted else LR.Present in
+  List.iter (fun (k, pseudo) -> set k (flag pseudo)) c.pre;
   let side () =
     let env = Tenv.make () in
     let t = mk_tree ~capacity:c.capacity env ~id:1 in
     let early = Btree.new_cursor t in
     List.iter
       (fun (k, pseudo) ->
-        ignore
-          (Btree.set_state t (Tenv.keyn k)
-             (if pseudo then LR.Pseudo_deleted else LR.Present)))
+        ignore (Btree.set_state t (Tenv.keyn k) (flag pseudo)))
       c.pre;
     (env, t, if c.late_cursor then Btree.new_cursor t else early)
   in
   let ((ea, a, ca) as ra) = side () and ((eb, b, cb) as rb) = side () in
+  let ((ec, tc, cc) as rc) = side () in
   let keys = Array.of_list c.keys in
   let n = Array.length keys in
   let key_at i = Tenv.keyn keys.(i) in
@@ -533,12 +582,15 @@ let run_matches_per_key c =
             | `Rejected st, st' when st = st' && st <> LR.Absent -> incr rejects
             | _ -> fail "key %d: outcome disagrees with its state" k)
           got;
-        let want =
+        let per_key t cursor =
           List.init (stop - from) (fun j ->
               let k = key_at (from + j) in
-              (k, Btree.insert_if_absent b ~ib_split:c.ib_split ~cursor:cb k))
+              (k, Btree.insert_if_absent t ~ib_split:c.ib_split ~cursor k))
         in
-        if got <> want then fail "outcomes differ in [%d, %d)" from stop;
+        if got <> per_key b cb then
+          fail "outcomes differ in [%d, %d)" from stop;
+        if got <> per_key tc cc then
+          fail "c: outcomes differ in [%d, %d)" from stop;
         let inserted = !inserted in
         let last_inserted =
           match List.rev got with (_, `Inserted) :: _ -> true | _ -> false
@@ -552,12 +604,50 @@ let run_matches_per_key c =
             max_inserts stop inserted;
         pos := stop
       | Run _ -> ()
+      | Set_run (ops, max_keys) ->
+        let ops = Array.of_list ops in
+        let upto = Array.length ops in
+        let key_at j = Tenv.keyn (fst ops.(j)) and state_at j = snd ops.(j) in
+        let got = ref [] in
+        let stop =
+          Btree.set_run a ~cursor:ca ~key_at ~state_at ~from:0 ~upto
+            (fun j k before ->
+              if not (Ikey.equal k (key_at j)) then fail "set-run key %d" j;
+              got := before :: !got;
+              List.length !got < max_keys)
+        in
+        let got = List.rev !got in
+        if stop <> min upto max_keys || List.length got <> stop then
+          fail "set-run of %d, max %d, stopped at %d" upto max_keys stop;
+        let per_run =
+          List.init stop (fun j ->
+              let before = ref LR.Absent in
+              ignore
+                (Btree.set_run b ~cursor:cb ~key_at ~state_at ~from:j
+                   ~upto:(j + 1) (fun _ _ st ->
+                     before := st;
+                     true));
+              !before)
+        and per_key =
+          List.init stop (fun j -> Btree.set_state tc (key_at j) (state_at j))
+        in
+        List.iteri
+          (fun j before ->
+            let k, target = ops.(j) in
+            if before <> state k then fail "set-run key %d: before-state" k;
+            set k target)
+          got;
+        set_keys := !set_keys + stop;
+        incr set_runs;
+        if got <> per_run then fail "set-run before-states differ from b";
+        if got <> per_key then
+          fail "set-run before-states differ from set_state"
       | Txn (k, pseudo) ->
-        set k pseudo;
-        let target = if pseudo then LR.Pseudo_deleted else LR.Present in
+        set k (flag pseudo);
         List.iter
-          (fun (_, t, _) -> ignore (Btree.set_state t (Tenv.keyn k) target))
-          [ ra; rb ]
+          (fun (_, t, _) ->
+            ignore (Btree.set_state t (Tenv.keyn k) (flag pseudo)))
+          [ ra; rb; rc ]
       | Evict r ->
         List.iter
           (fun ((env : Tenv.t), t, _) ->
@@ -566,38 +656,57 @@ let run_matches_per_key c =
               (fun id ->
                 if id mod 3 = r then Oib_storage.Buffer_pool.evict env.pool id)
               (Btree.page_ids t))
-          [ ra; rb ])
+          [ ra; rb; rc ])
     c.steps;
   let count (env : Tenv.t) m = Oib_sim.Metrics.get env.metrics m in
-  List.iter
-    (fun (name, m) ->
-      if count ea m <> count eb m then
-        fail "%s: run %d, per key %d" name (count ea m) (count eb m))
+  let agree (other, name) counters =
+    List.iter
+      (fun (what, m) ->
+        if count ea m <> count other m then
+          fail "%s: run %d, %s %d" what (count ea m) name (count other m))
+      counters
+  in
+  let moves =
     [
       ("Keys_inserted", Oib_obs.Resource.Keys_inserted);
-      ("Fast_path_inserts", Fast_path_inserts);
       ("Keys_rejected_duplicate", Keys_rejected_duplicate);
+      ("Pseudo_deletes", Pseudo_deletes);
       ("Page_splits", Page_splits);
-      ("Tree_traversals", Tree_traversals);
-      ("Page_reads", Page_reads);
-    ];
+    ]
+  in
+  agree (eb, "per key")
+    (moves
+    @ [
+        ("Fast_path_inserts", Fast_path_inserts);
+        ("Tree_traversals", Tree_traversals);
+        ("Page_reads", Page_reads);
+      ]);
+  agree (ec, "set_state") moves;
   if
     count ea Keys_inserted <> !inserts + !run_inserts
     || count ea Keys_rejected_duplicate <> !rejects
-    || count ea Fast_path_inserts > !run_inserts
+    || count ea Pseudo_deletes <> !pseudo_deletes
+    || count ea Fast_path_inserts > !run_inserts + !set_keys
   then fail "counters disagree with the outcomes";
   if count ea Latch_acquires > count eb Latch_acquires then
     fail "Latch_acquires: run %d > per key %d" (count ea Latch_acquires)
       (count eb Latch_acquires);
+  (* a run's only latch beyond its keys' descents is its first cursor
+     attempt *)
+  if count ea Latch_acquires > count ec Latch_acquires + !set_runs then
+    fail "Latch_acquires: run %d > set_state %d + %d runs"
+      (count ea Latch_acquires) (count ec Latch_acquires) !set_runs;
   let entries = Bt_check.collect_entries a in
   if entries <> Bt_check.collect_entries b then fail "entries differ";
+  if entries <> Bt_check.collect_entries tc then fail "c: entries differ";
   let modelled =
     Hashtbl.fold
       (fun k st acc -> (Tenv.keyn k, st = LR.Pseudo_deleted) :: acc)
       model []
   in
   if entries <> List.sort compare modelled then fail "entries lost or gained";
-  if Bt_check.check a <> [] || Bt_check.check b <> [] then fail "tree malformed";
+  if Bt_check.check a <> [] || Bt_check.check b <> [] || Bt_check.check tc <> []
+  then fail "tree malformed";
   !ok
 
 let prop_run_matches_per_key =

@@ -21,13 +21,81 @@ let healthy t =
 
 (* --- btree --- *)
 
+(* Every path that can add an entry refuses a key over the size rule
+   before it latches anything. The 412-byte key would fit a leaf of this
+   1,024-byte tree, whose crabbing assumes entries of at most 256 bytes.
+   After each refusal every latch is free, the tree checks clean and it
+   still takes keys, through a descent and through the cursor. *)
 let test_oversized_key_rejected () =
   let env = Tenv.make () in
-  let t = mk_tree ~capacity:128 env ~id:1 in
-  let big = Ikey.make (String.make 200 'x') (Rid.make ~page:0 ~slot:0) in
-  Alcotest.check_raises "too large"
+  let t = mk_tree ~capacity:1024 env ~id:1 in
+  let big = Ikey.make (String.make 401 'x') (Rid.make ~page:0 ~slot:0) in
+  let cursor = Btree.new_cursor t in
+  let next = ref 0 in
+  let add_small () =
+    ignore (Btree.set_state t (Tenv.keyn !next) LR.Present);
+    ignore (Btree.insert_if_absent t ~cursor (Tenv.keyn (!next + 1)));
+    next := !next + 2
+  in
+  for _ = 1 to 5 do add_small () done;
+  let pair = [| Tenv.keyn 100; big |] in
+  let run_to_big f = f ~key_at:(Array.get pair) ~from:0 ~upto:2 in
+  let paths =
+    [
+      ("set_state", fun () -> ignore (Btree.set_state t big LR.Present));
+      ( "set_state pseudo",
+        fun () -> ignore (Btree.set_state t big LR.Pseudo_deleted) );
+      ("insert_if_absent", fun () -> ignore (Btree.insert_if_absent t big));
+      ( "insert_if_absent cursor",
+        fun () -> ignore (Btree.insert_if_absent t ~cursor big) );
+      ( "insert_run",
+        fun () ->
+          ignore
+            (Btree.insert_run t ~cursor ~key_at:(fun _ -> big) ~from:0 ~upto:1
+               (fun _ _ -> true)) );
+      ( "insert_run, second key",
+        fun () ->
+          ignore
+            (run_to_big (Btree.insert_run t ~ib_split:true ~cursor)
+               (fun _ _ -> true)) );
+      ( "set_run, second key",
+        fun () ->
+          ignore
+            (run_to_big
+               (Btree.set_run t ~cursor ~state_at:(fun _ -> LR.Present))
+               (fun _ _ _ -> true)) );
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Btree: key larger than max entry size") f;
+      List.iter
+        (fun id ->
+          let p =
+            Oib_storage.Buffer_pool.get env.Tenv.pool ~kind:Bt_node.kind id
+          in
+          if not (Oib_sim.Latch.is_free p.Oib_storage.Page.latch) then
+            Alcotest.failf "%s: page %d left latched" name id)
+        (Btree.page_ids t);
+      healthy t;
+      add_small ())
+    paths;
+  Alcotest.(check bool)
+    "never entered" true
+    (Btree.read_state t big = LR.Absent);
+  healthy t;
+  (* the bottom-up loader refuses it too, and goes on *)
+  let t' = mk_tree ~capacity:1024 env ~id:2 in
+  let b = Btree.Bulk.start t' in
+  Btree.Bulk.add b (Tenv.keyn 1);
+  Alcotest.check_raises "Bulk.add"
     (Invalid_argument "Btree: key larger than max entry size") (fun () ->
-      ignore (Btree.set_state t big LR.Present))
+      Btree.Bulk.add b big);
+  Btree.Bulk.add b (Ikey.make "y" (Rid.make ~page:0 ~slot:0));
+  Btree.Bulk.finish b;
+  healthy t';
+  Alcotest.(check int) "bulk entries" 2 (Btree.entry_count t')
 
 let test_duplicate_kv_across_leaves () =
   let env = Tenv.make () in
@@ -92,14 +160,22 @@ let test_cursor_random_jumps_fall_back () =
   let t = mk_tree ~capacity:160 env ~id:1 in
   let c = Btree.new_cursor t in
   let rng = Rng.create 3 in
-  (* wildly non-local inserts through the cursor must stay correct *)
+  (* wildly non-local inserts through the cursor must stay correct: the
+     first half one key per run, the rest in one run *)
   let n = 400 in
+  let keys = Array.init n (fun _ -> Rng.int rng 10_000) in
   let seen = Hashtbl.create 64 in
-  for _ = 1 to n do
-    let i = Rng.int rng 10_000 in
-    Hashtbl.replace seen i ();
-    ignore (Btree.set_state t ~cursor:c (Tenv.keyn i) LR.Present)
-  done;
+  Array.iter (fun i -> Hashtbl.replace seen i ()) keys;
+  let run from upto =
+    ignore
+      (Btree.set_run t ~cursor:c
+         ~key_at:(fun j -> Tenv.keyn keys.(j))
+         ~state_at:(fun _ -> LR.Present)
+         ~from ~upto
+         (fun _ _ _ -> true))
+  in
+  for j = 0 to (n / 2) - 1 do run j (j + 1) done;
+  run (n / 2) n;
   healthy t;
   Alcotest.(check int) "count matches distinct keys" (Hashtbl.length seen)
     (Btree.entry_count t)

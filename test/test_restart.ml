@@ -417,6 +417,61 @@ let test_every_record_kind () =
   Alcotest.(check (list string)) "oracles clean once the build finished" []
     (oracle_errors ~final:true ctx'')
 
+(* Restart replays an index's logged keys as one run: K committed
+   single-key transactions on one leaf of a two-level tree, and no tree
+   image newer than the build's, cost that leaf one X latch in replay,
+   not K. *)
+let test_replay_latches_leaf_once () =
+  let module Event = Oib_obs.Event in
+  let module Btree = Oib_btree.Btree in
+  let trace = Oib_obs.Trace.create () in
+  let replaying = ref false and grants = Hashtbl.create 4 in
+  Oib_obs.Trace.add_sink trace ~name:"replay" (fun (s : Event.stamped) ->
+      match s.Event.event with
+      | Event.Recovery_step { step; _ } -> replaying := step = "replay_indexes"
+      | Event.Latch_grant { page; excl = true; _ } when !replaying ->
+        Hashtbl.replace grants page
+          (1 + Option.value ~default:0 (Hashtbl.find_opt grants page))
+      | _ -> ());
+  let ctx = Engine.create ~seed:4 ~page_capacity:512 ~trace () in
+  let _ = Catalog.create_table ctx.Ctx.catalog ctx.Ctx.pool ~table_id:1 in
+  let insert v =
+    match
+      Engine.run_txn ctx (fun txn ->
+          Table_ops.insert ctx txn ~table:1 (Oib_util.Record.make [| v; "p" |]))
+    with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "insert failed"
+  in
+  for i = 1 to 60 do insert (Printf.sprintf "a%03d" i) done;
+  ignore
+    (Sched.spawn ctx.Ctx.sched ~name:"ib" (fun () ->
+         Ib.build_index ctx (test_cfg Ib.Nsf) ~table:1
+           { Ib.index_id = 10; key_cols = [ 0 ]; unique = false }));
+  Sched.run ctx.Ctx.sched;
+  let k = 8 in
+  for i = 1 to k do insert (Printf.sprintf "v%02d" i) done;
+  let tree = (Catalog.index ctx.Ctx.catalog 10).tree in
+  Alcotest.(check int) "two levels" 2 (Btree.depth tree);
+  let leaves_with_v = ref [] in
+  Btree.iter_leaves tree (fun pid l ->
+      for j = 0 to Oib_btree.Bt_node.leaf_n l - 1 do
+        if (Oib_btree.Bt_node.leaf_key l j).Oib_util.Ikey.kv.[0] = 'v' then
+          leaves_with_v := pid :: !leaves_with_v
+      done);
+  let leaf =
+    match List.sort_uniq compare !leaves_with_v with
+    | [ leaf ] -> leaf
+    | _ -> Alcotest.fail "the keys span several leaves"
+  in
+  let ctx' = Engine.crash ~seed:5 ctx in
+  Alcotest.(check (list string))
+    "oracle clean" [] (Engine.consistency_errors ctx');
+  Alcotest.(check int) "entries replayed" (60 + k)
+    (Btree.entry_count (Catalog.index ctx'.Ctx.catalog 10).tree);
+  Alcotest.(check int) "replay X-latches the leaf once" 1
+    (Option.value ~default:0 (Hashtbl.find_opt grants leaf))
+
 let prop_crash_anywhere_nsf =
   QCheck.Test.make ~name:"NSF: crash anywhere, recover, finish" ~count:14
     QCheck.(pair small_nat (int_bound 99))
@@ -469,6 +524,8 @@ let () =
             test_every_record_kind;
           Alcotest.test_case "cancel then rebuild (sf)" `Quick
             test_cancel_then_rebuild_sf;
+          Alcotest.test_case "replay latches a leaf once per run" `Quick
+            test_replay_latches_leaf_once;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
